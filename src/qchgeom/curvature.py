@@ -21,7 +21,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .jets import Jet2, pack_matrix, seed_chart
+from .jets import Jet2, seed_chart, stack
 
 
 @dataclass(frozen=True)
@@ -39,7 +39,27 @@ class Curvature4:
     components: np.ndarray  # (d, d, d, d)
 
     def apply(self, X, Y, Z, W) -> float:
-        return float(np.einsum("ijkl,i,j,k,l->", self.components, X, Y, Z, W))
+        return float(contract_slots(self.components, X, Y, Z, W))
+
+
+def contract_slots(T: np.ndarray, *factors) -> np.ndarray:
+    """Contract the leading slots of T, in order, with one factor each.
+
+    A vector factor removes its slot; a (k, d) factor of row vectors replaces
+    its slot by a new trailing axis of length k.  One pairwise contraction per
+    slot keeps a rank-4 tensor at O(d^4 k) instead of the single nested loop a
+    multi-operand einsum runs.
+    """
+    for f in factors:
+        head, rest = T.shape[0], T.shape[1:]
+        # move the slot to the end (one copy), then one matrix product
+        T = T.reshape(head, -1).T.reshape(rest + (head,)) @ f.T
+    return T
+
+
+def _inverse_derivative(ginv: np.ndarray, dg: np.ndarray) -> np.ndarray:
+    """d_m g^{kl} = -g^{ka} d_m g_{ab} g^{bl}, last slot = derivative direction."""
+    return -np.moveaxis(ginv @ np.moveaxis(dg, -1, 0) @ ginv, 0, -1)
 
 
 class PointAnalysis:
@@ -54,17 +74,17 @@ class PointAnalysis:
         self.point = point
 
     @cached_property
-    def coords(self) -> list[Jet2]:
+    def coords(self) -> Jet2:
         return seed_chart(self.field.coords(self.point))
 
     @cached_property
-    def metric(self):
-        """(values, grads, hessians) of the metric components."""
-        return pack_matrix(self.field.metric_jets(self.coords))
+    def metric(self) -> Jet2:
+        """The metric components as one (d, d) jet."""
+        return stack(self.field.metric_jets(self.coords))
 
     @property
     def g(self) -> np.ndarray:
-        return self.metric[0]
+        return self.metric.value
 
     @cached_property
     def g_inv(self) -> np.ndarray:
@@ -72,7 +92,7 @@ class PointAnalysis:
 
     @cached_property
     def connection(self) -> Connection:
-        g, dg, d2g = self.metric
+        dg, d2g = self.metric.gradient, self.metric.hessian
         ginv = self.g_inv
         # brackets[l, i, j] = d_i g_{jl} + d_j g_{il} - d_l g_{ij}
         brackets = (np.einsum("jli->lij", dg) + np.einsum("ilj->lij", dg)
@@ -80,9 +100,10 @@ class PointAnalysis:
         gamma = 0.5 * np.einsum("kl,lij->kij", ginv, brackets)
         dbrackets = (np.einsum("jlim->lijm", d2g) + np.einsum("iljm->lijm", d2g)
                      - np.einsum("ijlm->lijm", d2g))
-        dginv = -np.einsum("ka,abm,bl->klm", ginv, dg, ginv)
-        dgamma = 0.5 * (np.einsum("klm,lij->kijm", dginv, brackets)
-                        + np.einsum("kl,lijm->kijm", ginv, dbrackets))
+        dginv = _inverse_derivative(ginv, dg)
+        d = ginv.shape[0]
+        dgamma = 0.5 * (np.tensordot(dginv, brackets, axes=(1, 0)).transpose(0, 2, 3, 1)
+                        + (ginv @ dbrackets.reshape(d, -1)).reshape(dbrackets.shape))
         return Connection(gamma=gamma, dgamma=dgamma)
 
     @cached_property
@@ -91,14 +112,16 @@ class PointAnalysis:
         gamma, dgamma = conn.gamma, conn.dgamma
         # R^b_{ijk} = d_i Gamma^b_{jk} - d_j Gamma^b_{ik}
         #             + Gamma^b_{ia} Gamma^a_{jk} - Gamma^b_{ja} Gamma^a_{ik}
+        d = gamma.shape[0]
+        # gg[b, i, j, k] = Gamma^b_{ia} Gamma^a_{jk}
+        gg = (gamma.reshape(d * d, d) @ gamma.reshape(d, d * d)).reshape(d, d, d, d)
         r_up = (np.einsum("bjki->bijk", dgamma) - np.einsum("bikj->bijk", dgamma)
-                + np.einsum("bia,ajk->bijk", gamma, gamma)
-                - np.einsum("bja,aik->bijk", gamma, gamma))
-        return Curvature4(np.einsum("bl,bijk->ijkl", self.g, r_up))
+                + gg - gg.transpose(0, 2, 1, 3))
+        return Curvature4(np.tensordot(r_up, self.g, axes=(0, 0)))
 
     @cached_property
     def ricci(self) -> np.ndarray:
-        return np.einsum("il,ijkl->jk", self.g_inv, self.riemann.components)
+        return np.tensordot(self.g_inv, self.riemann.components, axes=([0, 1], [0, 3]))
 
     @cached_property
     def complex_structure(self):
@@ -106,9 +129,8 @@ class PointAnalysis:
         builder = getattr(self.field, "complex_structure_jets", None)
         if builder is None:
             return None
-        jets = builder(self.coords)
-        values, grads, _ = pack_matrix(jets)
-        return values, grads
+        J = stack(builder(self.coords))
+        return J.value, J.gradient
 
     @cached_property
     def frame(self):
@@ -143,13 +165,23 @@ def sectional_curvature(R4: Curvature4, g: np.ndarray, X, Y) -> float:
 
 
 def holomorphic_sectional_curvature(R4: Curvature4, g: np.ndarray,
-                                    J: np.ndarray, X) -> float:
-    """R(X, JX, JX, X) / |X|^4."""
-    norm2 = float(X @ g @ X)
-    if norm2 <= 0.0:
+                                    J: np.ndarray, X):
+    """R(X, JX, JX, X) / |X|^4 for one vector X (d,), or per row of a batch (N, d).
+
+    The pairs (X, JX) and (JX, X) meet R viewed as a (d^2, d^2) matrix, so a
+    batch of N probes costs one O(N d^4) product.
+    """
+    X = np.asarray(X, dtype=float)
+    norm2 = np.sum((X @ g) * X, axis=-1)
+    if np.any(norm2 <= 0.0):
         raise ValueError("holomorphic sectional curvature of a null vector")
-    JX = J @ X
-    return R4.apply(X, JX, JX, X) / norm2 ** 2
+    JX = X @ J.T
+    d = X.shape[-1]
+    left = (X[..., :, None] * JX[..., None, :]).reshape(X.shape[:-1] + (d * d,))
+    right = (JX[..., :, None] * X[..., None, :]).reshape(X.shape[:-1] + (d * d,))
+    num = np.sum((left @ R4.components.reshape(d * d, d * d)) * right, axis=-1)
+    out = num / norm2 ** 2
+    return float(out) if X.ndim == 1 else out
 
 
 def nabla_j(analysis: PointAnalysis) -> np.ndarray:
@@ -165,16 +197,15 @@ def max_frame_component_3tensor(T: np.ndarray, frame: np.ndarray,
                                 g: np.ndarray) -> float:
     """max |T| over orthonormal frame slots; middle slot is contravariant."""
     lowered = frame @ g  # frame covectors as rows
-    vals = np.einsum("aj,jki,bi,ck->abc", frame, T, frame, lowered)
+    vals = contract_slots(T, frame, lowered, frame)  # [a, c, b]
     return float(np.abs(vals).max())
 
 
 def covariant_vector_derivative(analysis: PointAnalysis, x_field) -> tuple:
     """(X values, nabla X) with (nabla X)[k, i] = nabla_i X^k, from a jet field."""
-    jets = x_field(analysis.coords)
-    values = np.array([j.value for j in jets])
-    grads = np.stack([j.gradient for j in jets])  # grads[k, i] = d_i X^k
-    nabla = grads + np.einsum("kia,a->ki", analysis.connection.gamma, values)
+    x = stack(x_field(analysis.coords))
+    values = x.value
+    nabla = x.gradient + analysis.connection.gamma @ values  # gradient[k, i] = d_i X^k
     return values, nabla
 
 
@@ -196,15 +227,7 @@ def div_e(analysis: PointAnalysis, x_field, e_frame: np.ndarray) -> float:
     """Trace of (nabla X)^flat over an orthonormal frame of the complement E."""
     _, nabla = covariant_vector_derivative(analysis, x_field)
     lowered = np.einsum("kj,ki->ij", analysis.g, nabla)  # (nabla_i X)^flat_j
-    return float(np.einsum("ai,aj,ij->", e_frame, e_frame, lowered))
-
-
-def div_e_vector(analysis: PointAnalysis, values: np.ndarray,
-                 grads: np.ndarray, e_frame: np.ndarray) -> float:
-    """div_E for a field given directly by values and first derivatives."""
-    nabla = grads + np.einsum("kia,a->ki", analysis.connection.gamma, values)
-    lowered = np.einsum("kj,ki->ij", analysis.g, nabla)
-    return float(np.einsum("ai,aj,ij->", e_frame, e_frame, lowered))
+    return float(np.trace(e_frame @ lowered @ e_frame.T))
 
 
 def constant_vector_field(values: np.ndarray):
@@ -212,25 +235,22 @@ def constant_vector_field(values: np.ndarray):
     vals = np.asarray(values, dtype=float)
 
     def field(coords):
-        dj = coords[0].dim
-        return [Jet2.constant(v, dj) for v in vals]
+        return Jet2.constant(vals, coords[0].dim)
 
     return field
 
 
 def metric_inverse_jets(analysis: PointAnalysis):
     """(values, grads) of g^{-1} by differentiating the inverse relation."""
-    _, dg, _ = analysis.metric
     ginv = analysis.g_inv
-    dginv = -np.einsum("ka,abm,bl->klm", ginv, dg, ginv)
-    return ginv, dginv
+    return ginv, _inverse_derivative(ginv, analysis.metric.gradient)
 
 
 def j_gradient_field(analysis: PointAnalysis, scalar_field):
     """First-order jets of X = J grad(tau) at the analysis point.
 
     Only values and first derivatives are propagated (the Hessian slots of the
-    returned jets are zero); sufficient for Killing-deviation checks, which
+    returned jet are zero); sufficient for Killing-deviation checks, which
     read first derivatives of the field.
     """
     tau = scalar_field(analysis.coords)
@@ -240,10 +260,9 @@ def j_gradient_field(analysis: PointAnalysis, scalar_field):
     grad_d = (np.einsum("klm,l->km", dginv, tau.gradient)
               + np.einsum("kl,lm->km", ginv, tau.hessian))
     x_vals = J @ grad_v
-    x_grads = np.einsum("kam,a->km", dJ, grad_v) + np.einsum("ka,am->km", J, grad_d)
-    dj = analysis.coords[0].dim
-    zero_h = np.zeros((dj, dj))
-    return [Jet2(x_vals[k], x_grads[k], zero_h) for k in range(x_vals.shape[0])]
+    x_grads = np.einsum("kam,a->km", dJ, grad_v) + J @ grad_d
+    dj = analysis.coords.dim
+    return Jet2(x_vals, x_grads, np.zeros((x_vals.shape[0], dj, dj)))
 
 
 def second_bianchi_residual(field, point, directions, step: float = 1e-5) -> float:
@@ -274,7 +293,6 @@ def second_bianchi_residual(field, point, directions, step: float = 1e-5) -> flo
             - np.einsum("mal,ijkm->aijkl", gamma, R0))
 
     A, B, C = directions
-    cyc = (np.einsum("aijkl,a,i,j->kl", covR, A, B, C)
-           + np.einsum("aijkl,a,i,j->kl", covR, B, C, A)
-           + np.einsum("aijkl,a,i,j->kl", covR, C, A, B))
+    cyc = (contract_slots(covR, A, B, C) + contract_slots(covR, B, C, A)
+           + contract_slots(covR, C, A, B))
     return float(np.abs(cyc).max())

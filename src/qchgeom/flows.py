@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from .curvature import PointAnalysis
+from .curvature import PointAnalysis, contract_slots
 
 
 class FlowError(RuntimeError):
@@ -57,6 +57,21 @@ def _gamma_at(field, coords: np.ndarray) -> np.ndarray:
     return PointAnalysis(field, field.point(coords)).connection.gamma
 
 
+def geodesic_acceleration(gamma: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """-Gamma^k_ij v^i v^j."""
+    return -((gamma @ v) @ v)
+
+
+def transport_derivative(gamma: np.ndarray, v: np.ndarray, frame: np.ndarray) -> np.ndarray:
+    """d/dtau of parallel frame rows e_a: -Gamma^k_ij v^i e_a^j."""
+    return -frame @ (v @ gamma).T
+
+
+def jacobi_matrix(R4: np.ndarray, v: np.ndarray, frame: np.ndarray) -> np.ndarray:
+    """M[a, b] = R(v, e_b, v, e_a): the Jacobi operator in the frame rows e."""
+    return contract_slots(R4, v, frame, v, frame).T
+
+
 def integrate_geodesic(field, start: GeodesicState, span: float, *,
                        rtol: float = 1e-11, atol: float = 1e-12,
                        samples: int = 64) -> GeodesicPath:
@@ -66,8 +81,7 @@ def integrate_geodesic(field, start: GeodesicState, span: float, *,
     def rhs(_, state):
         x, v = state[:d], state[d:]
         gamma = _gamma_at(field, x)
-        acc = -np.einsum("kij,i,j->k", gamma, v, v)
-        return np.concatenate([v, acc])
+        return np.concatenate([v, geodesic_acceleration(gamma, v)])
 
     y0 = np.concatenate([start.position, start.velocity])
     sol = solve_ivp(rhs, (0.0, span), y0, method="DOP853",
@@ -94,7 +108,7 @@ def geodesic_residuals(path: GeodesicPath, taus=None, step: float = 1e-4):
         s0 = path.state(tau)
         vdot = (sp.velocity - sm.velocity) / (2.0 * step)
         gamma = _gamma_at(path.field, s0.position)
-        res = vdot + np.einsum("kij,i,j->k", gamma, s0.velocity, s0.velocity)
+        res = vdot - geodesic_acceleration(gamma, s0.velocity)
         g = PointAnalysis(path.field, path.field.point(s0.position)).g
         worst = max(worst, float(np.sqrt(res @ g @ res)))
     return worst
@@ -170,9 +184,8 @@ def integrate_jacobi(path: GeodesicPath, C0: np.ndarray, DC0: np.ndarray, *,
         gamma = analysis.connection.gamma
         R4 = analysis.riemann.components
         v = geo.velocity
-        dframe = -np.einsum("kij,i,aj->ak", gamma, v, frame)
-        M = np.einsum("ijkl,i,bj,k,al->ab", R4, v, frame, v, frame)
-        return np.concatenate([dframe.ravel(), yp, M @ y])
+        dframe = transport_derivative(gamma, v, frame)
+        return np.concatenate([dframe.ravel(), yp, jacobi_matrix(R4, v, frame) @ y])
 
     state0 = np.concatenate([frame0.ravel(), y0, yp0])
     sol = solve_ivp(rhs, (0.0, path.span), state0, method="DOP853",
@@ -202,8 +215,7 @@ def jacobi_equation_residual(result: JacobiResult, taus, step: float = 1e-4) -> 
                                  result.path.field.point(geo.position))
         state = result._dense(tau)
         frame = state[:d * d].reshape(d, d)
-        M = np.einsum("ijkl,i,bj,k,al->ab", analysis.riemann.components,
-                      geo.velocity, frame, geo.velocity, frame)
+        M = jacobi_matrix(analysis.riemann.components, geo.velocity, frame)
         worst = max(worst, float(np.abs(ypp - M @ y).max()))
     return worst
 

@@ -24,7 +24,8 @@ from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
 
-from .jets import Jet2, reciprocal, seed_chart
+from .jets import Jet2, reciprocal, seed_chart, zeros
+from .jets import sqrt as jet_sqrt
 from .profile import ProfileSolution
 
 CHART_RADIUS_DEFAULT = 4.0
@@ -90,12 +91,27 @@ class ChartPoint:
 # -- base models --------------------------------------------------------------
 
 
-class FubiniStudy:
+class _BaseModel:
+    """What the base models share: the chart-radius gate and Omega = h(J., .)."""
+
+    def check_bounds(self, z: np.ndarray) -> None:
+        rad = float(np.linalg.norm(z))
+        if rad >= self.chart_radius:
+            raise ChartBoundsError(
+                f"|z| = {rad} exceeds chart radius {self.chart_radius}")
+
+    def kahler_form_jets(self, z: Jet2) -> Jet2:
+        """Omega_ij = Omega(e_i, e_j) = h(J e_i, e_j)."""
+        return self.j0.T @ self.metric_jets(z)
+
+
+class FubiniStudy(_BaseModel):
     """Fubini-Study metric on an affine chart of CP^m, curvature c0.
 
     Real layout (u_1..u_m, v_1..v_m) for complex w_a = u_a + i v_a.  With
     K = (4/c0) log(1 + |w|^2) the components are the real/imaginary parts of
-    d_a d_bbar K, which gives holomorphic sectional curvature exactly c0.
+    d_a d_bbar K, which gives holomorphic sectional curvature exactly c0:
+    h = (4/c0) (I / W - (z z^T + (J z)(J z)^T) / W^2) with W = 1 + |z|^2.
     """
 
     def __init__(self, m: int, c0: float, chart_radius: float = CHART_RADIUS_DEFAULT):
@@ -113,65 +129,22 @@ class FubiniStudy:
             j0[a, m + a] = -1.0  # J dv_a = -du_a
         self.j0 = j0
 
-    def check_bounds(self, z: np.ndarray) -> None:
-        rad = float(np.linalg.norm(z))
-        if rad >= self.chart_radius:
-            raise ChartBoundsError(
-                f"|z| = {rad} exceeds chart radius {self.chart_radius}")
+    def metric_jets(self, z: Jet2) -> Jet2:
+        inv_w2 = reciprocal(1.0 + (z * z).sum())
+        jz = self.j0 @ z
+        outer = z[:, None] * z[None, :] + jz[:, None] * jz[None, :]
+        return (4.0 / self.c0) * (inv_w2 * np.eye(self.dim) - (inv_w2 * inv_w2) * outer)
 
-    def metric_jets(self, z: list[Jet2]) -> list[list[Jet2]]:
-        m = self.m
-        u, v = z[:m], z[m:]
-        w2 = 1.0 + sum(c * c for c in z)
-        inv_w2 = reciprocal(w2)
-        inv_w2_sq = inv_w2 * inv_w2
-        scale = 4.0 / self.c0
-        h = [[None] * self.dim for _ in range(self.dim)]
-        for a in range(m):
-            for b in range(m):
-                re = -(u[a] * u[b] + v[a] * v[b]) * inv_w2_sq
-                if a == b:
-                    re = re + inv_w2
-                re = scale * re
-                im = (v[a] * u[b] - u[a] * v[b]) * inv_w2_sq * scale
-                h[a][b] = re
-                h[m + a][m + b] = re
-                h[a][m + b] = im
-                h[m + b][a] = im
-        return h
-
-    def connection_potential_jets(self, z: list[Jet2]) -> list[Jet2]:
+    def connection_potential_jets(self, z: Jet2) -> Jet2:
         """sigma with d sigma = Omega, sigma(origin) = 0.
 
         sigma = -(1/4) dK o J = (2/c0) (u dv - v du) / (1 + |w|^2).
         """
-        m = self.m
-        w2 = 1.0 + sum(c * c for c in z)
-        coef = (2.0 / self.c0) * reciprocal(w2)
-        sigma = [None] * self.dim
-        for a in range(m):
-            sigma[a] = -(z[m + a] * coef)   # du_a slot carries -v_a
-            sigma[m + a] = z[a] * coef      # dv_a slot carries +u_a
-        return sigma
-
-    def kahler_form_jets(self, z: list[Jet2]) -> list[list[Jet2]]:
-        """Omega_ij = Omega(e_i, e_j) = h(J e_i, e_j)."""
-        h = self.metric_jets(z)
-        d = self.dim
-        omega = [[None] * d for _ in range(d)]
-        for i in range(d):
-            for j in range(d):
-                acc = None
-                for k in range(d):
-                    if self.j0[k, i] == 0.0:
-                        continue
-                    term = h[k][j] * self.j0[k, i]
-                    acc = term if acc is None else acc + term
-                omega[i][j] = acc
-        return omega
+        coef = (2.0 / self.c0) * reciprocal(1.0 + (z * z).sum())
+        return coef * (self.j0 @ z)  # du_a slot carries -v_a, dv_a slot +u_a
 
 
-class ProductBase:
+class ProductBase(_BaseModel):
     """Block product of Fubini-Study factors (coordinates concatenated).
 
     With equal-curvature CP^1 factors this is Einstein but does not have
@@ -184,60 +157,30 @@ class ProductBase:
         self.m = sum(f.m for f in factors)
         self.dim = 2 * self.m
         self.chart_radius = min(f.chart_radius for f in factors)
-        blocks = [f.j0 for f in factors]
         j0 = np.zeros((self.dim, self.dim))
-        off = 0
-        for blk in blocks:
-            k = blk.shape[0]
-            j0[off:off + k, off:off + k] = blk
-            off += k
+        for f, span in zip(factors, self._spans()):
+            j0[span, span] = f.j0
         self.j0 = j0
         self.c0 = factors[0].c0  # reference scale only; not constant curvature
 
-    def check_bounds(self, z: np.ndarray) -> None:
-        rad = float(np.linalg.norm(z))
-        if rad >= self.chart_radius:
-            raise ChartBoundsError(
-                f"|z| = {rad} exceeds chart radius {self.chart_radius}")
-
-    def _split(self, z):
+    def _spans(self) -> list[slice]:
         out, off = [], 0
         for f in self.factors:
-            out.append(z[off:off + f.dim])
+            out.append(slice(off, off + f.dim))
             off += f.dim
         return out
 
-    def metric_jets(self, z: list[Jet2]) -> list[list[Jet2]]:
-        d = len(z)
-        zero = Jet2.constant(0.0, z[0].dim)
-        h = [[zero] * d for _ in range(d)]
-        off = 0
-        for f, zf in zip(self.factors, self._split(z)):
-            hf = f.metric_jets(zf)
-            for i in range(f.dim):
-                for j in range(f.dim):
-                    h[off + i][off + j] = hf[i][j]
-            off += f.dim
+    def metric_jets(self, z: Jet2) -> Jet2:
+        h = zeros((self.dim, self.dim), z.dim)
+        for f, span in zip(self.factors, self._spans()):
+            h[span, span] = f.metric_jets(z[span])
         return h
 
-    def connection_potential_jets(self, z: list[Jet2]) -> list[Jet2]:
-        sigma = []
-        for f, zf in zip(self.factors, self._split(z)):
-            sigma.extend(f.connection_potential_jets(zf))
+    def connection_potential_jets(self, z: Jet2) -> Jet2:
+        sigma = zeros((self.dim,), z.dim)
+        for f, span in zip(self.factors, self._spans()):
+            sigma[span] = f.connection_potential_jets(z[span])
         return sigma
-
-    def kahler_form_jets(self, z: list[Jet2]) -> list[list[Jet2]]:
-        d = len(z)
-        zero = Jet2.constant(0.0, z[0].dim)
-        omega = [[zero] * d for _ in range(d)]
-        off = 0
-        for f, zf in zip(self.factors, self._split(z)):
-            of = f.kahler_form_jets(zf)
-            for i in range(f.dim):
-                for j in range(f.dim):
-                    omega[off + i][off + j] = of[i][j]
-            off += f.dim
-        return omega
 
 
 # -- frames -------------------------------------------------------------------
@@ -281,12 +224,12 @@ def _gram_schmidt(rows: list[np.ndarray], g: np.ndarray) -> np.ndarray:
 class MetricSample:
     """Metric, complex structure and frame at one chart point."""
 
-    g: list                       # (d, d) nested list of Jet2
+    g: Jet2                       # (d, d) metric jet
     J: np.ndarray | None          # (d, d) complex-structure values, if any
     frame: FrameBasis
 
     def g_values(self) -> np.ndarray:
-        return np.array([[j.value for j in row] for row in self.g])
+        return self.g.value
 
 
 class WarpedBundleMetric:
@@ -328,121 +271,81 @@ class WarpedBundleMetric:
                 f"t = {point.t} outside interior margin [{margin}, {self.profile.L - margin}]")
         self.base.check_bounds(point.z)
 
-    def _base_at(self, coords: list[Jet2]):
+    def _base_at(self, z: np.ndarray) -> tuple[Jet2, Jet2]:
         """Base metric + potential at the z-slice, memoised on the z values.
 
+        The jets are seeded in the total chart (z sits at coordinates 2..d-1).
         Base components depend only on z, so points sharing z (e.g. samples
-        along one t-geodesic) reuse one evaluation.
+        along one t-geodesic, or the frame and fields at an analysed point)
+        reuse one evaluation.  Such reuse is local, so a few slices suffice;
+        a larger memo only keeps memory alive, for as long as the model lives.
         """
-        z = coords[2:]
-        key = np.array([c.value for c in z]).tobytes()
+        key = np.asarray(z, dtype=float).tobytes()
         hit = self._base_cache.get(key)
         if hit is None:
-            hit = (self.base.metric_jets(z), self.base.connection_potential_jets(z))
-            if len(self._base_cache) > 256:
+            d = self.dim
+            zj = Jet2(np.array(z, dtype=float), np.eye(d)[2:], np.zeros((d - 2, d, d)))
+            hit = (self.base.metric_jets(zj), self.base.connection_potential_jets(zj))
+            if len(self._base_cache) >= 16:
                 self._base_cache.clear()
             self._base_cache[key] = hit
         return hit
 
     def warp_jets(self, t_jet: Jet2) -> tuple[Jet2, Jet2]:
         """(r, f) at a jet-seeded t, with the control scale applied to f."""
-        r = self.profile.r_jet(t_jet)
-        f = self.profile.warp_jet(t_jet)
+        r, f = self.profile.jets(t_jet)
         if self.warp_scale != 1.0:
             f = f * self.warp_scale
         return r, f
 
-    def metric_jets(self, coords: list[Jet2]) -> list[list[Jet2]]:
+    def metric_jets(self, coords: Jet2) -> Jet2:
         d = self.dim
-        dj = coords[0].dim
-        zero = Jet2.constant(0.0, dj)
         r, f = self.warp_jets(coords[0])
-        h, sigma = self._base_at(coords)
-        f2 = f * f
-        g = [[zero] * d for _ in range(d)]
-        g[0][0] = Jet2.constant(1.0, dj)
-        g[1][1] = f2
-        s = self.s
-        if s != 0.0:
-            f2s = f2 * s
-            for i in range(self.base.dim):
-                cross = f2s * sigma[i]
-                g[1][2 + i] = cross
-                g[2 + i][1] = cross
-        scale = None if self.product_mode else r * r
-        for i in range(self.base.dim):
-            for j in range(i, self.base.dim):
-                entry = h[i][j] if scale is None else scale * h[i][j]
-                if s != 0.0:
-                    entry = entry + (f2 * (s * s)) * (sigma[i] * sigma[j])
-                g[2 + i][2 + j] = entry
-                g[2 + j][2 + i] = entry
+        h, sigma = self._base_at(coords.value[2:])
+        f_theta = zeros((d - 1,), coords.dim)  # f theta = f (dpsi + s sigma) on (psi, z)
+        f_theta[0] = f
+        f_theta[1:] = f * (self.s * sigma)
+        g = zeros((d, d), coords.dim)
+        g[0, 0] = 1.0
+        g[1:, 1:] = f_theta[:, None] * f_theta[None, :]
+        g[2:, 2:] += h if self.product_mode else (r * r) * h
         return g
 
-    def complex_structure_jets(self, coords: list[Jet2]) -> list[list[Jet2]]:
+    def complex_structure_jets(self, coords: Jet2) -> Jet2:
         """J with J H = xi/f, J xi = -f H, and the base structure on lifts."""
-        d = self.dim
-        dj = coords[0].dim
-        zero = Jet2.constant(0.0, dj)
         _, f = self.warp_jets(coords[0])
-        _, sigma = self._base_at(coords)
+        _, sigma = self._base_at(coords.value[2:])
         j0 = self.base.j0
-        J = [[zero] * d for _ in range(d)]
-        J[1][0] = reciprocal(f)
-        J[0][1] = -f
-        s = self.s
-        for i in range(self.base.dim):
-            if s != 0.0:
-                J[0][2 + i] = -(f * (s * sigma[i]))
-                sig_j0 = None
-                for k in range(self.base.dim):
-                    if j0[k, i] == 0.0:
-                        continue
-                    term = sigma[k] * j0[k, i]
-                    sig_j0 = term if sig_j0 is None else sig_j0 + term
-                J[1][2 + i] = -(s * sig_j0)
-            for k in range(self.base.dim):
-                if j0[k, i] != 0.0:
-                    J[2 + k][2 + i] = Jet2.constant(j0[k, i], dj)
+        J = zeros((self.dim, self.dim), coords.dim)
+        J[1, 0] = reciprocal(f)
+        J[0, 1] = -f
+        J[0, 2:] = -(f * (self.s * sigma))
+        J[1, 2:] = -(self.s * (j0.T @ sigma))
+        J[2:, 2:] = j0
         return J
 
     # -- jet-evaluable fields used by divergence and identity checks ---------
 
+    def _unit_field(self, index: int, coords: Jet2) -> Jet2:
+        return Jet2.constant(np.eye(self.dim)[index], coords.dim)
+
     def h_field(self):
         """The unit t-direction as a constant coordinate field."""
-        def field(coords):
-            dj = coords[0].dim
-            out = [Jet2.constant(0.0, dj) for _ in range(self.dim)]
-            out[0] = Jet2.constant(1.0, dj)
-            return out
-        return field
+        return lambda coords: self._unit_field(0, coords)
 
     def fiber_field(self):
         """The fiber rotation field (theta of it is 1 exactly)."""
-        def field(coords):
-            dj = coords[0].dim
-            out = [Jet2.constant(0.0, dj) for _ in range(self.dim)]
-            out[1] = Jet2.constant(1.0, dj)
-            return out
-        return field
+        return lambda coords: self._unit_field(1, coords)
 
     def jh_field(self):
         """The unit fiber direction xi / f as a jet field."""
-        def field(coords):
-            dj = coords[0].dim
-            _, f = self.warp_jets(coords[0])
-            out = [Jet2.constant(0.0, dj) for _ in range(self.dim)]
-            out[1] = reciprocal(f)
-            return out
-        return field
+        return self.section_field(0.0, 1.0)
 
     def section_field(self, c1: float, c2: float):
         """c1 * H + c2 * JH with constant coefficients (a rotated unit section)."""
         def field(coords):
-            dj = coords[0].dim
             _, f = self.warp_jets(coords[0])
-            out = [Jet2.constant(0.0, dj) for _ in range(self.dim)]
-            out[0] = Jet2.constant(c1, dj)
+            out = self._unit_field(0, coords) * c1
             out[1] = c2 * reciprocal(f)
             return out
         return field
@@ -454,16 +357,12 @@ class WarpedBundleMetric:
         metric h (so its g-length is r in warped mode).
         """
         def field(coords):
-            dj = coords[0].dim
-            h, sigma = self._base_at(coords)
-            out = [Jet2.constant(0.0, dj) for _ in range(self.dim)]
-            out[2 + i] = Jet2.constant(1.0, dj)
+            h, sigma = self._base_at(coords.value[2:])
+            out = self._unit_field(2 + i, coords)
             if self.s != 0.0:
                 out[1] = -(self.s * sigma[i])
             if base_unit:
-                from .jets import sqrt as jet_sqrt
-                scale = reciprocal(jet_sqrt(h[i][i]))
-                out = [c * scale for c in out]
+                out = out * reciprocal(jet_sqrt(h[i, i]))
             return out
         return field
 
@@ -482,17 +381,9 @@ class WarpedBundleMetric:
         h_vec = np.zeros(d); h_vec[0] = 1.0
         xi = np.zeros(d); xi[1] = 1.0
         jh = xi / f
-        lifts = []
+        lifts = np.eye(d)[2:]
         if self.s != 0.0:
-            zj = seed_chart(self.coords(point))[2:]
-            sigma_vals = [sj.value for sj in self.base.connection_potential_jets(zj)]
-        else:
-            sigma_vals = [0.0] * self.base.dim
-        for i in range(self.base.dim):
-            vec = np.zeros(d)
-            vec[2 + i] = 1.0
-            vec[1] = -self.s * sigma_vals[i]
-            lifts.append(vec)
+            lifts[:, 1] = -self.s * self._base_at(point.z)[1].value
         horizontals = _gram_schmidt(lifts, g_values)
         vectors = np.vstack([h_vec, jh, horizontals])
         return FrameBasis(vectors=vectors, h_vec=h_vec, xi=xi, jh=jh)
@@ -501,11 +392,9 @@ class WarpedBundleMetric:
         self.check_bounds(point)
         coords = seed_chart(self.coords(point))
         g = self.metric_jets(coords)
-        J = self.complex_structure_jets(coords)
-        g_values = np.array([[j.value for j in row] for row in g])
-        np.linalg.cholesky(g_values)  # positive definiteness gate
-        J_values = np.array([[j.value for j in row] for row in J])
-        return MetricSample(g=g, J=J_values, frame=self.frame_at(point, g_values))
+        np.linalg.cholesky(g.value)  # positive definiteness gate
+        J_values = self.complex_structure_jets(coords).value
+        return MetricSample(g=g, J=J_values, frame=self.frame_at(point, g.value))
 
 
 class CircleBundleMetric:
@@ -530,50 +419,28 @@ class CircleBundleMetric:
     def check_bounds(self, point: ChartPoint) -> None:
         self.base.check_bounds(point.z)
 
-    def metric_jets(self, coords: list[Jet2]) -> list[list[Jet2]]:
-        d = self.dim
-        dj = coords[0].dim
-        zero = Jet2.constant(0.0, dj)
+    def metric_jets(self, coords: Jet2) -> Jet2:
         z = coords[1:]
         h = self.base.metric_jets(z)
         sigma = self.base.connection_potential_jets(z)
-        a2 = self.alpha ** 2
-        b2 = self.beta ** 2
-        s = self.s
-        g = [[zero] * d for _ in range(d)]
-        g[0][0] = Jet2.constant(a2, dj)
-        for i in range(self.base.dim):
-            if s != 0.0:
-                cross = (a2 * s) * sigma[i]
-                g[0][1 + i] = cross
-                g[1 + i][0] = cross
-            for j in range(i, self.base.dim):
-                entry = b2 * h[i][j]
-                if s != 0.0:
-                    entry = entry + (a2 * s * s) * (sigma[i] * sigma[j])
-                g[1 + i][1 + j] = entry
-                g[1 + j][1 + i] = entry
+        theta = zeros((self.dim,), coords.dim)  # theta = dpsi + s sigma
+        theta[0] = 1.0
+        theta[1:] = self.s * sigma
+        g = self.alpha ** 2 * (theta[:, None] * theta[None, :])
+        g[1:, 1:] += self.beta ** 2 * h
         return g
 
     complex_structure_jets = None  # no complex structure on the odd-dim chart
 
     def fiber_field(self):
-        def field(coords):
-            dj = coords[0].dim
-            out = [Jet2.constant(0.0, dj) for _ in range(self.dim)]
-            out[0] = Jet2.constant(1.0, dj)
-            return out
-        return field
+        return lambda coords: Jet2.constant(np.eye(self.dim)[0], coords.dim)
 
     def lift_field(self, i: int):
         """Horizontal lift of the i-th base coordinate vector as a jet field."""
         def field(coords):
-            dj = coords[0].dim
-            sigma = self.base.connection_potential_jets(coords[1:])
-            out = [Jet2.constant(0.0, dj) for _ in range(self.dim)]
-            out[1 + i] = Jet2.constant(1.0, dj)
+            out = Jet2.constant(np.eye(self.dim)[1 + i], coords.dim)
             if self.s != 0.0:
-                out[0] = -(self.s * sigma[i])
+                out[0] = -(self.s * self.base.connection_potential_jets(coords[1:])[i])
             return out
         return field
 
@@ -581,25 +448,18 @@ class CircleBundleMetric:
         d = self.dim
         xi = np.zeros(d); xi[0] = 1.0
         xihat = xi / self.alpha
-        zj = seed_chart(self.coords(point))[1:]
-        sigma_vals = [sj.value for sj in self.base.connection_potential_jets(zj)]
-        lifts = []
-        for i in range(self.base.dim):
-            vec = np.zeros(d)
-            vec[1 + i] = 1.0
-            vec[0] = -self.s * sigma_vals[i]
-            lifts.append(vec)
+        sigma_vals = self.base.connection_potential_jets(seed_chart(point.z)).value
+        lifts = np.eye(d)[1:]
+        lifts[:, 0] = -self.s * sigma_vals
         horizontals = _gram_schmidt(lifts, g_values)
         return FrameBasis(vectors=np.vstack([xihat, horizontals]),
                           h_vec=None, xi=xi, jh=xihat)
 
     def sample(self, point: ChartPoint) -> MetricSample:
         self.check_bounds(point)
-        coords = seed_chart(self.coords(point))
-        g = self.metric_jets(coords)
-        g_values = np.array([[j.value for j in row] for row in g])
-        np.linalg.cholesky(g_values)
-        return MetricSample(g=g, J=None, frame=self.frame_at(point, g_values))
+        g = self.metric_jets(seed_chart(self.coords(point)))
+        np.linalg.cholesky(g.value)
+        return MetricSample(g=g, J=None, frame=self.frame_at(point, g.value))
 
 
 class BaseChartMetric:
@@ -619,27 +479,21 @@ class BaseChartMetric:
     def check_bounds(self, point: ChartPoint) -> None:
         self.base.check_bounds(point.z)
 
-    def metric_jets(self, coords: list[Jet2]) -> list[list[Jet2]]:
+    def metric_jets(self, coords: Jet2) -> Jet2:
         return self.base.metric_jets(coords)
 
-    def complex_structure_jets(self, coords: list[Jet2]) -> list[list[Jet2]]:
-        dj = coords[0].dim
-        j0 = self.base.j0
-        return [[Jet2.constant(j0[k, i], dj) for i in range(self.dim)]
-                for k in range(self.dim)]
+    def complex_structure_jets(self, coords: Jet2) -> Jet2:
+        return Jet2.constant(self.base.j0, coords.dim)
 
     def frame_at(self, point: ChartPoint, g_values: np.ndarray) -> FrameBasis:
-        rows = [np.eye(self.dim)[i] for i in range(self.dim)]
-        return FrameBasis(vectors=_gram_schmidt(rows, g_values))
+        return FrameBasis(vectors=_gram_schmidt(np.eye(self.dim), g_values))
 
     def sample(self, point: ChartPoint) -> MetricSample:
         self.check_bounds(point)
-        coords = seed_chart(self.coords(point))
-        g = self.metric_jets(coords)
-        g_values = np.array([[j.value for j in row] for row in g])
-        np.linalg.cholesky(g_values)
+        g = self.metric_jets(seed_chart(self.coords(point)))
+        np.linalg.cholesky(g.value)
         J_values = self.base.j0.copy()
-        return MetricSample(g=g, J=J_values, frame=self.frame_at(point, g_values))
+        return MetricSample(g=g, J=J_values, frame=self.frame_at(point, g.value))
 
 
 class EuclideanMetric:
@@ -660,12 +514,8 @@ class EuclideanMetric:
     def check_bounds(self, point) -> None:
         pass
 
-    def metric_jets(self, coords: list[Jet2]) -> list[list[Jet2]]:
-        dj = coords[0].dim
-        one = Jet2.constant(1.0, dj)
-        zero = Jet2.constant(0.0, dj)
-        return [[one if i == j else zero for j in range(self.dim)]
-                for i in range(self.dim)]
+    def metric_jets(self, coords: Jet2) -> Jet2:
+        return Jet2.constant(np.eye(self.dim), coords.dim)
 
     complex_structure_jets = None
 
@@ -673,8 +523,7 @@ class EuclideanMetric:
         return FrameBasis(vectors=np.eye(self.dim))
 
     def sample(self, point) -> MetricSample:
-        coords = seed_chart(self.coords(point))
-        g = self.metric_jets(coords)
+        g = self.metric_jets(seed_chart(self.coords(point)))
         return MetricSample(g=g, J=None,
                             frame=self.frame_at(point, np.eye(self.dim)))
 
@@ -699,11 +548,10 @@ def connection_form(m: int, c0: float, s: float, z: np.ndarray):
     base = FubiniStudy(m, c0)
     base.check_bounds(np.asarray(z, dtype=float))
     coords = seed_chart(np.concatenate(([0.0], np.asarray(z, dtype=float))))
-    dj = len(coords)
-    sigma_z = base.connection_potential_jets(coords[1:])
-    zero = Jet2.constant(0.0, dj)
-    sigma = [zero] + sigma_z
-    theta = [Jet2.constant(1.0, dj)] + [s * sj for sj in sigma_z]
+    sigma = zeros((len(coords),), coords.dim)
+    sigma[1:] = base.connection_potential_jets(coords[1:])
+    theta = s * sigma
+    theta[0] = 1.0
     return sigma, theta
 
 
@@ -722,21 +570,16 @@ def circle_bundle_metric(alpha: float, beta: float, m: int, c0: float, s: float,
     return model.sample(point)
 
 
-def exterior_derivative_2form(form_jets) -> np.ndarray:
-    """(d omega)_{ijk} = cyclic sum of jet gradients of a 2-form's components."""
-    vals = np.array([[j.value for j in row] for row in form_jets])
-    d = vals.shape[0]
-    grads = np.array([[form_jets[i][j].gradient for j in range(d)] for i in range(d)])
-    dw = np.empty((d, d, d))
-    for i in range(d):
-        for j in range(d):
-            for k in range(d):
-                dw[i, j, k] = grads[j, k, i] - grads[i, k, j] + grads[i, j, k]
-    return dw
+def exterior_derivative_2form(form: Jet2) -> np.ndarray:
+    """(d omega)_{ijk} = cyclic sum of jet gradients of a 2-form's components.
+
+    With w[i, j, k] = d_k omega_ij: (d omega)_ijk = w[j,k,i] - w[i,k,j] + w[i,j,k].
+    """
+    w = form.gradient
+    return w.transpose(2, 0, 1) - w.transpose(0, 2, 1) + w
 
 
-def exterior_derivative_1form(form_jets) -> np.ndarray:
+def exterior_derivative_1form(form: Jet2) -> np.ndarray:
     """(d sigma)_{ij} = d_i sigma_j - d_j sigma_i from jet gradients."""
-    d = len(form_jets)
-    grads = np.stack([fj.gradient[:d] for fj in form_jets])
+    grads = form.gradient[:, :len(form)]
     return grads.T - grads

@@ -253,19 +253,19 @@ class ProfileSolution:
 
     def warp_derivatives(self, t: float) -> tuple[float, float, float]:
         """(f, f', f'') at ``t``."""
-        r, rp, rpp, rppp = self.evaluate(t)
+        return self._warp_from(*self.evaluate(t))
+
+    def _warp_from(self, r, rp, rpp, rppp) -> tuple[float, float, float]:
         f = 2.0 * r * rp / self.s
         fp = 2.0 * (rp ** 2 + r * rpp) / self.s
         fpp = 2.0 * (3.0 * rp * rpp + r * rppp) / self.s
         return f, fp, fpp
 
-    def r_jet(self, t_jet: Jet2) -> Jet2:
-        r, rp, rpp, _ = self.evaluate(t_jet.value)
-        return compose(t_jet, r, rp, rpp)
-
-    def warp_jet(self, t_jet: Jet2) -> Jet2:
-        f, fp, fpp = self.warp_derivatives(t_jet.value)
-        return compose(t_jet, f, fp, fpp)
+    def jets(self, t_jet: Jet2) -> tuple[Jet2, Jet2]:
+        """(r, f) at a jet-seeded t, from one evaluation of the profile."""
+        r, rp, rpp, rppp = self.evaluate(t_jet.value)
+        return (compose(t_jet, r, rp, rpp),
+                compose(t_jet, *self._warp_from(r, rp, rpp, rppp)))
 
     # -- diagnostics ---------------------------------------------------------
 

@@ -12,12 +12,15 @@ against their closed forms.
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
 
 from .curvature import (
+    Curvature4,
     PointAnalysis,
+    contract_slots,
     covariant_vector_derivative,
     div_e,
     hessian_form,
@@ -92,19 +95,9 @@ def model_tensors(g: np.ndarray, J: np.ndarray, split: SplitTensors,
     Pi, Phi, Psi = model_tensor_arrays(g, J, split)
 
     def val(T):
-        return float(np.einsum("ijkl,i,j,k,l->", T, X, Y, Z, U))
+        return float(contract_slots(T, X, Y, Z, U))
 
     return val(Pi), val(Phi), val(Psi)
-
-
-class Curv:
-    """Minimal curvature wrapper for raw component arrays."""
-
-    def __init__(self, components: np.ndarray):
-        self.components = components
-
-    def apply(self, X, Y, Z, W) -> float:
-        return float(np.einsum("ijkl,i,j,k,l->", self.components, X, Y, Z, W))
 
 
 # -- coefficient fit --------------------------------------------------------------
@@ -137,25 +130,31 @@ def fit_from_curvature(R4: np.ndarray, g: np.ndarray, J: np.ndarray,
     a fixed well-conditioned 3x3 system; random unit vectors only feed the
     residual that certifies (or refutes) quasi-constancy.
     """
-    R = Curv(R4)
-    split = split_tensors(g, J, h_hat, jh_hat)
-
-    def hol(X):
-        return holomorphic_sectional_curvature(R, g, J, X)
-
+    R = Curvature4(R4)
     half = (e_unit + h_hat) / np.sqrt(2.0)
-    probes = np.array([hol(e_unit), hol(half), hol(h_hat)])
+    probes = holomorphic_sectional_curvature(R, g, J, np.stack([e_unit, half, h_hat]))
     a, b, c = np.linalg.solve(_PROBE_MATRIX, probes)
-
-    residual = 0.0
+    coeffs = QCHCoefficients(a=float(a), b=float(b), c=float(c), residual=0.0)
     if residual_samples and rng is not None:
-        d = g.shape[0]
-        for _ in range(residual_samples):
-            w = rng.standard_normal(d)
-            w /= np.sqrt(w @ g @ w)
-            tau2 = float(w @ split.h @ w)
-            residual = max(residual, abs(hol(w) - (a + b * tau2 + c * tau2 ** 2)))
-    return QCHCoefficients(a=float(a), b=float(b), c=float(c), residual=residual)
+        split = split_tensors(g, J, h_hat, jh_hat)
+        deviations = _probe_deviations(R, g, J, split, coeffs, rng, residual_samples)
+        coeffs = dataclasses.replace(coeffs, residual=float(deviations.max()))
+    return coeffs
+
+
+def _probe_deviations(R: Curvature4, g: np.ndarray, J: np.ndarray,
+                      split: SplitTensors, coeffs: QCHCoefficients,
+                      rng: np.random.Generator, samples: int) -> np.ndarray:
+    """|K(X) - phi(|X_D|)| on ``samples`` random unit vectors, drawn in one call.
+
+    One (samples, d) draw yields the same stream as ``samples`` draws of size d,
+    so batching leaves the probes of a seed unchanged.
+    """
+    w = rng.standard_normal((samples, g.shape[0]))
+    w /= np.sqrt(np.sum((w @ g) * w, axis=1))[:, None]
+    tau2 = np.sum((w @ split.h) * w, axis=1)
+    k = holomorphic_sectional_curvature(R, g, J, w)
+    return np.abs(k - (coeffs.a + coeffs.b * tau2 + coeffs.c * tau2 ** 2))
 
 
 def fit_qch_coefficients(analysis: PointAnalysis,
@@ -176,15 +175,7 @@ def qch_residual_samples(analysis: PointAnalysis, coeffs: QCHCoefficients,
     J = analysis.complex_structure[0]
     g = analysis.g
     split = split_tensors(g, J, frame.vectors[0], frame.vectors[1])
-    R = analysis.riemann
-    out = np.empty(samples)
-    for i in range(samples):
-        w = rng.standard_normal(g.shape[0])
-        w /= np.sqrt(w @ g @ w)
-        tau2 = float(w @ split.h @ w)
-        k = holomorphic_sectional_curvature(R, g, J, w)
-        out[i] = abs(k - (coeffs.a + coeffs.b * tau2 + coeffs.c * tau2 ** 2))
-    return out
+    return _probe_deviations(analysis.riemann, g, J, split, coeffs, rng, samples)
 
 
 # -- kappa, principal section, Ricci split ---------------------------------------
@@ -458,7 +449,7 @@ def warped_submersion_residuals(analysis: PointAnalysis, model, params) -> dict[
     cov_lift = np.stack(cov_lift)                            # (nb, d, d): [j,k,i]
     n_lift = np.einsum("jki,li->ljk", cov_lift, lift_vals)   # nabla_{lift_l} lift_j
     coef = e_frame[:, 2:]                                    # E_a = sum coef[a,i] lift_i
-    n_ee = np.einsum("ai,bj,ijk->abk", coef, coef, n_lift)
+    n_ee = contract_slots(n_lift, coef, coef).transpose(1, 2, 0)
     t_h = np.einsum("abk,k->ab", n_ee, g @ h_hat)
     out["horizontal_t_tensor"] = float(np.abs(t_h + (rp / r) * np.eye(nb)).max())
 
@@ -479,12 +470,12 @@ def warped_submersion_residuals(analysis: PointAnalysis, model, params) -> dict[
 
     # mixed curvature: R(JH, U, V, JH) = (s^2 f^2/(4 r^4) - f' r'/(f r)) g(U, V)
     target = s * s * f * f / (4.0 * r ** 4) - fp * rp / (f * r)
-    mixed = np.einsum("ijkl,i,aj,bk,l->ab", R4, jh_hat, e_frame, e_frame, jh_hat)
+    mixed = contract_slots(R4, jh_hat, e_frame, e_frame, jh_hat)
     out["mixed_plane_curvature"] = float(np.abs(mixed - target * np.eye(nb)).max())
 
     # degenerate components: R(X, Y, Z, V) = 0 for X, Y, Z in D, V in E
     d_pair = np.stack([h_hat, jh_hat])
-    degen = np.einsum("ijkl,ai,bj,ck,dl->abcd", R4, d_pair, d_pair, d_pair, e_frame)
+    degen = contract_slots(R4, d_pair, d_pair, d_pair, e_frame)
     out["d_plane_degenerate_curvature"] = float(np.abs(degen).max())
 
     return out
@@ -513,12 +504,12 @@ def circle_bundle_residuals(analysis: PointAnalysis, model,
     out["fiber_ricci_eigenvalue"] = abs(float(xi_hat @ rho @ xi_hat) - lam_target)
 
     # R(X, xi, Y, xi) = -(s^2 alpha^4/(4 beta^4)) g(X, Y) on horizontals
-    mixed = np.einsum("ijkl,ai,j,bk,l->ab", R4, e_frame, xi, e_frame, xi)
+    mixed = contract_slots(R4, e_frame, xi, e_frame, xi)
     target = -(s * s * al ** 4 / (4.0 * be ** 4)) * np.eye(nb)
     out["mixed_fiber_curvature"] = float(np.abs(mixed - target).max())
 
     # sectional curvature of (E, xi) planes: s^2 alpha^2/(4 beta^4)
-    sect = np.einsum("ijkl,ai,j,k,al->a", R4, e_frame, xi_hat, xi_hat, e_frame)
+    sect = np.diagonal(contract_slots(R4, e_frame, xi_hat, xi_hat, e_frame))
     out["fiber_plane_sectional"] = float(
         np.abs(sect - s * s * al * al / (4.0 * be ** 4)).max())
 

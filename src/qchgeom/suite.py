@@ -16,6 +16,7 @@ import numpy as np
 
 from .curvature import (
     PointAnalysis,
+    contract_slots,
     max_frame_component_3tensor,
     nabla_j,
     second_bianchi_residual,
@@ -29,8 +30,10 @@ from .geometry import (
     FubiniStudy,
     ProductBase,
     WarpedBundleMetric,
+    exterior_derivative_1form,
     exterior_derivative_2form,
 )
+from .jets import stack
 from .profile import boundary_report, build_polynomial, solve_profile
 from .qch import (
     circle_bundle_residuals,
@@ -196,37 +199,33 @@ def sample_interior_points(model, rng: np.random.Generator, count: int,
 
 
 def _kahler_form_closedness(analysis: PointAnalysis) -> float:
-    field_ = analysis.field
-    coords = analysis.coords
-    g_jets = field_.metric_jets(coords)
-    j_jets = field_.complex_structure_jets(coords)
-    d = len(g_jets)
-    omega = [[None] * d for _ in range(d)]
-    for i in range(d):
-        for j in range(d):
-            acc = None
-            for k in range(d):
-                term = j_jets[k][i] * g_jets[k][j]
-                acc = term if acc is None else acc + term
-            omega[i][j] = acc
-    return float(np.abs(exterior_derivative_2form(omega)).max())
+    """max |d Omega| for Omega_ij = g(J e_i, e_j) = (J^T g)_ij, from the jets."""
+    J = stack(analysis.field.complex_structure_jets(analysis.coords))
+    return float(np.abs(exterior_derivative_2form(J.T @ analysis.metric)).max())
 
 
 def _connection_form_residuals(model, analysis: PointAnalysis) -> tuple[float, float]:
-    """(max |d sigma - Omega|, max |d theta - s Omega|) at the point's base slice."""
+    """(max |d sigma - Omega|, max |d theta - s Omega|) at the point.
+
+    sigma comes from the base model; theta is read off the assembled metric,
+    theta_i = g(d_psi, e_i) / g(d_psi, d_psi), on both the warped and the
+    bundle chart (psi sits just before the base block z).  So the second
+    residual tests the pitch and cross terms the metric was built with.
+    """
     coords = analysis.coords
     base = model.base
-    z = coords[-base.dim:]
+    off = len(coords) - base.dim
+    z = coords[off:]
     sigma = base.connection_potential_jets(z)
-    omega = base.kahler_form_jets(z)
-    om_vals = np.array([[j.value for j in row] for row in omega])
-    nz = base.dim
-    off = len(coords) - nz
-    grads = np.stack([sj.gradient[off:] for sj in sigma])
-    dsigma = grads.T - grads
-    res_sigma = float(np.abs(dsigma - om_vals).max())
-    res_theta = float(np.abs(model.s * dsigma - model.s * om_vals).max())
-    return res_sigma, res_theta
+    omega = base.kahler_form_jets(z).value
+    grads = sigma.gradient[:, off:]
+    res_sigma = float(np.abs(grads.T - grads - omega).max())
+    g = analysis.metric
+    psi = off - 1
+    target = np.zeros((len(coords), len(coords)))
+    target[off:, off:] = model.s * omega
+    dtheta = exterior_derivative_1form(g[psi] / g[psi, psi])
+    return res_sigma, float(np.abs(dtheta - target).max())
 
 
 def _metric_invariant_checks(model, analyses, tol, *, has_j: bool) -> list[CheckResult]:
@@ -317,7 +316,7 @@ def _curvature_invariant_checks(model, analyses, tol, rng, *, has_j: bool,
         ric_sym = max(ric_sym, float(np.abs(rho - rho.T).max()))
         if has_j:
             J = an.complex_structure[0]
-            rj = np.einsum("ai,bj,abkl->ijkl", J, J, R)
+            rj = contract_slots(R, J.T, J.T).transpose(2, 3, 0, 1)
             kahler_type = max(kahler_type, float(np.abs(rj - R).max()) / scale)
             ric_j = max(ric_j, float(np.abs(J.T @ rho @ J - rho).max()))
     checks = [

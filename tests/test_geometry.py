@@ -208,3 +208,29 @@ def test_bundle_params_validation():
         BundleParams(n=3, c0=4.0, s=0.5, k=1, q=3)
     p = BundleParams(n=3, c0=4.0, s=2.0 / 3.0, k=1, q=3)
     assert p.m == 2
+
+
+@pytest.mark.parametrize("chart", ["warped", "circle-bundle"])
+def test_theta_derivative_detects_wrong_cross_term_pitch(warped, circle_bundle,
+                                                         params, profile, chart):
+    """theta is read off the assembled metric, so a metric whose cross terms
+    carry another pitch than the model's s fails d theta = s Omega."""
+    from qchgeom import BundleParams, WarpedBundleMetric
+    from qchgeom.suite import _connection_form_residuals
+
+    wrong_s = 1.1 * params.s
+    z = np.array([0.3, -0.2, 0.1, 0.25])
+    if chart == "warped":
+        model = warped
+        wrong = WarpedBundleMetric(BundleParams(n=params.n, c0=params.c0, s=wrong_s),
+                                   profile)
+        point = ChartPoint(t=0.4 * profile.L, psi=0.5, z=z)
+    else:
+        model = circle_bundle
+        wrong = CircleBundleMetric(model.alpha, model.beta, wrong_s, model.base)
+        point = ChartPoint(psi=0.5, z=z)
+    res_sigma, res_theta = _connection_form_residuals(model, PointAnalysis(model, point))
+    assert res_sigma < 1e-12 and res_theta < 1e-12
+    res_sigma, res_theta = _connection_form_residuals(model, PointAnalysis(wrong, point))
+    assert res_sigma < 1e-12  # the base potential does not see the pitch
+    assert res_theta > 1e-3
