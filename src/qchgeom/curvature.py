@@ -12,61 +12,107 @@ Index conventions (fixed once, used everywhere):
     riemann[i, j, k, l] = g( R(e_i, e_j) e_k , e_l ),
                           R(X, Y)Z = ([nabla_X, nabla_Y] - nabla_[X,Y]) Z
     ricci[j, k]         = g^{il} riemann[i, j, k, l]
+
+Every array may carry leading batch axes, one entry per sample point: an
+analysis of N points holds gamma of shape (N, d, d, d), and the indices above
+name the trailing axes.  One point is the batch shape ().
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
+from .batch import inner, matvec, max_abs, mT, per_point
 from .jets import Jet2, seed_chart, stack
+
+# float64 entries of one (points, d, d, d, d) array in a batched analysis
+# (0.5 MB): about 50 points at d = 6, 6 at d = 10 and 1 at d = 14
+BATCH_ELEMENTS = 1 << 16
+
+
+def batch_slices(count: int, dim: int) -> list[slice]:
+    """Consecutive slices of ``count`` points, each small enough that one rank-4
+    tensor over the slice stays within ``BATCH_ELEMENTS``."""
+    size = max(1, BATCH_ELEMENTS // dim ** 4)
+    return [slice(i, min(i + size, count)) for i in range(0, count, size)]
+
+
+def batch_analyses(field, points) -> list["PointAnalysis"]:
+    """Analyses of a batch of points (leading axis), one per memory-bounded slice."""
+    return [PointAnalysis(field, points[sl])
+            for sl in batch_slices(len(points.z), field.dim)]
 
 
 @dataclass(frozen=True)
 class Connection:
-    """Christoffel symbols and their first derivatives at a point."""
+    """Christoffel symbols and their first derivatives at a point (or a batch)."""
 
-    gamma: np.ndarray    # (d, d, d)
-    dgamma: np.ndarray   # (d, d, d, d), last slot = derivative direction
+    gamma: np.ndarray    # B + (d, d, d)
+    dgamma: np.ndarray   # B + (d, d, d, d), last slot = derivative direction
 
 
 @dataclass(frozen=True)
 class Curvature4:
-    """Fully lowered curvature tensor at a point."""
+    """Fully lowered curvature tensor at a point (or a batch)."""
 
-    components: np.ndarray  # (d, d, d, d)
+    components: np.ndarray  # B + (d, d, d, d)
 
-    def apply(self, X, Y, Z, W) -> float:
-        return float(contract_slots(self.components, X, Y, Z, W))
+    def apply(self, X, Y, Z, W):
+        return per_point(contract_slots(self.components, X, Y, Z, W, rank=4))
 
 
-def contract_slots(T: np.ndarray, *factors) -> np.ndarray:
+def contract_slots(T: np.ndarray, *factors, rank: int | None = None) -> np.ndarray:
     """Contract the leading slots of T, in order, with one factor each.
 
     A vector factor removes its slot; a (k, d) factor of row vectors replaces
-    its slot by a new trailing axis of length k.  One pairwise contraction per
-    slot keeps a rank-4 tensor at O(d^4 k) instead of the single nested loop a
+    its slot by a new trailing axis of length k.  With ``rank`` given, the
+    axes of T before its last ``rank`` are batch axes, shared by every factor
+    (B + (d,) or B + (k, d)).  One pairwise contraction per slot keeps a
+    rank-4 tensor at O(d^4 k) instead of the single nested loop a
     multi-operand einsum runs.
     """
+    nb = 0 if rank is None else T.ndim - rank
+    batch = T.shape[:nb]
     for f in factors:
-        head, rest = T.shape[0], T.shape[1:]
-        # move the slot to the end (one copy), then one matrix product
-        T = T.reshape(head, -1).T.reshape(rest + (head,)) @ f.T
+        f = np.asarray(f)
+        head, rest = T.shape[nb], T.shape[nb + 1:]
+        # the slot as the last axis of a (rest, head) matrix, then one matrix product
+        moved = mT(T.reshape(batch + (head, -1)))
+        if f.ndim == nb + 1:
+            T = matvec(moved, f).reshape(batch + rest)
+        else:
+            T = (moved @ mT(f)).reshape(batch + rest + (f.shape[-2],))
     return T
 
 
 def _inverse_derivative(ginv: np.ndarray, dg: np.ndarray) -> np.ndarray:
     """d_m g^{kl} = -g^{ka} d_m g_{ab} g^{bl}, last slot = derivative direction."""
-    return -np.moveaxis(ginv @ np.moveaxis(dg, -1, 0) @ ginv, 0, -1)
+    inv = ginv[..., None, :, :]
+    return -np.moveaxis(inv @ np.moveaxis(dg, -1, -3) @ inv, -3, -1)
+
+
+@cache
+def _perm_axes(spec: str, ndim: int) -> tuple:
+    src, dst = spec.split("->")
+    nb = ndim - len(src)
+    return tuple(range(nb)) + tuple(nb + src.index(c) for c in dst)
+
+
+def _perm(a: np.ndarray, spec: str) -> np.ndarray:
+    """Permute the trailing axes of ``a``, e.g. spec "jli->lij" (a view)."""
+    return a.transpose(_perm_axes(spec, a.ndim))
 
 
 class PointAnalysis:
     """Lazy bundle of pointwise data for one (field, point) pair.
 
-    Expensive pieces (metric jets, curvature) are computed once and shared by
-    all downstream checks at the point.
+    ``point`` is one chart point or a batch of them (leading axes); every
+    array below then carries the same leading axes.  Expensive pieces
+    (metric jets, curvature) are computed once and shared by all downstream
+    checks at the point(s).
     """
 
     def __init__(self, field, point):
@@ -79,7 +125,7 @@ class PointAnalysis:
 
     @cached_property
     def metric(self) -> Jet2:
-        """The metric components as one (d, d) jet."""
+        """The metric components as one B + (d, d) jet."""
         return stack(self.field.metric_jets(self.coords))
 
     @property
@@ -94,16 +140,18 @@ class PointAnalysis:
     def connection(self) -> Connection:
         dg, d2g = self.metric.gradient, self.metric.hessian
         ginv = self.g_inv
+        batch, d = ginv.shape[:-2], ginv.shape[-1]
         # brackets[l, i, j] = d_i g_{jl} + d_j g_{il} - d_l g_{ij}
-        brackets = (np.einsum("jli->lij", dg) + np.einsum("ilj->lij", dg)
-                    - np.einsum("ijl->lij", dg))
-        gamma = 0.5 * np.einsum("kl,lij->kij", ginv, brackets)
-        dbrackets = (np.einsum("jlim->lijm", d2g) + np.einsum("iljm->lijm", d2g)
-                     - np.einsum("ijlm->lijm", d2g))
+        brackets = _perm(dg, "jli->lij") + _perm(dg, "ilj->lij") - _perm(dg, "ijl->lij")
+        gamma = 0.5 * (ginv @ brackets.reshape(batch + (d, d * d))).reshape(brackets.shape)
+        dbrackets = (_perm(d2g, "jlim->lijm") + _perm(d2g, "iljm->lijm")
+                     - _perm(d2g, "ijlm->lijm"))
         dginv = _inverse_derivative(ginv, dg)
-        d = ginv.shape[0]
-        dgamma = 0.5 * (np.tensordot(dginv, brackets, axes=(1, 0)).transpose(0, 2, 3, 1)
-                        + (ginv @ dbrackets.reshape(d, -1)).reshape(dbrackets.shape))
+        # sum_l dginv[k, l, m] brackets[l, i, j], as [k, m] x [l] times [l] x [i, j]
+        first = (_perm(dginv, "klm->kml").reshape(batch + (d * d, d))
+                 @ brackets.reshape(batch + (d, d * d)))
+        dgamma = 0.5 * (_perm(first.reshape(batch + (d,) * 4), "kmij->kijm")
+                        + (ginv @ dbrackets.reshape(batch + (d, -1))).reshape(dbrackets.shape))
         return Connection(gamma=gamma, dgamma=dgamma)
 
     @cached_property
@@ -112,16 +160,22 @@ class PointAnalysis:
         gamma, dgamma = conn.gamma, conn.dgamma
         # R^b_{ijk} = d_i Gamma^b_{jk} - d_j Gamma^b_{ik}
         #             + Gamma^b_{ia} Gamma^a_{jk} - Gamma^b_{ja} Gamma^a_{ik}
-        d = gamma.shape[0]
+        batch, d = gamma.shape[:-3], gamma.shape[-1]
         # gg[b, i, j, k] = Gamma^b_{ia} Gamma^a_{jk}
-        gg = (gamma.reshape(d * d, d) @ gamma.reshape(d, d * d)).reshape(d, d, d, d)
-        r_up = (np.einsum("bjki->bijk", dgamma) - np.einsum("bikj->bijk", dgamma)
-                + gg - gg.transpose(0, 2, 1, 3))
-        return Curvature4(np.tensordot(r_up, self.g, axes=(0, 0)))
+        gg = (gamma.reshape(batch + (d * d, d))
+              @ gamma.reshape(batch + (d, d * d))).reshape(dgamma.shape)
+        r_up = (_perm(dgamma, "bjki->bijk") - _perm(dgamma, "bikj->bijk")
+                + gg - _perm(gg, "bjik->bijk"))
+        lowered = _perm(r_up, "bijk->ijkb").reshape(batch + (d ** 3, d)) @ self.g
+        return Curvature4(lowered.reshape(r_up.shape))
 
     @cached_property
     def ricci(self) -> np.ndarray:
-        return np.tensordot(self.g_inv, self.riemann.components, axes=([0, 1], [0, 3]))
+        R = self.riemann.components
+        batch, d = R.shape[:-4], R.shape[-1]
+        # ricci[j, k] = sum_{i, l} g^{il} R[i, j, k, l]
+        flat = _perm(R, "ijkl->jkil").reshape(batch + (d * d, d * d))
+        return matvec(flat, self.g_inv.reshape(batch + (d * d,))).reshape(batch + (d, d))
 
     @cached_property
     def complex_structure(self):
@@ -153,81 +207,100 @@ def ricci(field, point) -> np.ndarray:
     return PointAnalysis(field, point).ricci
 
 
-def sectional_curvature(R4: Curvature4, g: np.ndarray, X, Y) -> float:
+def sectional_curvature(R4: Curvature4, g: np.ndarray, X, Y):
     """K(X, Y) = R(X, Y, Y, X) / (|X|^2 |Y|^2 - g(X, Y)^2)."""
-    gxx = float(X @ g @ X)
-    gyy = float(Y @ g @ Y)
-    gxy = float(X @ g @ Y)
-    area2 = gxx * gyy - gxy * gxy
-    if area2 <= 0.0:
+    gxy = inner(g, X, Y)
+    area2 = inner(g, X, X) * inner(g, Y, Y) - gxy * gxy
+    if np.any(area2 <= 0.0):
         raise ValueError("sectional curvature of a degenerate plane")
-    return R4.apply(X, Y, Y, X) / area2
+    return per_point(R4.apply(X, Y, Y, X) / area2)
 
 
 def holomorphic_sectional_curvature(R4: Curvature4, g: np.ndarray,
                                     J: np.ndarray, X):
-    """R(X, JX, JX, X) / |X|^4 for one vector X (d,), or per row of a batch (N, d).
+    """R(X, JX, JX, X) / |X|^4 for one vector X per point, or per row of probes.
 
-    The pairs (X, JX) and (JX, X) meet R viewed as a (d^2, d^2) matrix, so a
-    batch of N probes costs one O(N d^4) product.
+    With R of batch shape B, X is B + (d,) or B + (P, d) for P probes per
+    point.  The pairs (X, JX) and (JX, X) meet R viewed as a (d^2, d^2)
+    matrix, so P probes cost one O(P d^4) product per point, taken over
+    slices of the probes that keep each B + (slice, d^2) array in budget.
     """
+    R = R4.components
     X = np.asarray(X, dtype=float)
+    single = X.ndim == R.ndim - 3
+    if single:
+        X = X[..., None, :]
     norm2 = np.sum((X @ g) * X, axis=-1)
     if np.any(norm2 <= 0.0):
         raise ValueError("holomorphic sectional curvature of a null vector")
-    JX = X @ J.T
+    JX = X @ mT(J)
     d = X.shape[-1]
-    left = (X[..., :, None] * JX[..., None, :]).reshape(X.shape[:-1] + (d * d,))
-    right = (JX[..., :, None] * X[..., None, :]).reshape(X.shape[:-1] + (d * d,))
-    num = np.sum((left @ R4.components.reshape(d * d, d * d)) * right, axis=-1)
+    flat = R.reshape(R.shape[:-4] + (d * d, d * d))
+
+    def pairs(a, b):
+        return (a[..., :, None] * b[..., None, :]).reshape(a.shape[:-1] + (d * d,))
+
+    step = max(1, BATCH_ELEMENTS // (X[..., 0, :].size * d))
+    num = np.concatenate([
+        np.sum((pairs(x, jx) @ flat) * pairs(jx, x), axis=-1)
+        for x, jx in ((X[..., i:i + step, :], JX[..., i:i + step, :])
+                      for i in range(0, X.shape[-2], step))], axis=-1)
     out = num / norm2 ** 2
-    return float(out) if X.ndim == 1 else out
+    return per_point(out[..., 0] if single else out)
 
 
 def nabla_j(analysis: PointAnalysis) -> np.ndarray:
     """(nabla J)[j, k, i] = component k of (nabla_{e_j} J)(e_i)."""
     J, dJ = analysis.complex_structure
     gamma = analysis.connection.gamma
-    return (np.einsum("kij->jki", dJ)
-            + np.einsum("kja,ai->jki", gamma, J)
-            - np.einsum("aji,ka->jki", gamma, J))
+    batch, d = J.shape[:-2], J.shape[-1]
+    # gamma[k, j, a] J[a, i] and J[k, a] gamma[a, j, i], both as [k, j, i]
+    gamma_j = gamma @ J[..., None, :, :]
+    j_gamma = (J @ gamma.reshape(batch + (d, d * d))).reshape(gamma.shape)
+    return _perm(dJ, "kij->jki") + _perm(gamma_j - j_gamma, "kji->jki")
 
 
 def max_frame_component_3tensor(T: np.ndarray, frame: np.ndarray,
-                                g: np.ndarray) -> float:
-    """max |T| over orthonormal frame slots; middle slot is contravariant."""
+                                g: np.ndarray):
+    """max |T| over orthonormal frame slots, per point; middle slot is contravariant."""
     lowered = frame @ g  # frame covectors as rows
-    vals = contract_slots(T, frame, lowered, frame)  # [a, c, b]
-    return float(np.abs(vals).max())
+    vals = contract_slots(T, frame, lowered, frame, rank=3)  # [a, c, b]
+    return max_abs(vals, 3)
 
 
 def covariant_vector_derivative(analysis: PointAnalysis, x_field) -> tuple:
     """(X values, nabla X) with (nabla X)[k, i] = nabla_i X^k, from a jet field."""
     x = stack(x_field(analysis.coords))
     values = x.value
-    nabla = x.gradient + analysis.connection.gamma @ values  # gradient[k, i] = d_i X^k
+    # gradient[k, i] = d_i X^k; gamma[k, i, a] X^a
+    nabla = x.gradient + (analysis.connection.gamma @ values[..., None, :, None])[..., 0]
     return values, nabla
+
+
+def _lowered_nabla(analysis: PointAnalysis, x_field) -> np.ndarray:
+    """(nabla_i X)^flat_j = g_kj (nabla X)[k, i]."""
+    _, nabla = covariant_vector_derivative(analysis, x_field)
+    return mT(nabla) @ analysis.g
 
 
 def killing_deviation(analysis: PointAnalysis, x_field) -> np.ndarray:
     """(L_X g)_{ij} = g(nabla_i X, e_j) + g(nabla_j X, e_i) in coordinates."""
-    _, nabla = covariant_vector_derivative(analysis, x_field)
-    lowered = np.einsum("kj,ki->ij", analysis.g, nabla)
-    return lowered + lowered.T
+    lowered = _lowered_nabla(analysis, x_field)
+    return lowered + mT(lowered)
 
 
 def hessian_form(analysis: PointAnalysis, scalar_field) -> np.ndarray:
     """(nabla d tau)_{ij} = d_i d_j tau - Gamma^k_{ij} d_k tau."""
     tau = scalar_field(analysis.coords)
-    return tau.hessian - np.einsum("kij,k->ij", analysis.connection.gamma,
+    return tau.hessian - np.einsum("...kij,...k->...ij", analysis.connection.gamma,
                                    tau.gradient)
 
 
-def div_e(analysis: PointAnalysis, x_field, e_frame: np.ndarray) -> float:
+def div_e(analysis: PointAnalysis, x_field, e_frame: np.ndarray):
     """Trace of (nabla X)^flat over an orthonormal frame of the complement E."""
-    _, nabla = covariant_vector_derivative(analysis, x_field)
-    lowered = np.einsum("kj,ki->ij", analysis.g, nabla)  # (nabla_i X)^flat_j
-    return float(np.trace(e_frame @ lowered @ e_frame.T))
+    lowered = _lowered_nabla(analysis, x_field)
+    return per_point(np.trace(e_frame @ lowered @ mT(e_frame),
+                         axis1=-2, axis2=-1))
 
 
 def constant_vector_field(values: np.ndarray):
@@ -235,7 +308,8 @@ def constant_vector_field(values: np.ndarray):
     vals = np.asarray(values, dtype=float)
 
     def field(coords):
-        return Jet2.constant(vals, coords[0].dim)
+        coords = stack(coords)
+        return Jet2.constant(np.broadcast_to(vals, coords.shape), coords.dim)
 
     return field
 
@@ -247,7 +321,7 @@ def metric_inverse_jets(analysis: PointAnalysis):
 
 
 def j_gradient_field(analysis: PointAnalysis, scalar_field):
-    """First-order jets of X = J grad(tau) at the analysis point.
+    """First-order jets of X = J grad(tau) at the analysis point(s).
 
     Only values and first derivatives are propagated (the Hessian slots of the
     returned jet are zero); sufficient for Killing-deviation checks, which
@@ -256,43 +330,56 @@ def j_gradient_field(analysis: PointAnalysis, scalar_field):
     tau = scalar_field(analysis.coords)
     ginv, dginv = metric_inverse_jets(analysis)
     J, dJ = analysis.complex_structure
-    grad_v = ginv @ tau.gradient
-    grad_d = (np.einsum("klm,l->km", dginv, tau.gradient)
-              + np.einsum("kl,lm->km", ginv, tau.hessian))
-    x_vals = J @ grad_v
-    x_grads = np.einsum("kam,a->km", dJ, grad_v) + J @ grad_d
+    grad_v = matvec(ginv, tau.gradient)
+    # grad_d[k, m] = dginv[k, l, m] dtau_l + ginv[k, l] d_m dtau_l
+    grad_d = ((mT(dginv) @ tau.gradient[..., None, :, None])[..., 0]
+              + ginv @ tau.hessian)
+    x_vals = matvec(J, grad_v)
+    x_grads = ((mT(dJ) @ grad_v[..., None, :, None])[..., 0]
+               + J @ grad_d)
     dj = analysis.coords.dim
-    return Jet2(x_vals, x_grads, np.zeros((x_vals.shape[0], dj, dj)))
+    return Jet2(x_vals, x_grads, np.zeros(x_vals.shape + (dj, dj)))
 
 
-def second_bianchi_residual(field, point, directions, step: float = 1e-5) -> float:
+def second_bianchi_residual(field, point, directions, step: float = 1e-5):
     """Cyclic covariant-derivative sum over three directions, by differencing.
 
-    nabla_a R_{ijkl} is assembled from central differences of the curvature at
-    coordinate-displaced points plus the Christoffel correction terms; this is
-    the one check that consumes third derivatives of the metric, so it runs at
-    a looser tolerance than the jet-exact identities.
+    For unit directions (A, B, C) at each point, the residual is the largest
+    entry of (nabla_A R)(B, C) + (nabla_B R)(C, A) + (nabla_C R)(A, B).  Each
+    nabla_V R is a central difference of the curvature along V itself (six
+    displaced points per point, analysed as one batch) plus the Christoffel
+    terms contracted against V; this is the one check that consumes third
+    derivatives of the metric, so it runs at a looser tolerance than the
+    jet-exact identities.  ``point`` may be a batch, with ``directions`` of
+    shape B + (3, d); the result then has one entry per point.
     """
     base = PointAnalysis(field, point)
     R0 = base.riemann.components
     gamma = base.connection.gamma
-    coords0 = field.coords(point)
-    d = coords0.shape[0]
+    dirs = np.asarray(directions, dtype=float)       # B + (3, d)
+    batch, d = dirs.shape[:-2], dirs.shape[-1]
+    # the cyclic terms (V, X, Y): (A, B, C), (B, C, A), (C, A, B)
+    order = np.array([[0, 1, 2], [1, 2, 0], [2, 0, 1]])
+    V, X, Y = (dirs[..., order[:, n], :] for n in range(3))   # each B + (3, d)
 
-    dR = np.empty((d,) + R0.shape)
-    for a in range(d):
-        plus = coords0.copy(); plus[a] += step
-        minus = coords0.copy(); minus[a] -= step
-        Rp = PointAnalysis(field, field.point(plus)).riemann.components
-        Rm = PointAnalysis(field, field.point(minus)).riemann.components
-        dR[a] = (Rp - Rm) / (2.0 * step)
-    covR = (dR
-            - np.einsum("mai,mjkl->aijkl", gamma, R0)
-            - np.einsum("maj,imkl->aijkl", gamma, R0)
-            - np.einsum("mak,ijml->aijkl", gamma, R0)
-            - np.einsum("mal,ijkm->aijkl", gamma, R0))
+    # R(x + s V)(X, Y, ., .) at s = +step and -step: six displaced points per point
+    coords = field.coords(point)[..., None, None, :]
+    signs = np.array([1.0, -1.0])[:, None]
+    moved = (coords + step * signs * V[..., None, :]).reshape(-1, d)
+    xs, ys = (np.broadcast_to(A[..., None, :], batch + (3, 2, d)).reshape(-1, d)
+              for A in (X, Y))
+    parts = []
+    for sl in batch_slices(len(moved), d):
+        R = PointAnalysis(field, field.point(moved[sl])).riemann.components
+        parts.append(contract_slots(R, xs[sl], ys[sl], rank=4))
+    Q = np.concatenate(parts).reshape(batch + (3, 2, d, d))
+    derivative = (Q[..., 0, :, :] - Q[..., 1, :, :]) / (2.0 * step)
 
-    A, B, C = directions
-    cyc = (contract_slots(covR, A, B, C) + contract_slots(covR, B, C, A)
-           + contract_slots(covR, C, A, B))
-    return float(np.abs(cyc).max())
+    # Christoffel terms, with G[m, i] = V^a Gamma^m_{ai} per point and term
+    G = (gamma[..., None, :, :, :] * V[..., None, :, None]).sum(axis=-2)   # B + (3, d, d)
+    R0 = np.broadcast_to(R0[..., None, :, :, :, :], batch + (3,) + R0.shape[-4:])
+    Q0 = contract_slots(R0, X, Y, rank=4)                                   # R0(X, Y, ., .)
+    cov = (derivative - contract_slots(R0, matvec(G, X), Y, rank=4)
+           - contract_slots(R0, X, matvec(G, Y), rank=4)
+           - mT(G) @ Q0 - Q0 @ G)
+    return per_point(np.abs(cov.sum(axis=-3)).max(axis=(-2, -1)))

@@ -53,6 +53,20 @@ class GeodesicPath:
         return GeodesicState(position=packed[:d], velocity=packed[d:])
 
 
+def _solve(rhs, *args, **kwargs):
+    """solve_ivp on ``rhs``, reached through a holder emptied when the solve returns.
+
+    scipy's solver and its wrapper of ``rhs`` form a reference cycle that only
+    the cyclic garbage collector frees; through ``rhs`` it would keep the
+    metric model (and its memos) of a finished run alive until then.
+    """
+    holder = [rhs]
+    try:
+        return solve_ivp(lambda t, y: holder[0](t, y), *args, **kwargs)
+    finally:
+        holder.clear()
+
+
 def _gamma_at(field, coords: np.ndarray) -> np.ndarray:
     return PointAnalysis(field, field.point(coords)).connection.gamma
 
@@ -84,8 +98,8 @@ def integrate_geodesic(field, start: GeodesicState, span: float, *,
         return np.concatenate([v, geodesic_acceleration(gamma, v)])
 
     y0 = np.concatenate([start.position, start.velocity])
-    sol = solve_ivp(rhs, (0.0, span), y0, method="DOP853",
-                    rtol=rtol, atol=atol, dense_output=True)
+    sol = _solve(rhs, (0.0, span), y0, method="DOP853",
+                 rtol=rtol, atol=atol, dense_output=True)
     if not sol.success:
         raise FlowError(f"geodesic integration failed: {sol.message}")
     taus = np.linspace(0.0, span, samples)
@@ -188,8 +202,8 @@ def integrate_jacobi(path: GeodesicPath, C0: np.ndarray, DC0: np.ndarray, *,
         return np.concatenate([dframe.ravel(), yp, jacobi_matrix(R4, v, frame) @ y])
 
     state0 = np.concatenate([frame0.ravel(), y0, yp0])
-    sol = solve_ivp(rhs, (0.0, path.span), state0, method="DOP853",
-                    rtol=rtol, atol=atol, dense_output=True)
+    sol = _solve(rhs, (0.0, path.span), state0, method="DOP853",
+                 rtol=rtol, atol=atol, dense_output=True)
     if not sol.success:
         raise FlowError(f"jacobi integration failed: {sol.message}")
     taus = np.linspace(0.0, path.span, samples)

@@ -11,7 +11,10 @@ Charts
   dt^2 + f(t)^2 dpsi^2 + h (pitch s = 0, base block unscaled).
 
 All metric and complex-structure components are jet-evaluable so the
-curvature layer sees exact first and second derivatives.  The connection
+curvature layer sees exact first and second derivatives.  Every model takes
+a batch of points as well as one: coordinates carry leading batch axes
+(``coords[..., i]``), and a batched ``ChartPoint`` holds arrays of t, psi and
+z with matching leading axes.  The connection
 potential is fixed in the rotation-invariant gauge sigma = -(1/4) dK o J for
 the Kaehler potential K, which vanishes at the chart origin and satisfies
 d sigma = Omega componentwise (this pins its sign).
@@ -24,6 +27,7 @@ from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
 
+from .batch import mT
 from .jets import Jet2, reciprocal, seed_chart, zeros
 from .jets import sqrt as jet_sqrt
 from .profile import ProfileSolution
@@ -77,7 +81,10 @@ class BundleParams:
 
 @dataclass
 class ChartPoint:
-    """A point of one of the local models."""
+    """A point of one of the local models, or a batch of them.
+
+    A batch holds t and psi of shape B and z of shape B + (2m,).
+    """
 
     t: float = 0.0
     psi: float = 0.0
@@ -86,6 +93,27 @@ class ChartPoint:
 
     def __post_init__(self):
         self.z = np.asarray(self.z, dtype=float)
+        self.t = float(self.t) if np.ndim(self.t) == 0 else np.asarray(self.t, dtype=float)
+        self.psi = (float(self.psi) if np.ndim(self.psi) == 0
+                    else np.asarray(self.psi, dtype=float))
+
+    @property
+    def batch_shape(self) -> tuple:
+        return self.z.shape[:-1]
+
+    def __getitem__(self, index) -> "ChartPoint":
+        """The point or sub-batch at ``index`` of a batch."""
+        shape = self.batch_shape
+        return ChartPoint(t=np.broadcast_to(self.t, shape)[index],
+                          psi=np.broadcast_to(self.psi, shape)[index],
+                          z=self.z[index], chart=self.chart)
+
+
+def stack_points(points) -> ChartPoint:
+    """One batch (leading axis) from a sequence of single points."""
+    return ChartPoint(t=np.array([p.t for p in points], dtype=float),
+                      psi=np.array([p.psi for p in points], dtype=float),
+                      z=np.stack([p.z for p in points]), chart=points[0].chart)
 
 
 # -- base models --------------------------------------------------------------
@@ -95,7 +123,7 @@ class _BaseModel:
     """What the base models share: the chart-radius gate and Omega = h(J., .)."""
 
     def check_bounds(self, z: np.ndarray) -> None:
-        rad = float(np.linalg.norm(z))
+        rad = float(np.max(np.linalg.norm(z, axis=-1)))
         if rad >= self.chart_radius:
             raise ChartBoundsError(
                 f"|z| = {rad} exceeds chart radius {self.chart_radius}")
@@ -130,9 +158,9 @@ class FubiniStudy(_BaseModel):
         self.j0 = j0
 
     def metric_jets(self, z: Jet2) -> Jet2:
-        inv_w2 = reciprocal(1.0 + (z * z).sum())
-        jz = self.j0 @ z
-        outer = z[:, None] * z[None, :] + jz[:, None] * jz[None, :]
+        inv_w2 = reciprocal(1.0 + (z * z).sum())[..., None, None]
+        jz = z @ self.j0.T
+        outer = z[..., :, None] * z[..., None, :] + jz[..., :, None] * jz[..., None, :]
         return (4.0 / self.c0) * (inv_w2 * np.eye(self.dim) - (inv_w2 * inv_w2) * outer)
 
     def connection_potential_jets(self, z: Jet2) -> Jet2:
@@ -141,7 +169,7 @@ class FubiniStudy(_BaseModel):
         sigma = -(1/4) dK o J = (2/c0) (u dv - v du) / (1 + |w|^2).
         """
         coef = (2.0 / self.c0) * reciprocal(1.0 + (z * z).sum())
-        return coef * (self.j0 @ z)  # du_a slot carries -v_a, dv_a slot +u_a
+        return coef[..., None] * (z @ self.j0.T)  # du_a slot carries -v_a, dv_a slot +u_a
 
 
 class ProductBase(_BaseModel):
@@ -171,15 +199,15 @@ class ProductBase(_BaseModel):
         return out
 
     def metric_jets(self, z: Jet2) -> Jet2:
-        h = zeros((self.dim, self.dim), z.dim)
+        h = zeros(z.shape + (self.dim,), z.dim)
         for f, span in zip(self.factors, self._spans()):
-            h[span, span] = f.metric_jets(z[span])
+            h[..., span, span] = f.metric_jets(z[..., span])
         return h
 
     def connection_potential_jets(self, z: Jet2) -> Jet2:
-        sigma = zeros((self.dim,), z.dim)
+        sigma = zeros(z.shape, z.dim)
         for f, span in zip(self.factors, self._spans()):
-            sigma[span] = f.connection_potential_jets(z[span])
+            sigma[..., span] = f.connection_potential_jets(z[..., span])
         return sigma
 
 
@@ -194,27 +222,32 @@ class FrameBasis:
     xi is the unnormalized fiber field with theta(xi) = 1 exactly.
     """
 
-    vectors: np.ndarray                 # (d, d) rows = orthonormal frame
-    h_vec: np.ndarray | None = None     # unit t-direction
-    xi: np.ndarray | None = None        # fiber field, theta(xi) = 1
+    vectors: np.ndarray                 # B + (d, d) rows = orthonormal frame
+    h_vec: np.ndarray | None = None     # B + (d,) unit t-direction
+    xi: np.ndarray | None = None        # B + (d,) fiber field, theta(xi) = 1
     jh: np.ndarray | None = None        # xi / f (or xi / alpha on the bundle)
 
     @property
     def horizontal(self) -> np.ndarray:
         skip = 2 if self.h_vec is not None else (1 if self.jh is not None else 0)
-        return self.vectors[skip:]
+        return self.vectors[..., skip:, :]
 
 
-def _gram_schmidt(rows: list[np.ndarray], g: np.ndarray) -> np.ndarray:
-    out = []
-    for vec in rows:
-        w = vec.astype(float).copy()
-        for e in out:
-            w -= (e @ g @ w) * e
-        nrm = float(np.sqrt(w @ g @ w))
-        w /= nrm
-        out.append(w)
-    return np.vstack(out)
+def _gram_schmidt(rows: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """g-orthonormalise the rows B + (k, d), in order, at every point of B.
+
+    Gram-Schmidt on rows L is L = C Q with C lower triangular, so C is the
+    Cholesky factor of the Gram matrix L g L^T and Q = C^{-1} L.
+    """
+    chol = np.linalg.cholesky(rows @ g @ mT(rows))
+    return np.linalg.solve(chol, rows)
+
+
+def _unit_rows(index: int, batch: tuple, d: int) -> np.ndarray:
+    """The coordinate vector e_index at every point of a batch."""
+    out = np.zeros(batch + (d,))
+    out[..., index] = 1.0
+    return out
 
 
 # -- metric fields -------------------------------------------------------------
@@ -256,17 +289,22 @@ class WarpedBundleMetric:
         self.end_margin_frac = end_margin_frac
         self.chart = ChartKind.TOTAL_PRODUCT if product_mode else ChartKind.TOTAL_WARPED
         self._base_cache: dict[bytes, tuple] = {}
+        self._base_cached_points = 0
 
     # coordinates are (t, psi, z_1..z_2m)
     def coords(self, point: ChartPoint) -> np.ndarray:
-        return np.concatenate(([point.t, point.psi], point.z))
+        out = np.empty(point.z.shape[:-1] + (self.dim,))
+        out[..., 0], out[..., 1], out[..., 2:] = point.t, point.psi, point.z
+        return out
 
     def point(self, coords: np.ndarray) -> ChartPoint:
-        return ChartPoint(t=coords[0], psi=coords[1], z=coords[2:], chart=self.chart)
+        return ChartPoint(t=coords[..., 0], psi=coords[..., 1], z=coords[..., 2:],
+                          chart=self.chart)
 
     def check_bounds(self, point: ChartPoint) -> None:
         margin = self.end_margin_frac * self.profile.L
-        if not (margin <= point.t <= self.profile.L - margin):
+        t = np.asarray(point.t)
+        if np.any(t < margin) or np.any(t > self.profile.L - margin):
             raise ChartBoundsError(
                 f"t = {point.t} outside interior margin [{margin}, {self.profile.L - margin}]")
         self.base.check_bounds(point.z)
@@ -274,21 +312,29 @@ class WarpedBundleMetric:
     def _base_at(self, z: np.ndarray) -> tuple[Jet2, Jet2]:
         """Base metric + potential at the z-slice, memoised on the z values.
 
-        The jets are seeded in the total chart (z sits at coordinates 2..d-1).
-        Base components depend only on z, so points sharing z (e.g. samples
-        along one t-geodesic, or the frame and fields at an analysed point)
-        reuse one evaluation.  Such reuse is local, so a few slices suffice;
-        a larger memo only keeps memory alive, for as long as the model lives.
+        z is one point's base coordinates or a batch of them; the key is the
+        bytes of the whole batch.  The jets are seeded in the total chart (z
+        sits at coordinates 2..d-1).  Base components depend only on z, so
+        points sharing z (e.g. samples along one t-geodesic, a batch moved
+        along t, or the frame and fields at an analysed batch) reuse one
+        evaluation.  Such reuse is local, so slices of a few points in all
+        suffice; a larger memo only keeps memory alive, for as long as the
+        model lives.
         """
-        key = np.asarray(z, dtype=float).tobytes()
+        z = np.asarray(z, dtype=float)
+        key = z.tobytes()
         hit = self._base_cache.get(key)
         if hit is None:
             d = self.dim
-            zj = Jet2(np.array(z, dtype=float), np.eye(d)[2:], np.zeros((d - 2, d, d)))
+            grad = np.broadcast_to(np.eye(d)[2:], z.shape + (d,)).copy()
+            zj = Jet2(z.copy(), grad, np.zeros(z.shape + (d, d)))
             hit = (self.base.metric_jets(zj), self.base.connection_potential_jets(zj))
-            if len(self._base_cache) >= 16:
+            points = z[..., 0].size
+            if self._base_cached_points + points > 16:
                 self._base_cache.clear()
+                self._base_cached_points = 0
             self._base_cache[key] = hit
+            self._base_cached_points += points
         return hit
 
     def warp_jets(self, t_jet: Jet2) -> tuple[Jet2, Jet2]:
@@ -300,34 +346,36 @@ class WarpedBundleMetric:
 
     def metric_jets(self, coords: Jet2) -> Jet2:
         d = self.dim
-        r, f = self.warp_jets(coords[0])
-        h, sigma = self._base_at(coords.value[2:])
-        f_theta = zeros((d - 1,), coords.dim)  # f theta = f (dpsi + s sigma) on (psi, z)
-        f_theta[0] = f
-        f_theta[1:] = f * (self.s * sigma)
-        g = zeros((d, d), coords.dim)
-        g[0, 0] = 1.0
-        g[1:, 1:] = f_theta[:, None] * f_theta[None, :]
-        g[2:, 2:] += h if self.product_mode else (r * r) * h
+        batch = coords.shape[:-1]
+        r, f = self.warp_jets(coords[..., 0])
+        h, sigma = self._base_at(coords.value[..., 2:])
+        # f theta = f (dpsi + s sigma) on (psi, z)
+        f_theta = zeros(batch + (d - 1,), coords.dim)
+        f_theta[..., 0] = f
+        f_theta[..., 1:] = f[..., None] * (self.s * sigma)
+        g = zeros(batch + (d, d), coords.dim)
+        g[..., 0, 0] = 1.0
+        g[..., 1:, 1:] = f_theta[..., :, None] * f_theta[..., None, :]
+        g[..., 2:, 2:] += h if self.product_mode else (r * r)[..., None, None] * h
         return g
 
     def complex_structure_jets(self, coords: Jet2) -> Jet2:
         """J with J H = xi/f, J xi = -f H, and the base structure on lifts."""
-        _, f = self.warp_jets(coords[0])
-        _, sigma = self._base_at(coords.value[2:])
+        _, f = self.warp_jets(coords[..., 0])
+        _, sigma = self._base_at(coords.value[..., 2:])
         j0 = self.base.j0
-        J = zeros((self.dim, self.dim), coords.dim)
-        J[1, 0] = reciprocal(f)
-        J[0, 1] = -f
-        J[0, 2:] = -(f * (self.s * sigma))
-        J[1, 2:] = -(self.s * (j0.T @ sigma))
-        J[2:, 2:] = j0
+        J = zeros(coords.shape[:-1] + (self.dim, self.dim), coords.dim)
+        J[..., 1, 0] = reciprocal(f)
+        J[..., 0, 1] = -f
+        J[..., 0, 2:] = -(f[..., None] * (self.s * sigma))
+        J[..., 1, 2:] = -(self.s * (sigma @ j0))
+        J[..., 2:, 2:] = j0
         return J
 
     # -- jet-evaluable fields used by divergence and identity checks ---------
 
     def _unit_field(self, index: int, coords: Jet2) -> Jet2:
-        return Jet2.constant(np.eye(self.dim)[index], coords.dim)
+        return Jet2.constant(_unit_rows(index, coords.shape[:-1], self.dim), coords.dim)
 
     def h_field(self):
         """The unit t-direction as a constant coordinate field."""
@@ -341,12 +389,13 @@ class WarpedBundleMetric:
         """The unit fiber direction xi / f as a jet field."""
         return self.section_field(0.0, 1.0)
 
-    def section_field(self, c1: float, c2: float):
-        """c1 * H + c2 * JH with constant coefficients (a rotated unit section)."""
+    def section_field(self, c1, c2):
+        """c1 * H + c2 * JH with constant coefficients (a rotated unit section);
+        c1 and c2 are floats, or arrays with one entry per point of a batch."""
         def field(coords):
-            _, f = self.warp_jets(coords[0])
-            out = self._unit_field(0, coords) * c1
-            out[1] = c2 * reciprocal(f)
+            _, f = self.warp_jets(coords[..., 0])
+            out = self._unit_field(0, coords) * np.asarray(c1)[..., None]
+            out[..., 1] = c2 * reciprocal(f)
             return out
         return field
 
@@ -357,12 +406,12 @@ class WarpedBundleMetric:
         metric h (so its g-length is r in warped mode).
         """
         def field(coords):
-            h, sigma = self._base_at(coords.value[2:])
+            h, sigma = self._base_at(coords.value[..., 2:])
             out = self._unit_field(2 + i, coords)
             if self.s != 0.0:
-                out[1] = -(self.s * sigma[i])
+                out[..., 1] = -(self.s * sigma[..., i])
             if base_unit:
-                out = out * reciprocal(jet_sqrt(h[i, i]))
+                out = out * reciprocal(jet_sqrt(h[..., i, i]))[..., None]
             return out
         return field
 
@@ -371,21 +420,22 @@ class WarpedBundleMetric:
         if self.s == 0.0:
             raise ValueError("the Killing potential r^2/s needs a nonzero pitch")
         def field(coords):
-            r, _ = self.warp_jets(coords[0])
+            r, _ = self.warp_jets(coords[..., 0])
             return (r * r) / self.s
         return field
 
     def frame_at(self, point: ChartPoint, g_values: np.ndarray) -> FrameBasis:
         d = self.dim
+        batch = point.batch_shape
         f = self.profile.warp(point.t) * self.warp_scale
-        h_vec = np.zeros(d); h_vec[0] = 1.0
-        xi = np.zeros(d); xi[1] = 1.0
-        jh = xi / f
-        lifts = np.eye(d)[2:]
+        h_vec = _unit_rows(0, batch, d)
+        xi = _unit_rows(1, batch, d)
+        jh = xi / np.asarray(f)[..., None]
+        lifts = np.broadcast_to(np.eye(d)[2:], batch + (d - 2, d)).copy()
         if self.s != 0.0:
-            lifts[:, 1] = -self.s * self._base_at(point.z)[1].value
+            lifts[..., 1] = -self.s * self._base_at(point.z)[1].value
         horizontals = _gram_schmidt(lifts, g_values)
-        vectors = np.vstack([h_vec, jh, horizontals])
+        vectors = np.concatenate([h_vec[..., None, :], jh[..., None, :], horizontals], axis=-2)
         return FrameBasis(vectors=vectors, h_vec=h_vec, xi=xi, jh=jh)
 
     def sample(self, point: ChartPoint) -> MetricSample:
@@ -411,48 +461,53 @@ class CircleBundleMetric:
         self.chart = ChartKind.CIRCLE_BUNDLE
 
     def coords(self, point: ChartPoint) -> np.ndarray:
-        return np.concatenate(([point.psi], point.z))
+        out = np.empty(point.z.shape[:-1] + (self.dim,))
+        out[..., 0], out[..., 1:] = point.psi, point.z
+        return out
 
     def point(self, coords: np.ndarray) -> ChartPoint:
-        return ChartPoint(psi=coords[0], z=coords[1:], chart=self.chart)
+        return ChartPoint(psi=coords[..., 0], z=coords[..., 1:], chart=self.chart)
 
     def check_bounds(self, point: ChartPoint) -> None:
         self.base.check_bounds(point.z)
 
     def metric_jets(self, coords: Jet2) -> Jet2:
-        z = coords[1:]
+        z = coords[..., 1:]
         h = self.base.metric_jets(z)
         sigma = self.base.connection_potential_jets(z)
-        theta = zeros((self.dim,), coords.dim)  # theta = dpsi + s sigma
-        theta[0] = 1.0
-        theta[1:] = self.s * sigma
-        g = self.alpha ** 2 * (theta[:, None] * theta[None, :])
-        g[1:, 1:] += self.beta ** 2 * h
+        theta = zeros(coords.shape, coords.dim)  # theta = dpsi + s sigma
+        theta[..., 0] = 1.0
+        theta[..., 1:] = self.s * sigma
+        g = self.alpha ** 2 * (theta[..., :, None] * theta[..., None, :])
+        g[..., 1:, 1:] += self.beta ** 2 * h
         return g
 
     complex_structure_jets = None  # no complex structure on the odd-dim chart
 
     def fiber_field(self):
-        return lambda coords: Jet2.constant(np.eye(self.dim)[0], coords.dim)
+        return lambda coords: Jet2.constant(_unit_rows(0, coords.shape[:-1], self.dim),
+                                            coords.dim)
 
     def lift_field(self, i: int):
         """Horizontal lift of the i-th base coordinate vector as a jet field."""
         def field(coords):
-            out = Jet2.constant(np.eye(self.dim)[1 + i], coords.dim)
+            out = Jet2.constant(_unit_rows(1 + i, coords.shape[:-1], self.dim), coords.dim)
             if self.s != 0.0:
-                out[0] = -(self.s * self.base.connection_potential_jets(coords[1:])[i])
+                sigma = self.base.connection_potential_jets(coords[..., 1:])
+                out[..., 0] = -(self.s * sigma[..., i])
             return out
         return field
 
     def frame_at(self, point: ChartPoint, g_values: np.ndarray) -> FrameBasis:
         d = self.dim
-        xi = np.zeros(d); xi[0] = 1.0
+        batch = point.batch_shape
+        xi = _unit_rows(0, batch, d)
         xihat = xi / self.alpha
         sigma_vals = self.base.connection_potential_jets(seed_chart(point.z)).value
-        lifts = np.eye(d)[1:]
-        lifts[:, 0] = -self.s * sigma_vals
+        lifts = np.broadcast_to(np.eye(d)[1:], batch + (d - 1, d)).copy()
+        lifts[..., 0] = -self.s * sigma_vals
         horizontals = _gram_schmidt(lifts, g_values)
-        return FrameBasis(vectors=np.vstack([xihat, horizontals]),
+        return FrameBasis(vectors=np.concatenate([xihat[..., None, :], horizontals], axis=-2),
                           h_vec=None, xi=xi, jh=xihat)
 
     def sample(self, point: ChartPoint) -> MetricSample:
@@ -483,10 +538,12 @@ class BaseChartMetric:
         return self.base.metric_jets(coords)
 
     def complex_structure_jets(self, coords: Jet2) -> Jet2:
-        return Jet2.constant(self.base.j0, coords.dim)
+        j0 = self.base.j0
+        return Jet2.constant(np.broadcast_to(j0, coords.shape[:-1] + j0.shape), coords.dim)
 
     def frame_at(self, point: ChartPoint, g_values: np.ndarray) -> FrameBasis:
-        return FrameBasis(vectors=_gram_schmidt(np.eye(self.dim), g_values))
+        rows = np.broadcast_to(np.eye(self.dim), g_values.shape)
+        return FrameBasis(vectors=_gram_schmidt(rows, g_values))
 
     def sample(self, point: ChartPoint) -> MetricSample:
         self.check_bounds(point)
@@ -515,12 +572,13 @@ class EuclideanMetric:
         pass
 
     def metric_jets(self, coords: Jet2) -> Jet2:
-        return Jet2.constant(np.eye(self.dim), coords.dim)
+        eye = np.eye(self.dim)
+        return Jet2.constant(np.broadcast_to(eye, coords.shape[:-1] + eye.shape), coords.dim)
 
     complex_structure_jets = None
 
     def frame_at(self, point, g_values) -> FrameBasis:
-        return FrameBasis(vectors=np.eye(self.dim))
+        return FrameBasis(vectors=np.broadcast_to(np.eye(self.dim), np.shape(g_values)))
 
     def sample(self, point) -> MetricSample:
         g = self.metric_jets(seed_chart(self.coords(point)))
@@ -576,10 +634,10 @@ def exterior_derivative_2form(form: Jet2) -> np.ndarray:
     With w[i, j, k] = d_k omega_ij: (d omega)_ijk = w[j,k,i] - w[i,k,j] + w[i,j,k].
     """
     w = form.gradient
-    return w.transpose(2, 0, 1) - w.transpose(0, 2, 1) + w
+    return np.moveaxis(w, -1, -3) - mT(w) + w
 
 
 def exterior_derivative_1form(form: Jet2) -> np.ndarray:
     """(d sigma)_{ij} = d_i sigma_j - d_j sigma_i from jet gradients."""
-    grads = form.gradient[:, :len(form)]
-    return grads.T - grads
+    grads = form.gradient[..., :form.shape[-1]]
+    return mT(grads) - grads

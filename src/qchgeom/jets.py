@@ -13,6 +13,12 @@ The scalar jet is the case S = (); whole tensors (a metric, a complex
 structure, a vector field) are single jets, assembled in a few broadcast
 operations instead of one object per entry (truncated Taylor-mode
 differentiation, as in Griewank & Walther, *Evaluating Derivatives*).
+
+Leading value axes are batch axes: a jet of shape (N, d, d) holds one (d, d)
+metric at each of N chart points, each differentiated in its own chart.
+Value axes are indexed from the right (``x[..., i]``) and ``@`` follows numpy
+matmul semantics over the leading axes, so the same model code serves one
+point (batch shape ()) and a batch.
 """
 
 from __future__ import annotations
@@ -45,12 +51,23 @@ def _outer(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return a[..., :, None] * b[..., None, :]
 
 
+_GRADIENT_SLOT = (slice(None),)
+_HESSIAN_SLOTS = (slice(None), slice(None))
+
+
+def _apply(arr: np.ndarray, axis: int, extra: int, matrix: np.ndarray) -> np.ndarray:
+    """out[..., j, ...] = sum_k arr[..., k, ...] matrix[k, j] over value axis ``axis``
+    (negative), which sits ``extra`` derivative axes before the end of ``arr``."""
+    moved = np.moveaxis(arr, axis - extra, -1)
+    return np.moveaxis(moved @ matrix, -1, axis - extra)
+
+
 class Jet2:
     """Truncated second-order jet: value S, gradient S + (d,), Hessian S + (d, d).
 
     Arithmetic returns new jets and builds every Hessian from symmetric
     combinations, so Hessians are symmetric.  Indexing selects along the value
-    axes (basic indices and ``None``, no ``Ellipsis``) and returns views; item
+    axes (basic indices, ``None`` and ``Ellipsis``) and returns views; item
     assignment exists only to assemble a tensor jet block by block.
     """
 
@@ -100,28 +117,37 @@ class Jet2:
     def __iter__(self):
         return (self[i] for i in range(len(self)))
 
+    # a value index extends over the trailing derivative axes unchanged
     def __getitem__(self, index) -> "Jet2":
-        return Jet2(self.value[index], self.gradient[index], self.hessian[index])
+        if not isinstance(index, tuple):
+            index = (index,)
+        return Jet2(np.asarray(self.value)[index], self.gradient[index + _GRADIENT_SLOT],
+                    self.hessian[index + _HESSIAN_SLOTS])
 
     def __setitem__(self, index, other) -> None:
+        if not isinstance(index, tuple):
+            index = (index,)
+        grad, hess = index + _GRADIENT_SLOT, index + _HESSIAN_SLOTS
         if isinstance(other, Jet2):
             _check_same_dim(self, other)
             self.value[index] = other.value
-            self.gradient[index] = other.gradient
-            self.hessian[index] = other.hessian
+            self.gradient[grad] = other.gradient
+            self.hessian[hess] = other.hessian
         else:  # a constant
             self.value[index] = other
-            self.gradient[index] = 0.0
-            self.hessian[index] = 0.0
+            self.gradient[grad] = 0.0
+            self.hessian[hess] = 0.0
 
     @property
     def T(self) -> "Jet2":
-        """Transpose of a matrix jet."""
-        return Jet2(self.value.T, self.gradient.transpose(1, 0, 2),
-                    self.hessian.transpose(1, 0, 2, 3))
+        """Transpose of the last two value axes (a matrix jet, or a batch of them)."""
+        return Jet2(np.swapaxes(self.value, -1, -2), np.swapaxes(self.gradient, -2, -3),
+                    np.swapaxes(self.hessian, -3, -4))
 
-    def sum(self, axis: int = 0) -> "Jet2":
+    def sum(self, axis: int = -1) -> "Jet2":
         """Sum along one value axis."""
+        if axis < 0:
+            axis += np.ndim(self.value)
         return Jet2(self.value.sum(axis), self.gradient.sum(axis),
                     self.hessian.sum(axis))
 
@@ -188,28 +214,35 @@ class Jet2:
         return powi(self, exponent)
 
     def __matmul__(self, other):
-        """Matrix product of two matrix jets (the product rule, contracted)."""
+        """Matrix product (numpy matmul semantics over leading axes).
+
+        Either two matrix jets (the product rule, contracted), or a jet times a
+        constant matrix, which contracts the jet's last value axis.
+        """
         if not isinstance(other, Jet2):
-            return NotImplemented
+            other = np.asarray(other, dtype=float)
+            return Jet2(self.value @ other, _apply(self.gradient, -1, 1, other),
+                        _apply(self.hessian, -1, 2, other))
         _check_same_dim(self, other)
         a, b = self, other
-        cross = np.einsum("ikx,kjy->ijxy", a.gradient, b.gradient)
-        return Jet2(
-            a.value @ b.value,
-            np.einsum("ikx,kj->ijx", a.gradient, b.value)
-            + np.einsum("ik,kjx->ijx", a.value, b.gradient),
-            np.einsum("ikxy,kj->ijxy", a.hessian, b.value)
-            + np.einsum("ik,kjxy->ijxy", a.value, b.hessian)
-            + cross + np.swapaxes(cross, -1, -2),
-        )
+        # derivative axes moved in front of the matrix axes: (..., x, i, k)
+        ga, gb = np.moveaxis(a.gradient, -1, -3), np.moveaxis(b.gradient, -1, -3)
+        av, bv = a.value[..., None, :, :], b.value[..., None, :, :]
+        ha = np.moveaxis(a.hessian, (-2, -1), (-4, -3))
+        hb = np.moveaxis(b.hessian, (-2, -1), (-4, -3))
+        cross = ga[..., :, None, :, :] @ gb[..., None, :, :, :]   # (..., x, y, i, j)
+        hess = (ha @ bv[..., None, :, :] + av[..., None, :, :] @ hb
+                + cross + np.swapaxes(cross, -3, -4))
+        return Jet2(a.value @ b.value, np.moveaxis(ga @ bv + av @ gb, -3, -1),
+                    np.moveaxis(hess, (-4, -3), (-2, -1)))
 
     def __rmatmul__(self, other):
-        """A constant matrix (or covector) applied to the leading value axis."""
+        """A constant matrix applied to a vector jet, or to the rows of a matrix jet."""
         other = np.asarray(other, dtype=float)
-        axes = (other.ndim - 1, 0)
-        return Jet2(np.tensordot(other, self.value, axes=axes),
-                    np.tensordot(other, self.gradient, axes=axes),
-                    np.tensordot(other, self.hessian, axes=axes))
+        axis = -2 if np.ndim(self.value) >= 2 else -1
+        return Jet2(_apply(self.value, axis, 0, other.T),
+                    _apply(self.gradient, axis, 1, other.T),
+                    _apply(self.hessian, axis, 2, other.T))
 
 
 def zeros(shape: tuple, dim: int) -> Jet2:
@@ -218,10 +251,13 @@ def zeros(shape: tuple, dim: int) -> Jet2:
 
 
 def seed_chart(x: np.ndarray) -> Jet2:
-    """Seed every entry of ``x`` as an independent coordinate of one chart."""
+    """Seed the last axis of ``x`` as the coordinates of a chart: (d,) for one
+    point, (..., d) for a batch of points, each in its own chart."""
     x = np.array(x, dtype=float)
-    d = x.shape[0]
-    return Jet2(x, np.eye(d), np.zeros((d, d, d)))
+    d = x.shape[-1]
+    grad = np.zeros(x.shape + (d,))
+    grad[...] = np.eye(d)
+    return Jet2(x, grad, np.zeros(x.shape + (d, d)))
 
 
 def stack(items) -> Jet2:

@@ -151,32 +151,41 @@ class _CubicDerivatives:
         t2 = tau * tau
         return root + t2 * (c2 + t2 * (c4 + t2 * c6))
 
-    def r_of_t(self, t: float) -> float:
-        if t <= self._window:
-            return self._series_r(self._series_0, t)
-        if t >= self.L - self._window:
-            return self._series_r(self._series_L, min(t, self.L) - self._anchor_end)
-        return float(self._dense(t)[0])
+    def r_of_t(self, t):
+        """r at one t or at an array of t, each element on its own window."""
+        t = np.asarray(t, dtype=float)
+        start = t <= self._window
+        end = ~start & (t >= self.L - self._window)
+        inner = ~(start | end)
+        r = np.empty(t.shape)
+        if start.any():
+            r[start] = self._series_r(self._series_0, t[start])
+        if end.any():
+            r[end] = self._series_r(self._series_L,
+                                    np.minimum(t[end], self.L) - self._anchor_end)
+        if inner.any():
+            # the dense output's array route sorts and groups; one t skips it
+            r[inner] = self._dense(t[inner] if t.ndim else float(t))[0]
+        return r[()]
 
-    def eval(self, t: float) -> tuple[float, float, float, float]:
+    def eval(self, t):
         r = self.r_of_t(t)
-        rp = np.sqrt(max(self.poly(r), 0.0))
+        rp = np.sqrt(np.maximum(self.poly(r), 0.0))
         rpp = 0.5 * self.poly.deriv1(r)
         rppp = 0.5 * self.poly.deriv2(r) * rp
         return r, rp, rpp, rppp
 
-    def integrated_state(self, t: float) -> tuple[float, float]:
-        if t < self._dense.t_min:
-            # before the Taylor start point there is no integrator state;
-            # return the initial-data series
-            x = self.poly.x
-            d1 = self.poly.deriv1(x)
-            return (
-                x + 0.25 * d1 * t * t + d1 * self.poly.deriv2(x) * t ** 4 / 96.0,
-                0.5 * d1 * t + d1 * self.poly.deriv2(x) * t ** 3 / 24.0,
-            )
-        r, rp = self._dense(min(t, self.L))
-        return float(r), float(rp)
+    def integrated_state(self, t):
+        t = np.asarray(t, dtype=float)
+        r, rp = self._dense(np.minimum(t, self.L))
+        # before the Taylor start point there is no integrator state;
+        # return the initial-data series there
+        early = t < self._dense.t_min
+        x = self.poly.x
+        d1, d2 = self.poly.deriv1(x), self.poly.deriv2(x)
+        r = np.where(early, x + 0.25 * d1 * t * t + d1 * d2 * t ** 4 / 96.0, r)
+        rp = np.where(early, 0.5 * d1 * t + d1 * d2 * t ** 3 / 24.0, rp)
+        return r[()], rp[()]
 
 
 class _SplineDerivatives:
@@ -189,32 +198,26 @@ class _SplineDerivatives:
         self._d = [self._spline.derivative(k) for k in (1, 2, 3)]
         self.L = float(t[-1])
 
-    def r_of_t(self, t: float) -> float:
-        return float(self._spline(t))
+    def eval(self, t):
+        return tuple(np.asarray(f(t))[()] for f in (self._spline, *self._d))
 
-    def eval(self, t: float) -> tuple[float, float, float, float]:
-        return (float(self._spline(t)), float(self._d[0](t)),
-                float(self._d[1](t)), float(self._d[2](t)))
-
-    def integrated_state(self, t: float) -> tuple[float, float]:
-        return float(self._spline(t)), float(self._d[0](t))
+    def integrated_state(self, t):
+        return self.eval(t)[:2]
 
 
 class _CallableDerivatives:
-    """Backend wrapping closed-form r and its derivatives (used by tests)."""
+    """Backend wrapping closed-form r and its derivatives, as numpy functions of
+    t that map arrays elementwise (used by tests)."""
 
     def __init__(self, fns, L: float):
         self._fns = fns
         self.L = L
 
-    def r_of_t(self, t: float) -> float:
-        return float(self._fns[0](t))
+    def eval(self, t):
+        return tuple(np.asarray(f(t), dtype=float)[()] for f in self._fns)
 
-    def eval(self, t: float) -> tuple[float, float, float, float]:
-        return tuple(float(f(t)) for f in self._fns)
-
-    def integrated_state(self, t: float) -> tuple[float, float]:
-        return float(self._fns[0](t)), float(self._fns[1](t))
+    def integrated_state(self, t):
+        return self.eval(t)[:2]
 
 
 @dataclass
@@ -232,6 +235,7 @@ class ProfileSolution:
     polynomial: CubicProfilePolynomial | None = None
     quadrature_length: float | None = None
     _model: object = None
+    _recent: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.f = 2.0 * self.r * self.rp / self.s
@@ -239,20 +243,38 @@ class ProfileSolution:
 
     # -- dense evaluation ----------------------------------------------------
 
-    def evaluate(self, t: float) -> tuple[float, float, float, float]:
-        """(r, r', r'', r''') at ``t``, using the backend's exact derivative model."""
-        return self._model.eval(t)
+    def evaluate(self, t):
+        """(r, r', r'', r''') at ``t``, a float or an array of t (elementwise),
+        using the backend's exact derivative model.
 
-    def integrated_state(self, t: float) -> tuple[float, float]:
-        """(r, r') as carried by the integrator state (no first-integral algebra)."""
+        An analysed batch asks for its warp many times (metric, complex
+        structure, frame, fields, closed forms), so the last few t batches
+        are kept, read-only, and reused.
+        """
+        t = np.asarray(t, dtype=float)
+        key = (t.shape, t.tobytes())
+        hit = self._recent.get(key)
+        if hit is None:
+            hit = tuple(self._model.eval(t))
+            for v in hit:
+                if isinstance(v, np.ndarray):
+                    v.setflags(write=False)
+            if len(self._recent) >= 4:
+                self._recent.clear()
+            self._recent[key] = hit
+        return hit
+
+    def integrated_state(self, t):
+        """(r, r') as carried by the integrator state (no first-integral algebra),
+        at a float or an array of t."""
         return self._model.integrated_state(t)
 
-    def warp(self, t: float) -> float:
+    def warp(self, t):
         r, rp, _, _ = self.evaluate(t)
         return 2.0 * r * rp / self.s
 
-    def warp_derivatives(self, t: float) -> tuple[float, float, float]:
-        """(f, f', f'') at ``t``."""
+    def warp_derivatives(self, t):
+        """(f, f', f'') at ``t``, a float or an array of t."""
         return self._warp_from(*self.evaluate(t))
 
     def _warp_from(self, r, rp, rpp, rppp) -> tuple[float, float, float]:
@@ -273,12 +295,8 @@ class ProfileSolution:
         """max |r'^2 - P(r)| over the interior, using the *integrated* r'."""
         if self.polynomial is None:
             raise ProfileError("first-integral residual requires a cubic-built profile")
-        ts = np.linspace(0.0, self.L, samples + 2)[1:-1]
-        worst = 0.0
-        for t in ts:
-            r, rp = self.integrated_state(t)
-            worst = max(worst, abs(rp * rp - self.polynomial(r)))
-        return worst
+        r, rp = self.integrated_state(np.linspace(0.0, self.L, samples + 2)[1:-1])
+        return float(np.max(np.abs(rp * rp - self.polynomial(r))))
 
     def export_csv(self, path) -> None:
         with open(path, "w", newline="") as fh:
@@ -331,8 +349,8 @@ def solve_profile(poly: CubicProfilePolynomial, *, grid_points: int = 512,
 
     model = _CubicDerivatives(poly, sol.sol, L, L_quad)
     grid = np.linspace(0.0, L, grid_points)
-    vals = np.array([model.eval(t)[:3] for t in grid])
-    return ProfileSolution(grid=grid, r=vals[:, 0], rp=vals[:, 1], rpp=vals[:, 2],
+    r, rp, rpp, _ = model.eval(grid)
+    return ProfileSolution(grid=grid, r=r, rp=rp, rpp=rpp,
                            L=L, s=poly.s, polynomial=poly,
                            quadrature_length=L_quad, _model=model)
 
@@ -402,15 +420,15 @@ def load_profile_table(source, s: float, *, grid_points: int = 512) -> ProfileSo
     model = _SplineDerivatives(t, r)
     L = model.L
     interior = np.linspace(0.0, L, 256)[1:-1]
-    slopes = np.array([model.eval(tt)[1] for tt in interior])
+    slopes = model.eval(interior)[1]
     if slopes.max() <= 1e-12:
         raise ValueError("profile has r' = 0 on the interior; warped mode needs r' > 0")
     if slopes.min() <= 0.0:
         raise ValueError("profile has non-positive r' on the interior")
 
     grid = np.linspace(0.0, L, grid_points)
-    vals = np.array([model.eval(tt)[:3] for tt in grid])
-    return ProfileSolution(grid=grid, r=vals[:, 0], rp=vals[:, 1], rpp=vals[:, 2],
+    r, rp, rpp, _ = model.eval(grid)
+    return ProfileSolution(grid=grid, r=r, rp=rp, rpp=rpp,
                            L=L, s=s, polynomial=None, quadrature_length=None,
                            _model=model)
 
@@ -420,7 +438,7 @@ def profile_from_callables(r, rp, rpp, rppp, L: float, s: float,
     """Wrap closed-form r(t) and derivatives as a ProfileSolution."""
     model = _CallableDerivatives((r, rp, rpp, rppp), L)
     grid = np.linspace(0.0, L, grid_points)
-    vals = np.array([model.eval(tt)[:3] for tt in grid])
-    return ProfileSolution(grid=grid, r=vals[:, 0], rp=vals[:, 1], rpp=vals[:, 2],
+    values = model.eval(grid)
+    return ProfileSolution(grid=grid, r=values[0], rp=values[1], rpp=values[2],
                            L=L, s=s, polynomial=None, quadrature_length=None,
                            _model=model)

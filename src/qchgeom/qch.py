@@ -8,6 +8,9 @@ g, J and the splitting.  This module fits (a, b, c), splits the Ricci tensor,
 computes the divergence invariant kappa with its principal section, and
 evaluates the pointwise structure identities and submersion cross-checks
 against their closed forms.
+
+Every function takes an analysis of one point or of a batch of points and
+returns its results per point: floats for one point, arrays for a batch.
 """
 
 from __future__ import annotations
@@ -17,6 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .batch import each, inner, matvec, max_abs, mT, per_point
 from .curvature import (
     Curvature4,
     PointAnalysis,
@@ -28,6 +32,7 @@ from .curvature import (
     j_gradient_field,
     killing_deviation,
 )
+from .geometry import ChartPoint
 
 
 # -- splitting and model tensors ------------------------------------------------
@@ -48,12 +53,13 @@ class SplitTensors:
 def split_tensors(g: np.ndarray, J: np.ndarray, h_hat: np.ndarray,
                   jh_hat: np.ndarray) -> SplitTensors:
     """Build the D/E split from the orthonormal pair spanning D."""
-    p_d = np.outer(h_hat, g @ h_hat) + np.outer(jh_hat, g @ jh_hat)
-    p_e = np.eye(g.shape[0]) - p_d
-    h = p_d.T @ g @ p_d
-    m = p_e.T @ g @ p_e
+    p_d = (h_hat[..., :, None] * matvec(g, h_hat)[..., None, :]
+           + jh_hat[..., :, None] * matvec(g, jh_hat)[..., None, :])
+    p_e = np.eye(g.shape[-1]) - p_d
+    h = mT(p_d) @ g @ p_d
+    m = mT(p_e) @ g @ p_e
     return SplitTensors(p_d=p_d, p_e=p_e, h=h, m=m,
-                        omega=J.T @ h, omega_m=J.T @ m)
+                        omega=mT(J) @ h, omega_m=mT(J) @ m)
 
 
 def model_tensor_arrays(g: np.ndarray, J: np.ndarray,
@@ -70,11 +76,13 @@ def model_tensor_arrays(g: np.ndarray, J: np.ndarray,
                   - 2 gj_ij om_kl - 2 gj_kl om_ij )
       Psi = -om_ij om_kl
     """
-    gj = J.T @ g
+    gj = mT(J) @ g
     h, om = split.h, split.omega
 
     def prod(A, B, subscripts):
-        return np.einsum(subscripts, A, B)
+        left, out = subscripts.split("->")
+        a, b = left.split(",")
+        return np.einsum(f"...{a},...{b}->...{out}", A, B)
 
     Pi = 0.25 * (prod(g, g, "jk,il->ijkl") - prod(g, g, "ik,jl->ijkl")
                  + prod(gj, gj, "jk,il->ijkl") - prod(gj, gj, "ik,jl->ijkl")
@@ -85,7 +93,7 @@ def model_tensor_arrays(g: np.ndarray, J: np.ndarray,
                    + prod(gj, om, "il,jk->ijkl") - prod(gj, om, "jl,ik->ijkl")
                    - 2.0 * prod(gj, om, "ij,kl->ijkl")
                    - 2.0 * prod(gj, om, "kl,ij->ijkl"))
-    Psi = -np.einsum("ij,kl->ijkl", om, om)
+    Psi = -prod(om, om, "ij,kl->ijkl")
     return Pi, Phi, Psi
 
 
@@ -95,7 +103,7 @@ def model_tensors(g: np.ndarray, J: np.ndarray, split: SplitTensors,
     Pi, Phi, Psi = model_tensor_arrays(g, J, split)
 
     def val(T):
-        return float(contract_slots(T, X, Y, Z, U))
+        return per_point(contract_slots(T, X, Y, Z, U, rank=4))
 
     return val(Pi), val(Phi), val(Psi)
 
@@ -105,7 +113,7 @@ def model_tensors(g: np.ndarray, J: np.ndarray, split: SplitTensors,
 
 @dataclass(frozen=True)
 class QCHCoefficients:
-    """Fitted decomposition coefficients and the certifying residual."""
+    """Fitted decomposition coefficients and the certifying residual (per point)."""
 
     a: float
     b: float
@@ -123,59 +131,65 @@ _PROBE_MATRIX = np.array([
 def fit_from_curvature(R4: np.ndarray, g: np.ndarray, J: np.ndarray,
                        h_hat: np.ndarray, jh_hat: np.ndarray, e_unit: np.ndarray,
                        rng: np.random.Generator | None = None,
-                       residual_samples: int = 0) -> QCHCoefficients:
+                       residual_samples: int = 0, *,
+                       draws: np.ndarray | None = None) -> QCHCoefficients:
     """Fit phi(|X_D|) = a + b |X_D|^2 + c |X_D|^4 from three deterministic probes.
 
     Probes are X = cos(alpha) e + sin(alpha) H with |X_D|^2 in {0, 1/2, 1},
     a fixed well-conditioned 3x3 system; random unit vectors only feed the
-    residual that certifies (or refutes) quasi-constancy.
+    residual that certifies (or refutes) quasi-constancy.  They come from
+    ``draws`` (standard normals, B + (samples, d)) when given, else from one
+    draw of that shape from ``rng``: the same stream as one draw of size d per
+    probe, point after point, so batching leaves the probes of a seed unchanged.
     """
     R = Curvature4(R4)
     half = (e_unit + h_hat) / np.sqrt(2.0)
-    probes = holomorphic_sectional_curvature(R, g, J, np.stack([e_unit, half, h_hat]))
-    a, b, c = np.linalg.solve(_PROBE_MATRIX, probes)
-    coeffs = QCHCoefficients(a=float(a), b=float(b), c=float(c), residual=0.0)
-    if residual_samples and rng is not None:
+    probes = holomorphic_sectional_curvature(R, g, J, np.stack([e_unit, half, h_hat], axis=-2))
+    solved = np.linalg.solve(_PROBE_MATRIX, np.asarray(probes)[..., None])[..., 0]
+    a, b, c = (per_point(x) for x in np.moveaxis(solved, -1, 0))
+    coeffs = QCHCoefficients(a=a, b=b, c=c, residual=per_point(np.zeros_like(a)))
+    if draws is None and residual_samples and rng is not None:
+        draws = rng.standard_normal(g.shape[:-2] + (residual_samples, g.shape[-1]))
+    if draws is not None:
         split = split_tensors(g, J, h_hat, jh_hat)
-        deviations = _probe_deviations(R, g, J, split, coeffs, rng, residual_samples)
-        coeffs = dataclasses.replace(coeffs, residual=float(deviations.max()))
+        deviations = _probe_deviations(R, g, J, split, coeffs, draws)
+        coeffs = dataclasses.replace(coeffs, residual=per_point(deviations.max(axis=-1)))
     return coeffs
 
 
 def _probe_deviations(R: Curvature4, g: np.ndarray, J: np.ndarray,
                       split: SplitTensors, coeffs: QCHCoefficients,
-                      rng: np.random.Generator, samples: int) -> np.ndarray:
-    """|K(X) - phi(|X_D|)| on ``samples`` random unit vectors, drawn in one call.
-
-    One (samples, d) draw yields the same stream as ``samples`` draws of size d,
-    so batching leaves the probes of a seed unchanged.
-    """
-    w = rng.standard_normal((samples, g.shape[0]))
-    w /= np.sqrt(np.sum((w @ g) * w, axis=1))[:, None]
-    tau2 = np.sum((w @ split.h) * w, axis=1)
+                      w: np.ndarray) -> np.ndarray:
+    """|K(X) - phi(|X_D|)| on the unit vectors along the draws w, B + (samples, d)."""
+    w = w / np.sqrt(np.sum((w @ g) * w, axis=-1))[..., None]
+    tau2 = np.sum((w @ split.h) * w, axis=-1)
     k = holomorphic_sectional_curvature(R, g, J, w)
-    return np.abs(k - (coeffs.a + coeffs.b * tau2 + coeffs.c * tau2 ** 2))
+    a, b, c = (np.asarray(x)[..., None] for x in (coeffs.a, coeffs.b, coeffs.c))
+    return np.abs(k - (a + b * tau2 + c * tau2 ** 2))
 
 
 def fit_qch_coefficients(analysis: PointAnalysis,
                          rng: np.random.Generator | None = None,
-                         residual_samples: int = 100) -> QCHCoefficients:
-    """Engine-facing fit at one analyzed point."""
-    frame = analysis.frame
+                         residual_samples: int = 100, *,
+                         draws: np.ndarray | None = None) -> QCHCoefficients:
+    """Engine-facing fit at the analyzed point(s)."""
+    vectors = analysis.frame.vectors
     J = analysis.complex_structure[0]
     return fit_from_curvature(analysis.riemann.components, analysis.g, J,
-                              frame.vectors[0], frame.vectors[1],
-                              frame.horizontal[0], rng, residual_samples)
+                              vectors[..., 0, :], vectors[..., 1, :],
+                              analysis.frame.horizontal[..., 0, :], rng, residual_samples,
+                              draws=draws)
 
 
 def qch_residual_samples(analysis: PointAnalysis, coeffs: QCHCoefficients,
                          rng: np.random.Generator, samples: int) -> np.ndarray:
-    """Per-sample deviations |K(X) - phi(|X_D|)| at one point."""
-    frame = analysis.frame
+    """Per-sample deviations |K(X) - phi(|X_D|)|, B + (samples,)."""
+    vectors = analysis.frame.vectors
     J = analysis.complex_structure[0]
     g = analysis.g
-    split = split_tensors(g, J, frame.vectors[0], frame.vectors[1])
-    return _probe_deviations(analysis.riemann, g, J, split, coeffs, rng, samples)
+    split = split_tensors(g, J, vectors[..., 0, :], vectors[..., 1, :])
+    draws = rng.standard_normal(g.shape[:-2] + (samples, g.shape[-1]))
+    return _probe_deviations(analysis.riemann, g, J, split, coeffs, draws)
 
 
 # -- kappa, principal section, Ricci split ---------------------------------------
@@ -192,9 +206,9 @@ class StructureScalars:
     mu: float
 
 
-def section_divergences(analysis: PointAnalysis, model,
-                        section: tuple[float, float] | None = None) -> tuple[float, float]:
-    """(div_E X, div_E JX) for a unit section X of D (default X = H)."""
+def section_divergences(analysis: PointAnalysis, model, section=None) -> tuple:
+    """(div_E X, div_E JX) for a unit section X of D (default X = H); the
+    section's (c1, c2) are floats or arrays with one entry per point."""
     e_frame = analysis.frame.horizontal
     if section is None:
         d1 = div_e(analysis, model.h_field(), e_frame)
@@ -214,12 +228,13 @@ def kappa_and_principal_section(analysis: PointAnalysis, model):
     principal section is undefined there.
     """
     d1, d2 = section_divergences(analysis, model)
-    kappa = float(np.hypot(d1, d2))
-    if kappa < 1e-13:
+    kappa = np.hypot(d1, d2)
+    if np.any(kappa < 1e-13):
         raise ValueError("kappa vanishes at this point; principal section undefined")
-    frame = analysis.frame
-    xi_p = (d1 * frame.vectors[0] + d2 * frame.vectors[1]) / kappa
-    return kappa, xi_p
+    vectors = analysis.frame.vectors
+    xi_p = (np.asarray(d1)[..., None] * vectors[..., 0, :]
+            + np.asarray(d2)[..., None] * vectors[..., 1, :]) / np.asarray(kappa)[..., None]
+    return per_point(kappa), xi_p
 
 
 def kappa_closed_form(n: int, r: float, rp: float) -> float:
@@ -230,15 +245,14 @@ def kappa_closed_form(n: int, r: float, rp: float) -> float:
 def structure_scalars(analysis: PointAnalysis, model, n: int) -> StructureScalars:
     """All pointwise scalar invariants at once (engine values throughout)."""
     kap, xi_p = kappa_and_principal_section(analysis, model)
-    frame = analysis.frame
     g = analysis.g
     J = analysis.complex_structure[0]
-    jxi_p = J @ xi_p
+    jxi_p = matvec(J, xi_p)
     # with the principal section aligned to H these reduce to the H/JH fields
     nXX = _directional_cov(analysis, model.h_field(), xi_p)
-    p = float(nXX @ g @ jxi_p)
+    p = per_point(inner(g, nXX, jxi_p))
     nJJ = _directional_cov(analysis, model.jh_field(), jxi_p)
-    p_star = float(nJJ @ g @ xi_p)
+    p_star = per_point(inner(g, nJJ, xi_p))
     fit = fit_qch_coefficients(analysis, None, 0)
     rs = ricci_split(analysis, fit, n)
     return StructureScalars(kappa=kap, p=p, p_star=p_star,
@@ -268,20 +282,19 @@ def ricci_split(analysis: PointAnalysis, coeffs: QCHCoefficients, n: int) -> Ric
     """Split rho into E and D eigenvalues, engine tensor vs coefficient formulas."""
     rho = analysis.ricci
     frame = analysis.frame
-    d_block = frame.vectors[:2]
+    d_block = frame.vectors[..., :2, :]
     e_block = frame.horizontal
-    rho_e = e_block @ rho @ e_block.T
-    rho_d = d_block @ rho @ d_block.T
-    lam_engine = float(np.trace(rho_e) / rho_e.shape[0])
-    mu_engine = float(np.trace(rho_d) / 2.0)
-    e_dev = float(np.abs(rho_e - lam_engine * np.eye(rho_e.shape[0])).max())
-    d_dev = float(np.abs(rho_d - mu_engine * np.eye(2)).max())
-    off = float(np.abs(d_block @ rho @ e_block.T).max())
+    rho_e = e_block @ rho @ mT(e_block)
+    rho_d = d_block @ rho @ mT(d_block)
+    k = rho_e.shape[-1]
+    lam_engine = np.trace(rho_e, axis1=-2, axis2=-1) / k
+    mu_engine = np.trace(rho_d, axis1=-2, axis2=-1) / 2.0
     lam_formula, mu_formula = ricci_eigenvalue_formulas(coeffs.a, coeffs.b, coeffs.c, n)
-    return RicciSplit(lam_engine=lam_engine, mu_engine=mu_engine,
+    return RicciSplit(lam_engine=per_point(lam_engine), mu_engine=per_point(mu_engine),
                       lam_formula=lam_formula, mu_formula=mu_formula,
-                      off_block_max=off, e_block_deviation=e_dev,
-                      d_block_deviation=d_dev)
+                      off_block_max=max_abs(d_block @ rho @ mT(e_block), 2),
+                      e_block_deviation=max_abs(rho_e - each(lam_engine) * np.eye(k), 2),
+                      d_block_deviation=max_abs(rho_d - each(mu_engine) * np.eye(2), 2))
 
 
 # -- structure identities ---------------------------------------------------------
@@ -290,17 +303,16 @@ def ricci_split(analysis: PointAnalysis, coeffs: QCHCoefficients, n: int) -> Ric
 def _directional_cov(analysis: PointAnalysis, x_field, direction: np.ndarray):
     """nabla_direction X at the point."""
     _, nabla = covariant_vector_derivative(analysis, x_field)
-    return nabla @ direction
+    return matvec(nabla, direction)
 
 
 def _shifted_analysis(model, point, t_new) -> PointAnalysis:
-    from .geometry import ChartPoint
-
+    """The same points moved along t; they share z, so the base memo hits."""
     moved = ChartPoint(t=t_new, psi=point.psi, z=point.z, chart=point.chart)
     return PointAnalysis(model, moved)
 
 
-def _kappa_at_t(model, point, t_new) -> float:
+def _kappa_at_t(model, point, t_new):
     kap, _ = kappa_and_principal_section(_shifted_analysis(model, point, t_new), model)
     return kap
 
@@ -322,7 +334,7 @@ def structure_identity_residuals(analysis: PointAnalysis, model, params,
     n = params.n
     frame = analysis.frame
     g = analysis.g
-    h_hat, jh_hat = frame.vectors[0], frame.vectors[1]
+    h_hat, jh_hat = frame.vectors[..., 0, :], frame.vectors[..., 1, :]
     e_frame = frame.horizontal
     J = analysis.complex_structure[0]
     split = split_tensors(g, J, h_hat, jh_hat)
@@ -330,46 +342,47 @@ def structure_identity_residuals(analysis: PointAnalysis, model, params,
     r, rp, _, _ = model.profile.evaluate(t)
     f, fp, _ = model.profile.warp_derivatives(t)
 
-    out: dict[str, float] = {}
+    out: dict = {}
 
     # p = g(nabla_xi xi, J xi) with xi the principal section (= H here)
     nHH = _directional_cov(analysis, model.h_field(), h_hat)
-    out["p_vanishes"] = abs(float(nHH @ g @ jh_hat))
+    out["p_vanishes"] = np.abs(inner(g, nHH, jh_hat))
 
     # p* = g(nabla_JH JH, H), closed form -f'/f
     nJJ = _directional_cov(analysis, model.jh_field(), jh_hat)
-    p_star = float(nJJ @ g @ h_hat)
-    out["p_star_closed_form"] = abs(p_star + fp / f)
+    p_star = inner(g, nJJ, h_hat)
+    out["p_star_closed_form"] = np.abs(p_star + fp / f)
 
     # epsilon forms: E-components of nabla_X X for X = H, JH
-    out["eps_form"] = float(np.abs(e_frame @ g @ nHH).max())
-    out["eps_star_form"] = float(np.abs(e_frame @ g @ nJJ).max())
+    e_low = e_frame @ g
+    out["eps_form"] = max_abs(matvec(e_low, nHH), 1)
+    out["eps_star_form"] = max_abs(matvec(e_low, nJJ), 1)
 
     # totally geodesic D: p_E(nabla_X Y) = 0 for X, Y in {H, JH}
     worst = 0.0
     for xf in (model.h_field(), model.jh_field()):
         for direction in (h_hat, jh_hat):
             vec = _directional_cov(analysis, xf, direction)
-            worst = max(worst, float(np.abs(e_frame @ g @ vec).max()))
+            worst = np.maximum(worst, max_abs(matvec(e_low, vec), 1))
     out["totally_geodesic_d"] = worst
 
     # kappa closed form, and d ln kappa = -(kappa/(n-1) + p*) theta along H
     kap, _ = kappa_and_principal_section(analysis, model)
-    out["kappa_closed_form"] = abs(kap - kappa_closed_form(n, r, rp))
+    out["kappa_closed_form"] = np.abs(kap - kappa_closed_form(n, r, rp))
     kplus = _kappa_at_t(model, analysis.point, t + kappa_step)
     kminus = _kappa_at_t(model, analysis.point, t - kappa_step)
     dlnk = (np.log(kplus) - np.log(kminus)) / (2.0 * kappa_step)
-    out["log_kappa_gradient"] = abs(dlnk + kap / (n - 1) + p_star)
+    out["log_kappa_gradient"] = np.abs(dlnk + kap / (n - 1) + p_star)
 
     # nabla theta = kappa/(2(n-1)) m - p* (J theta) x (J theta), theta = H-flat
-    theta = g @ h_hat
-    jtheta = g @ jh_hat
+    theta = matvec(g, h_hat)
+    jtheta = matvec(g, jh_hat)
     gamma = analysis.connection.gamma
-    nabla_theta = -np.einsum("kij,k->ij", gamma, theta)
-    target = (kap / (2.0 * (n - 1))) * split.m - p_star * np.outer(jtheta, jtheta)
+    nabla_theta = -np.einsum("...kij,...k->...ij", gamma, theta)
+    target = (each(kap / (2.0 * (n - 1))) * split.m
+              - each(p_star) * (jtheta[..., :, None] * jtheta[..., None, :]))
     fr = frame.vectors
-    out["theta_covariant_derivative"] = float(
-        np.abs(fr @ (nabla_theta - target) @ fr.T).max())
+    out["theta_covariant_derivative"] = max_abs(fr @ (nabla_theta - target) @ mT(fr), 2)
 
     # coefficient gradients along t:
     #   da/dt = b kappa / (2(n-1)),   db/dt = (b + 4c) kappa / (n-1)
@@ -378,39 +391,44 @@ def structure_identity_residuals(analysis: PointAnalysis, model, params,
     fminus = _fit_at_t(model, analysis.point, t - fit_step)
     da = (fplus.a - fminus.a) / (2.0 * fit_step)
     db = (fplus.b - fminus.b) / (2.0 * fit_step)
-    out["coefficient_gradient_a"] = abs(da - fit0.b * kap / (2.0 * (n - 1)))
-    out["coefficient_gradient_b"] = abs(db - (fit0.b + 4.0 * fit0.c) * kap / (n - 1))
+    out["coefficient_gradient_a"] = np.abs(da - fit0.b * kap / (2.0 * (n - 1)))
+    out["coefficient_gradient_b"] = np.abs(db - (fit0.b + 4.0 * fit0.c) * kap / (n - 1))
 
     # Killing potential tau = r^2/s: J grad(tau) is Killing and
     # Hess(tau)|_E = f kappa / (2(n-1)) m
     tau_field = model.potential_field()
     x_jets = j_gradient_field(analysis, tau_field)
     dev = killing_deviation(analysis, lambda _: x_jets)
-    out["potential_killing_deviation"] = float(np.abs(fr @ dev @ fr.T).max())
+    out["potential_killing_deviation"] = max_abs(fr @ dev @ mT(fr), 2)
     hess = hessian_form(analysis, tau_field)
-    hess_e = e_frame @ hess @ e_frame.T
-    coeff = float(np.trace(hess_e) / hess_e.shape[0])
-    out["potential_hessian_proportional"] = float(
-        np.abs(hess_e - coeff * np.eye(hess_e.shape[0])).max())
-    out["potential_hessian_coefficient"] = abs(coeff - f * kap / (2.0 * (n - 1)))
+    hess_e = e_frame @ hess @ mT(e_frame)
+    k = hess_e.shape[-1]
+    coeff = np.trace(hess_e, axis1=-2, axis2=-1) / k
+    out["potential_hessian_proportional"] = max_abs(hess_e - each(coeff) * np.eye(k), 2)
+    out["potential_hessian_coefficient"] = np.abs(coeff - f * kap / (2.0 * (n - 1)))
 
-    return out
+    return {key: per_point(value) for key, value in out.items()}
 
 
 def coefficient_base_independence(analysis: PointAnalysis, model,
-                                  rng: np.random.Generator) -> float:
-    """|a(z1) - a(z2)| for two nearby base points at the same t (t-only check)."""
-    from .geometry import ChartPoint
+                                  rng: np.random.Generator | None = None, *,
+                                  draws: np.ndarray | None = None):
+    """|a(z1) - a(z2)| for two nearby base points at the same t (t-only check).
 
+    The base points move by 0.05 times standard-normal ``draws`` of shape
+    B + (2, 2m), drawn from ``rng`` when not given.
+    """
     point = analysis.point
+    if draws is None:
+        draws = rng.standard_normal(point.batch_shape + (2, point.z.shape[-1]))
     a0 = fit_qch_coefficients(analysis, None, 0).a
     worst = 0.0
-    for _ in range(2):
-        dz = 0.05 * rng.standard_normal(point.z.shape[0])
-        moved = ChartPoint(t=point.t, psi=point.psi, z=point.z + dz, chart=point.chart)
+    for k in range(2):
+        moved = ChartPoint(t=point.t, psi=point.psi, z=point.z + 0.05 * draws[..., k, :],
+                           chart=point.chart)
         a1 = fit_qch_coefficients(PointAnalysis(model, moved), None, 0).a
-        worst = max(worst, abs(a1 - a0))
-    return worst
+        worst = np.maximum(worst, np.abs(a1 - a0))
+    return per_point(worst)
 
 
 # -- submersion cross-checks -------------------------------------------------------
@@ -421,64 +439,70 @@ def warped_submersion_residuals(analysis: PointAnalysis, model, params) -> dict[
     mixed/degenerate curvature components on the warped chart vs the engine."""
     g = analysis.g
     frame = analysis.frame
-    h_hat, jh_hat = frame.vectors[0], frame.vectors[1]
+    h_hat, jh_hat = frame.vectors[..., 0, :], frame.vectors[..., 1, :]
     e_frame = frame.horizontal
     t = analysis.point.t
     r, rp, _, _ = model.profile.evaluate(t)
     f, fp, _ = model.profile.warp_derivatives(t)
     s = model.s
     R4 = analysis.riemann.components
-    out: dict[str, float] = {}
+    out: dict = {}
 
     # T(xi, xi) = -f f' H  (fiber second fundamental form, fiber direction)
     gamma = analysis.connection.gamma
-    n_xi_xi = gamma[:, 1, 1]
-    diff = n_xi_xi + f * fp * h_hat
-    out["fiber_t_tensor"] = float(np.sqrt(diff @ g @ diff))
+    n_xi_xi = gamma[..., :, 1, 1]
+    diff = n_xi_xi + np.asarray(f * fp)[..., None] * h_hat
+    out["fiber_t_tensor"] = np.sqrt(inner(g, diff, diff))
 
     # T on horizontal fiber directions (tensorial, so lift-field covariant
     # derivatives contract exactly with the frame coefficients):
     # for orthonormal E_a:  g(nabla_{E_a} E_b, H) = -(r'/r) delta_ab
     nb = model.base.dim
-    lift_vals, cov_lift = [], []
-    for i in range(nb):
-        vals, nabla = covariant_vector_derivative(analysis, model.lift_field(i))
-        lift_vals.append(vals)
-        cov_lift.append(nabla)
-    lift_vals = np.stack(lift_vals)                          # (nb, d)
-    cov_lift = np.stack(cov_lift)                            # (nb, d, d): [j,k,i]
-    n_lift = np.einsum("jki,li->ljk", cov_lift, lift_vals)   # nabla_{lift_l} lift_j
-    coef = e_frame[:, 2:]                                    # E_a = sum coef[a,i] lift_i
-    n_ee = contract_slots(n_lift, coef, coef).transpose(1, 2, 0)
-    t_h = np.einsum("abk,k->ab", n_ee, g @ h_hat)
-    out["horizontal_t_tensor"] = float(np.abs(t_h + (rp / r) * np.eye(nb)).max())
+    lift_vals, n_lift = _lift_derivatives(analysis, model)
+    coef = e_frame[..., 2:]                                  # E_a = sum coef[a,i] lift_i
+    n_ee = np.moveaxis(contract_slots(n_lift, coef, coef, rank=3), -3, -1)
+    t_h = matvec(n_ee, matvec(g, h_hat)[..., None, :])
+    out["horizontal_t_tensor"] = max_abs(t_h + each(rp / r) * np.eye(nb), 2)
 
     # the base-unit statement: T(U, U) = -r r' H for h-unit U
     u_field = model.lift_field(0, base_unit=True)
     u_vals, n_u = covariant_vector_derivative(analysis, u_field)
-    n_uu = n_u @ u_vals
-    out["horizontal_t_tensor_base_unit"] = abs(float(n_uu @ g @ h_hat) + r * rp)
+    n_uu = matvec(n_u, u_vals)
+    out["horizontal_t_tensor_base_unit"] = np.abs(inner(g, n_uu, h_hat) + r * rp)
 
     # twist tensor: g(nabla_E F, xi) = (s f^2 / (2 r^2)) g(E, J~F) on lifts
     if s != 0.0:
-        xi = frame.xi
         j0 = model.base.j0
-        lhs = np.einsum("ijk,k->ij", n_lift, g @ xi)
-        g_lift = lift_vals @ g @ lift_vals.T
-        rhs = (s * f * f / (2.0 * r * r)) * (g_lift @ j0)
-        out["twist_tensor"] = float(np.abs(lhs - rhs).max())
+        lhs = matvec(n_lift, matvec(g, frame.xi)[..., None, :])
+        g_lift = lift_vals @ g @ mT(lift_vals)
+        rhs = each(s * f * f / (2.0 * r * r)) * (g_lift @ j0)
+        out["twist_tensor"] = max_abs(lhs - rhs, 2)
 
     # mixed curvature: R(JH, U, V, JH) = (s^2 f^2/(4 r^4) - f' r'/(f r)) g(U, V)
     target = s * s * f * f / (4.0 * r ** 4) - fp * rp / (f * r)
-    mixed = contract_slots(R4, jh_hat, e_frame, e_frame, jh_hat)
-    out["mixed_plane_curvature"] = float(np.abs(mixed - target * np.eye(nb)).max())
+    mixed = contract_slots(R4, jh_hat, e_frame, e_frame, jh_hat, rank=4)
+    out["mixed_plane_curvature"] = max_abs(mixed - each(target) * np.eye(nb), 2)
 
     # degenerate components: R(X, Y, Z, V) = 0 for X, Y, Z in D, V in E
-    d_pair = np.stack([h_hat, jh_hat])
-    degen = contract_slots(R4, d_pair, d_pair, d_pair, e_frame)
-    out["d_plane_degenerate_curvature"] = float(np.abs(degen).max())
+    d_pair = frame.vectors[..., :2, :]
+    degen = contract_slots(R4, d_pair, d_pair, d_pair, e_frame, rank=4)
+    out["d_plane_degenerate_curvature"] = max_abs(degen, 4)
 
-    return out
+    return {key: per_point(value) for key, value in out.items()}
+
+
+def _lift_derivatives(analysis: PointAnalysis, model) -> tuple[np.ndarray, np.ndarray]:
+    """(lift values B + (2m, d), n_lift B + (2m, 2m, d)) with
+    n_lift[l, j] = nabla_{lift_l} lift_j for the horizontal coordinate lifts."""
+    lift_vals, cov_lift = zip(*(covariant_vector_derivative(analysis, model.lift_field(i))
+                                for i in range(model.base.dim)))
+    lift_vals = np.stack(lift_vals, axis=-2)                 # [j, k]
+    cov_lift = np.stack(cov_lift, axis=-3)                   # [j, k, i]
+    # n_lift[l, j, k] = cov_lift[j, k, i] lift_vals[l, i]
+    batch, (nb, d) = lift_vals.shape[:-2], lift_vals.shape[-2:]
+    n_lift = (cov_lift.reshape(batch + (nb * d, d)) @ mT(lift_vals)).reshape(
+        batch + (nb, d, nb))
+    return lift_vals, np.moveaxis(n_lift, -1, -3)
 
 
 def circle_bundle_residuals(analysis: PointAnalysis, model,
@@ -494,51 +518,42 @@ def circle_bundle_residuals(analysis: PointAnalysis, model,
     g = analysis.g
     frame = analysis.frame
     xi = frame.xi
-    xi_hat = frame.vectors[0]
+    xi_hat = frame.vectors[..., 0, :]
     e_frame = frame.horizontal
     rho = analysis.ricci
     R4 = analysis.riemann.components
-    out: dict[str, float] = {}
+    out: dict = {}
 
     lam_target = s * s * al * al * nb / (4.0 * be ** 4)
-    out["fiber_ricci_eigenvalue"] = abs(float(xi_hat @ rho @ xi_hat) - lam_target)
+    out["fiber_ricci_eigenvalue"] = np.abs(inner(rho, xi_hat, xi_hat) - lam_target)
 
     # R(X, xi, Y, xi) = -(s^2 alpha^4/(4 beta^4)) g(X, Y) on horizontals
-    mixed = contract_slots(R4, e_frame, xi, e_frame, xi)
+    mixed = contract_slots(R4, e_frame, xi, e_frame, xi, rank=4)
     target = -(s * s * al ** 4 / (4.0 * be ** 4)) * np.eye(nb)
-    out["mixed_fiber_curvature"] = float(np.abs(mixed - target).max())
+    out["mixed_fiber_curvature"] = max_abs(mixed - target, 2)
 
     # sectional curvature of (E, xi) planes: s^2 alpha^2/(4 beta^4)
-    sect = np.diagonal(contract_slots(R4, e_frame, xi_hat, xi_hat, e_frame))
-    out["fiber_plane_sectional"] = float(
-        np.abs(sect - s * s * al * al / (4.0 * be ** 4)).max())
+    sect = np.diagonal(contract_slots(R4, e_frame, xi_hat, xi_hat, e_frame, rank=4),
+                       axis1=-2, axis2=-1)
+    out["fiber_plane_sectional"] = max_abs(sect - s * s * al * al / (4.0 * be ** 4), 1)
 
     # vertizontal identity: xi-coefficient of nabla_E F equals g(E, TF)/alpha^2
     gamma = analysis.connection.gamma
-    t_op = gamma[:, :, 0]        # T X = nabla_X xi for the constant fiber field
-    lift_vals, cov_lift = [], []
-    for i in range(nb):
-        vals, nabla = covariant_vector_derivative(analysis, model.lift_field(i))
-        lift_vals.append(vals)
-        cov_lift.append(nabla)
-    lift_vals = np.stack(lift_vals)
-    cov_lift = np.stack(cov_lift)
-    n_lift = np.einsum("jki,li->ljk", cov_lift, lift_vals)
-    lhs = np.einsum("ijk,k->ij", n_lift, g @ xi) / al ** 2
-    t_lifts = np.einsum("kj,ij->ik", t_op, lift_vals)        # T lift_i
-    rhs = np.einsum("ik,jk->ij", lift_vals @ g, t_lifts) / al ** 2
-    out["vertizontal_tensor"] = float(np.abs(lhs - rhs).max())
+    t_op = gamma[..., :, :, 0]   # T X = nabla_X xi for the constant fiber field
+    lift_vals, n_lift = _lift_derivatives(analysis, model)
+    lhs = matvec(n_lift, matvec(g, xi)[..., None, :]) / al ** 2
+    t_lifts = lift_vals @ mT(t_op)                        # T lift_i
+    rhs = (lift_vals @ g) @ mT(t_lifts) / al ** 2
+    out["vertizontal_tensor"] = max_abs(lhs - rhs, 2)
 
     # closed form of the twist operator: T E = (alpha^2 s / (2 beta^2)) J~ E
-    j0 = model.base.j0
-    jt_lifts = np.einsum("ki,kd->id", j0, lift_vals)
-    out["twist_operator_closed_form"] = float(
-        np.abs(t_lifts - (al * al * s / (2.0 * be * be)) * jt_lifts).max())
+    jt_lifts = model.base.j0.T @ lift_vals
+    out["twist_operator_closed_form"] = max_abs(
+        t_lifts - (al * al * s / (2.0 * be * be)) * jt_lifts, 2)
 
     # horizontal Ricci eigenvalue: mu = mu0/beta^2 - s^2 alpha^2/(2 beta^4)
     mu_target = base_einstein_constant / be ** 2 - s * s * al * al / (2.0 * be ** 4)
-    rho_e = e_frame @ rho @ e_frame.T
-    out["horizontal_ricci_eigenvalue"] = float(
-        np.abs(rho_e - mu_target * np.eye(nb)).max())
+    rho_e = e_frame @ rho @ mT(e_frame)
+    out["horizontal_ricci_eigenvalue"] = max_abs(rho_e - each(mu_target) * np.eye(nb), 2)
 
-    return out
+    return {key: per_point(value) for key, value in out.items()}

@@ -6,16 +6,24 @@ flow experiment) and records its worst residual against a tolerance.  Checks
 marked ``expected_fail`` encode negative controls: the suite counts them as
 in order exactly when they fail, and, for the quasi-constancy control, when
 they fail decisively (median residual above the discrimination floor).
+
+The sample points form one batch.  Each check family analyses it in a few
+memory-bounded slices (``curvature.batch_analyses``), gathers one residual
+per point and reduces them with ``np.max``, so a NaN residual at any point
+fails its check.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from .batch import each, inner, max_abs, mT
 from .curvature import (
     PointAnalysis,
+    batch_analyses,
     contract_slots,
     max_frame_component_3tensor,
     nabla_j,
@@ -32,6 +40,7 @@ from .geometry import (
     WarpedBundleMetric,
     exterior_derivative_1form,
     exterior_derivative_2form,
+    stack_points,
 )
 from .jets import stack
 from .profile import boundary_report, build_polynomial, solve_profile
@@ -198,13 +207,32 @@ def sample_interior_points(model, rng: np.random.Generator, count: int,
     return points
 
 
-def _kahler_form_closedness(analysis: PointAnalysis) -> float:
+class _Residuals:
+    """Per-point residuals of named quantities, gathered over analysis slices."""
+
+    def __init__(self):
+        self._parts = defaultdict(list)
+
+    def add(self, **residuals) -> None:
+        for name, values in residuals.items():
+            self._parts[name].append(np.ravel(values))
+
+    def values(self, name: str) -> np.ndarray:
+        return np.concatenate(self._parts[name])
+
+    def worst(self, *names: str) -> float:
+        """The largest residual over every point of the named quantities; NaN
+        if any is NaN (np.max propagates it, where max(0.0, nan) drops it)."""
+        return float(np.max(np.concatenate([self.values(n) for n in names])))
+
+
+def _kahler_form_closedness(analysis: PointAnalysis):
     """max |d Omega| for Omega_ij = g(J e_i, e_j) = (J^T g)_ij, from the jets."""
     J = stack(analysis.field.complex_structure_jets(analysis.coords))
-    return float(np.abs(exterior_derivative_2form(J.T @ analysis.metric)).max())
+    return max_abs(exterior_derivative_2form(J.T @ analysis.metric), 3)
 
 
-def _connection_form_residuals(model, analysis: PointAnalysis) -> tuple[float, float]:
+def _connection_form_residuals(model, analysis: PointAnalysis) -> tuple:
     """(max |d sigma - Omega|, max |d theta - s Omega|) at the point.
 
     sigma comes from the base model; theta is read off the assembled metric,
@@ -214,138 +242,132 @@ def _connection_form_residuals(model, analysis: PointAnalysis) -> tuple[float, f
     """
     coords = analysis.coords
     base = model.base
-    off = len(coords) - base.dim
-    z = coords[off:]
+    d = coords.shape[-1]
+    off = d - base.dim
+    z = coords[..., off:]
     sigma = base.connection_potential_jets(z)
     omega = base.kahler_form_jets(z).value
-    grads = sigma.gradient[:, off:]
-    res_sigma = float(np.abs(grads.T - grads - omega).max())
+    grads = sigma.gradient[..., off:]
+    res_sigma = max_abs(mT(grads) - grads - omega, 2)
     g = analysis.metric
     psi = off - 1
-    target = np.zeros((len(coords), len(coords)))
-    target[off:, off:] = model.s * omega
-    dtheta = exterior_derivative_1form(g[psi] / g[psi, psi])
-    return res_sigma, float(np.abs(dtheta - target).max())
+    target = np.zeros(omega.shape[:-2] + (d, d))
+    target[..., off:, off:] = model.s * omega
+    dtheta = exterior_derivative_1form(g[..., psi, :] / g[..., psi, psi, None])
+    return res_sigma, max_abs(dtheta - target, 2)
 
 
 def _metric_invariant_checks(model, analyses, tol, *, has_j: bool) -> list[CheckResult]:
-    n_pts = len(analyses)
-    pd_worst = 0.0
-    frame_worst = 0.0
-    theta_worst = 0.0
-    j2_worst = 0.0
-    herm_worst = 0.0
-    domega_worst = 0.0
-    gamma_sym_worst = 0.0
-    dsigma_worst = 0.0
-    dtheta_worst = 0.0
+    res = _Residuals()
+    has_theta = hasattr(model, "s")
+    has_sigma = hasattr(model, "base") and getattr(model, "s", 0.0) != 0.0
     for an in analyses:
         g = an.g
-        eigs = np.linalg.eigvalsh(g)
-        pd_worst = max(pd_worst, float(max(0.0, -eigs.min())))
+        eye = np.eye(g.shape[-1])
         fr = an.frame.vectors
-        frame_worst = max(frame_worst, float(np.abs(fr @ g @ fr.T - np.eye(g.shape[0])).max()))
-        if an.frame.xi is not None and hasattr(model, "s"):
-            # theta(xi) = 1 and g(H, xi) = 0 exactly on total charts
-            if an.frame.h_vec is not None:
-                theta_worst = max(theta_worst, abs(float(an.frame.h_vec @ g @ an.frame.xi)))
         gamma = an.connection.gamma
-        gamma_sym_worst = max(gamma_sym_worst,
-                              float(np.abs(gamma - gamma.transpose(0, 2, 1)).max()))
+        res.add(pd=np.maximum(0.0, -np.linalg.eigvalsh(g).min(axis=-1)),
+                frame=max_abs(fr @ g @ mT(fr) - eye, 2),
+                gamma_sym=max_abs(gamma - mT(gamma), 3))
+        if has_theta:
+            # theta(xi) = 1 and g(H, xi) = 0 exactly on total charts
+            frame = an.frame
+            res.add(theta=np.abs(inner(g, frame.h_vec, frame.xi)) if frame.h_vec is not None
+                    else np.zeros(g.shape[:-2]))
         if has_j:
             J = an.complex_structure[0]
-            j2_worst = max(j2_worst, float(np.abs(J @ J + np.eye(g.shape[0])).max()))
-            herm_worst = max(herm_worst, float(np.abs(J.T @ g @ J - g).max()))
-            domega_worst = max(domega_worst, _kahler_form_closedness(an))
-        if hasattr(model, "base") and getattr(model, "s", 0.0) != 0.0:
+            res.add(j2=max_abs(J @ J + eye, 2),
+                    herm=max_abs(mT(J) @ g @ J - g, 2),
+                    domega=_kahler_form_closedness(an))
+        if has_sigma:
             ds, dt = _connection_form_residuals(model, an)
-            dsigma_worst = max(dsigma_worst, ds)
-            dtheta_worst = max(dtheta_worst, dt)
+            res.add(dsigma=ds, dtheta=dt)
+    n_pts = len(res.values("pd"))
     checks = [
         CheckResult("metric_positive_definite",
                     "assembled metric is positive definite at interior points",
-                    pd_worst, tol["metric_positive_definite"], n_pts),
+                    res.worst("pd"), tol["metric_positive_definite"], n_pts),
         CheckResult("frame_orthonormality",
                     "frame (H, JH, E_a) is g-orthonormal after Gram-Schmidt",
-                    frame_worst, tol["frame_orthonormality"], n_pts),
+                    res.worst("frame"), tol["frame_orthonormality"], n_pts),
         CheckResult("christoffel_symmetry",
                     "Gamma^k_ij = Gamma^k_ji (torsion-free connection)",
-                    gamma_sym_worst, tol["christoffel_symmetry"], n_pts),
+                    res.worst("gamma_sym"), tol["christoffel_symmetry"], n_pts),
     ]
-    if hasattr(model, "s"):
+    if has_theta:
         checks.append(CheckResult(
             "theta_normalization", "theta(xi) = 1 and g(H, xi) = 0",
-            theta_worst, tol["theta_normalization"], n_pts))
+            res.worst("theta"), tol["theta_normalization"], n_pts))
     if has_j:
         checks.extend([
             CheckResult("complex_structure_involution", "J o J = -identity",
-                        j2_worst, tol["complex_structure_involution"], n_pts),
+                        res.worst("j2"), tol["complex_structure_involution"], n_pts),
             CheckResult("hermitian_metric", "g(JX, JY) = g(X, Y)",
-                        herm_worst, tol["hermitian_metric"], n_pts),
+                        res.worst("herm"), tol["hermitian_metric"], n_pts),
             CheckResult("kahler_form_closed",
                         "d Omega = 0 for Omega(X, Y) = g(JX, Y)",
-                        domega_worst, tol["kahler_form_closed"], n_pts),
+                        res.worst("domega"), tol["kahler_form_closed"], n_pts),
         ])
-    if hasattr(model, "base") and getattr(model, "s", 0.0) != 0.0:
+    if has_sigma:
         checks.extend([
             CheckResult("connection_form_derivative",
                         "d sigma equals the base Kaehler form Omega",
-                        dsigma_worst, tol["connection_form_derivative"], n_pts),
+                        res.worst("dsigma"), tol["connection_form_derivative"], n_pts),
             CheckResult("theta_derivative",
                         "d theta = s Omega (pulled back)",
-                        dtheta_worst, tol["theta_derivative"], n_pts),
+                        res.worst("dtheta"), tol["theta_derivative"], n_pts),
         ])
     return checks
 
 
-def _curvature_invariant_checks(model, analyses, tol, rng, *, has_j: bool,
+def _curvature_invariant_checks(model, points, analyses, tol, rng, *, has_j: bool,
                                 bianchi2_points: int = 2) -> list[CheckResult]:
-    n_pts = len(analyses)
-    anti = pair = b1 = ric_sym = 0.0
-    kahler_type = ric_j = 0.0
+    res = _Residuals()
     for an in analyses:
         R = an.riemann.components
-        scale = max(float(np.abs(R).max()), 1e-30)
-        anti = max(anti,
-                   float(np.abs(R + R.transpose(1, 0, 2, 3)).max()) / scale,
-                   float(np.abs(R + R.transpose(0, 1, 3, 2)).max()) / scale)
-        pair = max(pair, float(np.abs(R - R.transpose(2, 3, 0, 1)).max()) / scale)
-        b1 = max(b1, float(np.abs(R + R.transpose(1, 2, 0, 3)
-                                  + R.transpose(2, 0, 1, 3)).max()) / scale)
+        scale = np.maximum(max_abs(R, 4), 1e-30)
+
+        def relative(x):
+            return max_abs(x, 4) / scale
+
         rho = an.ricci
-        ric_sym = max(ric_sym, float(np.abs(rho - rho.T).max()))
+        res.add(anti=np.maximum(relative(R + np.swapaxes(R, -4, -3)),
+                                relative(R + np.swapaxes(R, -2, -1))),
+                pair=relative(R - np.moveaxis(R, (-2, -1), (-4, -3))),
+                b1=relative(R + np.moveaxis(R, -2, -4) + np.moveaxis(R, -4, -2)),
+                ric_sym=max_abs(rho - mT(rho), 2))
         if has_j:
             J = an.complex_structure[0]
-            rj = contract_slots(R, J.T, J.T).transpose(2, 3, 0, 1)
-            kahler_type = max(kahler_type, float(np.abs(rj - R).max()) / scale)
-            ric_j = max(ric_j, float(np.abs(J.T @ rho @ J - rho).max()))
+            rj = np.moveaxis(contract_slots(R, mT(J), mT(J), rank=4), (-2, -1), (-4, -3))
+            res.add(kahler_type=relative(rj - R), ric_j=max_abs(mT(J) @ rho @ J - rho, 2))
+    n_pts = len(res.values("anti"))
     checks = [
         CheckResult("curvature_antisymmetry",
                     "R antisymmetric in its first and last index pairs",
-                    anti, tol["curvature_antisymmetry"], n_pts),
+                    res.worst("anti"), tol["curvature_antisymmetry"], n_pts),
         CheckResult("curvature_pair_symmetry", "R_ijkl = R_klij",
-                    pair, tol["curvature_pair_symmetry"], n_pts),
+                    res.worst("pair"), tol["curvature_pair_symmetry"], n_pts),
         CheckResult("bianchi_first", "R_ijkl + R_jkil + R_kijl = 0",
-                    b1, tol["bianchi_first"], n_pts),
+                    res.worst("b1"), tol["bianchi_first"], n_pts),
         CheckResult("ricci_symmetry", "Ricci tensor is symmetric",
-                    ric_sym, tol["ricci_symmetry"], n_pts),
+                    res.worst("ric_sym"), tol["ricci_symmetry"], n_pts),
     ]
     if has_j:
         checks.extend([
             CheckResult("curvature_kahler_type", "R(JX, JY, Z, W) = R(X, Y, Z, W)",
-                        kahler_type, tol["curvature_kahler_type"], n_pts),
+                        res.worst("kahler_type"), tol["curvature_kahler_type"], n_pts),
             CheckResult("ricci_j_invariance", "rho(JX, JY) = rho(X, Y)",
-                        ric_j, tol["ricci_j_invariance"], n_pts),
+                        res.worst("ric_j"), tol["ricci_j_invariance"], n_pts),
         ])
-    b2 = 0.0
-    for an in analyses[:bianchi2_points]:
-        d = an.g.shape[0]
-        dirs = [v / np.linalg.norm(v) for v in rng.standard_normal((3, d))]
-        b2 = max(b2, second_bianchi_residual(model, an.point, dirs))
+    # unit directions (A, B, C) at the first points, one (points, 3, d) draw
+    spots = points[:bianchi2_points]
+    dirs = rng.standard_normal(spots.batch_shape + (3, model.dim))
+    dirs /= np.linalg.norm(dirs, axis=-1, keepdims=True)
+    b2 = np.max(second_bianchi_residual(model, spots, dirs))
     checks.append(CheckResult(
         "bianchi_second_spot",
         "cyclic sum of covariant curvature derivatives vanishes (spot check)",
-        b2, tol["bianchi_second_spot"], min(bianchi2_points, n_pts)))
+        float(b2), tol["bianchi_second_spot"], len(spots.t)))
     return checks
 
 
@@ -373,61 +395,60 @@ def _profile_checks(profile, poly, tol) -> list[CheckResult]:
 
 
 def _warped_structure_checks(model, analyses, params, tol, rng) -> list[CheckResult]:
-    n_pts = len(analyses)
-    fit_res = coeff_a = base_indep = 0.0
-    lam = mu = off = eblock = 0.0
-    kap_cf = kap_indep = princ = 0.0
-    ident_worst: dict[str, float] = {}
-    sub_worst: dict[str, float] = {}
+    res = _Residuals()
+    d, nz = model.dim, model.base.dim
     for an in analyses:
-        fit = fit_qch_coefficients(an, rng, 100)
-        fit_res = max(fit_res, fit.residual)
+        # per point, in the seed's draw order: fit probes, section angle, base moves
+        draws, phis, moves = [], [], []
+        for _ in range(len(an.point.t)):
+            draws.append(rng.standard_normal((100, d)))
+            phis.append(rng.uniform(0.0, 2.0 * np.pi))
+            moves.append(rng.standard_normal((2, nz)))
+        fit = fit_qch_coefficients(an, draws=np.stack(draws))
         r, rp, _, _ = model.profile.evaluate(an.point.t)
         a_target = params.c0 / r ** 2 - 4.0 * rp ** 2 / r ** 2
-        coeff_a = max(coeff_a, abs(fit.a - a_target))
         rs = ricci_split(an, fit, params.n)
-        lam = max(lam, abs(rs.lam_engine - rs.lam_formula))
-        mu = max(mu, abs(rs.mu_engine - rs.mu_formula))
-        off = max(off, rs.off_block_max)
-        eblock = max(eblock, rs.e_block_deviation)
         d1, d2 = section_divergences(an, model)
-        kap = float(np.hypot(d1, d2))
-        kap_cf = max(kap_cf, abs(kap - kappa_closed_form(params.n, r, rp)))
-        princ = max(princ, abs(d2))  # div_E(JH) = 0 makes H the principal section
-        phi = rng.uniform(0.0, 2.0 * np.pi)
-        d1r, d2r = section_divergences(an, model, (np.cos(phi), np.sin(phi)))
-        kap_indep = max(kap_indep, abs(float(np.hypot(d1r, d2r)) - kap))
-        base_indep = max(base_indep, coefficient_base_independence(an, model, rng))
-        for key, val in structure_identity_residuals(an, model, params).items():
-            ident_worst[key] = max(ident_worst.get(key, 0.0), val)
-        for key, val in warped_submersion_residuals(an, model, params).items():
-            sub_worst[key] = max(sub_worst.get(key, 0.0), val)
+        kap = np.hypot(d1, d2)
+        phis = np.array(phis)
+        d1r, d2r = section_divergences(an, model, (np.cos(phis), np.sin(phis)))
+        res.add(fit=fit.residual, coeff_a=np.abs(fit.a - a_target),
+                lam=np.abs(rs.lam_engine - rs.lam_formula),
+                mu=np.abs(rs.mu_engine - rs.mu_formula),
+                off=rs.off_block_max, eblock=rs.e_block_deviation,
+                kap_cf=np.abs(kap - kappa_closed_form(params.n, r, rp)),
+                princ=np.abs(d2),  # div_E(JH) = 0 makes H the principal section
+                kap_indep=np.abs(np.hypot(d1r, d2r) - kap),
+                base_indep=coefficient_base_independence(an, model, draws=np.stack(moves)))
+        res.add(**structure_identity_residuals(an, model, params))
+        res.add(**warped_submersion_residuals(an, model, params))
 
+    n_pts = len(res.values("fit"))
     checks = [
         CheckResult("qch_fit_residual",
                     "R(X,JX,JX,X) = a + b |X_D|^2 + c |X_D|^4 on unit vectors",
-                    fit_res, tol["qch_fit_residual"], n_pts * 100),
+                    res.worst("fit"), tol["qch_fit_residual"], n_pts * 100),
         CheckResult("qch_coefficient_a", "a = c0/r^2 - 4 r'^2/r^2",
-                    coeff_a, tol["qch_coefficient_a"], n_pts),
+                    res.worst("coeff_a"), tol["qch_coefficient_a"], n_pts),
         CheckResult("qch_coefficient_base_independence",
                     "fitted coefficients depend on t only",
-                    base_indep, tol["qch_coefficient_base_independence"], n_pts),
+                    res.worst("base_indep"), tol["qch_coefficient_base_independence"], n_pts),
         CheckResult("ricci_lambda", "lambda = (n+1)/2 a + b/4",
-                    lam, tol["ricci_lambda"], n_pts),
+                    res.worst("lam"), tol["ricci_lambda"], n_pts),
         CheckResult("ricci_mu", "mu = (n+1)/2 a + (n+3)/4 b + c",
-                    mu, tol["ricci_mu"], n_pts),
+                    res.worst("mu"), tol["ricci_mu"], n_pts),
         CheckResult("ricci_off_block", "rho(D, E) = 0",
-                    off, tol["ricci_off_block"], n_pts),
+                    res.worst("off"), tol["ricci_off_block"], n_pts),
         CheckResult("ricci_e_block", "rho|_E = lambda m",
-                    eblock, tol["ricci_e_block"], n_pts),
+                    res.worst("eblock"), tol["ricci_e_block"], n_pts),
         CheckResult("kappa_closed_form", "kappa = 2 (n-1) r'/r",
-                    kap_cf, tol["kappa_closed_form"], n_pts),
+                    res.worst("kap_cf"), tol["kappa_closed_form"], n_pts),
         CheckResult("kappa_section_independence",
                     "kappa is independent of the chosen unit section of D",
-                    kap_indep, tol["kappa_section_independence"], n_pts),
+                    res.worst("kap_indep"), tol["kappa_section_independence"], n_pts),
         CheckResult("principal_section",
                     "div_E(JH) = 0, so H is the principal section",
-                    princ, tol["principal_section"], n_pts),
+                    res.worst("princ"), tol["principal_section"], n_pts),
     ]
     ident_claims = {
         "p_vanishes": ("identity_p", "p = g(nabla_xi xi, J xi) = 0"),
@@ -445,19 +466,17 @@ def _warped_structure_checks(model, analyses, params, tol, rng) -> list[CheckRes
                                         "J grad(r^2/s) is a Killing field"),
     }
     for key, (name, claim) in ident_claims.items():
-        checks.append(CheckResult(name, claim, ident_worst[key], tol[name], n_pts))
+        checks.append(CheckResult(name, claim, res.worst(key), tol[name], n_pts))
     checks.append(CheckResult(
         "identity_eps_forms", "the forms eps and eps* vanish",
-        max(ident_worst["eps_form"], ident_worst["eps_star_form"]),
-        tol["identity_eps_forms"], n_pts))
+        res.worst("eps_form", "eps_star_form"), tol["identity_eps_forms"], n_pts))
     checks.append(CheckResult(
         "totally_geodesic_d", "p_E(nabla_X Y) = 0 for X, Y spanning D",
-        ident_worst["totally_geodesic_d"], tol["totally_geodesic_d"], n_pts))
+        res.worst("totally_geodesic_d"), tol["totally_geodesic_d"], n_pts))
     checks.append(CheckResult(
         "potential_hessian",
         "Hess(r^2/s) restricted to E equals f kappa/(2(n-1)) m",
-        max(ident_worst["potential_hessian_proportional"],
-            ident_worst["potential_hessian_coefficient"]),
+        res.worst("potential_hessian_proportional", "potential_hessian_coefficient"),
         tol["potential_hessian"], n_pts))
     sub_claims = {
         "fiber_t_tensor": ("submersion_fiber_t", "T(xi, xi) = -f f' H"),
@@ -471,20 +490,17 @@ def _warped_structure_checks(model, analyses, params, tol, rng) -> list[CheckRes
                                          "R(X, Y, Z, V) = 0 for X, Y, Z in D, V in E"),
     }
     for key, (name, claim) in sub_claims.items():
-        residual = max(sub_worst[key],
-                       sub_worst["horizontal_t_tensor_base_unit"]
-                       if key == "horizontal_t_tensor" else 0.0)
-        checks.append(CheckResult(name, claim, residual, tol[name], n_pts))
+        keys = (key, key + "_base_unit") if key == "horizontal_t_tensor" else (key,)
+        checks.append(CheckResult(name, claim, res.worst(*keys), tol[name], n_pts))
     return checks
 
 
 def _nabla_j_check(analyses, tol) -> CheckResult:
-    worst = 0.0
+    res = _Residuals()
     for an in analyses:
-        nj = nabla_j(an)
-        worst = max(worst, max_frame_component_3tensor(nj, an.frame.vectors, an.g))
+        res.add(nabla_j=max_frame_component_3tensor(nabla_j(an), an.frame.vectors, an.g))
     return CheckResult("nabla_j", "nabla J = 0 (the structure is parallel)",
-                       worst, tol["nabla_j"], len(analyses))
+                       res.worst("nabla_j"), tol["nabla_j"], len(res.values("nabla_j")))
 
 
 def _decay_checks(model, tol) -> list[CheckResult]:
@@ -536,26 +552,25 @@ def run_suite(config) -> VerificationReport:
     if config.mode == "circle-bundle":
         base = FubiniStudy(config.n - 1, config.c0)
         model = CircleBundleMetric(config.alpha, config.beta, config.effective_s(), base)
-        points = sample_interior_points(model, rng, config.sample_count,
-                                        config.sample_margin, config.z_radius)
-        analyses = [PointAnalysis(model, p) for p in points]
+        points = stack_points(sample_interior_points(model, rng, config.sample_count,
+                                                     config.sample_margin, config.z_radius))
+        analyses = batch_analyses(model, points)
         checks += _metric_invariant_checks(model, analyses, tol, has_j=False)
-        checks += _curvature_invariant_checks(model, analyses, tol, rng, has_j=False)
+        checks += _curvature_invariant_checks(model, points, analyses, tol, rng, has_j=False)
         base_chart = BaseChartMetric(base)
-        ein_worst = 0.0
-        mu0 = None
-        bundle_worst: dict[str, float] = {}
+        res = _Residuals()
         for an in analyses:
             ab = PointAnalysis(base_chart, ChartPoint(z=an.point.z))
-            rho_b = ab.frame.vectors @ ab.ricci @ ab.frame.vectors.T
-            mu0 = float(np.trace(rho_b) / rho_b.shape[0])
-            ein_worst = max(ein_worst, float(
-                np.abs(rho_b - mu0 * np.eye(rho_b.shape[0])).max()))
-            for key, val in circle_bundle_residuals(an, model, mu0).items():
-                bundle_worst[key] = max(bundle_worst.get(key, 0.0), val)
+            fr = ab.frame.vectors
+            rho_b = fr @ ab.ricci @ mT(fr)
+            k = rho_b.shape[-1]
+            mu0 = np.trace(rho_b, axis1=-2, axis2=-1) / k
+            res.add(einstein=max_abs(rho_b - each(mu0) * np.eye(k), 2))
+            res.add(**circle_bundle_residuals(an, model, mu0))
+        n_pts = len(points.t)
         checks.append(CheckResult(
             "base_einstein", "the base metric is Einstein: rho_0 = mu_0 h",
-            ein_worst, tol["base_einstein"], len(analyses)))
+            res.worst("einstein"), tol["base_einstein"], n_pts))
         claims = {
             "fiber_ricci_eigenvalue": (
                 "bundle_fiber_ricci",
@@ -577,18 +592,18 @@ def run_suite(config) -> VerificationReport:
                 "mu = mu_0/beta^2 - s^2 alpha^2/(2 beta^4)"),
         }
         for key, (name, claim) in claims.items():
-            checks.append(CheckResult(name, claim, bundle_worst[key],
-                                      tol[name], len(analyses)))
+            checks.append(CheckResult(name, claim, res.worst(key), tol[name], n_pts))
         return VerificationReport(mode=config.mode, seed=config.rng_seed,
                                   config_echo=config.to_dict(), checks=checks)
 
     params, model = build_warped_model(config)
     checks += _profile_checks(model.profile, model.profile.polynomial, tol)
-    points = sample_interior_points(model, rng, config.sample_count,
-                                    config.sample_margin, config.z_radius)
-    analyses = [PointAnalysis(model, p) for p in points]
+    points = stack_points(sample_interior_points(model, rng, config.sample_count,
+                                                 config.sample_margin, config.z_radius))
+    analyses = batch_analyses(model, points)
+    n_pts = len(points.t)
     checks += _metric_invariant_checks(model, analyses, tol, has_j=True)
-    checks += _curvature_invariant_checks(model, analyses, tol, rng, has_j=True)
+    checks += _curvature_invariant_checks(model, points, analyses, tol, rng, has_j=True)
 
     # with perturb_f != 1 this check fails decisively: that is a hard failure
     # mode (exit 1), not an annotated expected failure
@@ -596,40 +611,38 @@ def run_suite(config) -> VerificationReport:
 
     if config.mode == "negative-control":
         fits = [fit_qch_coefficients(an, rng, 100) for an in analyses]
-        per_point = []
+        res = _Residuals()
         for an, fit in zip(analyses, fits):
-            per_point.append(np.median(qch_residual_samples(an, fit, rng, 40)))
-        res = CheckResult(
+            res.add(fit=fit.residual,
+                    median=np.median(qch_residual_samples(an, fit, rng, 40), axis=-1))
+        checks.append(CheckResult(
             "qch_fit_residual",
             "R(X,JX,JX,X) = a + b |X_D|^2 + c |X_D|^4 on unit vectors",
-            max(f.residual for f in fits), tol["qch_fit_residual"],
-            len(analyses) * 100, expected_fail=True,
+            res.worst("fit"), tol["qch_fit_residual"], n_pts * 100, expected_fail=True,
             details={"discrimination_floor": tol["qch_fit_negative_floor"],
-                     "median_residual": float(np.median(per_point))})
-        checks.append(res)
+                     "median_residual": float(np.median(res.values("median")))}))
     elif config.mode == "product":
-        fit_res = kap_worst = lam = mu = 0.0
+        res = _Residuals()
         for an in analyses:
             fit = fit_qch_coefficients(an, rng, 100)
-            fit_res = max(fit_res, fit.residual)
             rs = ricci_split(an, fit, params.n)
-            lam = max(lam, abs(rs.lam_engine - rs.lam_formula))
-            mu = max(mu, abs(rs.mu_engine - rs.mu_formula))
             d1, d2 = section_divergences(an, model)
-            kap_worst = max(kap_worst, float(np.hypot(d1, d2)))
+            res.add(fit=fit.residual, kappa=np.hypot(d1, d2),
+                    lam=np.abs(rs.lam_engine - rs.lam_formula),
+                    mu=np.abs(rs.mu_engine - rs.mu_formula))
         checks.append(CheckResult(
             "qch_fit_residual",
             "R(X,JX,JX,X) = a + b |X_D|^2 + c |X_D|^4 on unit vectors",
-            fit_res, tol["qch_fit_residual"], len(analyses) * 100))
+            res.worst("fit"), tol["qch_fit_residual"], n_pts * 100))
         checks.append(CheckResult(
             "kappa_vanishes", "kappa = 0 everywhere in product mode",
-            kap_worst, tol["kappa_vanishes"], len(analyses)))
+            res.worst("kappa"), tol["kappa_vanishes"], n_pts))
         checks.append(CheckResult(
             "ricci_lambda", "lambda = (n+1)/2 a + b/4",
-            lam, tol["ricci_lambda"], len(analyses)))
+            res.worst("lam"), tol["ricci_lambda"], n_pts))
         checks.append(CheckResult(
             "ricci_mu", "mu = (n+1)/2 a + (n+3)/4 b + c",
-            mu, tol["ricci_mu"], len(analyses)))
+            res.worst("mu"), tol["ricci_mu"], n_pts))
     else:  # warped
         checks += _warped_structure_checks(model, analyses, params, tol, rng)
         if config.perturb_f == 1.0:

@@ -1,0 +1,210 @@
+"""A batch of points gives what its points give one at a time.
+
+Analyses over a batch (in the memory-bounded slices of ``batch_analyses``)
+must match single-point analyses to 1e-13 relative for every model: the
+metric and J jets, Gamma, dGamma, Riemann, Ricci and the frame; and each
+check family's per-point results must match its single-point call.  Batches
+of one point and of a count that is not a multiple of the slice size are
+both used.
+"""
+
+import functools
+
+import numpy as np
+import pytest
+
+import qchgeom.curvature as curvature
+from qchgeom import (
+    BundleParams,
+    CircleBundleMetric,
+    FubiniStudy,
+    ProductBase,
+    WarpedBundleMetric,
+    build_polynomial,
+    solve_profile,
+)
+from qchgeom.curvature import (
+    PointAnalysis,
+    batch_analyses,
+    batch_slices,
+    max_frame_component_3tensor,
+    nabla_j,
+    second_bianchi_residual,
+)
+from qchgeom.geometry import BaseChartMetric, stack_points
+from qchgeom.qch import (
+    circle_bundle_residuals,
+    coefficient_base_independence,
+    fit_qch_coefficients,
+    qch_residual_samples,
+    ricci_split,
+    section_divergences,
+    structure_identity_residuals,
+    warped_submersion_residuals,
+)
+from qchgeom.suite import (
+    _connection_form_residuals,
+    _kahler_form_closedness,
+    sample_interior_points,
+)
+
+RTOL = 1e-13
+
+
+def _close(batch, single) -> bool:
+    batch, single = np.asarray(batch), np.asarray(single)
+    scale = max(float(np.abs(single).max()), 1.0)
+    return batch.shape == single.shape and float(np.abs(batch - single).max()) <= RTOL * scale
+
+
+@functools.cache
+def _models(n):
+    s = 2.0 / n
+    profile = solve_profile(build_polynomial(1.0, 2.0, s))
+    params = BundleParams(n=n, c0=4.0, s=s, L=profile.L)
+    return params, {
+        "base-fubini-study": BaseChartMetric(FubiniStudy(n - 1, 4.0)),
+        "base-product": BaseChartMetric(ProductBase([FubiniStudy(1, 4.0),
+                                                     FubiniStudy(n - 2, 4.0)])),
+        "warped": WarpedBundleMetric(params, profile),
+        "product-mode": WarpedBundleMetric(params, profile, product_mode=True),
+        "perturbed": WarpedBundleMetric(params, profile, warp_scale=1.01),
+        "circle-bundle": CircleBundleMetric(1.3, 0.8, s, FubiniStudy(n - 1, 4.0)),
+    }
+
+
+def _points(model, count, seed=7):
+    return sample_interior_points(model, np.random.default_rng(seed), count, 0.05, 1.5)
+
+
+QUANTITIES = {
+    "metric": lambda an: an.metric.value,
+    "metric_gradient": lambda an: an.metric.gradient,
+    "metric_hessian": lambda an: an.metric.hessian,
+    "gamma": lambda an: an.connection.gamma,
+    "dgamma": lambda an: an.connection.dgamma,
+    "riemann": lambda an: an.riemann.components,
+    "ricci": lambda an: an.ricci,
+    "frame": lambda an: an.frame.vectors,
+    "j": lambda an: an.complex_structure[0],
+    "j_gradient": lambda an: an.complex_structure[1],
+}
+CASES = ([(n, name, count) for n in (3, 5) for name in _models(3)[1] for count in (1, 7)]
+         + [(7, name, 3) for name in _models(3)[1]])
+
+
+@pytest.mark.parametrize("n,name,count", CASES)
+def test_batched_analysis_matches_single_points(n, name, count):
+    model = _models(n)[1][name]
+    points = _points(model, count)
+    analyses = batch_analyses(model, stack_points(points))
+    assert sum(len(an.point.t) for an in analyses) == count
+    singles = [PointAnalysis(model, p) for p in points]
+    for quantity, get in QUANTITIES.items():
+        if quantity.startswith("j") and singles[0].complex_structure is None:
+            continue
+        batched = np.concatenate([get(an) for an in analyses])
+        single = np.stack([get(an) for an in singles])
+        assert _close(batched, single), f"{name} n={n}: {quantity}"
+
+
+def test_slices_split_the_batch(monkeypatch):
+    """Slices of a small budget (3 points at d = 6) cover 7 points as 3 + 3 + 1."""
+    monkeypatch.setattr(curvature, "BATCH_ELEMENTS", 3 * 6 ** 4)
+    assert batch_slices(7, 6) == [slice(0, 3), slice(3, 6), slice(6, 7)]
+    params, models = _models(3)
+    model = models["warped"]
+    points = _points(model, 7)
+    analyses = batch_analyses(model, stack_points(points))
+    assert [len(an.point.t) for an in analyses] == [3, 3, 1]
+    batched = np.concatenate([an.riemann.components for an in analyses])
+    single = np.stack([PointAnalysis(model, p).riemann.components for p in points])
+    assert _close(batched, single)
+
+
+def _family_cases(n, name, count=5):
+    params, models = _models(n)
+    model = models[name]
+    points = _points(model, count, seed=11)
+    return params, model, points, PointAnalysis(model, stack_points(points))
+
+
+def _assert_per_point(batched, singles, label):
+    if isinstance(batched, dict):
+        for key in batched:
+            _assert_per_point(batched[key], [s[key] for s in singles], f"{label}/{key}")
+        return
+    assert _close(batched, np.array(singles)), label
+
+
+@pytest.mark.parametrize("n", [3, 5])
+def test_warped_families_match_single_points(n):
+    params, model, points, batch = _family_cases(n, "warped")
+    singles = [PointAnalysis(model, p) for p in points]
+    d, nz = model.dim, model.base.dim
+    rng = np.random.default_rng(5)
+    draws = rng.standard_normal((len(points), 30, d))
+    moves = rng.standard_normal((len(points), 2, nz))
+    phis = rng.uniform(0.0, 2.0 * np.pi, len(points))
+
+    fit = fit_qch_coefficients(batch, draws=draws)
+    fits = [fit_qch_coefficients(an, draws=w) for an, w in zip(singles, draws)]
+    for field in ("a", "b", "c", "residual"):
+        _assert_per_point(getattr(fit, field), [getattr(f, field) for f in fits], field)
+    rs = ricci_split(batch, fit, params.n)
+    rss = [ricci_split(an, f, params.n) for an, f in zip(singles, fits)]
+    for field in ("lam_engine", "mu_engine", "lam_formula", "mu_formula", "off_block_max",
+                  "e_block_deviation", "d_block_deviation"):
+        _assert_per_point(getattr(rs, field), [getattr(r, field) for r in rss], field)
+    for section in (None, (np.cos(phis), np.sin(phis))):
+        batched = section_divergences(batch, model, section)
+        per_point = [section_divergences(an, model, None if section is None
+                                         else (np.cos(phi), np.sin(phi)))
+                     for an, phi in zip(singles, phis)]
+        for k in range(2):
+            _assert_per_point(batched[k], [p[k] for p in per_point], "section_divergences")
+    _assert_per_point(coefficient_base_independence(batch, model, draws=moves),
+                      [coefficient_base_independence(an, model, draws=m)
+                       for an, m in zip(singles, moves)], "base_independence")
+    _assert_per_point(structure_identity_residuals(batch, model, params),
+                      [structure_identity_residuals(an, model, params) for an in singles],
+                      "structure_identities")
+    _assert_per_point(warped_submersion_residuals(batch, model, params),
+                      [warped_submersion_residuals(an, model, params) for an in singles],
+                      "submersion")
+    # one (points, 40, d) draw gives the probes of per-point draws of (40, d)
+    batched = qch_residual_samples(batch, fit, np.random.default_rng(9), 40)
+    rng = np.random.default_rng(9)
+    _assert_per_point(batched, [qch_residual_samples(an, f, rng, 40)
+                                for an, f in zip(singles, fits)], "residual_samples")
+
+
+@pytest.mark.parametrize("name", ["warped", "perturbed", "product-mode", "base-product"])
+def test_invariant_families_match_single_points(name):
+    params, model, points, batch = _family_cases(3, name)
+    singles = [PointAnalysis(model, p) for p in points]
+    def parallel_j(an):
+        return max_frame_component_3tensor(nabla_j(an), an.frame.vectors, an.g)
+
+    _assert_per_point(parallel_j(batch), [parallel_j(an) for an in singles], "nabla_j")
+    _assert_per_point(_kahler_form_closedness(batch),
+                      [_kahler_form_closedness(an) for an in singles], "kahler_form")
+    if hasattr(model, "s") and model.s != 0.0:
+        batched = _connection_form_residuals(model, batch)
+        per_point = [_connection_form_residuals(model, an) for an in singles]
+        for k in range(2):
+            _assert_per_point(batched[k], [p[k] for p in per_point], "connection_form")
+    dirs = np.random.default_rng(4).standard_normal((len(points), 3, model.dim))
+    dirs /= np.linalg.norm(dirs, axis=-1, keepdims=True)
+    _assert_per_point(second_bianchi_residual(model, batch.point, dirs),
+                      [second_bianchi_residual(model, p, v) for p, v in zip(points, dirs)],
+                      "second_bianchi")
+
+
+@pytest.mark.parametrize("n", [3, 5])
+def test_circle_bundle_family_matches_single_points(n):
+    params, model, points, batch = _family_cases(n, "circle-bundle")
+    mu0 = np.linspace(3.0, 4.0, len(points))
+    _assert_per_point(circle_bundle_residuals(batch, model, mu0),
+                      [circle_bundle_residuals(PointAnalysis(model, p), model, m)
+                       for p, m in zip(points, mu0)], "circle_bundle")

@@ -237,3 +237,28 @@ def test_summary_values_match_closed_forms(tmp_path):
     with np.errstate(invalid="ignore"):
         rp_from_kappa = data["kappa"] * r / 4.0
     assert np.abs(a - (4.0 / r ** 2 - 4.0 * rp_from_kappa ** 2 / r ** 2)).max() < 1e-9
+
+
+@pytest.mark.parametrize("target,key,check", [
+    ("max_frame_component_3tensor", None, "nabla_j"),
+    ("structure_identity_residuals", "p_vanishes", "identity_p"),
+])
+def test_nan_residual_at_one_sample_fails_its_check(monkeypatch, target, key, check):
+    """A NaN residual at the second sample must fail the check (max(0.0, nan)
+    is 0.0, so a running Python max would pass it silently)."""
+    import qchgeom.suite as suite_mod
+
+    original = getattr(suite_mod, target)
+
+    def poisoned(*args, **kwargs):
+        out = original(*args, **kwargs)
+        values = np.array(out[key] if key else out, dtype=float)
+        values[1] = np.nan
+        return dict(out, **{key: values}) if key else values
+
+    monkeypatch.setattr(suite_mod, target, poisoned)
+    report = run_suite(small_config())
+    rec = next(c for c in report.checks if c.name == check)
+    assert np.isnan(rec.max_residual)
+    assert not rec.passed
+    assert not report.all_pass

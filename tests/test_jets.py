@@ -192,3 +192,47 @@ def test_chain_rule_against_closed_form(x):
     assert abs(w.value - root) < 1e-14
     assert abs(w.gradient[0] - x / root) < 1e-14
     assert abs(w.hessian[0, 0] - 1.0 / root ** 3) < 1e-14
+
+
+def _random_jet(rng, shape, dim):
+    hess = rng.standard_normal(shape + (dim, dim))
+    return Jet2(rng.standard_normal(shape), rng.standard_normal(shape + (dim,)),
+                hess + np.swapaxes(hess, -1, -2))
+
+
+def _entrywise_product(a, b, i, j):
+    """(a @ b)[i, j] by scalar-jet arithmetic, for one point."""
+    total = a[i, 0] * b[0, j]
+    for k in range(1, a.shape[1]):
+        total = total + a[i, k] * b[k, j]
+    return total
+
+
+def test_batched_matmul_matches_scalar_arithmetic():
+    """A batch of matrix-jet products equals the product rule entry by entry."""
+    rng = np.random.default_rng(31)
+    a, b = _random_jet(rng, (5, 3, 4), 2), _random_jet(rng, (5, 4, 2), 2)
+    const = rng.standard_normal((2, 3))
+    prod, right, left = a @ b, b @ const, const.T @ b.T
+    c, ct = Jet2.constant(const, 2), Jet2.constant(const.T, 2)
+    for n in range(5):
+        for i in range(3):
+            for j in range(2):
+                for got, want in ((prod[n][i, j], _entrywise_product(a[n], b[n], i, j)),
+                                  (right[n][0, j], _entrywise_product(b[n][:1], c, 0, j)),
+                                  (left[n][i, 0], _entrywise_product(ct, b[n].T, i, 0))):
+                    for x, y in ((got.value, want.value), (got.gradient, want.gradient),
+                                 (got.hessian, want.hessian)):
+                        assert np.allclose(x, y, rtol=1e-13, atol=1e-13)
+
+
+def test_batched_indexing_transpose_and_sum():
+    rng = np.random.default_rng(32)
+    a = _random_jet(rng, (4, 3, 3), 5)
+    col = a[..., 1]
+    assert col.shape == (4, 3) and np.array_equal(col.gradient, a.gradient[..., 1, :])
+    assert np.array_equal(a.T[2].hessian, a[2].T.hessian)
+    total = a.sum()
+    assert np.array_equal(total.hessian, a.hessian.sum(axis=-3))
+    x = seed_chart(rng.standard_normal((4, 5)))
+    assert x.gradient.shape == (4, 5, 5) and np.array_equal(x.gradient[2], np.eye(5))

@@ -1,0 +1,54 @@
+"""Report oracle: the same check set and verdicts as the stored reference.
+
+For five small runs (warped, product, negative-control, circle-bundle and a
+perturbed warp) the check names, pass/fail, in-order and expected-fail flags
+and sample counts must equal those stored in ``data/report_oracle.json``.
+Residuals are not compared: a refactor may move them in the last bits.
+
+Regenerate the reference (only when a change is meant to alter the check set
+or a verdict) with ``PYTHONPATH=src python tests/test_report_oracle.py``.
+"""
+
+import json
+import sys
+from pathlib import Path
+
+import pytest
+
+from qchgeom.cli import RunConfig
+from qchgeom.suite import run_suite
+
+ORACLE = Path(__file__).with_name("data") / "report_oracle.json"
+
+RUNS = {
+    "warped": {"mode": "warped"},
+    "product": {"mode": "product"},
+    "negative-control": {"mode": "negative-control"},
+    "circle-bundle": {"mode": "circle-bundle"},
+    "warped-perturbed": {"mode": "warped", "perturb_f": 1.05},
+}
+COMMON = {"n": 3, "k": 1, "sample_count": 10, "rng_seed": 20261018}
+FIELDS = ("pass", "in_order", "expected_fail", "samples")
+
+
+def summary(name: str) -> dict:
+    """{check name: the compared fields} of one run."""
+    config = RunConfig.from_dict(dict(COMMON, **RUNS[name]))
+    checks = run_suite(config).to_dict()["checks"]
+    return {c["name"]: {key: c[key] for key in FIELDS} for c in checks}
+
+
+@pytest.mark.parametrize("name", sorted(RUNS))
+def test_report_matches_oracle(name):
+    expected = json.loads(ORACLE.read_text())[name]
+    actual = summary(name)
+    assert sorted(actual) == sorted(expected), "check set changed"
+    for check, fields in expected.items():
+        assert actual[check] == fields, f"{name}/{check}"
+
+
+if __name__ == "__main__":
+    ORACLE.parent.mkdir(exist_ok=True)
+    data = {name: summary(name) for name in sorted(RUNS)}
+    ORACLE.write_text(json.dumps(data, indent=1, sort_keys=True) + "\n")
+    sys.stdout.write(f"wrote {ORACLE}\n")
