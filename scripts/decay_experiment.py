@@ -44,6 +44,8 @@ def main() -> int:
     print(f"collapse factor       : {report.decay_factor:.3e}")
     print(f"max |g(c', C)|        : {report.max_velocity_inner:.3e}")
     print(f"geodesic residual     : {report.geodesic_residual:.3e}")
+    for name, stats in (("geodesic", report.geodesic_stats), ("jacobi", report.jacobi_stats)):
+        print(f"{name + ' solve':<22}: {stats.nfev} right-hand sides, {stats.steps} steps")
     report.to_csv(args.out)
     print(f"rows written to {Path(args.out).resolve()}")
     return 0

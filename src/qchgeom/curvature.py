@@ -137,13 +137,24 @@ class PointAnalysis:
         return np.linalg.inv(self.g)
 
     @cached_property
+    def _brackets(self) -> np.ndarray:
+        """brackets[l, i, j] = d_i g_{jl} + d_j g_{il} - d_l g_{ij} = 2 g_{lk} Gamma^k_{ij}."""
+        dg = self.metric.gradient
+        return _perm(dg, "jli->lij") + _perm(dg, "ilj->lij") - _perm(dg, "ijl->lij")
+
+    @cached_property
+    def gamma(self) -> np.ndarray:
+        """The Christoffel symbols alone, without the derivatives ``connection``
+        adds: geodesic and Jacobi flows need only these."""
+        brackets, ginv = self._brackets, self.g_inv
+        batch, d = ginv.shape[:-2], ginv.shape[-1]
+        return 0.5 * (ginv @ brackets.reshape(batch + (d, d * d))).reshape(brackets.shape)
+
+    @cached_property
     def connection(self) -> Connection:
         dg, d2g = self.metric.gradient, self.metric.hessian
-        ginv = self.g_inv
+        ginv, brackets, gamma = self.g_inv, self._brackets, self.gamma
         batch, d = ginv.shape[:-2], ginv.shape[-1]
-        # brackets[l, i, j] = d_i g_{jl} + d_j g_{il} - d_l g_{ij}
-        brackets = _perm(dg, "jli->lij") + _perm(dg, "ilj->lij") - _perm(dg, "ijl->lij")
-        gamma = 0.5 * (ginv @ brackets.reshape(batch + (d, d * d))).reshape(brackets.shape)
         dbrackets = (_perm(d2g, "jlim->lijm") + _perm(d2g, "iljm->lijm")
                      - _perm(d2g, "ijlm->lijm"))
         dginv = _inverse_derivative(ginv, dg)
@@ -249,10 +260,45 @@ def holomorphic_sectional_curvature(R4: Curvature4, g: np.ndarray,
     return per_point(out[..., 0] if single else out)
 
 
+def jacobi_operator(analysis: PointAnalysis, v: np.ndarray) -> np.ndarray:
+    """K[j, l] = R(v, e_j, v, e_l) at the analysed point(s), v of shape B + (d,).
+
+    The Jacobi operator along v, from the metric jet without dGamma or the
+    Riemann tensor.  Contracting R^b_{ijk} with v^i v^k gives
+
+        D_v(Gamma^b(., v)) - d(Gamma^b(v, v)) + Gamma_v Gamma_v - Gamma(., Gamma(v, v)),
+
+    and d Gamma = 1/2 g^-1 (d brackets - 2 dg Gamma); lowering b cancels the
+    g^-1.  So K needs, besides Gamma and dg, the metric Hessian contracted
+    once with v and once on its value slots with v x v: two O(d^4) products,
+    then O(d^3) algebra.
+    """
+    g, dg, hess = analysis.g, analysis.metric.gradient, analysis.metric.hessian
+    gamma = analysis.gamma
+    batch, d = g.shape[:-2], g.shape[-1]
+    # hv[a, b, m] = d_m d_v g_ab, then the Hessian against v x v on its
+    # derivative slots plus the Hessian against v x v on its value slots
+    hv = matvec(hess.reshape(batch + (d ** 3, d)), v).reshape(batch + (d, d, d))
+    vv = (v[..., :, None] * v[..., None, :]).reshape(batch + (1, d * d))
+    h_slots = (matvec(hv, v[..., None, :])
+               + (vv @ hess.reshape(batch + (d * d, d * d))).reshape(g.shape))
+    # p[l, j] = v^k d_j d_v g_{kl}
+    p = (v[..., None, :] @ hv.reshape(batch + (d, d * d))).reshape(g.shape)
+    gamma_v = (v[..., None, None, :] @ gamma)[..., 0, :]           # Gamma^b(v, .)
+    w = matvec(gamma_v, v)                                          # Gamma^b(v, v)
+    gamma_w = (gamma @ w[..., None, :, None])[..., 0]               # Gamma^b(., w)
+    dg_v = matvec(dg, v[..., None, :])                              # d_v g_{lb}
+    dg_w = (w[..., None, None, :] @ dg)[..., 0, :]                  # w^b d_j g_{lb}
+    # indexed [l, j]
+    k_lj = (0.5 * (h_slots - p - mT(p)) - dg_v @ gamma_v + dg_w
+            + g @ (gamma_v @ gamma_v - gamma_w))
+    return mT(k_lj)
+
+
 def nabla_j(analysis: PointAnalysis) -> np.ndarray:
     """(nabla J)[j, k, i] = component k of (nabla_{e_j} J)(e_i)."""
     J, dJ = analysis.complex_structure
-    gamma = analysis.connection.gamma
+    gamma = analysis.gamma
     batch, d = J.shape[:-2], J.shape[-1]
     # gamma[k, j, a] J[a, i] and J[k, a] gamma[a, j, i], both as [k, j, i]
     gamma_j = gamma @ J[..., None, :, :]
@@ -273,7 +319,7 @@ def covariant_vector_derivative(analysis: PointAnalysis, x_field) -> tuple:
     x = stack(x_field(analysis.coords))
     values = x.value
     # gradient[k, i] = d_i X^k; gamma[k, i, a] X^a
-    nabla = x.gradient + (analysis.connection.gamma @ values[..., None, :, None])[..., 0]
+    nabla = x.gradient + (analysis.gamma @ values[..., None, :, None])[..., 0]
     return values, nabla
 
 
@@ -292,7 +338,7 @@ def killing_deviation(analysis: PointAnalysis, x_field) -> np.ndarray:
 def hessian_form(analysis: PointAnalysis, scalar_field) -> np.ndarray:
     """(nabla d tau)_{ij} = d_i d_j tau - Gamma^k_{ij} d_k tau."""
     tau = scalar_field(analysis.coords)
-    return tau.hessian - np.einsum("...kij,...k->...ij", analysis.connection.gamma,
+    return tau.hessian - np.einsum("...kij,...k->...ij", analysis.gamma,
                                    tau.gradient)
 
 
@@ -341,7 +387,8 @@ def j_gradient_field(analysis: PointAnalysis, scalar_field):
     return Jet2(x_vals, x_grads, np.zeros(x_vals.shape + (dj, dj)))
 
 
-def second_bianchi_residual(field, point, directions, step: float = 1e-5):
+def second_bianchi_residual(field, point, directions, step: float = 1e-5, *,
+                           curvature: tuple | None = None):
     """Cyclic covariant-derivative sum over three directions, by differencing.
 
     For unit directions (A, B, C) at each point, the residual is the largest
@@ -351,11 +398,14 @@ def second_bianchi_residual(field, point, directions, step: float = 1e-5):
     terms contracted against V; this is the one check that consumes third
     derivatives of the metric, so it runs at a looser tolerance than the
     jet-exact identities.  ``point`` may be a batch, with ``directions`` of
-    shape B + (3, d); the result then has one entry per point.
+    shape B + (3, d); the result then has one entry per point.  A caller
+    that already holds the Riemann tensor and Christoffel symbols at ``point``
+    passes them as ``curvature`` = (R, gamma).
     """
-    base = PointAnalysis(field, point)
-    R0 = base.riemann.components
-    gamma = base.connection.gamma
+    if curvature is None:
+        base = PointAnalysis(field, point)
+        curvature = (base.riemann.components, base.gamma)
+    R0, gamma = curvature
     dirs = np.asarray(directions, dtype=float)       # B + (3, d)
     batch, d = dirs.shape[:-2], dirs.shape[-1]
     # the cyclic terms (V, X, Y): (A, B, C), (B, C, A), (C, A, B)

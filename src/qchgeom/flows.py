@@ -21,11 +21,27 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from .curvature import PointAnalysis, contract_slots
+from .curvature import PointAnalysis, contract_slots, jacobi_operator
+
+# right-hand-side evaluations one solve may make before it is abandoned: about
+# 10x the most any tier-1 or benchmark configuration needs (about 1,200, the
+# Jacobi solves of the warped n = 3 and n = 5 desk runs), so a solve that
+# crawls, as near y = x, ends in a FlowError (exit 3) instead of running for
+# hours.  Counting calls rather than seconds keeps the outcome independent of
+# the machine's speed.
+MAX_RHS_CALLS = 12_000
 
 
 class FlowError(RuntimeError):
     """Geodesic or Jacobi integration failed."""
+
+
+@dataclass(frozen=True)
+class SolveStats:
+    """Work of one solve: right-hand-side evaluations and accepted steps."""
+
+    nfev: int
+    steps: int
 
 
 @dataclass(frozen=True)
@@ -45,6 +61,7 @@ class GeodesicPath:
     taus: np.ndarray
     positions: np.ndarray   # (N, d)
     velocities: np.ndarray  # (N, d)
+    stats: SolveStats
     _dense: object = None
 
     def state(self, tau: float) -> GeodesicState:
@@ -53,22 +70,37 @@ class GeodesicPath:
         return GeodesicState(position=packed[:d], velocity=packed[d:])
 
 
-def _solve(rhs, *args, **kwargs):
-    """solve_ivp on ``rhs``, reached through a holder emptied when the solve returns.
+def _solve(name: str, rhs, t_span, *args, **kwargs):
+    """solve_ivp on ``rhs`` within ``MAX_RHS_CALLS`` evaluations of it.
 
-    scipy's solver and its wrapper of ``rhs`` form a reference cycle that only
-    the cyclic garbage collector frees; through ``rhs`` it would keep the
-    metric model (and its memos) of a finished run alive until then.
+    Past the budget the solve raises ``FlowError`` naming the solve (``name``)
+    and the furthest tau it reached.  ``rhs`` is reached through a holder
+    emptied when the solve returns: scipy's solver and its wrapper of ``rhs``
+    form a reference cycle that only the cyclic garbage collector frees, and
+    through ``rhs`` it would keep the metric model (and its memos) of a
+    finished run alive until then.
     """
     holder = [rhs]
+    calls, reached = 0, t_span[0]
+
+    def counted(t, y):
+        nonlocal calls, reached
+        calls += 1
+        reached = max(reached, t)
+        if calls > MAX_RHS_CALLS:
+            raise FlowError(
+                f"{name} integration exceeded its budget of {MAX_RHS_CALLS} right-hand-side "
+                f"evaluations at tau = {reached:.6g} of {t_span[1]:.6g}")
+        return holder[0](t, y)
+
     try:
-        return solve_ivp(lambda t, y: holder[0](t, y), *args, **kwargs)
+        return solve_ivp(counted, t_span, *args, **kwargs)
     finally:
         holder.clear()
 
 
-def _gamma_at(field, coords: np.ndarray) -> np.ndarray:
-    return PointAnalysis(field, field.point(coords)).connection.gamma
+def _stats(sol) -> SolveStats:
+    return SolveStats(nfev=int(sol.nfev), steps=len(sol.t) - 1)
 
 
 def geodesic_acceleration(gamma: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -94,11 +126,11 @@ def integrate_geodesic(field, start: GeodesicState, span: float, *,
 
     def rhs(_, state):
         x, v = state[:d], state[d:]
-        gamma = _gamma_at(field, x)
+        gamma = PointAnalysis(field, field.point(x)).gamma
         return np.concatenate([v, geodesic_acceleration(gamma, v)])
 
     y0 = np.concatenate([start.position, start.velocity])
-    sol = _solve(rhs, (0.0, span), y0, method="DOP853",
+    sol = _solve("geodesic", rhs, (0.0, span), y0, method="DOP853",
                  rtol=rtol, atol=atol, dense_output=True)
     if not sol.success:
         raise FlowError(f"geodesic integration failed: {sol.message}")
@@ -107,23 +139,22 @@ def integrate_geodesic(field, start: GeodesicState, span: float, *,
     packed = np.stack([dense(tau) for tau in taus])
     return GeodesicPath(field=field, span=span, taus=taus,
                         positions=packed[:, :d], velocities=packed[:, d:],
-                        _dense=dense)
+                        stats=_stats(sol), _dense=dense)
 
 
 def geodesic_residuals(path: GeodesicPath, taus=None, step: float = 1e-4):
     """max |nabla_cdot cdot| re-evaluated on the dense solution by differencing."""
     if taus is None:
         taus = path.taus[1:-1]
-    d = path.positions.shape[1]
     worst = 0.0
     for tau in taus:
         sp = path.state(tau + step)
         sm = path.state(tau - step)
         s0 = path.state(tau)
         vdot = (sp.velocity - sm.velocity) / (2.0 * step)
-        gamma = _gamma_at(path.field, s0.position)
-        res = vdot - geodesic_acceleration(gamma, s0.velocity)
-        g = PointAnalysis(path.field, path.field.point(s0.position)).g
+        analysis = PointAnalysis(path.field, path.field.point(s0.position))
+        res = vdot - geodesic_acceleration(analysis.gamma, s0.velocity)
+        g = analysis.g
         worst = max(worst, float(np.sqrt(res @ g @ res)))
     return worst
 
@@ -138,6 +169,7 @@ class JacobiResult:
     yp: np.ndarray            # (N, d) frame components of nabla_cdot C
     frames: np.ndarray        # (N, d, d) transported frame rows at samples
     velocity_inner: np.ndarray  # g(cdot, C) at samples
+    stats: SolveStats
     _dense: object = None
     _dot0: np.ndarray = None
 
@@ -155,11 +187,10 @@ class JacobiResult:
         return state[d * d:d * d + d], state[d * d + d:]
 
 
-def _initial_frame(field, start: GeodesicState) -> np.ndarray:
+def _initial_frame(analysis: PointAnalysis, velocity: np.ndarray) -> np.ndarray:
     """Orthonormal frame with e_0 = cdot(0), completed from the chart frame."""
-    analysis = PointAnalysis(field, field.point(start.position))
     g = analysis.g
-    candidates = [start.velocity] + list(analysis.frame.vectors)
+    candidates = [velocity] + list(analysis.frame.vectors)
     rows = []
     for vec in candidates:
         w = np.array(vec, dtype=float)
@@ -179,12 +210,19 @@ def _initial_frame(field, start: GeodesicState) -> np.ndarray:
 def integrate_jacobi(path: GeodesicPath, C0: np.ndarray, DC0: np.ndarray, *,
                      rtol: float = 1e-10, atol: float = 1e-12,
                      samples: int = 200) -> JacobiResult:
-    """Integrate nabla^2 C = R(cdot, C) cdot along a solved geodesic."""
+    """Integrate nabla^2 C = R(cdot, C) cdot along a solved geodesic.
+
+    Each right-hand side evaluates the metric jet at the geodesic's point,
+    the Christoffel symbols and the Jacobi operator along its velocity
+    (``curvature.jacobi_operator``); neither dGamma nor the Riemann tensor
+    is built.
+    """
     field = path.field
     d = path.positions.shape[1]
     start = path.state(0.0)
-    frame0 = _initial_frame(field, start)
-    g0 = PointAnalysis(field, field.point(start.position)).g
+    analysis0 = PointAnalysis(field, field.point(start.position))
+    frame0 = _initial_frame(analysis0, start.velocity)
+    g0 = analysis0.g
     y0 = frame0 @ g0 @ np.asarray(C0, dtype=float)
     yp0 = frame0 @ g0 @ np.asarray(DC0, dtype=float)
     dot0 = frame0 @ g0 @ start.velocity  # g(cdot, e_a), parallel-constant
@@ -195,14 +233,14 @@ def integrate_jacobi(path: GeodesicPath, C0: np.ndarray, DC0: np.ndarray, *,
         yp = state[d * d + d:]
         geo = path.state(tau)
         analysis = PointAnalysis(field, field.point(geo.position))
-        gamma = analysis.connection.gamma
-        R4 = analysis.riemann.components
         v = geo.velocity
-        dframe = transport_derivative(gamma, v, frame)
-        return np.concatenate([dframe.ravel(), yp, jacobi_matrix(R4, v, frame) @ y])
+        dframe = transport_derivative(analysis.gamma, v, frame)
+        # (frame K^T frame^T) y: the Jacobi matrix of the frame, applied to y
+        ypp = frame @ (jacobi_operator(analysis, v).T @ (y @ frame))
+        return np.concatenate([dframe.ravel(), yp, ypp])
 
     state0 = np.concatenate([frame0.ravel(), y0, yp0])
-    sol = _solve(rhs, (0.0, path.span), state0, method="DOP853",
+    sol = _solve("jacobi", rhs, (0.0, path.span), state0, method="DOP853",
                  rtol=rtol, atol=atol, dense_output=True)
     if not sol.success:
         raise FlowError(f"jacobi integration failed: {sol.message}")
@@ -212,7 +250,8 @@ def integrate_jacobi(path: GeodesicPath, C0: np.ndarray, DC0: np.ndarray, *,
     y = packed[:, d * d:d * d + d]
     yp = packed[:, d * d + d:]
     return JacobiResult(path=path, taus=taus, y=y, yp=yp, frames=frames,
-                        velocity_inner=y @ dot0, _dense=sol.sol, _dot0=dot0)
+                        velocity_inner=y @ dot0, stats=_stats(sol), _dense=sol.sol,
+                        _dot0=dot0)
 
 
 def jacobi_equation_residual(result: JacobiResult, taus, step: float = 1e-4) -> float:
@@ -247,6 +286,8 @@ class DecayReport:
     decay_factor: float
     max_velocity_inner: float
     geodesic_residual: float
+    geodesic_stats: SolveStats
+    jacobi_stats: SolveStats
 
     COLUMNS = ("t", "C_norm", "f", "ratio_residual", "g_cdot_C")
 
@@ -292,7 +333,7 @@ def jacobi_decay_experiment(model, t0: float, t_end: float, *,
     analysis0 = PointAnalysis(model, model.point(x0))
     C0 = np.zeros(d)
     C0[1] = 1.0  # the fiber field: f(t0) JH in coordinates
-    DC0 = analysis0.connection.gamma[:, 0, 1]  # nabla_H of the fiber field
+    DC0 = analysis0.gamma[:, 0, 1]  # nabla_H of the fiber field
     jac = integrate_jacobi(path, C0, DC0, rtol=rtol, atol=atol, samples=samples)
 
     n = model.params.n
@@ -322,4 +363,6 @@ def jacobi_decay_experiment(model, t0: float, t_end: float, *,
         decay_factor=float(rows[-1, 1] / rows[0, 1]),
         max_velocity_inner=float(np.abs(jac.velocity_inner).max()),
         geodesic_residual=geodesic_residuals(path, interior),
+        geodesic_stats=path.stats,
+        jacobi_stats=jac.stats,
     )

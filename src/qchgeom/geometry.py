@@ -28,7 +28,7 @@ from dataclasses import dataclass, field as dataclass_field
 import numpy as np
 
 from .batch import mT
-from .jets import Jet2, reciprocal, seed_chart, zeros
+from .jets import Jet2, reciprocal, scale_along, seed_chart, zeros
 from .jets import sqrt as jet_sqrt
 from .profile import ProfileSolution
 
@@ -288,7 +288,7 @@ class WarpedBundleMetric:
         self.dim = 2 + self.base.dim
         self.end_margin_frac = end_margin_frac
         self.chart = ChartKind.TOTAL_PRODUCT if product_mode else ChartKind.TOTAL_WARPED
-        self._base_cache: dict[bytes, tuple] = {}
+        self._base_cache: dict[tuple, tuple] = {}
         self._base_cached_points = 0
 
     # coordinates are (t, psi, z_1..z_2m)
@@ -309,12 +309,14 @@ class WarpedBundleMetric:
                 f"t = {point.t} outside interior margin [{margin}, {self.profile.L - margin}]")
         self.base.check_bounds(point.z)
 
-    def _base_at(self, z: np.ndarray) -> tuple[Jet2, Jet2]:
-        """Base metric + potential at the z-slice, memoised on the z values.
+    def _base_at(self, z: np.ndarray) -> tuple[Jet2, Jet2, Jet2]:
+        """The z-only parts of the metric at the z-slice, memoised on the z values:
+        the base metric h (in the z block of a total-chart matrix), the
+        potential sigma, and Theta = theta x theta with theta = dpsi + s sigma.
 
         z is one point's base coordinates or a batch of them; the key is the
-        bytes of the whole batch.  The jets are seeded in the total chart (z
-        sits at coordinates 2..d-1).  Base components depend only on z, so
+        shape and bytes of the whole batch.  The jets are seeded in the total
+        chart (z sits at coordinates 2..d-1).  Base components depend only on z, so
         points sharing z (e.g. samples along one t-geodesic, a batch moved
         along t, or the frame and fields at an analysed batch) reuse one
         evaluation.  Such reuse is local, so slices of a few points in all
@@ -322,13 +324,20 @@ class WarpedBundleMetric:
         model lives.
         """
         z = np.asarray(z, dtype=float)
-        key = z.tobytes()
+        key = (z.shape, z.tobytes())
         hit = self._base_cache.get(key)
         if hit is None:
             d = self.dim
+            batch = z.shape[:-1]
             grad = np.broadcast_to(np.eye(d)[2:], z.shape + (d,)).copy()
             zj = Jet2(z.copy(), grad, np.zeros(z.shape + (d, d)))
-            hit = (self.base.metric_jets(zj), self.base.connection_potential_jets(zj))
+            h = zeros(batch + (d, d), d)
+            h[..., 2:, 2:] = self.base.metric_jets(zj)
+            sigma = self.base.connection_potential_jets(zj)
+            theta = zeros(batch + (d,), d)
+            theta[..., 1] = 1.0
+            theta[..., 2:] = self.s * sigma
+            hit = (h, sigma, theta[..., :, None] * theta[..., None, :])
             points = z[..., 0].size
             if self._base_cached_points + points > 16:
                 self._base_cache.clear()
@@ -344,25 +353,32 @@ class WarpedBundleMetric:
             f = f * self.warp_scale
         return r, f
 
+    def _squared_warps(self, t) -> tuple[tuple, tuple]:
+        """r^2 and f^2 (with the control scale) at t, each as its value and
+        first two t-derivatives."""
+        r, rp, rpp, _ = self.profile.evaluate(t)
+        f, fp, fpp = (self.warp_scale * x for x in self.profile.warp_derivatives(t))
+        return ((r * r, 2.0 * r * rp, 2.0 * (rp * rp + r * rpp)),
+                (f * f, 2.0 * f * fp, 2.0 * (fp * fp + f * fpp)))
+
     def metric_jets(self, coords: Jet2) -> Jet2:
-        d = self.dim
-        batch = coords.shape[:-1]
-        r, f = self.warp_jets(coords[..., 0])
-        h, sigma = self._base_at(coords.value[..., 2:])
-        # f theta = f (dpsi + s sigma) on (psi, z)
-        f_theta = zeros(batch + (d - 1,), coords.dim)
-        f_theta[..., 0] = f
-        f_theta[..., 1:] = f[..., None] * (self.s * sigma)
-        g = zeros(batch + (d, d), coords.dim)
-        g[..., 0, 0] = 1.0
-        g[..., 1:, 1:] = f_theta[..., :, None] * f_theta[..., None, :]
-        g[..., 2:, 2:] += h if self.product_mode else (r * r)[..., None, None] * h
+        """dt^2 + f(t)^2 Theta(z) + r(t)^2 h(z) (h unscaled in product mode).
+
+        Theta and h come from the base memo; the t-only factors scale them by
+        the product rule of ``jets.scale_along``, which touches only the t row
+        and column of their derivatives.
+        """
+        h, _, theta2 = self._base_at(coords.value[..., 2:])
+        r2, f2 = self._squared_warps(coords.value[..., 0])
+        g = scale_along(theta2, 0, *f2) + (h if self.product_mode
+                                           else scale_along(h, 0, *r2))
+        g.value[..., 0, 0] += 1.0
         return g
 
     def complex_structure_jets(self, coords: Jet2) -> Jet2:
         """J with J H = xi/f, J xi = -f H, and the base structure on lifts."""
         _, f = self.warp_jets(coords[..., 0])
-        _, sigma = self._base_at(coords.value[..., 2:])
+        _, sigma, _ = self._base_at(coords.value[..., 2:])
         j0 = self.base.j0
         J = zeros(coords.shape[:-1] + (self.dim, self.dim), coords.dim)
         J[..., 1, 0] = reciprocal(f)
@@ -406,12 +422,12 @@ class WarpedBundleMetric:
         metric h (so its g-length is r in warped mode).
         """
         def field(coords):
-            h, sigma = self._base_at(coords.value[..., 2:])
+            h, sigma, _ = self._base_at(coords.value[..., 2:])
             out = self._unit_field(2 + i, coords)
             if self.s != 0.0:
                 out[..., 1] = -(self.s * sigma[..., i])
             if base_unit:
-                out = out * reciprocal(jet_sqrt(h[..., i, i]))[..., None]
+                out = out * reciprocal(jet_sqrt(h[..., 2 + i, 2 + i]))[..., None]
             return out
         return field
 

@@ -153,6 +153,8 @@ class _CubicDerivatives:
 
     def r_of_t(self, t):
         """r at one t or at an array of t, each element on its own window."""
+        if np.ndim(t) == 0:
+            return self._r_at(float(t))
         t = np.asarray(t, dtype=float)
         start = t <= self._window
         end = ~start & (t >= self.L - self._window)
@@ -164,9 +166,17 @@ class _CubicDerivatives:
             r[end] = self._series_r(self._series_L,
                                     np.minimum(t[end], self.L) - self._anchor_end)
         if inner.any():
-            # the dense output's array route sorts and groups; one t skips it
-            r[inner] = self._dense(t[inner] if t.ndim else float(t))[0]
-        return r[()]
+            r[inner] = self._dense(t[inner])[0]
+        return r
+
+    def _r_at(self, t: float) -> np.float64:
+        """``r_of_t`` at one t, without the masks; the same arithmetic, and one
+        call of the dense output skips its array route (sort and group)."""
+        if t <= self._window:
+            return np.float64(self._series_r(self._series_0, t))
+        if t >= self.L - self._window:
+            return np.float64(self._series_r(self._series_L, min(t, self.L) - self._anchor_end))
+        return self._dense(t)[0]
 
     def eval(self, t):
         r = self.r_of_t(t)
@@ -251,8 +261,11 @@ class ProfileSolution:
         structure, frame, fields, closed forms), so the last few t batches
         are kept, read-only, and reused.
         """
-        t = np.asarray(t, dtype=float)
-        key = (t.shape, t.tobytes())
+        if np.ndim(t) == 0:
+            t = key = float(t)
+        else:
+            t = np.asarray(t, dtype=float)
+            key = (t.shape, t.tobytes())
         hit = self._recent.get(key)
         if hit is None:
             hit = tuple(self._model.eval(t))

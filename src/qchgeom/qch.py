@@ -221,13 +221,16 @@ def section_divergences(analysis: PointAnalysis, model, section=None) -> tuple:
     return d1, d2
 
 
-def kappa_and_principal_section(analysis: PointAnalysis, model):
+def kappa_and_principal_section(analysis: PointAnalysis, model, divergences=None):
     """(kappa, principal section) with div_E(J xi) = 0 and div_E(xi) = kappa >= 0.
 
-    Raises ``ValueError`` where kappa vanishes (product mode), since the
-    principal section is undefined there.
+    ``divergences`` are the (d1, d2) of ``section_divergences`` at the point(s),
+    when the caller already holds them.  Raises ``ValueError`` where kappa
+    vanishes (product mode), since the principal section is undefined there.
     """
-    d1, d2 = section_divergences(analysis, model)
+    if divergences is None:
+        divergences = section_divergences(analysis, model)
+    d1, d2 = divergences
     kappa = np.hypot(d1, d2)
     if np.any(kappa < 1e-13):
         raise ValueError("kappa vanishes at this point; principal section undefined")
@@ -322,7 +325,8 @@ def _fit_at_t(model, point, t_new) -> QCHCoefficients:
 
 
 def structure_identity_residuals(analysis: PointAnalysis, model, params,
-                                 *, fit_step: float = 1e-4,
+                                 *, fit: QCHCoefficients | None = None,
+                                 divergences=None, fit_step: float = 1e-4,
                                  kappa_step: float = 1e-5) -> dict[str, float]:
     """Named residuals of the pointwise structure identities (warped mode).
 
@@ -330,7 +334,12 @@ def structure_identity_residuals(analysis: PointAnalysis, model, params,
     centered differences of fits/divergences at displaced t; the underlying
     quantities are jet-exact, so the differencing error is the step-size bias
     alone.  t-only dependence of the coefficients is asserted separately.
+    A caller that has already fitted the point(s) (any residual draws: the
+    coefficients come from fixed probes) and taken ``section_divergences``
+    passes them as ``fit`` and ``divergences``.
     """
+    if fit is None:
+        fit = fit_qch_coefficients(analysis, None, 0)
     n = params.n
     frame = analysis.frame
     g = analysis.g
@@ -367,7 +376,7 @@ def structure_identity_residuals(analysis: PointAnalysis, model, params,
     out["totally_geodesic_d"] = worst
 
     # kappa closed form, and d ln kappa = -(kappa/(n-1) + p*) theta along H
-    kap, _ = kappa_and_principal_section(analysis, model)
+    kap, _ = kappa_and_principal_section(analysis, model, divergences)
     out["kappa_closed_form"] = np.abs(kap - kappa_closed_form(n, r, rp))
     kplus = _kappa_at_t(model, analysis.point, t + kappa_step)
     kminus = _kappa_at_t(model, analysis.point, t - kappa_step)
@@ -377,7 +386,7 @@ def structure_identity_residuals(analysis: PointAnalysis, model, params,
     # nabla theta = kappa/(2(n-1)) m - p* (J theta) x (J theta), theta = H-flat
     theta = matvec(g, h_hat)
     jtheta = matvec(g, jh_hat)
-    gamma = analysis.connection.gamma
+    gamma = analysis.gamma
     nabla_theta = -np.einsum("...kij,...k->...ij", gamma, theta)
     target = (each(kap / (2.0 * (n - 1))) * split.m
               - each(p_star) * (jtheta[..., :, None] * jtheta[..., None, :]))
@@ -386,13 +395,12 @@ def structure_identity_residuals(analysis: PointAnalysis, model, params,
 
     # coefficient gradients along t:
     #   da/dt = b kappa / (2(n-1)),   db/dt = (b + 4c) kappa / (n-1)
-    fit0 = fit_qch_coefficients(analysis, None, 0)
     fplus = _fit_at_t(model, analysis.point, t + fit_step)
     fminus = _fit_at_t(model, analysis.point, t - fit_step)
     da = (fplus.a - fminus.a) / (2.0 * fit_step)
     db = (fplus.b - fminus.b) / (2.0 * fit_step)
-    out["coefficient_gradient_a"] = np.abs(da - fit0.b * kap / (2.0 * (n - 1)))
-    out["coefficient_gradient_b"] = np.abs(db - (fit0.b + 4.0 * fit0.c) * kap / (n - 1))
+    out["coefficient_gradient_a"] = np.abs(da - fit.b * kap / (2.0 * (n - 1)))
+    out["coefficient_gradient_b"] = np.abs(db - (fit.b + 4.0 * fit.c) * kap / (n - 1))
 
     # Killing potential tau = r^2/s: J grad(tau) is Killing and
     # Hess(tau)|_E = f kappa / (2(n-1)) m
@@ -412,16 +420,20 @@ def structure_identity_residuals(analysis: PointAnalysis, model, params,
 
 def coefficient_base_independence(analysis: PointAnalysis, model,
                                   rng: np.random.Generator | None = None, *,
-                                  draws: np.ndarray | None = None):
+                                  draws: np.ndarray | None = None,
+                                  fit: QCHCoefficients | None = None):
     """|a(z1) - a(z2)| for two nearby base points at the same t (t-only check).
 
     The base points move by 0.05 times standard-normal ``draws`` of shape
-    B + (2, 2m), drawn from ``rng`` when not given.
+    B + (2, 2m), drawn from ``rng`` when not given.  ``fit`` is the caller's
+    fit at the analysed point(s), if it has one.
     """
     point = analysis.point
     if draws is None:
         draws = rng.standard_normal(point.batch_shape + (2, point.z.shape[-1]))
-    a0 = fit_qch_coefficients(analysis, None, 0).a
+    if fit is None:
+        fit = fit_qch_coefficients(analysis, None, 0)
+    a0 = fit.a
     worst = 0.0
     for k in range(2):
         moved = ChartPoint(t=point.t, psi=point.psi, z=point.z + 0.05 * draws[..., k, :],
@@ -449,7 +461,7 @@ def warped_submersion_residuals(analysis: PointAnalysis, model, params) -> dict[
     out: dict = {}
 
     # T(xi, xi) = -f f' H  (fiber second fundamental form, fiber direction)
-    gamma = analysis.connection.gamma
+    gamma = analysis.gamma
     n_xi_xi = gamma[..., :, 1, 1]
     diff = n_xi_xi + np.asarray(f * fp)[..., None] * h_hat
     out["fiber_t_tensor"] = np.sqrt(inner(g, diff, diff))
@@ -538,7 +550,7 @@ def circle_bundle_residuals(analysis: PointAnalysis, model,
     out["fiber_plane_sectional"] = max_abs(sect - s * s * al * al / (4.0 * be ** 4), 1)
 
     # vertizontal identity: xi-coefficient of nabla_E F equals g(E, TF)/alpha^2
-    gamma = analysis.connection.gamma
+    gamma = analysis.gamma
     t_op = gamma[..., :, :, 0]   # T X = nabla_X xi for the constant fiber field
     lift_vals, n_lift = _lift_derivatives(analysis, model)
     lhs = matvec(n_lift, matvec(g, xi)[..., None, :]) / al ** 2

@@ -226,6 +226,17 @@ class _Residuals:
         return float(np.max(np.concatenate([self.values(n) for n in names])))
 
 
+def _first_points(parts, count: int) -> np.ndarray:
+    """The first ``count`` points of per-slice arrays (leading axis = points)."""
+    out, have = [], 0
+    for part in parts:
+        out.append(part[:count - have])
+        have += len(out[-1])
+        if have == count:
+            break
+    return np.concatenate(out)
+
+
 def _kahler_form_closedness(analysis: PointAnalysis):
     """max |d Omega| for Omega_ij = g(J e_i, e_j) = (J^T g)_ij, from the jets."""
     J = stack(analysis.field.complex_structure_jets(analysis.coords))
@@ -265,7 +276,7 @@ def _metric_invariant_checks(model, analyses, tol, *, has_j: bool) -> list[Check
         g = an.g
         eye = np.eye(g.shape[-1])
         fr = an.frame.vectors
-        gamma = an.connection.gamma
+        gamma = an.gamma
         res.add(pd=np.maximum(0.0, -np.linalg.eigvalsh(g).min(axis=-1)),
                 frame=max_abs(fr @ g @ mT(fr) - eye, 2),
                 gamma_sym=max_abs(gamma - mT(gamma), 3))
@@ -359,11 +370,15 @@ def _curvature_invariant_checks(model, points, analyses, tol, rng, *, has_j: boo
             CheckResult("ricci_j_invariance", "rho(JX, JY) = rho(X, Y)",
                         res.worst("ric_j"), tol["ricci_j_invariance"], n_pts),
         ])
-    # unit directions (A, B, C) at the first points, one (points, 3, d) draw
+    # unit directions (A, B, C) at the first points, one (points, 3, d) draw;
+    # their curvature and connection come from the analyses already made
     spots = points[:bianchi2_points]
     dirs = rng.standard_normal(spots.batch_shape + (3, model.dim))
     dirs /= np.linalg.norm(dirs, axis=-1, keepdims=True)
-    b2 = np.max(second_bianchi_residual(model, spots, dirs))
+    count, first = len(spots.t), analyses[:len(spots.t)]
+    curvature = (_first_points([an.riemann.components for an in first], count),
+                 _first_points([an.gamma for an in first], count))
+    b2 = np.max(second_bianchi_residual(model, spots, dirs, curvature=curvature))
     checks.append(CheckResult(
         "bianchi_second_spot",
         "cyclic sum of covariant curvature derivatives vanishes (spot check)",
@@ -419,8 +434,10 @@ def _warped_structure_checks(model, analyses, params, tol, rng) -> list[CheckRes
                 kap_cf=np.abs(kap - kappa_closed_form(params.n, r, rp)),
                 princ=np.abs(d2),  # div_E(JH) = 0 makes H the principal section
                 kap_indep=np.abs(np.hypot(d1r, d2r) - kap),
-                base_indep=coefficient_base_independence(an, model, draws=np.stack(moves)))
-        res.add(**structure_identity_residuals(an, model, params))
+                base_indep=coefficient_base_independence(an, model, draws=np.stack(moves),
+                                                         fit=fit))
+        res.add(**structure_identity_residuals(an, model, params, fit=fit,
+                                               divergences=(d1, d2)))
         res.add(**warped_submersion_residuals(an, model, params))
 
     n_pts = len(res.values("fit"))

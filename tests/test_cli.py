@@ -196,6 +196,21 @@ def test_cli_numerical_error_exit(tmp_path, monkeypatch):
     assert main(["verify", "--config", str(cfg), "--out", str(tmp_path)]) == 3
 
 
+def test_cli_flow_budget_exit(tmp_path, monkeypatch, capsys):
+    """A flow past its right-hand-side budget ends the run with exit 3 and a
+    message naming the solve."""
+    import qchgeom.flows as flows
+
+    # enough for the axial geodesic (77), not for the Jacobi solve (~1,200)
+    monkeypatch.setattr(flows, "MAX_RHS_CALLS", 100)
+    cfg = write_config(tmp_path, {"mode": "warped", "rng_seed": 7, "k": 1,
+                                  "sample_count": 10})
+    assert main(["verify", "--config", str(cfg), "--out", str(tmp_path)]) == 3
+    err = capsys.readouterr().err
+    assert "jacobi integration exceeded its budget of 100" in err
+    assert not (tmp_path / "report.json").exists()
+
+
 def test_cli_report_bytes_deterministic(tmp_path):
     cfg = write_config(tmp_path, {"mode": "warped", "rng_seed": 11, "k": 1,
                                   "sample_count": 10})

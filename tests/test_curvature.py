@@ -9,6 +9,7 @@ from qchgeom.curvature import (
     div_e,
     hessian_form,
     holomorphic_sectional_curvature,
+    jacobi_operator,
     killing_deviation,
     max_frame_component_3tensor,
     nabla_j,
@@ -16,8 +17,17 @@ from qchgeom.curvature import (
     second_bianchi_residual,
     sectional_curvature,
 )
-from qchgeom.geometry import BaseChartMetric, ChartKind
+from qchgeom.flows import jacobi_matrix
+from qchgeom.geometry import (
+    BaseChartMetric,
+    BundleParams,
+    ChartKind,
+    WarpedBundleMetric,
+    stack_points,
+)
 from qchgeom.jets import Jet2, compose
+from qchgeom.profile import build_polynomial, solve_profile
+from qchgeom.suite import sample_interior_points
 
 
 class Rotationally2D:
@@ -246,3 +256,38 @@ def test_constant_vector_field_helper():
     vals = field(coords)
     assert vals[0].value == 1.0 and vals[1].value == 2.0
     assert np.abs(vals[0].gradient).max() == 0.0
+
+
+@pytest.mark.parametrize("n", [3, 5, 7])
+def test_jacobi_operator_matches_full_riemann(n):
+    """K = R(v, ., v, .) from the metric jet equals the Jacobi matrix of the full
+    Riemann tensor, at off-axis points, for non-unit v, one point or a batch."""
+    s = 2.0 / n
+    profile = solve_profile(build_polynomial(1.0, 2.0, s))
+    model = WarpedBundleMetric(BundleParams(n=n, c0=4.0, s=s, L=profile.L), profile)
+    rng = np.random.default_rng(70 + n)
+    points = sample_interior_points(model, rng, 3, 0.05, 1.5)
+    v = 2.5 * rng.standard_normal((3, model.dim))
+    batched = jacobi_operator(PointAnalysis(model, stack_points(points)), v)
+    for i, p in enumerate(points):
+        an = PointAnalysis(model, p)
+        frame = an.frame.vectors
+        reference = jacobi_matrix(an.riemann.components, v[i], frame)
+        K = jacobi_operator(an, v[i])
+        scale = np.abs(reference).max()
+        assert np.abs(frame @ K.T @ frame.T - reference).max() <= 1e-12 * scale
+        assert np.abs(batched[i] - K).max() <= 1e-13 * scale
+
+
+def test_jacobi_operator_vanishes_on_flat_space():
+    field = EuclideanMetric(4)
+    v = np.array([0.3, -1.2, 2.0, 0.5])
+    assert not np.any(jacobi_operator(PointAnalysis(field, ChartPoint(z=np.ones(4))), v))
+
+
+def test_christoffel_symbols_alone(warped, sample_point):
+    """``gamma`` needs no dGamma, and is the connection's gamma bit for bit."""
+    an = PointAnalysis(warped, sample_point)
+    gamma = an.gamma
+    assert "connection" not in vars(an)
+    assert np.array_equal(gamma, PointAnalysis(warped, sample_point).connection.gamma)

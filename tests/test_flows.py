@@ -1,9 +1,19 @@
 import numpy as np
 import pytest
 
-from qchgeom import ChartPoint, EuclideanMetric, FubiniStudy
+import qchgeom.flows as flows
+from qchgeom import (
+    BundleParams,
+    ChartPoint,
+    EuclideanMetric,
+    FubiniStudy,
+    WarpedBundleMetric,
+    build_polynomial,
+    solve_profile,
+)
 from qchgeom.curvature import PointAnalysis
 from qchgeom.flows import (
+    FlowError,
     GeodesicState,
     geodesic_residuals,
     integrate_geodesic,
@@ -132,3 +142,36 @@ def test_decay_report_csv(tmp_path, decay_report):
 def test_experiment_window_validation(warped, profile):
     with pytest.raises(ValueError, match="window"):
         jacobi_decay_experiment(warped, 0.2 * profile.L, 1.5 * profile.L)
+
+
+def test_decay_report_counts_solver_work(decay_report):
+    assert decay_report.geodesic_stats.nfev > decay_report.geodesic_stats.steps > 0
+    assert decay_report.jacobi_stats.nfev > decay_report.jacobi_stats.steps > 0
+
+
+def test_jacobi_equation_residual_on_desk_flow():
+    """The warped n = 5 desk flow, integrated with the directional Jacobi
+    operator, solves the Jacobi equation of the full Riemann tensor."""
+    n, s = 5, 2.0 / 5
+    profile = solve_profile(build_polynomial(1.0, 2.0, s))
+    model = WarpedBundleMetric(BundleParams(n=n, c0=4.0, s=s, k=1, q=n, L=profile.L), profile)
+    L = profile.L
+    x0 = np.zeros(model.dim); x0[0] = 0.2 * L
+    v0 = np.zeros(model.dim); v0[0] = 1.0
+    span = L * (1.0 - 1e-3) - x0[0]
+    path = integrate_geodesic(model, GeodesicState(x0, v0), span, rtol=1e-12, atol=1e-14)
+    C0 = np.zeros(model.dim); C0[1] = 1.0
+    DC0 = PointAnalysis(model, model.point(x0)).gamma[:, 0, 1]
+    result = integrate_jacobi(path, C0, DC0, rtol=1e-12, atol=1e-14, samples=160)
+    assert jacobi_equation_residual(result, np.linspace(0.05, 0.95, 7) * span) < 1e-7
+
+
+def test_solve_budget_raises_flow_error(warped, profile, monkeypatch):
+    # the axial geodesic needs 77 right-hand sides at these tolerances
+    monkeypatch.setattr(flows, "MAX_RHS_CALLS", 40)
+    x0 = np.array([0.25 * profile.L, 0.0, 0.1, 0.2, 0.0, 0.0])
+    v0 = np.zeros(6); v0[0] = 1.0
+    with pytest.raises(FlowError, match=r"geodesic integration exceeded its budget of 40 "
+                                        r"right-hand-side evaluations at tau = "):
+        integrate_geodesic(warped, GeodesicState(x0, v0), 0.5 * profile.L,
+                           rtol=1e-12, atol=1e-14)

@@ -20,8 +20,9 @@ from qchgeom import (
     build_polynomial,
     solve_profile,
 )
-from qchgeom.geometry import BaseChartMetric
-from qchgeom.jets import seed_chart
+from qchgeom.geometry import BaseChartMetric, stack_points
+from qchgeom.suite import sample_interior_points
+from qchgeom.jets import seed_chart, zeros
 
 GRAD_STEP = 1e-5
 HESS_STEP = 1e-4
@@ -93,3 +94,44 @@ def test_model_jets_match_central_differences(n, name):
         gerr, herr = _fd_errors(build, x)
         assert gerr < 1e-6, f"{name} n={n} {build.__name__}: gradient error {gerr:.2e}"
         assert herr < 1e-4, f"{name} n={n} {build.__name__}: Hessian error {herr:.2e}"
+
+
+def _jet_arithmetic_metric(model, coords):
+    """The warped metric assembled by plain jet arithmetic: f theta as one jet,
+    its outer square, then r^2 h (the reference for the separable assembly)."""
+    d = model.dim
+    batch = coords.shape[:-1]
+    r, f = model.warp_jets(coords[..., 0])
+    z = coords[..., 2:]
+    h = model.base.metric_jets(z)
+    sigma = model.base.connection_potential_jets(z)
+    f_theta = zeros(batch + (d - 1,), coords.dim)
+    f_theta[..., 0] = f
+    f_theta[..., 1:] = f[..., None] * (model.s * sigma)
+    g = zeros(batch + (d, d), coords.dim)
+    g[..., 0, 0] = 1.0
+    g[..., 1:, 1:] = f_theta[..., :, None] * f_theta[..., None, :]
+    g[..., 2:, 2:] += h if model.product_mode else (r * r)[..., None, None] * h
+    return g
+
+
+@pytest.mark.parametrize("variant", ["warped", "product-mode", "warp-scale", "product-base"])
+@pytest.mark.parametrize("n", [3, 5])
+def test_warped_metric_jets_match_jet_arithmetic(n, variant):
+    s = 2.0 / n
+    profile = solve_profile(build_polynomial(1.0, 2.0, s))
+    params = BundleParams(n=n, c0=4.0, s=s, L=profile.L)
+    base = (ProductBase([FubiniStudy(1, 4.0), FubiniStudy(n - 2, 4.0)])
+            if variant == "product-base" else None)
+    model = WarpedBundleMetric(params, profile, base,
+                               product_mode=variant == "product-mode",
+                               warp_scale=1.05 if variant == "warp-scale" else 1.0)
+    points = sample_interior_points(model, np.random.default_rng(60 + n), 5, 0.05, 1.5)
+    for x in (model.coords(points[0]), model.coords(stack_points(points))):
+        coords = seed_chart(x)
+        g, reference = model.metric_jets(coords), _jet_arithmetic_metric(model, coords)
+        for part in ("value", "gradient", "hessian"):
+            actual, expected = getattr(g, part), getattr(reference, part)
+            assert actual.shape == expected.shape
+            scale = np.abs(expected).max()
+            assert np.abs(actual - expected).max() <= 1e-14 * scale, f"{variant} {part}"

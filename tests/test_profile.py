@@ -213,3 +213,16 @@ def test_quadrature_failure_reports_estimate():
     poly = build_polynomial(1.0, 2.0, 1.0)
     with pytest.raises(ProfileError, match="error estimate"):
         period_length(poly, tol=1e-18)
+
+
+def test_one_point_evaluation_matches_array_path(profile):
+    """A float t takes the one-point path; it gives the array path's numbers,
+    in both end-series windows and on the dense output between them."""
+    L = profile.L
+    ts = np.array([1e-3 * L, 0.01 * L, 0.3 * L, 0.7 * L, 0.99 * L, L])
+    batched = profile._model.eval(ts)
+    for i, t in enumerate(ts):
+        single = profile._model.eval(float(t))
+        for k in range(4):
+            assert single[k] == batched[k][i], (t, k)
+        assert profile.evaluate(float(t))[0] == batched[0][i]
