@@ -12,10 +12,6 @@ from .geometry import (
     ProductBase,
     BaseChartMetric,
     WarpedBundleMetric,
-    assemble_metric,
-    circle_bundle_metric,
-    connection_form,
-    fubini_study,
 )
 from .jets import Jet2, seed_chart
 from .profile import (
@@ -23,7 +19,6 @@ from .profile import (
     ProfileSolution,
     boundary_report,
     build_polynomial,
-    load_profile_table,
     period_length,
     solve_profile,
 )
@@ -31,10 +26,9 @@ from .profile import (
 __all__ = [
     "BundleParams", "ChartKind", "ChartPoint", "CircleBundleMetric",
     "EuclideanMetric", "FubiniStudy", "ProductBase", "BaseChartMetric",
-    "WarpedBundleMetric", "assemble_metric", "circle_bundle_metric",
-    "connection_form", "fubini_study", "Jet2", "seed_chart",
+    "WarpedBundleMetric", "Jet2", "seed_chart",
     "CubicProfilePolynomial", "ProfileSolution", "boundary_report",
-    "build_polynomial", "load_profile_table", "period_length", "solve_profile",
+    "build_polynomial", "period_length", "solve_profile",
 ]
 
 __version__ = "0.1.0"

@@ -11,7 +11,7 @@ Subcommands:
 * ``report`` -- pretty-print a previously written JSON report.
 
 Exit codes: 0 all checks in order, 1 verification failure, 2 configuration
-error, 3 numerical/integration error.
+error or unreadable report, 3 numerical/integration error.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ import argparse
 import csv
 import dataclasses
 import functools
+import io
 import json
 import sys
 from dataclasses import dataclass, field
@@ -30,10 +31,10 @@ import numpy as np
 
 from .curvature import batch_analyses
 from .flows import FlowError
-from .geometry import ChartBoundsError, ChartPoint
+from .geometry import END_MARGIN_FRAC_DEFAULT, ChartBoundsError, ChartPoint
 from .profile import ProfileError, boundary_report, build_polynomial, solve_profile
 from .qch import fit_qch_coefficients, ricci_split, section_divergences
-from .suite import VerificationReport, build_warped_model, run_suite
+from .suite import DEFAULT_TOLERANCES, VerificationReport, build_warped_model, run_suite
 
 MODES = ("warped", "product", "circle-bundle", "negative-control")
 
@@ -88,10 +89,15 @@ class RunConfig:
             raise ConfigError(
                 "negative-control mode uses a product of two projective lines, "
                 "which requires n = 3")
-        if not (0 < self.sample_margin < 0.5):
-            raise ConfigError("constraint 0 < sample_margin < 1/2 violated")
+        if not (END_MARGIN_FRAC_DEFAULT <= self.sample_margin < 0.5):
+            # below the chart's own end margin, sampled points leave the chart
+            raise ConfigError(f"constraint {END_MARGIN_FRAC_DEFAULT} <= sample_margin < 1/2 "
+                              f"violated ({self.sample_margin})")
         if not (0 < self.z_radius < 4.0):
             raise ConfigError("constraint 0 < z_radius < 4 (chart radius) violated")
+        unknown = sorted(set(self.tolerances) - set(DEFAULT_TOLERANCES))
+        if unknown:
+            raise ConfigError(f"unknown tolerance names: {unknown}")
         for name, value in self.tolerances.items():
             if not (isinstance(value, (int, float)) and value > 0):
                 raise ConfigError(f"tolerance {name!r} must be positive, got {value!r}")
@@ -167,10 +173,6 @@ def emit_report(report: VerificationReport, path) -> None:
     Path(path).write_text(report_to_json(report) + "\n")
 
 
-def emit_profile_csv(solution, path) -> None:
-    solution.export_csv(path)
-
-
 def emit_summary_csv(config: RunConfig, path, points: int = 100) -> None:
     """Axis table (t, r, f, a, b, c, lambda, mu, kappa) for plotting."""
     params, model = build_warped_model(config)
@@ -210,6 +212,21 @@ def print_report(report_dict: dict, stream=None) -> None:
               f"[{c['claim']}]", file=stream)
     verdict = "ALL CHECKS IN ORDER" if report_dict["all_pass"] else "FAILURES PRESENT"
     print(verdict, file=stream)
+
+
+def show_saved_report(path) -> int:
+    """Print a written report; exit 0 if all its checks were in order, 1 if
+    not, 2 if the file cannot be read or is not a report."""
+    try:
+        with open(path) as fh:
+            data = json.load(fh)
+        text = io.StringIO()
+        print_report(data, text)
+    except (OSError, ValueError, KeyError, TypeError) as exc:
+        print(f"cannot read report: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 2
+    sys.stdout.write(text.getvalue())
+    return 0 if data["all_pass"] else 1
 
 
 # -- entry point ----------------------------------------------------------------
@@ -273,13 +290,15 @@ def main(argv=None) -> int:
         return 2
 
     out_dir = Path(config.out_dir or args.out)
+    if args.command == "report":
+        return show_saved_report(args.path or out_dir / "report.json")
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
 
         if args.command == "solve-profile":
             poly = build_polynomial(config.x, config.y, config.effective_s())
             solution = solve_profile(poly)
-            emit_profile_csv(solution, out_dir / "profile.csv")
+            solution.export_csv(out_dir / "profile.csv")
             print(f"half-period length L = {solution.L:.12f} "
                   f"(quadrature {solution.quadrature_length:.12f})")
             for name, value in boundary_report(solution).items():
@@ -298,13 +317,6 @@ def main(argv=None) -> int:
             emit_summary_csv(config, out_dir / "summary.csv", rows)
             print(f"summary table written to {out_dir / 'summary.csv'}")
             return 0
-
-        if args.command == "report":
-            path = args.path or (out_dir / "report.json")
-            with open(path) as fh:
-                data = json.load(fh)
-            print_report(data)
-            return 0 if data["all_pass"] else 1
 
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)

@@ -41,7 +41,12 @@ def batch_slices(count: int, dim: int) -> list[slice]:
 
 
 def batch_analyses(field, points) -> list["PointAnalysis"]:
-    """Analyses of a batch of points (leading axis), one per memory-bounded slice."""
+    """Analyses of a batch of points (leading axis), one per memory-bounded slice.
+
+    Raises ``ChartBoundsError`` when a point lies outside the valid region of
+    the field's chart.
+    """
+    field.check_bounds(points)
     return [PointAnalysis(field, points[sl])
             for sl in batch_slices(len(points.z), field.dim)]
 
@@ -203,19 +208,6 @@ class PointAnalysis:
 
 
 # -- operations ----------------------------------------------------------------
-
-
-def christoffel(field, point) -> Connection:
-    """Levi-Civita Christoffel symbols (and first derivatives) at a point."""
-    return PointAnalysis(field, point).connection
-
-
-def riemann(field, point) -> Curvature4:
-    return PointAnalysis(field, point).riemann
-
-
-def ricci(field, point) -> np.ndarray:
-    return PointAnalysis(field, point).ricci
 
 
 def sectional_curvature(R4: Curvature4, g: np.ndarray, X, Y):

@@ -173,9 +173,6 @@ class JacobiResult:
     _dense: object = None
     _dot0: np.ndarray = None
 
-    def norms(self) -> np.ndarray:
-        return np.linalg.norm(self.y, axis=1)
-
     def coordinate_field(self, idx: int) -> np.ndarray:
         """C in chart coordinates at sample ``idx``."""
         return self.y[idx] @ self.frames[idx]

@@ -253,18 +253,6 @@ def _unit_rows(index: int, batch: tuple, d: int) -> np.ndarray:
 # -- metric fields -------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class MetricSample:
-    """Metric, complex structure and frame at one chart point."""
-
-    g: Jet2                       # (d, d) metric jet
-    J: np.ndarray | None          # (d, d) complex-structure values, if any
-    frame: FrameBasis
-
-    def g_values(self) -> np.ndarray:
-        return self.g.value
-
-
 class WarpedBundleMetric:
     """dt^2 + f(t)^2 (dpsi + s sigma)^2 + r(t)^2 h on (0, L) x bundle chart.
 
@@ -304,9 +292,10 @@ class WarpedBundleMetric:
     def check_bounds(self, point: ChartPoint) -> None:
         margin = self.end_margin_frac * self.profile.L
         t = np.asarray(point.t)
-        if np.any(t < margin) or np.any(t > self.profile.L - margin):
-            raise ChartBoundsError(
-                f"t = {point.t} outside interior margin [{margin}, {self.profile.L - margin}]")
+        outside = t[(t < margin) | (t > self.profile.L - margin)]
+        if outside.size:
+            raise ChartBoundsError(f"t = {outside[0]} outside interior margin "
+                                   f"[{margin}, {self.profile.L - margin}]")
         self.base.check_bounds(point.z)
 
     def _base_at(self, z: np.ndarray) -> tuple[Jet2, Jet2, Jet2]:
@@ -454,14 +443,6 @@ class WarpedBundleMetric:
         vectors = np.concatenate([h_vec[..., None, :], jh[..., None, :], horizontals], axis=-2)
         return FrameBasis(vectors=vectors, h_vec=h_vec, xi=xi, jh=jh)
 
-    def sample(self, point: ChartPoint) -> MetricSample:
-        self.check_bounds(point)
-        coords = seed_chart(self.coords(point))
-        g = self.metric_jets(coords)
-        np.linalg.cholesky(g.value)  # positive definiteness gate
-        J_values = self.complex_structure_jets(coords).value
-        return MetricSample(g=g, J=J_values, frame=self.frame_at(point, g.value))
-
 
 class CircleBundleMetric:
     """Odd-dimensional bundle metric alpha^2 theta x theta + beta^2 h on (psi, z)."""
@@ -526,12 +507,6 @@ class CircleBundleMetric:
         return FrameBasis(vectors=np.concatenate([xihat[..., None, :], horizontals], axis=-2),
                           h_vec=None, xi=xi, jh=xihat)
 
-    def sample(self, point: ChartPoint) -> MetricSample:
-        self.check_bounds(point)
-        g = self.metric_jets(seed_chart(self.coords(point)))
-        np.linalg.cholesky(g.value)
-        return MetricSample(g=g, J=None, frame=self.frame_at(point, g.value))
-
 
 class BaseChartMetric:
     """The base model alone, as a metric field on its own chart."""
@@ -561,13 +536,6 @@ class BaseChartMetric:
         rows = np.broadcast_to(np.eye(self.dim), g_values.shape)
         return FrameBasis(vectors=_gram_schmidt(rows, g_values))
 
-    def sample(self, point: ChartPoint) -> MetricSample:
-        self.check_bounds(point)
-        g = self.metric_jets(seed_chart(self.coords(point)))
-        np.linalg.cholesky(g.value)
-        J_values = self.base.j0.copy()
-        return MetricSample(g=g, J=J_values, frame=self.frame_at(point, g.value))
-
 
 class EuclideanMetric:
     """Flat R^d, for oracle tests of the curvature and flow layers."""
@@ -595,53 +563,6 @@ class EuclideanMetric:
 
     def frame_at(self, point, g_values) -> FrameBasis:
         return FrameBasis(vectors=np.broadcast_to(np.eye(self.dim), np.shape(g_values)))
-
-    def sample(self, point) -> MetricSample:
-        g = self.metric_jets(seed_chart(self.coords(point)))
-        return MetricSample(g=g, J=None,
-                            frame=self.frame_at(point, np.eye(self.dim)))
-
-
-# -- module-level operation wrappers -------------------------------------------
-
-
-def fubini_study(m: int, c0: float, z: np.ndarray):
-    """Metric and Kaehler-form components of the curvature-c0 base at z."""
-    base = FubiniStudy(m, c0)
-    base.check_bounds(np.asarray(z, dtype=float))
-    zj = seed_chart(np.asarray(z, dtype=float))
-    return base.metric_jets(zj), base.kahler_form_jets(zj)
-
-
-def connection_form(m: int, c0: float, s: float, z: np.ndarray):
-    """(sigma, theta) components on the bundle chart (psi, z).
-
-    sigma carries no dpsi component; theta = dpsi + s sigma, so d theta is s
-    times the pulled-back Kaehler form.
-    """
-    base = FubiniStudy(m, c0)
-    base.check_bounds(np.asarray(z, dtype=float))
-    coords = seed_chart(np.concatenate(([0.0], np.asarray(z, dtype=float))))
-    sigma = zeros((len(coords),), coords.dim)
-    sigma[1:] = base.connection_potential_jets(coords[1:])
-    theta = s * sigma
-    theta[0] = 1.0
-    return sigma, theta
-
-
-def assemble_metric(params: BundleParams, profile: ProfileSolution,
-                    point: ChartPoint, *, base=None,
-                    product_mode: bool = False) -> MetricSample:
-    """One-shot warped/product metric sample at a chart point."""
-    model = WarpedBundleMetric(params, profile, base, product_mode=product_mode)
-    return model.sample(point)
-
-
-def circle_bundle_metric(alpha: float, beta: float, m: int, c0: float, s: float,
-                         point: ChartPoint) -> MetricSample:
-    """One-shot odd-dimensional bundle metric sample."""
-    model = CircleBundleMetric(alpha, beta, s, FubiniStudy(m, c0))
-    return model.sample(point)
 
 
 def exterior_derivative_2form(form: Jet2) -> np.ndarray:

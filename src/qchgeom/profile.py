@@ -198,23 +198,6 @@ class _CubicDerivatives:
         return r[()], rp[()]
 
 
-class _SplineDerivatives:
-    """Dense derivative backend for tabulated profiles (quintic spline)."""
-
-    def __init__(self, t: np.ndarray, r: np.ndarray):
-        from scipy.interpolate import InterpolatedUnivariateSpline
-
-        self._spline = InterpolatedUnivariateSpline(t, r, k=5)
-        self._d = [self._spline.derivative(k) for k in (1, 2, 3)]
-        self.L = float(t[-1])
-
-    def eval(self, t):
-        return tuple(np.asarray(f(t))[()] for f in (self._spline, *self._d))
-
-    def integrated_state(self, t):
-        return self.eval(t)[:2]
-
-
 class _CallableDerivatives:
     """Backend wrapping closed-form r and its derivatives, as numpy functions of
     t that map arrays elementwise (used by tests)."""
@@ -408,42 +391,6 @@ def boundary_report(sol: ProfileSolution) -> dict[str, float]:
         "rppp_start_estimate": rppp0,
         "rppp_end_estimate": rpppL,
     }
-
-
-def load_profile_table(source, s: float, *, grid_points: int = 512) -> ProfileSolution:
-    """Build a profile from sampled (t, r) data (CSV path with header ``t,r``,
-    or a pair of arrays).  Derivatives come from a quintic interpolant; no
-    boundary or first-integral property is assumed, only monotonicity of t,
-    positivity of r, and a strictly increasing interior (r' > 0) are enforced.
-    """
-    if isinstance(source, (str, bytes)) or hasattr(source, "__fspath__"):
-        data = np.genfromtxt(source, delimiter=",", names=True)
-        t, r = np.asarray(data["t"], dtype=float), np.asarray(data["r"], dtype=float)
-    else:
-        t, r = (np.asarray(a, dtype=float) for a in source)
-    if t.shape[0] < 6:
-        raise ValueError(f"need at least 6 samples for quintic interpolation, got {t.shape[0]}")
-    if not np.all(np.diff(t) > 0.0):
-        raise ValueError("profile table must have strictly increasing t")
-    if not np.all(r > 0.0):
-        raise ValueError("profile table must have positive r")
-    if t[0] != 0.0:
-        t = t - t[0]
-
-    model = _SplineDerivatives(t, r)
-    L = model.L
-    interior = np.linspace(0.0, L, 256)[1:-1]
-    slopes = model.eval(interior)[1]
-    if slopes.max() <= 1e-12:
-        raise ValueError("profile has r' = 0 on the interior; warped mode needs r' > 0")
-    if slopes.min() <= 0.0:
-        raise ValueError("profile has non-positive r' on the interior")
-
-    grid = np.linspace(0.0, L, grid_points)
-    r, rp, rpp, _ = model.eval(grid)
-    return ProfileSolution(grid=grid, r=r, rp=rp, rpp=rpp,
-                           L=L, s=s, polynomial=None, quadrature_length=None,
-                           _model=model)
 
 
 def profile_from_callables(r, rp, rpp, rppp, L: float, s: float,

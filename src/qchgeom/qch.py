@@ -195,17 +195,6 @@ def qch_residual_samples(analysis: PointAnalysis, coeffs: QCHCoefficients,
 # -- kappa, principal section, Ricci split ---------------------------------------
 
 
-@dataclass(frozen=True)
-class StructureScalars:
-    """Pointwise scalar invariants of the split structure."""
-
-    kappa: float
-    p: float
-    p_star: float
-    lam: float
-    mu: float
-
-
 def section_divergences(analysis: PointAnalysis, model, section=None) -> tuple:
     """(div_E X, div_E JX) for a unit section X of D (default X = H); the
     section's (c1, c2) are floats or arrays with one entry per point."""
@@ -243,23 +232,6 @@ def kappa_and_principal_section(analysis: PointAnalysis, model, divergences=None
 def kappa_closed_form(n: int, r: float, rp: float) -> float:
     """kappa = 2 (n - 1) r'/r on the warped model."""
     return 2.0 * (n - 1) * rp / r
-
-
-def structure_scalars(analysis: PointAnalysis, model, n: int) -> StructureScalars:
-    """All pointwise scalar invariants at once (engine values throughout)."""
-    kap, xi_p = kappa_and_principal_section(analysis, model)
-    g = analysis.g
-    J = analysis.complex_structure[0]
-    jxi_p = matvec(J, xi_p)
-    # with the principal section aligned to H these reduce to the H/JH fields
-    nXX = _directional_cov(analysis, model.h_field(), xi_p)
-    p = per_point(inner(g, nXX, jxi_p))
-    nJJ = _directional_cov(analysis, model.jh_field(), jxi_p)
-    p_star = per_point(inner(g, nJJ, xi_p))
-    fit = fit_qch_coefficients(analysis, None, 0)
-    rs = ricci_split(analysis, fit, n)
-    return StructureScalars(kappa=kap, p=p, p_star=p_star,
-                            lam=rs.lam_engine, mu=rs.mu_engine)
 
 
 @dataclass(frozen=True)

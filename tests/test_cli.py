@@ -70,6 +70,25 @@ def test_config_type_checks(tmp_path):
         parse_config(path)
 
 
+def test_config_rejects_unknown_tolerance_names(tmp_path):
+    path = write_config(tmp_path, {"mode": "warped", "rng_seed": 1, "k": 1,
+                                   "tolerances": {"nabla_jj": 1e-3, "nabla_j": 1e-6,
+                                                  "bianchi": 1e-9}})
+    with pytest.raises(ConfigError, match=r"unknown tolerance names: \['bianchi', 'nabla_jj'\]"):
+        parse_config(path)
+    assert main(["verify", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("margin", [0.0005, 0.5])
+def test_config_keeps_samples_inside_the_chart(margin):
+    """A sample margin below the chart's end margin would sample points the
+    analysis rejects; it is a configuration error, not a run-time one."""
+    with pytest.raises(ConfigError, match="sample_margin"):
+        small_config(sample_margin=margin)
+    small_config(sample_margin=0.001)
+
+
 def test_config_roundtrip(tmp_path):
     config = small_config()
     path = write_config(tmp_path, config.to_dict())
@@ -209,6 +228,28 @@ def test_cli_flow_budget_exit(tmp_path, monkeypatch, capsys):
     err = capsys.readouterr().err
     assert "jacobi integration exceeded its budget of 100" in err
     assert not (tmp_path / "report.json").exists()
+
+
+def test_cli_report_missing_file(tmp_path, capsys):
+    """A missing report is a usage error (exit 2), and ``report`` makes no
+    output directory."""
+    out = tmp_path / "never"
+    assert main(["report", "--out", str(out)]) == 2
+    assert "cannot read report:" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("text", ['{"mode": "warped", "checks": [', '{"mode": "warped"}', "[]"],
+                         ids=["invalid-json", "no-checks", "not-an-object"])
+def test_cli_report_malformed_file(tmp_path, capsys, text):
+    """Invalid JSON, or JSON that is not a report, exits 2 and prints nothing
+    of the report."""
+    path = tmp_path / "report.json"
+    path.write_text(text)
+    assert main(["report", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert "cannot read report:" in captured.err
+    assert captured.out == ""
 
 
 def test_cli_report_bytes_deterministic(tmp_path):

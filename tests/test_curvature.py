@@ -4,7 +4,6 @@ import pytest
 from qchgeom import ChartPoint, EuclideanMetric, FubiniStudy
 from qchgeom.curvature import (
     PointAnalysis,
-    christoffel,
     constant_vector_field,
     div_e,
     hessian_form,
@@ -13,7 +12,6 @@ from qchgeom.curvature import (
     killing_deviation,
     max_frame_component_3tensor,
     nabla_j,
-    riemann,
     second_bianchi_residual,
     sectional_curvature,
 )
@@ -57,20 +55,20 @@ class Rotationally2D:
 
 
 def test_flat_christoffel_vanishes():
-    conn = christoffel(EuclideanMetric(3), np.array([0.3, -1.0, 2.0]))
+    conn = PointAnalysis(EuclideanMetric(3), np.array([0.3, -1.0, 2.0])).connection
     assert np.abs(conn.gamma).max() == 0.0
     assert np.abs(conn.dgamma).max() == 0.0
 
 
 def test_flat_curvature_vanishes():
-    R = riemann(EuclideanMetric(4), np.zeros(4))
+    R = PointAnalysis(EuclideanMetric(4), np.zeros(4)).riemann
     assert np.abs(R.components).max() == 0.0
 
 
 def test_warped_2d_christoffel_closed_form():
     model = Rotationally2D()
     t = 0.7
-    conn = christoffel(model, np.array([t, 0.4]))
+    conn = PointAnalysis(model, np.array([t, 0.4])).connection
     r, rp = 2.0 + np.sin(t), np.cos(t)
     assert abs(conn.gamma[0, 1, 1] + r * rp) < 1e-14      # Gamma^t_xx = -r r'
     assert abs(conn.gamma[1, 0, 1] - rp / r) < 1e-14      # Gamma^x_tx = r'/r

@@ -5,52 +5,48 @@ from qchgeom import (
     ChartPoint,
     CircleBundleMetric,
     FubiniStudy,
-    circle_bundle_metric,
-    connection_form,
-    fubini_study,
 )
-from qchgeom.geometry import ChartBoundsError, exterior_derivative_1form
+from qchgeom.curvature import PointAnalysis, batch_analyses
+from qchgeom.geometry import ChartBoundsError, exterior_derivative_1form, stack_points
 from qchgeom.jets import seed_chart
 from qchgeom.suite import sample_interior_points
-from qchgeom.curvature import PointAnalysis
 
 
-def _values(jet_matrix):
-    return np.array([[j.value for j in row] for row in jet_matrix])
+def _base_metric(m, c0, z):
+    return FubiniStudy(m, c0).metric_jets(seed_chart(np.asarray(z, dtype=float))).value
 
 
 def test_base_metric_at_origin_identity():
-    h, _ = fubini_study(1, 4.0, np.zeros(2))
-    assert np.allclose(_values(h), np.eye(2), atol=1e-15)
+    assert np.allclose(_base_metric(1, 4.0, np.zeros(2)), np.eye(2), atol=1e-15)
 
 
 @pytest.mark.parametrize("m,c0", [(1, 4.0), (2, 4.0), (2, 1.7), (3, 3.0)])
 def test_base_metric_origin_scaling(m, c0):
-    h, _ = fubini_study(m, c0, np.zeros(2 * m))
-    assert np.allclose(_values(h), (4.0 / c0) * np.eye(2 * m), atol=1e-14)
+    h = _base_metric(m, c0, np.zeros(2 * m))
+    assert np.allclose(h, (4.0 / c0) * np.eye(2 * m), atol=1e-14)
 
 
 def test_base_metric_rotation_invariant_determinant():
     # rotating within one complex line preserves |z|^2, hence det h
     rng = np.random.default_rng(5)
     z = rng.uniform(-0.8, 0.8, 4)
-    h, _ = fubini_study(2, 4.0, z)
+    h = _base_metric(2, 4.0, z)
     phi = 0.7
     rot = z.copy()
     rot[0] = np.cos(phi) * z[0] - np.sin(phi) * z[2]
     rot[2] = np.sin(phi) * z[0] + np.cos(phi) * z[2]
-    h2, _ = fubini_study(2, 4.0, rot)
-    assert abs(np.linalg.det(_values(h)) - np.linalg.det(_values(h2))) < 1e-14
+    h2 = _base_metric(2, 4.0, rot)
+    assert abs(np.linalg.det(h) - np.linalg.det(h2)) < 1e-14
 
 
 def test_chart_bound_enforced():
     with pytest.raises(ChartBoundsError, match="chart radius"):
-        fubini_study(1, 4.0, np.array([3.0, 3.0]))
+        FubiniStudy(1, 4.0).check_bounds(np.array([3.0, 3.0]))
 
 
 def test_connection_potential_vanishes_at_origin():
-    sigma, _ = connection_form(2, 4.0, 2.0 / 3.0, np.zeros(4))
-    assert all(sj.value == 0.0 for sj in sigma)
+    sigma = FubiniStudy(2, 4.0).connection_potential_jets(seed_chart(np.zeros(4)))
+    assert np.all(sigma.value == 0.0)
 
 
 @pytest.mark.parametrize("m,c0", [(1, 4.0), (2, 4.0), (2, 2.2)])
@@ -61,7 +57,7 @@ def test_connection_potential_derivative_is_kahler_form(m, c0):
         z = rng.uniform(-0.9, 0.9, 2 * m)
         zj = seed_chart(z)
         sigma = base.connection_potential_jets(zj)
-        omega = _values(base.kahler_form_jets(zj))
+        omega = base.kahler_form_jets(zj).value
         dsigma = exterior_derivative_1form(sigma)
         assert np.abs(dsigma - omega).max() < 1e-8
 
@@ -70,9 +66,11 @@ def test_theta_derivative_on_bundle_chart():
     s = 2.0 / 3.0
     rng = np.random.default_rng(13)
     z = rng.uniform(-0.7, 0.7, 4)
-    sigma, theta = connection_form(2, 4.0, s, z)
     base = FubiniStudy(2, 4.0)
-    omega = _values(base.kahler_form_jets(seed_chart(z)))
+    # with alpha = 1 the psi row of the bundle metric is theta = dpsi + s sigma
+    g = CircleBundleMetric(1.0, 1.0, s, base).metric_jets(seed_chart(np.r_[0.0, z]))
+    theta = g[0]
+    omega = base.kahler_form_jets(seed_chart(z)).value
     dtheta = exterior_derivative_1form(theta)
     # pulled back, d theta sees only the z block
     assert np.abs(dtheta[1:, 1:] - s * omega).max() < 1e-8
@@ -80,27 +78,27 @@ def test_theta_derivative_on_bundle_chart():
 
 
 def test_metric_sample_block_structure(warped, profile, sample_point):
-    ms = warped.sample(sample_point)
-    g = ms.g_values()
+    an = PointAnalysis(warped, sample_point)
+    g = an.g
     f = profile.warp(sample_point.t)
     r = profile.evaluate(sample_point.t)[0]
     assert g[0, 0] == 1.0
     assert abs(g[1, 1] - f * f) < 1e-15
     # J sends H to xi/f and squares to -identity
-    J = ms.J
+    J = an.complex_structure[0]
     jh = J @ np.eye(6)[0]
     assert abs(jh[1] - 1.0 / f) < 1e-14
     assert np.abs(J @ J + np.eye(6)).max() < 1e-12
     # warp scaling of the base block at z = 0
     origin = ChartPoint(t=sample_point.t, psi=0.0, z=np.zeros(4))
-    g0 = warped.sample(origin).g_values()
+    g0 = PointAnalysis(warped, origin).g
     assert np.allclose(g0[2:, 2:], r * r * np.eye(4), atol=1e-13)
 
 
 def test_fiber_metric_is_killing_potential_square(warped, profile):
     # g(xi, xi) = f^2 = (2 r r'/s)^2
     pt = ChartPoint(t=0.6 * profile.L, psi=1.0, z=np.array([0.3, 0.1, -0.2, 0.05]))
-    g = warped.sample(pt).g_values()
+    g = PointAnalysis(warped, pt).g
     r, rp, _, _ = profile.evaluate(pt.t)
     assert abs(g[1, 1] - (2.0 * r * rp / warped.s) ** 2) < 1e-14
 
@@ -109,16 +107,17 @@ def test_metric_invariants_at_many_points(warped):
     rng = np.random.default_rng(23)
     points = sample_interior_points(warped, rng, 100, 0.05, 1.5)
     for pt in points:
-        ms = warped.sample(pt)
-        g = ms.g_values()
+        an = PointAnalysis(warped, pt)
+        g = an.g
+        J = an.complex_structure[0]
         np.linalg.cholesky(g)
-        assert np.abs(ms.J @ ms.J + np.eye(6)).max() < 1e-12
-        assert np.abs(ms.J.T @ g @ ms.J - g).max() < 1e-10
-        fr = ms.frame.vectors
+        assert np.abs(J @ J + np.eye(6)).max() < 1e-12
+        assert np.abs(J.T @ g @ J - g).max() < 1e-10
+        fr = an.frame.vectors
         assert np.abs(fr @ g @ fr.T - np.eye(6)).max() < 1e-10
         # theta(xi) = 1 exactly: theta = dpsi + s sigma has no psi dependence
-        assert ms.frame.xi[1] == 1.0
-        assert abs(float(ms.frame.h_vec @ g @ ms.frame.xi)) < 1e-12
+        assert an.frame.xi[1] == 1.0
+        assert abs(float(an.frame.h_vec @ g @ an.frame.xi)) < 1e-12
 
 
 def test_kahler_form_closed(warped, warped_analyses):
@@ -130,34 +129,39 @@ def test_kahler_form_closed(warped, warped_analyses):
 
 def test_product_mode_base_block_unscaled(product, profile):
     pt = ChartPoint(t=0.5 * profile.L, psi=0.2, z=np.array([0.2, 0.1, -0.1, 0.3]))
-    g = product.sample(pt).g_values()
-    base = FubiniStudy(2, 4.0)
-    h = _values(base.metric_jets(seed_chart(pt.z)))
+    g = PointAnalysis(product, pt).g
+    h = _base_metric(2, 4.0, pt.z)
     assert np.allclose(g[2:, 2:], h, atol=1e-15)
     assert np.abs(g[1, 2:]).max() == 0.0  # no connection cross terms at s = 0
 
 
 def test_interior_margin_enforced(warped, profile):
     with pytest.raises(ChartBoundsError, match="interior margin"):
-        warped.sample(ChartPoint(t=1e-5 * profile.L, psi=0.0, z=np.zeros(4)))
-    with pytest.raises(ChartBoundsError):
-        warped.sample(ChartPoint(t=profile.L, psi=0.0, z=np.zeros(4)))
+        warped.check_bounds(ChartPoint(t=1e-5 * profile.L, psi=0.0, z=np.zeros(4)))
+    # the analysis of a batch checks every point of it against the chart
+    inside = ChartPoint(t=0.5 * profile.L, psi=0.0, z=np.zeros(4))
+    end = ChartPoint(t=profile.L, psi=0.0, z=np.zeros(4))
+    with pytest.raises(ChartBoundsError, match=r"^t = [0-9.e+-]+ outside interior margin"):
+        batch_analyses(warped, stack_points([inside, end]))
+    far = ChartPoint(t=0.5 * profile.L, psi=0.0, z=np.array([3.0, 3.0, 0.0, 0.0]))
+    with pytest.raises(ChartBoundsError, match="chart radius"):
+        batch_analyses(warped, stack_points([inside, far]))
 
 
 def test_circle_bundle_sample():
-    ms = circle_bundle_metric(1.3, 0.8, 2, 4.0, 0.5,
-                              ChartPoint(psi=0.1, z=np.array([0.2, -0.1, 0.3, 0.0])))
-    g = ms.g_values()
+    cb = CircleBundleMetric(1.3, 0.8, 0.5, FubiniStudy(2, 4.0))
+    an = PointAnalysis(cb, ChartPoint(psi=0.1, z=np.array([0.2, -0.1, 0.3, 0.0])))
+    g = an.g
     assert abs(g[0, 0] - 1.3 ** 2) < 1e-15
-    assert ms.J is None
-    fr = ms.frame.vectors
+    assert an.complex_structure is None
+    fr = an.frame.vectors
     assert np.abs(fr @ g @ fr.T - np.eye(5)).max() < 1e-10
 
 
 def test_circle_bundle_horizontal_block():
     # at the chart origin the horizontal block is beta^2 (4/c0) identity
-    ms = circle_bundle_metric(1.0, 0.9, 2, 4.0, 0.5, ChartPoint(psi=0.0, z=np.zeros(4)))
-    g = ms.g_values()
+    cb = CircleBundleMetric(1.0, 0.9, 0.5, FubiniStudy(2, 4.0))
+    g = PointAnalysis(cb, ChartPoint(psi=0.0, z=np.zeros(4))).g
     assert np.allclose(g[1:, 1:], 0.81 * np.eye(4), atol=1e-14)
     assert np.abs(g[0, 1:]).max() == 0.0
 
@@ -166,8 +170,8 @@ def test_circle_bundle_zero_pitch_is_product():
     base = FubiniStudy(2, 4.0)
     cb = CircleBundleMetric(1.0, 1.0, 0.0, base)
     pt = ChartPoint(psi=0.3, z=np.array([0.4, 0.2, -0.3, 0.1]))
-    g = cb.sample(pt).g_values()
-    h = _values(base.metric_jets(seed_chart(pt.z)))
+    g = PointAnalysis(cb, pt).g
+    h = _base_metric(2, 4.0, pt.z)
     assert np.abs(g[0, 1:]).max() == 0.0
     assert np.allclose(g[1:, 1:], h, atol=1e-15)
 

@@ -143,23 +143,6 @@ def test_kappa_closed_form_arithmetic():
     assert abs(kappa_closed_form(3, 1.5, 0.5) - 4.0 / 3.0) < 1e-15
 
 
-def test_structure_scalars_summary(warped, profile, params, warped_point_analysis):
-    from qchgeom.qch import structure_scalars
-
-    sc = structure_scalars(warped_point_analysis, warped, params.n)
-    r, rp, _, _ = profile.evaluate(warped_point_analysis.point.t)
-    f, fp, _ = profile.warp_derivatives(warped_point_analysis.point.t)
-    assert abs(sc.kappa - kappa_closed_form(params.n, r, rp)) < 1e-10
-    assert abs(sc.p) < 1e-10
-    assert abs(sc.p_star + fp / f) < 1e-10
-    lam, mu = ricci_eigenvalue_formulas(
-        params.c0 / r ** 2 - 4 * rp ** 2 / r ** 2,
-        -2 * params.c0 / r ** 2 + 8 * rp ** 2 / r ** 2
-        - 4 * profile.evaluate(warped_point_analysis.point.t)[2] * 2 / r,
-        0.0, params.n)
-    assert abs(sc.lam - lam) < 1e-7  # mu needs c as well; checked via ricci_split
-
-
 def test_kappa_section_independence(warped, warped_point_analysis):
     an = warped_point_analysis
     d1, d2 = section_divergences(an, warped)

@@ -1,12 +1,13 @@
 """Report oracle: the same check set and verdicts as the stored reference.
 
 For five small runs (warped, product, negative-control, circle-bundle and a
-perturbed warp) the check names, pass/fail, in-order and expected-fail flags
-and sample counts must equal those stored in ``data/report_oracle.json``.
-Residuals are not compared: a refactor may move them in the last bits.
+perturbed warp) the check names, pass/fail, in-order and expected-fail flags,
+sample counts, claims and tolerances must equal those stored in
+``data/report_oracle.json``.  Residuals are not compared: a refactor may move
+them in the last bits.
 
-Regenerate the reference (only when a change is meant to alter the check set
-or a verdict) with ``PYTHONPATH=src python tests/test_report_oracle.py``.
+Regenerate the reference (only when a change is meant to alter the check set,
+a claim, a tolerance or a verdict) with ``PYTHONPATH=src python tests/test_report_oracle.py``.
 """
 
 import json
@@ -16,7 +17,7 @@ from pathlib import Path
 import pytest
 
 from qchgeom.cli import RunConfig
-from qchgeom.suite import run_suite
+from qchgeom.suite import CHECKS, run_suite
 
 ORACLE = Path(__file__).with_name("data") / "report_oracle.json"
 
@@ -28,7 +29,7 @@ RUNS = {
     "warped-perturbed": {"mode": "warped", "perturb_f": 1.05},
 }
 COMMON = {"n": 3, "k": 1, "sample_count": 10, "rng_seed": 20261018}
-FIELDS = ("pass", "in_order", "expected_fail", "samples")
+FIELDS = ("pass", "in_order", "expected_fail", "samples", "claim", "tolerance")
 
 
 def summary(name: str) -> dict:
@@ -45,6 +46,13 @@ def test_report_matches_oracle(name):
     assert sorted(actual) == sorted(expected), "check set changed"
     for check, fields in expected.items():
         assert actual[check] == fields, f"{name}/{check}"
+
+
+def test_oracle_covers_the_check_table():
+    """Every check in the table runs in some stored run, and every stored
+    check is in the table."""
+    names = set().union(*json.loads(ORACLE.read_text()).values())
+    assert names == set(CHECKS)
 
 
 if __name__ == "__main__":
