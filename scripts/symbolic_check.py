@@ -18,7 +18,11 @@ derives from scratch the identities the numerical suite asserts:
     V horizontal;
   * on the static circle bundle alpha^2 theta^2 + beta^2 h: the fiber Ricci
     eigenvalue s^2 alpha^2 (2m)/(4 beta^4) (m = 1 here) and the mixed
-    curvature R(X, xi, Y, xi) = -(s^2 alpha^4/(4 beta^2)) h(X*, Y*).
+    curvature R(X, xi, Y, xi) = -(s^2 alpha^4/(4 beta^2)) h(X*, Y*);
+  * the closed-form warp profile r = x + (y - x) sn^2(omega t | m) solves
+    r'^2 = P(r) and r'' = P'(r)/2, and the reflection sn(K - u) = cn/dn,
+    cn(K - u) = k' sn/dn, dn(K - u) = k'/dn that the profile evaluates past
+    L/2 is the solution of the same system from the far turning point.
 
 Everything is exact symbolic algebra; the runtime is a couple of minutes.
 """
@@ -235,8 +239,51 @@ def bundle_block():
     return ok
 
 
+def profile_block():
+    """sn, cn, dn as symbols S, C, D with dS = CD, dC = -SD, dD = -m SC per
+    unit of u = omega t, reduced by C^2 = 1 - S^2 and D^2 = 1 - m S^2."""
+    print("closed-form warp profile r = x + (y - x) sn^2(omega t | m):")
+    S, C, D, x, y, kp = sp.symbols("S C D x y kp", positive=True)
+
+    def d_du(expr, m):
+        return (sp.diff(expr, S) * C * D - sp.diff(expr, C) * S * D
+                - sp.diff(expr, D) * m * S * C)
+
+    def reduced(expr, m):
+        return sp.simplify(expr.subs({C: sp.sqrt(1 - S ** 2), D: sp.sqrt(1 - m * S ** 2)}))
+
+    m = (y - x) / y
+    omega = sp.sqrt(s / (x * (y - x))) / 2
+    c3 = s / (x * y * (y - x))
+    z = sp.Symbol("z")
+    P = c3 * (z - x) * (z - y) * (z - x - y)
+    r = x + (y - x) * S ** 2
+    rp = omega * d_du(r, m)
+    rpp = omega * d_du(rp, m)
+    ok = True
+    ok &= check("r' = 2 (y - x) omega sn cn dn", rp - 2 * (y - x) * omega * S * C * D)
+    ok &= check("r'^2 = P(r)", reduced(rp ** 2 - P.subs(z, r), m))
+    ok &= check("r'' = P'(r)/2", reduced(rpp - sp.diff(P, z).subs(z, r) / 2, m))
+
+    # (cn/dn, k' sn/dn, k'/dn) solves the system run backwards, d/du of
+    # f(K - u) being -f'(K - u), with the same two relations, and at u = K
+    # (sn, cn, dn = 1, 0, k') it takes the values (0, 1, 1) of u' = 0
+    m = 1 - kp ** 2
+    Sr, Cr, Dr = C / D, kp * S / D, kp / D
+    ok &= check("reflected sn' = -cn dn", reduced(d_du(Sr, m) + Cr * Dr, m))
+    ok &= check("reflected cn' = sn dn", reduced(d_du(Cr, m) - Sr * Dr, m))
+    ok &= check("reflected dn' = m sn cn", reduced(d_du(Dr, m) - m * Sr * Cr, m))
+    ok &= check("reflected cn^2 + sn^2 = 1", reduced(Cr ** 2 + Sr ** 2 - 1, m))
+    ok &= check("reflected dn^2 + m sn^2 = 1", reduced(Dr ** 2 + m * Sr ** 2 - 1, m))
+    at_k = {S: 1, C: 0, D: kp}
+    ok &= check("reflected values at u = K",
+                (sp.Matrix([Sr, Cr, Dr]).subs(at_k) - sp.Matrix([0, 1, 1])).norm())
+    return ok
+
+
 if __name__ == "__main__":
     good = warped_block()
     good &= bundle_block()
+    good &= profile_block()
     print("symbolic validation:", "all identities confirmed" if good else "FAILURES")
     raise SystemExit(0 if good else 1)

@@ -2,8 +2,8 @@
 
 Subcommands:
 
-* ``solve-profile`` -- build the cubic, integrate the warp profile, export the
-  profile table (CSV) and print the boundary report.
+* ``solve-profile`` -- build the cubic and its closed-form warp profile, export
+  the profile table (CSV) and print the boundary report.
 * ``verify`` -- run the verification suite for the configured mode and write
   the JSON report; exit code 0 iff every enabled check is in order.
 * ``sample`` -- tabulate (t, r, f, a, b, c, lambda, mu, kappa) along the axis
@@ -182,7 +182,8 @@ def emit_summary_csv(config: RunConfig, path, points: int = 100) -> None:
     ts = np.linspace(lo, hi, points)
     axis = ChartPoint(t=ts, psi=np.zeros(points), z=np.zeros((points, model.base.dim)),
                       chart=model.chart)
-    columns = [ts, profile.evaluate(ts)[0], profile.warp(ts)]
+    r, rp, rpp, rppp = profile.evaluate(ts)
+    columns = [ts, r, profile.warp_from(r, rp, rpp, rppp)[0]]
     parts = []
     for analysis in batch_analyses(model, axis):
         fit = fit_qch_coefficients(analysis, None, 0)

@@ -26,9 +26,9 @@ from .curvature import PointAnalysis, contract_slots, jacobi_operator
 # right-hand-side evaluations one solve may make before it is abandoned: about
 # 10x the most any tier-1 or benchmark configuration needs (about 1,200, the
 # Jacobi solves of the warped n = 3 and n = 5 desk runs), so a solve that
-# crawls, as near y = x, ends in a FlowError (exit 3) instead of running for
-# hours.  Counting calls rather than seconds keeps the outcome independent of
-# the machine's speed.
+# crawls ends in a FlowError (exit 3) instead of running for hours.  Counting
+# calls rather than seconds keeps the outcome independent of the machine's
+# speed.
 MAX_RHS_CALLS = 12_000
 
 
@@ -339,8 +339,8 @@ def jacobi_decay_experiment(model, t0: float, t_end: float, *,
     max_ratio = 0.0
     for i, tau in enumerate(jac.taus):
         t = t0 + tau
-        r, rp, rpp, _ = profile.evaluate(t)
-        f = profile.warp(t)
+        r, rp, rpp, rppp = profile.evaluate(t)
+        f = profile.warp_from(r, rp, rpp, rppp)[0]
         y, yp = jac.y[i], jac.yp[i]
         norm = float(np.linalg.norm(y))
         dlog_c = float(y @ yp) / float(y @ y)

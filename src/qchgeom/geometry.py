@@ -345,8 +345,8 @@ class WarpedBundleMetric:
     def _squared_warps(self, t) -> tuple[tuple, tuple]:
         """r^2 and f^2 (with the control scale) at t, each as its value and
         first two t-derivatives."""
-        r, rp, rpp, _ = self.profile.evaluate(t)
-        f, fp, fpp = (self.warp_scale * x for x in self.profile.warp_derivatives(t))
+        r, rp, rpp, rppp = self.profile.evaluate(t)
+        f, fp, fpp = (self.warp_scale * x for x in self.profile.warp_from(r, rp, rpp, rppp))
         return ((r * r, 2.0 * r * rp, 2.0 * (rp * rp + r * rpp)),
                 (f * f, 2.0 * f * fp, 2.0 * (fp * fp + f * fpp)))
 

@@ -320,8 +320,8 @@ def structure_identity_residuals(analysis: PointAnalysis, model, params,
     J = analysis.complex_structure[0]
     split = split_tensors(g, J, h_hat, jh_hat)
     t = analysis.point.t
-    r, rp, _, _ = model.profile.evaluate(t)
-    f, fp, _ = model.profile.warp_derivatives(t)
+    r, rp, rpp, rppp = model.profile.evaluate(t)
+    f, fp, _ = model.profile.warp_from(r, rp, rpp, rppp)
 
     out: dict = {}
 
@@ -426,8 +426,8 @@ def warped_submersion_residuals(analysis: PointAnalysis, model, params) -> dict[
     h_hat, jh_hat = frame.vectors[..., 0, :], frame.vectors[..., 1, :]
     e_frame = frame.horizontal
     t = analysis.point.t
-    r, rp, _, _ = model.profile.evaluate(t)
-    f, fp, _ = model.profile.warp_derivatives(t)
+    r, rp, rpp, rppp = model.profile.evaluate(t)
+    f, fp, _ = model.profile.warp_from(r, rp, rpp, rppp)
     s = model.s
     R4 = analysis.riemann.components
     out: dict = {}

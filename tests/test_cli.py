@@ -230,6 +230,21 @@ def test_cli_flow_budget_exit(tmp_path, monkeypatch, capsys):
     assert not (tmp_path / "report.json").exists()
 
 
+@pytest.mark.parametrize("x,y", [(0.1, 10.0), (1.0, 1.001), (1.0, 1.1)])
+def test_verify_reaches_a_verdict_across_the_profile_range(tmp_path, x, y):
+    """Far from the desk (x, y) = (1, 2) a run still ends in a verdict with a
+    report (the Jacobi flows of the first two once exceeded their budget);
+    at y = 1.1 the decay and log-kappa laws hold."""
+    cfg = write_config(tmp_path, {"mode": "warped", "rng_seed": 42, "k": 1, "n": 3,
+                                  "sample_count": 50, "x": x, "y": y})
+    assert main(["verify", "--config", str(cfg), "--out", str(tmp_path)]) in (0, 1)
+    checks = {c["name"]: c for c in
+              json.loads((tmp_path / "report.json").read_text())["checks"]}
+    if y == 1.1:
+        assert checks["decay_ratio_law"]["pass"]
+        assert checks["identity_log_kappa_gradient"]["pass"]
+
+
 def test_cli_report_missing_file(tmp_path, capsys):
     """A missing report is a usage error (exit 2), and ``report`` makes no
     output directory."""

@@ -166,6 +166,20 @@ def test_jacobi_equation_residual_on_desk_flow():
     assert jacobi_equation_residual(result, np.linspace(0.05, 0.95, 7) * span) < 1e-7
 
 
+@pytest.mark.parametrize("x,y", [(0.1, 10.0), (1.0, 1.001)])
+def test_decay_flow_work_stays_bounded_off_the_desk(x, y):
+    """The suite's decay flow at these endpoints takes about the right-hand
+    sides of the desk flow (1,184), not the 49,766 and more it took when the
+    profile was interpolated."""
+    n, s = 3, 2.0 / 3.0
+    profile = solve_profile(build_polynomial(x, y, s))
+    model = WarpedBundleMetric(BundleParams(n=n, c0=4.0, s=s, k=1, q=n, L=profile.L), profile)
+    L = profile.L
+    report = jacobi_decay_experiment(model, 0.2 * L, L * (1.0 - 1e-3), samples=160,
+                                     rtol=1e-12, atol=1e-14)
+    assert report.jacobi_stats.nfev <= 2400
+
+
 def test_solve_budget_raises_flow_error(warped, profile, monkeypatch):
     # the axial geodesic needs 77 right-hand sides at these tolerances
     monkeypatch.setattr(flows, "MAX_RHS_CALLS", 40)

@@ -1,16 +1,25 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.special import ellipk
+from scipy.special import ellipj, ellipk
 
 from qchgeom.profile import (
     ProfileError,
+    ProfileSolution,
     boundary_report,
     build_polynomial,
     period_length,
-    profile_from_callables,
+    solve_profile,
 )
+from qchgeom.suite import DEFAULT_TOLERANCES, _profile_checks, _Residuals
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 # frozen regression value of the period integral for (x, y, s) = (1, 2, 2):
 # the integrand has simple inverse-square-root endpoint zeros; the value was
@@ -104,7 +113,7 @@ def test_period_lower_bound(x, dy, s):
 
 
 def test_solution_initial_conditions(profile):
-    r0, rp0 = profile.integrated_state(0.0)
+    r0, rp0 = profile.evaluate(0.0)[:2]
     assert r0 == 1.0
     assert rp0 == 0.0
 
@@ -149,24 +158,38 @@ def test_export_roundtrip(tmp_path, profile):
     header = path.read_text().splitlines()[0]
     assert header == "t,r,rp,rpp,f,fp"
     data = np.genfromtxt(path, delimiter=",", names=True)
+    assert len(data) == 512
+    assert data["t"][0] == 0.0 and data["t"][-1] == profile.L
     # 17 significant digits survive the round trip bit-exactly
-    assert data["r"][10] == profile.r[10]
+    r, rp, rpp, rppp = profile.evaluate(data["t"])
+    f, fp, _ = profile.warp_from(r, rp, rpp, rppp)
+    for name, column in (("r", r), ("rp", rp), ("rpp", rpp), ("f", f), ("fp", fp)):
+        assert np.array_equal(data[name], column), name
 
 
-def test_profile_from_callables_round_sphere():
-    # r = sin(t) solves r'' = -r = P'(r)/2 for P = 1 - r^2
-    sol = profile_from_callables(np.sin, np.cos, lambda t: -np.sin(t),
-                                 lambda t: -np.cos(t), L=1.2, s=2.0)
+def test_warp_algebra_round_sphere(profile):
+    # r = sin(t) solves r'' = -r = P'(r)/2 for P = 1 - r^2; with s = 2 the
+    # warp is f = sin t cos t, so f' = cos 2t and f'' = -2 sin 2t
+    sphere = solve_profile(build_polynomial(1.0, 2.0, 2.0))
     t = 0.7
-    assert abs(sol.warp(t) - np.sin(t) * np.cos(t)) < 1e-15
-    f, fp, fpp = sol.warp_derivatives(t)
+    f, fp, fpp = sphere.warp_from(np.sin(t), np.cos(t), -np.sin(t), -np.cos(t))
+    assert abs(f - np.sin(t) * np.cos(t)) < 1e-15
     assert abs(fp - np.cos(2 * t)) < 1e-15
     assert abs(fpp + 2 * np.sin(2 * t)) < 1e-14
-    # no cubic is attached, so the boundary report reads r'' off the backend;
-    # it reports the endpoint conditions this profile violates, never gates
-    rep = boundary_report(sol)
-    assert abs(rep["rp_start"] - 1.0) < 1e-15
-    assert abs(rep["boundary_start"] + 2.0) < 1e-15
+
+
+def test_warp_derivatives_match_differences_of_warp(profile):
+    """f' and f'' of ``warp_derivatives`` against fourth-order central
+    differences of ``warp``, on both halves of the profile."""
+    L, h = profile.L, 1e-3
+    ts = np.array([0.1, 0.3, 0.45, 0.55, 0.7, 0.9]) * L
+    f, fp, fpp = profile.warp_derivatives(ts)
+    w = [profile.warp(ts + k * h) for k in (-2, -1, 0, 1, 2)]
+    assert np.array_equal(f, w[2])
+    fd1 = (w[0] - 8.0 * w[1] + 8.0 * w[3] - w[4]) / (12.0 * h)
+    fd2 = (-w[0] + 16.0 * w[1] - 30.0 * w[2] + 16.0 * w[3] - w[4]) / (12.0 * h * h)
+    assert np.abs(fp - fd1).max() < 1e-10
+    assert np.abs(fpp - fd2).max() < 1e-7
 
 
 def test_quadrature_failure_reports_estimate():
@@ -177,13 +200,113 @@ def test_quadrature_failure_reports_estimate():
 
 
 def test_one_point_evaluation_matches_array_path(profile):
-    """A float t takes the one-point path; it gives the array path's numbers,
-    in both end-series windows and on the dense output between them."""
+    """A float t gives the array path's numbers, on both sides of the L/2
+    reflection and at both ends; the random batch is long enough for numpy's
+    vectorised loops, whose pow, unlike a product, rounds apart from the
+    scalar one."""
     L = profile.L
-    ts = np.array([1e-3 * L, 0.01 * L, 0.3 * L, 0.7 * L, 0.99 * L, L])
-    batched = profile._model.eval(ts)
+    half = 0.5 * L
+    ts = np.concatenate(([0.0, 1e-3 * L, 0.01 * L, 0.3 * L, half, np.nextafter(half, L),
+                          0.7 * L, 0.99 * L, L],
+                         np.random.default_rng(1).uniform(0.0, L, 200)))
+    batched = profile.evaluate(ts)
     for i, t in enumerate(ts):
-        single = profile._model.eval(float(t))
+        single = profile.evaluate(float(t))
         for k in range(4):
             assert single[k] == batched[k][i], (t, k)
-        assert profile.evaluate(float(t))[0] == batched[0][i]
+
+
+def test_reflection_is_continuous_at_half_period(profile):
+    half = 0.5 * profile.L
+    below = profile.evaluate(half)
+    above = profile.evaluate(np.nextafter(half, profile.L))
+    for k in range(4):
+        assert abs(above[k] - below[k]) < 1e-14 * max(1.0, abs(below[k])), k
+
+
+# -- the closed form against independent oracles --------------------------------
+
+
+@settings(max_examples=40, deadline=None)
+@given(x=st.floats(0.05, 5.0), ratio=st.floats(1.003, 100.0), s=st.floats(0.1, 5.0))
+def test_closed_form_matches_scipy_ellipj(x, ratio, s):
+    """r and r' against scipy's Jacobi elliptic functions across [0, L], and
+    L against K(m)/omega.  (Below y/x = 1.003, ``build_polynomial`` rejects
+    some pitches: its y P'(y) = -s check is absolute, at the rounding level of
+    the monomial form there.)"""
+    y = ratio * x
+    sol = solve_profile(build_polynomial(x, y, s))
+    m = (y - x) / y
+    assert abs(sol.L - ellipk(m) / sol.omega) < 1e-14 * sol.L
+    t = np.linspace(0.0, sol.L, 201)
+    sn, cn, dn, _ = ellipj(sol.omega * t, m)
+    r, rp, _, _ = sol.evaluate(t)
+    rp_ref = 2.0 * (y - x) * sol.omega * sn * cn * dn
+    assert np.abs(r - (x + (y - x) * sn ** 2)).max() < 4e-15 * y
+    assert np.abs(rp - rp_ref).max() < 8e-15 * np.abs(rp_ref).max()
+
+
+def turning_point_series(poly, root, tau, terms=12):
+    """(r - root, r') at tau from a turning point, by the even power series
+    rho = sum a_k tau^(2k) of rho'' = A + B rho + C rho^2, the Taylor form of
+    r'' = P'(r)/2 about the root; its coefficients are exact from the
+    recursion.  A = P'(root)/2 and B = P''(root)/2 are taken from the
+    factored P = c3 (r - x)(r - y)(r - x - y), free of the cancellation of
+    the monomial form near y = x."""
+    x, y, c3 = poly.x, poly.y, poly.coefficients[3]
+    A = 0.5 * c3 * (y - x) * (y if root == x else -x)
+    B = c3 * (3.0 * root - 2.0 * (x + y))
+    C = 1.5 * c3
+    a = [0.0]
+    for j in range(terms):
+        conv = sum(a[i] * a[j - i] for i in range(1, j))
+        a.append(((A if j == 0 else 0.0) + B * a[j] + C * conv) / ((2 * j + 2) * (2 * j + 1)))
+    rho = sum(a[k] * tau ** (2 * k) for k in range(1, terms + 1))
+    slope = sum(2 * k * a[k] * tau ** (2 * k - 1) for k in range(1, terms + 1))
+    return rho, slope
+
+
+@pytest.mark.parametrize("x,y,s", [(1.0, 2.0, 2.0 / 3.0), (0.1, 10.0, 2.0 / 3.0),
+                                   (1.0, 1.001, 2.0 / 3.0), (5.0, 50.0, 10.0 / 3.0)])
+def test_turning_points_keep_relative_accuracy(x, y, s):
+    """Near t = 0 and t = L, r' and the distances r - x and y - r hold their
+    relative accuracy (sqrt(P(r)) of the rounded r would lose it).  The
+    distance is recovered from r'^2 = c3 (r - x)(y - r)(x + y - r), with the
+    two other factors, which barely depend on it there, taken from the
+    series."""
+    poly = build_polynomial(x, y, s)
+    sol = solve_profile(poly)
+    c3, L = poly.coefficients[3], sol.L
+    for frac in (1e-6, 1e-4, 1e-2):
+        t_far = L - frac * L
+        for t, root, tau in ((frac * L, x, frac * L), (t_far, y, t_far - L)):
+            r, rp, _, _ = sol.evaluate(t)
+            rho, slope = turning_point_series(poly, root, tau)
+            gap = abs(rho)
+            others = (y - x - gap) * (y - gap) if root == x else (y - x - gap) * (x + gap)
+            assert abs(rp / slope - 1.0) < 4e-14, (frac, root)
+            assert abs(rp * rp / (c3 * others) / gap - 1.0) < 4e-14, (frac, root)
+
+
+def test_wrong_frequency_fails_the_profile_checks(profile):
+    """Teeth: omega off by 1e-6 relative must fail the first-integral and the
+    length-agreement checks that the solved profile passes."""
+    poly = profile.polynomial
+    verdicts = {}
+    for label, omega in (("solved", profile.omega), ("off", profile.omega * (1.0 + 1e-6))):
+        res = _Residuals()
+        _profile_checks(res, ProfileSolution(poly, omega, profile.quadrature_length), poly)
+        verdicts[label] = {c.name: c.passed for c in res.checks(DEFAULT_TOLERANCES)}
+    assert all(verdicts["solved"].values())
+    assert not verdicts["off"]["profile_first_integral"]
+    assert not verdicts["off"]["profile_length_agreement"]
+
+
+def test_profile_imports_no_scipy():
+    """The profile module computes without scipy, and importing it (with the
+    package) loads none."""
+    code = ("import sys, qchgeom.profile; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env=dict(os.environ, PYTHONPATH=SRC))
+    assert out.stdout.strip() == "[]"
