@@ -46,6 +46,8 @@ def main() -> int:
     print(f"geodesic residual     : {report.geodesic_residual:.3e}")
     for name, stats in (("geodesic", report.geodesic_stats), ("jacobi", report.jacobi_stats)):
         print(f"{name + ' solve':<22}: {stats.nfev} right-hand sides, {stats.steps} steps")
+    print(f"jacobi coefficients   : {report.jacobi_panels} certified panels, "
+          f"{report.jacobi_evaluations} exact evaluations")
     report.to_csv(args.out)
     print(f"rows written to {Path(args.out).resolve()}")
     return 0

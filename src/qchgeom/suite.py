@@ -527,6 +527,8 @@ def run_suite(config) -> VerificationReport:
         else:  # warped
             _warped_structure_checks(res, model, analyses, params, rng)
             if config.perturb_f == 1.0:
+                # the flow analyses its own points: free the sample slices first
+                del analyses
                 _decay_checks(res, model)
 
     return VerificationReport(mode=config.mode, seed=config.rng_seed,

@@ -245,6 +245,21 @@ def test_verify_reaches_a_verdict_across_the_profile_range(tmp_path, x, y):
         assert checks["identity_log_kappa_gradient"]["pass"]
 
 
+@pytest.mark.parametrize("x,y,failing", [
+    (0.1, 10.0, {"decay_ratio_law", "identity_gradient_b"}),
+    (1.0, 1.001, {"decay_ratio_law", "identity_gradient_b", "identity_log_kappa_gradient"}),
+])
+def test_profile_range_ends_keep_their_verdicts(tmp_path, x, y, failing):
+    """At the ends of the profile range the Jacobi coefficient tables certify
+    within their panel cap (no exit 3), and the run fails exactly the checks
+    whose absolute tolerances do not fit the scale there."""
+    cfg = write_config(tmp_path, {"mode": "warped", "rng_seed": 42, "k": 1, "n": 3,
+                                  "sample_count": 10, "x": x, "y": y})
+    assert main(["verify", "--config", str(cfg), "--out", str(tmp_path)]) == 1
+    checks = json.loads((tmp_path / "report.json").read_text())["checks"]
+    assert {c["name"] for c in checks if not c["in_order"]} == failing
+
+
 def test_cli_report_missing_file(tmp_path, capsys):
     """A missing report is a usage error (exit 2), and ``report`` makes no
     output directory."""

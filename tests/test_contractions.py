@@ -17,7 +17,7 @@ from qchgeom.curvature import (
     max_frame_component_3tensor,
     metric_inverse_jets,
 )
-from qchgeom.flows import geodesic_acceleration, jacobi_matrix, transport_derivative
+from qchgeom.flows import geodesic_acceleration, jacobi_matrix, transport_matrix
 from qchgeom.jets import Jet2
 from qchgeom.qch import fit_qch_coefficients, qch_residual_samples, split_tensors
 
@@ -133,7 +133,7 @@ def test_flow_contractions(d, rng):
     v = rng.standard_normal(d)
     frame = rng.standard_normal((d, d))
     assert _close(geodesic_acceleration(gamma, v), -np.einsum("kij,i,j->k", gamma, v, v))
-    assert _close(transport_derivative(gamma, v, frame),
+    assert _close(-frame @ transport_matrix(gamma, v).T,
                   -np.einsum("kij,i,aj->ak", gamma, v, frame))
     assert _close(jacobi_matrix(R, v, frame),
                   np.einsum("ijkl,i,bj,k,al->ab", R, v, frame, v, frame))

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import qchgeom.curvature as curvature
 import qchgeom.flows as flows
 from qchgeom import (
     BundleParams,
@@ -11,17 +12,23 @@ from qchgeom import (
     build_polynomial,
     solve_profile,
 )
-from qchgeom.curvature import PointAnalysis
+from qchgeom.cli import main
+from qchgeom.curvature import PointAnalysis, jacobi_operator
 from qchgeom.flows import (
     FlowError,
     GeodesicState,
+    coefficient_panels,
+    coefficients_at,
+    geodesic_acceleration,
     geodesic_residuals,
     integrate_geodesic,
     integrate_jacobi,
     jacobi_decay_experiment,
     jacobi_equation_residual,
+    jacobi_matrix,
 )
 from qchgeom.geometry import BaseChartMetric
+from qchgeom.jets import Jet2, compose
 
 
 @pytest.fixture(scope="module")
@@ -189,3 +196,197 @@ def test_solve_budget_raises_flow_error(warped, profile, monkeypatch):
                                         r"right-hand-side evaluations at tau = "):
         integrate_geodesic(warped, GeodesicState(x0, v0), 0.5 * profile.L,
                            rtol=1e-12, atol=1e-14)
+
+
+# -- the Jacobi flow on certified coefficient panels ------------------------------
+
+
+def _desk_flow(n):
+    """(path, C0, DC0) of the suite's decay flow on the warped desk at n."""
+    s = 2.0 / n
+    profile = solve_profile(build_polynomial(1.0, 2.0, s))
+    model = WarpedBundleMetric(BundleParams(n=n, c0=4.0, s=s, k=1, q=n, L=profile.L), profile)
+    L = profile.L
+    x0 = np.zeros(model.dim); x0[0] = 0.2 * L
+    v0 = np.zeros(model.dim); v0[0] = 1.0
+    path = integrate_geodesic(model, GeodesicState(x0, v0), L * (1.0 - 1e-3) - x0[0],
+                              rtol=1e-12, atol=1e-14)
+    C0 = np.zeros(model.dim); C0[1] = 1.0
+    return path, C0, PointAnalysis(model, model.point(x0)).gamma[:, 0, 1]
+
+
+def _reference_jacobi(path, C0, DC0, *, rtol, atol, samples=200):
+    """The Jacobi solve with one exact analysis per integrator stage, as it was
+    before the coefficient panels: (y, y') at ``samples`` equally spaced tau."""
+    field = path.field
+    d = path.positions.shape[1]
+    start = path.state(0.0)
+    analysis0 = PointAnalysis(field, field.point(start.position))
+    frame0 = flows._initial_frame(analysis0, start.velocity)
+    g0 = analysis0.g
+    y0 = frame0 @ g0 @ np.asarray(C0, dtype=float)
+    yp0 = frame0 @ g0 @ np.asarray(DC0, dtype=float)
+
+    def rhs(tau, state):
+        frame = state[:d * d].reshape(d, d)
+        y = state[d * d:d * d + d]
+        yp = state[d * d + d:]
+        geo = path.state(tau)
+        analysis = PointAnalysis(field, field.point(geo.position))
+        v = geo.velocity
+        dframe = -frame @ (v @ analysis.gamma).T
+        ypp = frame @ (jacobi_operator(analysis, v).T @ (y @ frame))
+        return np.concatenate([dframe.ravel(), yp, ypp])
+
+    state0 = np.concatenate([frame0.ravel(), y0, yp0])
+    sol = flows._solve("jacobi", rhs, (0.0, path.span), state0, method="DOP853",
+                       rtol=rtol, atol=atol, dense_output=True)
+    packed = np.stack([sol.sol(tau) for tau in np.linspace(0.0, path.span, samples)])
+    return packed[:, d * d:d * d + d], packed[:, d * d + d:]
+
+
+@pytest.mark.parametrize("n", [3, 5])
+def test_coefficient_panels_hold_off_the_nodes(n):
+    """Midway between the nodes of every panel, the interpolated Gamma(., cdot)
+    and K agree with exact evaluations within 1e-12 of the window's largest
+    value of each."""
+    path, _, _ = _desk_flow(n)
+    table = coefficient_panels(path)
+    nodes = np.sort(flows._NODES)
+    mids = 0.5 * (nodes[1:] + nodes[:-1])
+    a, b = table.edges[:-1, None], table.edges[1:, None]
+    taus = (0.5 * (a + b) + 0.5 * (b - a) * mids).ravel()
+    exact = coefficients_at(path, taus)
+    interpolated = np.stack([table(tau) for tau in taus])
+    scale = np.abs(table.values).max(axis=(0, 1, 3, 4))
+    assert (np.abs(interpolated - exact).max(axis=(0, 2, 3)) <= 1e-12 * scale).all()
+    assert table.edges[0] == 0.0 and table.edges[-1] == path.span
+    assert table.evaluations >= table.count * flows.PANEL_NODES
+
+
+def test_jacobi_flow_matches_the_per_stage_reference():
+    """y and y' at the 200 samples of the n = 3 desk flow agree with the solve
+    that analyses every integrator stage exactly."""
+    path, C0, DC0 = _desk_flow(3)
+    result = integrate_jacobi(path, C0, DC0, rtol=1e-12, atol=1e-14)
+    y_ref, yp_ref = _reference_jacobi(path, C0, DC0, rtol=1e-12, atol=1e-14)
+    for got, ref in ((result.y, y_ref), (result.yp, yp_ref)):
+        scale = np.abs(ref).max(axis=1, keepdims=True)
+        assert (np.abs(got - ref) <= 1e-9 * scale).all()
+
+
+class _KinkedPlane(EuclideanMetric):
+    """Flat R^2 but for g_11 = 1 + (x_0 - c)_+^2: the second derivative of g_11,
+    and with it the Jacobi operator along e_0, jumps at x_0 = c."""
+
+    def __init__(self, c):
+        super().__init__(2)
+        self.c = c
+
+    def metric_jets(self, coords):
+        u = coords[..., 0]
+        s = np.maximum(u.value - self.c, 0.0)
+        g = Jet2.constant(np.broadcast_to(np.eye(2), u.shape + (2, 2)), coords.dim)
+        g[..., 1, 1] = g[..., 1, 1] + compose(u, s * s, 2.0 * s, 2.0 * (s > 0.0))
+        return g
+
+
+def test_coefficient_jump_is_never_certified():
+    # c = 0.7 is no dyadic point of [0, 2], so no bisection lands on the jump
+    field = _KinkedPlane(0.7)
+    path = integrate_geodesic(field, GeodesicState(np.zeros(2), np.array([1.0, 0.0])), 2.0)
+    with pytest.raises(FlowError, match=r"jacobi coefficient tables exceed 32 panels: "
+                                        r"no certified Chebyshev interpolant near tau = 0\.7"):
+        integrate_jacobi(path, np.array([0.0, 1.0]), np.zeros(2))
+
+
+def test_panel_cap_ends_the_run_with_exit_3(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(flows, "MAX_PANELS", 1)
+    path, C0, DC0 = _desk_flow(3)
+    with pytest.raises(FlowError, match="exceed 1 panels"):
+        integrate_jacobi(path, C0, DC0)
+    cfg = tmp_path / "config.json"
+    cfg.write_text('{"mode": "warped", "rng_seed": 7, "k": 1, "sample_count": 10}')
+    assert main(["verify", "--config", str(cfg), "--out", str(tmp_path)]) == 3
+    assert "jacobi coefficient tables exceed 1 panels" in capsys.readouterr().err
+    assert not (tmp_path / "report.json").exists()
+
+
+def test_jacobi_solve_analyses_a_fifth_of_its_stages_or_fewer(monkeypatch):
+    """A count, not a timing: the n = 5 desk Jacobi solve builds fewer than
+    nfev / 5 analyses (one per stage, 1,160, before the coefficient panels)."""
+    path, C0, DC0 = _desk_flow(5)
+    built = []
+    init = curvature.PointAnalysis.__init__
+
+    def counting(self, field, point):
+        built.append(1)
+        init(self, field, point)
+
+    monkeypatch.setattr(curvature.PointAnalysis, "__init__", counting)
+    result = integrate_jacobi(path, C0, DC0, rtol=1e-12, atol=1e-14, samples=160)
+    assert 0 < len(built) < result.stats.nfev / 5
+
+
+def test_decay_report_counts_coefficient_work(decay_report):
+    assert 0 < decay_report.jacobi_panels <= flows.MAX_PANELS
+    assert decay_report.jacobi_evaluations >= decay_report.jacobi_panels * flows.PANEL_NODES
+
+
+def _loop_rows(model, jac, t0):
+    """The decay table row by row, as it was computed before vectorising."""
+    profile = model.profile
+    n = model.params.n
+    rows = np.empty((len(jac.taus), 5))
+    for i, tau in enumerate(jac.taus):
+        t = t0 + tau
+        r, rp, rpp, rppp = profile.evaluate(t)
+        f = profile.warp_from(r, rp, rpp, rppp)[0]
+        y, yp = jac.y[i], jac.yp[i]
+        norm = float(np.linalg.norm(y))
+        dlog_c = float(y @ yp) / float(y @ y)
+        dlog_kappa = rpp / rp - rp / r
+        theta_cdot = float(jac.path.state(tau).velocity[0])
+        kappa = 2.0 * (n - 1) * rp / r
+        ratio_res = abs(dlog_kappa - dlog_c + kappa * theta_cdot / (n - 1))
+        rows[i] = (t, norm, f, ratio_res, jac.velocity_inner[i])
+    return rows
+
+
+def test_decay_rows_match_the_row_loop(warped, profile, monkeypatch):
+    captured = []
+
+    def capture(*args, **kwargs):
+        captured.append(integrate_jacobi(*args, **kwargs))
+        return captured[-1]
+
+    monkeypatch.setattr(flows, "integrate_jacobi", capture)
+    t0 = 0.2 * profile.L
+    report = jacobi_decay_experiment(warped, t0, profile.L * (1.0 - 1e-3), samples=160,
+                                     rtol=1e-12, atol=1e-14)
+    assert np.array_equal(report.rows, _loop_rows(warped, captured[0], t0))
+
+
+def test_batched_residuals_match_point_loops():
+    """One analysis over all tau gives the residuals of one analysis per tau."""
+    bm = BaseChartMetric(FubiniStudy(1, 4.0))
+    x0 = np.array([0.1, 0.05])
+    g0 = PointAnalysis(bm, ChartPoint(z=x0)).g
+    v0 = np.array([0.6, 0.8]); v0 = v0 / np.sqrt(v0 @ g0 @ v0)
+    path = integrate_geodesic(bm, GeodesicState(x0, v0), 0.6)
+    result = integrate_jacobi(path, np.array([0.3, -0.2]), np.array([0.1, 0.4]), samples=30)
+    taus, step, d = np.array([0.1, 0.25, 0.4, 0.5]), 1e-4, 2
+
+    geodesic_ref, jacobi_ref = [], []
+    for tau in taus:
+        s0, sp, sm = path.state(tau), path.state(tau + step), path.state(tau - step)
+        an = PointAnalysis(bm, bm.point(s0.position))
+        res = (sp.velocity - sm.velocity) / (2.0 * step) - geodesic_acceleration(an.gamma, s0.velocity)
+        geodesic_ref.append(np.sqrt(res @ an.g @ res))
+        state, plus, minus = (result._dense(tau + h) for h in (0.0, step, -step))
+        ypp = (plus[d * d + d:] - minus[d * d + d:]) / (2.0 * step)
+        M = jacobi_matrix(an.riemann.components, s0.velocity, state[:d * d].reshape(d, d))
+        jacobi_ref.append(np.abs(ypp - M @ state[d * d:d * d + d]).max())
+    assert geodesic_residuals(path, taus) == pytest.approx(max(geodesic_ref), rel=1e-6, abs=1e-13)
+    assert jacobi_equation_residual(result, taus) == pytest.approx(max(jacobi_ref), rel=1e-6,
+                                                                   abs=1e-13)
