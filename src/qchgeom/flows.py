@@ -1,53 +1,69 @@
-"""Geodesic and Jacobi-field integration.
+"""Geodesic and Jacobi-field integration on Chebyshev panels, numpy only.
 
-The Jacobi system is integrated in a parallel-transported orthonormal frame,
-which turns the covariant second derivative into a plain one: carrying the
-frame alongside the geodesic, the field C = sum_a y_a e_a solves
+Both flows march across [0, span] on panels, each carrying its solution as
+values at the first-kind Chebyshev nodes of the panel; dense output is the
+barycentric formula of the second kind (Trefethen, *Approximation Theory and
+Approximation Practice*, ch. 5).  On a panel [a, b] the equations are solved
+in integral form (Greengard's spectral integration): with S and S2 the
+Chebyshev matrices that integrate node values once and twice from a,
 
-    y_a'' = R(cdot, e_b, cdot, e_a) y_b .
+    x'' = A   becomes   x = x(a) + (tau - a) x'(a) + S2 A,   x' = x'(a) + S A.
 
-Its coefficients along the geodesic, the transport matrix Gamma(., cdot) and
-the Jacobi operator K(tau), are tabulated once per solve on certified
-Chebyshev panels (``coefficient_panels``): jet-exact batched analyses at the
-first-kind Chebyshev nodes of panels of [0, span], bisected until the tail of
-every panel's Chebyshev coefficients lies at the roundoff floor of the values
-over the whole window.  Each integrator stage then reads both by barycentric
-interpolation.  In the parallel frame |C| is the Euclidean norm of y and
-g(cdot, C) is a fixed linear functional of y, so the decay diagnostics near
-the collapsing end of the chart stay well conditioned even though coordinate
-components blow up like 1/f there.
+* The geodesic x'' = -Gamma(x)(x', x') is solved by Picard iteration of that
+  form, one batched ``PointAnalysis`` of the panel's nodes per iteration.  On
+  the axial line of the warped metric Gamma(e_t, e_t) = 0 and the first
+  iteration is already the fixed point.
+* The Jacobi system is integrated in a parallel-transported orthonormal
+  frame, which turns the covariant second derivative into a plain one:
+  carrying the frame rows e_a alongside the geodesic, the field
+  C = sum_a y_a e_a solves y_a'' = R(cdot, e_b, cdot, e_a) y_b.  Its
+  coefficients, the transport matrix Gamma(., cdot) and the Jacobi operator
+  K(tau), are evaluated jet-exactly at the panel's nodes, and the system is
+  linear in them: per panel one block solve for the frame, F' = -F T^T, and
+  one for y'' = (F K^T F^T) y, each in p d unknowns.  In the parallel frame
+  |C| is the Euclidean norm of y and g(cdot, C) is a fixed linear functional
+  of y, so the decay diagnostics near the collapsing end of the chart stay
+  well conditioned even though coordinate components blow up like 1/f there.
+
+A panel is accepted when the tail of its Chebyshev coefficients lies at the
+roundoff floor of the values met in the window (``_certificate``); the next
+panel's length comes from the decay of the accepted one's coefficients, and a
+rejected panel is tried again shorter.  Every solve is bounded: once
+``MAX_PANELS`` panels are certified, or as many rejected, short of the end,
+or past ``MAX_PICARD`` iterations on one panel, it raises ``FlowError``
+(exit 3 from the CLI).
 """
 
 from __future__ import annotations
 
 import csv
-from bisect import bisect_right
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
+from numpy.polynomial import chebyshev
 
 from .batch import inner, matvec, mT
 from .curvature import PointAnalysis, batch_slices, contract_slots, jacobi_operator
 
-# right-hand-side evaluations one solve may make before it is abandoned: about
-# 10x the most any tier-1 or benchmark configuration needs (about 1,200, the
-# Jacobi solves of the warped n = 3 and n = 5 desk runs), so a solve that
-# crawls ends in a FlowError (exit 3) instead of running for hours.  Counting
-# calls rather than seconds keeps the outcome independent of the machine's
-# speed.
-MAX_RHS_CALLS = 12_000
-
-# Chebyshev nodes per coefficient panel, and the most panels one Jacobi solve
-# may refine its tables into before it is abandoned (FlowError, exit 3).  The
-# desk runs and the ends of the profile range need 12 or 13 panels.  A
-# coefficient that jumps inside the window never certifies, and with at most
-# 32 panels bisection toward it stops 31 halvings deep, where a panel still
-# spans 5e-10 of the window and its nodes stay distinct in double precision.
+# Chebyshev nodes per panel, and the most panels one solve may certify, and
+# reject, before it is abandoned (FlowError, exit 3).  The desk runs and the
+# ends of the profile range certify 12 to 16.  A coefficient that jumps
+# inside the window never certifies: the panels close in on the jump, halved
+# on each rejection, until the cap, by then within about 1e-10 of the window
+# of it and with nodes still distinct in double precision.
 PANEL_NODES = 24
 MAX_PANELS = 32
 
+# Picard iterations one geodesic panel may take.  A panel whose iterates
+# contract too slowly to meet the cap is rejected and tried shorter, so the
+# cap ends only an iteration that stalls.  Panels are sized for a contraction
+# rate of about PICARD_RATE per iteration, which scales with their length.
+MAX_PICARD = 24
+PICARD_RATE = 0.1
+
 _EPS = np.finfo(float).eps
+_TINY = np.finfo(float).tiny
 
 
 class FlowError(RuntimeError):
@@ -56,10 +72,191 @@ class FlowError(RuntimeError):
 
 @dataclass(frozen=True)
 class SolveStats:
-    """Work of one solve: right-hand-side evaluations and accepted steps."""
+    """Work of one solve: exact evaluations (one per point analysed) and
+    accepted panels."""
 
     nfev: int
     steps: int
+
+
+def _chebyshev(p: int):
+    """First-kind Chebyshev nodes on [-1, 1], their barycentric weights, the
+    matrix taking node values to Chebyshev coefficients (a DCT-II), and the
+    matrices that integrate the interpolant once and twice from -1: rows at
+    the nodes, then a last row at +1."""
+    theta = (2 * np.arange(p) + 1) * np.pi / (2 * p)
+    nodes = np.cos(theta)
+    to_coeffs = 2.0 / p * np.cos(np.outer(np.arange(p), theta))
+    to_coeffs[0] *= 0.5
+    at = np.append(nodes, 1.0)
+    once = chebyshev.chebvander(at, p) @ chebyshev.chebint(to_coeffs, 1, lbnd=-1.0)
+    twice = chebyshev.chebvander(at, p + 1) @ chebyshev.chebint(to_coeffs, 2, lbnd=-1.0)
+    return nodes, (-1.0) ** np.arange(p) * np.sin(theta), to_coeffs, once, twice
+
+
+_NODES, _WEIGHTS, _TO_COEFFS, _S1, _S2 = _chebyshev(PANEL_NODES)
+
+
+@dataclass
+class Panels:
+    """Values at the Chebyshev nodes of consecutive panels, evaluable anywhere
+    on [edges[0], edges[-1]] by the barycentric formula."""
+
+    edges: np.ndarray    # (P + 1,) panel boundaries
+    values: np.ndarray   # (P, PANEL_NODES) + value shape
+
+    @property
+    def count(self) -> int:
+        return len(self.edges) - 1
+
+    def __call__(self, taus) -> np.ndarray:
+        """Values at a float or an array of parameters: taus.shape + value
+        shape.  The formula is applied to the differences from each panel's
+        first node value, so a constant comes back bit for bit."""
+        taus = np.asarray(taus, dtype=float)
+        flat = taus.reshape(-1)
+        i = np.clip(np.searchsorted(self.edges, flat, side="right") - 1, 0, self.count - 1)
+        a, b = self.edges[i], self.edges[i + 1]
+        gap = ((2.0 * flat - a - b) / (b - a))[:, None] - _NODES
+        hit = gap == 0.0
+        q = np.where(hit.any(axis=1, keepdims=True), hit, _WEIGHTS / np.where(hit, 1.0, gap))
+        values = self.values[i]
+        first = values[:, :1]
+        q = q.reshape(q.shape + (1,) * (values.ndim - 2))
+        out = first[:, 0] + (q * (values - first)).sum(axis=1) / q.sum(axis=1)
+        return out.reshape(taus.shape + self.values.shape[2:])
+
+
+# -- the panel march ------------------------------------------------------------
+
+
+@dataclass
+class _Trial:
+    """One panel tried by ``solve_ivp``: node values the certificate reads,
+    (p, tables) + entries, or None when the panel failed outright; the exact
+    evaluations it made; ``finish``, called once it is accepted, giving its
+    dense node values (p, m) and the state at its right end; and a bound on
+    the next panel's length over this one's."""
+
+    tables: np.ndarray | None
+    evaluations: int
+    finish: Callable[[], tuple[np.ndarray, object]] | None
+    limit: float = np.inf
+
+
+@dataclass
+class PanelSolution:
+    """A finished march: ``t`` the accepted panels' edges, ``values`` their
+    dense node values, ``nfev`` the exact evaluations of every trial.  A march
+    that fails raises, so ``success`` is always true."""
+
+    t: np.ndarray
+    values: np.ndarray
+    nfev: int
+    success: bool = True
+
+    @property
+    def stats(self) -> SolveStats:
+        return SolveStats(nfev=self.nfev, steps=len(self.t) - 1)
+
+
+def _certificate(values: np.ndarray):
+    """(envelope, tail, plateau) of one panel's node values (p, tables, ...).
+
+    The envelope is the largest |Chebyshev coefficient| of each degree over a
+    table's entries, (p, tables); the tail is the largest of its last three.
+    It is a noise plateau (and ``plateau`` holds it, else 0) when the
+    coefficients fell below eps^(2/3) of their largest and then stopped
+    falling: a tail within 10x of the three before it.  Roundoff in the
+    values spreads evenly over the coefficients, while a series still
+    converging cannot do both within 24 coefficients: falling 10x or less
+    per three, it falls no further than about 10^-8, short of eps^(2/3) =
+    4e-11 (the criterion of Aurentz and Trefethen's "Chopping a Chebyshev
+    series", on one panel's coefficients).
+    """
+    p, tables = values.shape[:2]
+    coeffs = _TO_COEFFS @ values.reshape(p, -1)
+    envelope = np.abs(coeffs.reshape(p, tables, -1)).max(axis=-1)
+    tail = envelope[-3:].max(axis=0)
+    flat = tail >= 0.1 * envelope[-6:-3].max(axis=0)
+    fallen = tail <= _EPS ** (2.0 / 3.0) * envelope.max(axis=0)
+    return envelope, tail, np.where(flat & fallen, tail, 0.0)
+
+
+def _length_factor(envelope: np.ndarray, floor: np.ndarray) -> float:
+    """The next panel's length over that of this certified one, from the
+    decay of its coefficient envelope (p, tables) down to the floor.
+
+    A series decaying like rho^-k belongs to a function analytic inside the
+    Bernstein ellipse of parameter rho, i.e. with its nearest singularity
+    (x_rho - 1) h/2 past the panel's end, x_rho = (rho + 1/rho)/2, when it
+    lies ahead: the pole of Gamma(., cdot) just past the window's end.  rho
+    is read off the degree from which the envelope stays within 8x of the
+    floor, and the next panel is sized so that the same singularity would
+    bring the envelope there by degree p - 5.  Tables within 8x of their
+    floor throughout give no bound; the next panel grows at most 2x.
+    """
+    p = PANEL_NODES
+    ratio = envelope.max(axis=0) / (8.0 * floor)
+    above = envelope > 8.0 * floor
+    used = above.any(axis=0)
+    if not used.any():
+        return 2.0
+    ratio, reach = ratio[used], p - np.argmax(above[::-1], axis=0)[used]
+    rho, target = ratio ** (1.0 / reach), ratio ** (1.0 / (p - 5))
+    factor = (0.5 * (rho + 1.0 / rho) - 1.0) / (0.5 * (target + 1.0 / target) + 1.0)
+    return float(np.clip(factor.min(), 0.125, 2.0))
+
+
+def solve_ivp(trial: Callable[[float, float, object], _Trial], span: float, state, *,
+              name: str) -> PanelSolution:
+    """March Chebyshev panels across [0, span] from the initial ``state``.
+
+    ``trial(a, b, state)`` tries the panel [a, b] from the state at a.  A
+    panel is certified when, for every table, its coefficient tail lies at
+    or below the roundoff floor of the window: the larger of eps times the
+    largest value met in the window and the highest noise plateau of any
+    panel.  That floor is measured, not set: it follows the noise of the
+    evaluations, which differs between tables and across the profile range
+    by orders of magnitude.  It only rises, so a certified panel stays
+    certified.  A rejected panel is tried again at half its length (or at
+    its trial's ``limit``, down to 1/8), and the panel after it does not
+    grow.  Once ``MAX_PANELS`` panels are certified, or as many rejected,
+    short of span, the solve raises ``FlowError`` naming the solve
+    (``name``) and the tau its certified part reached.
+    """
+    edges, values = [0.0], []
+    scale = noise = 0.0
+    nfev, rejected, length, grow = 0, 0, span, True
+    while edges[-1] < span:
+        a = edges[-1]
+        if MAX_PANELS in (len(values), rejected):
+            raise FlowError(
+                f"{name} exceed {MAX_PANELS} panels: no certified Chebyshev interpolant "
+                f"near tau = {a:.6g} of {span:.6g}")
+        b = min(a + length, span)
+        piece = trial(a, b, state)
+        nfev += piece.evaluations
+        if piece.tables is not None:
+            envelope, tail, plateau = _certificate(piece.tables)
+            scale = np.maximum(scale, np.abs(piece.tables.reshape(PANEL_NODES, len(tail), -1))
+                               .max(axis=(0, 2)))
+            noise = np.maximum(noise, plateau)
+            floor = np.maximum(_EPS * scale, noise)
+        if piece.tables is None or not (tail <= floor).all():
+            rejected += 1
+            length, grow = (b - a) * min(max(piece.limit, 0.125), 0.5), False
+            continue
+        factor = _length_factor(envelope, np.maximum(floor, _TINY))
+        length = (b - a) * min(factor, piece.limit, np.inf if grow else 1.0)
+        grow = True
+        node_values, state = piece.finish()
+        values.append(node_values)
+        edges.append(b)
+    return PanelSolution(t=np.array(edges), values=np.stack(values), nfev=nfev)
+
+
+# -- geodesics --------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -80,51 +277,17 @@ class GeodesicPath:
     positions: np.ndarray   # (N, d)
     velocities: np.ndarray  # (N, d)
     stats: SolveStats
-    _dense: object = None
+    dense: Panels           # packed (position, velocity) on the solve's panels
 
     def states(self, taus) -> tuple[np.ndarray, np.ndarray]:
-        """(positions, velocities) at an array of parameters, (N, d) each."""
+        """(positions, velocities) at a float or an array of parameters."""
         d = self.positions.shape[1]
-        packed = self._dense(np.asarray(taus, dtype=float)).T
-        return packed[:, :d], packed[:, d:]
+        packed = self.dense(taus)
+        return packed[..., :d], packed[..., d:]
 
     def state(self, tau: float) -> GeodesicState:
-        d = self.positions.shape[1]
-        packed = self._dense(tau)
-        return GeodesicState(position=packed[:d], velocity=packed[d:])
-
-
-def _solve(name: str, rhs, t_span, *args, **kwargs):
-    """solve_ivp on ``rhs`` within ``MAX_RHS_CALLS`` evaluations of it.
-
-    Past the budget the solve raises ``FlowError`` naming the solve (``name``)
-    and the furthest tau it reached.  ``rhs`` is reached through a holder
-    emptied when the solve returns: scipy's solver and its wrapper of ``rhs``
-    form a reference cycle that only the cyclic garbage collector frees, and
-    through ``rhs`` it would keep the metric model (and its memos) of a
-    finished run alive until then.
-    """
-    holder = [rhs]
-    calls, reached = 0, t_span[0]
-
-    def counted(t, y):
-        nonlocal calls, reached
-        calls += 1
-        reached = max(reached, t)
-        if calls > MAX_RHS_CALLS:
-            raise FlowError(
-                f"{name} integration exceeded its budget of {MAX_RHS_CALLS} right-hand-side "
-                f"evaluations at tau = {reached:.6g} of {t_span[1]:.6g}")
-        return holder[0](t, y)
-
-    try:
-        return solve_ivp(counted, t_span, *args, **kwargs)
-    finally:
-        holder.clear()
-
-
-def _stats(sol) -> SolveStats:
-    return SolveStats(nfev=int(sol.nfev), steps=len(sol.t) - 1)
+        x, v = self.states(tau)
+        return GeodesicState(position=x, velocity=v)
 
 
 def geodesic_acceleration(gamma: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -144,27 +307,67 @@ def jacobi_matrix(R4: np.ndarray, v: np.ndarray, frame: np.ndarray) -> np.ndarra
     return mT(contract_slots(R4, v, frame, v, frame, rank=4))
 
 
+def _analyses(field, x: np.ndarray):
+    """(slice, analysis) over the points x (N, d), one batched analysis per
+    memory-bounded slice."""
+    return [(sl, PointAnalysis(field, field.point(x[sl])))
+            for sl in batch_slices(len(x), x.shape[1])]
+
+
+def _geodesic_panel(field, a: float, b: float, start) -> _Trial:
+    """Picard iteration of the integral form on [a, b], from the straight
+    line through the state at a.  It stops when an iterate moves no node
+    further than the rounding of the values; a panel whose iterates contract
+    too slowly to get there within ``MAX_PICARD`` iterations is returned as
+    failed, and an iteration past the cap raises ``FlowError``."""
+    x, v = start
+    h2 = 0.5 * (b - a)
+    line = x + np.outer((_NODES + 1.0) * h2, v)
+    X, V = line, np.broadcast_to(v, line.shape)
+    p = PANEL_NODES
+    history = []
+    while True:
+        if len(history) == MAX_PICARD:
+            raise FlowError(f"geodesic Picard iteration exceeds {MAX_PICARD} iterations "
+                            f"on the panel at tau = {a:.6g}")
+        acc = np.empty_like(X)
+        for sl, analysis in _analyses(field, X):
+            acc[sl] = geodesic_acceleration(analysis.gamma, V[sl])
+        X1 = line + h2 * h2 * (_S2[:p] @ acc)
+        V1 = v + h2 * (_S1[:p] @ acc)
+        speed = np.abs(V1).max()
+        tol_x = 8.0 * _EPS * (np.abs(X1).max() + 2.0 * h2 * speed) + _TINY
+        tol_v = 8.0 * _EPS * (speed + 2.0 * h2 * np.abs(acc).max()) + _TINY
+        history.append(max(np.abs(X1 - X).max() / tol_x, np.abs(V1 - V).max() / tol_v))
+        X, V = X1, V1
+        if history[-1] <= 1.0:
+            break
+        if len(history) > 1:
+            rate = history[-1] / history[-2]
+            if rate >= 1.0 or len(history) - np.log(history[-1]) / np.log(rate) > MAX_PICARD:
+                return _Trial(None, p * len(history), None, PICARD_RATE / rate)
+
+    def finish():
+        end = (x + 2.0 * h2 * v + h2 * h2 * (_S2[p] @ acc), v + h2 * (_S1[p] @ acc))
+        return np.concatenate([X, V], axis=1), end
+
+    # the mean contraction before the last step, which rounding may cut short
+    rate = (history[-2] / history[0]) ** (1.0 / (len(history) - 2)) if len(history) > 2 else 0.0
+    return _Trial(np.stack([X, V], axis=1), p * len(history), finish,
+                  PICARD_RATE / rate if rate else np.inf)
+
+
 def integrate_geodesic(field, start: GeodesicState, span: float, *,
-                       rtol: float = 1e-11, atol: float = 1e-12,
                        samples: int = 64) -> GeodesicPath:
-    """Integrate the geodesic equation x'' = -Gamma(x)(x', x')."""
+    """Integrate the geodesic equation x'' = -Gamma(x)(x', x') on [0, span]."""
+    sol = solve_ivp(lambda a, b, state: _geodesic_panel(field, a, b, state), span,
+                    (start.position, start.velocity), name="geodesic tables")
+    dense = Panels(sol.t, sol.values)
     d = start.position.shape[0]
-
-    def rhs(_, state):
-        x, v = state[:d], state[d:]
-        gamma = PointAnalysis(field, field.point(x)).gamma
-        return np.concatenate([v, geodesic_acceleration(gamma, v)])
-
-    y0 = np.concatenate([start.position, start.velocity])
-    sol = _solve("geodesic", rhs, (0.0, span), y0, method="DOP853",
-                 rtol=rtol, atol=atol, dense_output=True)
-    if not sol.success:
-        raise FlowError(f"geodesic integration failed: {sol.message}")
     taus = np.linspace(0.0, span, samples)
-    packed = sol.sol(taus).T
-    return GeodesicPath(field=field, span=span, taus=taus,
-                        positions=packed[:, :d], velocities=packed[:, d:],
-                        stats=_stats(sol), _dense=sol.sol)
+    packed = dense(taus)
+    return GeodesicPath(field=field, span=span, taus=taus, positions=packed[:, :d],
+                        velocities=packed[:, d:], stats=sol.stats, dense=dense)
 
 
 def geodesic_residuals(path: GeodesicPath, taus=None, step: float = 1e-4):
@@ -181,20 +384,7 @@ def geodesic_residuals(path: GeodesicPath, taus=None, step: float = 1e-4):
     return float(np.sqrt(inner(analysis.g, res, res)).max())
 
 
-# -- coefficient panels ---------------------------------------------------------
-
-
-def _chebyshev(p: int):
-    """First-kind Chebyshev nodes on [-1, 1], their barycentric weights
-    (Trefethen, ATAP ch. 5) and the matrix taking values at the nodes to
-    Chebyshev coefficients (a DCT-II)."""
-    theta = (2 * np.arange(p) + 1) * np.pi / (2 * p)
-    to_coeffs = 2.0 / p * np.cos(np.outer(np.arange(p), theta))
-    to_coeffs[0] *= 0.5
-    return np.cos(theta), (-1.0) ** np.arange(p) * np.sin(theta), to_coeffs
-
-
-_NODES, _WEIGHTS, _TO_COEFFS = _chebyshev(PANEL_NODES)
+# -- the Jacobi flow --------------------------------------------------------------
 
 
 def coefficients_at(path: GeodesicPath, taus: np.ndarray) -> np.ndarray:
@@ -202,111 +392,44 @@ def coefficients_at(path: GeodesicPath, taus: np.ndarray) -> np.ndarray:
     the geodesic's points of parameters ``taus``, jet-exact, from one array
     call into the dense output and one batched analysis per memory-bounded
     slice."""
-    field = path.field
     x, v = path.states(taus)
     d = x.shape[1]
     out = np.empty((len(x), 2, d, d))
-    for sl in batch_slices(len(x), d):
-        analysis = PointAnalysis(field, field.point(x[sl]))
+    for sl, analysis in _analyses(path.field, x):
         out[sl, 0] = transport_matrix(analysis.gamma, v[sl])
         out[sl, 1] = jacobi_operator(analysis, v[sl])
     return out
 
 
-def _certificate(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(tail, plateau) of panels with node values (P, p, 2, d, d), per panel
-    and table (P, 2).
-
-    The tail is the largest of the panel's last three Chebyshev coefficients,
-    over all entries.  It is a noise plateau (and ``plateau`` holds it, else
-    0) when the coefficients fell below eps^(2/3) of their largest and then
-    stopped falling: a tail within 10x of the three before it.  Roundoff in
-    the values spreads evenly over the coefficients, while a series still
-    converging cannot do both within 24 coefficients: falling 10x or less per
-    three, it falls no further than about 10^-8, short of eps^(2/3) = 4e-11
-    (the criterion of Aurentz and Trefethen's "Chopping a Chebyshev series",
-    on one panel's coefficients).
-    """
-    coeffs = np.einsum("kj,pjq...->pkq...", _TO_COEFFS, values)
-    envelope = np.abs(coeffs.reshape(coeffs.shape[:3] + (-1,))).max(axis=-1)
-    tail = envelope[:, -3:].max(axis=1)
-    flat = tail >= 0.1 * envelope[:, -6:-3].max(axis=1)
-    fallen = tail <= _EPS ** (2.0 / 3.0) * envelope.max(axis=1)
-    return tail, np.where(flat & fallen, tail, 0.0)
+def _block(weights: np.ndarray, blocks: np.ndarray) -> np.ndarray:
+    """The (p d, p d) matrix of sum_k weights[j, k] blocks[k] acting on the
+    node values (p, d) of a vector, flattened."""
+    p, d = blocks.shape[:2]
+    return (weights[:, None, :, None] * blocks.transpose(1, 0, 2)[None]).reshape(p * d, p * d)
 
 
-@dataclass
-class CoefficientPanels:
-    """Gamma(., cdot) and the Jacobi operator K along a solved geodesic, as
-    Chebyshev interpolants on certified panels of [0, span]."""
-
-    edges: np.ndarray    # (P + 1,) panel boundaries
-    values: np.ndarray   # (P, PANEL_NODES, 2, d, d) exact values at each panel's nodes
-    evaluations: int     # exact evaluations made, those of bisected panels included
-
-    def __post_init__(self):
-        self._bounds = self.edges.tolist()  # bisect on a list beats searchsorted on a float
-        self._flat = self.values.reshape(self.values.shape[:2] + (-1,))
-
-    @property
-    def count(self) -> int:
-        return len(self.edges) - 1
-
-    def __call__(self, tau: float) -> np.ndarray:
-        """(2, d, d): Gamma(., cdot) and K at ``tau``, by the barycentric
-        formula of the second kind on the panel holding it."""
-        i = min(max(bisect_right(self._bounds, tau) - 1, 0), self.count - 1)
-        a, b = self._bounds[i], self._bounds[i + 1]
-        gap = (2.0 * tau - a - b) / (b - a) - _NODES
-        if not gap.all():  # tau on a node
-            return self.values[i, np.argmin(np.abs(gap))]
-        q = _WEIGHTS / gap
-        return ((q @ self._flat[i]) / q.sum()).reshape(self.values.shape[2:])
-
-
-def coefficient_panels(path: GeodesicPath) -> CoefficientPanels:
-    """Tabulate Gamma(., cdot) and K along ``path`` on certified panels.
-
-    Refinement starts from the one panel [0, span] and evaluates the nodes of
-    all new panels in one batch per round.  A panel is certified when, for
-    both tables, its coefficient tail (``_certificate``) lies at or below the
-    roundoff floor of the window: the larger of eps times the largest value
-    met anywhere in the window and the highest noise plateau of any panel.
-    That floor is measured, not set: it follows the noise of the evaluations,
-    which differs between the two tables and across the profile range by
-    orders of magnitude.  Uncertified panels are bisected; past
-    ``MAX_PANELS`` the solve raises ``FlowError``.  The floor only rises, so
-    a certified panel stays certified.
-    """
-    certified, pending = [], [(0.0, path.span)]
-    scale = noise = np.zeros(2)
-    evaluations = 0
-    while pending:
-        if len(certified) + len(pending) > MAX_PANELS:
-            a, b = pending[0]
-            raise FlowError(
-                f"jacobi coefficient tables exceed {MAX_PANELS} panels: no certified "
-                f"Chebyshev interpolant near tau = {0.5 * (a + b):.6g} of {path.span:.6g}")
-        bounds = np.array(pending)
-        taus = (bounds.mean(axis=1)[:, None]
-                + 0.5 * (bounds[:, 1] - bounds[:, 0])[:, None] * _NODES).ravel()
-        fresh = coefficients_at(path, taus)
-        fresh = fresh.reshape((len(pending), PANEL_NODES) + fresh.shape[1:])
-        evaluations += len(taus)
-        scale = np.maximum(scale, np.abs(fresh).max(axis=(0, 1, 3, 4)))
-        tail, plateau = _certificate(fresh)
-        noise = np.maximum(noise, plateau.max(axis=0))
-        good = (tail <= np.maximum(_EPS * scale, noise)).all(axis=1)
-        certified += [(a, v) for (a, _), v, ok in zip(pending, fresh, good) if ok]
-        pending = [half for (a, b), ok in zip(pending, good) if not ok
-                   for half in ((a, 0.5 * (a + b)), (0.5 * (a + b), b))]
-    certified.sort(key=lambda panel: panel[0])
-    return CoefficientPanels(edges=np.array([a for a, _ in certified] + [path.span]),
-                             values=np.stack([v for _, v in certified]),
-                             evaluations=evaluations)
-
-
-# -- the Jacobi flow --------------------------------------------------------------
+def _jacobi_panel(h2: float, coefficients: np.ndarray, frame: np.ndarray, y: np.ndarray,
+                  yp: np.ndarray):
+    """Collocation of the transport + Jacobi system on one panel of half-length
+    h2, from the coefficients at its nodes (p, 2, d, d) and the state at its
+    left end: (node values (p, d d + 2 d), state at its right end)."""
+    p, d = PANEL_NODES, y.shape[0]
+    transport, K = coefficients[:, 0], coefficients[:, 1]
+    # every frame row e solves e' = -T e: one matrix, d right-hand sides
+    rows = np.linalg.solve(np.eye(p * d) + h2 * _block(_S1[:p], transport),
+                           np.tile(frame.T, (p, 1)))
+    frames = rows.reshape(p, d, d).transpose(0, 2, 1)
+    frame_end = frame - h2 * (_S1[p] @ (frames @ mT(transport)).reshape(p, -1)).reshape(d, d)
+    # y'' = M y with M = F K^T F^T, the Jacobi matrix of the frame
+    M = frames @ mT(K) @ mT(frames)
+    line = y + np.outer((_NODES + 1.0) * h2, yp)
+    ys = np.linalg.solve(np.eye(p * d) - h2 * h2 * _block(_S2[:p], M),
+                         line.ravel()).reshape(p, d)
+    ypp = matvec(M, ys)
+    yps = yp + h2 * (_S1[:p] @ ypp)
+    end = (frame_end, y + 2.0 * h2 * yp + h2 * h2 * (_S2[p] @ ypp),
+           yp + h2 * (_S1[p] @ ypp))
+    return np.concatenate([frames.reshape(p, d * d), ys, yps], axis=1), end
 
 
 @dataclass
@@ -320,19 +443,23 @@ class JacobiResult:
     frames: np.ndarray        # (N, d, d) transported frame rows at samples
     velocity_inner: np.ndarray  # g(cdot, C) at samples
     stats: SolveStats
-    coefficients: CoefficientPanels
-    _dense: object = None
+    coefficients: Panels      # Gamma(., cdot) and K at the nodes, (P, p, 2, d, d)
+    dense: Panels             # packed (frame, y, y') on the solve's panels
 
     def coordinate_field(self, idx: int) -> np.ndarray:
         """C in chart coordinates at sample ``idx``."""
         return self.y[idx] @ self.frames[idx]
 
     def states(self, taus) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(frames, y, y') from the dense solution at an array of parameters."""
-        d = self.y.shape[1]
-        packed = self._dense(np.asarray(taus, dtype=float)).T
-        return (packed[:, :d * d].reshape(-1, d, d), packed[:, d * d:d * d + d],
-                packed[:, d * d + d:])
+        """(frames, y, y') from the dense solution at a float or an array of
+        parameters."""
+        return _unpack(self.dense(taus), self.y.shape[1])
+
+
+def _unpack(packed: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(frames, y, y') from packed Jacobi states B + (d d + 2 d,)."""
+    return (packed[..., :d * d].reshape(packed.shape[:-1] + (d, d)),
+            packed[..., d * d:d * d + d], packed[..., d * d + d:])
 
 
 def _initial_frame(analysis: PointAnalysis, velocity: np.ndarray) -> np.ndarray:
@@ -356,17 +483,16 @@ def _initial_frame(analysis: PointAnalysis, velocity: np.ndarray) -> np.ndarray:
 
 
 def integrate_jacobi(path: GeodesicPath, C0: np.ndarray, DC0: np.ndarray, *,
-                     rtol: float = 1e-10, atol: float = 1e-12,
                      samples: int = 200) -> JacobiResult:
     """Integrate nabla^2 C = R(cdot, C) cdot along a solved geodesic.
 
-    The coefficients of the system, Gamma(., cdot) for the frame transport
-    and the directional Jacobi operator (``curvature.jacobi_operator``), come
-    from the certified panels of ``coefficient_panels``, built once; each
-    right-hand side interpolates them and applies the frame algebra.
+    Each panel evaluates Gamma(., cdot) and the directional Jacobi operator
+    (``curvature.jacobi_operator``) jet-exactly at its nodes; once those
+    tables certify, the linear system is solved on the panel by collocation
+    (``_jacobi_panel``).  The certified tables are kept as the result's
+    ``coefficients``.
     """
     field = path.field
-    d = path.positions.shape[1]
     start = path.state(0.0)
     analysis0 = PointAnalysis(field, field.point(start.position))
     frame0 = _initial_frame(analysis0, start.velocity)
@@ -374,30 +500,25 @@ def integrate_jacobi(path: GeodesicPath, C0: np.ndarray, DC0: np.ndarray, *,
     y0 = frame0 @ g0 @ np.asarray(C0, dtype=float)
     yp0 = frame0 @ g0 @ np.asarray(DC0, dtype=float)
     dot0 = frame0 @ g0 @ start.velocity  # g(cdot, e_a), parallel-constant
-    table = coefficient_panels(path)
+    tables = []
 
-    def rhs(tau, state):
-        frame = state[:d * d].reshape(d, d)
-        y = state[d * d:d * d + d]
-        yp = state[d * d + d:]
-        transport, K = table(tau)
-        # (frame K^T frame^T) y: the Jacobi matrix of the frame, applied to y
-        ypp = frame @ (K.T @ (y @ frame))
-        return np.concatenate([(-frame @ transport.T).ravel(), yp, ypp])
+    def trial(a, b, state):
+        coefficients = coefficients_at(path, 0.5 * (a + b) + 0.5 * (b - a) * _NODES)
 
-    state0 = np.concatenate([frame0.ravel(), y0, yp0])
-    sol = _solve("jacobi", rhs, (0.0, path.span), state0, method="DOP853",
-                 rtol=rtol, atol=atol, dense_output=True)
-    if not sol.success:
-        raise FlowError(f"jacobi integration failed: {sol.message}")
+        def finish():
+            tables.append(coefficients)
+            return _jacobi_panel(0.5 * (b - a), coefficients, *state)
+
+        return _Trial(coefficients, PANEL_NODES, finish)
+
+    sol = solve_ivp(trial, path.span, (frame0, y0, yp0), name="jacobi coefficient tables")
+    dense = Panels(sol.t, sol.values)
     taus = np.linspace(0.0, path.span, samples)
-    packed = sol.sol(taus).T
-    frames = packed[:, :d * d].reshape(samples, d, d)
-    y = packed[:, d * d:d * d + d]
-    yp = packed[:, d * d + d:]
+    frames, y, yp = _unpack(dense(taus), len(y0))
     return JacobiResult(path=path, taus=taus, y=y, yp=yp, frames=frames,
-                        velocity_inner=y @ dot0, stats=_stats(sol), coefficients=table,
-                        _dense=sol.sol)
+                        velocity_inner=y @ dot0, stats=sol.stats,
+                        coefficients=Panels(sol.t, np.stack(tables)),
+                        dense=dense)
 
 
 def jacobi_equation_residual(result: JacobiResult, taus, step: float = 1e-4) -> float:
@@ -428,9 +549,7 @@ class DecayReport:
     max_velocity_inner: float
     geodesic_residual: float
     geodesic_stats: SolveStats
-    jacobi_stats: SolveStats
-    jacobi_panels: int        # certified coefficient panels of the Jacobi solve
-    jacobi_evaluations: int   # exact coefficient evaluations that built them
+    jacobi_stats: SolveStats  # exact coefficient evaluations, certified panels
 
     COLUMNS = ("t", "C_norm", "f", "ratio_residual", "g_cdot_C")
 
@@ -449,8 +568,7 @@ def _dot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 def jacobi_decay_experiment(model, t0: float, t_end: float, *,
                             z0: np.ndarray | None = None, psi0: float = 0.0,
-                            samples: int = 200, rtol: float = 1e-10,
-                            atol: float = 1e-12) -> DecayReport:
+                            samples: int = 200) -> DecayReport:
     """Integrate the Jacobi field that restricts the fiber Killing field along
     the t-line geodesic and compare against the closed forms.
 
@@ -476,13 +594,12 @@ def jacobi_decay_experiment(model, t0: float, t_end: float, *,
     v0 = np.zeros(d)
     v0[0] = 1.0
 
-    path = integrate_geodesic(model, GeodesicState(x0, v0), t_end - t0,
-                              rtol=rtol, atol=atol)
+    path = integrate_geodesic(model, GeodesicState(x0, v0), t_end - t0)
     analysis0 = PointAnalysis(model, model.point(x0))
     C0 = np.zeros(d)
     C0[1] = 1.0  # the fiber field: f(t0) JH in coordinates
     DC0 = analysis0.gamma[:, 0, 1]  # nabla_H of the fiber field
-    jac = integrate_jacobi(path, C0, DC0, rtol=rtol, atol=atol, samples=samples)
+    jac = integrate_jacobi(path, C0, DC0, samples=samples)
 
     n = model.params.n
     t = t0 + jac.taus
@@ -507,6 +624,4 @@ def jacobi_decay_experiment(model, t0: float, t_end: float, *,
         geodesic_residual=geodesic_residuals(path, interior),
         geodesic_stats=path.stats,
         jacobi_stats=jac.stats,
-        jacobi_panels=jac.coefficients.count,
-        jacobi_evaluations=jac.coefficients.evaluations,
     )

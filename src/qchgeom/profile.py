@@ -16,10 +16,10 @@ P known it integrates in closed form:
     r(t) = x + (y - x) sn^2(omega t | m),   m = (y - x)/y,
     omega = sqrt(s / (x (y - x))) / 2,      L = K(m) / omega,
 
-so r' = 2 (y - x) omega sn cn dn, while r'' = P'(r)/2 and r''' = P''(r) r'/2
-follow from the equation of motion.  sn, cn, dn and K come from the
-arithmetic-geometric mean and the descending Landen transformation (DLMF
-19.8.1, 22.20.1), vectorised over t.
+so r' = 2 (y - x) omega sn cn dn, while r'' = P'(r)/2 (with P' from the
+roots) and r''' = P''(r) r'/2 follow from the equation of motion.  sn, cn,
+dn and K come from the arithmetic-geometric mean and the descending Landen
+transformation (DLMF 19.8.1, 22.20.1), vectorised over t.
 """
 
 from __future__ import annotations
@@ -59,6 +59,13 @@ class CubicProfilePolynomial:
         _, _, c2, c3 = self.coefficients
         return 2.0 * c2 + 6.0 * c3 * t
 
+    def deriv1_factored(self, t):
+        """P'(t) from the roots, c3 [(t-y)(t-x-y) + (t-x)(t-x-y) + (t-x)(t-y)]:
+        free of the cancellation of the monomial form between nearby roots."""
+        x, y, c3 = self.x, self.y, self.coefficients[3]
+        a, b, c = t - x, t - y, t - x - y
+        return c3 * (b * c + a * c + a * b)
+
 
 def build_polynomial(x: float, y: float, s: float) -> CubicProfilePolynomial:
     """Construct the unique admissible cubic for endpoint values (x, y) and pitch s.
@@ -77,15 +84,17 @@ def build_polynomial(x: float, y: float, s: float) -> CubicProfilePolynomial:
     e3 = x * y * (x + y)              # product
     poly = CubicProfilePolynomial(x, y, s, (-c3 * e3, c3 * e2, -c3 * e1, c3))
 
-    scale = max(abs(c) for c in poly.coefficients) * max(1.0, y) ** 3
-    for value, label in ((poly(x), "P(x)"), (poly(y), "P(y)")):
-        if abs(value) > 1e-12 * scale:
-            raise ProfileError(f"{label} = {value} is not zero within tolerance")
-    for value, target, label in (
-        (x * poly.deriv1(x), s, "x P'(x)"),
-        (y * poly.deriv1(y), -s, "y P'(y)"),
+    # each self-check within the rounding of its monomial evaluation: a small
+    # multiple of eps times the sum of the magnitudes of its terms, which near
+    # y = x cancel to about (y - x)/y of their size
+    c0, c1, c2, c3 = poly.coefficients
+    for label, value, target, terms in (
+        ("P(x)", poly(x), 0.0, (c0, c1 * x, c2 * x * x, c3 * x ** 3)),
+        ("P(y)", poly(y), 0.0, (c0, c1 * y, c2 * y * y, c3 * y ** 3)),
+        ("x P'(x)", x * poly.deriv1(x), s, (c1 * x, 2.0 * c2 * x * x, 3.0 * c3 * x ** 3)),
+        ("y P'(y)", y * poly.deriv1(y), -s, (c1 * y, 2.0 * c2 * y * y, 3.0 * c3 * y ** 3)),
     ):
-        if abs(value - target) > 1e-12 * max(1.0, abs(s)):
+        if abs(value - target) > 16.0 * _EPS * sum(abs(term) for term in terms):
             raise ProfileError(f"{label} = {value}, expected {target}")
     samples = x + (y - x) * (np.arange(1, 21) / 21.0)
     if not np.all(poly(samples) > 0.0):
@@ -178,7 +187,7 @@ class ProfileSolution:
         sn2, kp2 = sn * sn, x / y
         r = np.where(far, y - (y - x) * kp2 * sn2 / (dn * dn), x + (y - x) * sn2)[()]
         rp = (2.0 * (y - x) * self.omega * sn * cn * np.where(far, kp2 / (dn * dn * dn), dn))[()]
-        return r, rp, 0.5 * poly.deriv1(r), 0.5 * poly.deriv2(r) * rp
+        return r, rp, 0.5 * poly.deriv1_factored(r), 0.5 * poly.deriv2(r) * rp
 
     def warp(self, t):
         r, rp, _, _ = self.evaluate(t)

@@ -428,8 +428,7 @@ def _nabla_j_check(res: _Residuals, analyses) -> None:
 
 def _decay_checks(res: _Residuals, model) -> None:
     L, samples = model.profile.L, 160
-    rep = jacobi_decay_experiment(model, 0.2 * L, L * (1.0 - 1e-3),
-                                  samples=samples, rtol=1e-12, atol=1e-14)
+    rep = jacobi_decay_experiment(model, 0.2 * L, L * (1.0 - 1e-3), samples=samples)
     res.add(decay_norm_tracks_warp=rep.max_norm_deviation,
             decay_ratio_law=rep.max_ratio_residual,
             decay_collapse=rep.decay_factor,

@@ -69,8 +69,7 @@ def warped_fits(warped_50):
 @pytest.fixture(scope="module")
 def decay(warped):
     L = warped.profile.L
-    return jacobi_decay_experiment(warped, 0.2 * L, L * (1.0 - 1e-3),
-                                   samples=160, rtol=1e-12, atol=1e-14)
+    return jacobi_decay_experiment(warped, 0.2 * L, L * (1.0 - 1e-3), samples=160)
 
 
 def criterion(number, passed, text):

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy import integrate
 
 import qchgeom.curvature as curvature
 import qchgeom.flows as flows
@@ -17,7 +18,6 @@ from qchgeom.curvature import PointAnalysis, jacobi_operator
 from qchgeom.flows import (
     FlowError,
     GeodesicState,
-    coefficient_panels,
     coefficients_at,
     geodesic_acceleration,
     geodesic_residuals,
@@ -34,8 +34,7 @@ from qchgeom.jets import Jet2, compose
 @pytest.fixture(scope="module")
 def decay_report(warped):
     L = warped.profile.L
-    return jacobi_decay_experiment(warped, 0.2 * L, L * (1.0 - 1e-3),
-                                   samples=160, rtol=1e-12, atol=1e-14)
+    return jacobi_decay_experiment(warped, 0.2 * L, L * (1.0 - 1e-3), samples=160)
 
 
 def test_flat_geodesic_is_straight_line():
@@ -166,36 +165,67 @@ def test_jacobi_equation_residual_on_desk_flow():
     x0 = np.zeros(model.dim); x0[0] = 0.2 * L
     v0 = np.zeros(model.dim); v0[0] = 1.0
     span = L * (1.0 - 1e-3) - x0[0]
-    path = integrate_geodesic(model, GeodesicState(x0, v0), span, rtol=1e-12, atol=1e-14)
+    path = integrate_geodesic(model, GeodesicState(x0, v0), span)
     C0 = np.zeros(model.dim); C0[1] = 1.0
     DC0 = PointAnalysis(model, model.point(x0)).gamma[:, 0, 1]
-    result = integrate_jacobi(path, C0, DC0, rtol=1e-12, atol=1e-14, samples=160)
+    result = integrate_jacobi(path, C0, DC0, samples=160)
     assert jacobi_equation_residual(result, np.linspace(0.05, 0.95, 7) * span) < 1e-7
 
 
 @pytest.mark.parametrize("x,y", [(0.1, 10.0), (1.0, 1.001)])
 def test_decay_flow_work_stays_bounded_off_the_desk(x, y):
-    """The suite's decay flow at these endpoints takes about the right-hand
-    sides of the desk flow (1,184), not the 49,766 and more it took when the
-    profile was interpolated."""
+    """The suite's decay flow at these endpoints takes about the panels of
+    the desk flow: the geodesic one panel of one Picard iteration, the Jacobi
+    solve at most 24 panel trials (16 and 13 certified panels from 480 and
+    384 exact evaluations), where it once took 49,766 right-hand sides and
+    more."""
     n, s = 3, 2.0 / 3.0
     profile = solve_profile(build_polynomial(x, y, s))
     model = WarpedBundleMetric(BundleParams(n=n, c0=4.0, s=s, k=1, q=n, L=profile.L), profile)
     L = profile.L
-    report = jacobi_decay_experiment(model, 0.2 * L, L * (1.0 - 1e-3), samples=160,
-                                     rtol=1e-12, atol=1e-14)
-    assert report.jacobi_stats.nfev <= 2400
+    report = jacobi_decay_experiment(model, 0.2 * L, L * (1.0 - 1e-3), samples=160)
+    assert report.geodesic_stats == flows.SolveStats(nfev=flows.PANEL_NODES, steps=1)
+    assert report.jacobi_stats.steps <= report.jacobi_stats.nfev / flows.PANEL_NODES <= 24
 
 
-def test_solve_budget_raises_flow_error(warped, profile, monkeypatch):
-    # the axial geodesic needs 77 right-hand sides at these tolerances
-    monkeypatch.setattr(flows, "MAX_RHS_CALLS", 40)
-    x0 = np.array([0.25 * profile.L, 0.0, 0.1, 0.2, 0.0, 0.0])
-    v0 = np.zeros(6); v0[0] = 1.0
-    with pytest.raises(FlowError, match=r"geodesic integration exceeded its budget of 40 "
-                                        r"right-hand-side evaluations at tau = "):
-        integrate_geodesic(warped, GeodesicState(x0, v0), 0.5 * profile.L,
-                           rtol=1e-12, atol=1e-14)
+def _fubini_study_ray(c0, span, direction):
+    """(path, unit chart direction) of the radial Fubini-Study geodesic from
+    the chart origin."""
+    bm = BaseChartMetric(FubiniStudy(1, c0))
+    g0 = PointAnalysis(bm, ChartPoint(z=np.zeros(2))).g
+    u = np.asarray(direction, dtype=float) / np.linalg.norm(direction)
+    return integrate_geodesic(bm, GeodesicState(np.zeros(2), u / np.sqrt(u @ g0 @ u)), span), u
+
+
+@pytest.mark.parametrize("c0,span,direction", [(4.0, 1.2, (1.0, 0.0)), (1.0, 2.5, (0.6, 0.8)),
+                                               (9.0, 0.9, (1.0, 1.0))])
+def test_radial_fubini_study_geodesic_matches_closed_form(c0, span, direction):
+    """Radially the metric is h = (4/c0)/(1 + rho^2)^2, so the unit-speed ray
+    from the origin is rho(tau) = tan(sqrt(c0) tau / 2): a curved geodesic,
+    followed by Picard iteration out to rho = 2.6, 3.0 and 4.5."""
+    path, u = _fubini_study_ray(c0, span, direction)
+    taus = np.linspace(0.0, span, 101)
+    x, v = path.states(taus)
+    rho = np.tan(np.sqrt(c0) * taus / 2.0)
+    speed = np.sqrt(c0) / 2.0 * (1.0 + rho ** 2)
+    assert np.abs(x - rho[:, None] * u).max() <= 1e-13 * rho.max()
+    assert np.abs(v - speed[:, None] * u).max() <= 1e-13 * speed.max()
+    assert path.stats.steps > 1 and path.stats.nfev > path.stats.steps * flows.PANEL_NODES
+
+
+def test_picard_cap_raises_flow_error(monkeypatch):
+    """A curved geodesic needs more than one Picard iteration per panel."""
+    monkeypatch.setattr(flows, "MAX_PICARD", 1)
+    with pytest.raises(FlowError, match=r"^geodesic Picard iteration exceeds 1 iterations "
+                                        r"on the panel at tau = 0$"):
+        _fubini_study_ray(4.0, 1.2, (1.0, 0.0))
+
+
+def test_geodesic_panel_cap_raises_flow_error(monkeypatch):
+    monkeypatch.setattr(flows, "MAX_PANELS", 3)
+    with pytest.raises(FlowError, match=r"^geodesic tables exceed 3 panels: no certified "
+                                        r"Chebyshev interpolant near tau = 0\.\d+ of 1\.2$"):
+        _fubini_study_ray(4.0, 1.2, (1.0, 0.0))
 
 
 # -- the Jacobi flow on certified coefficient panels ------------------------------
@@ -209,15 +239,15 @@ def _desk_flow(n):
     L = profile.L
     x0 = np.zeros(model.dim); x0[0] = 0.2 * L
     v0 = np.zeros(model.dim); v0[0] = 1.0
-    path = integrate_geodesic(model, GeodesicState(x0, v0), L * (1.0 - 1e-3) - x0[0],
-                              rtol=1e-12, atol=1e-14)
+    path = integrate_geodesic(model, GeodesicState(x0, v0), L * (1.0 - 1e-3) - x0[0])
     C0 = np.zeros(model.dim); C0[1] = 1.0
     return path, C0, PointAnalysis(model, model.point(x0)).gamma[:, 0, 1]
 
 
 def _reference_jacobi(path, C0, DC0, *, rtol, atol, samples=200):
-    """The Jacobi solve with one exact analysis per integrator stage, as it was
-    before the coefficient panels: (y, y') at ``samples`` equally spaced tau."""
+    """The Jacobi solve with one exact analysis per stage of scipy's DOP853,
+    as it was before the Chebyshev panels: (y, y') at ``samples`` equally
+    spaced tau."""
     field = path.field
     d = path.positions.shape[1]
     start = path.state(0.0)
@@ -239,9 +269,10 @@ def _reference_jacobi(path, C0, DC0, *, rtol, atol, samples=200):
         return np.concatenate([dframe.ravel(), yp, ypp])
 
     state0 = np.concatenate([frame0.ravel(), y0, yp0])
-    sol = flows._solve("jacobi", rhs, (0.0, path.span), state0, method="DOP853",
-                       rtol=rtol, atol=atol, dense_output=True)
-    packed = np.stack([sol.sol(tau) for tau in np.linspace(0.0, path.span, samples)])
+    sol = integrate.solve_ivp(rhs, (0.0, path.span), state0, method="DOP853",
+                              rtol=rtol, atol=atol, dense_output=True)
+    assert sol.success
+    packed = sol.sol(np.linspace(0.0, path.span, samples)).T
     return packed[:, d * d:d * d + d], packed[:, d * d + d:]
 
 
@@ -250,26 +281,28 @@ def test_coefficient_panels_hold_off_the_nodes(n):
     """Midway between the nodes of every panel, the interpolated Gamma(., cdot)
     and K agree with exact evaluations within 1e-12 of the window's largest
     value of each."""
-    path, _, _ = _desk_flow(n)
-    table = coefficient_panels(path)
+    path, C0, DC0 = _desk_flow(n)
+    result = integrate_jacobi(path, C0, DC0)
+    table = result.coefficients
     nodes = np.sort(flows._NODES)
     mids = 0.5 * (nodes[1:] + nodes[:-1])
     a, b = table.edges[:-1, None], table.edges[1:, None]
     taus = (0.5 * (a + b) + 0.5 * (b - a) * mids).ravel()
     exact = coefficients_at(path, taus)
-    interpolated = np.stack([table(tau) for tau in taus])
+    interpolated = table(taus)
     scale = np.abs(table.values).max(axis=(0, 1, 3, 4))
     assert (np.abs(interpolated - exact).max(axis=(0, 2, 3)) <= 1e-12 * scale).all()
     assert table.edges[0] == 0.0 and table.edges[-1] == path.span
-    assert table.evaluations >= table.count * flows.PANEL_NODES
+    assert result.stats == flows.SolveStats(result.stats.nfev, table.count)
+    assert result.stats.nfev >= table.count * flows.PANEL_NODES
 
 
 def test_jacobi_flow_matches_the_per_stage_reference():
-    """y and y' at the 200 samples of the n = 3 desk flow agree with the solve
-    that analyses every integrator stage exactly."""
+    """y and y' at the 200 samples of the n = 3 desk flow agree with scipy's
+    DOP853 at rtol 3e-14, analysing every integrator stage exactly."""
     path, C0, DC0 = _desk_flow(3)
-    result = integrate_jacobi(path, C0, DC0, rtol=1e-12, atol=1e-14)
-    y_ref, yp_ref = _reference_jacobi(path, C0, DC0, rtol=1e-12, atol=1e-14)
+    result = integrate_jacobi(path, C0, DC0)
+    y_ref, yp_ref = _reference_jacobi(path, C0, DC0, rtol=3e-14, atol=1e-16)
     for got, ref in ((result.y, y_ref), (result.yp, yp_ref)):
         scale = np.abs(ref).max(axis=1, keepdims=True)
         assert (np.abs(got - ref) <= 1e-9 * scale).all()
@@ -314,23 +347,30 @@ def test_panel_cap_ends_the_run_with_exit_3(tmp_path, monkeypatch, capsys):
 
 def test_jacobi_solve_analyses_a_fifth_of_its_stages_or_fewer(monkeypatch):
     """A count, not a timing: the n = 5 desk Jacobi solve builds fewer than
-    nfev / 5 analyses (one per stage, 1,160, before the coefficient panels)."""
+    nfev / 5 analyses (one per stage, 1,160, before the coefficient panels),
+    and its nfev counts the points they analyse."""
     path, C0, DC0 = _desk_flow(5)
-    built = []
+    built, analysed = [], []
     init = curvature.PointAnalysis.__init__
 
     def counting(self, field, point):
         built.append(1)
+        analysed.append(self)
         init(self, field, point)
 
     monkeypatch.setattr(curvature.PointAnalysis, "__init__", counting)
-    result = integrate_jacobi(path, C0, DC0, rtol=1e-12, atol=1e-14, samples=160)
+    result = integrate_jacobi(path, C0, DC0, samples=160)
     assert 0 < len(built) < result.stats.nfev / 5
+    # every exact evaluation is one analysed point (plus the start's frame),
+    # and the panel march wastes fewer than the bisection's 552
+    assert sum(np.size(a.point.t) for a in analysed) == result.stats.nfev + 1
+    assert result.stats.nfev < 552
 
 
 def test_decay_report_counts_coefficient_work(decay_report):
-    assert 0 < decay_report.jacobi_panels <= flows.MAX_PANELS
-    assert decay_report.jacobi_evaluations >= decay_report.jacobi_panels * flows.PANEL_NODES
+    panels, evaluations = decay_report.jacobi_stats.steps, decay_report.jacobi_stats.nfev
+    assert 0 < panels <= flows.MAX_PANELS
+    assert evaluations >= panels * flows.PANEL_NODES
 
 
 def _loop_rows(model, jac, t0):
@@ -362,8 +402,7 @@ def test_decay_rows_match_the_row_loop(warped, profile, monkeypatch):
 
     monkeypatch.setattr(flows, "integrate_jacobi", capture)
     t0 = 0.2 * profile.L
-    report = jacobi_decay_experiment(warped, t0, profile.L * (1.0 - 1e-3), samples=160,
-                                     rtol=1e-12, atol=1e-14)
+    report = jacobi_decay_experiment(warped, t0, profile.L * (1.0 - 1e-3), samples=160)
     assert np.array_equal(report.rows, _loop_rows(warped, captured[0], t0))
 
 
@@ -383,7 +422,7 @@ def test_batched_residuals_match_point_loops():
         an = PointAnalysis(bm, bm.point(s0.position))
         res = (sp.velocity - sm.velocity) / (2.0 * step) - geodesic_acceleration(an.gamma, s0.velocity)
         geodesic_ref.append(np.sqrt(res @ an.g @ res))
-        state, plus, minus = (result._dense(tau + h) for h in (0.0, step, -step))
+        state, plus, minus = (result.dense(tau + h) for h in (0.0, step, -step))
         ypp = (plus[d * d + d:] - minus[d * d + d:]) / (2.0 * step)
         M = jacobi_matrix(an.riemann.components, s0.velocity, state[:d * d].reshape(d, d))
         jacobi_ref.append(np.abs(ypp - M @ state[d * d:d * d + d]).max())

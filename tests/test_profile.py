@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 from scipy.special import ellipj, ellipk
 
 from qchgeom.profile import (
+    CubicProfilePolynomial,
     ProfileError,
     ProfileSolution,
     boundary_report,
@@ -65,6 +67,48 @@ def test_endpoint_slope_constraints():
     poly = build_polynomial(1.0, 2.0, 1.0)
     assert abs(1.0 * poly.deriv1(1.0) - 1.0) < 1e-13
     assert abs(2.0 * poly.deriv1(2.0) + 1.0) < 1e-13
+
+
+def test_cubic_just_above_y_equals_x_builds():
+    """Regression: at y/x = 1.001 the monomial x P'(x) and y P'(y) round at
+    about 1e-12 (y P'(y) = -0.9374999999987723 here), which the absolute
+    self-check bound of 1e-12 max(1, s) once rejected (exit 3)."""
+    poly = build_polynomial(1.0, 1.001, 0.9375)
+    sol = solve_profile(poly)
+    assert sol.L > 0.0 and sol.first_integral_residual() < 1e-11
+
+
+def _exact_half_slope(poly, r):
+    """P'(r)/2 in exact rational arithmetic from the float roots and c3."""
+    x, y, c3, r = (Fraction(v) for v in (poly.x, poly.y, poly.coefficients[3], float(r)))
+    return float(c3 * ((r - y) * (r - x - y) + (r - x) * (r - x - y) + (r - x) * (r - y)) / 2)
+
+
+@settings(max_examples=60, deadline=None)
+@given(x=st.floats(0.05, 5.0), gap=st.floats(1e-6, 3e-3), s=st.floats(0.1, 5.0))
+def test_cubics_near_y_equals_x_build_and_keep_r_second_derivative(x, gap, s):
+    """Every cubic with y/x = 1 + gap in [1 + 1e-6, 1.003] passes the
+    self-checks, and r'' = P'(r)/2, evaluated in the factored form, stays
+    within a few eps of its exact value relative to the size of its terms,
+    c3 (y - x) y; the monomial P' rounds at about y/(y - x) times that.
+    (Below gap = 1e-6 the monomial P cannot be told positive on (x, y) from
+    its rounding, and ``build_polynomial`` raises ProfileError by design.)"""
+    y = x * (1.0 + gap)
+    sol = solve_profile(build_polynomial(x, y, s))
+    poly = sol.polynomial
+    r, _, rpp, _ = sol.evaluate(np.linspace(0.0, sol.L, 9))
+    scale = poly.coefficients[3] * (y - x) * y
+    for ri, got in zip(r, rpp):
+        assert abs(got - _exact_half_slope(poly, ri)) <= 8 * np.finfo(float).eps * scale
+
+
+def test_self_check_catches_a_wrong_slope(monkeypatch):
+    """The rounding bound keeps its teeth: a P' off by 1e-12 relative fails."""
+    deriv1 = CubicProfilePolynomial.deriv1
+    monkeypatch.setattr(CubicProfilePolynomial, "deriv1",
+                        lambda self, t: deriv1(self, t) * (1.0 + 1e-12))
+    with pytest.raises(ProfileError, match=r"x P'\(x\) = "):
+        build_polynomial(1.0, 2.0, 2.0 / 3.0)
 
 
 def test_midpoint_positive():
@@ -231,9 +275,7 @@ def test_reflection_is_continuous_at_half_period(profile):
 @given(x=st.floats(0.05, 5.0), ratio=st.floats(1.003, 100.0), s=st.floats(0.1, 5.0))
 def test_closed_form_matches_scipy_ellipj(x, ratio, s):
     """r and r' against scipy's Jacobi elliptic functions across [0, L], and
-    L against K(m)/omega.  (Below y/x = 1.003, ``build_polynomial`` rejects
-    some pitches: its y P'(y) = -s check is absolute, at the rounding level of
-    the monomial form there.)"""
+    L against K(m)/omega."""
     y = ratio * x
     sol = solve_profile(build_polynomial(x, y, s))
     m = (y - x) / y
