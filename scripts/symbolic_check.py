@@ -22,9 +22,11 @@ derives from scratch the identities the numerical suite asserts:
   * the closed-form warp profile r = x + (y - x) sn^2(omega t | m) solves
     r'^2 = P(r) and r'' = P'(r)/2, and the reflection sn(K - u) = cn/dn,
     cn(K - u) = k' sn/dn, dn(K - u) = k'/dn that the profile evaluates past
-    L/2 is the solution of the same system from the far turning point.
+    L/2 is the solution of the same system from the far turning point;
+  * the closed-form Fubini-Study jets of ``FubiniStudy`` at m = 2: every
+    entry of dh, d^2 h, d sigma and d^2 sigma, and d sigma = Omega.
 
-Everything is exact symbolic algebra; the runtime is a couple of minutes.
+Everything is exact symbolic algebra; the runtime is under a minute.
 """
 
 import sympy as sp
@@ -239,6 +241,77 @@ def bundle_block():
     return ok
 
 
+def fubini_study_block():
+    """The closed-form jets of the Fubini-Study base at m = 2, entry by entry.
+
+    With u = 1/(1 + |z|^2) and P = z z^T + (Jz)(Jz)^T, h = (4/c0)(u I - u^2 P)
+    and sigma = (2/c0) u Jz.  ``FubiniStudy`` differentiates them by
+    d u = -2 u^2 z, d^2 u = -2 u^2 I + 8 u^3 z z^T, dP linear in z and the
+    constant d^2 P, assembled as below; sympy differentiates the definitions.
+    """
+    print("Fubini-Study closed-form jets (m = 2):")
+    n = 4
+    z = sp.Matrix(sp.symbols("z0:4", real=True))
+    J = sp.zeros(n, n)
+    for a in range(2):
+        J[2 + a, a], J[a, 2 + a] = 1, -1
+    I = sp.eye(n)
+    jz = J * z
+    w = 1 / (1 + (z.T * z)[0])
+    P = z * z.T + jz * jz.T
+    h = (4 / c0) * (w * I - w ** 2 * P)
+    sigma = (2 / c0) * w * jz
+    # the closed forms: dP[i, j, a] = e[i, j, a] + e[j, i, a] with
+    # e[i, j, a] = delta_ia z_j + J_ia (Jz)_j, A = 4 u^3 P - 2 u^2 I,
+    # C = 8 u^3 I - 24 u^4 P
+    A = 4 * w ** 3 * P - 2 * w ** 2 * I
+    C = 8 * w ** 3 * I - 24 * w ** 4 * P
+
+    def dP(i, j, a):
+        return I[i, a] * z[j] + J[i, a] * jz[j] + I[j, a] * z[i] + J[j, a] * jz[i]
+
+    def d2P(i, j, a, b):
+        return I[i, a] * I[j, b] + I[i, b] * I[j, a] + J[i, a] * J[j, b] + J[i, b] * J[j, a]
+
+    def dh(i, j, a):
+        return (4 / c0) * (A[i, j] * z[a] - w ** 2 * dP(i, j, a))
+
+    def d2h(i, j, a, b):
+        return (4 / c0) * (A[i, j] * I[a, b] + C[i, j] * z[a] * z[b]
+                           + 4 * w ** 3 * (z[a] * dP(i, j, b) + z[b] * dP(i, j, a))
+                           - w ** 2 * d2P(i, j, a, b))
+
+    def dsigma(i, a):
+        return (2 / c0) * (w * J[i, a] - 2 * w ** 2 * jz[i] * z[a])
+
+    def d2sigma(i, a, b):
+        return (2 / c0) * (jz[i] * (8 * w ** 3 * z[a] * z[b] - 2 * w ** 2 * I[a, b])
+                           - 2 * w ** 2 * (z[a] * J[i, b] + z[b] * J[i, a]))
+
+    def vanishes(exprs):
+        return all(sp.cancel(e) == 0 for e in exprs)
+
+    rng = range(n)
+    ok = True
+    for label, exprs in (
+            ("dh", [sp.diff(h[i, j], z[a]) - dh(i, j, a)
+                    for i in rng for j in rng for a in rng]),
+            ("d2h", [sp.diff(h[i, j], z[a], z[b]) - d2h(i, j, a, b)
+                     for i in rng for j in rng for a in rng for b in rng]),
+            ("dsigma", [sp.diff(sigma[i], z[a]) - dsigma(i, a) for i in rng for a in rng]),
+            ("d2sigma", [sp.diff(sigma[i], z[a], z[b]) - d2sigma(i, a, b)
+                         for i in rng for a in rng for b in rng])):
+        good = vanishes(exprs)
+        print(f"  {label} closed form: {'ok' if good else 'MISMATCH'}")
+        ok &= good
+    # and the potential is the connection of the Kaehler form: d sigma = h(J., .)
+    omega = J.T * h
+    good = vanishes([sp.diff(sigma[j], z[i]) - sp.diff(sigma[i], z[j]) - omega[i, j]
+                     for i in rng for j in rng])
+    print(f"  d sigma = Omega: {'ok' if good else 'MISMATCH'}")
+    return ok and good
+
+
 def profile_block():
     """sn, cn, dn as symbols S, C, D with dS = CD, dC = -SD, dD = -m SC per
     unit of u = omega t, reduced by C^2 = 1 - S^2 and D^2 = 1 - m S^2."""
@@ -284,6 +357,7 @@ def profile_block():
 if __name__ == "__main__":
     good = warped_block()
     good &= bundle_block()
+    good &= fubini_study_block()
     good &= profile_block()
     print("symbolic validation:", "all identities confirmed" if good else "FAILURES")
     raise SystemExit(0 if good else 1)

@@ -10,9 +10,10 @@ Chebyshev matrices that integrate node values once and twice from a,
     x'' = A   becomes   x = x(a) + (tau - a) x'(a) + S2 A,   x' = x'(a) + S A.
 
 * The geodesic x'' = -Gamma(x)(x', x') is solved by Picard iteration of that
-  form, one batched ``PointAnalysis`` of the panel's nodes per iteration.  On
-  the axial line of the warped metric Gamma(e_t, e_t) = 0 and the first
-  iteration is already the fixed point.
+  form, one batched ``PointAnalysis`` of the panel's nodes per iteration,
+  started on each panel after the first from the cubic Taylor continuation
+  of the previous one's end.  On the axial line of the warped metric
+  Gamma(e_t, e_t) = 0 and the first iteration is already the fixed point.
 * The Jacobi system is integrated in a parallel-transported orthonormal
   frame, which turns the covariant second derivative into a plain one:
   carrying the frame rows e_a alongside the geodesic, the field
@@ -315,15 +316,22 @@ def _analyses(field, x: np.ndarray):
 
 
 def _geodesic_panel(field, a: float, b: float, start) -> _Trial:
-    """Picard iteration of the integral form on [a, b], from the straight
-    line through the state at a.  It stops when an iterate moves no node
-    further than the rounding of the values; a panel whose iterates contract
-    too slowly to get there within ``MAX_PICARD`` iterations is returned as
-    failed, and an iteration past the cap raises ``FlowError``."""
-    x, v = start
+    """Picard iteration of the integral form on [a, b] from the state at a:
+    position, velocity, and, after the first panel, the acceleration and its
+    tau-derivative there.  The first iterate is the straight line through the
+    state, or with those two its cubic Taylor continuation, which starts a
+    curved geodesic near the fixed point.  It stops when an iterate moves no
+    node further than the rounding of the values; a panel whose iterates
+    contract too slowly to get there within ``MAX_PICARD`` iterations is
+    returned as failed, and an iteration past the cap raises ``FlowError``."""
+    x, v, acc0, jerk0 = start
     h2 = 0.5 * (b - a)
-    line = x + np.outer((_NODES + 1.0) * h2, v)
+    step = (_NODES + 1.0) * h2
+    line = x + np.outer(step, v)
     X, V = line, np.broadcast_to(v, line.shape)
+    if acc0 is not None:
+        X = line + np.outer(step ** 2 / 2.0, acc0) + np.outer(step ** 3 / 6.0, jerk0)
+        V = V + np.outer(step, acc0) + np.outer(step ** 2 / 2.0, jerk0)
     p = PANEL_NODES
     history = []
     while True:
@@ -348,7 +356,11 @@ def _geodesic_panel(field, a: float, b: float, start) -> _Trial:
                 return _Trial(None, p * len(history), None, PICARD_RATE / rate)
 
     def finish():
-        end = (x + 2.0 * h2 * v + h2 * h2 * (_S2[p] @ acc), v + h2 * (_S1[p] @ acc))
+        # the acceleration and its tau-derivative at b, from its Chebyshev
+        # coefficients: T_k(1) = 1 and T_k'(1) = k^2
+        coeffs = _TO_COEFFS @ acc
+        end = (x + 2.0 * h2 * v + h2 * h2 * (_S2[p] @ acc), v + h2 * (_S1[p] @ acc),
+               coeffs.sum(axis=0), (np.arange(p) ** 2 @ coeffs) / h2)
         return np.concatenate([X, V], axis=1), end
 
     # the mean contraction before the last step, which rounding may cut short
@@ -361,7 +373,7 @@ def integrate_geodesic(field, start: GeodesicState, span: float, *,
                        samples: int = 64) -> GeodesicPath:
     """Integrate the geodesic equation x'' = -Gamma(x)(x', x') on [0, span]."""
     sol = solve_ivp(lambda a, b, state: _geodesic_panel(field, a, b, state), span,
-                    (start.position, start.velocity), name="geodesic tables")
+                    (start.position, start.velocity, None, None), name="geodesic tables")
     dense = Panels(sol.t, sol.values)
     d = start.position.shape[0]
     taus = np.linspace(0.0, span, samples)

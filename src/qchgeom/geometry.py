@@ -11,7 +11,11 @@ Charts
   dt^2 + f(t)^2 dpsi^2 + h (pitch s = 0, base block unscaled).
 
 All metric and complex-structure components are jet-evaluable so the
-curvature layer sees exact first and second derivatives.  Every model takes
+curvature layer sees exact first and second derivatives.  The Fubini-Study
+jets are closed forms in z (``FubiniStudy``), and each bundle model builds
+its z-only parts once per batch of base points (``_SliceMemo``): the metric,
+the frame, the horizontal lifts and the connection-form check all read that
+one evaluation.  Every model takes
 a batch of points as well as one: coordinates carry leading batch axes
 (``coords[..., i]``), and a batched ``ChartPoint`` holds arrays of t, psi and
 z with matching leading axes.  The connection
@@ -28,7 +32,7 @@ from dataclasses import dataclass, field as dataclass_field
 import numpy as np
 
 from .batch import mT
-from .jets import Jet2, reciprocal, scale_along, seed_chart, zeros
+from .jets import Jet2, pullback, reciprocal, scale_along, zeros
 from .jets import sqrt as jet_sqrt
 from .profile import ProfileSolution
 
@@ -139,7 +143,16 @@ class FubiniStudy(_BaseModel):
     Real layout (u_1..u_m, v_1..v_m) for complex w_a = u_a + i v_a.  With
     K = (4/c0) log(1 + |w|^2) the components are the real/imaginary parts of
     d_a d_bbar K, which gives holomorphic sectional curvature exactly c0:
-    h = (4/c0) (I / W - (z z^T + (J z)(J z)^T) / W^2) with W = 1 + |z|^2.
+    h = (4/c0) (u I - u^2 P) with u = 1/(1 + |z|^2) and P = z z^T + (Jz)(Jz)^T.
+
+    The jets are closed forms in z: with
+
+        d u = -2 u^2 z,   d^2 u = -2 u^2 I + 8 u^3 z z^T,
+
+    P linear in z in its first derivative and of constant second derivative
+    (``_d2p``), the derivatives of h and sigma in z's entries are a few
+    broadcast products, pushed through z's own jet by one chain rule
+    (``jets.pullback``).
     """
 
     def __init__(self, m: int, c0: float, chart_radius: float = CHART_RADIUS_DEFAULT):
@@ -156,20 +169,66 @@ class FubiniStudy(_BaseModel):
             j0[m + a, a] = 1.0   # J du_a = dv_a
             j0[a, m + a] = -1.0  # J dv_a = -du_a
         self.j0 = j0
+        # d_a d_b P_ij = delta_ia delta_jb + delta_ib delta_ja + J_ia J_jb + J_ib J_ja
+        eye = np.eye(self.dim)
+        half = (eye[:, None, :, None] * eye[None, :, None, :]
+                + j0[:, None, :, None] * j0[None, :, None, :])
+        self._d2p = half + np.swapaxes(half, -1, -2)
+
+    def _u_jz(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """u = 1/(1 + |z|^2) at the values x, and Jz."""
+        return 1.0 / (1.0 + np.sum(x * x, axis=-1)), x @ self.j0.T
 
     def metric_jets(self, z: Jet2) -> Jet2:
-        inv_w2 = reciprocal(1.0 + (z * z).sum())[..., None, None]
-        jz = z @ self.j0.T
-        outer = z[..., :, None] * z[..., None, :] + jz[..., :, None] * jz[..., None, :]
-        return (4.0 / self.c0) * (inv_w2 * np.eye(self.dim) - (inv_w2 * inv_w2) * outer)
+        x = z.value
+        u, jx = self._u_jz(x)
+        n, eye, k = self.dim, np.eye(self.dim), 4.0 / self.c0
+        batch = np.shape(u)
+        u1, u2, u3 = (p[..., None, None] for p in (u, u * u, u * u * u))
+        outer = x[..., :, None] * x[..., None, :]
+        P = outer + jx[..., :, None] * jx[..., None, :]
+        # dP[i, j, a] = e[i, j, a] + e[j, i, a], e[i, j, a] = delta_ia z_j + J_ia (Jz)_j
+        e = eye[:, None, :] * x[..., None, :, None] + self.j0[:, None, :] * jx[..., None, :, None]
+        dp = e + np.swapaxes(e, -2, -3)
+        # h = k (u I - u^2 P) by the product rule, with d u^2 = -4 u^3 z and
+        # d^2 u^2 = -4 u^3 I + 24 u^4 z z^T:
+        #   d_a h_ij / k = A_ij z_a - u^2 dP_ija,
+        #   d_a d_b h_ij / k = A_ij delta_ab + C_ij z_a z_b
+        #                      + 4 u^3 (z_a dP_ijb + z_b dP_ija) - u^2 d2P_ijab,
+        # A = 4 u^3 P - 2 u^2 I and C = 8 u^3 I - 24 u^4 P
+        a = 4.0 * u3 * P - 2.0 * u2 * eye
+        c = 8.0 * u3 * eye - 24.0 * u2 * u2 * P
+        d1 = a[..., None] * x[..., None, None, :] - u2[..., None] * dp
+        # all but the d2P term as one product of (n^2, n + 2) and (n + 2, n^2)
+        # factors, with sym[c, a, b] = z_a delta_cb + delta_ca z_b
+        sym = x[..., None, :, None] * eye[:, None, :] + eye[:, :, None] * x[..., None, None, :]
+        left = np.concatenate([a.reshape(batch + (n * n, 1)), c.reshape(batch + (n * n, 1)),
+                               4.0 * u3 * dp.reshape(batch + (n * n, n))], axis=-1)
+        right = np.concatenate([np.broadcast_to(eye.reshape(1, n * n), batch + (1, n * n)),
+                                outer.reshape(batch + (1, n * n)),
+                                sym.reshape(batch + (n, n * n))], axis=-2)
+        d2 = (k * left @ right).reshape(batch + (n,) * 4) - k * u2[..., None, None] * self._d2p
+        return pullback(z, k * (u1 * eye - u2 * P), k * d1, d2)
 
     def connection_potential_jets(self, z: Jet2) -> Jet2:
         """sigma with d sigma = Omega, sigma(origin) = 0.
 
-        sigma = -(1/4) dK o J = (2/c0) (u dv - v du) / (1 + |w|^2).
+        sigma = -(1/4) dK o J = (2/c0) u Jz = (2/c0) (u dv - v du) / (1 + |w|^2):
+        the du_a slot carries -v_a, the dv_a slot +u_a.
         """
-        coef = (2.0 / self.c0) * reciprocal(1.0 + (z * z).sum())
-        return coef[..., None] * (z @ self.j0.T)  # du_a slot carries -v_a, dv_a slot +u_a
+        x = z.value
+        u, jx = self._u_jz(x)
+        k = 2.0 / self.c0
+        u1, u2 = u[..., None, None], (u * u)[..., None, None]
+        outer = x[..., :, None] * x[..., None, :]
+        # d_a sigma_i / k = u J_ia - 2 u^2 (Jz)_i z_a, and its z_b-derivative
+        # (Jz)_i (8 u^3 z_a z_b - 2 u^2 delta_ab) - 2 u^2 (z_a J_ib + z_b J_ia)
+        d1 = u1 * self.j0 - 2.0 * u2 * (jx[..., :, None] * x[..., None, :])
+        zj = x[..., None, :, None] * self.j0[:, None, :]          # [i, a, b] = z_a J_ib
+        dd = 8.0 * u1 * u2 * outer - 2.0 * u2 * np.eye(self.dim)
+        d2 = (jx[..., :, None, None] * dd[..., None, :, :]
+              - 2.0 * u2[..., None] * (zj + np.swapaxes(zj, -1, -2)))
+        return pullback(z, k * u[..., None] * jx, k * d1, k * d2)
 
 
 class ProductBase(_BaseModel):
@@ -253,6 +312,68 @@ def _unit_rows(index: int, batch: tuple, d: int) -> np.ndarray:
 # -- metric fields -------------------------------------------------------------
 
 
+class _SliceMemo:
+    """A bundle model's jets of z alone, memoised on the z values of a batch.
+
+    A lookup at z (one point's base coordinates, or a batch) calls ``build``
+    on a miss; the key is the shape and bytes of the whole batch.  Base
+    components depend only on z, so the frame, the fields and the checks at an
+    analysed batch, or the same batch moved along t, reuse one evaluation.
+    Such reuse is local: once ``points`` points are held the memo starts
+    over, since a larger one only keeps memory alive for as long as the model
+    lives.
+    """
+
+    def __init__(self, points: int):
+        self.capacity = points
+        self.entries: dict[tuple, tuple] = {}
+        self.points = 0
+
+    def __call__(self, z: np.ndarray, build) -> tuple:
+        z = np.asarray(z, dtype=float)
+        key = (z.shape, z.tobytes())
+        hit = self.entries.get(key)
+        if hit is None:
+            hit = build(z)
+            points = z[..., 0].size
+            if self.points + points > self.capacity:
+                self.entries.clear()
+                self.points = 0
+            self.entries[key] = hit
+            self.points += points
+        return hit
+
+
+def _base_parts(base, z: np.ndarray, d: int, s: float) -> tuple[Jet2, Jet2, Jet2]:
+    """The base metric h (in the z block of a d x d matrix), the potential
+    sigma and Theta = theta x theta for theta = dpsi + s sigma at z, seeded in
+    the d-dimensional chart whose last coordinates are z, with psi just
+    before them."""
+    off = d - base.dim
+    zj = Jet2(z, np.broadcast_to(np.eye(d)[off:], z.shape + (d,)), np.zeros(z.shape + (d, d)))
+    h = zeros(z.shape[:-1] + (d, d), d)
+    h[..., off:, off:] = base.metric_jets(zj)
+    sigma = base.connection_potential_jets(zj)
+    theta = zeros(z.shape[:-1] + (d,), d)
+    theta[..., off - 1] = 1.0
+    theta[..., off:] = s * sigma
+    return h, sigma, theta[..., :, None] * theta[..., None, :]
+
+
+def _lift_rows(sigma: Jet2, s: float, dim: int) -> Jet2:
+    """The horizontal lifts e_i - s sigma_i d/dpsi of the base coordinate vectors,
+    as the rows of one B + (2m, d) jet (z in the last 2m slots, psi before)."""
+    nb = sigma.shape[-1]
+    off = dim - nb
+    batch = sigma.shape[:-1]
+    rows = Jet2(np.broadcast_to(np.eye(dim)[off:], batch + (nb, dim)).copy(),
+                np.zeros(batch + (nb, dim, sigma.dim)),
+                np.zeros(batch + (nb, dim, sigma.dim, sigma.dim)))
+    if s != 0.0:
+        rows[..., off - 1] = -s * sigma
+    return rows
+
+
 class WarpedBundleMetric:
     """dt^2 + f(t)^2 (dpsi + s sigma)^2 + r(t)^2 h on (0, L) x bundle chart.
 
@@ -276,8 +397,8 @@ class WarpedBundleMetric:
         self.dim = 2 + self.base.dim
         self.end_margin_frac = end_margin_frac
         self.chart = ChartKind.TOTAL_PRODUCT if product_mode else ChartKind.TOTAL_WARPED
-        self._base_cache: dict[tuple, tuple] = {}
-        self._base_cached_points = 0
+        # entries are d x d jets, about 0.7 MB a point at d = 14
+        self._base_memo = _SliceMemo(16)
 
     # coordinates are (t, psi, z_1..z_2m)
     def coords(self, point: ChartPoint) -> np.ndarray:
@@ -299,41 +420,20 @@ class WarpedBundleMetric:
         self.base.check_bounds(point.z)
 
     def _base_at(self, z: np.ndarray) -> tuple[Jet2, Jet2, Jet2]:
-        """The z-only parts of the metric at the z-slice, memoised on the z values:
-        the base metric h (in the z block of a total-chart matrix), the
-        potential sigma, and Theta = theta x theta with theta = dpsi + s sigma.
+        """The z-only parts of the metric at the z-slice, from the model's memo
+        (``_SliceMemo``): the base metric h (in the z block of a total-chart
+        matrix), the potential sigma, and Theta = theta x theta with
+        theta = dpsi + s sigma, all seeded in the total chart (z sits at
+        coordinates 2..d-1).  Points sharing z (samples along one t-geodesic,
+        a batch moved along t, the frame and fields at an analysed batch)
+        reuse one evaluation."""
+        return self._base_memo(z, lambda z: _base_parts(self.base, z, self.dim, self.s))
 
-        z is one point's base coordinates or a batch of them; the key is the
-        shape and bytes of the whole batch.  The jets are seeded in the total
-        chart (z sits at coordinates 2..d-1).  Base components depend only on z, so
-        points sharing z (e.g. samples along one t-geodesic, a batch moved
-        along t, or the frame and fields at an analysed batch) reuse one
-        evaluation.  Such reuse is local, so slices of a few points in all
-        suffice; a larger memo only keeps memory alive, for as long as the
-        model lives.
-        """
-        z = np.asarray(z, dtype=float)
-        key = (z.shape, z.tobytes())
-        hit = self._base_cache.get(key)
-        if hit is None:
-            d = self.dim
-            batch = z.shape[:-1]
-            grad = np.broadcast_to(np.eye(d)[2:], z.shape + (d,)).copy()
-            zj = Jet2(z.copy(), grad, np.zeros(z.shape + (d, d)))
-            h = zeros(batch + (d, d), d)
-            h[..., 2:, 2:] = self.base.metric_jets(zj)
-            sigma = self.base.connection_potential_jets(zj)
-            theta = zeros(batch + (d,), d)
-            theta[..., 1] = 1.0
-            theta[..., 2:] = self.s * sigma
-            hit = (h, sigma, theta[..., :, None] * theta[..., None, :])
-            points = z[..., 0].size
-            if self._base_cached_points + points > 16:
-                self._base_cache.clear()
-                self._base_cached_points = 0
-            self._base_cache[key] = hit
-            self._base_cached_points += points
-        return hit
+    def connection_forms(self, z: np.ndarray) -> tuple[Jet2, np.ndarray]:
+        """(sigma, Omega) at the z-slice, from the memo: the potential as a
+        total-chart jet and the values of the base Kaehler form h(J., .)."""
+        h, sigma, _ = self._base_at(z)
+        return sigma, self.base.j0.T @ h.value[..., 2:, 2:]
 
     def warp_jets(self, t_jet: Jet2) -> tuple[Jet2, Jet2]:
         """(r, f) at a jet-seeded t, with the control scale applied to f."""
@@ -404,20 +504,19 @@ class WarpedBundleMetric:
             return out
         return field
 
-    def lift_field(self, i: int, *, base_unit: bool = False):
-        """Horizontal lift of the i-th base coordinate vector as a jet field.
+    def lift_jets(self, coords: Jet2) -> Jet2:
+        """The horizontal lifts of the base coordinate vectors as the rows of
+        one B + (2m, d) jet, from the memoised sigma."""
+        return _lift_rows(self._base_at(coords.value[..., 2:])[1], self.s, self.dim)
 
-        With ``base_unit`` the lift is scaled to unit length in the base
-        metric h (so its g-length is r in warped mode).
-        """
+    def base_unit_lift_field(self, i: int):
+        """The horizontal lift of the i-th base coordinate vector, scaled to
+        unit length in the base metric h (its g-length is r in warped mode),
+        as a jet field."""
         def field(coords):
-            h, sigma, _ = self._base_at(coords.value[..., 2:])
-            out = self._unit_field(2 + i, coords)
-            if self.s != 0.0:
-                out[..., 1] = -(self.s * sigma[..., i])
-            if base_unit:
-                out = out * reciprocal(jet_sqrt(h[..., 2 + i, 2 + i]))[..., None]
-            return out
+            h = self._base_at(coords.value[..., 2:])[0]
+            return (self.lift_jets(coords)[..., i, :]
+                    * reciprocal(jet_sqrt(h[..., 2 + i, 2 + i]))[..., None])
         return field
 
     def potential_field(self):
@@ -456,6 +555,10 @@ class CircleBundleMetric:
         self.base = base
         self.dim = 1 + base.dim
         self.chart = ChartKind.CIRCLE_BUNDLE
+        # entries are sigma and Omega alone, 2m (1 + d + d^2) + 4m^2 numbers a
+        # point (18 kB at d = 13), so the sample slices and the displaced
+        # points of the Bianchi spot check all fit
+        self._base_memo = _SliceMemo(256)
 
     def coords(self, point: ChartPoint) -> np.ndarray:
         out = np.empty(point.z.shape[:-1] + (self.dim,))
@@ -468,16 +571,26 @@ class CircleBundleMetric:
     def check_bounds(self, point: ChartPoint) -> None:
         self.base.check_bounds(point.z)
 
+    def _forms(self, h: Jet2, sigma: Jet2) -> tuple[Jet2, np.ndarray]:
+        return sigma, self.base.j0.T @ h.value[..., 1:, 1:]
+
+    def connection_forms(self, z: np.ndarray) -> tuple[Jet2, np.ndarray]:
+        """(sigma, Omega) at the z-slice, from the model's memo
+        (``_SliceMemo``): the potential as a bundle-chart jet and the values
+        of the base Kaehler form h(J., .)."""
+        def build(z):
+            h, sigma, _ = _base_parts(self.base, z, self.dim, self.s)
+            return self._forms(h, sigma)
+        return self._base_memo(z, build)
+
     def metric_jets(self, coords: Jet2) -> Jet2:
-        z = coords[..., 1:]
-        h = self.base.metric_jets(z)
-        sigma = self.base.connection_potential_jets(z)
-        theta = zeros(coords.shape, coords.dim)  # theta = dpsi + s sigma
-        theta[..., 0] = 1.0
-        theta[..., 1:] = self.s * sigma
-        g = self.alpha ** 2 * (theta[..., :, None] * theta[..., None, :])
-        g[..., 1:, 1:] += self.beta ** 2 * h
-        return g
+        """alpha^2 theta x theta + beta^2 h.  Its sigma and Omega go into the
+        memo, so the frame, the lifts and the checks at the same points build
+        no base jets again."""
+        z = coords.value[..., 1:]
+        h, sigma, theta2 = _base_parts(self.base, z, self.dim, self.s)
+        self._base_memo(z, lambda _: self._forms(h, sigma))
+        return self.alpha ** 2 * theta2 + self.beta ** 2 * h
 
     complex_structure_jets = None  # no complex structure on the odd-dim chart
 
@@ -485,24 +598,18 @@ class CircleBundleMetric:
         return lambda coords: Jet2.constant(_unit_rows(0, coords.shape[:-1], self.dim),
                                             coords.dim)
 
-    def lift_field(self, i: int):
-        """Horizontal lift of the i-th base coordinate vector as a jet field."""
-        def field(coords):
-            out = Jet2.constant(_unit_rows(1 + i, coords.shape[:-1], self.dim), coords.dim)
-            if self.s != 0.0:
-                sigma = self.base.connection_potential_jets(coords[..., 1:])
-                out[..., 0] = -(self.s * sigma[..., i])
-            return out
-        return field
+    def lift_jets(self, coords: Jet2) -> Jet2:
+        """The horizontal lifts of the base coordinate vectors as the rows of
+        one B + (2m, d) jet, from the memoised sigma."""
+        return _lift_rows(self.connection_forms(coords.value[..., 1:])[0], self.s, self.dim)
 
     def frame_at(self, point: ChartPoint, g_values: np.ndarray) -> FrameBasis:
         d = self.dim
         batch = point.batch_shape
         xi = _unit_rows(0, batch, d)
         xihat = xi / self.alpha
-        sigma_vals = self.base.connection_potential_jets(seed_chart(point.z)).value
         lifts = np.broadcast_to(np.eye(d)[1:], batch + (d - 1, d)).copy()
-        lifts[..., 0] = -self.s * sigma_vals
+        lifts[..., 0] = -self.s * self.connection_forms(point.z)[0].value
         horizontals = _gram_schmidt(lifts, g_values)
         return FrameBasis(vectors=np.concatenate([xihat[..., None, :], horizontals], axis=-2),
                           h_vec=None, xi=xi, jh=xihat)

@@ -299,6 +299,41 @@ def compose(a: Jet2, value, d1, d2) -> Jet2:
                 _h(d1) * a.hessian + _h(d2) * _outer(a.gradient, a.gradient))
 
 
+def pullback(x: Jet2, value: np.ndarray, d1: np.ndarray, d2: np.ndarray) -> Jet2:
+    """Chain rule through a function of the vector jet x, given in closed form.
+
+    x has value B + (n,) for batch axes B; the function's value at x.value
+    has shape B + V, its derivatives in x's n entries B + V + (n,) and
+    B + V + (n, n).  Its jet is d1 G and G^T d2 G + d1 H for x's gradient G
+    and Hessian H.  When x is seeded straight from a run of chart coordinates
+    (H zero, G rows of the identity) that is placing d1 and d2 in the slots
+    of those coordinates, and the products are skipped.
+    """
+    grad, hess = x.gradient, x.hessian
+    batch, (n, dim) = grad.shape[:-2], grad.shape[-2:]
+    shape = np.shape(value)
+    flat = not hess.any()
+    if flat:
+        # x seeded as the chart coordinates off..off+n-1: the derivatives
+        # land in those slots as they stand
+        off = int(np.argmax(grad.reshape(-1, dim)[0]))
+        if off + n <= dim and (grad == np.eye(dim)[off:off + n]).all():
+            slots = slice(off, off + n)
+            out = Jet2(value, np.zeros(shape + (dim,)), np.zeros(shape + (dim, dim)))
+            out.gradient[..., slots] = d1
+            out.hessian[..., slots, slots] = d2
+            return out
+    flat1 = d1.reshape(batch + (-1, n))
+    gradient = (flat1 @ grad).reshape(shape + (dim,))
+    # G^T d2 G as two products over every entry: first on b, then on a
+    half = (d2.reshape(batch + (-1, n)) @ grad).reshape(batch + (-1, n, dim))
+    hessian = (np.swapaxes(half, -1, -2).reshape(batch + (-1, n)) @ grad).reshape(
+        shape + (dim, dim))
+    if not flat:
+        hessian += (flat1 @ hess.reshape(batch + (n, dim * dim))).reshape(hessian.shape)
+    return Jet2(value, gradient, hessian)
+
+
 def sqrt(a: Jet2) -> Jet2:
     if np.any(a.value <= 0.0):
         raise JetDomainError(f"sqrt of non-positive jet value {a.value}")

@@ -449,7 +449,7 @@ def warped_submersion_residuals(analysis: PointAnalysis, model, params) -> dict[
     out["horizontal_t_tensor"] = max_abs(t_h + each(rp / r) * np.eye(nb), 2)
 
     # the base-unit statement: T(U, U) = -r r' H for h-unit U
-    u_field = model.lift_field(0, base_unit=True)
+    u_field = model.base_unit_lift_field(0)
     u_vals, n_u = covariant_vector_derivative(analysis, u_field)
     n_uu = matvec(n_u, u_vals)
     out["horizontal_t_tensor_base_unit"] = np.abs(inner(g, n_uu, h_hat) + r * rp)
@@ -477,13 +477,15 @@ def warped_submersion_residuals(analysis: PointAnalysis, model, params) -> dict[
 
 def _lift_derivatives(analysis: PointAnalysis, model) -> tuple[np.ndarray, np.ndarray]:
     """(lift values B + (2m, d), n_lift B + (2m, 2m, d)) with
-    n_lift[l, j] = nabla_{lift_l} lift_j for the horizontal coordinate lifts."""
-    lift_vals, cov_lift = zip(*(covariant_vector_derivative(analysis, model.lift_field(i))
-                                for i in range(model.base.dim)))
-    lift_vals = np.stack(lift_vals, axis=-2)                 # [j, k]
-    cov_lift = np.stack(cov_lift, axis=-3)                   # [j, k, i]
-    # n_lift[l, j, k] = cov_lift[j, k, i] lift_vals[l, i]
+    n_lift[l, j] = nabla_{lift_l} lift_j for the horizontal coordinate lifts,
+    from the model's one jet of all the lifts."""
+    lifts = model.lift_jets(analysis.coords)
+    lift_vals = lifts.value                                  # [j, k]
     batch, (nb, d) = lift_vals.shape[:-2], lift_vals.shape[-2:]
+    # cov_lift[j, k, i] = d_i lift_j^k + Gamma^k_{ia} lift_j^a, every row at once
+    turned = analysis.gamma.reshape(batch + (d * d, d)) @ mT(lift_vals)
+    cov_lift = lifts.gradient + np.moveaxis(turned.reshape(batch + (d, d, nb)), -1, -3)
+    # n_lift[l, j, k] = cov_lift[j, k, i] lift_vals[l, i]
     n_lift = (cov_lift.reshape(batch + (nb * d, d)) @ mT(lift_vals)).reshape(
         batch + (nb, d, nb))
     return lift_vals, np.moveaxis(n_lift, -1, -3)

@@ -297,18 +297,15 @@ def _kahler_form_closedness(analysis: PointAnalysis):
 def _connection_form_residuals(model, analysis: PointAnalysis) -> tuple:
     """(max |d sigma - Omega|, max |d theta - s Omega|) at the point.
 
-    sigma comes from the base model; theta is read off the assembled metric,
+    sigma and Omega = h(J., .) come from the model's own evaluation at the
+    analysed z-slice; theta is read off the assembled metric,
     theta_i = g(d_psi, e_i) / g(d_psi, d_psi), on both the warped and the
     bundle chart (psi sits just before the base block z).  So the second
     residual tests the pitch and cross terms the metric was built with.
     """
-    coords = analysis.coords
-    base = model.base
-    d = coords.shape[-1]
-    off = d - base.dim
-    z = coords[..., off:]
-    sigma = base.connection_potential_jets(z)
-    omega = base.kahler_form_jets(z).value
+    sigma, omega = model.connection_forms(analysis.point.z)
+    d = model.dim
+    off = d - model.base.dim
     grads = sigma.gradient[..., off:]
     res_sigma = max_abs(mT(grads) - grads - omega, 2)
     g = analysis.metric
