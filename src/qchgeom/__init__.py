@@ -4,8 +4,6 @@ curvature identities at machine precision on sampled points."""
 
 from .geometry import (
     BundleParams,
-    ChartKind,
-    ChartPoint,
     CircleBundleMetric,
     EuclideanMetric,
     FubiniStudy,
@@ -24,7 +22,7 @@ from .profile import (
 )
 
 __all__ = [
-    "BundleParams", "ChartKind", "ChartPoint", "CircleBundleMetric",
+    "BundleParams", "CircleBundleMetric",
     "EuclideanMetric", "FubiniStudy", "ProductBase", "BaseChartMetric",
     "WarpedBundleMetric", "Jet2", "seed_chart",
     "CubicProfilePolynomial", "ProfileSolution", "boundary_report",

@@ -31,7 +31,7 @@ import numpy as np
 
 from .curvature import batch_analyses
 from .flows import FlowError
-from .geometry import END_MARGIN_FRAC_DEFAULT, ChartBoundsError, ChartPoint
+from .geometry import END_MARGIN_FRAC_DEFAULT, ChartBoundsError
 from .profile import ProfileError, boundary_report, build_polynomial, solve_profile
 from .qch import fit_qch_coefficients, ricci_split, section_divergences
 from .suite import DEFAULT_TOLERANCES, VerificationReport, build_warped_model, run_suite
@@ -180,13 +180,13 @@ def emit_summary_csv(config: RunConfig, path, points: int = 100) -> None:
     lo = config.sample_margin * profile.L
     hi = (1.0 - config.sample_margin) * profile.L
     ts = np.linspace(lo, hi, points)
-    axis = ChartPoint(t=ts, psi=np.zeros(points), z=np.zeros((points, model.base.dim)),
-                      chart=model.chart)
+    axis = np.zeros((points, model.dim))
+    axis[:, 0] = ts
     r, rp, rpp, rppp = profile.evaluate(ts)
     columns = [ts, r, profile.warp_from(r, rp, rpp, rppp)[0]]
     parts = []
     for analysis in batch_analyses(model, axis):
-        fit = fit_qch_coefficients(analysis, None, 0)
+        fit = fit_qch_coefficients(analysis)
         rs = ricci_split(analysis, fit, params.n)
         d1, d2 = section_divergences(analysis, model)
         parts.append((fit.a, fit.b, fit.c, rs.lam_engine, rs.mu_engine, np.hypot(d1, d2)))

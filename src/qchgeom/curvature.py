@@ -28,6 +28,9 @@ import numpy as np
 from .batch import inner, matvec, max_abs, mT, per_point
 from .jets import Jet2, seed_chart, stack
 
+# central-difference step of the second Bianchi spot check
+BIANCHI_STEP = 1e-5
+
 # float64 entries of one (points, d, d, d, d) array in a batched analysis
 # (0.5 MB): about 50 points at d = 6, 6 at d = 10 and 1 at d = 14
 BATCH_ELEMENTS = 1 << 16
@@ -40,15 +43,14 @@ def batch_slices(count: int, dim: int) -> list[slice]:
     return [slice(i, min(i + size, count)) for i in range(0, count, size)]
 
 
-def batch_analyses(field, points) -> list["PointAnalysis"]:
-    """Analyses of a batch of points (leading axis), one per memory-bounded slice.
+def batch_analyses(field, x: np.ndarray) -> list["PointAnalysis"]:
+    """Analyses of a batch of points x (N, d), one per memory-bounded slice.
 
     Raises ``ChartBoundsError`` when a point lies outside the valid region of
     the field's chart.
     """
-    field.check_bounds(points)
-    return [PointAnalysis(field, points[sl])
-            for sl in batch_slices(len(points.z), field.dim)]
+    field.check_bounds(x)
+    return [PointAnalysis(field, x[sl]) for sl in batch_slices(len(x), field.dim)]
 
 
 @dataclass(frozen=True)
@@ -112,21 +114,31 @@ def _perm(a: np.ndarray, spec: str) -> np.ndarray:
 
 
 class PointAnalysis:
-    """Lazy bundle of pointwise data for one (field, point) pair.
+    """Lazy bundle of pointwise data for a metric field at chart coordinates.
 
-    ``point`` is one chart point or a batch of them (leading axes); every
-    array below then carries the same leading axes.  Expensive pieces
-    (metric jets, curvature) are computed once and shared by all downstream
-    checks at the point(s).
+    ``x`` holds the coordinates of one point, shape (d,), or of a batch,
+    B + (d,); every array below then carries the leading axes B.  Expensive
+    pieces (metric jets, curvature) are computed once and shared by all
+    downstream checks at the point(s).
+
+    A field is anything with
+
+    * ``dim``: the chart dimension d;
+    * ``check_bounds(x)``: raise ``ChartBoundsError`` at a point outside the
+      chart's valid region;
+    * ``metric_jets(coords)``: the metric components B + (d, d) as a jet of
+      the seeded coordinates;
+    * ``complex_structure_jets``: the same for J, or None where there is none;
+    * ``frame_at(x, g)``: a ``FrameBasis`` orthonormal for the metric values g.
     """
 
-    def __init__(self, field, point):
+    def __init__(self, field, x):
         self.field = field
-        self.point = point
+        self.x = np.asarray(x, dtype=float)
 
     @cached_property
     def coords(self) -> Jet2:
-        return seed_chart(self.field.coords(self.point))
+        return seed_chart(self.x)
 
     @cached_property
     def metric(self) -> Jet2:
@@ -196,7 +208,7 @@ class PointAnalysis:
     @cached_property
     def complex_structure(self):
         """(values, grads) of J, or None when the chart has no J."""
-        builder = getattr(self.field, "complex_structure_jets", None)
+        builder = self.field.complex_structure_jets
         if builder is None:
             return None
         J = stack(builder(self.coords))
@@ -204,7 +216,7 @@ class PointAnalysis:
 
     @cached_property
     def frame(self):
-        return self.field.frame_at(self.point, self.g)
+        return self.field.frame_at(self.x, self.g)
 
 
 # -- operations ----------------------------------------------------------------
@@ -379,8 +391,7 @@ def j_gradient_field(analysis: PointAnalysis, scalar_field):
     return Jet2(x_vals, x_grads, np.zeros(x_vals.shape + (dj, dj)))
 
 
-def second_bianchi_residual(field, point, directions, step: float = 1e-5, *,
-                           curvature: tuple | None = None):
+def second_bianchi_residual(field, x, directions, *, curvature: tuple | None = None):
     """Cyclic covariant-derivative sum over three directions, by differencing.
 
     For unit directions (A, B, C) at each point, the residual is the largest
@@ -389,13 +400,13 @@ def second_bianchi_residual(field, point, directions, step: float = 1e-5, *,
     displaced points per point, analysed as one batch) plus the Christoffel
     terms contracted against V; this is the one check that consumes third
     derivatives of the metric, so it runs at a looser tolerance than the
-    jet-exact identities.  ``point`` may be a batch, with ``directions`` of
-    shape B + (3, d); the result then has one entry per point.  A caller
-    that already holds the Riemann tensor and Christoffel symbols at ``point``
-    passes them as ``curvature`` = (R, gamma).
+    jet-exact identities; its step is ``BIANCHI_STEP``.  ``x`` may be a
+    batch, with ``directions`` of shape B + (3, d); the result then has one
+    entry per point.  A caller that already holds the Riemann tensor and
+    Christoffel symbols at ``x`` passes them as ``curvature`` = (R, gamma).
     """
     if curvature is None:
-        base = PointAnalysis(field, point)
+        base = PointAnalysis(field, x)
         curvature = (base.riemann.components, base.gamma)
     R0, gamma = curvature
     dirs = np.asarray(directions, dtype=float)       # B + (3, d)
@@ -405,17 +416,17 @@ def second_bianchi_residual(field, point, directions, step: float = 1e-5, *,
     V, X, Y = (dirs[..., order[:, n], :] for n in range(3))   # each B + (3, d)
 
     # R(x + s V)(X, Y, ., .) at s = +step and -step: six displaced points per point
-    coords = field.coords(point)[..., None, None, :]
+    at = np.asarray(x, dtype=float)[..., None, None, :]
     signs = np.array([1.0, -1.0])[:, None]
-    moved = (coords + step * signs * V[..., None, :]).reshape(-1, d)
+    moved = (at + BIANCHI_STEP * signs * V[..., None, :]).reshape(-1, d)
     xs, ys = (np.broadcast_to(A[..., None, :], batch + (3, 2, d)).reshape(-1, d)
               for A in (X, Y))
     parts = []
     for sl in batch_slices(len(moved), d):
-        R = PointAnalysis(field, field.point(moved[sl])).riemann.components
+        R = PointAnalysis(field, moved[sl]).riemann.components
         parts.append(contract_slots(R, xs[sl], ys[sl], rank=4))
     Q = np.concatenate(parts).reshape(batch + (3, 2, d, d))
-    derivative = (Q[..., 0, :, :] - Q[..., 1, :, :]) / (2.0 * step)
+    derivative = (Q[..., 0, :, :] - Q[..., 1, :, :]) / (2.0 * BIANCHI_STEP)
 
     # Christoffel terms, with G[m, i] = V^a Gamma^m_{ai} per point and term
     G = (gamma[..., None, :, :, :] * V[..., None, :, None]).sum(axis=-2)   # B + (3, d, d)

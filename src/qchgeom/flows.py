@@ -63,6 +63,9 @@ MAX_PANELS = 32
 MAX_PICARD = 24
 PICARD_RATE = 0.1
 
+# central-difference step in tau of the geodesic and Jacobi equation residuals
+RESIDUAL_STEP = 1e-4
+
 _EPS = np.finfo(float).eps
 _TINY = np.finfo(float).tiny
 
@@ -311,7 +314,7 @@ def jacobi_matrix(R4: np.ndarray, v: np.ndarray, frame: np.ndarray) -> np.ndarra
 def _analyses(field, x: np.ndarray):
     """(slice, analysis) over the points x (N, d), one batched analysis per
     memory-bounded slice."""
-    return [(sl, PointAnalysis(field, field.point(x[sl])))
+    return [(sl, PointAnalysis(field, x[sl]))
             for sl in batch_slices(len(x), x.shape[1])]
 
 
@@ -382,16 +385,17 @@ def integrate_geodesic(field, start: GeodesicState, span: float, *,
                         velocities=packed[:, d:], stats=sol.stats, dense=dense)
 
 
-def geodesic_residuals(path: GeodesicPath, taus=None, step: float = 1e-4):
-    """max |nabla_cdot cdot| re-evaluated on the dense solution by differencing."""
+def geodesic_residuals(path: GeodesicPath, taus=None):
+    """max |nabla_cdot cdot| re-evaluated on the dense solution by differencing
+    (step ``RESIDUAL_STEP``)."""
     if taus is None:
         taus = path.taus[1:-1]
     taus = np.asarray(taus, dtype=float)
-    _, plus = path.states(taus + step)
-    _, minus = path.states(taus - step)
+    _, plus = path.states(taus + RESIDUAL_STEP)
+    _, minus = path.states(taus - RESIDUAL_STEP)
     x, v = path.states(taus)
-    vdot = (plus - minus) / (2.0 * step)
-    analysis = PointAnalysis(path.field, path.field.point(x))
+    vdot = (plus - minus) / (2.0 * RESIDUAL_STEP)
+    analysis = PointAnalysis(path.field, x)
     res = vdot - geodesic_acceleration(analysis.gamma, v)
     return float(np.sqrt(inner(analysis.g, res, res)).max())
 
@@ -506,7 +510,7 @@ def integrate_jacobi(path: GeodesicPath, C0: np.ndarray, DC0: np.ndarray, *,
     """
     field = path.field
     start = path.state(0.0)
-    analysis0 = PointAnalysis(field, field.point(start.position))
+    analysis0 = PointAnalysis(field, start.position)
     frame0 = _initial_frame(analysis0, start.velocity)
     g0 = analysis0.g
     y0 = frame0 @ g0 @ np.asarray(C0, dtype=float)
@@ -533,16 +537,16 @@ def integrate_jacobi(path: GeodesicPath, C0: np.ndarray, DC0: np.ndarray, *,
                         dense=dense)
 
 
-def jacobi_equation_residual(result: JacobiResult, taus, step: float = 1e-4) -> float:
-    """max |nabla^2 C - R(cdot, C) cdot| on the integrated solution (frame comps)."""
+def jacobi_equation_residual(result: JacobiResult, taus) -> float:
+    """max |nabla^2 C - R(cdot, C) cdot| on the integrated solution (frame comps),
+    by differencing (step ``RESIDUAL_STEP``)."""
     taus = np.asarray(taus, dtype=float)
-    _, _, yp_plus = result.states(taus + step)
-    _, _, yp_minus = result.states(taus - step)
-    ypp = (yp_plus - yp_minus) / (2.0 * step)
+    _, _, yp_plus = result.states(taus + RESIDUAL_STEP)
+    _, _, yp_minus = result.states(taus - RESIDUAL_STEP)
+    ypp = (yp_plus - yp_minus) / (2.0 * RESIDUAL_STEP)
     frame, y, _ = result.states(taus)
     x, v = result.path.states(taus)
-    field = result.path.field
-    analysis = PointAnalysis(field, field.point(x))
+    analysis = PointAnalysis(result.path.field, x)
     M = jacobi_matrix(analysis.riemann.components, v, frame)
     return float(np.abs(ypp - matvec(M, y)).max())
 
@@ -607,7 +611,7 @@ def jacobi_decay_experiment(model, t0: float, t_end: float, *,
     v0[0] = 1.0
 
     path = integrate_geodesic(model, GeodesicState(x0, v0), t_end - t0)
-    analysis0 = PointAnalysis(model, model.point(x0))
+    analysis0 = PointAnalysis(model, x0)
     C0 = np.zeros(d)
     C0[1] = 1.0  # the fiber field: f(t0) JH in coordinates
     DC0 = analysis0.gamma[:, 0, 1]  # nabla_H of the fiber field

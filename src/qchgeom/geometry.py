@@ -15,10 +15,9 @@ curvature layer sees exact first and second derivatives.  The Fubini-Study
 jets are closed forms in z (``FubiniStudy``), and each bundle model builds
 its z-only parts once per batch of base points (``_SliceMemo``): the metric,
 the frame, the horizontal lifts and the connection-form check all read that
-one evaluation.  Every model takes
-a batch of points as well as one: coordinates carry leading batch axes
-(``coords[..., i]``), and a batched ``ChartPoint`` holds arrays of t, psi and
-z with matching leading axes.  The connection
+one evaluation.  A point is its chart coordinates, shape (d,), and
+a batch of points carries leading batch axes, B + (d,); each model reads t,
+psi and z by slicing its own layout.  The connection
 potential is fixed in the rotation-invariant gauge sigma = -(1/4) dK o J for
 the Kaehler potential K, which vanishes at the chart origin and satisfies
 d sigma = Omega componentwise (this pins its sign).
@@ -26,8 +25,7 @@ d sigma = Omega componentwise (this pins its sign).
 
 from __future__ import annotations
 
-import enum
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -42,13 +40,6 @@ END_MARGIN_FRAC_DEFAULT = 1e-3
 
 class ChartBoundsError(ValueError):
     """Point lies outside the valid region of its chart."""
-
-
-class ChartKind(enum.Enum):
-    TOTAL_WARPED = "total-warped"
-    TOTAL_PRODUCT = "total-product"
-    BASE = "base"
-    CIRCLE_BUNDLE = "circle-bundle"
 
 
 @dataclass(frozen=True)
@@ -81,43 +72,6 @@ class BundleParams:
     @property
     def m(self) -> int:
         return self.n - 1
-
-
-@dataclass
-class ChartPoint:
-    """A point of one of the local models, or a batch of them.
-
-    A batch holds t and psi of shape B and z of shape B + (2m,).
-    """
-
-    t: float = 0.0
-    psi: float = 0.0
-    z: np.ndarray = dataclass_field(default_factory=lambda: np.zeros(0))
-    chart: ChartKind = ChartKind.TOTAL_WARPED
-
-    def __post_init__(self):
-        self.z = np.asarray(self.z, dtype=float)
-        self.t = float(self.t) if np.ndim(self.t) == 0 else np.asarray(self.t, dtype=float)
-        self.psi = (float(self.psi) if np.ndim(self.psi) == 0
-                    else np.asarray(self.psi, dtype=float))
-
-    @property
-    def batch_shape(self) -> tuple:
-        return self.z.shape[:-1]
-
-    def __getitem__(self, index) -> "ChartPoint":
-        """The point or sub-batch at ``index`` of a batch."""
-        shape = self.batch_shape
-        return ChartPoint(t=np.broadcast_to(self.t, shape)[index],
-                          psi=np.broadcast_to(self.psi, shape)[index],
-                          z=self.z[index], chart=self.chart)
-
-
-def stack_points(points) -> ChartPoint:
-    """One batch (leading axis) from a sequence of single points."""
-    return ChartPoint(t=np.array([p.t for p in points], dtype=float),
-                      psi=np.array([p.psi for p in points], dtype=float),
-                      z=np.stack([p.z for p in points]), chart=points[0].chart)
 
 
 # -- base models --------------------------------------------------------------
@@ -396,28 +350,18 @@ class WarpedBundleMetric:
         self.s = 0.0 if product_mode else params.s
         self.dim = 2 + self.base.dim
         self.end_margin_frac = end_margin_frac
-        self.chart = ChartKind.TOTAL_PRODUCT if product_mode else ChartKind.TOTAL_WARPED
         # entries are d x d jets, about 0.7 MB a point at d = 14
         self._base_memo = _SliceMemo(16)
 
     # coordinates are (t, psi, z_1..z_2m)
-    def coords(self, point: ChartPoint) -> np.ndarray:
-        out = np.empty(point.z.shape[:-1] + (self.dim,))
-        out[..., 0], out[..., 1], out[..., 2:] = point.t, point.psi, point.z
-        return out
-
-    def point(self, coords: np.ndarray) -> ChartPoint:
-        return ChartPoint(t=coords[..., 0], psi=coords[..., 1], z=coords[..., 2:],
-                          chart=self.chart)
-
-    def check_bounds(self, point: ChartPoint) -> None:
+    def check_bounds(self, x: np.ndarray) -> None:
         margin = self.end_margin_frac * self.profile.L
-        t = np.asarray(point.t)
+        t = x[..., 0]
         outside = t[(t < margin) | (t > self.profile.L - margin)]
         if outside.size:
             raise ChartBoundsError(f"t = {outside[0]} outside interior margin "
                                    f"[{margin}, {self.profile.L - margin}]")
-        self.base.check_bounds(point.z)
+        self.base.check_bounds(x[..., 2:])
 
     def _base_at(self, z: np.ndarray) -> tuple[Jet2, Jet2, Jet2]:
         """The z-only parts of the metric at the z-slice, from the model's memo
@@ -528,16 +472,16 @@ class WarpedBundleMetric:
             return (r * r) / self.s
         return field
 
-    def frame_at(self, point: ChartPoint, g_values: np.ndarray) -> FrameBasis:
+    def frame_at(self, x: np.ndarray, g_values: np.ndarray) -> FrameBasis:
         d = self.dim
-        batch = point.batch_shape
-        f = self.profile.warp(point.t) * self.warp_scale
+        batch = x.shape[:-1]
+        f = self.profile.warp(x[..., 0]) * self.warp_scale
         h_vec = _unit_rows(0, batch, d)
         xi = _unit_rows(1, batch, d)
         jh = xi / np.asarray(f)[..., None]
         lifts = np.broadcast_to(np.eye(d)[2:], batch + (d - 2, d)).copy()
         if self.s != 0.0:
-            lifts[..., 1] = -self.s * self._base_at(point.z)[1].value
+            lifts[..., 1] = -self.s * self._base_at(x[..., 2:])[1].value
         horizontals = _gram_schmidt(lifts, g_values)
         vectors = np.concatenate([h_vec[..., None, :], jh[..., None, :], horizontals], axis=-2)
         return FrameBasis(vectors=vectors, h_vec=h_vec, xi=xi, jh=jh)
@@ -554,22 +498,14 @@ class CircleBundleMetric:
         self.s = s
         self.base = base
         self.dim = 1 + base.dim
-        self.chart = ChartKind.CIRCLE_BUNDLE
         # entries are sigma and Omega alone, 2m (1 + d + d^2) + 4m^2 numbers a
         # point (18 kB at d = 13), so the sample slices and the displaced
         # points of the Bianchi spot check all fit
         self._base_memo = _SliceMemo(256)
 
-    def coords(self, point: ChartPoint) -> np.ndarray:
-        out = np.empty(point.z.shape[:-1] + (self.dim,))
-        out[..., 0], out[..., 1:] = point.psi, point.z
-        return out
-
-    def point(self, coords: np.ndarray) -> ChartPoint:
-        return ChartPoint(psi=coords[..., 0], z=coords[..., 1:], chart=self.chart)
-
-    def check_bounds(self, point: ChartPoint) -> None:
-        self.base.check_bounds(point.z)
+    # coordinates are (psi, z_1..z_2m)
+    def check_bounds(self, x: np.ndarray) -> None:
+        self.base.check_bounds(x[..., 1:])
 
     def _forms(self, h: Jet2, sigma: Jet2) -> tuple[Jet2, np.ndarray]:
         return sigma, self.base.j0.T @ h.value[..., 1:, 1:]
@@ -603,13 +539,13 @@ class CircleBundleMetric:
         one B + (2m, d) jet, from the memoised sigma."""
         return _lift_rows(self.connection_forms(coords.value[..., 1:])[0], self.s, self.dim)
 
-    def frame_at(self, point: ChartPoint, g_values: np.ndarray) -> FrameBasis:
+    def frame_at(self, x: np.ndarray, g_values: np.ndarray) -> FrameBasis:
         d = self.dim
-        batch = point.batch_shape
+        batch = x.shape[:-1]
         xi = _unit_rows(0, batch, d)
         xihat = xi / self.alpha
         lifts = np.broadcast_to(np.eye(d)[1:], batch + (d - 1, d)).copy()
-        lifts[..., 0] = -self.s * self.connection_forms(point.z)[0].value
+        lifts[..., 0] = -self.s * self.connection_forms(x[..., 1:])[0].value
         horizontals = _gram_schmidt(lifts, g_values)
         return FrameBasis(vectors=np.concatenate([xihat[..., None, :], horizontals], axis=-2),
                           h_vec=None, xi=xi, jh=xihat)
@@ -621,16 +557,9 @@ class BaseChartMetric:
     def __init__(self, base):
         self.base = base
         self.dim = base.dim
-        self.chart = ChartKind.BASE
 
-    def coords(self, point: ChartPoint) -> np.ndarray:
-        return np.asarray(point.z, dtype=float)
-
-    def point(self, coords: np.ndarray) -> ChartPoint:
-        return ChartPoint(z=coords, chart=self.chart)
-
-    def check_bounds(self, point: ChartPoint) -> None:
-        self.base.check_bounds(point.z)
+    def check_bounds(self, x: np.ndarray) -> None:
+        self.base.check_bounds(x)
 
     def metric_jets(self, coords: Jet2) -> Jet2:
         return self.base.metric_jets(coords)
@@ -639,7 +568,7 @@ class BaseChartMetric:
         j0 = self.base.j0
         return Jet2.constant(np.broadcast_to(j0, coords.shape[:-1] + j0.shape), coords.dim)
 
-    def frame_at(self, point: ChartPoint, g_values: np.ndarray) -> FrameBasis:
+    def frame_at(self, x: np.ndarray, g_values: np.ndarray) -> FrameBasis:
         rows = np.broadcast_to(np.eye(self.dim), g_values.shape)
         return FrameBasis(vectors=_gram_schmidt(rows, g_values))
 
@@ -649,17 +578,8 @@ class EuclideanMetric:
 
     def __init__(self, dim: int):
         self.dim = dim
-        self.chart = ChartKind.BASE
 
-    def coords(self, point) -> np.ndarray:
-        if isinstance(point, ChartPoint):
-            return np.asarray(point.z, dtype=float)
-        return np.asarray(point, dtype=float)
-
-    def point(self, coords: np.ndarray):
-        return ChartPoint(z=coords, chart=self.chart)
-
-    def check_bounds(self, point) -> None:
+    def check_bounds(self, x) -> None:
         pass
 
     def metric_jets(self, coords: Jet2) -> Jet2:
@@ -668,7 +588,7 @@ class EuclideanMetric:
 
     complex_structure_jets = None
 
-    def frame_at(self, point, g_values) -> FrameBasis:
+    def frame_at(self, x, g_values) -> FrameBasis:
         return FrameBasis(vectors=np.broadcast_to(np.eye(self.dim), np.shape(g_values)))
 
 

@@ -33,6 +33,9 @@ from .jets import Jet2, compose
 
 _EPS = np.finfo(float).eps
 
+# interior points at which the first integral r'^2 = P(r) is checked
+FIRST_INTEGRAL_SAMPLES = 400
+
 
 class ProfileError(RuntimeError):
     """Profile construction or quadrature failed."""
@@ -212,10 +215,11 @@ class ProfileSolution:
 
     # -- diagnostics ---------------------------------------------------------
 
-    def first_integral_residual(self, samples: int = 400) -> float:
-        """max |r'^2 - P(r)| over the interior, with r' from the elliptic
-        functions and P(r) from the cubic."""
-        r, rp, _, _ = self.evaluate(np.linspace(0.0, self.L, samples + 2)[1:-1])
+    def first_integral_residual(self) -> float:
+        """max |r'^2 - P(r)| at ``FIRST_INTEGRAL_SAMPLES`` interior points, with
+        r' from the elliptic functions and P(r) from the cubic."""
+        r, rp, _, _ = self.evaluate(
+            np.linspace(0.0, self.L, FIRST_INTEGRAL_SAMPLES + 2)[1:-1])
         return float(np.max(np.abs(rp * rp - self.polynomial(r))))
 
     def export_csv(self, path) -> None:

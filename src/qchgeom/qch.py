@@ -32,7 +32,10 @@ from .curvature import (
     j_gradient_field,
     killing_deviation,
 )
-from .geometry import ChartPoint
+
+# central-difference steps along t of the fitted coefficients and of kappa
+FIT_STEP = 1e-4
+KAPPA_STEP = 1e-5
 
 
 # -- splitting and model tensors ------------------------------------------------
@@ -129,18 +132,15 @@ _PROBE_MATRIX = np.array([
 
 
 def fit_from_curvature(R4: np.ndarray, g: np.ndarray, J: np.ndarray,
-                       h_hat: np.ndarray, jh_hat: np.ndarray, e_unit: np.ndarray,
-                       rng: np.random.Generator | None = None,
-                       residual_samples: int = 0, *,
+                       h_hat: np.ndarray, jh_hat: np.ndarray, e_unit: np.ndarray, *,
                        draws: np.ndarray | None = None) -> QCHCoefficients:
     """Fit phi(|X_D|) = a + b |X_D|^2 + c |X_D|^4 from three deterministic probes.
 
     Probes are X = cos(alpha) e + sin(alpha) H with |X_D|^2 in {0, 1/2, 1},
     a fixed well-conditioned 3x3 system; random unit vectors only feed the
-    residual that certifies (or refutes) quasi-constancy.  They come from
-    ``draws`` (standard normals, B + (samples, d)) when given, else from one
-    draw of that shape from ``rng``: the same stream as one draw of size d per
-    probe, point after point, so batching leaves the probes of a seed unchanged.
+    residual that certifies (or refutes) quasi-constancy.  They lie along
+    ``draws``, standard normals of shape B + (samples, d); without them the
+    residual is 0.
     """
     R = Curvature4(R4)
     half = (e_unit + h_hat) / np.sqrt(2.0)
@@ -148,8 +148,6 @@ def fit_from_curvature(R4: np.ndarray, g: np.ndarray, J: np.ndarray,
     solved = np.linalg.solve(_PROBE_MATRIX, np.asarray(probes)[..., None])[..., 0]
     a, b, c = (per_point(x) for x in np.moveaxis(solved, -1, 0))
     coeffs = QCHCoefficients(a=a, b=b, c=c, residual=per_point(np.zeros_like(a)))
-    if draws is None and residual_samples and rng is not None:
-        draws = rng.standard_normal(g.shape[:-2] + (residual_samples, g.shape[-1]))
     if draws is not None:
         split = split_tensors(g, J, h_hat, jh_hat)
         deviations = _probe_deviations(R, g, J, split, coeffs, draws)
@@ -168,17 +166,14 @@ def _probe_deviations(R: Curvature4, g: np.ndarray, J: np.ndarray,
     return np.abs(k - (a + b * tau2 + c * tau2 ** 2))
 
 
-def fit_qch_coefficients(analysis: PointAnalysis,
-                         rng: np.random.Generator | None = None,
-                         residual_samples: int = 100, *,
+def fit_qch_coefficients(analysis: PointAnalysis, *,
                          draws: np.ndarray | None = None) -> QCHCoefficients:
-    """Engine-facing fit at the analyzed point(s)."""
+    """Engine-facing fit at the analyzed point(s), its residual along ``draws``."""
     vectors = analysis.frame.vectors
     J = analysis.complex_structure[0]
     return fit_from_curvature(analysis.riemann.components, analysis.g, J,
                               vectors[..., 0, :], vectors[..., 1, :],
-                              analysis.frame.horizontal[..., 0, :], rng, residual_samples,
-                              draws=draws)
+                              analysis.frame.horizontal[..., 0, :], draws=draws)
 
 
 def qch_residual_samples(analysis: PointAnalysis, coeffs: QCHCoefficients,
@@ -281,29 +276,30 @@ def _directional_cov(analysis: PointAnalysis, x_field, direction: np.ndarray):
     return matvec(nabla, direction)
 
 
-def _shifted_analysis(model, point, t_new) -> PointAnalysis:
+def _shifted_analysis(model, x: np.ndarray, t_new) -> PointAnalysis:
     """The same points moved along t; they share z, so the base memo hits."""
-    moved = ChartPoint(t=t_new, psi=point.psi, z=point.z, chart=point.chart)
+    moved = x.copy()
+    moved[..., 0] = t_new
     return PointAnalysis(model, moved)
 
 
-def _kappa_at_t(model, point, t_new):
-    kap, _ = kappa_and_principal_section(_shifted_analysis(model, point, t_new), model)
+def _kappa_at_t(model, x, t_new):
+    kap, _ = kappa_and_principal_section(_shifted_analysis(model, x, t_new), model)
     return kap
 
 
-def _fit_at_t(model, point, t_new) -> QCHCoefficients:
-    return fit_qch_coefficients(_shifted_analysis(model, point, t_new), None, 0)
+def _fit_at_t(model, x, t_new) -> QCHCoefficients:
+    return fit_qch_coefficients(_shifted_analysis(model, x, t_new))
 
 
 def structure_identity_residuals(analysis: PointAnalysis, model, params,
                                  *, fit: QCHCoefficients | None = None,
-                                 divergences=None, fit_step: float = 1e-4,
-                                 kappa_step: float = 1e-5) -> dict[str, float]:
+                                 divergences=None) -> dict[str, float]:
     """Named residuals of the pointwise structure identities (warped mode).
 
     Derivatives of the fitted coefficients and of kappa along t come from
-    centered differences of fits/divergences at displaced t; the underlying
+    centered differences of fits/divergences at t displaced by ``FIT_STEP``
+    and ``KAPPA_STEP``; the underlying
     quantities are jet-exact, so the differencing error is the step-size bias
     alone.  t-only dependence of the coefficients is asserted separately.
     A caller that has already fitted the point(s) (any residual draws: the
@@ -311,7 +307,7 @@ def structure_identity_residuals(analysis: PointAnalysis, model, params,
     passes them as ``fit`` and ``divergences``.
     """
     if fit is None:
-        fit = fit_qch_coefficients(analysis, None, 0)
+        fit = fit_qch_coefficients(analysis)
     n = params.n
     frame = analysis.frame
     g = analysis.g
@@ -319,7 +315,8 @@ def structure_identity_residuals(analysis: PointAnalysis, model, params,
     e_frame = frame.horizontal
     J = analysis.complex_structure[0]
     split = split_tensors(g, J, h_hat, jh_hat)
-    t = analysis.point.t
+    x = analysis.x
+    t = x[..., 0]
     r, rp, rpp, rppp = model.profile.evaluate(t)
     f, fp, _ = model.profile.warp_from(r, rp, rpp, rppp)
 
@@ -350,9 +347,9 @@ def structure_identity_residuals(analysis: PointAnalysis, model, params,
     # kappa closed form, and d ln kappa = -(kappa/(n-1) + p*) theta along H
     kap, _ = kappa_and_principal_section(analysis, model, divergences)
     out["kappa_closed_form"] = np.abs(kap - kappa_closed_form(n, r, rp))
-    kplus = _kappa_at_t(model, analysis.point, t + kappa_step)
-    kminus = _kappa_at_t(model, analysis.point, t - kappa_step)
-    dlnk = (np.log(kplus) - np.log(kminus)) / (2.0 * kappa_step)
+    kplus = _kappa_at_t(model, x, t + KAPPA_STEP)
+    kminus = _kappa_at_t(model, x, t - KAPPA_STEP)
+    dlnk = (np.log(kplus) - np.log(kminus)) / (2.0 * KAPPA_STEP)
     out["log_kappa_gradient"] = np.abs(dlnk + kap / (n - 1) + p_star)
 
     # nabla theta = kappa/(2(n-1)) m - p* (J theta) x (J theta), theta = H-flat
@@ -367,10 +364,10 @@ def structure_identity_residuals(analysis: PointAnalysis, model, params,
 
     # coefficient gradients along t:
     #   da/dt = b kappa / (2(n-1)),   db/dt = (b + 4c) kappa / (n-1)
-    fplus = _fit_at_t(model, analysis.point, t + fit_step)
-    fminus = _fit_at_t(model, analysis.point, t - fit_step)
-    da = (fplus.a - fminus.a) / (2.0 * fit_step)
-    db = (fplus.b - fminus.b) / (2.0 * fit_step)
+    fplus = _fit_at_t(model, x, t + FIT_STEP)
+    fminus = _fit_at_t(model, x, t - FIT_STEP)
+    da = (fplus.a - fminus.a) / (2.0 * FIT_STEP)
+    db = (fplus.b - fminus.b) / (2.0 * FIT_STEP)
     out["coefficient_gradient_a"] = np.abs(da - fit.b * kap / (2.0 * (n - 1)))
     out["coefficient_gradient_b"] = np.abs(db - (fit.b + 4.0 * fit.c) * kap / (n - 1))
 
@@ -390,27 +387,22 @@ def structure_identity_residuals(analysis: PointAnalysis, model, params,
     return {key: per_point(value) for key, value in out.items()}
 
 
-def coefficient_base_independence(analysis: PointAnalysis, model,
-                                  rng: np.random.Generator | None = None, *,
-                                  draws: np.ndarray | None = None,
+def coefficient_base_independence(analysis: PointAnalysis, model, *, draws: np.ndarray,
                                   fit: QCHCoefficients | None = None):
     """|a(z1) - a(z2)| for two nearby base points at the same t (t-only check).
 
     The base points move by 0.05 times standard-normal ``draws`` of shape
-    B + (2, 2m), drawn from ``rng`` when not given.  ``fit`` is the caller's
-    fit at the analysed point(s), if it has one.
+    B + (2, 2m).  ``fit`` is the caller's fit at the analysed point(s), if it
+    has one.
     """
-    point = analysis.point
-    if draws is None:
-        draws = rng.standard_normal(point.batch_shape + (2, point.z.shape[-1]))
     if fit is None:
-        fit = fit_qch_coefficients(analysis, None, 0)
+        fit = fit_qch_coefficients(analysis)
     a0 = fit.a
     worst = 0.0
     for k in range(2):
-        moved = ChartPoint(t=point.t, psi=point.psi, z=point.z + 0.05 * draws[..., k, :],
-                           chart=point.chart)
-        a1 = fit_qch_coefficients(PointAnalysis(model, moved), None, 0).a
+        moved = analysis.x.copy()
+        moved[..., 2:] += 0.05 * draws[..., k, :]
+        a1 = fit_qch_coefficients(PointAnalysis(model, moved)).a
         worst = np.maximum(worst, np.abs(a1 - a0))
     return per_point(worst)
 
@@ -425,8 +417,7 @@ def warped_submersion_residuals(analysis: PointAnalysis, model, params) -> dict[
     frame = analysis.frame
     h_hat, jh_hat = frame.vectors[..., 0, :], frame.vectors[..., 1, :]
     e_frame = frame.horizontal
-    t = analysis.point.t
-    r, rp, rpp, rppp = model.profile.evaluate(t)
+    r, rp, rpp, rppp = model.profile.evaluate(analysis.x[..., 0])
     f, fp, _ = model.profile.warp_from(r, rp, rpp, rppp)
     s = model.s
     R4 = analysis.riemann.components

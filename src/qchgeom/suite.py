@@ -34,18 +34,17 @@ from .flows import jacobi_decay_experiment
 from .geometry import (
     BaseChartMetric,
     BundleParams,
-    ChartPoint,
     CircleBundleMetric,
     FubiniStudy,
     ProductBase,
     WarpedBundleMetric,
     exterior_derivative_1form,
     exterior_derivative_2form,
-    stack_points,
 )
 from .jets import stack
-from .profile import boundary_report, build_polynomial, solve_profile
+from .profile import FIRST_INTEGRAL_SAMPLES, boundary_report, build_polynomial, solve_profile
 from .qch import (
+    QCHCoefficients,
     circle_bundle_residuals,
     coefficient_base_independence,
     fit_qch_coefficients,
@@ -125,6 +124,9 @@ CHECKS: dict[str, tuple[float, str]] = {
     "theta_normalization": (1e-12, "theta(xi) = 1 and g(H, xi) = 0"),
     "totally_geodesic_d": (1e-8, "p_E(nabla_X Y) = 0 for X, Y spanning D"),
 }
+
+# sample points at which the second Bianchi spot check runs
+BIANCHI2_POINTS = 2
 
 # plus the median residual the quasi-constancy control must exceed to fail decisively
 DEFAULT_TOLERANCES: dict[str, float] = {
@@ -226,24 +228,23 @@ class VerificationReport:
 
 
 def sample_interior_points(model, rng: np.random.Generator, count: int,
-                           margin_frac: float, z_radius: float) -> list[ChartPoint]:
-    """Random interior chart points, kept away from the collapsing ends and
-    from the far region of the affine chart where conditioning degrades."""
-    points = []
+                           margin_frac: float, z_radius: float) -> np.ndarray:
+    """Random interior chart points (count, d), kept away from the collapsing
+    ends and from the far region of the affine chart where conditioning
+    degrades.  Each row draws z, then psi, then t on the warped chart, and
+    keeps what the model's layout holds: (t, psi, z), (psi, z) or z."""
+    points = np.zeros((count, model.dim))
     has_t = isinstance(model, WarpedBundleMetric)
     if has_t:
         L = model.profile.L
         lo, hi = margin_frac * L, (1.0 - margin_frac) * L
     nz = model.base.dim
-    for _ in range(count):
+    for row in points:
         z = rng.standard_normal(nz)
         z *= rng.uniform(0.1, 1.0) * z_radius / max(float(np.linalg.norm(z)), 1e-12)
         psi = rng.uniform(0.0, 2.0 * np.pi)
-        if has_t:
-            points.append(ChartPoint(t=rng.uniform(lo, hi), psi=psi, z=z,
-                                     chart=model.chart))
-        else:
-            points.append(ChartPoint(psi=psi, z=z, chart=model.chart))
+        lead = [rng.uniform(lo, hi), psi] if has_t else [psi]
+        row[:] = np.concatenate((lead, z))[-model.dim:]
     return points
 
 
@@ -303,9 +304,9 @@ def _connection_form_residuals(model, analysis: PointAnalysis) -> tuple:
     bundle chart (psi sits just before the base block z).  So the second
     residual tests the pitch and cross terms the metric was built with.
     """
-    sigma, omega = model.connection_forms(analysis.point.z)
     d = model.dim
     off = d - model.base.dim
+    sigma, omega = model.connection_forms(analysis.x[..., off:])
     grads = sigma.gradient[..., off:]
     res_sigma = max_abs(mT(grads) - grads - omega, 2)
     g = analysis.metric
@@ -341,7 +342,7 @@ def _metric_invariant_checks(res: _Residuals, model, analyses, *, has_j: bool) -
 
 
 def _curvature_invariant_checks(res: _Residuals, model, points, analyses, rng, *,
-                                has_j: bool, bianchi2_points: int = 2) -> None:
+                                has_j: bool) -> None:
     for an in analyses:
         R = an.riemann.components
         scale = np.maximum(max_abs(R, 4), 1e-30)
@@ -362,10 +363,10 @@ def _curvature_invariant_checks(res: _Residuals, model, points, analyses, rng, *
                     ricci_j_invariance=max_abs(mT(J) @ rho @ J - rho, 2))
     # unit directions (A, B, C) at the first points, one (points, 3, d) draw;
     # their curvature and connection come from the analyses already made
-    spots = points[:bianchi2_points]
-    dirs = rng.standard_normal(spots.batch_shape + (3, model.dim))
+    spots = points[:BIANCHI2_POINTS]
+    dirs = rng.standard_normal(spots.shape[:-1] + (3, model.dim))
     dirs /= np.linalg.norm(dirs, axis=-1, keepdims=True)
-    count, first = len(spots.t), analyses[:len(spots.t)]
+    count, first = len(spots), analyses[:len(spots)]
     curvature = (_first_points([an.riemann.components for an in first], count),
                  _first_points([an.gamma for an in first], count))
     res.add(bianchi_second_spot=second_bianchi_residual(model, spots, dirs,
@@ -381,7 +382,7 @@ def _profile_checks(res: _Residuals, profile, poly) -> None:
                                  abs(rep["boundary_start"]), abs(rep["boundary_end"])),
             profile_first_integral=profile.first_integral_residual(),
             profile_length_agreement=abs(profile.L - profile.quadrature_length))
-    res.samples["profile_first_integral"] = 400  # first_integral_residual's samples
+    res.samples["profile_first_integral"] = FIRST_INTEGRAL_SAMPLES
 
 
 def _warped_structure_checks(res: _Residuals, model, analyses, params, rng) -> None:
@@ -389,12 +390,12 @@ def _warped_structure_checks(res: _Residuals, model, analyses, params, rng) -> N
     for an in analyses:
         # per point, in the seed's draw order: fit probes, section angle, base moves
         draws, phis, moves = [], [], []
-        for _ in range(len(an.point.t)):
+        for _ in range(len(an.x)):
             draws.append(rng.standard_normal((100, d)))
             phis.append(rng.uniform(0.0, 2.0 * np.pi))
             moves.append(rng.standard_normal((2, nz)))
         fit = fit_qch_coefficients(an, draws=np.stack(draws))
-        r, rp, _, _ = model.profile.evaluate(an.point.t)
+        r, rp, _, _ = model.profile.evaluate(an.x[..., 0])
         rs = ricci_split(an, fit, params.n)
         d1, d2 = section_divergences(an, model)
         phis = np.array(phis)
@@ -457,7 +458,7 @@ def build_warped_model(config) -> tuple[BundleParams, WarpedBundleMetric]:
 def _circle_bundle_checks(res: _Residuals, model, analyses) -> None:
     base_chart = BaseChartMetric(model.base)
     for an in analyses:
-        ab = PointAnalysis(base_chart, ChartPoint(z=an.point.z))
+        ab = PointAnalysis(base_chart, an.x[..., 1:])
         fr = ab.frame.vectors
         rho_b = fr @ ab.ricci @ mT(fr)
         k = rho_b.shape[-1]
@@ -466,9 +467,17 @@ def _circle_bundle_checks(res: _Residuals, model, analyses) -> None:
                 **_as_checks(circle_bundle_residuals(an, model, mu0)))
 
 
+def _fit_with_draws(an: PointAnalysis, rng) -> QCHCoefficients:
+    """The fit at an analysis, its residual along 100 standard-normal draws
+    per point: one draw of B + (100, d), the same stream as 100 draws of size
+    d point after point, so batching leaves the probes of a seed unchanged."""
+    d = an.g.shape[-1]
+    return fit_qch_coefficients(an, draws=rng.standard_normal(an.g.shape[:-2] + (100, d)))
+
+
 def _product_checks(res: _Residuals, model, analyses, params, rng) -> None:
     for an in analyses:
-        fit = fit_qch_coefficients(an, rng, 100)
+        fit = _fit_with_draws(an, rng)
         rs = ricci_split(an, fit, params.n)
         d1, d2 = section_divergences(an, model)
         res.add(qch_fit_residual=fit.residual, kappa_vanishes=np.hypot(d1, d2),
@@ -480,7 +489,7 @@ def _negative_control_checks(res: _Residuals, analyses, rng, floor: float) -> No
     """The quasi-constancy fit on a base that is Einstein but not of constant
     holomorphic curvature: it must fail, with its median residual above
     ``floor``."""
-    fits = [fit_qch_coefficients(an, rng, 100) for an in analyses]
+    fits = [_fit_with_draws(an, rng) for an in analyses]
     medians = [np.median(qch_residual_samples(an, fit, rng, 40), axis=-1)
                for an, fit in zip(analyses, fits)]
     for fit in fits:
@@ -503,8 +512,8 @@ def run_suite(config) -> VerificationReport:
     else:
         params, model = build_warped_model(config)
         _profile_checks(res, model.profile, model.profile.polynomial)
-    points = stack_points(sample_interior_points(model, rng, config.sample_count,
-                                                 config.sample_margin, config.z_radius))
+    points = sample_interior_points(model, rng, config.sample_count,
+                                    config.sample_margin, config.z_radius)
     analyses = batch_analyses(model, points)
     _metric_invariant_checks(res, model, analyses, has_j=not bundle)
     _curvature_invariant_checks(res, model, points, analyses, rng, has_j=not bundle)
@@ -515,7 +524,7 @@ def run_suite(config) -> VerificationReport:
         # with perturb_f != 1 this check fails decisively: that is a hard
         # failure mode (exit 1), not an annotated expected failure
         _nabla_j_check(res, analyses)
-        res.samples["qch_fit_residual"] = 100 * len(points.t)
+        res.samples["qch_fit_residual"] = 100 * len(points)
         if config.mode == "negative-control":
             _negative_control_checks(res, analyses, rng, tol["qch_fit_negative_floor"])
         elif config.mode == "product":

@@ -3,7 +3,6 @@ import pytest
 
 from qchgeom import (
     BundleParams,
-    ChartPoint,
     CircleBundleMetric,
     FubiniStudy,
     ProductBase,
@@ -77,8 +76,7 @@ def warped_analyses(warped):
 
 @pytest.fixture(scope="session")
 def sample_point(profile):
-    return ChartPoint(t=0.4 * profile.L, psi=0.3,
-                      z=np.array([0.2, -0.1, 0.15, 0.05]))
+    return np.array([0.4 * profile.L, 0.3, 0.2, -0.1, 0.15, 0.05])
 
 
 @pytest.fixture(scope="session")

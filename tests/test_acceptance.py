@@ -8,7 +8,6 @@ dimension 6), base curvature c0 = 4, cubic profile (x, y, s) = (1, 2, 2/3).
 import numpy as np
 import pytest
 
-from qchgeom import ChartPoint
 from qchgeom.curvature import PointAnalysis, max_frame_component_3tensor, nabla_j
 from qchgeom.flows import jacobi_decay_experiment
 from qchgeom.geometry import BaseChartMetric
@@ -27,6 +26,11 @@ from qchgeom.suite import sample_interior_points
 from helpers import jet_fd_errors
 
 POINTS = 50
+
+
+def _fit(an, rng):
+    """The fit with its residual along 100 standard-normal draws from rng."""
+    return fit_qch_coefficients(an, draws=rng.standard_normal((100, an.g.shape[-1])))
 
 
 def _sampled_analyses(model, seed, count=POINTS):
@@ -63,7 +67,7 @@ def bundle_20(circle_bundle):
 @pytest.fixture(scope="module")
 def warped_fits(warped_50):
     rng = np.random.default_rng(2001)
-    return [fit_qch_coefficients(an, rng, 100) for an in warped_50]
+    return [_fit(an, rng) for an in warped_50]
 
 
 @pytest.fixture(scope="module")
@@ -95,12 +99,12 @@ def test_c02_quasi_constancy(warped, params, warped_50, warped_fits, negative, n
     fit_worst = max(fit.residual for fit in warped_fits)
     a_worst = 0.0
     for an, fit in zip(warped_50, warped_fits):
-        r, rp, _, _ = warped.profile.evaluate(an.point.t)
+        r, rp, _, _ = warped.profile.evaluate(an.x[0])
         a_worst = max(a_worst, abs(fit.a - (params.c0 / r ** 2 - 4.0 * rp ** 2 / r ** 2)))
     rng = np.random.default_rng(2002)
     neg_medians = []
     for an in negative_20:
-        fit = fit_qch_coefficients(an, rng, 100)
+        fit = _fit(an, rng)
         neg_medians.append(np.median(qch_residual_samples(an, fit, rng, 40)))
     neg_median = float(np.median(neg_medians))
     criterion(2, fit_worst < 1e-7 and a_worst < 1e-7 and neg_median > 1e-2,
@@ -182,7 +186,7 @@ def test_c07_submersion_cross_checks(warped, params, warped_50, circle_bundle, b
     base_chart = BaseChartMetric(circle_bundle.base)
     bundle_worst = 0.0
     for an in bundle_20:
-        ab = PointAnalysis(base_chart, ChartPoint(z=an.point.z))
+        ab = PointAnalysis(base_chart, an.x[1:])
         rho_b = ab.frame.vectors @ ab.ricci @ ab.frame.vectors.T
         mu0 = float(np.trace(rho_b) / rho_b.shape[0])
         out = circle_bundle_residuals(an, circle_bundle, mu0)
@@ -223,7 +227,7 @@ def test_c10_product_mode(product, product_50):
     for an in product_50:
         d1, d2 = section_divergences(an, product)
         kappa_worst = max(kappa_worst, float(np.hypot(d1, d2)))
-        fit_worst = max(fit_worst, fit_qch_coefficients(an, rng, 100).residual)
+        fit_worst = max(fit_worst, _fit(an, rng).residual)
     criterion(10, worst_nj < 1e-7 and kappa_worst < 1e-10 and fit_worst < 1e-7,
               f"product mode: max |nabla J| {worst_nj:.2e} < 1e-7, kappa "
               f"{kappa_worst:.2e} < 1e-10, fit residual {fit_worst:.2e} < 1e-7")

@@ -31,7 +31,7 @@ from qchgeom.curvature import (
     nabla_j,
     second_bianchi_residual,
 )
-from qchgeom.geometry import BaseChartMetric, stack_points
+from qchgeom.geometry import BaseChartMetric
 from qchgeom.qch import (
     circle_bundle_residuals,
     coefficient_base_independence,
@@ -97,8 +97,8 @@ CASES = ([(n, name, count) for n in (3, 5) for name in _models(3)[1] for count i
 def test_batched_analysis_matches_single_points(n, name, count):
     model = _models(n)[1][name]
     points = _points(model, count)
-    analyses = batch_analyses(model, stack_points(points))
-    assert sum(len(an.point.t) for an in analyses) == count
+    analyses = batch_analyses(model, points)
+    assert sum(len(an.x) for an in analyses) == count
     singles = [PointAnalysis(model, p) for p in points]
     for quantity, get in QUANTITIES.items():
         if quantity.startswith("j") and singles[0].complex_structure is None:
@@ -115,8 +115,8 @@ def test_slices_split_the_batch(monkeypatch):
     params, models = _models(3)
     model = models["warped"]
     points = _points(model, 7)
-    analyses = batch_analyses(model, stack_points(points))
-    assert [len(an.point.t) for an in analyses] == [3, 3, 1]
+    analyses = batch_analyses(model, points)
+    assert [len(an.x) for an in analyses] == [3, 3, 1]
     batched = np.concatenate([an.riemann.components for an in analyses])
     single = np.stack([PointAnalysis(model, p).riemann.components for p in points])
     assert _close(batched, single)
@@ -126,7 +126,7 @@ def _family_cases(n, name, count=5):
     params, models = _models(n)
     model = models[name]
     points = _points(model, count, seed=11)
-    return params, model, points, PointAnalysis(model, stack_points(points))
+    return params, model, points, PointAnalysis(model, points)
 
 
 def _assert_per_point(batched, singles, label):
@@ -196,7 +196,7 @@ def test_invariant_families_match_single_points(name):
             _assert_per_point(batched[k], [p[k] for p in per_point], "connection_form")
     dirs = np.random.default_rng(4).standard_normal((len(points), 3, model.dim))
     dirs /= np.linalg.norm(dirs, axis=-1, keepdims=True)
-    _assert_per_point(second_bianchi_residual(model, batch.point, dirs),
+    _assert_per_point(second_bianchi_residual(model, batch.x, dirs),
                       [second_bianchi_residual(model, p, v) for p, v in zip(points, dirs)],
                       "second_bianchi")
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from qchgeom import ChartPoint, EuclideanMetric, FubiniStudy
+from qchgeom import EuclideanMetric, FubiniStudy
 from qchgeom.curvature import (
     PointAnalysis,
     constant_vector_field,
@@ -19,9 +19,7 @@ from qchgeom.flows import jacobi_matrix
 from qchgeom.geometry import (
     BaseChartMetric,
     BundleParams,
-    ChartKind,
     WarpedBundleMetric,
-    stack_points,
 )
 from qchgeom.jets import Jet2, compose
 from qchgeom.profile import build_polynomial, solve_profile
@@ -32,14 +30,6 @@ class Rotationally2D:
     """Toy metric diag(1, r(t)^2) on coordinates (t, x), r = 2 + sin t."""
 
     dim = 2
-    chart = ChartKind.BASE
-
-    def coords(self, point):
-        return np.asarray(point if not isinstance(point, ChartPoint) else point.z,
-                          dtype=float)
-
-    def point(self, coords):
-        return coords
 
     def metric_jets(self, coords):
         t = coords[0]
@@ -88,7 +78,7 @@ def test_fubini_study_gaussian_curvature():
     bm = BaseChartMetric(FubiniStudy(1, 4.0))
     for _ in range(8):
         z = rng.uniform(-1.2, 1.2, 2)
-        an = PointAnalysis(bm, ChartPoint(z=z))
+        an = PointAnalysis(bm, z)
         k = sectional_curvature(an.riemann, an.g, np.array([1.0, 0.0]),
                                 np.array([0.0, 1.0]))
         assert abs(k - 4.0) < 1e-12
@@ -101,7 +91,7 @@ def test_fubini_study_holomorphic_curvature_constant(c0):
     bm = BaseChartMetric(base)
     for _ in range(20):
         z = rng.uniform(-1.0, 1.0, 4)
-        an = PointAnalysis(bm, ChartPoint(z=z))
+        an = PointAnalysis(bm, z)
         X = rng.standard_normal(4)
         k = holomorphic_sectional_curvature(an.riemann, an.g, base.j0, X)
         assert abs(k - c0) < 1e-8
@@ -114,7 +104,7 @@ def test_fubini_study_totally_real_planes():
     bm = BaseChartMetric(base)
     for _ in range(10):
         z = rng.uniform(-0.9, 0.9, 4)
-        an = PointAnalysis(bm, ChartPoint(z=z))
+        an = PointAnalysis(bm, z)
         X = rng.standard_normal(4)
         X /= np.sqrt(X @ an.g @ X)
         Y = rng.standard_normal(4)
@@ -175,7 +165,7 @@ def test_nabla_j_kahler_vs_perturbed(warped, perturbed, sample_point):
 
 
 def test_nabla_j_product_mode(product, profile):
-    pt = ChartPoint(t=0.45 * profile.L, psi=0.8, z=np.array([0.25, -0.2, 0.1, 0.3]))
+    pt = np.array([0.45 * profile.L, 0.8, 0.25, -0.2, 0.1, 0.3])
     an = PointAnalysis(product, pt)
     assert max_frame_component_3tensor(nabla_j(an), an.frame.vectors, an.g) < 1e-7
 
@@ -201,17 +191,17 @@ def test_killing_deviation_axial_field_detects_expansion(warped, profile, sample
     # L_H g = 2 r r' h on the base block and 2 f f' on the fiber block
     an = PointAnalysis(warped, sample_point)
     dev = killing_deviation(an, warped.h_field())
-    r, rp, _, _ = profile.evaluate(sample_point.t)
-    f, fp, _ = profile.warp_derivatives(sample_point.t)
+    r, rp, _, _ = profile.evaluate(sample_point[0])
+    f, fp, _ = profile.warp_derivatives(sample_point[0])
     from qchgeom.jets import seed_chart
 
-    h = warped.base.metric_jets(seed_chart(warped.coords(sample_point))[2:])
+    h = warped.base.metric_jets(seed_chart(sample_point)[2:])
     h_vals = np.array([[j.value for j in row] for row in h])
     base_block = dev[2:, 2:] - (warped.s ** 2 * 2.0 * f * fp) * np.outer(
         [sj.value for sj in warped.base.connection_potential_jets(
-            seed_chart(warped.coords(sample_point))[2:])],
+            seed_chart(sample_point)[2:])],
         [sj.value for sj in warped.base.connection_potential_jets(
-            seed_chart(warped.coords(sample_point))[2:])])
+            seed_chart(sample_point)[2:])])
     assert np.allclose(base_block, 2.0 * r * rp * h_vals, atol=1e-12)
     assert abs(dev[1, 1] - 2.0 * f * fp) < 1e-12
 
@@ -219,7 +209,7 @@ def test_killing_deviation_axial_field_detects_expansion(warped, profile, sample
 def test_e_divergences(warped, warped_point_analysis, profile, params):
     an = warped_point_analysis
     e_frame = an.frame.horizontal
-    r, rp, _, _ = profile.evaluate(an.point.t)
+    r, rp, _, _ = profile.evaluate(an.x[0])
     div_h = div_e(an, warped.h_field(), e_frame)
     assert abs(div_h - 2.0 * (params.n - 1) * rp / r) < 1e-12
     assert abs(div_e(an, warped.fiber_field(), e_frame)) < 1e-12
@@ -230,14 +220,14 @@ def test_hessian_form_of_killing_potential(warped, warped_point_analysis, profil
     hess = hessian_form(an, warped.potential_field())
     e_frame = an.frame.horizontal
     hess_e = e_frame @ hess @ e_frame.T
-    f = profile.warp(an.point.t)
-    r, rp, _, _ = profile.evaluate(an.point.t)
+    f = profile.warp(an.x[0])
+    r, rp, _, _ = profile.evaluate(an.x[0])
     kappa = 2.0 * (params.n - 1) * rp / r
     target = f * kappa / (2.0 * (params.n - 1))
     assert np.abs(hess_e - target * np.eye(4)).max() < 1e-12
     # and the D block: Hess(tau)(H, H) = f'
     h_hat = an.frame.vectors[0]
-    fp = profile.warp_derivatives(an.point.t)[1]
+    fp = profile.warp_derivatives(an.x[0])[1]
     assert abs(float(h_hat @ hess @ h_hat) - fp) < 1e-12
 
 
@@ -266,7 +256,7 @@ def test_jacobi_operator_matches_full_riemann(n):
     rng = np.random.default_rng(70 + n)
     points = sample_interior_points(model, rng, 3, 0.05, 1.5)
     v = 2.5 * rng.standard_normal((3, model.dim))
-    batched = jacobi_operator(PointAnalysis(model, stack_points(points)), v)
+    batched = jacobi_operator(PointAnalysis(model, points), v)
     for i, p in enumerate(points):
         an = PointAnalysis(model, p)
         frame = an.frame.vectors
@@ -280,7 +270,7 @@ def test_jacobi_operator_matches_full_riemann(n):
 def test_jacobi_operator_vanishes_on_flat_space():
     field = EuclideanMetric(4)
     v = np.array([0.3, -1.2, 2.0, 0.5])
-    assert not np.any(jacobi_operator(PointAnalysis(field, ChartPoint(z=np.ones(4))), v))
+    assert not np.any(jacobi_operator(PointAnalysis(field, np.ones(4)), v))
 
 
 def test_christoffel_symbols_alone(warped, sample_point):

@@ -6,7 +6,6 @@ import qchgeom.curvature as curvature
 import qchgeom.flows as flows
 from qchgeom import (
     BundleParams,
-    ChartPoint,
     EuclideanMetric,
     FubiniStudy,
     WarpedBundleMetric,
@@ -57,7 +56,7 @@ def test_axial_geodesic_stays_on_axis(warped, profile):
     # metric components depend only on t, so the t-line is a unit geodesic
     assert abs(end.position[0] - (t0 + span)) < 1e-10
     assert np.abs(end.position[1:] - x0[1:]).max() < 1e-10
-    g_end = PointAnalysis(warped, warped.point(end.position)).g
+    g_end = PointAnalysis(warped, end.position).g
     assert abs(float(end.velocity @ g_end @ end.velocity) - 1.0) < 1e-8
     assert geodesic_residuals(path, [0.1 * span, 0.5 * span, 0.9 * span]) < 1e-8
 
@@ -79,7 +78,7 @@ def test_constant_curvature_jacobi_oscillates():
     # cos(2 t) when started with vanishing covariant derivative
     bm = BaseChartMetric(FubiniStudy(1, 4.0))
     x0 = np.array([0.1, 0.05])
-    an0 = PointAnalysis(bm, ChartPoint(z=x0))
+    an0 = PointAnalysis(bm, x0)
     v0 = np.array([1.0, 0.0]); v0 = v0 / np.sqrt(v0 @ an0.g @ v0)
     C0 = np.array([0.0, 1.0])
     C0 = C0 - (v0 @ an0.g @ C0) * v0
@@ -96,7 +95,7 @@ def test_velocity_inner_product_conserved(warped, profile):
     x0 = np.array([t0, 0.4, 0.1, 0.2, -0.1, 0.05])
     v0 = np.zeros(6); v0[0] = 1.0
     path = integrate_geodesic(warped, GeodesicState(x0, v0), 0.3 * profile.L)
-    an0 = PointAnalysis(warped, warped.point(x0))
+    an0 = PointAnalysis(warped, x0)
     C0 = np.zeros(6); C0[1] = 1.0
     DC0 = an0.connection.gamma[:, 0, 1]
     result = integrate_jacobi(path, C0, DC0, samples=50)
@@ -109,7 +108,7 @@ def test_jacobi_equation_residual_on_solution(warped, profile):
     v0 = np.zeros(6); v0[0] = 1.0
     span = 0.3 * profile.L
     path = integrate_geodesic(warped, GeodesicState(x0, v0), span)
-    an0 = PointAnalysis(warped, warped.point(x0))
+    an0 = PointAnalysis(warped, x0)
     C0 = np.zeros(6); C0[1] = 1.0
     DC0 = an0.connection.gamma[:, 0, 1]
     result = integrate_jacobi(path, C0, DC0, samples=50)
@@ -167,7 +166,7 @@ def test_jacobi_equation_residual_on_desk_flow():
     span = L * (1.0 - 1e-3) - x0[0]
     path = integrate_geodesic(model, GeodesicState(x0, v0), span)
     C0 = np.zeros(model.dim); C0[1] = 1.0
-    DC0 = PointAnalysis(model, model.point(x0)).gamma[:, 0, 1]
+    DC0 = PointAnalysis(model, x0).gamma[:, 0, 1]
     result = integrate_jacobi(path, C0, DC0, samples=160)
     assert jacobi_equation_residual(result, np.linspace(0.05, 0.95, 7) * span) < 1e-7
 
@@ -192,7 +191,7 @@ def _fubini_study_ray(c0, span, direction):
     """(path, unit chart direction) of the radial Fubini-Study geodesic from
     the chart origin."""
     bm = BaseChartMetric(FubiniStudy(1, c0))
-    g0 = PointAnalysis(bm, ChartPoint(z=np.zeros(2))).g
+    g0 = PointAnalysis(bm, np.zeros(2)).g
     u = np.asarray(direction, dtype=float) / np.linalg.norm(direction)
     return integrate_geodesic(bm, GeodesicState(np.zeros(2), u / np.sqrt(u @ g0 @ u)), span), u
 
@@ -251,7 +250,7 @@ def _desk_flow(n):
     v0 = np.zeros(model.dim); v0[0] = 1.0
     path = integrate_geodesic(model, GeodesicState(x0, v0), L * (1.0 - 1e-3) - x0[0])
     C0 = np.zeros(model.dim); C0[1] = 1.0
-    return path, C0, PointAnalysis(model, model.point(x0)).gamma[:, 0, 1]
+    return path, C0, PointAnalysis(model, x0).gamma[:, 0, 1]
 
 
 def _reference_jacobi(path, C0, DC0, *, rtol, atol, samples=200):
@@ -261,7 +260,7 @@ def _reference_jacobi(path, C0, DC0, *, rtol, atol, samples=200):
     field = path.field
     d = path.positions.shape[1]
     start = path.state(0.0)
-    analysis0 = PointAnalysis(field, field.point(start.position))
+    analysis0 = PointAnalysis(field, start.position)
     frame0 = flows._initial_frame(analysis0, start.velocity)
     g0 = analysis0.g
     y0 = frame0 @ g0 @ np.asarray(C0, dtype=float)
@@ -272,7 +271,7 @@ def _reference_jacobi(path, C0, DC0, *, rtol, atol, samples=200):
         y = state[d * d:d * d + d]
         yp = state[d * d + d:]
         geo = path.state(tau)
-        analysis = PointAnalysis(field, field.point(geo.position))
+        analysis = PointAnalysis(field, geo.position)
         v = geo.velocity
         dframe = -frame @ (v @ analysis.gamma).T
         ypp = frame @ (jacobi_operator(analysis, v).T @ (y @ frame))
@@ -305,6 +304,19 @@ def test_coefficient_panels_hold_off_the_nodes(n):
     assert table.edges[0] == 0.0 and table.edges[-1] == path.span
     assert result.stats == flows.SolveStats(result.stats.nfev, table.count)
     assert result.stats.nfev >= table.count * flows.PANEL_NODES
+
+
+def test_certified_panel_tails_sit_near_roundoff():
+    """Every certified panel of the n = 3 desk flow has a coefficient tail of
+    at most 1e3 eps of the window's largest value of each table (Gamma(., cdot)
+    and K; about 50 eps and 4 eps here).  The certificate accepts a tail up to
+    its measured floor, so a floor lifted far above roundoff fails here."""
+    path, C0, DC0 = _desk_flow(3)
+    table = integrate_jacobi(path, C0, DC0).coefficients
+    scale = np.abs(table.values).max(axis=(0, 1, 3, 4))
+    tails = np.array([flows._certificate(panel)[1] for panel in table.values])
+    assert tails.shape == (table.count, 2)
+    assert (tails <= 1e3 * np.finfo(float).eps * scale).all(), tails / scale
 
 
 def test_jacobi_flow_matches_the_per_stage_reference():
@@ -363,17 +375,17 @@ def test_jacobi_solve_analyses_a_fifth_of_its_stages_or_fewer(monkeypatch):
     built, analysed = [], []
     init = curvature.PointAnalysis.__init__
 
-    def counting(self, field, point):
+    def counting(self, field, x):
         built.append(1)
         analysed.append(self)
-        init(self, field, point)
+        init(self, field, x)
 
     monkeypatch.setattr(curvature.PointAnalysis, "__init__", counting)
     result = integrate_jacobi(path, C0, DC0, samples=160)
     assert 0 < len(built) < result.stats.nfev / 5
     # every exact evaluation is one analysed point (plus the start's frame),
     # and the panel march wastes fewer than the bisection's 552
-    assert sum(np.size(a.point.t) for a in analysed) == result.stats.nfev + 1
+    assert sum(np.size(a.x[..., 0]) for a in analysed) == result.stats.nfev + 1
     assert result.stats.nfev < 552
 
 
@@ -420,7 +432,7 @@ def test_batched_residuals_match_point_loops():
     """One analysis over all tau gives the residuals of one analysis per tau."""
     bm = BaseChartMetric(FubiniStudy(1, 4.0))
     x0 = np.array([0.1, 0.05])
-    g0 = PointAnalysis(bm, ChartPoint(z=x0)).g
+    g0 = PointAnalysis(bm, x0).g
     v0 = np.array([0.6, 0.8]); v0 = v0 / np.sqrt(v0 @ g0 @ v0)
     path = integrate_geodesic(bm, GeodesicState(x0, v0), 0.6)
     result = integrate_jacobi(path, np.array([0.3, -0.2]), np.array([0.1, 0.4]), samples=30)
@@ -429,7 +441,7 @@ def test_batched_residuals_match_point_loops():
     geodesic_ref, jacobi_ref = [], []
     for tau in taus:
         s0, sp, sm = path.state(tau), path.state(tau + step), path.state(tau - step)
-        an = PointAnalysis(bm, bm.point(s0.position))
+        an = PointAnalysis(bm, s0.position)
         res = (sp.velocity - sm.velocity) / (2.0 * step) - geodesic_acceleration(an.gamma, s0.velocity)
         geodesic_ref.append(np.sqrt(res @ an.g @ res))
         state, plus, minus = (result.dense(tau + h) for h in (0.0, step, -step))

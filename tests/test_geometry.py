@@ -2,12 +2,11 @@ import numpy as np
 import pytest
 
 from qchgeom import (
-    ChartPoint,
     CircleBundleMetric,
     FubiniStudy,
 )
 from qchgeom.curvature import PointAnalysis, batch_analyses
-from qchgeom.geometry import ChartBoundsError, exterior_derivative_1form, stack_points
+from qchgeom.geometry import ChartBoundsError, exterior_derivative_1form
 from qchgeom.jets import seed_chart
 from qchgeom.suite import sample_interior_points
 
@@ -80,8 +79,8 @@ def test_theta_derivative_on_bundle_chart():
 def test_metric_sample_block_structure(warped, profile, sample_point):
     an = PointAnalysis(warped, sample_point)
     g = an.g
-    f = profile.warp(sample_point.t)
-    r = profile.evaluate(sample_point.t)[0]
+    f = profile.warp(sample_point[0])
+    r = profile.evaluate(sample_point[0])[0]
     assert g[0, 0] == 1.0
     assert abs(g[1, 1] - f * f) < 1e-15
     # J sends H to xi/f and squares to -identity
@@ -90,16 +89,16 @@ def test_metric_sample_block_structure(warped, profile, sample_point):
     assert abs(jh[1] - 1.0 / f) < 1e-14
     assert np.abs(J @ J + np.eye(6)).max() < 1e-12
     # warp scaling of the base block at z = 0
-    origin = ChartPoint(t=sample_point.t, psi=0.0, z=np.zeros(4))
+    origin = np.array([sample_point[0], 0.0, 0.0, 0.0, 0.0, 0.0])
     g0 = PointAnalysis(warped, origin).g
     assert np.allclose(g0[2:, 2:], r * r * np.eye(4), atol=1e-13)
 
 
 def test_fiber_metric_is_killing_potential_square(warped, profile):
     # g(xi, xi) = f^2 = (2 r r'/s)^2
-    pt = ChartPoint(t=0.6 * profile.L, psi=1.0, z=np.array([0.3, 0.1, -0.2, 0.05]))
+    pt = np.array([0.6 * profile.L, 1.0, 0.3, 0.1, -0.2, 0.05])
     g = PointAnalysis(warped, pt).g
-    r, rp, _, _ = profile.evaluate(pt.t)
+    r, rp, _, _ = profile.evaluate(pt[0])
     assert abs(g[1, 1] - (2.0 * r * rp / warped.s) ** 2) < 1e-14
 
 
@@ -128,29 +127,29 @@ def test_kahler_form_closed(warped, warped_analyses):
 
 
 def test_product_mode_base_block_unscaled(product, profile):
-    pt = ChartPoint(t=0.5 * profile.L, psi=0.2, z=np.array([0.2, 0.1, -0.1, 0.3]))
+    pt = np.array([0.5 * profile.L, 0.2, 0.2, 0.1, -0.1, 0.3])
     g = PointAnalysis(product, pt).g
-    h = _base_metric(2, 4.0, pt.z)
+    h = _base_metric(2, 4.0, pt[2:])
     assert np.allclose(g[2:, 2:], h, atol=1e-15)
     assert np.abs(g[1, 2:]).max() == 0.0  # no connection cross terms at s = 0
 
 
 def test_interior_margin_enforced(warped, profile):
     with pytest.raises(ChartBoundsError, match="interior margin"):
-        warped.check_bounds(ChartPoint(t=1e-5 * profile.L, psi=0.0, z=np.zeros(4)))
+        warped.check_bounds(np.array([1e-5 * profile.L, 0.0, 0.0, 0.0, 0.0, 0.0]))
     # the analysis of a batch checks every point of it against the chart
-    inside = ChartPoint(t=0.5 * profile.L, psi=0.0, z=np.zeros(4))
-    end = ChartPoint(t=profile.L, psi=0.0, z=np.zeros(4))
+    inside = np.array([0.5 * profile.L, 0.0, 0.0, 0.0, 0.0, 0.0])
+    end = np.array([profile.L, 0.0, 0.0, 0.0, 0.0, 0.0])
     with pytest.raises(ChartBoundsError, match=r"^t = [0-9.e+-]+ outside interior margin"):
-        batch_analyses(warped, stack_points([inside, end]))
-    far = ChartPoint(t=0.5 * profile.L, psi=0.0, z=np.array([3.0, 3.0, 0.0, 0.0]))
+        batch_analyses(warped, np.stack([inside, end]))
+    far = np.array([0.5 * profile.L, 0.0, 3.0, 3.0, 0.0, 0.0])
     with pytest.raises(ChartBoundsError, match="chart radius"):
-        batch_analyses(warped, stack_points([inside, far]))
+        batch_analyses(warped, np.stack([inside, far]))
 
 
 def test_circle_bundle_sample():
     cb = CircleBundleMetric(1.3, 0.8, 0.5, FubiniStudy(2, 4.0))
-    an = PointAnalysis(cb, ChartPoint(psi=0.1, z=np.array([0.2, -0.1, 0.3, 0.0])))
+    an = PointAnalysis(cb, np.array([0.1, 0.2, -0.1, 0.3, 0.0]))
     g = an.g
     assert abs(g[0, 0] - 1.3 ** 2) < 1e-15
     assert an.complex_structure is None
@@ -161,7 +160,7 @@ def test_circle_bundle_sample():
 def test_circle_bundle_horizontal_block():
     # at the chart origin the horizontal block is beta^2 (4/c0) identity
     cb = CircleBundleMetric(1.0, 0.9, 0.5, FubiniStudy(2, 4.0))
-    g = PointAnalysis(cb, ChartPoint(psi=0.0, z=np.zeros(4))).g
+    g = PointAnalysis(cb, np.zeros(5)).g
     assert np.allclose(g[1:, 1:], 0.81 * np.eye(4), atol=1e-14)
     assert np.abs(g[0, 1:]).max() == 0.0
 
@@ -169,9 +168,9 @@ def test_circle_bundle_horizontal_block():
 def test_circle_bundle_zero_pitch_is_product():
     base = FubiniStudy(2, 4.0)
     cb = CircleBundleMetric(1.0, 1.0, 0.0, base)
-    pt = ChartPoint(psi=0.3, z=np.array([0.4, 0.2, -0.3, 0.1]))
+    pt = np.array([0.3, 0.4, 0.2, -0.3, 0.1])
     g = PointAnalysis(cb, pt).g
-    h = _base_metric(2, 4.0, pt.z)
+    h = _base_metric(2, 4.0, pt[1:])
     assert np.abs(g[0, 1:]).max() == 0.0
     assert np.allclose(g[1:, 1:], h, atol=1e-15)
 
@@ -189,7 +188,7 @@ def test_product_base_is_einstein_but_not_constant_curvature(negative):
 
     base = negative.base
     bm = BaseChartMetric(base)
-    an = PointAnalysis(bm, ChartPoint(z=np.array([0.2, 0.1, -0.3, 0.15])))
+    an = PointAnalysis(bm, np.array([0.2, 0.1, -0.3, 0.15]))
     rho = an.frame.vectors @ an.ricci @ an.frame.vectors.T
     mu0 = np.trace(rho) / 4.0
     assert np.abs(rho - mu0 * np.eye(4)).max() < 1e-12  # Einstein
@@ -228,11 +227,11 @@ def test_theta_derivative_detects_wrong_cross_term_pitch(warped, circle_bundle,
         model = warped
         wrong = WarpedBundleMetric(BundleParams(n=params.n, c0=params.c0, s=wrong_s),
                                    profile)
-        point = ChartPoint(t=0.4 * profile.L, psi=0.5, z=z)
+        point = np.array([0.4 * profile.L, 0.5, *z])
     else:
         model = circle_bundle
         wrong = CircleBundleMetric(model.alpha, model.beta, wrong_s, model.base)
-        point = ChartPoint(psi=0.5, z=z)
+        point = np.array([0.5, *z])
     res_sigma, res_theta = _connection_form_residuals(model, PointAnalysis(model, point))
     assert res_sigma < 1e-12 and res_theta < 1e-12
     res_sigma, res_theta = _connection_form_residuals(model, PointAnalysis(wrong, point))

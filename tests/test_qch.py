@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from qchgeom import ChartPoint, FubiniStudy
+from qchgeom import FubiniStudy
 from qchgeom.curvature import PointAnalysis
 from qchgeom.geometry import BaseChartMetric
 from qchgeom.qch import (
@@ -70,8 +70,8 @@ def test_synthetic_fit_recovers_coefficients(split_setup):
     Pi, Phi, Psi = model_tensor_arrays(an.g, J, split)
     R_syn = 2.0 * Pi - 1.0 * Phi + 0.5 * Psi
     fr = an.frame
-    fit = fit_from_curvature(R_syn, an.g, J, fr.vectors[0], fr.vectors[1],
-                             fr.horizontal[0], np.random.default_rng(1), 100)
+    fit = fit_from_curvature(R_syn, an.g, J, fr.vectors[0], fr.vectors[1], fr.horizontal[0],
+                             draws=np.random.default_rng(1).standard_normal((100, 6)))
     assert abs(fit.a - 2.0) < 1e-12
     assert abs(fit.b + 1.0) < 1e-12
     assert abs(fit.c - 0.5) < 1e-12
@@ -81,9 +81,9 @@ def test_synthetic_fit_recovers_coefficients(split_setup):
 def test_warped_fit_closed_forms(warped, profile, params, warped_analyses):
     rng = np.random.default_rng(3)
     for an in warped_analyses[:6]:
-        fit = fit_qch_coefficients(an, rng, 60)
-        r, rp, rpp, _ = profile.evaluate(an.point.t)
-        f, fp, fpp = profile.warp_derivatives(an.point.t)
+        fit = fit_qch_coefficients(an, draws=rng.standard_normal((60, an.g.shape[-1])))
+        r, rp, rpp, _ = profile.evaluate(an.x[0])
+        f, fp, fpp = profile.warp_derivatives(an.x[0])
         a_t = params.c0 / r ** 2 - 4.0 * rp ** 2 / r ** 2
         b_t = -2.0 * params.c0 / r ** 2 + 8.0 * rp ** 2 / r ** 2 - 8.0 * rpp / r
         c_t = -fpp / f - a_t - b_t
@@ -97,10 +97,9 @@ def test_negative_control_breaks_quasi_constancy(negative, profile):
     rng = np.random.default_rng(5)
     medians = []
     for k in range(6):
-        pt = ChartPoint(t=(0.2 + 0.1 * k) * profile.L, psi=0.3 * k,
-                        z=0.3 * rng.standard_normal(4))
+        pt = np.array([(0.2 + 0.1 * k) * profile.L, 0.3 * k, *(0.3 * rng.standard_normal(4))])
         an = PointAnalysis(negative, pt)
-        fit = fit_qch_coefficients(an, rng, 60)
+        fit = fit_qch_coefficients(an, draws=rng.standard_normal((60, an.g.shape[-1])))
         medians.append(np.median(qch_residual_samples(an, fit, rng, 60)))
     assert np.median(medians) > 1e-2
     assert min(medians) > 1e-3
@@ -116,7 +115,7 @@ def test_ricci_formula_arithmetic():
 def test_ricci_split_engine_matches_formula(warped, params, warped_analyses):
     rng = np.random.default_rng(7)
     for an in warped_analyses[:6]:
-        fit = fit_qch_coefficients(an, rng, 0)
+        fit = fit_qch_coefficients(an)
         rs = ricci_split(an, fit, params.n)
         assert abs(rs.lam_engine - rs.lam_formula) < 1e-7
         assert abs(rs.mu_engine - rs.mu_formula) < 1e-7
@@ -128,7 +127,7 @@ def test_ricci_split_engine_matches_formula(warped, params, warped_analyses):
 def test_kappa_and_principal_section(warped, profile, params, warped_point_analysis):
     an = warped_point_analysis
     kap, xi_p = kappa_and_principal_section(an, warped)
-    r, rp, _, _ = profile.evaluate(an.point.t)
+    r, rp, _, _ = profile.evaluate(an.x[0])
     assert abs(kap - kappa_closed_form(params.n, r, rp)) < 1e-7
     assert kap > 0.0
     # the t-direction is principal here: div_E(JH) = 0
@@ -155,7 +154,7 @@ def test_kappa_section_independence(warped, warped_point_analysis):
 
 
 def test_kappa_vanishes_in_product_mode(product, profile):
-    pt = ChartPoint(t=0.5 * profile.L, psi=0.1, z=np.array([0.2, -0.3, 0.1, 0.2]))
+    pt = np.array([0.5 * profile.L, 0.1, 0.2, -0.3, 0.1, 0.2])
     an = PointAnalysis(product, pt)
     d1, d2 = section_divergences(an, product)
     assert np.hypot(d1, d2) < 1e-10
@@ -182,12 +181,13 @@ def test_structure_identities(warped, params, warped_analyses):
     for an in warped_analyses[:4]:
         out = structure_identity_residuals(an, warped, params)
         for name, tol in tolerances.items():
-            assert out[name] < tol, f"{name}: {out[name]} at t={an.point.t}"
+            assert out[name] < tol, f"{name}: {out[name]} at t={an.x[0]}"
 
 
 def test_coefficients_depend_on_t_only(warped, warped_point_analysis):
     rng = np.random.default_rng(13)
-    dev = coefficient_base_independence(warped_point_analysis, warped, rng)
+    dev = coefficient_base_independence(
+        warped_point_analysis, warped, draws=rng.standard_normal((2, warped.base.dim)))
     assert dev < 1e-8
 
 
@@ -207,8 +207,8 @@ def test_circle_bundle_closed_forms(circle_bundle):
     base_chart = BaseChartMetric(circle_bundle.base)
     for _ in range(4):
         z = 0.5 * rng.standard_normal(4)
-        an = PointAnalysis(circle_bundle, ChartPoint(psi=rng.uniform(0, 6.2), z=z))
-        ab = PointAnalysis(base_chart, ChartPoint(z=z))
+        an = PointAnalysis(circle_bundle, np.array([rng.uniform(0, 6.2), *z]))
+        ab = PointAnalysis(base_chart, z)
         rho_b = ab.frame.vectors @ ab.ricci @ ab.frame.vectors.T
         mu0 = float(np.trace(rho_b) / 4.0)
         out = circle_bundle_residuals(an, circle_bundle, mu0)
@@ -221,7 +221,7 @@ def test_circle_bundle_fiber_ricci_scaling():
     from qchgeom import CircleBundleMetric
 
     cb = CircleBundleMetric(1.4, 0.9, 0.75, FubiniStudy(2, 4.0))
-    an = PointAnalysis(cb, ChartPoint(psi=0.2, z=np.array([0.3, -0.2, 0.1, 0.25])))
+    an = PointAnalysis(cb, np.array([0.2, 0.3, -0.2, 0.1, 0.25]))
     rho = an.ricci
     xi_hat = an.frame.vectors[0]
     target = 0.75 ** 2 * 1.4 ** 2 * 4 / (4.0 * 0.9 ** 4)
@@ -230,10 +230,10 @@ def test_circle_bundle_fiber_ricci_scaling():
 
 def test_product_mode_coefficients(product, profile, params):
     rng = np.random.default_rng(21)
-    pt = ChartPoint(t=0.35 * profile.L, psi=0.4, z=np.array([0.15, 0.2, -0.1, 0.05]))
+    pt = np.array([0.35 * profile.L, 0.4, 0.15, 0.2, -0.1, 0.05])
     an = PointAnalysis(product, pt)
-    fit = fit_qch_coefficients(an, rng, 80)
-    f, _, fpp = profile.warp_derivatives(pt.t)
+    fit = fit_qch_coefficients(an, draws=rng.standard_normal((80, an.g.shape[-1])))
+    f, _, fpp = profile.warp_derivatives(pt[0])
     assert fit.residual < 1e-7
     assert abs(fit.a - params.c0) < 1e-10
     assert abs(fit.b + 2.0 * params.c0) < 1e-10
