@@ -11,6 +11,12 @@ from __future__ import annotations
 import numpy as np
 
 
+def inexact(x) -> np.ndarray:
+    """A copy of x as a float array, or as a complex one if x is complex."""
+    x = np.asarray(x)
+    return x.astype(np.result_type(x, float))
+
+
 def per_point(x):
     """A per-point result: a float for one point, the array for a batch."""
     return np.asarray(x)[()]

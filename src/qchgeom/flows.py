@@ -33,6 +33,10 @@ rejected panel is tried again shorter.  Every solve is bounded: once
 ``MAX_PANELS`` panels are certified, or as many rejected, short of the end,
 or past ``MAX_PICARD`` iterations on one panel, it raises ``FlowError``
 (exit 3 from the CLI).
+
+The equation residuals of both flows read the derivative of the same
+interpolant (``Panels.derivative``): the Chebyshev differentiation matrix on
+each panel's nodes, exact for its polynomial, so no step enters them.
 """
 
 from __future__ import annotations
@@ -63,9 +67,6 @@ MAX_PANELS = 32
 MAX_PICARD = 24
 PICARD_RATE = 0.1
 
-# central-difference step in tau of the geodesic and Jacobi equation residuals
-RESIDUAL_STEP = 1e-4
-
 _EPS = np.finfo(float).eps
 _TINY = np.finfo(float).tiny
 
@@ -85,9 +86,10 @@ class SolveStats:
 
 def _chebyshev(p: int):
     """First-kind Chebyshev nodes on [-1, 1], their barycentric weights, the
-    matrix taking node values to Chebyshev coefficients (a DCT-II), and the
-    matrices that integrate the interpolant once and twice from -1: rows at
-    the nodes, then a last row at +1."""
+    matrix taking node values to Chebyshev coefficients (a DCT-II), the
+    matrices that integrate the interpolant once and twice from -1 (rows at
+    the nodes, then a last row at +1), and the one that differentiates it
+    (rows at the nodes)."""
     theta = (2 * np.arange(p) + 1) * np.pi / (2 * p)
     nodes = np.cos(theta)
     to_coeffs = 2.0 / p * np.cos(np.outer(np.arange(p), theta))
@@ -95,10 +97,11 @@ def _chebyshev(p: int):
     at = np.append(nodes, 1.0)
     once = chebyshev.chebvander(at, p) @ chebyshev.chebint(to_coeffs, 1, lbnd=-1.0)
     twice = chebyshev.chebvander(at, p + 1) @ chebyshev.chebint(to_coeffs, 2, lbnd=-1.0)
-    return nodes, (-1.0) ** np.arange(p) * np.sin(theta), to_coeffs, once, twice
+    derivative = chebyshev.chebvander(nodes, p - 2) @ chebyshev.chebder(to_coeffs)
+    return nodes, (-1.0) ** np.arange(p) * np.sin(theta), to_coeffs, once, twice, derivative
 
 
-_NODES, _WEIGHTS, _TO_COEFFS, _S1, _S2 = _chebyshev(PANEL_NODES)
+_NODES, _WEIGHTS, _TO_COEFFS, _S1, _S2, _D = _chebyshev(PANEL_NODES)
 
 
 @dataclass
@@ -129,6 +132,15 @@ class Panels:
         q = q.reshape(q.shape + (1,) * (values.ndim - 2))
         out = first[:, 0] + (q * (values - first)).sum(axis=1) / q.sum(axis=1)
         return out.reshape(taus.shape + self.values.shape[2:])
+
+    def derivative(self) -> "Panels":
+        """The tau-derivative of the interpolant, as its values at the same
+        nodes: on each panel a polynomial of one degree less, so it is
+        interpolated exactly."""
+        count, p = self.values.shape[:2]
+        slopes = _D @ self.values.reshape(count, p, -1)
+        scale = 2.0 / np.diff(self.edges)
+        return Panels(self.edges, (scale[:, None, None] * slopes).reshape(self.values.shape))
 
 
 # -- the panel march ------------------------------------------------------------
@@ -386,15 +398,14 @@ def integrate_geodesic(field, start: GeodesicState, span: float, *,
 
 
 def geodesic_residuals(path: GeodesicPath, taus=None):
-    """max |nabla_cdot cdot| re-evaluated on the dense solution by differencing
-    (step ``RESIDUAL_STEP``)."""
+    """max |nabla_cdot cdot| on the dense solution: the acceleration is the
+    derivative of the panels' interpolant (``Panels.derivative``), Gamma is
+    re-evaluated at its points."""
     if taus is None:
         taus = path.taus[1:-1]
     taus = np.asarray(taus, dtype=float)
-    _, plus = path.states(taus + RESIDUAL_STEP)
-    _, minus = path.states(taus - RESIDUAL_STEP)
     x, v = path.states(taus)
-    vdot = (plus - minus) / (2.0 * RESIDUAL_STEP)
+    vdot = path.dense.derivative()(taus)[..., x.shape[-1]:]
     analysis = PointAnalysis(path.field, x)
     res = vdot - geodesic_acceleration(analysis.gamma, v)
     return float(np.sqrt(inner(analysis.g, res, res)).max())
@@ -461,10 +472,6 @@ class JacobiResult:
     stats: SolveStats
     coefficients: Panels      # Gamma(., cdot) and K at the nodes, (P, p, 2, d, d)
     dense: Panels             # packed (frame, y, y') on the solve's panels
-
-    def coordinate_field(self, idx: int) -> np.ndarray:
-        """C in chart coordinates at sample ``idx``."""
-        return self.y[idx] @ self.frames[idx]
 
     def states(self, taus) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(frames, y, y') from the dense solution at a float or an array of
@@ -538,13 +545,12 @@ def integrate_jacobi(path: GeodesicPath, C0: np.ndarray, DC0: np.ndarray, *,
 
 
 def jacobi_equation_residual(result: JacobiResult, taus) -> float:
-    """max |nabla^2 C - R(cdot, C) cdot| on the integrated solution (frame comps),
-    by differencing (step ``RESIDUAL_STEP``)."""
+    """max |nabla^2 C - R(cdot, C) cdot| on the integrated solution (frame
+    comps), with y'' the derivative of the panels' interpolant of y'
+    (``Panels.derivative``)."""
     taus = np.asarray(taus, dtype=float)
-    _, _, yp_plus = result.states(taus + RESIDUAL_STEP)
-    _, _, yp_minus = result.states(taus - RESIDUAL_STEP)
-    ypp = (yp_plus - yp_minus) / (2.0 * RESIDUAL_STEP)
     frame, y, _ = result.states(taus)
+    _, _, ypp = _unpack(result.dense.derivative()(taus), y.shape[-1])
     x, v = result.path.states(taus)
     analysis = PointAnalysis(result.path.field, x)
     M = jacobi_matrix(analysis.riemann.components, v, frame)

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .batch import mT
+from .batch import matvec, mT
 from .jets import Jet2, pullback, reciprocal, scale_along, zeros
 from .jets import sqrt as jet_sqrt
 from .profile import ProfileSolution
@@ -78,17 +78,13 @@ class BundleParams:
 
 
 class _BaseModel:
-    """What the base models share: the chart-radius gate and Omega = h(J., .)."""
+    """What the base models share: the chart-radius gate."""
 
     def check_bounds(self, z: np.ndarray) -> None:
         rad = float(np.max(np.linalg.norm(z, axis=-1)))
         if rad >= self.chart_radius:
             raise ChartBoundsError(
                 f"|z| = {rad} exceeds chart radius {self.chart_radius}")
-
-    def kahler_form_jets(self, z: Jet2) -> Jet2:
-        """Omega_ij = Omega(e_i, e_j) = h(J e_i, e_j)."""
-        return self.j0.T @ self.metric_jets(z)
 
 
 class FubiniStudy(_BaseModel):
@@ -212,13 +208,13 @@ class ProductBase(_BaseModel):
         return out
 
     def metric_jets(self, z: Jet2) -> Jet2:
-        h = zeros(z.shape + (self.dim,), z.dim)
+        h = zeros(z.shape + (self.dim,), z.dim, z.value.dtype)
         for f, span in zip(self.factors, self._spans()):
             h[..., span, span] = f.metric_jets(z[..., span])
         return h
 
     def connection_potential_jets(self, z: Jet2) -> Jet2:
-        sigma = zeros(z.shape, z.dim)
+        sigma = zeros(z.shape, z.dim, z.value.dtype)
         for f, span in zip(self.factors, self._spans()):
             sigma[..., span] = f.connection_potential_jets(z[..., span])
         return sigma
@@ -252,13 +248,28 @@ def _gram_schmidt(rows: np.ndarray, g: np.ndarray) -> np.ndarray:
     Gram-Schmidt on rows L is L = C Q with C lower triangular, so C is the
     Cholesky factor of the Gram matrix L g L^T and Q = C^{-1} L.
     """
-    chol = np.linalg.cholesky(rows @ g @ mT(rows))
-    return np.linalg.solve(chol, rows)
+    return np.linalg.solve(_cholesky(rows @ g @ mT(rows)), rows)
 
 
-def _unit_rows(index: int, batch: tuple, d: int) -> np.ndarray:
-    """The coordinate vector e_index at every point of a batch."""
-    out = np.zeros(batch + (d,))
+def _cholesky(a: np.ndarray) -> np.ndarray:
+    """The lower-triangular C with C C^T = a at every point of a batch.  For a
+    complex symmetric a (at a complex step) ``np.linalg.cholesky`` would give
+    C C^H = a: C is then taken column by column, unconjugated, analytic in a."""
+    if not np.iscomplexobj(a):
+        return np.linalg.cholesky(a)
+    c = np.zeros_like(a)
+    for j in range(a.shape[-1]):
+        row = c[..., j, :j]
+        c[..., j, j] = np.sqrt(a[..., j, j] - np.sum(row * row, axis=-1))
+        c[..., j + 1:, j] = ((a[..., j + 1:, j] - matvec(c[..., j + 1:, :j], row))
+                             / c[..., j, j, None])
+    return c
+
+
+def _unit_rows(index: int, x: np.ndarray) -> np.ndarray:
+    """The coordinate vector e_index at every point of a batch x, B + (d,),
+    of x's dtype."""
+    out = np.zeros_like(x)
     out[..., index] = 1.0
     return out
 
@@ -284,7 +295,11 @@ class _SliceMemo:
         self.points = 0
 
     def __call__(self, z: np.ndarray, build) -> tuple:
-        z = np.asarray(z, dtype=float)
+        z = np.asarray(z)
+        if np.iscomplexobj(z):
+            if z.imag.any():  # a complex step that moves z: built once, not kept
+                return build(z)
+            z = z.real  # a complex step along t leaves z real: share its entry
         key = (z.shape, z.tobytes())
         hit = self.entries.get(key)
         if hit is None:
@@ -305,10 +320,10 @@ def _base_parts(base, z: np.ndarray, d: int, s: float) -> tuple[Jet2, Jet2, Jet2
     before them."""
     off = d - base.dim
     zj = Jet2(z, np.broadcast_to(np.eye(d)[off:], z.shape + (d,)), np.zeros(z.shape + (d, d)))
-    h = zeros(z.shape[:-1] + (d, d), d)
+    h = zeros(z.shape[:-1] + (d, d), d, z.dtype)
     h[..., off:, off:] = base.metric_jets(zj)
     sigma = base.connection_potential_jets(zj)
-    theta = zeros(z.shape[:-1] + (d,), d)
+    theta = zeros(z.shape[:-1] + (d,), d, z.dtype)
     theta[..., off - 1] = 1.0
     theta[..., off:] = s * sigma
     return h, sigma, theta[..., :, None] * theta[..., None, :]
@@ -320,9 +335,8 @@ def _lift_rows(sigma: Jet2, s: float, dim: int) -> Jet2:
     nb = sigma.shape[-1]
     off = dim - nb
     batch = sigma.shape[:-1]
-    rows = Jet2(np.broadcast_to(np.eye(dim)[off:], batch + (nb, dim)).copy(),
-                np.zeros(batch + (nb, dim, sigma.dim)),
-                np.zeros(batch + (nb, dim, sigma.dim, sigma.dim)))
+    rows = zeros(batch + (nb, dim), sigma.dim, sigma.value.dtype)
+    rows.value[...] = np.eye(dim)[off:]
     if s != 0.0:
         rows[..., off - 1] = -s * sigma
     return rows
@@ -413,7 +427,7 @@ class WarpedBundleMetric:
         _, f = self.warp_jets(coords[..., 0])
         _, sigma, _ = self._base_at(coords.value[..., 2:])
         j0 = self.base.j0
-        J = zeros(coords.shape[:-1] + (self.dim, self.dim), coords.dim)
+        J = zeros(coords.shape[:-1] + (self.dim, self.dim), coords.dim, coords.value.dtype)
         J[..., 1, 0] = reciprocal(f)
         J[..., 0, 1] = -f
         J[..., 0, 2:] = -(f[..., None] * (self.s * sigma))
@@ -424,15 +438,11 @@ class WarpedBundleMetric:
     # -- jet-evaluable fields used by divergence and identity checks ---------
 
     def _unit_field(self, index: int, coords: Jet2) -> Jet2:
-        return Jet2.constant(_unit_rows(index, coords.shape[:-1], self.dim), coords.dim)
+        return Jet2.constant(_unit_rows(index, coords.value), coords.dim)
 
     def h_field(self):
         """The unit t-direction as a constant coordinate field."""
         return lambda coords: self._unit_field(0, coords)
-
-    def fiber_field(self):
-        """The fiber rotation field (theta of it is 1 exactly)."""
-        return lambda coords: self._unit_field(1, coords)
 
     def jh_field(self):
         """The unit fiber direction xi / f as a jet field."""
@@ -474,12 +484,11 @@ class WarpedBundleMetric:
 
     def frame_at(self, x: np.ndarray, g_values: np.ndarray) -> FrameBasis:
         d = self.dim
-        batch = x.shape[:-1]
         f = self.profile.warp(x[..., 0]) * self.warp_scale
-        h_vec = _unit_rows(0, batch, d)
-        xi = _unit_rows(1, batch, d)
+        h_vec = _unit_rows(0, x)
+        xi = _unit_rows(1, x)
         jh = xi / np.asarray(f)[..., None]
-        lifts = np.broadcast_to(np.eye(d)[2:], batch + (d - 2, d)).copy()
+        lifts = np.broadcast_to(np.eye(d)[2:], x.shape[:-1] + (d - 2, d)).astype(x.dtype)
         if self.s != 0.0:
             lifts[..., 1] = -self.s * self._base_at(x[..., 2:])[1].value
         horizontals = _gram_schmidt(lifts, g_values)
@@ -530,10 +539,6 @@ class CircleBundleMetric:
 
     complex_structure_jets = None  # no complex structure on the odd-dim chart
 
-    def fiber_field(self):
-        return lambda coords: Jet2.constant(_unit_rows(0, coords.shape[:-1], self.dim),
-                                            coords.dim)
-
     def lift_jets(self, coords: Jet2) -> Jet2:
         """The horizontal lifts of the base coordinate vectors as the rows of
         one B + (2m, d) jet, from the memoised sigma."""
@@ -541,10 +546,9 @@ class CircleBundleMetric:
 
     def frame_at(self, x: np.ndarray, g_values: np.ndarray) -> FrameBasis:
         d = self.dim
-        batch = x.shape[:-1]
-        xi = _unit_rows(0, batch, d)
+        xi = _unit_rows(0, x)
         xihat = xi / self.alpha
-        lifts = np.broadcast_to(np.eye(d)[1:], batch + (d - 1, d)).copy()
+        lifts = np.broadcast_to(np.eye(d)[1:], x.shape[:-1] + (d - 1, d)).astype(x.dtype)
         lifts[..., 0] = -self.s * self.connection_forms(x[..., 1:])[0].value
         horizontals = _gram_schmidt(lifts, g_values)
         return FrameBasis(vectors=np.concatenate([xihat[..., None, :], horizontals], axis=-2),

@@ -25,6 +25,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .batch import inexact
+
 
 class JetDomainError(ValueError):
     """Raised when a lifted function is evaluated outside its domain."""
@@ -76,27 +78,20 @@ class Jet2:
     __array_ufunc__ = None
 
     def __init__(self, value, gradient: np.ndarray, hessian: np.ndarray):
-        self.value = float(value) if np.ndim(value) == 0 else value
+        if np.ndim(value) == 0:
+            value = complex(value) if np.iscomplexobj(value) else float(value)
+        self.value = value
         self.gradient = gradient
         self.hessian = hessian
 
     # -- constructors -------------------------------------------------------
 
     @classmethod
-    def variable(cls, index: int, value: float, dim: int) -> "Jet2":
-        """Seed coordinate ``index`` of a ``dim``-dimensional chart at ``value``."""
-        if not 0 <= index < dim:
-            raise IndexError(f"coordinate index {index} out of range for dim {dim}")
-        g = np.zeros(dim)
-        g[index] = 1.0
-        return cls(value, g, np.zeros((dim, dim)))
-
-    @classmethod
     def constant(cls, value, dim: int) -> "Jet2":
         """A constant scalar or array (copied) with zero derivatives."""
-        value = np.array(value, dtype=float)
-        return cls(value, np.zeros(value.shape + (dim,)),
-                   np.zeros(value.shape + (dim, dim)))
+        value = inexact(value)
+        return cls(value, np.zeros(value.shape + (dim,), value.dtype),
+                   np.zeros(value.shape + (dim, dim), value.dtype))
 
     @property
     def dim(self) -> int:
@@ -220,7 +215,7 @@ class Jet2:
         constant matrix, which contracts the jet's last value axis.
         """
         if not isinstance(other, Jet2):
-            other = np.asarray(other, dtype=float)
+            other = np.asarray(other)
             return Jet2(self.value @ other, _apply(self.gradient, -1, 1, other),
                         _apply(self.hessian, -1, 2, other))
         _check_same_dim(self, other)
@@ -238,22 +233,25 @@ class Jet2:
 
     def __rmatmul__(self, other):
         """A constant matrix applied to a vector jet, or to the rows of a matrix jet."""
-        other = np.asarray(other, dtype=float)
+        other = np.asarray(other)
         axis = -2 if np.ndim(self.value) >= 2 else -1
         return Jet2(_apply(self.value, axis, 0, other.T),
                     _apply(self.gradient, axis, 1, other.T),
                     _apply(self.hessian, axis, 2, other.T))
 
 
-def zeros(shape: tuple, dim: int) -> Jet2:
-    """An all-zero jet of the given value shape, to be filled by assignment."""
-    return Jet2(np.zeros(shape), np.zeros(shape + (dim,)), np.zeros(shape + (dim, dim)))
+def zeros(shape: tuple, dim: int, dtype=float) -> Jet2:
+    """An all-zero jet of the given value shape, to be filled by assignment;
+    complex ``dtype`` for jets taken at a complex step."""
+    return Jet2(np.zeros(shape, dtype), np.zeros(shape + (dim,), dtype),
+                np.zeros(shape + (dim, dim), dtype))
 
 
 def seed_chart(x: np.ndarray) -> Jet2:
     """Seed the last axis of ``x`` as the coordinates of a chart: (d,) for one
-    point, (..., d) for a batch of points, each in its own chart."""
-    x = np.array(x, dtype=float)
+    point, (..., d) for a batch of points, each in its own chart.  Complex x
+    (a complex step) keeps its dtype."""
+    x = inexact(x)
     d = x.shape[-1]
     grad = np.zeros(x.shape + (d,))
     grad[...] = np.eye(d)
@@ -319,7 +317,8 @@ def pullback(x: Jet2, value: np.ndarray, d1: np.ndarray, d2: np.ndarray) -> Jet2
         off = int(np.argmax(grad.reshape(-1, dim)[0]))
         if off + n <= dim and (grad == np.eye(dim)[off:off + n]).all():
             slots = slice(off, off + n)
-            out = Jet2(value, np.zeros(shape + (dim,)), np.zeros(shape + (dim, dim)))
+            dtype = np.result_type(d1, d2)
+            out = Jet2(value, np.zeros(shape + (dim,), dtype), np.zeros(shape + (dim, dim), dtype))
             out.gradient[..., slots] = d1
             out.hessian[..., slots, slots] = d2
             return out
@@ -335,7 +334,7 @@ def pullback(x: Jet2, value: np.ndarray, d1: np.ndarray, d2: np.ndarray) -> Jet2
 
 
 def sqrt(a: Jet2) -> Jet2:
-    if np.any(a.value <= 0.0):
+    if np.any(np.real(a.value) <= 0.0):
         raise JetDomainError(f"sqrt of non-positive jet value {a.value}")
     v = np.sqrt(a.value)
     d1 = 0.5 / v
@@ -343,7 +342,7 @@ def sqrt(a: Jet2) -> Jet2:
 
 
 def log(a: Jet2) -> Jet2:
-    if np.any(a.value <= 0.0):
+    if np.any(np.real(a.value) <= 0.0):
         raise JetDomainError(f"log of non-positive jet value {a.value}")
     inv = 1.0 / a.value
     return compose(a, np.log(a.value), inv, -inv * inv)

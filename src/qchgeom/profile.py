@@ -181,11 +181,13 @@ class ProfileSolution:
         k'^2 = 1 - m = x/y), so that y - r = (y - x) cn^2 keeps its relative
         accuracy at the far turning point as r - x = (y - x) sn^2 does at the
         near one; r' carries both, as a product rather than sqrt(P(r)).
+        Every step is analytic in t, so at a complex t (a complex step) the
+        imaginary parts carry the derivatives along t.
         """
         poly = self.polynomial
         x, y = poly.x, poly.y
-        t = np.asarray(t, dtype=float)
-        far = t > 0.5 * self.L
+        t = np.asarray(t)
+        far = t.real > 0.5 * self.L
         sn, cn, dn = _sn_cn_dn(self.omega * np.where(far, self.L - t, t), self._a, self._c)
         sn2, kp2 = sn * sn, x / y
         r = np.where(far, y - (y - x) * kp2 * sn2 / (dn * dn), x + (y - x) * sn2)[()]
@@ -195,10 +197,6 @@ class ProfileSolution:
     def warp(self, t):
         r, rp, _, _ = self.evaluate(t)
         return 2.0 * r * rp / self.s
-
-    def warp_derivatives(self, t):
-        """(f, f', f'') at ``t``, a float or an array of t."""
-        return self.warp_from(*self.evaluate(t))
 
     def warp_from(self, r, rp, rpp, rppp) -> tuple:
         """(f, f', f'') from an evaluated (r, r', r'', r''')."""
@@ -246,24 +244,12 @@ def boundary_report(sol: ProfileSolution) -> dict[str, float]:
 
     ``f`` must be odd at both ends with slopes +1 and -1 for the metric to
     close up on the sphere bundle; with f = 2 r r'/s this is equivalent to
-    2 r(0) r''(0) = s and 2 r(L) r''(L) = -s.  r''' is estimated at the ends
-    by one-sided differences of r'' (evenness check).
+    2 r(0) r''(0) = s and 2 r(L) r''(L) = -s.  r' and r''' = P''(r) r'/2,
+    both exact from ``evaluate``, vanish there when r is even about each end.
     """
-    L = sol.L
-
-    def endpoint(t):
-        return sol.evaluate(t)[:3]
-
-    r0, rp0, rpp0 = endpoint(0.0)
-    rL, rpL, rppL = endpoint(L)
+    (r0, rp0, rpp0, rppp0), (rL, rpL, rppL, rpppL) = (sol.evaluate(t) for t in (0.0, sol.L))
     fp0 = 2.0 * (rp0 ** 2 + r0 * rpp0) / sol.s
     fpL = 2.0 * (rpL ** 2 + rL * rppL) / sol.s
-
-    # one-sided 2nd-order estimates of r''' at the ends (evenness check)
-    h = 1e-3 * L
-    rppp0 = (-3.0 * endpoint(0.0)[2] + 4.0 * endpoint(h)[2] - endpoint(2 * h)[2]) / (2 * h)
-    rpppL = (3.0 * endpoint(L)[2] - 4.0 * endpoint(L - h)[2] + endpoint(L - 2 * h)[2]) / (2 * h)
-
     return {
         "fp_start_minus_one": fp0 - 1.0,
         "fp_end_plus_one": fpL + 1.0,
@@ -271,6 +257,6 @@ def boundary_report(sol: ProfileSolution) -> dict[str, float]:
         "rp_end": rpL,
         "boundary_start": 2.0 * r0 * rpp0 - sol.s,
         "boundary_end": 2.0 * rL * rppL + sol.s,
-        "rppp_start_estimate": rppp0,
-        "rppp_end_estimate": rpppL,
+        "rppp_start": rppp0,
+        "rppp_end": rpppL,
     }

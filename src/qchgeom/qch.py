@@ -11,6 +11,9 @@ against their closed forms.
 
 Every function takes an analysis of one point or of a batch of points and
 returns its results per point: floats for one point, arrays for a batch.
+The fit and kappa are analytic in the chart coordinates, so at an analysis
+of complex points x + i h e_t (``curvature.complex_step``) they carry their
+t-derivatives, which the gradient laws read.
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ from .batch import each, inner, matvec, max_abs, mT, per_point
 from .curvature import (
     Curvature4,
     PointAnalysis,
+    complex_step,
     contract_slots,
     covariant_vector_derivative,
     div_e,
@@ -31,11 +35,8 @@ from .curvature import (
     holomorphic_sectional_curvature,
     j_gradient_field,
     killing_deviation,
+    step_derivative,
 )
-
-# central-difference steps along t of the fitted coefficients and of kappa
-FIT_STEP = 1e-4
-KAPPA_STEP = 1e-5
 
 
 # -- splitting and model tensors ------------------------------------------------
@@ -98,17 +99,6 @@ def model_tensor_arrays(g: np.ndarray, J: np.ndarray,
                    - 2.0 * prod(gj, om, "kl,ij->ijkl"))
     Psi = -prod(om, om, "ij,kl->ijkl")
     return Pi, Phi, Psi
-
-
-def model_tensors(g: np.ndarray, J: np.ndarray, split: SplitTensors,
-                  X, Y, Z, U) -> tuple[float, float, float]:
-    """(Pi, Phi, Psi) evaluated on one 4-tuple of tangent vectors."""
-    Pi, Phi, Psi = model_tensor_arrays(g, J, split)
-
-    def val(T):
-        return per_point(contract_slots(T, X, Y, Z, U, rank=4))
-
-    return val(Pi), val(Phi), val(Psi)
 
 
 # -- coefficient fit --------------------------------------------------------------
@@ -215,8 +205,8 @@ def kappa_and_principal_section(analysis: PointAnalysis, model, divergences=None
     if divergences is None:
         divergences = section_divergences(analysis, model)
     d1, d2 = divergences
-    kappa = np.hypot(d1, d2)
-    if np.any(kappa < 1e-13):
+    kappa = np.sqrt(d1 * d1 + d2 * d2)  # analytic, unlike np.hypot
+    if np.any(kappa.real < 1e-13):
         raise ValueError("kappa vanishes at this point; principal section undefined")
     vectors = analysis.frame.vectors
     xi_p = (np.asarray(d1)[..., None] * vectors[..., 0, :]
@@ -276,20 +266,14 @@ def _directional_cov(analysis: PointAnalysis, x_field, direction: np.ndarray):
     return matvec(nabla, direction)
 
 
-def _shifted_analysis(model, x: np.ndarray, t_new) -> PointAnalysis:
-    """The same points moved along t; they share z, so the base memo hits."""
-    moved = x.copy()
-    moved[..., 0] = t_new
-    return PointAnalysis(model, moved)
-
-
-def _kappa_at_t(model, x, t_new):
-    kap, _ = kappa_and_principal_section(_shifted_analysis(model, x, t_new), model)
-    return kap
-
-
-def _fit_at_t(model, x, t_new) -> QCHCoefficients:
-    return fit_qch_coefficients(_shifted_analysis(model, x, t_new))
+def coefficient_t_derivatives(analysis: PointAnalysis, model) -> tuple:
+    """(da/dt, db/dt, dkappa/dt) at the analysed point(s), from the fit and
+    kappa of one analysis at the complex points x + i h e_t."""
+    x = analysis.x
+    stepped = PointAnalysis(model, complex_step(x, np.eye(x.shape[-1])[0]))
+    fit = fit_qch_coefficients(stepped)
+    kappa = kappa_and_principal_section(stepped, model)[0]
+    return step_derivative(fit.a), step_derivative(fit.b), step_derivative(kappa)
 
 
 def structure_identity_residuals(analysis: PointAnalysis, model, params,
@@ -297,11 +281,12 @@ def structure_identity_residuals(analysis: PointAnalysis, model, params,
                                  divergences=None) -> dict[str, float]:
     """Named residuals of the pointwise structure identities (warped mode).
 
-    Derivatives of the fitted coefficients and of kappa along t come from
-    centered differences of fits/divergences at t displaced by ``FIT_STEP``
-    and ``KAPPA_STEP``; the underlying
-    quantities are jet-exact, so the differencing error is the step-size bias
-    alone.  t-only dependence of the coefficients is asserted separately.
+    The t-derivatives of the fitted coefficients and of kappa, which the
+    gradient laws compare with their closed forms, come from one analysis
+    at the complex points x + i h e_t (``coefficient_t_derivatives``): the
+    fit and kappa there carry them in their imaginary parts, exact to
+    rounding, with no step to tune.  t-only dependence of the coefficients
+    is asserted separately.
     A caller that has already fitted the point(s) (any residual draws: the
     coefficients come from fixed probes) and taken ``section_divergences``
     passes them as ``fit`` and ``divergences``.
@@ -315,9 +300,7 @@ def structure_identity_residuals(analysis: PointAnalysis, model, params,
     e_frame = frame.horizontal
     J = analysis.complex_structure[0]
     split = split_tensors(g, J, h_hat, jh_hat)
-    x = analysis.x
-    t = x[..., 0]
-    r, rp, rpp, rppp = model.profile.evaluate(t)
+    r, rp, rpp, rppp = model.profile.evaluate(analysis.x[..., 0])
     f, fp, _ = model.profile.warp_from(r, rp, rpp, rppp)
 
     out: dict = {}
@@ -347,10 +330,8 @@ def structure_identity_residuals(analysis: PointAnalysis, model, params,
     # kappa closed form, and d ln kappa = -(kappa/(n-1) + p*) theta along H
     kap, _ = kappa_and_principal_section(analysis, model, divergences)
     out["kappa_closed_form"] = np.abs(kap - kappa_closed_form(n, r, rp))
-    kplus = _kappa_at_t(model, x, t + KAPPA_STEP)
-    kminus = _kappa_at_t(model, x, t - KAPPA_STEP)
-    dlnk = (np.log(kplus) - np.log(kminus)) / (2.0 * KAPPA_STEP)
-    out["log_kappa_gradient"] = np.abs(dlnk + kap / (n - 1) + p_star)
+    da, db, dkap = coefficient_t_derivatives(analysis, model)
+    out["log_kappa_gradient"] = np.abs(dkap / kap + kap / (n - 1) + p_star)
 
     # nabla theta = kappa/(2(n-1)) m - p* (J theta) x (J theta), theta = H-flat
     theta = matvec(g, h_hat)
@@ -364,10 +345,6 @@ def structure_identity_residuals(analysis: PointAnalysis, model, params,
 
     # coefficient gradients along t:
     #   da/dt = b kappa / (2(n-1)),   db/dt = (b + 4c) kappa / (n-1)
-    fplus = _fit_at_t(model, x, t + FIT_STEP)
-    fminus = _fit_at_t(model, x, t - FIT_STEP)
-    da = (fplus.a - fminus.a) / (2.0 * FIT_STEP)
-    db = (fplus.b - fminus.b) / (2.0 * FIT_STEP)
     out["coefficient_gradient_a"] = np.abs(da - fit.b * kap / (2.0 * (n - 1)))
     out["coefficient_gradient_b"] = np.abs(db - (fit.b + 4.0 * fit.c) * kap / (n - 1))
 

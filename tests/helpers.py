@@ -1,12 +1,18 @@
 """Shared test machinery: random jet-expression trees with a float evaluator
-(for finite-difference references) and a polynomial derivative oracle."""
+(for finite-difference references), a polynomial derivative oracle, and the
+small definitions that only tests use (seeded variables, constant fields,
+sectional curvature, the base Kaehler form, warp derivatives, model tensors
+on vectors)."""
 
 import math
 
 import numpy as np
 
 from qchgeom import jets
+from qchgeom.batch import inner, per_point
+from qchgeom.curvature import contract_slots
 from qchgeom.jets import Jet2
+from qchgeom.qch import model_tensor_arrays
 
 UNARY = ("sqrt1p", "log1p", "expb", "recip1p", "neg", "square")
 BINARY = ("add", "sub", "mul", "divs")
@@ -153,3 +159,56 @@ def poly_grad_hess_exact(monos, x):
                 ddexp = list(dexp); ddexp[j] -= 1
                 hess[i, j] += coef * exps[i] * dexp[j] * mono_val(ddexp, x)
     return grad, hess
+
+
+# -- definitions only the tests use -------------------------------------------
+
+
+def variable(index, value, dim):
+    """Seed coordinate ``index`` of a ``dim``-dimensional chart at ``value``."""
+    if not 0 <= index < dim:
+        raise IndexError(f"coordinate index {index} out of range for dim {dim}")
+    g = np.zeros(dim)
+    g[index] = 1.0
+    return Jet2(value, g, np.zeros((dim, dim)))
+
+
+def constant_vector_field(values):
+    """A coordinate-constant vector field as a jet field."""
+    vals = np.asarray(values, dtype=float)
+
+    def field(coords):
+        coords = jets.stack(coords)
+        return Jet2.constant(np.broadcast_to(vals, coords.shape), coords.dim)
+
+    return field
+
+
+def fiber_field(model):
+    """The fiber rotation field d/dpsi of the warped chart (theta of it is 1)."""
+    return constant_vector_field(np.eye(model.dim)[1])
+
+
+def sectional_curvature(R4, g, X, Y):
+    """K(X, Y) = R(X, Y, Y, X) / (|X|^2 |Y|^2 - g(X, Y)^2)."""
+    gxy = inner(g, X, Y)
+    area2 = inner(g, X, X) * inner(g, Y, Y) - gxy * gxy
+    if np.any(area2 <= 0.0):
+        raise ValueError("sectional curvature of a degenerate plane")
+    return per_point(R4.apply(X, Y, Y, X) / area2)
+
+
+def kahler_form_jets(base, z):
+    """Omega_ij = Omega(e_i, e_j) = h(J e_i, e_j) of a base model."""
+    return base.j0.T @ base.metric_jets(z)
+
+
+def warp_derivatives(profile, t):
+    """(f, f', f'') at ``t``, a float or an array of t."""
+    return profile.warp_from(*profile.evaluate(t))
+
+
+def model_tensors(g, J, split, X, Y, Z, U):
+    """(Pi, Phi, Psi) evaluated on one 4-tuple of tangent vectors."""
+    return tuple(per_point(contract_slots(T, X, Y, Z, U, rank=4))
+                 for T in model_tensor_arrays(g, J, split))

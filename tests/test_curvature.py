@@ -4,7 +4,8 @@ import pytest
 from qchgeom import EuclideanMetric, FubiniStudy
 from qchgeom.curvature import (
     PointAnalysis,
-    constant_vector_field,
+    contract_slots,
+    curvature_pair,
     div_e,
     hessian_form,
     holomorphic_sectional_curvature,
@@ -13,7 +14,6 @@ from qchgeom.curvature import (
     max_frame_component_3tensor,
     nabla_j,
     second_bianchi_residual,
-    sectional_curvature,
 )
 from qchgeom.flows import jacobi_matrix
 from qchgeom.geometry import (
@@ -24,6 +24,14 @@ from qchgeom.geometry import (
 from qchgeom.jets import Jet2, compose
 from qchgeom.profile import build_polynomial, solve_profile
 from qchgeom.suite import sample_interior_points
+
+from helpers import (
+    constant_vector_field,
+    fiber_field,
+    sectional_curvature,
+    variable,
+    warp_derivatives,
+)
 
 
 class Rotationally2D:
@@ -149,6 +157,19 @@ def test_second_bianchi_spot(warped, sample_point):
     assert second_bianchi_residual(warped, sample_point, dirs) < 1e-6
 
 
+def test_curvature_pair_matches_the_full_tensor(warped, negative, circle_bundle):
+    """R(X, Y, ., .) from the metric jets alone equals the full Riemann tensor
+    contracted on its first two slots, within 1e-13 of its largest entry, at
+    a batch of points with one pair of vectors each."""
+    rng = np.random.default_rng(12)
+    for model in (warped, negative, circle_bundle):
+        x = sample_interior_points(model, rng, 4, 0.05, 1.5)
+        X, Y = rng.standard_normal((2,) + x.shape)
+        an = PointAnalysis(model, x)
+        full = contract_slots(an.riemann.components, X, Y, rank=4)
+        assert np.abs(curvature_pair(an, X, Y) - full).max() < 1e-13 * np.abs(full).max()
+
+
 def test_ricci_properties(warped_analyses):
     for an in warped_analyses[:5]:
         rho = an.ricci
@@ -171,7 +192,7 @@ def test_nabla_j_product_mode(product, profile):
 
 
 def test_killing_deviation_fiber_field(warped, warped_point_analysis):
-    dev = killing_deviation(warped_point_analysis, warped.fiber_field())
+    dev = killing_deviation(warped_point_analysis, fiber_field(warped))
     assert np.abs(dev).max() < 1e-9
 
 
@@ -192,7 +213,7 @@ def test_killing_deviation_axial_field_detects_expansion(warped, profile, sample
     an = PointAnalysis(warped, sample_point)
     dev = killing_deviation(an, warped.h_field())
     r, rp, _, _ = profile.evaluate(sample_point[0])
-    f, fp, _ = profile.warp_derivatives(sample_point[0])
+    f, fp, _ = warp_derivatives(profile, sample_point[0])
     from qchgeom.jets import seed_chart
 
     h = warped.base.metric_jets(seed_chart(sample_point)[2:])
@@ -212,7 +233,7 @@ def test_e_divergences(warped, warped_point_analysis, profile, params):
     r, rp, _, _ = profile.evaluate(an.x[0])
     div_h = div_e(an, warped.h_field(), e_frame)
     assert abs(div_h - 2.0 * (params.n - 1) * rp / r) < 1e-12
-    assert abs(div_e(an, warped.fiber_field(), e_frame)) < 1e-12
+    assert abs(div_e(an, fiber_field(warped), e_frame)) < 1e-12
 
 
 def test_hessian_form_of_killing_potential(warped, warped_point_analysis, profile, params):
@@ -227,7 +248,7 @@ def test_hessian_form_of_killing_potential(warped, warped_point_analysis, profil
     assert np.abs(hess_e - target * np.eye(4)).max() < 1e-12
     # and the D block: Hess(tau)(H, H) = f'
     h_hat = an.frame.vectors[0]
-    fp = profile.warp_derivatives(an.x[0])[1]
+    fp = warp_derivatives(profile, an.x[0])[1]
     assert abs(float(h_hat @ hess @ h_hat) - fp) < 1e-12
 
 
@@ -240,7 +261,7 @@ def test_sectional_degenerate_plane_rejected(warped_point_analysis):
 
 def test_constant_vector_field_helper():
     field = constant_vector_field([1.0, 2.0])
-    coords = [Jet2.variable(i, 0.5, 2) for i in range(2)]
+    coords = [variable(i, 0.5, 2) for i in range(2)]
     vals = field(coords)
     assert vals[0].value == 1.0 and vals[1].value == 2.0
     assert np.abs(vals[0].gradient).max() == 0.0

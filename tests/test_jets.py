@@ -13,31 +13,32 @@ from helpers import (
     poly_eval_jet,
     poly_grad_hess_exact,
     random_polynomial,
+    variable,
 )
 
 FINITE = st.floats(min_value=-3.0, max_value=3.0, allow_nan=False)
 
 
 def test_seeded_variable_structure():
-    j = Jet2.variable(0, 3.0, 2)
+    j = variable(0, 3.0, 2)
     assert j.value == 3.0
     assert np.array_equal(j.gradient, [1.0, 0.0])
     assert np.array_equal(j.hessian, np.zeros((2, 2)))
 
-    j = Jet2.variable(1, -1.5, 3)
+    j = variable(1, -1.5, 3)
     assert np.array_equal(j.gradient, [0.0, 1.0, 0.0])
 
-    j = Jet2.variable(0, 0.0, 1)
+    j = variable(0, 0.0, 1)
     assert j.value == 0.0 and j.gradient[0] == 1.0 and j.hessian[0, 0] == 0.0
 
 
 def test_seed_index_out_of_range():
     with pytest.raises(IndexError):
-        Jet2.variable(2, 1.0, 2)
+        variable(2, 1.0, 2)
 
 
 def test_product_square():
-    u = Jet2.variable(0, 2.0, 1)
+    u = variable(0, 2.0, 1)
     sq = u * u
     assert sq.value == 4.0
     assert sq.gradient[0] == 4.0
@@ -54,7 +55,7 @@ def test_product_rule_cross_terms():
 
 
 def test_cube_by_repeated_product():
-    u = Jet2.variable(0, 2.0, 1)
+    u = variable(0, 2.0, 1)
     cube = u * u * u
     assert cube.value == 8.0
     assert cube.gradient[0] == 12.0
@@ -62,7 +63,7 @@ def test_cube_by_repeated_product():
 
 
 def test_sqrt_derivatives():
-    u = Jet2.variable(0, 4.0, 1)
+    u = variable(0, 4.0, 1)
     s = jets.sqrt(u)
     assert s.value == 2.0
     assert s.gradient[0] == 0.25
@@ -70,7 +71,7 @@ def test_sqrt_derivatives():
 
 
 def test_log_derivatives():
-    u = Jet2.variable(0, 1.0, 1)
+    u = variable(0, 1.0, 1)
     l = jets.log(u)
     assert l.value == 0.0
     assert l.gradient[0] == 1.0
@@ -78,7 +79,7 @@ def test_log_derivatives():
 
 
 def test_exp_log_identity():
-    u = Jet2.variable(0, 5.0, 2)
+    u = variable(0, 5.0, 2)
     w = jets.exp(jets.log(u))
     assert abs(w.value - 5.0) < 1e-14
     assert abs(w.gradient[0] - 1.0) < 1e-14
@@ -98,18 +99,18 @@ def test_division_matches_quotient_rule():
 
 def test_dimension_mismatch_raises():
     with pytest.raises(ValueError, match="dimension mismatch"):
-        Jet2.variable(0, 1.0, 2) + Jet2.variable(0, 1.0, 3)
+        variable(0, 1.0, 2) + variable(0, 1.0, 3)
 
 
 def test_division_by_zero_raises():
-    u = Jet2.variable(0, 1.0, 1)
+    u = variable(0, 1.0, 1)
     z = Jet2.constant(0.0, 1)
     with pytest.raises(JetDomainError):
         u / z
 
 
 def test_domain_errors_report_value():
-    u = Jet2.variable(0, -4.0, 1)
+    u = variable(0, -4.0, 1)
     with pytest.raises(JetDomainError, match="-4.0"):
         jets.sqrt(u)
     with pytest.raises(JetDomainError, match="-4.0"):
@@ -119,7 +120,7 @@ def test_domain_errors_report_value():
 
 
 def test_negative_integer_power():
-    u = Jet2.variable(0, 2.0, 1)
+    u = variable(0, 2.0, 1)
     w = u ** -2
     assert abs(w.value - 0.25) < 1e-15
     assert abs(w.gradient[0] + 2.0 / 8.0) < 1e-15
@@ -155,8 +156,8 @@ def test_finite_difference_agreement():
 
 @given(a=FINITE, b=FINITE, alpha=FINITE, beta=FINITE)
 def test_linearity_exact(a, b, alpha, beta):
-    u = Jet2.variable(0, a, 2)
-    v = Jet2.variable(1, b, 2)
+    u = variable(0, a, 2)
+    v = variable(1, b, 2)
     w = alpha * u + beta * v
     assert np.array_equal(w.gradient, [alpha, beta])
     assert np.array_equal(w.hessian, np.zeros((2, 2)))
@@ -164,15 +165,15 @@ def test_linearity_exact(a, b, alpha, beta):
 
 @given(a=FINITE, b=FINITE)
 def test_product_hessian_symmetric_exact(a, b):
-    u = Jet2.variable(0, a, 2)
-    v = Jet2.variable(1, b, 2)
+    u = variable(0, a, 2)
+    v = variable(1, b, 2)
     w = (u + 2.0 * v) * (v - u) * u
     assert np.array_equal(w.hessian, w.hessian.T)
 
 
 @given(a=st.floats(min_value=0.2, max_value=3.0), k=st.integers(2, 5))
 def test_integer_power_matches_repeated_product(a, k):
-    u = Jet2.variable(0, a, 1)
+    u = variable(0, a, 1)
     by_pow = u ** k
     by_mul = u
     for _ in range(k - 1):
@@ -186,7 +187,7 @@ def test_integer_power_matches_repeated_product(a, k):
 @given(x=st.floats(min_value=0.5, max_value=2.0))
 def test_chain_rule_against_closed_form(x):
     # F(u) = sqrt(1 + u^2): F' = u/sqrt(1+u^2), F'' = 1/(1+u^2)^(3/2)
-    u = Jet2.variable(0, x, 1)
+    u = variable(0, x, 1)
     w = jets.sqrt(1.0 + u * u)
     root = math.sqrt(1.0 + x * x)
     assert abs(w.value - root) < 1e-14
