@@ -262,34 +262,6 @@ def holomorphic_sectional_curvature(R4: Curvature4, g: np.ndarray,
     return per_point(out[..., 0] if single else out)
 
 
-def curvature_pair(analysis: PointAnalysis, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
-    """R(X, Y, ., .) at the analysed point(s) for X, Y of shape B + (d,), in
-    O(d^4) without dGamma or the Riemann tensor: with Gamma_v = Gamma(v, .)
-    and D_v Gamma = g^-1 (1/2 D_v brackets - D_v g Gamma),
-
-        R(X, Y) e_k = (D_X Gamma)(Y, e_k) - (D_Y Gamma)(X, e_k)
-                      + Gamma_X Gamma_Y e_k - Gamma_Y Gamma_X e_k,
-
-    lowered on its last slot."""
-    g, gamma = analysis.g, analysis.gamma
-    dg, hess = analysis.metric.gradient, analysis.metric.hessian
-    batch, d = g.shape[:-2], g.shape[-1]
-
-    def along(v):
-        """D_v Gamma, B + (d, d, d), and Gamma(v, .), B + (d, d)."""
-        hv = matvec(hess.reshape(batch + (d ** 3, d)), v).reshape(gamma.shape)
-        bv = _perm(hv, "jli->lij") + _perm(hv, "ilj->lij") - _perm(hv, "ijl->lij")
-        dgv_gamma = matvec(dg, v[..., None, :]) @ gamma.reshape(batch + (d, d * d))
-        dgamma_v = analysis.g_inv @ (0.5 * bv.reshape(batch + (d, d * d)) - dgv_gamma)
-        return dgamma_v.reshape(gamma.shape), (v[..., None, None, :] @ gamma)[..., 0, :]
-
-    dx, gx = along(X)
-    dy, gy = along(Y)
-    r = ((Y[..., None, None, :] @ dx)[..., 0, :] - (X[..., None, None, :] @ dy)[..., 0, :]
-         + gx @ gy - gy @ gx)                                     # [b, k]
-    return mT(r) @ g
-
-
 def jacobi_operator(analysis: PointAnalysis, v: np.ndarray) -> np.ndarray:
     """K[j, l] = R(v, e_j, v, e_l) at the analysed point(s), v of shape B + (d,).
 
@@ -442,7 +414,8 @@ def second_bianchi_residual(field, x, directions, *, curvature: tuple | None = N
     # d/ds R(x + s V)(X, Y, ., .) at s = 0: three complex points per point
     moved = complex_step(np.asarray(x, dtype=float)[..., None, :], V).reshape(-1, d)
     xs, ys = X.reshape(-1, d), Y.reshape(-1, d)
-    parts = [step_derivative(curvature_pair(PointAnalysis(field, moved[sl]), xs[sl], ys[sl]))
+    parts = [step_derivative(contract_slots(PointAnalysis(field, moved[sl]).riemann.components,
+                                            xs[sl], ys[sl], rank=4))
              for sl in batch_slices(len(moved), d)]
     derivative = np.concatenate(parts).reshape(batch + (3, d, d))
 

@@ -252,15 +252,16 @@ def _gram_schmidt(rows: np.ndarray, g: np.ndarray) -> np.ndarray:
 
 
 def _cholesky(a: np.ndarray) -> np.ndarray:
-    """The lower-triangular C with C C^T = a at every point of a batch.  For a
-    complex symmetric a (at a complex step) ``np.linalg.cholesky`` would give
-    C C^H = a: C is then taken column by column, unconjugated, analytic in a."""
-    if not np.iscomplexobj(a):
-        return np.linalg.cholesky(a)
+    """The lower-triangular C with C C^T = a at every point of a batch, taken
+    column by column and unconjugated, so analytic in a: for a complex
+    symmetric a (at a complex step) ``np.linalg.cholesky`` would give C C^H = a."""
     c = np.zeros_like(a)
     for j in range(a.shape[-1]):
         row = c[..., j, :j]
-        c[..., j, j] = np.sqrt(a[..., j, j] - np.sum(row * row, axis=-1))
+        pivot = a[..., j, j] - np.sum(row * row, axis=-1)
+        if not np.all(pivot.real > 0.0):
+            raise np.linalg.LinAlgError("Gram matrix is not positive definite")
+        c[..., j, j] = np.sqrt(pivot)
         c[..., j + 1:, j] = ((a[..., j + 1:, j] - matvec(c[..., j + 1:, :j], row))
                              / c[..., j, j, None])
     return c

@@ -268,25 +268,6 @@ def test_verify_reaches_a_verdict_across_the_profile_range(tmp_path, x, y):
         assert checks["identity_log_kappa_gradient"]["pass"]
 
 
-@pytest.mark.parametrize("x,y", [(0.1, 10.0), (1.0, 1.001)])
-def test_profile_range_ends_keep_their_verdicts(tmp_path, x, y):
-    """At the ends of the profile range the Jacobi coefficient tables certify
-    within their panel cap (no exit 3), and every check holds.  The gradient
-    laws failed here while their t-derivatives were t +- h refits, whose step
-    did not fit the scale: at seed 42 and 50 points, identity_gradient_b
-    1.5e-5 at x = 0.1, y = 10 and 7.7e-5 at y = 1.001, where the complex
-    step gives 8.8e-13 and 6.6e-11.  decay_ratio_law
-    failed at both once, and holds now: at x = 0.1, y = 10 its 6.0e-6 was
-    DOP853's error (1.2e-7 at rtol 3e-14, 1.2e-8 on the Chebyshev panels), at
-    x = 1, y = 1.001 its 1.7e-5 came from r'' = P'(r)/2 in the monomial form
-    (6.5e-8 in the factored form)."""
-    cfg = write_config(tmp_path, {"mode": "warped", "rng_seed": 42, "k": 1, "n": 3,
-                                  "sample_count": 10, "x": x, "y": y})
-    assert main(["verify", "--config", str(cfg), "--out", str(tmp_path)]) == 0
-    checks = json.loads((tmp_path / "report.json").read_text())["checks"]
-    assert all(c["in_order"] for c in checks)
-
-
 def test_cli_report_missing_file(tmp_path, capsys):
     """A missing report is a usage error (exit 2), and ``report`` makes no
     output directory."""

@@ -77,6 +77,16 @@ def test_conjugating_cholesky_fails_the_closed_forms(monkeypatch):
     assert np.max(dlog_err) > 1e-2
 
 
+def test_cholesky_matches_lapack_on_real_input():
+    """On a real batch the column loop is LAPACK's factor within rounding,
+    and an indefinite Gram matrix raises as ``np.linalg.cholesky`` does."""
+    m = np.random.default_rng(5).standard_normal((7, 6, 6))
+    a = m @ np.swapaxes(m, -1, -2) + np.eye(6)
+    assert np.abs(geometry._cholesky(a) - np.linalg.cholesky(a)).max() < 1e-13
+    with pytest.raises(np.linalg.LinAlgError):
+        geometry._cholesky(np.diag([1.0, -1.0]))
+
+
 @pytest.mark.parametrize("n", [3, 5])
 def test_real_part_equals_real_analysis(n):
     """The real part of an analysis at t + i h is the real analysis within

@@ -4,8 +4,6 @@ import pytest
 from qchgeom import EuclideanMetric, FubiniStudy
 from qchgeom.curvature import (
     PointAnalysis,
-    contract_slots,
-    curvature_pair,
     div_e,
     hessian_form,
     holomorphic_sectional_curvature,
@@ -155,19 +153,6 @@ def test_second_bianchi_spot(warped, sample_point):
     rng = np.random.default_rng(8)
     dirs = [v / np.linalg.norm(v) for v in rng.standard_normal((3, 6))]
     assert second_bianchi_residual(warped, sample_point, dirs) < 1e-6
-
-
-def test_curvature_pair_matches_the_full_tensor(warped, negative, circle_bundle):
-    """R(X, Y, ., .) from the metric jets alone equals the full Riemann tensor
-    contracted on its first two slots, within 1e-13 of its largest entry, at
-    a batch of points with one pair of vectors each."""
-    rng = np.random.default_rng(12)
-    for model in (warped, negative, circle_bundle):
-        x = sample_interior_points(model, rng, 4, 0.05, 1.5)
-        X, Y = rng.standard_normal((2,) + x.shape)
-        an = PointAnalysis(model, x)
-        full = contract_slots(an.riemann.components, X, Y, rank=4)
-        assert np.abs(curvature_pair(an, X, Y) - full).max() < 1e-13 * np.abs(full).max()
 
 
 def test_ricci_properties(warped_analyses):
