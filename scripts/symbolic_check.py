@@ -24,9 +24,12 @@ derives from scratch the identities the numerical suite asserts:
     cn(K - u) = k' sn/dn, dn(K - u) = k'/dn that the profile evaluates past
     L/2 is the solution of the same system from the far turning point;
   * the closed-form Fubini-Study jets of ``FubiniStudy`` at m = 2: every
-    entry of dh, d^2 h, d sigma and d^2 sigma, and d sigma = Omega.
+    entry of dh, d^2 h, d sigma and d^2 sigma, and d sigma = Omega;
+  * on a non-diagonal 3 x 3 polynomial metric, the two curvature formulas of
+    ``curvature.PointAnalysis``: the first-kind R_ijkl equals g_lb R^b_ijk
+    built from d Gamma, and the contracted Ricci equals g^{il} R_ijkl.
 
-Everything is exact symbolic algebra; the runtime is under a minute.
+Everything is exact symbolic algebra; the runtime is about a minute.
 """
 
 import sympy as sp
@@ -312,6 +315,99 @@ def fubini_study_block():
     return ok and good
 
 
+def first_kind_block():
+    """The two curvature formulas ``curvature.PointAnalysis`` evaluates, on a
+    non-diagonal 3 x 3 metric with polynomial entries (det g = (1 + x1^2)
+    (1 + x2^2), so log sqrt(det g) is not constant).
+
+    R_ijkl in the first-kind form, (d_i d_k g_jl + d_j d_l g_ik - d_i d_l g_jk
+    - d_j d_k g_il)/2 + Gamma_{b,jl} Gamma^b_ik - Gamma_{b,il} Gamma^b_jk, must
+    equal g_lb R^b_ijk built from d Gamma; and Ricci as the code contracts it,
+    d_i Gamma^i_jk - d_j d_k log sqrt(det g) + Gamma^i_ia Gamma^a_jk
+    - Gamma^i_ja Gamma^a_ik with both derivative terms expanded in the metric
+    jet, must equal g^{il} R_ijkl (of the first-kind form, once that is
+    confirmed).
+    """
+    print("first-kind curvature and contracted Ricci (non-diagonal 3 x 3 metric):")
+    d = 3
+    x = sp.symbols("x1:4", real=True)
+    # g = A^T W A with A unit upper triangular: g^-1 = A^-1 W^-1 A^-T, whose
+    # only denominators are the two factors of det g
+    A = sp.Matrix([[1, x[1], x[2]], [0, 1, x[0]], [0, 0, 1]])
+    W = sp.diag(1 + x[0] ** 2, 1, 1 + x[1] ** 2)
+    g = (A.T * W * A).applyfunc(sp.expand)
+    ginv = A.inv() * W.inv() * A.inv().T
+    rng = range(d)
+
+    def vanishes(exprs):
+        return all(sp.expand(sp.numer(sp.together(e))) == 0 for e in exprs)
+
+    def dg(a, b, i):
+        return sp.diff(g[a, b], x[i])
+
+    def d2g(a, b, i, j):
+        return sp.diff(g[a, b], x[i], x[j])
+
+    first = [[[(dg(j, l, i) + dg(i, l, j) - dg(i, j, l)) / 2 for j in rng] for i in rng]
+             for l in rng]
+    gamma = [[[sum(ginv[k, l] * first[l][i][j] for l in rng) for j in rng]
+              for i in rng] for k in rng]
+
+    def reference(i, j, k, l):
+        """g_lb R^b_ijk with R^b_ijk = d_i Gamma^b_jk - d_j Gamma^b_ik + ..."""
+        return sum(g[l, b] * (sp.diff(gamma[b][j][k], x[i]) - sp.diff(gamma[b][i][k], x[j])
+                              + sum(gamma[b][i][a] * gamma[a][j][k]
+                                    - gamma[b][j][a] * gamma[a][i][k] for a in rng))
+                   for b in rng)
+
+    def first_kind(i, j, k, l):
+        return ((d2g(j, l, i, k) + d2g(i, k, j, l) - d2g(j, k, i, l) - d2g(i, l, j, k)) / 2
+                + sum(first[b][j][l] * gamma[b][i][k] - first[b][i][l] * gamma[b][j][k]
+                      for b in rng))
+
+    # both sides are antisymmetric in (i, j) term by term: i < j suffices
+    ok = vanishes(first_kind(i, j, k, l) - reference(i, j, k, l)
+                  for i in rng for j in rng if i < j for k in rng for l in rng)
+    print(f"  R_ijkl first kind = g_lb R^b_ijk: {'ok' if ok else 'MISMATCH'}")
+
+    # the three terms as PointAnalysis.ricci forms them from the jet
+    w = [sum(ginv[i, b] * dg(a, b, i) for i in rng for b in rng) for a in rng]
+    u_vec = [sum(ginv[l, a] * w[a] for a in rng) for l in rng]       # -d_i g^{il}
+    ginv_dg = [ginv * sp.Matrix(d, d, lambda a, b: dg(a, b, m)) for m in rng]
+
+    def hk(j, k):
+        return sum(ginv[i, l] * d2g(j, l, i, k) for i in rng for l in rng)
+
+    def div_gamma(j, k):
+        return (-sum(u_vec[l] * first[l][j][k] for l in rng)
+                + (hk(j, k) + hk(k, j)
+                   - sum(ginv[i, l] * d2g(j, k, i, l) for i in rng for l in rng)) / 2)
+
+    def log_det(j, k):
+        return (sum(ginv[a, b] * d2g(a, b, j, k) for a in rng for b in rng)
+                - (ginv_dg[j] * ginv_dg[k]).trace()) / 2
+
+    def quadratic(j, k):
+        return sum(gamma[i][i][a] * gamma[a][j][k] - gamma[i][j][a] * gamma[a][i][k]
+                   for i in rng for a in rng)
+
+    log_sqrt_det = sp.log(g.det()) / 2
+    pairs = [(j, k) for j in rng for k in rng]
+    for label, exprs in (
+            ("d_i Gamma^i_jk", [div_gamma(j, k) - sum(sp.diff(gamma[i][j][k], x[i]) for i in rng)
+                                for j, k in pairs]),
+            ("d_j d_k log sqrt(det g)", [log_det(j, k) - sp.diff(log_sqrt_det, x[j], x[k])
+                                         for j, k in pairs]),
+            ("contracted Ricci = g^il R_ijkl",
+             [div_gamma(j, k) - log_det(j, k) + quadratic(j, k)
+              - sum(ginv[i, l] * first_kind(i, j, k, l) for i in rng for l in rng)
+              for j, k in pairs])):
+        good = vanishes(exprs)
+        print(f"  {label}: {'ok' if good else 'MISMATCH'}")
+        ok &= good
+    return ok
+
+
 def profile_block():
     """sn, cn, dn as symbols S, C, D with dS = CD, dC = -SD, dD = -m SC per
     unit of u = omega t, reduced by C^2 = 1 - S^2 and D^2 = 1 - m S^2."""
@@ -358,6 +454,7 @@ if __name__ == "__main__":
     good = warped_block()
     good &= bundle_block()
     good &= fubini_study_block()
+    good &= first_kind_block()
     good &= profile_block()
     print("symbolic validation:", "all identities confirmed" if good else "FAILURES")
     raise SystemExit(0 if good else 1)

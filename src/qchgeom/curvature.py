@@ -1,17 +1,32 @@
 """Levi-Civita connection and curvature from jet-evaluable metric fields.
 
 Everything here is pointwise: the metric components arrive as second-order
-jets, so Christoffel symbols come from the gradient slots and their first
-derivatives from the Hessian slots.  No nested finite differencing appears
-anywhere on the Riemann path.
+jets, so the Christoffel symbols come from the gradient slots and the
+curvature from the Hessian slots as well.  No derivative of Gamma is formed.
 
 Index conventions (fixed once, used everywhere):
 
-    gamma[k, i, j]      = Gamma^k_{ij}
-    dgamma[k, i, j, l]  = d_l Gamma^k_{ij}
-    riemann[i, j, k, l] = g( R(e_i, e_j) e_k , e_l ),
+    first[l, i, j]      = Gamma_{l,ij} = (d_i g_jl + d_j g_il - d_l g_ij) / 2
+    gamma[k, i, j]      = Gamma^k_{ij} = g^{kl} Gamma_{l,ij}
+    riemann[i, j, k, l] = R_ijkl = g( R(e_i, e_j) e_k , e_l ),
                           R(X, Y)Z = ([nabla_X, nabla_Y] - nabla_[X,Y]) Z
-    ricci[j, k]         = g^{il} riemann[i, j, k, l]
+    ricci[j, k]         = Ric_jk = g^{il} R_ijkl
+
+The lowered tensor is taken in its first-kind form,
+
+    R_ijkl = (d_i d_k g_jl + d_j d_l g_ik - d_i d_l g_jk - d_j d_k g_il) / 2
+             + Gamma_{b,jl} Gamma^b_{ik} - Gamma_{b,il} Gamma^b_{jk},
+
+which is g_lb R^b_ijk with d Gamma^b written out: one (d^2, d) x (d, d^2)
+product and permuted sums, and no g^-1 on the second-derivative term, whose
+rounding an ill-conditioned chart would otherwise multiply.  The Ricci
+tensor is its own O(d^4) contraction of the same jet,
+
+    Ric_jk = d_i Gamma^i_jk - d_j d_k log sqrt(det g)
+             + Gamma^i_ia Gamma^a_jk - Gamma^i_ja Gamma^a_ik,
+
+so an analysis that needs only Ricci never builds R, and Ricci does not
+inherit the rounding of R's lowering.
 
 Every array may carry leading batch axes, one entry per sample point: an
 analysis of N points holds gamma of shape (N, d, d, d), and the indices above
@@ -62,10 +77,10 @@ def batch_analyses(field, x: np.ndarray) -> list["PointAnalysis"]:
 
 @dataclass(frozen=True)
 class Connection:
-    """Christoffel symbols and their first derivatives at a point (or a batch)."""
+    """The Christoffel symbols of both kinds at a point (or a batch)."""
 
-    gamma: np.ndarray    # B + (d, d, d)
-    dgamma: np.ndarray   # B + (d, d, d, d), last slot = derivative direction
+    first: np.ndarray    # B + (d, d, d), first[l, i, j] = Gamma_{l,ij}
+    gamma: np.ndarray    # B + (d, d, d), gamma[k, i, j] = Gamma^k_{ij}
 
 
 @dataclass(frozen=True)
@@ -125,8 +140,10 @@ class PointAnalysis:
 
     ``x`` holds the coordinates of one point, shape (d,), or of a batch,
     B + (d,); every array below then carries the leading axes B.  Expensive
-    pieces (metric jets, curvature) are computed once and shared by all
-    downstream checks at the point(s).
+    pieces (metric jets, the connection, curvature) are computed once and
+    shared by all downstream checks at the point(s).  ``connection`` holds the
+    Christoffel symbols of both kinds; ``riemann`` and ``ricci`` each combine
+    it with the metric Hessian, and neither reads the other.
 
     A field is anything with
 
@@ -161,56 +178,71 @@ class PointAnalysis:
         return np.linalg.inv(self.g)
 
     @cached_property
-    def _brackets(self) -> np.ndarray:
-        """brackets[l, i, j] = d_i g_{jl} + d_j g_{il} - d_l g_{ij} = 2 g_{lk} Gamma^k_{ij}."""
+    def _first(self) -> np.ndarray:
+        """first[l, i, j] = Gamma_{l,ij}, half the bracket of metric derivatives."""
         dg = self.metric.gradient
-        return _perm(dg, "jli->lij") + _perm(dg, "ilj->lij") - _perm(dg, "ijl->lij")
+        return 0.5 * (_perm(dg, "jli->lij") + _perm(dg, "ilj->lij") - _perm(dg, "ijl->lij"))
 
     @cached_property
     def gamma(self) -> np.ndarray:
-        """The Christoffel symbols alone, without the derivatives ``connection``
-        adds: geodesic and Jacobi flows need only these."""
-        brackets, ginv = self._brackets, self.g_inv
+        """The Christoffel symbols of the second kind alone: geodesic and
+        Jacobi flows need only these."""
+        first, ginv = self._first, self.g_inv
         batch, d = ginv.shape[:-2], ginv.shape[-1]
-        return 0.5 * (ginv @ brackets.reshape(batch + (d, d * d))).reshape(brackets.shape)
+        return (ginv @ first.reshape(batch + (d, d * d))).reshape(first.shape)
 
     @cached_property
     def connection(self) -> Connection:
-        dg, d2g = self.metric.gradient, self.metric.hessian
-        ginv, brackets, gamma = self.g_inv, self._brackets, self.gamma
-        batch, d = ginv.shape[:-2], ginv.shape[-1]
-        dbrackets = (_perm(d2g, "jlim->lijm") + _perm(d2g, "iljm->lijm")
-                     - _perm(d2g, "ijlm->lijm"))
-        dginv = _inverse_derivative(ginv, dg)
-        # sum_l dginv[k, l, m] brackets[l, i, j], as [k, m] x [l] times [l] x [i, j]
-        first = (_perm(dginv, "klm->kml").reshape(batch + (d * d, d))
-                 @ brackets.reshape(batch + (d, d * d)))
-        dgamma = 0.5 * (_perm(first.reshape(batch + (d,) * 4), "kmij->kijm")
-                        + (ginv @ dbrackets.reshape(batch + (d, -1))).reshape(dbrackets.shape))
-        return Connection(gamma=gamma, dgamma=dgamma)
+        """The Christoffel symbols of both kinds, which the curvature reads."""
+        return Connection(first=self._first, gamma=self.gamma)
 
     @cached_property
     def riemann(self) -> Curvature4:
-        conn = self.connection
-        gamma, dgamma = conn.gamma, conn.dgamma
-        # R^b_{ijk} = d_i Gamma^b_{jk} - d_j Gamma^b_{ik}
-        #             + Gamma^b_{ia} Gamma^a_{jk} - Gamma^b_{ja} Gamma^a_{ik}
-        batch, d = gamma.shape[:-3], gamma.shape[-1]
-        # gg[b, i, j, k] = Gamma^b_{ia} Gamma^a_{jk}
-        gg = (gamma.reshape(batch + (d * d, d))
-              @ gamma.reshape(batch + (d, d * d))).reshape(dgamma.shape)
-        r_up = (_perm(dgamma, "bjki->bijk") - _perm(dgamma, "bikj->bijk")
-                + gg - _perm(gg, "bjik->bijk"))
-        lowered = _perm(r_up, "bijk->ijkb").reshape(batch + (d ** 3, d)) @ self.g
-        return Curvature4(lowered.reshape(r_up.shape))
+        """R_ijkl from the metric jet and the connection, in its first-kind form
+        (module docstring): one (d^2, d) x (d, d^2) product and permuted sums."""
+        conn, hess = self.connection, self.metric.hessian
+        batch, d = hess.shape[:-4], hess.shape[-1]
+        # the terms symmetric under (i, k) <-> (j, l), as a (d^2, d^2) matrix:
+        # pairs[i, k, j, l] = (d_i d_k g_jl + d_j d_l g_ik) / 2 + Gamma^b_ik Gamma_{b,jl}
+        flat = hess.reshape(batch + (d * d, d * d))
+        pairs = (0.5 * (flat + mT(flat))
+                 + mT(conn.gamma.reshape(batch + (d, d * d)))
+                 @ conn.first.reshape(batch + (d, d * d))).reshape(hess.shape)
+        # R_ijkl = pairs[i, k, j, l] - pairs[i, l, j, k], as Gamma^b_il Gamma_{b,jk}
+        # = Gamma_{b,il} Gamma^b_jk
+        return Curvature4(_perm(pairs, "ikjl->ijkl") - _perm(pairs, "iljk->ijkl"))
 
     @cached_property
     def ricci(self) -> np.ndarray:
-        R = self.riemann.components
-        batch, d = R.shape[:-4], R.shape[-1]
-        # ricci[j, k] = sum_{i, l} g^{il} R[i, j, k, l]
-        flat = _perm(R, "ijkl->jkil").reshape(batch + (d * d, d * d))
-        return matvec(flat, self.g_inv.reshape(batch + (d * d,))).reshape(batch + (d, d))
+        """Ric_jk by its own contraction of the metric jet (module docstring),
+        in pairwise products of at most O(d^4): no Riemann tensor is built."""
+        dg, hess, ginv = self.metric.gradient, self.metric.hessian, self.g_inv
+        conn = self.connection
+        first, gamma = conn.first, conn.gamma
+        batch, d = ginv.shape[:-2], ginv.shape[-1]
+        flat_inv = ginv.reshape(batch + (d * d,))
+        flat_hess = hess.reshape(batch + (d * d, d * d))
+        # d_i Gamma^i_jk = (d_i g^{il}) Gamma_{l,jk} + g^{il} d_i Gamma_{l,jk}, with
+        # d_i g^{il} = -g^{la} w_a for w_a = g^{ib} d_i g_ab
+        w = matvec(_perm(dg, "abi->aib").reshape(batch + (d, d * d)), flat_inv)
+        dinv_first = -matvec(mT(first.reshape(batch + (d, d * d))), matvec(ginv, w))
+        # g^{il} d_i d_k g_jl as [j, k], then g^{il} d_i d_l g_jk
+        hk = (flat_inv[..., None, None, :] @ hess.reshape(batch + (d, d * d, d)))[..., 0, :]
+        trace_slots = matvec(flat_hess, flat_inv)
+        div_gamma = (dinv_first.reshape(batch + (d, d))
+                     + 0.5 * (hk + mT(hk) - trace_slots.reshape(batch + (d, d))))
+        # d_j d_k log sqrt(det g) = (g^{ab} d_j d_k g_ab - tr(g^-1 d_j g g^-1 d_k g)) / 2
+        ginv_dg = ginv[..., None, :, :] @ _perm(dg, "abj->jab")      # [j, a, b]
+        cross = (ginv_dg.reshape(batch + (d, d * d))
+                 @ mT(mT(ginv_dg).reshape(batch + (d, d * d))))
+        log_det = 0.5 * ((flat_inv[..., None, :] @ flat_hess).reshape(batch + (d, d)) - cross)
+        # Gamma^i_ia Gamma^a_jk - Gamma^i_ja Gamma^a_ik
+        trace_gamma = np.trace(gamma, axis1=-3, axis2=-2)              # [a]
+        quadratic = (matvec(mT(gamma.reshape(batch + (d, d * d))), trace_gamma)
+                     .reshape(batch + (d, d))
+                     - _perm(gamma, "ija->jai").reshape(batch + (d, d * d))
+                     @ gamma.reshape(batch + (d * d, d)))
+        return div_gamma - log_det + quadratic
 
     @cached_property
     def complex_structure(self):

@@ -15,12 +15,14 @@ curvature layer sees exact first and second derivatives.  The Fubini-Study
 jets are closed forms in z (``FubiniStudy``), and each bundle model builds
 its z-only parts once per batch of base points (``_SliceMemo``): the metric,
 the frame, the horizontal lifts and the connection-form check all read that
-one evaluation.  A point is its chart coordinates, shape (d,), and
-a batch of points carries leading batch axes, B + (d,); each model reads t,
-psi and z by slicing its own layout.  The connection
-potential is fixed in the rotation-invariant gauge sigma = -(1/4) dK o J for
-the Kaehler potential K, which vanishes at the chart origin and satisfies
-d sigma = Omega componentwise (this pins its sign).
+one evaluation.  The warped model keeps the warp profile at a batch of t the
+same way (``WarpedBundleMetric.profile_at``).  A point is its chart
+coordinates, shape (d,), and a batch of points carries leading batch axes,
+B + (d,); each model reads t, psi and z by slicing its own layout.  The
+connection potential is fixed in the rotation-invariant gauge
+sigma = -(1/4) dK o J for the Kaehler potential K, which vanishes at the
+chart origin and satisfies d sigma = Omega componentwise (this pins its
+sign).
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .batch import matvec, mT
-from .jets import Jet2, pullback, reciprocal, scale_along, zeros
+from .jets import Jet2, compose, pullback, reciprocal, scale_along, zeros
 from .jets import sqrt as jet_sqrt
 from .profile import ProfileSolution
 
@@ -279,33 +281,40 @@ def _unit_rows(index: int, x: np.ndarray) -> np.ndarray:
 
 
 class _SliceMemo:
-    """A bundle model's jets of z alone, memoised on the z values of a batch.
+    """A bundle model's values of z alone (or of t alone), memoised on the
+    values of a batch.
 
-    A lookup at z (one point's base coordinates, or a batch) calls ``build``
-    on a miss; the key is the shape and bytes of the whole batch.  Base
-    components depend only on z, so the frame, the fields and the checks at an
-    analysed batch, or the same batch moved along t, reuse one evaluation.
-    Such reuse is local: once ``points`` points are held the memo starts
-    over, since a larger one only keeps memory alive for as long as the model
-    lives.
+    A lookup at z (one point's base coordinates, B + (2m,), or with
+    ``point_axes`` = 0 one t per point, B) calls ``build`` on a miss; the key
+    is the dtype, shape and bytes of the whole batch.  Base components depend
+    only on z, so the frame, the fields and the checks at an analysed batch,
+    or the same batch moved along t, reuse one evaluation; the warp profile
+    depends only on t, so they reuse one evaluation of it as well.  Such reuse
+    is local: once ``points`` points are held the memo starts over, since a
+    larger one only keeps memory alive for as long as the model lives.  A
+    batch moved off the real axis (a complex step) is built and not kept,
+    unless ``keep_complex``: a step along t leaves z real, and shares its
+    real entry.
     """
 
-    def __init__(self, points: int):
+    def __init__(self, points: int, *, point_axes: int = 1, keep_complex: bool = False):
         self.capacity = points
+        self.point_axes = point_axes
+        self.keep_complex = keep_complex
         self.entries: dict[tuple, tuple] = {}
         self.points = 0
 
-    def __call__(self, z: np.ndarray, build) -> tuple:
+    def __call__(self, z, build) -> tuple:
         z = np.asarray(z)
-        if np.iscomplexobj(z):
+        if np.iscomplexobj(z) and not self.keep_complex:
             if z.imag.any():  # a complex step that moves z: built once, not kept
                 return build(z)
             z = z.real  # a complex step along t leaves z real: share its entry
-        key = (z.shape, z.tobytes())
+        key = (z.dtype.str, z.shape, z.tobytes())
         hit = self.entries.get(key)
         if hit is None:
             hit = build(z)
-            points = z[..., 0].size
+            points = z.size // z.shape[-1] if self.point_axes else z.size
             if self.points + points > self.capacity:
                 self.entries.clear()
                 self.points = 0
@@ -367,6 +376,8 @@ class WarpedBundleMetric:
         self.end_margin_frac = end_margin_frac
         # entries are d x d jets, about 0.7 MB a point at d = 14
         self._base_memo = _SliceMemo(16)
+        # entries are (r, r', r'', r''') at a t batch, 64 bytes a point
+        self._profile_memo = _SliceMemo(4096, point_axes=0, keep_complex=True)
 
     # coordinates are (t, psi, z_1..z_2m)
     def check_bounds(self, x: np.ndarray) -> None:
@@ -394,9 +405,24 @@ class WarpedBundleMetric:
         h, sigma, _ = self._base_at(z)
         return sigma, self.base.j0.T @ h.value[..., 2:, 2:]
 
+    def profile_at(self, t) -> tuple:
+        """(r, r', r'', r''') at t, a float or a batch (complex t included),
+        from the model's memo (``_SliceMemo``): the metric, J, the frame, the
+        fields and the checks at one analysed batch read one evaluation.  The
+        arrays are shared, so they are read-only."""
+        def build(t):
+            values = self.profile.evaluate(t)
+            for v in values:
+                if isinstance(v, np.ndarray):
+                    v.flags.writeable = False
+            return values
+        return self._profile_memo(t, build)
+
     def warp_jets(self, t_jet: Jet2) -> tuple[Jet2, Jet2]:
         """(r, f) at a jet-seeded t, with the control scale applied to f."""
-        r, f = self.profile.jets(t_jet)
+        values = self.profile_at(t_jet.value)
+        r = compose(t_jet, *values[:3])
+        f = compose(t_jet, *self.profile.warp_from(*values))
         if self.warp_scale != 1.0:
             f = f * self.warp_scale
         return r, f
@@ -404,7 +430,7 @@ class WarpedBundleMetric:
     def _squared_warps(self, t) -> tuple[tuple, tuple]:
         """r^2 and f^2 (with the control scale) at t, each as its value and
         first two t-derivatives."""
-        r, rp, rpp, rppp = self.profile.evaluate(t)
+        r, rp, rpp, rppp = self.profile_at(t)
         f, fp, fpp = (self.warp_scale * x for x in self.profile.warp_from(r, rp, rpp, rppp))
         return ((r * r, 2.0 * r * rp, 2.0 * (rp * rp + r * rpp)),
                 (f * f, 2.0 * f * fp, 2.0 * (fp * fp + f * fpp)))
@@ -485,7 +511,7 @@ class WarpedBundleMetric:
 
     def frame_at(self, x: np.ndarray, g_values: np.ndarray) -> FrameBasis:
         d = self.dim
-        f = self.profile.warp(x[..., 0]) * self.warp_scale
+        f = self.profile.warp_from(*self.profile_at(x[..., 0]))[0] * self.warp_scale
         h_vec = _unit_rows(0, x)
         xi = _unit_rows(1, x)
         jh = xi / np.asarray(f)[..., None]

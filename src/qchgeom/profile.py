@@ -29,8 +29,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .jets import Jet2, compose
-
 _EPS = np.finfo(float).eps
 
 # interior points at which the first integral r'^2 = P(r) is checked
@@ -204,12 +202,6 @@ class ProfileSolution:
         fp = 2.0 * (rp ** 2 + r * rpp) / self.s
         fpp = 2.0 * (3.0 * rp * rpp + r * rppp) / self.s
         return f, fp, fpp
-
-    def jets(self, t_jet: Jet2) -> tuple[Jet2, Jet2]:
-        """(r, f) at a jet-seeded t, from one evaluation of the profile."""
-        r, rp, rpp, rppp = self.evaluate(t_jet.value)
-        return (compose(t_jet, r, rp, rpp),
-                compose(t_jet, *self.warp_from(r, rp, rpp, rppp)))
 
     # -- diagnostics ---------------------------------------------------------
 

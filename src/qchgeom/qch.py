@@ -300,7 +300,7 @@ def structure_identity_residuals(analysis: PointAnalysis, model, params,
     e_frame = frame.horizontal
     J = analysis.complex_structure[0]
     split = split_tensors(g, J, h_hat, jh_hat)
-    r, rp, rpp, rppp = model.profile.evaluate(analysis.x[..., 0])
+    r, rp, rpp, rppp = model.profile_at(analysis.x[..., 0])
     f, fp, _ = model.profile.warp_from(r, rp, rpp, rppp)
 
     out: dict = {}
@@ -394,7 +394,7 @@ def warped_submersion_residuals(analysis: PointAnalysis, model, params) -> dict[
     frame = analysis.frame
     h_hat, jh_hat = frame.vectors[..., 0, :], frame.vectors[..., 1, :]
     e_frame = frame.horizontal
-    r, rp, rpp, rppp = model.profile.evaluate(analysis.x[..., 0])
+    r, rp, rpp, rppp = model.profile_at(analysis.x[..., 0])
     f, fp, _ = model.profile.warp_from(r, rp, rpp, rppp)
     s = model.s
     R4 = analysis.riemann.components

@@ -395,7 +395,7 @@ def _warped_structure_checks(res: _Residuals, model, analyses, params, rng) -> N
             phis.append(rng.uniform(0.0, 2.0 * np.pi))
             moves.append(rng.standard_normal((2, nz)))
         fit = fit_qch_coefficients(an, draws=np.stack(draws))
-        r, rp, _, _ = model.profile.evaluate(an.x[..., 0])
+        r, rp, _, _ = model.profile_at(an.x[..., 0])
         rs = ricci_split(an, fit, params.n)
         d1, d2 = section_divergences(an, model)
         phis = np.array(phis)

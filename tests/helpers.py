@@ -1,8 +1,8 @@
 """Shared test machinery: random jet-expression trees with a float evaluator
 (for finite-difference references), a polynomial derivative oracle, and the
 small definitions that only tests use (seeded variables, constant fields,
-sectional curvature, the base Kaehler form, warp derivatives, model tensors
-on vectors)."""
+sectional curvature, the derivatives of the Christoffel symbols, the base
+Kaehler form, warp derivatives, model tensors on vectors)."""
 
 import math
 
@@ -196,6 +196,17 @@ def sectional_curvature(R4, g, X, Y):
     if np.any(area2 <= 0.0):
         raise ValueError("sectional curvature of a degenerate plane")
     return per_point(R4.apply(X, Y, Y, X) / area2)
+
+
+def dgamma(analysis):
+    """d_m Gamma^k_ij as [k, i, j, m] at an analysis, from its metric jet:
+    g^{kl} (d_m Gamma_{l,ij} - d_m g_la Gamma^a_ij), each Gamma_{l,ij} the
+    half bracket of metric derivatives."""
+    d2g = analysis.metric.hessian
+    dfirst = 0.5 * (np.einsum("...jlim->...lijm", d2g) + np.einsum("...iljm->...lijm", d2g)
+                    - np.einsum("...ijlm->...lijm", d2g))
+    moved = np.einsum("...lam,...aij->...lijm", analysis.metric.gradient, analysis.gamma)
+    return np.einsum("...kl,...lijm->...kijm", analysis.g_inv, dfirst - moved)
 
 
 def kahler_form_jets(base, z):

@@ -48,6 +48,8 @@ from qchgeom.suite import (
     sample_interior_points,
 )
 
+from helpers import dgamma
+
 RTOL = 1e-13
 
 
@@ -82,7 +84,7 @@ QUANTITIES = {
     "metric_gradient": lambda an: an.metric.gradient,
     "metric_hessian": lambda an: an.metric.hessian,
     "gamma": lambda an: an.connection.gamma,
-    "dgamma": lambda an: an.connection.dgamma,
+    "dgamma": dgamma,
     "riemann": lambda an: an.riemann.components,
     "ricci": lambda an: an.ricci,
     "frame": lambda an: an.frame.vectors,

@@ -21,6 +21,8 @@ from qchgeom.flows import geodesic_acceleration, jacobi_matrix, transport_matrix
 from qchgeom.jets import Jet2
 from qchgeom.qch import fit_qch_coefficients, qch_residual_samples, split_tensors
 
+from helpers import dgamma as dgamma_of
+
 RTOL = 1e-12
 
 
@@ -50,7 +52,8 @@ class _RandomMetricField:
 
 
 def _reference_curvature(g, dg, d2g):
-    """The connection, Riemann and Ricci arrays as single einsums."""
+    """The connection, Riemann and Ricci arrays as single einsums: R lowered
+    from R^b_ijk, built from d Gamma, and Ricci as g^{il} R_ijkl."""
     ginv = np.linalg.inv(g)
     brackets = (np.einsum("jli->lij", dg) + np.einsum("ilj->lij", dg)
                 - np.einsum("ijl->lij", dg))
@@ -84,7 +87,8 @@ def test_connection_riemann_ricci(d, rng):
         field.jet.value, field.jet.gradient, field.jet.hessian)
     assert _close(metric_inverse_jets(an)[1], dginv)
     assert _close(an.connection.gamma, gamma)
-    assert _close(an.connection.dgamma, dgamma)
+    assert _close(an.connection.first, np.einsum("kl,lij->kij", field.jet.value, gamma))
+    assert _close(dgamma_of(an), dgamma)
     assert _close(an.riemann.components, R)
     assert _close(an.ricci, ricci)
 

@@ -25,6 +25,7 @@ from qchgeom.suite import sample_interior_points
 
 from helpers import (
     constant_vector_field,
+    dgamma,
     fiber_field,
     sectional_curvature,
     variable,
@@ -51,9 +52,9 @@ class Rotationally2D:
 
 
 def test_flat_christoffel_vanishes():
-    conn = PointAnalysis(EuclideanMetric(3), np.array([0.3, -1.0, 2.0])).connection
-    assert np.abs(conn.gamma).max() == 0.0
-    assert np.abs(conn.dgamma).max() == 0.0
+    an = PointAnalysis(EuclideanMetric(3), np.array([0.3, -1.0, 2.0]))
+    assert np.abs(an.connection.gamma).max() == 0.0
+    assert np.abs(dgamma(an)).max() == 0.0
 
 
 def test_flat_curvature_vanishes():

@@ -5,10 +5,12 @@ from qchgeom import (
     CircleBundleMetric,
     FubiniStudy,
 )
+from qchgeom.cli import RunConfig
 from qchgeom.curvature import PointAnalysis, batch_analyses
 from qchgeom.geometry import ChartBoundsError, exterior_derivative_1form
 from qchgeom.jets import seed_chart
-from qchgeom.suite import sample_interior_points
+from qchgeom.profile import ProfileSolution
+from qchgeom.suite import run_suite, sample_interior_points
 
 from helpers import kahler_form_jets
 
@@ -239,3 +241,25 @@ def test_theta_derivative_detects_wrong_cross_term_pitch(warped, circle_bundle,
     res_sigma, res_theta = _connection_form_residuals(model, PointAnalysis(wrong, point))
     assert res_sigma < 1e-12  # the base potential does not see the pitch
     assert res_theta > 1e-3
+
+
+def test_profile_evaluated_once_per_t_batch(monkeypatch):
+    """A 10-point n = 7 ``perturb_f`` 1.05 run evaluates the warp profile once
+    per distinct t batch (real or complex), up to a slack of 3: the metric,
+    J, the frame, the fields and the checks at a batch share the model's
+    memo.  Evaluated afresh for each of them, the run made 259 evaluations
+    of 29 batches."""
+    calls, batches = [], set()
+    evaluate = ProfileSolution.evaluate
+
+    def counted(self, t):
+        a = np.asarray(t)
+        calls.append(1)
+        batches.add((a.dtype.str, a.shape, a.tobytes()))
+        return evaluate(self, t)
+
+    monkeypatch.setattr(ProfileSolution, "evaluate", counted)
+    run_suite(RunConfig.from_dict({"mode": "warped", "n": 7, "k": 1, "perturb_f": 1.05,
+                                   "sample_count": 10, "rng_seed": 42}))
+    assert len(batches) >= 20
+    assert len(calls) <= len(batches) + 3

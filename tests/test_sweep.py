@@ -20,6 +20,13 @@ quantity behind their fault is measured to be large.
   absolute or chart-relative tolerance, fail at the rounding of an
   ill-conditioned chart.  In 1,200 random configurations every such failure
   had cond(g) >= 3e5 at some sample point; they are allowed from 1e5.
+  The antisymmetry and pair symmetry of R are not among them: with R taken
+  in its first-kind form, no g^-1 multiplies the rounding of its
+  second-derivative term, and at the worst of 64 corners of the ranges
+  (warped, n = 3, c0 = 0.01, x = 0.1, y = 10, k = 5) they read 0.07 and
+  0.035 of their tolerance.  The Kaehler type R(J., J., ., .) = R still fails there
+  (36 times its tolerance), as J's chart components carry the rounding
+  that fails ``hermitian_metric`` at the same points.
 * A near-degenerate profile, y/x close to 1 with a large pitch: the monomial
   coefficients of P grow like s / (x y (y - x)), ``profile_constraints`` is
   absolute (1e-12), and the decay ratio law misses by 1.6e-6 at x = 0.1,
@@ -41,9 +48,9 @@ from qchgeom.geometry import CircleBundleMetric
 from qchgeom.profile import build_polynomial
 from qchgeom.suite import build_warped_model, run_suite, sample_interior_points
 
-CHART_SCALE = {"bianchi_second_spot", "curvature_antisymmetry", "curvature_kahler_type",
-               "curvature_pair_symmetry", "hermitian_metric", "kahler_form_closed",
-               "ricci_e_block", "ricci_j_invariance", "ricci_symmetry", "submersion_twist"}
+CHART_SCALE = {"bianchi_second_spot", "curvature_kahler_type", "hermitian_metric",
+               "kahler_form_closed", "ricci_e_block", "ricci_j_invariance", "ricci_symmetry",
+               "submersion_twist"}
 DEGENERATE_PROFILE = {"profile_constraints", "decay_ratio_law"}
 
 FORMERLY_FAILING = [
