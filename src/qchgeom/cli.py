@@ -31,7 +31,7 @@ import numpy as np
 
 from .curvature import batch_analyses
 from .flows import FlowError
-from .geometry import END_MARGIN_FRAC_DEFAULT, ChartBoundsError
+from .geometry import END_MARGIN_FRAC, ChartBoundsError
 from .profile import ProfileError, boundary_report, build_polynomial, solve_profile
 from .qch import fit_qch_coefficients, ricci_split, section_divergences
 from .suite import DEFAULT_TOLERANCES, VerificationReport, build_warped_model, run_suite
@@ -89,9 +89,9 @@ class RunConfig:
             raise ConfigError(
                 "negative-control mode uses a product of two projective lines, "
                 "which requires n = 3")
-        if not (END_MARGIN_FRAC_DEFAULT <= self.sample_margin < 0.5):
+        if not (END_MARGIN_FRAC <= self.sample_margin < 0.5):
             # below the chart's own end margin, sampled points leave the chart
-            raise ConfigError(f"constraint {END_MARGIN_FRAC_DEFAULT} <= sample_margin < 1/2 "
+            raise ConfigError(f"constraint {END_MARGIN_FRAC} <= sample_margin < 1/2 "
                               f"violated ({self.sample_margin})")
         if not (0 < self.z_radius < 4.0):
             raise ConfigError("constraint 0 < z_radius < 4 (chart radius) violated")
@@ -175,7 +175,7 @@ def emit_report(report: VerificationReport, path) -> None:
 
 def emit_summary_csv(config: RunConfig, path, points: int = 100) -> None:
     """Axis table (t, r, f, a, b, c, lambda, mu, kappa) for plotting."""
-    params, model = build_warped_model(config)
+    model = build_warped_model(config)
     profile = model.profile
     lo = config.sample_margin * profile.L
     hi = (1.0 - config.sample_margin) * profile.L
@@ -187,7 +187,7 @@ def emit_summary_csv(config: RunConfig, path, points: int = 100) -> None:
     parts = []
     for analysis in batch_analyses(model, axis):
         fit = fit_qch_coefficients(analysis)
-        rs = ricci_split(analysis, fit, params.n)
+        rs = ricci_split(analysis, fit, model.params.n)
         d1, d2 = section_divergences(analysis, model)
         parts.append((fit.a, fit.b, fit.c, rs.lam_engine, rs.mu_engine, np.hypot(d1, d2)))
     columns += [np.concatenate(col) for col in zip(*parts)]

@@ -50,6 +50,7 @@ from numpy.polynomial import chebyshev
 
 from .batch import inner, matvec, mT
 from .curvature import PointAnalysis, batch_slices, contract_slots, jacobi_operator
+from .geometry import END_MARGIN_FRAC
 
 # Chebyshev nodes per panel, and the most panels one solve may certify, and
 # reject, before it is abandoned (FlowError, exit 3).  The desk runs and the
@@ -384,14 +385,14 @@ def _geodesic_panel(field, a: float, b: float, start) -> _Trial:
                   PICARD_RATE / rate if rate else np.inf)
 
 
-def integrate_geodesic(field, start: GeodesicState, span: float, *,
-                       samples: int = 64) -> GeodesicPath:
-    """Integrate the geodesic equation x'' = -Gamma(x)(x', x') on [0, span]."""
+def integrate_geodesic(field, start: GeodesicState, span: float) -> GeodesicPath:
+    """Integrate the geodesic equation x'' = -Gamma(x)(x', x') on [0, span],
+    tabulated at 64 even parameters."""
     sol = solve_ivp(lambda a, b, state: _geodesic_panel(field, a, b, state), span,
                     (start.position, start.velocity, None, None), name="geodesic tables")
     dense = Panels(sol.t, sol.values)
     d = start.position.shape[0]
-    taus = np.linspace(0.0, span, samples)
+    taus = np.linspace(0.0, span, 64)
     packed = dense(taus)
     return GeodesicPath(field=field, span=span, taus=taus, positions=packed[:, :d],
                         velocities=packed[:, d:], stats=sol.stats, dense=dense)
@@ -589,10 +590,10 @@ def _dot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 
 def jacobi_decay_experiment(model, t0: float, t_end: float, *,
-                            z0: np.ndarray | None = None, psi0: float = 0.0,
                             samples: int = 200) -> DecayReport:
     """Integrate the Jacobi field that restricts the fiber Killing field along
-    the t-line geodesic and compare against the closed forms.
+    the t-line geodesic through psi = 0, z = 0 and compare against the closed
+    forms.
 
     Initial data: C(0) = fiber field = f(t0) JH, nabla C(0) its covariant
     derivative, both engine-evaluated.  Diagnostics per sample:
@@ -605,14 +606,13 @@ def jacobi_decay_experiment(model, t0: float, t_end: float, *,
     """
     profile = model.profile
     L = profile.L
-    margin = model.end_margin_frac * L
+    margin = END_MARGIN_FRAC * L
     if not (0.0 < t0 < t_end <= L - margin + 1e-12):
         raise ValueError(
             f"experiment window [{t0}, {t_end}] must sit inside (0, {L - margin}]")
     d = model.dim
-    if z0 is None:
-        z0 = np.zeros(model.base.dim)
-    x0 = np.concatenate(([t0, psi0], z0))
+    x0 = np.zeros(d)
+    x0[0] = t0
     v0 = np.zeros(d)
     v0[0] = 1.0
 

@@ -36,8 +36,10 @@ from .jets import Jet2, compose, pullback, reciprocal, scale_along, zeros
 from .jets import sqrt as jet_sqrt
 from .profile import ProfileSolution
 
-CHART_RADIUS_DEFAULT = 4.0
-END_MARGIN_FRAC_DEFAULT = 1e-3
+# |z| bound of the affine chart of CP^m, and the share of (0, L) kept clear of
+# each collapsing end of the warped chart
+CHART_RADIUS = 4.0
+END_MARGIN_FRAC = 1e-3
 
 
 class ChartBoundsError(ValueError):
@@ -107,7 +109,7 @@ class FubiniStudy(_BaseModel):
     (``jets.pullback``).
     """
 
-    def __init__(self, m: int, c0: float, chart_radius: float = CHART_RADIUS_DEFAULT):
+    def __init__(self, m: int, c0: float):
         if m < 1:
             raise ValueError(f"base complex dimension must be >= 1, got {m}")
         if c0 <= 0.0:
@@ -115,7 +117,7 @@ class FubiniStudy(_BaseModel):
         self.m = m
         self.c0 = c0
         self.dim = 2 * m
-        self.chart_radius = chart_radius
+        self.chart_radius = CHART_RADIUS
         j0 = np.zeros((self.dim, self.dim))
         for a in range(m):
             j0[m + a, a] = 1.0   # J du_a = dv_a
@@ -362,8 +364,7 @@ class WarpedBundleMetric:
     """
 
     def __init__(self, params: BundleParams, profile: ProfileSolution, base=None,
-                 *, product_mode: bool = False, warp_scale: float = 1.0,
-                 end_margin_frac: float = END_MARGIN_FRAC_DEFAULT):
+                 *, product_mode: bool = False, warp_scale: float = 1.0):
         self.params = params
         self.profile = profile
         self.base = base if base is not None else FubiniStudy(params.m, params.c0)
@@ -373,7 +374,6 @@ class WarpedBundleMetric:
         self.warp_scale = warp_scale
         self.s = 0.0 if product_mode else params.s
         self.dim = 2 + self.base.dim
-        self.end_margin_frac = end_margin_frac
         # entries are d x d jets, about 0.7 MB a point at d = 14
         self._base_memo = _SliceMemo(16)
         # entries are (r, r', r'', r''') at a t batch, 64 bytes a point
@@ -381,7 +381,7 @@ class WarpedBundleMetric:
 
     # coordinates are (t, psi, z_1..z_2m)
     def check_bounds(self, x: np.ndarray) -> None:
-        margin = self.end_margin_frac * self.profile.L
+        margin = END_MARGIN_FRAC * self.profile.L
         t = x[..., 0]
         outside = t[(t < margin) | (t > self.profile.L - margin)]
         if outside.size:
@@ -623,12 +623,11 @@ class EuclideanMetric:
         return FrameBasis(vectors=np.broadcast_to(np.eye(self.dim), np.shape(g_values)))
 
 
-def exterior_derivative_2form(form: Jet2) -> np.ndarray:
-    """(d omega)_{ijk} = cyclic sum of jet gradients of a 2-form's components.
+def exterior_derivative_2form(w: np.ndarray) -> np.ndarray:
+    """(d omega)_{ijk} = cyclic sum of the first derivatives of a 2-form's components.
 
     With w[i, j, k] = d_k omega_ij: (d omega)_ijk = w[j,k,i] - w[i,k,j] + w[i,j,k].
     """
-    w = form.gradient
     return np.moveaxis(w, -1, -3) - mT(w) + w
 
 

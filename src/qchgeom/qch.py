@@ -7,7 +7,9 @@ decomposes as R = a Pi + b Phi + c Psi against three model tensors built from
 g, J and the splitting.  This module fits (a, b, c), splits the Ricci tensor,
 computes the divergence invariant kappa with its principal section, and
 evaluates the pointwise structure identities and submersion cross-checks
-against their closed forms.
+against their closed forms.  The residual functions return each residual
+under the name of the ``suite.CHECKS`` check it feeds; a check with several
+parts gets the larger of them.
 
 Every function takes an analysis of one point or of a batch of points and
 returns its results per point: floats for one point, arrays for a batch.
@@ -51,7 +53,6 @@ class SplitTensors:
     h: np.ndarray        # g restricted through p_D (bilinear form)
     m: np.ndarray        # g restricted through p_E
     omega: np.ndarray    # omega(X, Y) = h(JX, Y)
-    omega_m: np.ndarray  # Omega_m(X, Y) = m(JX, Y)
 
 
 def split_tensors(g: np.ndarray, J: np.ndarray, h_hat: np.ndarray,
@@ -62,8 +63,7 @@ def split_tensors(g: np.ndarray, J: np.ndarray, h_hat: np.ndarray,
     p_e = np.eye(g.shape[-1]) - p_d
     h = mT(p_d) @ g @ p_d
     m = mT(p_e) @ g @ p_e
-    return SplitTensors(p_d=p_d, p_e=p_e, h=h, m=m,
-                        omega=mT(J) @ h, omega_m=mT(J) @ m)
+    return SplitTensors(p_d=p_d, p_e=p_e, h=h, m=m, omega=mT(J) @ h)
 
 
 def model_tensor_arrays(g: np.ndarray, J: np.ndarray,
@@ -260,12 +260,6 @@ def ricci_split(analysis: PointAnalysis, coeffs: QCHCoefficients, n: int) -> Ric
 # -- structure identities ---------------------------------------------------------
 
 
-def _directional_cov(analysis: PointAnalysis, x_field, direction: np.ndarray):
-    """nabla_direction X at the point."""
-    _, nabla = covariant_vector_derivative(analysis, x_field)
-    return matvec(nabla, direction)
-
-
 def coefficient_t_derivatives(analysis: PointAnalysis, model) -> tuple:
     """(da/dt, db/dt, dkappa/dt) at the analysed point(s), from the fit and
     kappa of one analysis at the complex points x + i h e_t."""
@@ -276,10 +270,10 @@ def coefficient_t_derivatives(analysis: PointAnalysis, model) -> tuple:
     return step_derivative(fit.a), step_derivative(fit.b), step_derivative(kappa)
 
 
-def structure_identity_residuals(analysis: PointAnalysis, model, params,
+def structure_identity_residuals(analysis: PointAnalysis, model,
                                  *, fit: QCHCoefficients | None = None,
                                  divergences=None) -> dict[str, float]:
-    """Named residuals of the pointwise structure identities (warped mode).
+    """Residuals of the pointwise structure identities (warped mode) by check.
 
     The t-derivatives of the fitted coefficients and of kappa, which the
     gradient laws compare with their closed forms, come from one analysis
@@ -293,7 +287,7 @@ def structure_identity_residuals(analysis: PointAnalysis, model, params,
     """
     if fit is None:
         fit = fit_qch_coefficients(analysis)
-    n = params.n
+    n = model.params.n
     frame = analysis.frame
     g = analysis.g
     h_hat, jh_hat = frame.vectors[..., 0, :], frame.vectors[..., 1, :]
@@ -305,33 +299,34 @@ def structure_identity_residuals(analysis: PointAnalysis, model, params,
 
     out: dict = {}
 
+    # nabla H and nabla JH, (nabla X)[k, i] = nabla_i X^k
+    nH = covariant_vector_derivative(analysis, model.h_field())[1]
+    nJH = covariant_vector_derivative(analysis, model.jh_field())[1]
+    nHH, nJJ = matvec(nH, h_hat), matvec(nJH, jh_hat)
+
     # p = g(nabla_xi xi, J xi) with xi the principal section (= H here)
-    nHH = _directional_cov(analysis, model.h_field(), h_hat)
-    out["p_vanishes"] = np.abs(inner(g, nHH, jh_hat))
+    out["identity_p"] = np.abs(inner(g, nHH, jh_hat))
 
     # p* = g(nabla_JH JH, H), closed form -f'/f
-    nJJ = _directional_cov(analysis, model.jh_field(), jh_hat)
     p_star = inner(g, nJJ, h_hat)
-    out["p_star_closed_form"] = np.abs(p_star + fp / f)
+    out["identity_p_star"] = np.abs(p_star + fp / f)
 
-    # epsilon forms: E-components of nabla_X X for X = H, JH
+    # epsilon forms: E-components of nabla_X X for X = H, JH; totally geodesic
+    # D adds the mixed ones: p_E(nabla_X Y) = 0 for X, Y in {H, JH}
     e_low = e_frame @ g
-    out["eps_form"] = max_abs(matvec(e_low, nHH), 1)
-    out["eps_star_form"] = max_abs(matvec(e_low, nJJ), 1)
 
-    # totally geodesic D: p_E(nabla_X Y) = 0 for X, Y in {H, JH}
-    worst = 0.0
-    for xf in (model.h_field(), model.jh_field()):
-        for direction in (h_hat, jh_hat):
-            vec = _directional_cov(analysis, xf, direction)
-            worst = np.maximum(worst, max_abs(matvec(e_low, vec), 1))
-    out["totally_geodesic_d"] = worst
+    def e_part(v):
+        return max_abs(matvec(e_low, v), 1)
+
+    out["identity_eps_forms"] = np.maximum(e_part(nHH), e_part(nJJ))
+    out["totally_geodesic_d"] = np.maximum(out["identity_eps_forms"], np.maximum(
+        e_part(matvec(nH, jh_hat)), e_part(matvec(nJH, h_hat))))
 
     # kappa closed form, and d ln kappa = -(kappa/(n-1) + p*) theta along H
     kap, _ = kappa_and_principal_section(analysis, model, divergences)
     out["kappa_closed_form"] = np.abs(kap - kappa_closed_form(n, r, rp))
     da, db, dkap = coefficient_t_derivatives(analysis, model)
-    out["log_kappa_gradient"] = np.abs(dkap / kap + kap / (n - 1) + p_star)
+    out["identity_log_kappa_gradient"] = np.abs(dkap / kap + kap / (n - 1) + p_star)
 
     # nabla theta = kappa/(2(n-1)) m - p* (J theta) x (J theta), theta = H-flat
     theta = matvec(g, h_hat)
@@ -341,25 +336,25 @@ def structure_identity_residuals(analysis: PointAnalysis, model, params,
     target = (each(kap / (2.0 * (n - 1))) * split.m
               - each(p_star) * (jtheta[..., :, None] * jtheta[..., None, :]))
     fr = frame.vectors
-    out["theta_covariant_derivative"] = max_abs(fr @ (nabla_theta - target) @ mT(fr), 2)
+    out["identity_nabla_theta"] = max_abs(fr @ (nabla_theta - target) @ mT(fr), 2)
 
     # coefficient gradients along t:
     #   da/dt = b kappa / (2(n-1)),   db/dt = (b + 4c) kappa / (n-1)
-    out["coefficient_gradient_a"] = np.abs(da - fit.b * kap / (2.0 * (n - 1)))
-    out["coefficient_gradient_b"] = np.abs(db - (fit.b + 4.0 * fit.c) * kap / (n - 1))
+    out["identity_gradient_a"] = np.abs(da - fit.b * kap / (2.0 * (n - 1)))
+    out["identity_gradient_b"] = np.abs(db - (fit.b + 4.0 * fit.c) * kap / (n - 1))
 
     # Killing potential tau = r^2/s: J grad(tau) is Killing and
     # Hess(tau)|_E = f kappa / (2(n-1)) m
     tau_field = model.potential_field()
     x_jets = j_gradient_field(analysis, tau_field)
     dev = killing_deviation(analysis, lambda _: x_jets)
-    out["potential_killing_deviation"] = max_abs(fr @ dev @ mT(fr), 2)
+    out["potential_killing"] = max_abs(fr @ dev @ mT(fr), 2)
     hess = hessian_form(analysis, tau_field)
     hess_e = e_frame @ hess @ mT(e_frame)
     k = hess_e.shape[-1]
     coeff = np.trace(hess_e, axis1=-2, axis2=-1) / k
-    out["potential_hessian_proportional"] = max_abs(hess_e - each(coeff) * np.eye(k), 2)
-    out["potential_hessian_coefficient"] = np.abs(coeff - f * kap / (2.0 * (n - 1)))
+    out["potential_hessian"] = np.maximum(max_abs(hess_e - each(coeff) * np.eye(k), 2),
+                                          np.abs(coeff - f * kap / (2.0 * (n - 1))))
 
     return {key: per_point(value) for key, value in out.items()}
 
@@ -387,9 +382,10 @@ def coefficient_base_independence(analysis: PointAnalysis, model, *, draws: np.n
 # -- submersion cross-checks -------------------------------------------------------
 
 
-def warped_submersion_residuals(analysis: PointAnalysis, model, params) -> dict[str, float]:
+def warped_submersion_residuals(analysis: PointAnalysis, model) -> dict[str, float]:
     """Closed forms of the fiber second fundamental form, twist tensor and the
-    mixed/degenerate curvature components on the warped chart vs the engine."""
+    mixed/degenerate curvature components on the warped chart vs the engine,
+    by check."""
     g = analysis.g
     frame = analysis.frame
     h_hat, jh_hat = frame.vectors[..., 0, :], frame.vectors[..., 1, :]
@@ -404,7 +400,7 @@ def warped_submersion_residuals(analysis: PointAnalysis, model, params) -> dict[
     gamma = analysis.gamma
     n_xi_xi = gamma[..., :, 1, 1]
     diff = n_xi_xi + np.asarray(f * fp)[..., None] * h_hat
-    out["fiber_t_tensor"] = np.sqrt(inner(g, diff, diff))
+    out["submersion_fiber_t"] = np.sqrt(inner(g, diff, diff))
 
     # T on horizontal fiber directions (tensorial, so lift-field covariant
     # derivatives contract exactly with the frame coefficients):
@@ -414,13 +410,14 @@ def warped_submersion_residuals(analysis: PointAnalysis, model, params) -> dict[
     coef = e_frame[..., 2:]                                  # E_a = sum coef[a,i] lift_i
     n_ee = np.moveaxis(contract_slots(n_lift, coef, coef, rank=3), -3, -1)
     t_h = matvec(n_ee, matvec(g, h_hat)[..., None, :])
-    out["horizontal_t_tensor"] = max_abs(t_h + each(rp / r) * np.eye(nb), 2)
+    horizontal_t = max_abs(t_h + each(rp / r) * np.eye(nb), 2)
 
     # the base-unit statement: T(U, U) = -r r' H for h-unit U
     u_field = model.base_unit_lift_field(0)
     u_vals, n_u = covariant_vector_derivative(analysis, u_field)
     n_uu = matvec(n_u, u_vals)
-    out["horizontal_t_tensor_base_unit"] = np.abs(inner(g, n_uu, h_hat) + r * rp)
+    out["submersion_horizontal_t"] = np.maximum(
+        horizontal_t, np.abs(inner(g, n_uu, h_hat) + r * rp))
 
     # twist tensor: g(nabla_E F, xi) = (s f^2 / (2 r^2)) g(E, J~F) on lifts
     if s != 0.0:
@@ -428,17 +425,17 @@ def warped_submersion_residuals(analysis: PointAnalysis, model, params) -> dict[
         lhs = matvec(n_lift, matvec(g, frame.xi)[..., None, :])
         g_lift = lift_vals @ g @ mT(lift_vals)
         rhs = each(s * f * f / (2.0 * r * r)) * (g_lift @ j0)
-        out["twist_tensor"] = max_abs(lhs - rhs, 2)
+        out["submersion_twist"] = max_abs(lhs - rhs, 2)
 
     # mixed curvature: R(JH, U, V, JH) = (s^2 f^2/(4 r^4) - f' r'/(f r)) g(U, V)
     target = s * s * f * f / (4.0 * r ** 4) - fp * rp / (f * r)
     mixed = contract_slots(R4, jh_hat, e_frame, e_frame, jh_hat, rank=4)
-    out["mixed_plane_curvature"] = max_abs(mixed - each(target) * np.eye(nb), 2)
+    out["submersion_mixed_curvature"] = max_abs(mixed - each(target) * np.eye(nb), 2)
 
     # degenerate components: R(X, Y, Z, V) = 0 for X, Y, Z in D, V in E
     d_pair = frame.vectors[..., :2, :]
     degen = contract_slots(R4, d_pair, d_pair, d_pair, e_frame, rank=4)
-    out["d_plane_degenerate_curvature"] = max_abs(degen, 4)
+    out["submersion_degenerate"] = max_abs(degen, 4)
 
     return {key: per_point(value) for key, value in out.items()}
 
@@ -461,7 +458,7 @@ def _lift_derivatives(analysis: PointAnalysis, model) -> tuple[np.ndarray, np.nd
 
 def circle_bundle_residuals(analysis: PointAnalysis, model,
                             base_einstein_constant: float) -> dict[str, float]:
-    """Closed forms of the odd-dimensional bundle curvature vs the engine.
+    """Closed forms of the odd-dimensional bundle curvature vs the engine, by check.
 
     The twist operator T = nabla(.) xi equals (alpha^2 s / (2 beta^2)) J~ on
     horizontals, so |T|^2 = s^2 alpha^4 (2m)/(4 beta^4) and the fiber Ricci
@@ -479,17 +476,17 @@ def circle_bundle_residuals(analysis: PointAnalysis, model,
     out: dict = {}
 
     lam_target = s * s * al * al * nb / (4.0 * be ** 4)
-    out["fiber_ricci_eigenvalue"] = np.abs(inner(rho, xi_hat, xi_hat) - lam_target)
+    out["bundle_fiber_ricci"] = np.abs(inner(rho, xi_hat, xi_hat) - lam_target)
 
     # R(X, xi, Y, xi) = -(s^2 alpha^4/(4 beta^4)) g(X, Y) on horizontals
     mixed = contract_slots(R4, e_frame, xi, e_frame, xi, rank=4)
     target = -(s * s * al ** 4 / (4.0 * be ** 4)) * np.eye(nb)
-    out["mixed_fiber_curvature"] = max_abs(mixed - target, 2)
+    out["bundle_mixed_fiber_curvature"] = max_abs(mixed - target, 2)
 
     # sectional curvature of (E, xi) planes: s^2 alpha^2/(4 beta^4)
     sect = np.diagonal(contract_slots(R4, e_frame, xi_hat, xi_hat, e_frame, rank=4),
                        axis1=-2, axis2=-1)
-    out["fiber_plane_sectional"] = max_abs(sect - s * s * al * al / (4.0 * be ** 4), 1)
+    out["bundle_fiber_sectional"] = max_abs(sect - s * s * al * al / (4.0 * be ** 4), 1)
 
     # vertizontal identity: xi-coefficient of nabla_E F equals g(E, TF)/alpha^2
     gamma = analysis.gamma
@@ -498,16 +495,16 @@ def circle_bundle_residuals(analysis: PointAnalysis, model,
     lhs = matvec(n_lift, matvec(g, xi)[..., None, :]) / al ** 2
     t_lifts = lift_vals @ mT(t_op)                        # T lift_i
     rhs = (lift_vals @ g) @ mT(t_lifts) / al ** 2
-    out["vertizontal_tensor"] = max_abs(lhs - rhs, 2)
+    out["bundle_vertizontal"] = max_abs(lhs - rhs, 2)
 
     # closed form of the twist operator: T E = (alpha^2 s / (2 beta^2)) J~ E
     jt_lifts = model.base.j0.T @ lift_vals
-    out["twist_operator_closed_form"] = max_abs(
+    out["bundle_twist_operator"] = max_abs(
         t_lifts - (al * al * s / (2.0 * be * be)) * jt_lifts, 2)
 
     # horizontal Ricci eigenvalue: mu = mu0/beta^2 - s^2 alpha^2/(2 beta^4)
     mu_target = base_einstein_constant / be ** 2 - s * s * al * al / (2.0 * be ** 4)
     rho_e = e_frame @ rho @ mT(e_frame)
-    out["horizontal_ricci_eigenvalue"] = max_abs(rho_e - each(mu_target) * np.eye(nb), 2)
+    out["bundle_horizontal_ricci"] = max_abs(rho_e - each(mu_target) * np.eye(nb), 2)
 
     return {key: per_point(value) for key, value in out.items()}

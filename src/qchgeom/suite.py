@@ -41,7 +41,6 @@ from .geometry import (
     exterior_derivative_1form,
     exterior_derivative_2form,
 )
-from .jets import stack
 from .profile import FIRST_INTEGRAL_SAMPLES, boundary_report, build_polynomial, solve_profile
 from .qch import (
     QCHCoefficients,
@@ -131,37 +130,6 @@ BIANCHI2_POINTS = 2
 # plus the median residual the quasi-constancy control must exceed to fail decisively
 DEFAULT_TOLERANCES: dict[str, float] = {
     **{name: tol for name, (tol, _) in CHECKS.items()}, "qch_fit_negative_floor": 1e-2}
-
-# the residual keys of the qch module under the checks they feed; the compound
-# checks take the larger of their parts in the families that gather them
-_QCH_CHECKS = {
-    "p_vanishes": "identity_p",
-    "p_star_closed_form": "identity_p_star",
-    "log_kappa_gradient": "identity_log_kappa_gradient",
-    "theta_covariant_derivative": "identity_nabla_theta",
-    "coefficient_gradient_a": "identity_gradient_a",
-    "coefficient_gradient_b": "identity_gradient_b",
-    "potential_killing_deviation": "potential_killing",
-    "totally_geodesic_d": "totally_geodesic_d",
-    "kappa_closed_form": "kappa_closed_form",
-    "fiber_t_tensor": "submersion_fiber_t",
-    "twist_tensor": "submersion_twist",
-    "mixed_plane_curvature": "submersion_mixed_curvature",
-    "d_plane_degenerate_curvature": "submersion_degenerate",
-    "fiber_ricci_eigenvalue": "bundle_fiber_ricci",
-    "mixed_fiber_curvature": "bundle_mixed_fiber_curvature",
-    "fiber_plane_sectional": "bundle_fiber_sectional",
-    "vertizontal_tensor": "bundle_vertizontal",
-    "twist_operator_closed_form": "bundle_twist_operator",
-    "horizontal_ricci_eigenvalue": "bundle_horizontal_ricci",
-}
-
-
-def _as_checks(residuals: dict) -> dict:
-    """The qch residuals that feed one check each, under that check's name."""
-    return {_QCH_CHECKS[key]: value for key, value in residuals.items()
-            if key in _QCH_CHECKS}
-
 
 @dataclass
 class CheckResult:
@@ -290,9 +258,14 @@ def _first_points(parts, count: int) -> np.ndarray:
 
 
 def _kahler_form_closedness(analysis: PointAnalysis):
-    """max |d Omega| for Omega_ij = g(J e_i, e_j) = (J^T g)_ij, from the jets."""
-    J = stack(analysis.field.complex_structure_jets(analysis.coords))
-    return max_abs(exterior_derivative_2form(J.T @ analysis.metric), 3)
+    """max |d Omega| for Omega_ij = g(J e_i, e_j) = (J^T g)_ij, from the first
+    derivatives d_k(J^T g) = (d_k J)^T g + J^T d_k g of J and g."""
+    J, dJ = analysis.complex_structure
+    g, dg = analysis.g, analysis.metric.gradient
+    # derivative axis in front of the matrix axes: [k, i, j]
+    dJ, dg = np.moveaxis(dJ, -1, -3), np.moveaxis(dg, -1, -3)
+    grads = mT(dJ) @ g[..., None, :, :] + mT(J)[..., None, :, :] @ dg
+    return max_abs(exterior_derivative_2form(np.moveaxis(grads, -3, -1)), 3)
 
 
 def _connection_form_residuals(model, analysis: PointAnalysis) -> tuple:
@@ -385,7 +358,7 @@ def _profile_checks(res: _Residuals, profile, poly) -> None:
     res.samples["profile_first_integral"] = FIRST_INTEGRAL_SAMPLES
 
 
-def _warped_structure_checks(res: _Residuals, model, analyses, params, rng) -> None:
+def _warped_structure_checks(res: _Residuals, model, analyses, rng) -> None:
     d, nz = model.dim, model.base.dim
     for an in analyses:
         # per point, in the seed's draw order: fit probes, section angle, base moves
@@ -396,27 +369,22 @@ def _warped_structure_checks(res: _Residuals, model, analyses, params, rng) -> N
             moves.append(rng.standard_normal((2, nz)))
         fit = fit_qch_coefficients(an, draws=np.stack(draws))
         r, rp, _, _ = model.profile_at(an.x[..., 0])
-        rs = ricci_split(an, fit, params.n)
+        n, c0 = model.params.n, model.params.c0
+        rs = ricci_split(an, fit, n)
         d1, d2 = section_divergences(an, model)
         phis = np.array(phis)
         d1r, d2r = section_divergences(an, model, (np.cos(phis), np.sin(phis)))
         res.add(qch_fit_residual=fit.residual,
-                qch_coefficient_a=np.abs(fit.a - (params.c0 / r ** 2 - 4.0 * rp ** 2 / r ** 2)),
+                qch_coefficient_a=np.abs(fit.a - (c0 / r ** 2 - 4.0 * rp ** 2 / r ** 2)),
                 ricci_lambda=np.abs(rs.lam_engine - rs.lam_formula),
                 ricci_mu=np.abs(rs.mu_engine - rs.mu_formula),
                 ricci_off_block=rs.off_block_max, ricci_e_block=rs.e_block_deviation,
                 principal_section=np.abs(d2),  # div_E(JH) = 0 makes H the principal section
                 kappa_section_independence=np.abs(np.hypot(d1r, d2r) - np.hypot(d1, d2)),
                 qch_coefficient_base_independence=coefficient_base_independence(
-                    an, model, draws=np.stack(moves), fit=fit))
-        found = structure_identity_residuals(an, model, params, fit=fit, divergences=(d1, d2))
-        found.update(warped_submersion_residuals(an, model, params))
-        res.add(**_as_checks(found),
-                identity_eps_forms=np.maximum(found["eps_form"], found["eps_star_form"]),
-                potential_hessian=np.maximum(found["potential_hessian_proportional"],
-                                             found["potential_hessian_coefficient"]),
-                submersion_horizontal_t=np.maximum(found["horizontal_t_tensor"],
-                                                   found["horizontal_t_tensor_base_unit"]))
+                    an, model, draws=np.stack(moves), fit=fit),
+                **structure_identity_residuals(an, model, fit=fit, divergences=(d1, d2)),
+                **warped_submersion_residuals(an, model))
 
 
 def _nabla_j_check(res: _Residuals, analyses) -> None:
@@ -437,7 +405,7 @@ def _decay_checks(res: _Residuals, model) -> None:
                        decay_velocity_inner=samples, geodesic_residual=7)
 
 
-def build_warped_model(config) -> tuple[BundleParams, WarpedBundleMetric]:
+def build_warped_model(config) -> WarpedBundleMetric:
     """Profile + geometry for the warped / product / negative-control modes."""
     s = config.effective_s()
     poly = build_polynomial(config.x, config.y, s)
@@ -449,10 +417,9 @@ def build_warped_model(config) -> tuple[BundleParams, WarpedBundleMetric]:
         base = ProductBase([FubiniStudy(1, config.c0), FubiniStudy(1, config.c0)])
     else:
         base = FubiniStudy(params.m, config.c0)
-    model = WarpedBundleMetric(params, profile, base,
-                               product_mode=(config.mode == "product"),
-                               warp_scale=config.perturb_f)
-    return params, model
+    return WarpedBundleMetric(params, profile, base,
+                              product_mode=(config.mode == "product"),
+                              warp_scale=config.perturb_f)
 
 
 def _circle_bundle_checks(res: _Residuals, model, analyses) -> None:
@@ -464,7 +431,7 @@ def _circle_bundle_checks(res: _Residuals, model, analyses) -> None:
         k = rho_b.shape[-1]
         mu0 = np.trace(rho_b, axis1=-2, axis2=-1) / k
         res.add(base_einstein=max_abs(rho_b - each(mu0) * np.eye(k), 2),
-                **_as_checks(circle_bundle_residuals(an, model, mu0)))
+                **circle_bundle_residuals(an, model, mu0))
 
 
 def _fit_with_draws(an: PointAnalysis, rng) -> QCHCoefficients:
@@ -475,10 +442,10 @@ def _fit_with_draws(an: PointAnalysis, rng) -> QCHCoefficients:
     return fit_qch_coefficients(an, draws=rng.standard_normal(an.g.shape[:-2] + (100, d)))
 
 
-def _product_checks(res: _Residuals, model, analyses, params, rng) -> None:
+def _product_checks(res: _Residuals, model, analyses, rng) -> None:
     for an in analyses:
         fit = _fit_with_draws(an, rng)
-        rs = ricci_split(an, fit, params.n)
+        rs = ricci_split(an, fit, model.params.n)
         d1, d2 = section_divergences(an, model)
         res.add(qch_fit_residual=fit.residual, kappa_vanishes=np.hypot(d1, d2),
                 ricci_lambda=np.abs(rs.lam_engine - rs.lam_formula),
@@ -510,7 +477,7 @@ def run_suite(config) -> VerificationReport:
         model = CircleBundleMetric(config.alpha, config.beta, config.effective_s(),
                                    FubiniStudy(config.n - 1, config.c0))
     else:
-        params, model = build_warped_model(config)
+        model = build_warped_model(config)
         _profile_checks(res, model.profile, model.profile.polynomial)
     points = sample_interior_points(model, rng, config.sample_count,
                                     config.sample_margin, config.z_radius)
@@ -528,9 +495,9 @@ def run_suite(config) -> VerificationReport:
         if config.mode == "negative-control":
             _negative_control_checks(res, analyses, rng, tol["qch_fit_negative_floor"])
         elif config.mode == "product":
-            _product_checks(res, model, analyses, params, rng)
+            _product_checks(res, model, analyses, rng)
         else:  # warped
-            _warped_structure_checks(res, model, analyses, params, rng)
+            _warped_structure_checks(res, model, analyses, rng)
             if config.perturb_f == 1.0:
                 # the flow analyses its own points: free the sample slices first
                 del analyses

@@ -125,36 +125,35 @@ def test_c03_ricci_split(params, warped_50, warped_fits):
               f"< 1e-7, off-block {off:.2e} < 1e-8")
 
 
-def test_c04_structure_identities(warped, params, warped_50):
+def test_c04_structure_identities(warped, warped_50):
     worst = {}
     for an in warped_50[:12]:
-        for key, val in structure_identity_residuals(an, warped, params).items():
+        for key, val in structure_identity_residuals(an, warped).items():
             worst[key] = max(worst.get(key, 0.0), val)
-    ok = (worst["kappa_closed_form"] < 1e-7 and worst["p_vanishes"] < 1e-8
-          and worst["p_star_closed_form"] < 1e-7
-          and worst["log_kappa_gradient"] < 1e-7
-          and worst["theta_covariant_derivative"] < 1e-7
-          and worst["coefficient_gradient_a"] < 1e-6
-          and worst["coefficient_gradient_b"] < 1e-6
+    ok = (worst["kappa_closed_form"] < 1e-7 and worst["identity_p"] < 1e-8
+          and worst["identity_p_star"] < 1e-7
+          and worst["identity_log_kappa_gradient"] < 1e-7
+          and worst["identity_nabla_theta"] < 1e-7
+          and worst["identity_gradient_a"] < 1e-6
+          and worst["identity_gradient_b"] < 1e-6
           and worst["totally_geodesic_d"] < 1e-8)
     criterion(4, ok,
               "structure identities: kappa dev "
-              f"{worst['kappa_closed_form']:.2e} < 1e-7, p {worst['p_vanishes']:.2e} "
-              f"< 1e-8, p* dev {worst['p_star_closed_form']:.2e} < 1e-7, "
-              f"log-kappa law {worst['log_kappa_gradient']:.2e} < 1e-7, "
-              f"theta derivative {worst['theta_covariant_derivative']:.2e} < 1e-7, "
-              f"coefficient gradients {worst['coefficient_gradient_a']:.2e}/"
-              f"{worst['coefficient_gradient_b']:.2e} < 1e-6, totally geodesic "
+              f"{worst['kappa_closed_form']:.2e} < 1e-7, p {worst['identity_p']:.2e} "
+              f"< 1e-8, p* dev {worst['identity_p_star']:.2e} < 1e-7, "
+              f"log-kappa law {worst['identity_log_kappa_gradient']:.2e} < 1e-7, "
+              f"theta derivative {worst['identity_nabla_theta']:.2e} < 1e-7, "
+              f"coefficient gradients {worst['identity_gradient_a']:.2e}/"
+              f"{worst['identity_gradient_b']:.2e} < 1e-6, totally geodesic "
               f"{worst['totally_geodesic_d']:.2e} < 1e-8")
 
 
-def test_c05_kahler_ricci_potential(warped, params, warped_50):
+def test_c05_kahler_ricci_potential(warped, warped_50):
     killing = hess = 0.0
     for an in warped_50[:12]:
-        out = structure_identity_residuals(an, warped, params)
-        killing = max(killing, out["potential_killing_deviation"])
-        hess = max(hess, out["potential_hessian_proportional"],
-                   out["potential_hessian_coefficient"])
+        out = structure_identity_residuals(an, warped)
+        killing = max(killing, out["potential_killing"])
+        hess = max(hess, out["potential_hessian"])
     criterion(5, killing < 1e-7 and hess < 1e-7,
               f"Killing potential r^2/s: deviation {killing:.2e} < 1e-7, "
               f"E-Hessian proportionality {hess:.2e} < 1e-7")
@@ -178,11 +177,11 @@ def test_c06_profile(cubic, profile):
               f"agreement {lengths:.2e} < 1e-6")
 
 
-def test_c07_submersion_cross_checks(warped, params, warped_50, circle_bundle, bundle_20):
+def test_c07_submersion_cross_checks(warped, warped_50, circle_bundle, bundle_20):
     warped_worst = 0.0
     for an in warped_50[:12]:
         warped_worst = max(warped_worst,
-                           max(warped_submersion_residuals(an, warped, params).values()))
+                           max(warped_submersion_residuals(an, warped).values()))
     base_chart = BaseChartMetric(circle_bundle.base)
     bundle_worst = 0.0
     for an in bundle_20:
@@ -190,8 +189,8 @@ def test_c07_submersion_cross_checks(warped, params, warped_50, circle_bundle, b
         rho_b = ab.frame.vectors @ ab.ricci @ ab.frame.vectors.T
         mu0 = float(np.trace(rho_b) / rho_b.shape[0])
         out = circle_bundle_residuals(an, circle_bundle, mu0)
-        bundle_worst = max(bundle_worst, out["fiber_ricci_eigenvalue"],
-                           out["mixed_fiber_curvature"])
+        bundle_worst = max(bundle_worst, out["bundle_fiber_ricci"],
+                           out["bundle_mixed_fiber_curvature"])
     criterion(7, warped_worst < 1e-7 and bundle_worst < 1e-7,
               f"submersion closed forms: warped-chart worst {warped_worst:.2e} "
               f"< 1e-7, circle-bundle worst {bundle_worst:.2e} < 1e-7")

@@ -168,11 +168,11 @@ def test_warped_families_match_single_points(n):
     _assert_per_point(coefficient_base_independence(batch, model, draws=moves),
                       [coefficient_base_independence(an, model, draws=m)
                        for an, m in zip(singles, moves)], "base_independence")
-    _assert_per_point(structure_identity_residuals(batch, model, params),
-                      [structure_identity_residuals(an, model, params) for an in singles],
+    _assert_per_point(structure_identity_residuals(batch, model),
+                      [structure_identity_residuals(an, model) for an in singles],
                       "structure_identities")
-    _assert_per_point(warped_submersion_residuals(batch, model, params),
-                      [warped_submersion_residuals(an, model, params) for an in singles],
+    _assert_per_point(warped_submersion_residuals(batch, model),
+                      [warped_submersion_residuals(an, model) for an in singles],
                       "submersion")
     # one (points, 40, d) draw gives the probes of per-point draws of (40, d)
     batched = qch_residual_samples(batch, fit, np.random.default_rng(9), 40)

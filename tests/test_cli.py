@@ -335,7 +335,8 @@ def test_summary_values_match_closed_forms(tmp_path):
 
 @pytest.mark.parametrize("target,key,check", [
     ("max_frame_component_3tensor", None, "nabla_j"),
-    ("structure_identity_residuals", "p_vanishes", "identity_p"),
+    ("structure_identity_residuals", "identity_p", "identity_p"),
+    ("circle_bundle_residuals", "bundle_fiber_ricci", "bundle_fiber_ricci"),
 ])
 def test_nan_residual_at_one_sample_fails_its_check(monkeypatch, target, key, check):
     """A NaN residual at the second sample must fail the check (max(0.0, nan)
@@ -351,7 +352,8 @@ def test_nan_residual_at_one_sample_fails_its_check(monkeypatch, target, key, ch
         return dict(out, **{key: values}) if key else values
 
     monkeypatch.setattr(suite_mod, target, poisoned)
-    report = run_suite(small_config())
+    bundle = target == "circle_bundle_residuals"
+    report = run_suite(small_config(mode="circle-bundle" if bundle else "warped"))
     rec = next(c for c in report.checks if c.name == check)
     assert np.isnan(rec.max_residual)
     assert not rec.passed

@@ -43,12 +43,12 @@ def _gradient_law_errors(n, x):
     With a = c0/r^2 - 4 r'^2/r^2 and kappa = 2 (n - 1) r'/r, through the
     exact r'' of ``evaluate``: da/dt = -2 c0 r'/r^3 - 8 r' r''/r^2 + 8 r'^3/r^3
     and d log kappa/dt = r''/r' - r'/r."""
-    params, model = _warped(n)
+    model = _warped(n)
     analysis = PointAnalysis(model, x)
     da, _, dkappa = coefficient_t_derivatives(analysis, model)
     dlog_kappa = dkappa / kappa_and_principal_section(analysis, model)[0]
     r, rp, rpp, _ = model.profile.evaluate(x[..., 0])
-    c0 = params.c0
+    c0 = model.params.c0
     return (np.abs(da - (-2.0 * c0 * rp / r ** 3 - 8.0 * rp * rpp / r ** 2
                          + 8.0 * rp ** 3 / r ** 3)),
             np.abs(dlog_kappa - (rpp / rp - rp / r)))
@@ -59,7 +59,7 @@ def _gradient_law_errors(n, x):
 def test_complex_step_gradients_match_closed_forms(n, count):
     """da/dt and d log kappa/dt within 1e-13 of their closed forms (measured:
     at most 2e-15), at one point and at a batch."""
-    _, model = _warped(n)
+    model = _warped(n)
     x = _points(model, count or 1)
     if count is None:
         x = x[0]
@@ -72,7 +72,7 @@ def test_conjugating_cholesky_fails_the_closed_forms(monkeypatch):
     """Teeth: ``np.linalg.cholesky`` factors a complex Gram matrix as C C^H,
     which conjugates the tangent of the frame; in ``_gram_schmidt`` it takes
     d log kappa/dt off its closed form by 0.04 to 0.4."""
-    _, model = _warped(3)
+    model = _warped(3)
     x = _points(model, 4)
     monkeypatch.setattr(geometry, "_cholesky", np.linalg.cholesky)
     _, dlog_err = _gradient_law_errors(3, x)
@@ -93,7 +93,7 @@ def test_cholesky_matches_lapack_on_real_input():
 def test_real_part_equals_real_analysis(n):
     """The real part of an analysis at t + i h is the real analysis within
     16 ulps of each quantity's largest entry (measured: at most 4)."""
-    _, model = _warped(n)
+    model = _warped(n)
     x = _points(model, 4)
     real = PointAnalysis(model, x)
     stepped = PointAnalysis(model, complex_step(x, np.eye(model.dim)[0]))
@@ -119,7 +119,7 @@ def test_complex_step_matches_the_jets_along_any_direction(name):
         model = geometry.CircleBundleMetric(1.0, 1.0, S, geometry.FubiniStudy(2, C0))
     else:
         model = build_warped_model(RunConfig.from_dict(
-            {"mode": name, "n": 3, "k": 1, "rng_seed": 0}))[1]
+            {"mode": name, "n": 3, "k": 1, "rng_seed": 0}))
     x = _points(model, 3, seed=5)
     v = np.random.default_rng(6).standard_normal(x.shape)
     real = PointAnalysis(model, x)

@@ -20,6 +20,7 @@ from qchgeom.qch import (
     structure_identity_residuals,
     warped_submersion_residuals,
 )
+from qchgeom.suite import CHECKS, sample_interior_points
 
 from helpers import model_tensors, warp_derivatives
 
@@ -163,24 +164,22 @@ def test_kappa_vanishes_in_product_mode(product, profile):
         kappa_and_principal_section(an, product)
 
 
-def test_structure_identities(warped, params, warped_analyses):
+def test_structure_identities(warped, warped_analyses):
     tolerances = {
-        "p_vanishes": 1e-8,
-        "p_star_closed_form": 1e-7,
-        "eps_form": 1e-8,
-        "eps_star_form": 1e-8,
+        "identity_p": 1e-8,
+        "identity_p_star": 1e-7,
+        "identity_eps_forms": 1e-8,
         "totally_geodesic_d": 1e-8,
         "kappa_closed_form": 1e-7,
-        "log_kappa_gradient": 1e-7,
-        "theta_covariant_derivative": 1e-7,
-        "coefficient_gradient_a": 1e-6,
-        "coefficient_gradient_b": 1e-6,
-        "potential_killing_deviation": 1e-7,
-        "potential_hessian_proportional": 1e-7,
-        "potential_hessian_coefficient": 1e-7,
+        "identity_log_kappa_gradient": 1e-7,
+        "identity_nabla_theta": 1e-7,
+        "identity_gradient_a": 1e-6,
+        "identity_gradient_b": 1e-6,
+        "potential_killing": 1e-7,
+        "potential_hessian": 1e-7,
     }
     for an in warped_analyses[:4]:
-        out = structure_identity_residuals(an, warped, params)
+        out = structure_identity_residuals(an, warped)
         for name, tol in tolerances.items():
             assert out[name] < tol, f"{name}: {out[name]} at t={an.x[0]}"
 
@@ -192,15 +191,14 @@ def test_coefficients_depend_on_t_only(warped, warped_point_analysis):
     assert dev < 1e-8
 
 
-def test_warped_submersion_residuals(warped, params, warped_analyses):
+def test_warped_submersion_residuals(warped, warped_analyses):
     for an in warped_analyses[:4]:
-        out = warped_submersion_residuals(an, warped, params)
-        assert out["fiber_t_tensor"] < 1e-8
-        assert out["horizontal_t_tensor"] < 1e-7
-        assert out["horizontal_t_tensor_base_unit"] < 1e-7
-        assert out["twist_tensor"] < 1e-7
-        assert out["mixed_plane_curvature"] < 1e-7
-        assert out["d_plane_degenerate_curvature"] < 1e-7
+        out = warped_submersion_residuals(an, warped)
+        assert out["submersion_fiber_t"] < 1e-8
+        assert out["submersion_horizontal_t"] < 1e-7
+        assert out["submersion_twist"] < 1e-7
+        assert out["submersion_mixed_curvature"] < 1e-7
+        assert out["submersion_degenerate"] < 1e-7
 
 
 def test_circle_bundle_closed_forms(circle_bundle):
@@ -215,6 +213,19 @@ def test_circle_bundle_closed_forms(circle_bundle):
         out = circle_bundle_residuals(an, circle_bundle, mu0)
         for name, value in out.items():
             assert value < 1e-7, f"{name}: {value}"
+
+
+def test_residuals_come_back_under_check_names(warped, circle_bundle):
+    """The residual functions key each residual by the check it feeds."""
+    rng = np.random.default_rng(19)
+    warped_batch = PointAnalysis(warped, sample_interior_points(warped, rng, 3, 0.05, 1.5))
+    bundle_batch = PointAnalysis(
+        circle_bundle, sample_interior_points(circle_bundle, rng, 3, 0.05, 1.5))
+    keys = {*structure_identity_residuals(warped_batch, warped),
+            *warped_submersion_residuals(warped_batch, warped),
+            *circle_bundle_residuals(bundle_batch, circle_bundle, 4.0)}
+    assert len(keys) == 22
+    assert keys <= set(CHECKS), sorted(keys - set(CHECKS))
 
 
 def test_circle_bundle_fiber_ricci_scaling():

@@ -73,7 +73,7 @@ def chart_condition(config: RunConfig) -> float:
         model = CircleBundleMetric(config.alpha, config.beta, config.effective_s(),
                                    FubiniStudy(config.n - 1, config.c0))
     else:
-        model = build_warped_model(config)[1]
+        model = build_warped_model(config)
     points = sample_interior_points(model, np.random.default_rng(config.rng_seed),
                                     config.sample_count, config.sample_margin, config.z_radius)
     return float(np.linalg.cond(PointAnalysis(model, points).g).max())
