@@ -30,9 +30,7 @@ def main() -> int:
 
     s = 2.0 * args.k / args.n
     profile = solve_profile(build_polynomial(args.x, args.y, s))
-    params = BundleParams(n=args.n, c0=args.c0, s=s, k=args.k, q=args.n,
-                          L=profile.L)
-    model = WarpedBundleMetric(params, profile)
+    model = WarpedBundleMetric(BundleParams(n=args.n, c0=args.c0, s=s), profile)
     L = profile.L
     report = jacobi_decay_experiment(model, args.start * L, L * (1.0 - 1e-3),
                                      samples=args.samples)

@@ -64,10 +64,6 @@ class RunConfig:
     tolerances: dict = field(default_factory=dict)
     out_dir: str | None = None
 
-    _FIELDS = ("mode", "rng_seed", "n", "c0", "s", "k", "x", "y", "alpha",
-               "beta", "sample_count", "perturb_f", "z_radius",
-               "sample_margin", "tolerances", "out_dir")
-
     def __post_init__(self):
         if self.mode not in MODES:
             raise ConfigError(f"mode must be one of {MODES}, got {self.mode!r}")
@@ -79,6 +75,9 @@ class RunConfig:
             raise ConfigError(f"constraint c0 > 0 violated (c0 = {self.c0})")
         if self.s is None and self.k is None:
             raise ConfigError("either s or k must be given (s = 2k/n)")
+        if (self.s is not None and self.k is not None
+                and abs(self.s - 2.0 * self.k / self.n) > 1e-12):
+            raise ConfigError(f"s = {self.s} does not match 2k/n = {2.0 * self.k / self.n}")
         if not (0 < self.x < self.y):
             raise ConfigError(f"constraint 0 < x < y violated (x = {self.x}, y = {self.y})")
         if self.sample_count < 10:
@@ -109,11 +108,11 @@ class RunConfig:
 
     def to_dict(self) -> dict:
         out = {}
-        for name in self._FIELDS:
-            value = getattr(self, name)
-            if name == "tolerances":
+        for f in dataclasses.fields(self):
+            value = getattr(self, f.name)
+            if f.name == "tolerances":
                 value = dict(value)
-            out[name] = value
+            out[f.name] = value
         out["effective_s"] = self.effective_s()
         return out
 
@@ -123,16 +122,14 @@ class RunConfig:
             raise ConfigError("configuration must be a JSON object")
         data = dict(data)
         data.pop("effective_s", None)  # echo field, recomputed
-        unknown = set(data) - set(cls._FIELDS)
+        unknown = set(data) - {f.name for f in dataclasses.fields(cls)}
         if unknown:
             raise ConfigError(f"unknown configuration keys: {sorted(unknown)}")
         missing = [k for k in ("mode", "rng_seed") if k not in data]
         if missing:
             raise ConfigError(f"missing required configuration keys: {missing}")
         typed: dict = {}
-        schema = {f.name: f for f in dataclasses.fields(cls)}
         for key, value in data.items():
-            want = schema[key].type
             if key in ("n", "k", "sample_count", "rng_seed") and value is not None:
                 if not isinstance(value, int) or isinstance(value, bool):
                     raise ConfigError(f"configuration key {key!r} must be an integer")
@@ -163,14 +160,13 @@ def parse_config(path) -> RunConfig:
 # -- emission -------------------------------------------------------------------
 
 
-def report_to_json(report: VerificationReport) -> str:
+def emit_report(report: VerificationReport, path) -> dict:
+    """Write the report as JSON, stamped with ``generated_at``, and return the
+    dict written."""
     payload = report.to_dict()
     payload["generated_at"] = datetime.now(timezone.utc).isoformat()
-    return json.dumps(payload, indent=2, sort_keys=True)
-
-
-def emit_report(report: VerificationReport, path) -> None:
-    Path(path).write_text(report_to_json(report) + "\n")
+    Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    return payload
 
 
 def emit_summary_csv(config: RunConfig, path, points: int = 100) -> None:
@@ -309,8 +305,7 @@ def main(argv=None) -> int:
 
         if args.command == "verify":
             report = run_suite(config)
-            emit_report(report, out_dir / "report.json")
-            print_report(report.to_dict())
+            print_report(emit_report(report, out_dir / "report.json"))
             return 0 if report.all_pass else 1
 
         if args.command == "sample":

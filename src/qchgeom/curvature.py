@@ -6,7 +6,7 @@ curvature from the Hessian slots as well.  No derivative of Gamma is formed.
 
 Index conventions (fixed once, used everywhere):
 
-    first[l, i, j]      = Gamma_{l,ij} = (d_i g_jl + d_j g_il - d_l g_ij) / 2
+    connection[l, i, j] = Gamma_{l,ij} = (d_i g_jl + d_j g_il - d_l g_ij) / 2
     gamma[k, i, j]      = Gamma^k_{ij} = g^{kl} Gamma_{l,ij}
     riemann[i, j, k, l] = R_ijkl = g( R(e_i, e_j) e_k , e_l ),
                           R(X, Y)Z = ([nabla_X, nabla_Y] - nabla_[X,Y]) Z
@@ -41,13 +41,12 @@ complex step; Squire & Trefethen, SIAM Rev. 40, 1998).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache, cached_property
 
 import numpy as np
 
 from .batch import inexact, matvec, max_abs, mT, per_point
-from .jets import Jet2, seed_chart, stack
+from .jets import Jet2, seed_chart
 
 # the complex step h: far below the rounding of every real part, and far
 # above the smallest normal number in every imaginary part
@@ -73,24 +72,6 @@ def batch_analyses(field, x: np.ndarray) -> list["PointAnalysis"]:
     """
     field.check_bounds(x)
     return [PointAnalysis(field, x[sl]) for sl in batch_slices(len(x), field.dim)]
-
-
-@dataclass(frozen=True)
-class Connection:
-    """The Christoffel symbols of both kinds at a point (or a batch)."""
-
-    first: np.ndarray    # B + (d, d, d), first[l, i, j] = Gamma_{l,ij}
-    gamma: np.ndarray    # B + (d, d, d), gamma[k, i, j] = Gamma^k_{ij}
-
-
-@dataclass(frozen=True)
-class Curvature4:
-    """Fully lowered curvature tensor at a point (or a batch)."""
-
-    components: np.ndarray  # B + (d, d, d, d)
-
-    def apply(self, X, Y, Z, W):
-        return per_point(contract_slots(self.components, X, Y, Z, W, rank=4))
 
 
 def contract_slots(T: np.ndarray, *factors, rank: int | None = None) -> np.ndarray:
@@ -142,16 +123,16 @@ class PointAnalysis:
     B + (d,); every array below then carries the leading axes B.  Expensive
     pieces (metric jets, the connection, curvature) are computed once and
     shared by all downstream checks at the point(s).  ``connection`` holds the
-    Christoffel symbols of both kinds; ``riemann`` and ``ricci`` each combine
-    it with the metric Hessian, and neither reads the other.
+    first-kind symbols; ``gamma``, ``riemann`` and ``ricci`` read it, and
+    neither curvature reads the other.
 
     A field is anything with
 
     * ``dim``: the chart dimension d;
     * ``check_bounds(x)``: raise ``ChartBoundsError`` at a point outside the
       chart's valid region;
-    * ``metric_jets(coords)``: the metric components B + (d, d) as a jet of
-      the seeded coordinates;
+    * ``metric_jets(coords)``: the metric components as one B + (d, d) jet of
+      the seeded coordinates ``coords``;
     * ``complex_structure_jets``: the same for J, or None where there is none;
     * ``frame_at(x, g)``: a ``FrameBasis`` orthonormal for the metric values g.
     """
@@ -167,7 +148,7 @@ class PointAnalysis:
     @cached_property
     def metric(self) -> Jet2:
         """The metric components as one B + (d, d) jet."""
-        return stack(self.field.metric_jets(self.coords))
+        return self.field.metric_jets(self.coords)
 
     @property
     def g(self) -> np.ndarray:
@@ -178,47 +159,43 @@ class PointAnalysis:
         return np.linalg.inv(self.g)
 
     @cached_property
-    def _first(self) -> np.ndarray:
-        """first[l, i, j] = Gamma_{l,ij}, half the bracket of metric derivatives."""
+    def connection(self) -> np.ndarray:
+        """The first-kind symbols, connection[l, i, j] = Gamma_{l,ij}: half the
+        bracket of metric derivatives."""
         dg = self.metric.gradient
         return 0.5 * (_perm(dg, "jli->lij") + _perm(dg, "ilj->lij") - _perm(dg, "ijl->lij"))
 
     @cached_property
     def gamma(self) -> np.ndarray:
-        """The Christoffel symbols of the second kind alone: geodesic and
-        Jacobi flows need only these."""
-        first, ginv = self._first, self.g_inv
+        """The Christoffel symbols of the second kind: geodesic and Jacobi
+        flows need only these."""
+        first, ginv = self.connection, self.g_inv
         batch, d = ginv.shape[:-2], ginv.shape[-1]
         return (ginv @ first.reshape(batch + (d, d * d))).reshape(first.shape)
 
     @cached_property
-    def connection(self) -> Connection:
-        """The Christoffel symbols of both kinds, which the curvature reads."""
-        return Connection(first=self._first, gamma=self.gamma)
-
-    @cached_property
-    def riemann(self) -> Curvature4:
-        """R_ijkl from the metric jet and the connection, in its first-kind form
-        (module docstring): one (d^2, d) x (d, d^2) product and permuted sums."""
-        conn, hess = self.connection, self.metric.hessian
+    def riemann(self) -> np.ndarray:
+        """R_ijkl, B + (d, d, d, d), from the metric jet and the connection in
+        its first-kind form (module docstring): one (d^2, d) x (d, d^2) product
+        and permuted sums."""
+        first, gamma, hess = self.connection, self.gamma, self.metric.hessian
         batch, d = hess.shape[:-4], hess.shape[-1]
         # the terms symmetric under (i, k) <-> (j, l), as a (d^2, d^2) matrix:
         # pairs[i, k, j, l] = (d_i d_k g_jl + d_j d_l g_ik) / 2 + Gamma^b_ik Gamma_{b,jl}
         flat = hess.reshape(batch + (d * d, d * d))
         pairs = (0.5 * (flat + mT(flat))
-                 + mT(conn.gamma.reshape(batch + (d, d * d)))
-                 @ conn.first.reshape(batch + (d, d * d))).reshape(hess.shape)
+                 + mT(gamma.reshape(batch + (d, d * d)))
+                 @ first.reshape(batch + (d, d * d))).reshape(hess.shape)
         # R_ijkl = pairs[i, k, j, l] - pairs[i, l, j, k], as Gamma^b_il Gamma_{b,jk}
         # = Gamma_{b,il} Gamma^b_jk
-        return Curvature4(_perm(pairs, "ikjl->ijkl") - _perm(pairs, "iljk->ijkl"))
+        return _perm(pairs, "ikjl->ijkl") - _perm(pairs, "iljk->ijkl")
 
     @cached_property
     def ricci(self) -> np.ndarray:
         """Ric_jk by its own contraction of the metric jet (module docstring),
         in pairwise products of at most O(d^4): no Riemann tensor is built."""
         dg, hess, ginv = self.metric.gradient, self.metric.hessian, self.g_inv
-        conn = self.connection
-        first, gamma = conn.first, conn.gamma
+        first, gamma = self.connection, self.gamma
         batch, d = ginv.shape[:-2], ginv.shape[-1]
         flat_inv = ginv.reshape(batch + (d * d,))
         flat_hess = hess.reshape(batch + (d * d, d * d))
@@ -250,7 +227,7 @@ class PointAnalysis:
         builder = self.field.complex_structure_jets
         if builder is None:
             return None
-        J = stack(builder(self.coords))
+        J = builder(self.coords)
         return J.value, J.gradient
 
     @cached_property
@@ -261,7 +238,7 @@ class PointAnalysis:
 # -- operations ----------------------------------------------------------------
 
 
-def holomorphic_sectional_curvature(R4: Curvature4, g: np.ndarray,
+def holomorphic_sectional_curvature(R: np.ndarray, g: np.ndarray,
                                     J: np.ndarray, X):
     """R(X, JX, JX, X) / |X|^4 for one vector X per point, or per row of probes.
 
@@ -270,7 +247,6 @@ def holomorphic_sectional_curvature(R4: Curvature4, g: np.ndarray,
     matrix, so P probes cost one O(P d^4) product per point, taken over
     slices of the probes that keep each B + (slice, d^2) array in budget.
     """
-    R = R4.components
     X = np.asarray(X)
     single = X.ndim == R.ndim - 3
     if single:
@@ -348,37 +324,36 @@ def max_frame_component_3tensor(T: np.ndarray, frame: np.ndarray,
     return max_abs(vals, 3)
 
 
-def covariant_vector_derivative(analysis: PointAnalysis, x_field) -> tuple:
-    """(X values, nabla X) with (nabla X)[k, i] = nabla_i X^k, from a jet field."""
-    x = stack(x_field(analysis.coords))
-    values = x.value
+# The operators below take a vector field X (value B + (d,)) or a scalar field
+# tau (value B) as a jet at the analysis's seeded coordinates ``analysis.coords``.
+
+
+def covariant_vector_derivative(analysis: PointAnalysis, x: Jet2) -> np.ndarray:
+    """nabla X with (nabla X)[k, i] = nabla_i X^k."""
     # gradient[k, i] = d_i X^k; gamma[k, i, a] X^a
-    nabla = x.gradient + (analysis.gamma @ values[..., None, :, None])[..., 0]
-    return values, nabla
+    return x.gradient + (analysis.gamma @ x.value[..., None, :, None])[..., 0]
 
 
-def _lowered_nabla(analysis: PointAnalysis, x_field) -> np.ndarray:
+def _lowered_nabla(analysis: PointAnalysis, x: Jet2) -> np.ndarray:
     """(nabla_i X)^flat_j = g_kj (nabla X)[k, i]."""
-    _, nabla = covariant_vector_derivative(analysis, x_field)
-    return mT(nabla) @ analysis.g
+    return mT(covariant_vector_derivative(analysis, x)) @ analysis.g
 
 
-def killing_deviation(analysis: PointAnalysis, x_field) -> np.ndarray:
+def killing_deviation(analysis: PointAnalysis, x: Jet2) -> np.ndarray:
     """(L_X g)_{ij} = g(nabla_i X, e_j) + g(nabla_j X, e_i) in coordinates."""
-    lowered = _lowered_nabla(analysis, x_field)
+    lowered = _lowered_nabla(analysis, x)
     return lowered + mT(lowered)
 
 
-def hessian_form(analysis: PointAnalysis, scalar_field) -> np.ndarray:
+def hessian_form(analysis: PointAnalysis, tau: Jet2) -> np.ndarray:
     """(nabla d tau)_{ij} = d_i d_j tau - Gamma^k_{ij} d_k tau."""
-    tau = scalar_field(analysis.coords)
     return tau.hessian - np.einsum("...kij,...k->...ij", analysis.gamma,
                                    tau.gradient)
 
 
-def div_e(analysis: PointAnalysis, x_field, e_frame: np.ndarray):
+def div_e(analysis: PointAnalysis, x: Jet2, e_frame: np.ndarray):
     """Trace of (nabla X)^flat over an orthonormal frame of the complement E."""
-    lowered = _lowered_nabla(analysis, x_field)
+    lowered = _lowered_nabla(analysis, x)
     return per_point(np.trace(e_frame @ lowered @ mT(e_frame),
                          axis1=-2, axis2=-1))
 
@@ -389,14 +364,13 @@ def metric_inverse_jets(analysis: PointAnalysis):
     return ginv, _inverse_derivative(ginv, analysis.metric.gradient)
 
 
-def j_gradient_field(analysis: PointAnalysis, scalar_field):
+def j_gradient_field(analysis: PointAnalysis, tau: Jet2) -> Jet2:
     """First-order jets of X = J grad(tau) at the analysis point(s).
 
     Only values and first derivatives are propagated (the Hessian slots of the
     returned jet are zero); sufficient for Killing-deviation checks, which
     read first derivatives of the field.
     """
-    tau = scalar_field(analysis.coords)
     ginv, dginv = metric_inverse_jets(analysis)
     J, dJ = analysis.complex_structure
     grad_v = matvec(ginv, tau.gradient)
@@ -420,42 +394,38 @@ def step_derivative(value) -> np.ndarray:
     return np.imag(value) / COMPLEX_STEP
 
 
-def second_bianchi_residual(field, x, directions, *, curvature: tuple | None = None):
+def second_bianchi_residual(field, x, directions):
     """Cyclic covariant-derivative sum over three directions, by complex step.
 
     For unit directions (A, B, C) at each point, the residual is the largest
     entry of (nabla_A R)(B, C) + (nabla_B R)(C, A) + (nabla_C R)(A, B).  Each
     nabla_V R is the derivative of the curvature along V, from one analysis
     at x + i h V (three complex points per point, analysed as one batch),
-    plus the Christoffel terms contracted against V.  This is the one check
-    that consumes third derivatives of the metric.  ``x`` may be a batch,
-    with ``directions`` of shape B + (3, d); the result then has one entry
-    per point.  A caller that already holds the Riemann tensor and
-    Christoffel symbols at ``x`` passes them as ``curvature`` = (R, gamma).
+    plus the Christoffel terms contracted against V.  R and Gamma at x are
+    the real parts of the same analysis (the step moves them by O(h^2), far
+    below rounding).  This is the one check that consumes third derivatives
+    of the metric.  ``x`` may be a batch, with ``directions`` of shape
+    B + (3, d); the result then has one entry per point.
     """
-    if curvature is None:
-        base = PointAnalysis(field, x)
-        curvature = (base.riemann.components, base.gamma)
-    R0, gamma = curvature
     dirs = np.asarray(directions, dtype=float)       # B + (3, d)
     batch, d = dirs.shape[:-2], dirs.shape[-1]
     # the cyclic terms (V, X, Y): (A, B, C), (B, C, A), (C, A, B)
     order = np.array([[0, 1, 2], [1, 2, 0], [2, 0, 1]])
     V, X, Y = (dirs[..., order[:, n], :] for n in range(3))   # each B + (3, d)
-
-    # d/ds R(x + s V)(X, Y, ., .) at s = 0: three complex points per point
     moved = complex_step(np.asarray(x, dtype=float)[..., None, :], V).reshape(-1, d)
-    xs, ys = X.reshape(-1, d), Y.reshape(-1, d)
-    parts = [step_derivative(contract_slots(PointAnalysis(field, moved[sl]).riemann.components,
-                                            xs[sl], ys[sl], rank=4))
-             for sl in batch_slices(len(moved), d)]
-    derivative = np.concatenate(parts).reshape(batch + (3, d, d))
-
-    # Christoffel terms, with G[m, i] = V^a Gamma^m_{ai} per point and term
-    G = (gamma[..., None, :, :, :] * V[..., None, :, None]).sum(axis=-2)   # B + (3, d, d)
-    R0 = np.broadcast_to(R0[..., None, :, :, :, :], batch + (3,) + R0.shape[-4:])
-    Q0 = contract_slots(R0, X, Y, rank=4)                                   # R0(X, Y, ., .)
-    cov = (derivative - contract_slots(R0, matvec(G, X), Y, rank=4)
-           - contract_slots(R0, X, matvec(G, Y), rank=4)
-           - mT(G) @ Q0 - Q0 @ G)
+    V, X, Y = (a.reshape(-1, d) for a in (V, X, Y))
+    parts = []
+    for sl in batch_slices(len(moved), d):
+        an = PointAnalysis(field, moved[sl])
+        v, a, b = V[sl], X[sl], Y[sl]
+        R0 = an.riemann.real
+        # d/ds R(x + s V)(X, Y, ., .) at s = 0, and the Christoffel terms with
+        # G[m, i] = V^a Gamma^m_{ai}
+        derivative = step_derivative(contract_slots(an.riemann, a, b, rank=4))
+        G = (an.gamma.real * v[:, None, :, None]).sum(axis=-2)
+        Q0 = contract_slots(R0, a, b, rank=4)                        # R0(X, Y, ., .)
+        parts.append(derivative - contract_slots(R0, matvec(G, a), b, rank=4)
+                     - contract_slots(R0, a, matvec(G, b), rank=4)
+                     - mT(G) @ Q0 - Q0 @ G)
+    cov = np.concatenate(parts).reshape(batch + (3, d, d))
     return per_point(np.abs(cov.sum(axis=-3)).max(axis=(-2, -1)))

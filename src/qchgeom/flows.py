@@ -554,7 +554,7 @@ def jacobi_equation_residual(result: JacobiResult, taus) -> float:
     _, _, ypp = _unpack(result.dense.derivative()(taus), y.shape[-1])
     x, v = result.path.states(taus)
     analysis = PointAnalysis(result.path.field, x)
-    M = jacobi_matrix(analysis.riemann.components, v, frame)
+    M = jacobi_matrix(analysis.riemann, v, frame)
     return float(np.abs(ypp - matvec(M, y)).max())
 
 

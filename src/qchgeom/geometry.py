@@ -52,26 +52,18 @@ class BundleParams:
 
     n is half the real dimension (so dim M = 2n >= 6), the base is complex
     m = n - 1 dimensional with holomorphic sectional curvature c0, and s is
-    the fiber pitch d theta = s Omega.  When the integers (k, q) are given
-    they must record s = 2k/q; q equals n for the projective-space base.
+    the fiber pitch d theta = s Omega.
     """
 
     n: int
     c0: float
     s: float
-    k: int | None = None
-    q: int | None = None
-    L: float | None = None
 
     def __post_init__(self):
         if self.n < 3:
             raise ValueError(f"need n >= 3 (real dimension >= 6), got n={self.n}")
         if self.c0 <= 0.0:
             raise ValueError(f"base curvature c0 must be positive, got {self.c0}")
-        if self.k is not None and self.q is not None:
-            if abs(self.s - 2.0 * self.k / self.q) > 1e-12:
-                raise ValueError(
-                    f"s={self.s} does not match 2k/q = {2.0 * self.k / self.q}")
 
     @property
     def m(self) -> int:
@@ -462,52 +454,37 @@ class WarpedBundleMetric:
         J[..., 2:, 2:] = j0
         return J
 
-    # -- jet-evaluable fields used by divergence and identity checks ---------
+    # -- fields of the divergence and identity checks, as jets at the seeded
+    # coordinates of an analysis --------------------------------------------
 
-    def _unit_field(self, index: int, coords: Jet2) -> Jet2:
-        return Jet2.constant(_unit_rows(index, coords.value), coords.dim)
-
-    def h_field(self):
-        """The unit t-direction as a constant coordinate field."""
-        return lambda coords: self._unit_field(0, coords)
-
-    def jh_field(self):
-        """The unit fiber direction xi / f as a jet field."""
-        return self.section_field(0.0, 1.0)
-
-    def section_field(self, c1, c2):
-        """c1 * H + c2 * JH with constant coefficients (a rotated unit section);
-        c1 and c2 are floats, or arrays with one entry per point of a batch."""
-        def field(coords):
-            _, f = self.warp_jets(coords[..., 0])
-            out = self._unit_field(0, coords) * np.asarray(c1)[..., None]
-            out[..., 1] = c2 * reciprocal(f)
-            return out
-        return field
+    def section_jets(self, coords: Jet2, c1, c2) -> Jet2:
+        """c1 * H + c2 * JH with constant coefficients (a rotated unit section,
+        JH = xi / f); c1 and c2 are floats, or arrays with one entry per point
+        of a batch."""
+        _, f = self.warp_jets(coords[..., 0])
+        out = zeros(coords.shape, coords.dim, coords.value.dtype)
+        out.value[..., 0] = c1
+        out[..., 1] = c2 * reciprocal(f)
+        return out
 
     def lift_jets(self, coords: Jet2) -> Jet2:
         """The horizontal lifts of the base coordinate vectors as the rows of
         one B + (2m, d) jet, from the memoised sigma."""
         return _lift_rows(self._base_at(coords.value[..., 2:])[1], self.s, self.dim)
 
-    def base_unit_lift_field(self, i: int):
+    def base_unit_lift_jets(self, coords: Jet2, i: int) -> Jet2:
         """The horizontal lift of the i-th base coordinate vector, scaled to
-        unit length in the base metric h (its g-length is r in warped mode),
-        as a jet field."""
-        def field(coords):
-            h = self._base_at(coords.value[..., 2:])[0]
-            return (self.lift_jets(coords)[..., i, :]
-                    * reciprocal(jet_sqrt(h[..., 2 + i, 2 + i]))[..., None])
-        return field
+        unit length in the base metric h (its g-length is r in warped mode)."""
+        h = self._base_at(coords.value[..., 2:])[0]
+        return (self.lift_jets(coords)[..., i, :]
+                * reciprocal(jet_sqrt(h[..., 2 + i, 2 + i]))[..., None])
 
-    def potential_field(self):
-        """The Killing potential r(t)^2 / s as a jet scalar field."""
+    def potential_jets(self, coords: Jet2) -> Jet2:
+        """The Killing potential r(t)^2 / s."""
         if self.s == 0.0:
             raise ValueError("the Killing potential r^2/s needs a nonzero pitch")
-        def field(coords):
-            r, _ = self.warp_jets(coords[..., 0])
-            return (r * r) / self.s
-        return field
+        r, _ = self.warp_jets(coords[..., 0])
+        return (r * r) / self.s
 
     def frame_at(self, x: np.ndarray, g_values: np.ndarray) -> FrameBasis:
         d = self.dim

@@ -258,16 +258,6 @@ def seed_chart(x: np.ndarray) -> Jet2:
     return Jet2(x, grad, np.zeros(x.shape + (d, d)))
 
 
-def stack(items) -> Jet2:
-    """One array jet from a (nested) sequence of equal-shape jets; a jet passes through."""
-    if isinstance(items, Jet2):
-        return items
-    parts = [stack(item) for item in items]
-    return Jet2(np.array([p.value for p in parts]),
-                np.stack([p.gradient for p in parts]),
-                np.stack([p.hessian for p in parts]))
-
-
 def scale_along(b: Jet2, axis: int, phi, dphi, d2phi) -> Jet2:
     """phi * b for a function phi of chart coordinate ``axis`` alone and a jet b
     constant along that coordinate (its derivatives in slot ``axis`` vanish).

@@ -27,7 +27,6 @@ import numpy as np
 
 from .batch import each, inner, matvec, max_abs, mT, per_point
 from .curvature import (
-    Curvature4,
     PointAnalysis,
     complex_step,
     contract_slots,
@@ -121,7 +120,7 @@ _PROBE_MATRIX = np.array([
 ])
 
 
-def fit_from_curvature(R4: np.ndarray, g: np.ndarray, J: np.ndarray,
+def fit_from_curvature(R: np.ndarray, g: np.ndarray, J: np.ndarray,
                        h_hat: np.ndarray, jh_hat: np.ndarray, e_unit: np.ndarray, *,
                        draws: np.ndarray | None = None) -> QCHCoefficients:
     """Fit phi(|X_D|) = a + b |X_D|^2 + c |X_D|^4 from three deterministic probes.
@@ -132,7 +131,6 @@ def fit_from_curvature(R4: np.ndarray, g: np.ndarray, J: np.ndarray,
     ``draws``, standard normals of shape B + (samples, d); without them the
     residual is 0.
     """
-    R = Curvature4(R4)
     half = (e_unit + h_hat) / np.sqrt(2.0)
     probes = holomorphic_sectional_curvature(R, g, J, np.stack([e_unit, half, h_hat], axis=-2))
     solved = np.linalg.solve(_PROBE_MATRIX, np.asarray(probes)[..., None])[..., 0]
@@ -145,7 +143,7 @@ def fit_from_curvature(R4: np.ndarray, g: np.ndarray, J: np.ndarray,
     return coeffs
 
 
-def _probe_deviations(R: Curvature4, g: np.ndarray, J: np.ndarray,
+def _probe_deviations(R: np.ndarray, g: np.ndarray, J: np.ndarray,
                       split: SplitTensors, coeffs: QCHCoefficients,
                       w: np.ndarray) -> np.ndarray:
     """|K(X) - phi(|X_D|)| on the unit vectors along the draws w, B + (samples, d)."""
@@ -161,7 +159,7 @@ def fit_qch_coefficients(analysis: PointAnalysis, *,
     """Engine-facing fit at the analyzed point(s), its residual along ``draws``."""
     vectors = analysis.frame.vectors
     J = analysis.complex_structure[0]
-    return fit_from_curvature(analysis.riemann.components, analysis.g, J,
+    return fit_from_curvature(analysis.riemann, analysis.g, J,
                               vectors[..., 0, :], vectors[..., 1, :],
                               analysis.frame.horizontal[..., 0, :], draws=draws)
 
@@ -180,30 +178,25 @@ def qch_residual_samples(analysis: PointAnalysis, coeffs: QCHCoefficients,
 # -- kappa, principal section, Ricci split ---------------------------------------
 
 
-def section_divergences(analysis: PointAnalysis, model, section=None) -> tuple:
-    """(div_E X, div_E JX) for a unit section X of D (default X = H); the
-    section's (c1, c2) are floats or arrays with one entry per point."""
+def section_divergences(analysis: PointAnalysis, model, section=(1.0, 0.0)) -> tuple:
+    """(div_E X, div_E JX) for a unit section X = c1 H + c2 JH of D (default
+    X = H); the section's (c1, c2) are floats or arrays with one entry per
+    point."""
     e_frame = analysis.frame.horizontal
-    if section is None:
-        d1 = div_e(analysis, model.h_field(), e_frame)
-        d2 = div_e(analysis, model.jh_field(), e_frame)
-    else:
-        c1, c2 = section
-        d1 = div_e(analysis, model.section_field(c1, c2), e_frame)
-        # J(c1 H + c2 JH) = c1 JH - c2 H
-        d2 = div_e(analysis, model.section_field(-c2, c1), e_frame)
+    c1, c2 = section
+    d1 = div_e(analysis, model.section_jets(analysis.coords, c1, c2), e_frame)
+    # J(c1 H + c2 JH) = c1 JH - c2 H
+    d2 = div_e(analysis, model.section_jets(analysis.coords, -c2, c1), e_frame)
     return d1, d2
 
 
-def kappa_and_principal_section(analysis: PointAnalysis, model, divergences=None):
+def kappa_and_principal_section(analysis: PointAnalysis, divergences: tuple):
     """(kappa, principal section) with div_E(J xi) = 0 and div_E(xi) = kappa >= 0.
 
-    ``divergences`` are the (d1, d2) of ``section_divergences`` at the point(s),
-    when the caller already holds them.  Raises ``ValueError`` where kappa
-    vanishes (product mode), since the principal section is undefined there.
+    ``divergences`` are the (d1, d2) of ``section_divergences`` at the point(s).
+    Raises ``ValueError`` where kappa vanishes (product mode), since the
+    principal section is undefined there.
     """
-    if divergences is None:
-        divergences = section_divergences(analysis, model)
     d1, d2 = divergences
     kappa = np.sqrt(d1 * d1 + d2 * d2)  # analytic, unlike np.hypot
     if np.any(kappa.real < 1e-13):
@@ -266,13 +259,12 @@ def coefficient_t_derivatives(analysis: PointAnalysis, model) -> tuple:
     x = analysis.x
     stepped = PointAnalysis(model, complex_step(x, np.eye(x.shape[-1])[0]))
     fit = fit_qch_coefficients(stepped)
-    kappa = kappa_and_principal_section(stepped, model)[0]
+    kappa = kappa_and_principal_section(stepped, section_divergences(stepped, model))[0]
     return step_derivative(fit.a), step_derivative(fit.b), step_derivative(kappa)
 
 
-def structure_identity_residuals(analysis: PointAnalysis, model,
-                                 *, fit: QCHCoefficients | None = None,
-                                 divergences=None) -> dict[str, float]:
+def structure_identity_residuals(analysis: PointAnalysis, model, *,
+                                 fit: QCHCoefficients, divergences: tuple) -> dict[str, float]:
     """Residuals of the pointwise structure identities (warped mode) by check.
 
     The t-derivatives of the fitted coefficients and of kappa, which the
@@ -280,13 +272,10 @@ def structure_identity_residuals(analysis: PointAnalysis, model,
     at the complex points x + i h e_t (``coefficient_t_derivatives``): the
     fit and kappa there carry them in their imaginary parts, exact to
     rounding, with no step to tune.  t-only dependence of the coefficients
-    is asserted separately.
-    A caller that has already fitted the point(s) (any residual draws: the
-    coefficients come from fixed probes) and taken ``section_divergences``
-    passes them as ``fit`` and ``divergences``.
+    is asserted separately.  ``fit`` is the fit at the point(s) (any residual
+    draws: the coefficients come from fixed probes) and ``divergences`` their
+    ``section_divergences``.
     """
-    if fit is None:
-        fit = fit_qch_coefficients(analysis)
     n = model.params.n
     frame = analysis.frame
     g = analysis.g
@@ -300,8 +289,9 @@ def structure_identity_residuals(analysis: PointAnalysis, model,
     out: dict = {}
 
     # nabla H and nabla JH, (nabla X)[k, i] = nabla_i X^k
-    nH = covariant_vector_derivative(analysis, model.h_field())[1]
-    nJH = covariant_vector_derivative(analysis, model.jh_field())[1]
+    coords = analysis.coords
+    nH = covariant_vector_derivative(analysis, model.section_jets(coords, 1.0, 0.0))
+    nJH = covariant_vector_derivative(analysis, model.section_jets(coords, 0.0, 1.0))
     nHH, nJJ = matvec(nH, h_hat), matvec(nJH, jh_hat)
 
     # p = g(nabla_xi xi, J xi) with xi the principal section (= H here)
@@ -323,7 +313,7 @@ def structure_identity_residuals(analysis: PointAnalysis, model,
         e_part(matvec(nH, jh_hat)), e_part(matvec(nJH, h_hat))))
 
     # kappa closed form, and d ln kappa = -(kappa/(n-1) + p*) theta along H
-    kap, _ = kappa_and_principal_section(analysis, model, divergences)
+    kap, _ = kappa_and_principal_section(analysis, divergences)
     out["kappa_closed_form"] = np.abs(kap - kappa_closed_form(n, r, rp))
     da, db, dkap = coefficient_t_derivatives(analysis, model)
     out["identity_log_kappa_gradient"] = np.abs(dkap / kap + kap / (n - 1) + p_star)
@@ -345,11 +335,10 @@ def structure_identity_residuals(analysis: PointAnalysis, model,
 
     # Killing potential tau = r^2/s: J grad(tau) is Killing and
     # Hess(tau)|_E = f kappa / (2(n-1)) m
-    tau_field = model.potential_field()
-    x_jets = j_gradient_field(analysis, tau_field)
-    dev = killing_deviation(analysis, lambda _: x_jets)
+    tau = model.potential_jets(coords)
+    dev = killing_deviation(analysis, j_gradient_field(analysis, tau))
     out["potential_killing"] = max_abs(fr @ dev @ mT(fr), 2)
-    hess = hessian_form(analysis, tau_field)
+    hess = hessian_form(analysis, tau)
     hess_e = e_frame @ hess @ mT(e_frame)
     k = hess_e.shape[-1]
     coeff = np.trace(hess_e, axis1=-2, axis2=-1) / k
@@ -360,15 +349,12 @@ def structure_identity_residuals(analysis: PointAnalysis, model,
 
 
 def coefficient_base_independence(analysis: PointAnalysis, model, *, draws: np.ndarray,
-                                  fit: QCHCoefficients | None = None):
+                                  fit: QCHCoefficients):
     """|a(z1) - a(z2)| for two nearby base points at the same t (t-only check).
 
     The base points move by 0.05 times standard-normal ``draws`` of shape
-    B + (2, 2m).  ``fit`` is the caller's fit at the analysed point(s), if it
-    has one.
+    B + (2, 2m); ``fit`` is the fit at the analysed point(s).
     """
-    if fit is None:
-        fit = fit_qch_coefficients(analysis)
     a0 = fit.a
     worst = 0.0
     for k in range(2):
@@ -393,7 +379,7 @@ def warped_submersion_residuals(analysis: PointAnalysis, model) -> dict[str, flo
     r, rp, rpp, rppp = model.profile_at(analysis.x[..., 0])
     f, fp, _ = model.profile.warp_from(r, rp, rpp, rppp)
     s = model.s
-    R4 = analysis.riemann.components
+    R4 = analysis.riemann
     out: dict = {}
 
     # T(xi, xi) = -f f' H  (fiber second fundamental form, fiber direction)
@@ -413,9 +399,8 @@ def warped_submersion_residuals(analysis: PointAnalysis, model) -> dict[str, flo
     horizontal_t = max_abs(t_h + each(rp / r) * np.eye(nb), 2)
 
     # the base-unit statement: T(U, U) = -r r' H for h-unit U
-    u_field = model.base_unit_lift_field(0)
-    u_vals, n_u = covariant_vector_derivative(analysis, u_field)
-    n_uu = matvec(n_u, u_vals)
+    u = model.base_unit_lift_jets(analysis.coords, 0)
+    n_uu = matvec(covariant_vector_derivative(analysis, u), u.value)
     out["submersion_horizontal_t"] = np.maximum(
         horizontal_t, np.abs(inner(g, n_uu, h_hat) + r * rp))
 
@@ -472,7 +457,7 @@ def circle_bundle_residuals(analysis: PointAnalysis, model,
     xi_hat = frame.vectors[..., 0, :]
     e_frame = frame.horizontal
     rho = analysis.ricci
-    R4 = analysis.riemann.components
+    R4 = analysis.riemann
     out: dict = {}
 
     lam_target = s * s * al * al * nb / (4.0 * be ** 4)

@@ -246,17 +246,6 @@ class _Residuals:
         return out
 
 
-def _first_points(parts, count: int) -> np.ndarray:
-    """The first ``count`` points of per-slice arrays (leading axis = points)."""
-    out, have = [], 0
-    for part in parts:
-        out.append(part[:count - have])
-        have += len(out[-1])
-        if have == count:
-            break
-    return np.concatenate(out)
-
-
 def _kahler_form_closedness(analysis: PointAnalysis):
     """max |d Omega| for Omega_ij = g(J e_i, e_j) = (J^T g)_ij, from the first
     derivatives d_k(J^T g) = (d_k J)^T g + J^T d_k g of J and g."""
@@ -317,7 +306,7 @@ def _metric_invariant_checks(res: _Residuals, model, analyses, *, has_j: bool) -
 def _curvature_invariant_checks(res: _Residuals, model, points, analyses, rng, *,
                                 has_j: bool) -> None:
     for an in analyses:
-        R = an.riemann.components
+        R = an.riemann
         scale = np.maximum(max_abs(R, 4), 1e-30)
 
         def relative(x):
@@ -334,16 +323,11 @@ def _curvature_invariant_checks(res: _Residuals, model, points, analyses, rng, *
             rj = np.moveaxis(contract_slots(R, mT(J), mT(J), rank=4), (-2, -1), (-4, -3))
             res.add(curvature_kahler_type=relative(rj - R),
                     ricci_j_invariance=max_abs(mT(J) @ rho @ J - rho, 2))
-    # unit directions (A, B, C) at the first points, one (points, 3, d) draw;
-    # their curvature and connection come from the analyses already made
+    # unit directions (A, B, C) at the first points, one (points, 3, d) draw
     spots = points[:BIANCHI2_POINTS]
     dirs = rng.standard_normal(spots.shape[:-1] + (3, model.dim))
     dirs /= np.linalg.norm(dirs, axis=-1, keepdims=True)
-    count, first = len(spots), analyses[:len(spots)]
-    curvature = (_first_points([an.riemann.components for an in first], count),
-                 _first_points([an.gamma for an in first], count))
-    res.add(bianchi_second_spot=second_bianchi_residual(model, spots, dirs,
-                                                        curvature=curvature))
+    res.add(bianchi_second_spot=second_bianchi_residual(model, spots, dirs))
 
 
 def _profile_checks(res: _Residuals, profile, poly) -> None:
@@ -408,11 +392,8 @@ def _decay_checks(res: _Residuals, model) -> None:
 def build_warped_model(config) -> WarpedBundleMetric:
     """Profile + geometry for the warped / product / negative-control modes."""
     s = config.effective_s()
-    poly = build_polynomial(config.x, config.y, s)
-    profile = solve_profile(poly)
-    params = BundleParams(n=config.n, c0=config.c0, s=s, k=config.k,
-                          q=config.n if config.k is not None else None,
-                          L=profile.L)
+    profile = solve_profile(build_polynomial(config.x, config.y, s))
+    params = BundleParams(n=config.n, c0=config.c0, s=s)
     if config.mode == "negative-control":
         base = ProductBase([FubiniStudy(1, config.c0), FubiniStudy(1, config.c0)])
     else:

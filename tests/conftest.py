@@ -33,7 +33,7 @@ def profile(cubic):
 
 @pytest.fixture(scope="session")
 def params(profile):
-    return BundleParams(n=N, c0=C0, s=S, k=1, q=N, L=profile.L)
+    return BundleParams(n=N, c0=C0, s=S)
 
 
 @pytest.fixture(scope="session")

@@ -12,7 +12,12 @@ from qchgeom import jets
 from qchgeom.batch import inner, per_point
 from qchgeom.curvature import contract_slots
 from qchgeom.jets import Jet2
-from qchgeom.qch import model_tensor_arrays
+from qchgeom.qch import (
+    fit_qch_coefficients,
+    model_tensor_arrays,
+    section_divergences,
+    structure_identity_residuals,
+)
 
 UNARY = ("sqrt1p", "log1p", "expb", "recip1p", "neg", "square")
 BINARY = ("add", "sub", "mul", "divs")
@@ -173,29 +178,25 @@ def variable(index, value, dim):
     return Jet2(value, g, np.zeros((dim, dim)))
 
 
-def constant_vector_field(values):
-    """A coordinate-constant vector field as a jet field."""
+def constant_vector_field(coords, values):
+    """A coordinate-constant vector field as a jet at the seeded coordinates."""
     vals = np.asarray(values, dtype=float)
-
-    def field(coords):
-        coords = jets.stack(coords)
-        return Jet2.constant(np.broadcast_to(vals, coords.shape), coords.dim)
-
-    return field
+    return Jet2.constant(np.broadcast_to(vals, coords.shape), coords.dim)
 
 
-def fiber_field(model):
-    """The fiber rotation field d/dpsi of the warped chart (theta of it is 1)."""
-    return constant_vector_field(np.eye(model.dim)[1])
+def fiber_field(model, coords):
+    """The fiber rotation field d/dpsi of the warped chart (theta of it is 1),
+    as a jet at the seeded coordinates."""
+    return constant_vector_field(coords, np.eye(model.dim)[1])
 
 
-def sectional_curvature(R4, g, X, Y):
+def sectional_curvature(R, g, X, Y):
     """K(X, Y) = R(X, Y, Y, X) / (|X|^2 |Y|^2 - g(X, Y)^2)."""
     gxy = inner(g, X, Y)
     area2 = inner(g, X, X) * inner(g, Y, Y) - gxy * gxy
     if np.any(area2 <= 0.0):
         raise ValueError("sectional curvature of a degenerate plane")
-    return per_point(R4.apply(X, Y, Y, X) / area2)
+    return per_point(contract_slots(R, X, Y, Y, X, rank=4) / area2)
 
 
 def dgamma(analysis):
@@ -217,6 +218,13 @@ def kahler_form_jets(base, z):
 def warp_derivatives(profile, t):
     """(f, f', f'') at ``t``, a float or an array of t."""
     return profile.warp_from(*profile.evaluate(t))
+
+
+def structure_identities(analysis, model):
+    """``structure_identity_residuals`` with the fit and the section
+    divergences it reads, taken at the same analysis."""
+    return structure_identity_residuals(analysis, model, fit=fit_qch_coefficients(analysis),
+                                        divergences=section_divergences(analysis, model))
 
 
 def model_tensors(g, J, split, X, Y, Z, U):

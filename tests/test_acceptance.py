@@ -18,12 +18,11 @@ from qchgeom.qch import (
     qch_residual_samples,
     ricci_split,
     section_divergences,
-    structure_identity_residuals,
     warped_submersion_residuals,
 )
 from qchgeom.suite import sample_interior_points
 
-from helpers import jet_fd_errors
+from helpers import jet_fd_errors, structure_identities
 
 POINTS = 50
 
@@ -128,7 +127,7 @@ def test_c03_ricci_split(params, warped_50, warped_fits):
 def test_c04_structure_identities(warped, warped_50):
     worst = {}
     for an in warped_50[:12]:
-        for key, val in structure_identity_residuals(an, warped).items():
+        for key, val in structure_identities(an, warped).items():
             worst[key] = max(worst.get(key, 0.0), val)
     ok = (worst["kappa_closed_form"] < 1e-7 and worst["identity_p"] < 1e-8
           and worst["identity_p_star"] < 1e-7
@@ -151,7 +150,7 @@ def test_c04_structure_identities(warped, warped_50):
 def test_c05_kahler_ricci_potential(warped, warped_50):
     killing = hess = 0.0
     for an in warped_50[:12]:
-        out = structure_identity_residuals(an, warped)
+        out = structure_identities(an, warped)
         killing = max(killing, out["potential_killing"])
         hess = max(hess, out["potential_hessian"])
     criterion(5, killing < 1e-7 and hess < 1e-7,

@@ -39,7 +39,6 @@ from qchgeom.qch import (
     qch_residual_samples,
     ricci_split,
     section_divergences,
-    structure_identity_residuals,
     warped_submersion_residuals,
 )
 from qchgeom.suite import (
@@ -48,7 +47,7 @@ from qchgeom.suite import (
     sample_interior_points,
 )
 
-from helpers import dgamma
+from helpers import dgamma, structure_identities
 
 RTOL = 1e-13
 
@@ -63,7 +62,7 @@ def _close(batch, single) -> bool:
 def _models(n):
     s = 2.0 / n
     profile = solve_profile(build_polynomial(1.0, 2.0, s))
-    params = BundleParams(n=n, c0=4.0, s=s, L=profile.L)
+    params = BundleParams(n=n, c0=4.0, s=s)
     return params, {
         "base-fubini-study": BaseChartMetric(FubiniStudy(n - 1, 4.0)),
         "base-product": BaseChartMetric(ProductBase([FubiniStudy(1, 4.0),
@@ -83,9 +82,9 @@ QUANTITIES = {
     "metric": lambda an: an.metric.value,
     "metric_gradient": lambda an: an.metric.gradient,
     "metric_hessian": lambda an: an.metric.hessian,
-    "gamma": lambda an: an.connection.gamma,
+    "gamma": lambda an: an.gamma,
     "dgamma": dgamma,
-    "riemann": lambda an: an.riemann.components,
+    "riemann": lambda an: an.riemann,
     "ricci": lambda an: an.ricci,
     "frame": lambda an: an.frame.vectors,
     "j": lambda an: an.complex_structure[0],
@@ -119,8 +118,8 @@ def test_slices_split_the_batch(monkeypatch):
     points = _points(model, 7)
     analyses = batch_analyses(model, points)
     assert [len(an.x) for an in analyses] == [3, 3, 1]
-    batched = np.concatenate([an.riemann.components for an in analyses])
-    single = np.stack([PointAnalysis(model, p).riemann.components for p in points])
+    batched = np.concatenate([an.riemann for an in analyses])
+    single = np.stack([PointAnalysis(model, p).riemann for p in points])
     assert _close(batched, single)
 
 
@@ -158,18 +157,19 @@ def test_warped_families_match_single_points(n):
     for field in ("lam_engine", "mu_engine", "lam_formula", "mu_formula", "off_block_max",
                   "e_block_deviation", "d_block_deviation"):
         _assert_per_point(getattr(rs, field), [getattr(r, field) for r in rss], field)
-    for section in (None, (np.cos(phis), np.sin(phis))):
-        batched = section_divergences(batch, model, section)
-        per_point = [section_divergences(an, model, None if section is None
-                                         else (np.cos(phi), np.sin(phi)))
-                     for an, phi in zip(singles, phis)]
+    for batched, per_point in (
+            (section_divergences(batch, model),
+             [section_divergences(an, model) for an in singles]),
+            (section_divergences(batch, model, (np.cos(phis), np.sin(phis))),
+             [section_divergences(an, model, (np.cos(phi), np.sin(phi)))
+              for an, phi in zip(singles, phis)])):
         for k in range(2):
             _assert_per_point(batched[k], [p[k] for p in per_point], "section_divergences")
-    _assert_per_point(coefficient_base_independence(batch, model, draws=moves),
-                      [coefficient_base_independence(an, model, draws=m)
-                       for an, m in zip(singles, moves)], "base_independence")
-    _assert_per_point(structure_identity_residuals(batch, model),
-                      [structure_identity_residuals(an, model) for an in singles],
+    _assert_per_point(coefficient_base_independence(batch, model, draws=moves, fit=fit),
+                      [coefficient_base_independence(an, model, draws=m, fit=f)
+                       for an, m, f in zip(singles, moves, fits)], "base_independence")
+    _assert_per_point(structure_identities(batch, model),
+                      [structure_identities(an, model) for an in singles],
                       "structure_identities")
     _assert_per_point(warped_submersion_residuals(batch, model),
                       [warped_submersion_residuals(an, model) for an in singles],

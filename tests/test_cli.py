@@ -14,7 +14,6 @@ from qchgeom.cli import (
     emit_summary_csv,
     main,
     parse_config,
-    report_to_json,
 )
 from qchgeom.suite import CheckResult, run_suite
 
@@ -100,6 +99,17 @@ def test_config_roundtrip(tmp_path):
     assert again == config
 
 
+@pytest.mark.parametrize("mode", ["warped", "product", "circle-bundle", "negative-control"])
+def test_config_rejects_pitch_that_disagrees_with_k(tmp_path, capsys, mode):
+    """Given both, s must equal 2k/n in every mode: a configuration error
+    (exit 2), not a numerical one, and not an s that silently wins."""
+    path = write_config(tmp_path, {"mode": mode, "n": 3, "k": 1, "s": 1.0, "rng_seed": 1})
+    assert main(["verify", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert "s = 1.0 does not match 2k/n" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+    small_config(mode=mode, s=2.0 / 3.0)
+
+
 def test_negative_control_needs_n3(tmp_path):
     path = write_config(tmp_path, {"mode": "negative-control", "rng_seed": 1,
                                    "k": 1, "n": 4})
@@ -125,15 +135,12 @@ def test_suite_all_pass_and_complete(warped_report):
 
 
 def test_report_serialization_stable(warped_report, tmp_path):
-    text = report_to_json(warped_report)
-    data = json.loads(text)
+    data = emit_report(warped_report, tmp_path / "report.json")
     assert data["all_pass"] is True
     assert data["environment"]["seed"] == 42
     names = [c["name"] for c in data["checks"]]
     assert names == sorted(names)
-    emit_report(warped_report, tmp_path / "report.json")
-    again = json.loads((tmp_path / "report.json").read_text())
-    assert [c["name"] for c in again["checks"]] == names
+    assert json.loads((tmp_path / "report.json").read_text()) == data
 
 
 def test_suite_determinism():

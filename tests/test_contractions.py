@@ -9,7 +9,6 @@ import numpy as np
 import pytest
 
 from qchgeom.curvature import (
-    Curvature4,
     PointAnalysis,
     contract_slots,
     div_e,
@@ -86,10 +85,10 @@ def test_connection_riemann_ricci(d, rng):
     dginv, gamma, dgamma, R, ricci = _reference_curvature(
         field.jet.value, field.jet.gradient, field.jet.hessian)
     assert _close(metric_inverse_jets(an)[1], dginv)
-    assert _close(an.connection.gamma, gamma)
-    assert _close(an.connection.first, np.einsum("kl,lij->kij", field.jet.value, gamma))
+    assert _close(an.gamma, gamma)
+    assert _close(an.connection, np.einsum("kl,lij->kij", field.jet.value, gamma))
     assert _close(dgamma_of(an), dgamma)
-    assert _close(an.riemann.components, R)
+    assert _close(an.riemann, R)
     assert _close(an.ricci, ricci)
 
 
@@ -99,10 +98,10 @@ def test_vector_contractions(d, rng):
     e_frame = rng.standard_normal((d - 2, d))
     vals = rng.standard_normal(d)
     grads = rng.standard_normal((d, d))
-    x_field = lambda coords: Jet2(vals, grads, np.zeros((d, d, d)))
-    nabla = grads + np.einsum("kia,a->ki", an.connection.gamma, vals)
+    x = Jet2(vals, grads, np.zeros((d, d, d)))
+    nabla = grads + np.einsum("kia,a->ki", an.gamma, vals)
     lowered = np.einsum("kj,ki->ij", an.g, nabla)
-    assert _close(div_e(an, x_field, e_frame),
+    assert _close(div_e(an, x, e_frame),
                   np.einsum("ai,aj,ij->", e_frame, e_frame, lowered))
 
 
@@ -112,16 +111,16 @@ def test_curvature_operators(d, rng):
     g = a @ a.T + d * np.eye(d)
     J = rng.standard_normal((d, d))
     X, Y, Z, W = rng.standard_normal((4, d))
-    assert _close(Curvature4(R).apply(X, Y, Z, W),
+    assert _close(contract_slots(R, X, Y, Z, W),
                   np.einsum("ijkl,i,j,k,l->", R, X, Y, Z, W))
 
     def hol_reference(x):
         jx = J @ x
         return np.einsum("ijkl,i,j,k,l->", R, x, jx, jx, x) / float(x @ g @ x) ** 2
 
-    assert _close(holomorphic_sectional_curvature(Curvature4(R), g, J, X), hol_reference(X))
+    assert _close(holomorphic_sectional_curvature(R, g, J, X), hol_reference(X))
     batch = rng.standard_normal((7, d))
-    assert _close(holomorphic_sectional_curvature(Curvature4(R), g, J, batch),
+    assert _close(holomorphic_sectional_curvature(R, g, J, batch),
                   np.array([hol_reference(x) for x in batch]))
 
     T = rng.standard_normal((d, d, d))
@@ -177,7 +176,7 @@ def test_batched_probes_match_per_probe_loop(warped_point_analysis):
     """One (N, d) draw gives the probes and residuals of N draws of size d."""
     an = warped_point_analysis
     g, J = an.g, an.complex_structure[0]
-    R = an.riemann.components
+    R = an.riemann
     frame = an.frame
     split = split_tensors(g, J, frame.vectors[0], frame.vectors[1])
     fit = fit_qch_coefficients(an, draws=np.random.default_rng(5).standard_normal((100, len(g))))

@@ -19,7 +19,7 @@ from qchgeom.geometry import (
     BundleParams,
     WarpedBundleMetric,
 )
-from qchgeom.jets import Jet2, compose
+from qchgeom.jets import compose, seed_chart, zeros
 from qchgeom.profile import build_polynomial, solve_profile
 from qchgeom.suite import sample_interior_points
 
@@ -28,7 +28,6 @@ from helpers import (
     dgamma,
     fiber_field,
     sectional_curvature,
-    variable,
     warp_derivatives,
 )
 
@@ -39,11 +38,12 @@ class Rotationally2D:
     dim = 2
 
     def metric_jets(self, coords):
-        t = coords[0]
+        t = coords[..., 0]
         r = compose(t, 2.0 + np.sin(t.value), np.cos(t.value), -np.sin(t.value))
-        dj = t.dim
-        zero = Jet2.constant(0.0, dj)
-        return [[Jet2.constant(1.0, dj), zero], [zero, r * r]]
+        g = zeros(coords.shape[:-1] + (2, 2), coords.dim)
+        g[..., 0, 0] = 1.0
+        g[..., 1, 1] = r * r
+        return g
 
     complex_structure_jets = None
 
@@ -53,27 +53,27 @@ class Rotationally2D:
 
 def test_flat_christoffel_vanishes():
     an = PointAnalysis(EuclideanMetric(3), np.array([0.3, -1.0, 2.0]))
-    assert np.abs(an.connection.gamma).max() == 0.0
+    assert np.abs(an.gamma).max() == 0.0
     assert np.abs(dgamma(an)).max() == 0.0
 
 
 def test_flat_curvature_vanishes():
     R = PointAnalysis(EuclideanMetric(4), np.zeros(4)).riemann
-    assert np.abs(R.components).max() == 0.0
+    assert np.abs(R).max() == 0.0
 
 
 def test_warped_2d_christoffel_closed_form():
     model = Rotationally2D()
     t = 0.7
-    conn = PointAnalysis(model, np.array([t, 0.4])).connection
+    gamma = PointAnalysis(model, np.array([t, 0.4])).gamma
     r, rp = 2.0 + np.sin(t), np.cos(t)
-    assert abs(conn.gamma[0, 1, 1] + r * rp) < 1e-14      # Gamma^t_xx = -r r'
-    assert abs(conn.gamma[1, 0, 1] - rp / r) < 1e-14      # Gamma^x_tx = r'/r
-    assert np.abs(conn.gamma - conn.gamma.transpose(0, 2, 1)).max() == 0.0
+    assert abs(gamma[0, 1, 1] + r * rp) < 1e-14      # Gamma^t_xx = -r r'
+    assert abs(gamma[1, 0, 1] - rp / r) < 1e-14      # Gamma^x_tx = r'/r
+    assert np.abs(gamma - gamma.transpose(0, 2, 1)).max() == 0.0
 
 
 def test_christoffel_symmetry_on_total_space(warped_point_analysis):
-    gamma = warped_point_analysis.connection.gamma
+    gamma = warped_point_analysis.gamma
     assert np.abs(gamma - gamma.transpose(0, 2, 1)).max() == 0.0
 
 
@@ -123,7 +123,7 @@ def test_fubini_study_totally_real_planes():
 
 def test_curvature_symmetries(warped_analyses):
     for an in warped_analyses[:5]:
-        R = an.riemann.components
+        R = an.riemann
         scale = np.abs(R).max()
         assert np.abs(R + R.transpose(1, 0, 2, 3)).max() / scale < 1e-9
         assert np.abs(R + R.transpose(0, 1, 3, 2)).max() / scale < 1e-9
@@ -134,7 +134,7 @@ def test_curvature_symmetries(warped_analyses):
 
 def test_kahler_type_curvature(warped_point_analysis):
     an = warped_point_analysis
-    R = an.riemann.components
+    R = an.riemann
     J = an.complex_structure[0]
     rj = np.einsum("ai,bj,abkl->ijkl", J, J, R)
     assert np.abs(rj - R).max() / np.abs(R).max() < 1e-8
@@ -144,7 +144,7 @@ def test_degenerate_curvature_components(warped_point_analysis):
     # R(X, Y, Z, V) = 0 for X, Y, Z spanning D and V a unit E direction
     an = warped_point_analysis
     fr = an.frame.vectors
-    R = an.riemann.components
+    R = an.riemann
     d_pair = fr[:2]
     vals = np.einsum("ijkl,ai,bj,ck,dl->abcd", R, d_pair, d_pair, d_pair, fr[2:])
     assert np.abs(vals).max() < 1e-12
@@ -178,37 +178,30 @@ def test_nabla_j_product_mode(product, profile):
 
 
 def test_killing_deviation_fiber_field(warped, warped_point_analysis):
-    dev = killing_deviation(warped_point_analysis, fiber_field(warped))
+    an = warped_point_analysis
+    dev = killing_deviation(an, fiber_field(warped, an.coords))
     assert np.abs(dev).max() < 1e-9
 
 
 def test_killing_deviation_composite_field(warped, warped_point_analysis):
     # f JH rebuilt through the warp jets is the same Killing field
-    def field(coords):
-        _, f = warped.warp_jets(coords[0])
-        out = warped.jh_field()(coords)
-        return [f * c for c in out]
-
-    dev = killing_deviation(warped_point_analysis, field)
-    fr = warped_point_analysis.frame.vectors
+    an = warped_point_analysis
+    _, f = warped.warp_jets(an.coords[..., 0])
+    dev = killing_deviation(an, warped.section_jets(an.coords, 0.0, 1.0) * f[..., None])
+    fr = an.frame.vectors
     assert np.abs(fr @ dev @ fr.T).max() < 1e-7
 
 
 def test_killing_deviation_axial_field_detects_expansion(warped, profile, sample_point):
     # L_H g = 2 r r' h on the base block and 2 f f' on the fiber block
     an = PointAnalysis(warped, sample_point)
-    dev = killing_deviation(an, warped.h_field())
+    dev = killing_deviation(an, warped.section_jets(an.coords, 1.0, 0.0))
     r, rp, _, _ = profile.evaluate(sample_point[0])
     f, fp, _ = warp_derivatives(profile, sample_point[0])
-    from qchgeom.jets import seed_chart
-
-    h = warped.base.metric_jets(seed_chart(sample_point)[2:])
-    h_vals = np.array([[j.value for j in row] for row in h])
-    base_block = dev[2:, 2:] - (warped.s ** 2 * 2.0 * f * fp) * np.outer(
-        [sj.value for sj in warped.base.connection_potential_jets(
-            seed_chart(sample_point)[2:])],
-        [sj.value for sj in warped.base.connection_potential_jets(
-            seed_chart(sample_point)[2:])])
+    z = seed_chart(sample_point)[2:]
+    h_vals = warped.base.metric_jets(z).value
+    sigma = warped.base.connection_potential_jets(z).value
+    base_block = dev[2:, 2:] - (warped.s ** 2 * 2.0 * f * fp) * np.outer(sigma, sigma)
     assert np.allclose(base_block, 2.0 * r * rp * h_vals, atol=1e-12)
     assert abs(dev[1, 1] - 2.0 * f * fp) < 1e-12
 
@@ -217,14 +210,14 @@ def test_e_divergences(warped, warped_point_analysis, profile, params):
     an = warped_point_analysis
     e_frame = an.frame.horizontal
     r, rp, _, _ = profile.evaluate(an.x[0])
-    div_h = div_e(an, warped.h_field(), e_frame)
+    div_h = div_e(an, warped.section_jets(an.coords, 1.0, 0.0), e_frame)
     assert abs(div_h - 2.0 * (params.n - 1) * rp / r) < 1e-12
-    assert abs(div_e(an, fiber_field(warped), e_frame)) < 1e-12
+    assert abs(div_e(an, fiber_field(warped, an.coords), e_frame)) < 1e-12
 
 
 def test_hessian_form_of_killing_potential(warped, warped_point_analysis, profile, params):
     an = warped_point_analysis
-    hess = hessian_form(an, warped.potential_field())
+    hess = hessian_form(an, warped.potential_jets(an.coords))
     e_frame = an.frame.horizontal
     hess_e = e_frame @ hess @ e_frame.T
     f = profile.warp(an.x[0])
@@ -246,11 +239,9 @@ def test_sectional_degenerate_plane_rejected(warped_point_analysis):
 
 
 def test_constant_vector_field_helper():
-    field = constant_vector_field([1.0, 2.0])
-    coords = [variable(i, 0.5, 2) for i in range(2)]
-    vals = field(coords)
-    assert vals[0].value == 1.0 and vals[1].value == 2.0
-    assert np.abs(vals[0].gradient).max() == 0.0
+    x = constant_vector_field(seed_chart(np.array([0.5, 0.5])), [1.0, 2.0])
+    assert x.value.tolist() == [1.0, 2.0]
+    assert x.gradient.shape == (2, 2) and np.abs(x.gradient).max() == 0.0
 
 
 @pytest.mark.parametrize("n", [3, 5, 7])
@@ -259,7 +250,7 @@ def test_jacobi_operator_matches_full_riemann(n):
     Riemann tensor, at off-axis points, for non-unit v, one point or a batch."""
     s = 2.0 / n
     profile = solve_profile(build_polynomial(1.0, 2.0, s))
-    model = WarpedBundleMetric(BundleParams(n=n, c0=4.0, s=s, L=profile.L), profile)
+    model = WarpedBundleMetric(BundleParams(n=n, c0=4.0, s=s), profile)
     rng = np.random.default_rng(70 + n)
     points = sample_interior_points(model, rng, 3, 0.05, 1.5)
     v = 2.5 * rng.standard_normal((3, model.dim))
@@ -267,7 +258,7 @@ def test_jacobi_operator_matches_full_riemann(n):
     for i, p in enumerate(points):
         an = PointAnalysis(model, p)
         frame = an.frame.vectors
-        reference = jacobi_matrix(an.riemann.components, v[i], frame)
+        reference = jacobi_matrix(an.riemann, v[i], frame)
         K = jacobi_operator(an, v[i])
         scale = np.abs(reference).max()
         assert np.abs(frame @ K.T @ frame.T - reference).max() <= 1e-12 * scale
@@ -281,8 +272,10 @@ def test_jacobi_operator_vanishes_on_flat_space():
 
 
 def test_christoffel_symbols_alone(warped, sample_point):
-    """``gamma`` needs no dGamma, and is the connection's gamma bit for bit."""
+    """``gamma`` needs no dGamma and no curvature: it is g^-1 times the
+    first-kind symbols of ``connection``."""
     an = PointAnalysis(warped, sample_point)
     gamma = an.gamma
-    assert "connection" not in vars(an)
-    assert np.array_equal(gamma, PointAnalysis(warped, sample_point).connection.gamma)
+    assert "riemann" not in vars(an) and "ricci" not in vars(an)
+    raised = np.einsum("kl,lij->kij", an.g_inv, an.connection)
+    assert np.abs(gamma - raised).max() <= 1e-14 * np.abs(raised).max()

@@ -97,7 +97,7 @@ def test_velocity_inner_product_conserved(warped, profile):
     path = integrate_geodesic(warped, GeodesicState(x0, v0), 0.3 * profile.L)
     an0 = PointAnalysis(warped, x0)
     C0 = np.zeros(6); C0[1] = 1.0
-    DC0 = an0.connection.gamma[:, 0, 1]
+    DC0 = an0.gamma[:, 0, 1]
     result = integrate_jacobi(path, C0, DC0, samples=50)
     assert np.abs(result.velocity_inner).max() < 1e-8
 
@@ -110,7 +110,7 @@ def test_jacobi_equation_residual_on_solution(warped, profile):
     path = integrate_geodesic(warped, GeodesicState(x0, v0), span)
     an0 = PointAnalysis(warped, x0)
     C0 = np.zeros(6); C0[1] = 1.0
-    DC0 = an0.connection.gamma[:, 0, 1]
+    DC0 = an0.gamma[:, 0, 1]
     result = integrate_jacobi(path, C0, DC0, samples=50)
     taus = [0.2 * span, 0.5 * span, 0.8 * span]
     assert jacobi_equation_residual(result, taus) < 1e-7
@@ -159,7 +159,7 @@ def test_jacobi_equation_residual_on_desk_flow():
     operator, solves the Jacobi equation of the full Riemann tensor."""
     n, s = 5, 2.0 / 5
     profile = solve_profile(build_polynomial(1.0, 2.0, s))
-    model = WarpedBundleMetric(BundleParams(n=n, c0=4.0, s=s, k=1, q=n, L=profile.L), profile)
+    model = WarpedBundleMetric(BundleParams(n=n, c0=4.0, s=s), profile)
     L = profile.L
     x0 = np.zeros(model.dim); x0[0] = 0.2 * L
     v0 = np.zeros(model.dim); v0[0] = 1.0
@@ -180,7 +180,7 @@ def test_decay_flow_work_stays_bounded_off_the_desk(x, y):
     more."""
     n, s = 3, 2.0 / 3.0
     profile = solve_profile(build_polynomial(x, y, s))
-    model = WarpedBundleMetric(BundleParams(n=n, c0=4.0, s=s, k=1, q=n, L=profile.L), profile)
+    model = WarpedBundleMetric(BundleParams(n=n, c0=4.0, s=s), profile)
     L = profile.L
     report = jacobi_decay_experiment(model, 0.2 * L, L * (1.0 - 1e-3), samples=160)
     assert report.geodesic_stats == flows.SolveStats(nfev=flows.PANEL_NODES, steps=1)
@@ -244,7 +244,7 @@ def _desk_flow(n):
     """(path, C0, DC0) of the suite's decay flow on the warped desk at n."""
     s = 2.0 / n
     profile = solve_profile(build_polynomial(1.0, 2.0, s))
-    model = WarpedBundleMetric(BundleParams(n=n, c0=4.0, s=s, k=1, q=n, L=profile.L), profile)
+    model = WarpedBundleMetric(BundleParams(n=n, c0=4.0, s=s), profile)
     L = profile.L
     x0 = np.zeros(model.dim); x0[0] = 0.2 * L
     v0 = np.zeros(model.dim); v0[0] = 1.0
@@ -447,7 +447,7 @@ def test_batched_residuals_match_point_loops():
         geodesic_ref.append(np.sqrt(res @ an.g @ res))
         state = result.dense(tau)
         ypp = result.dense.derivative()(tau)[d * d + d:]
-        M = jacobi_matrix(an.riemann.components, s0.velocity, state[:d * d].reshape(d, d))
+        M = jacobi_matrix(an.riemann, s0.velocity, state[:d * d].reshape(d, d))
         jacobi_ref.append(np.abs(ypp - M @ state[d * d:d * d + d]).max())
     assert geodesic_residuals(path, taus) == pytest.approx(max(geodesic_ref), rel=1e-6, abs=1e-13)
     assert jacobi_equation_residual(result, taus) == pytest.approx(max(jacobi_ref), rel=1e-6,

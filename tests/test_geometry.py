@@ -211,9 +211,9 @@ def test_bundle_params_validation():
 
     with pytest.raises(ValueError, match="n >= 3"):
         BundleParams(n=2, c0=4.0, s=1.0)
-    with pytest.raises(ValueError, match="2k/q"):
-        BundleParams(n=3, c0=4.0, s=0.5, k=1, q=3)
-    p = BundleParams(n=3, c0=4.0, s=2.0 / 3.0, k=1, q=3)
+    with pytest.raises(ValueError, match="c0 must be positive"):
+        BundleParams(n=3, c0=0.0, s=1.0)
+    p = BundleParams(n=3, c0=4.0, s=2.0 / 3.0)
     assert p.m == 2
 
 

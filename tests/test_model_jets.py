@@ -72,7 +72,7 @@ def _models(n):
     m = n - 1
     s = 2.0 / n
     profile = solve_profile(build_polynomial(1.0, 2.0, s))
-    params = BundleParams(n=n, c0=4.0, s=s, L=profile.L)
+    params = BundleParams(n=n, c0=4.0, s=s)
     rng = np.random.default_rng(40 + n)
     z = rng.uniform(-0.4, 0.4, 2 * m)
     total = np.concatenate(([0.4 * profile.L, 0.7], z))
@@ -132,7 +132,7 @@ def _jet_arithmetic_metric(model, coords):
 def test_warped_metric_jets_match_jet_arithmetic(n, variant):
     s = 2.0 / n
     profile = solve_profile(build_polynomial(1.0, 2.0, s))
-    params = BundleParams(n=n, c0=4.0, s=s, L=profile.L)
+    params = BundleParams(n=n, c0=4.0, s=s)
     base = (ProductBase([FubiniStudy(1, 4.0), FubiniStudy(n - 2, 4.0)])
             if variant == "product-base" else None)
     model = WarpedBundleMetric(params, profile, base,

@@ -17,12 +17,11 @@ from qchgeom.qch import (
     ricci_split,
     section_divergences,
     split_tensors,
-    structure_identity_residuals,
     warped_submersion_residuals,
 )
 from qchgeom.suite import CHECKS, sample_interior_points
 
-from helpers import model_tensors, warp_derivatives
+from helpers import model_tensors, structure_identities, warp_derivatives
 
 
 @pytest.fixture(scope="module")
@@ -128,13 +127,13 @@ def test_ricci_split_engine_matches_formula(warped, params, warped_analyses):
 
 def test_kappa_and_principal_section(warped, profile, params, warped_point_analysis):
     an = warped_point_analysis
-    kap, xi_p = kappa_and_principal_section(an, warped)
+    d1, d2 = section_divergences(an, warped)
+    kap, xi_p = kappa_and_principal_section(an, (d1, d2))
     r, rp, _, _ = profile.evaluate(an.x[0])
     assert abs(kap - kappa_closed_form(params.n, r, rp)) < 1e-7
     assert kap > 0.0
     # the t-direction is principal here: div_E(JH) = 0
     assert np.abs(xi_p - an.frame.vectors[0]).max() < 1e-12
-    d1, d2 = section_divergences(an, warped)
     assert abs(d2) < 1e-12
     assert abs(d1 - kap) < 1e-12
 
@@ -161,7 +160,7 @@ def test_kappa_vanishes_in_product_mode(product, profile):
     d1, d2 = section_divergences(an, product)
     assert np.hypot(d1, d2) < 1e-10
     with pytest.raises(ValueError, match="principal section undefined"):
-        kappa_and_principal_section(an, product)
+        kappa_and_principal_section(an, (d1, d2))
 
 
 def test_structure_identities(warped, warped_analyses):
@@ -179,15 +178,16 @@ def test_structure_identities(warped, warped_analyses):
         "potential_hessian": 1e-7,
     }
     for an in warped_analyses[:4]:
-        out = structure_identity_residuals(an, warped)
+        out = structure_identities(an, warped)
         for name, tol in tolerances.items():
             assert out[name] < tol, f"{name}: {out[name]} at t={an.x[0]}"
 
 
 def test_coefficients_depend_on_t_only(warped, warped_point_analysis):
     rng = np.random.default_rng(13)
-    dev = coefficient_base_independence(
-        warped_point_analysis, warped, draws=rng.standard_normal((2, warped.base.dim)))
+    an = warped_point_analysis
+    dev = coefficient_base_independence(an, warped, draws=rng.standard_normal((2, warped.base.dim)),
+                                        fit=fit_qch_coefficients(an))
     assert dev < 1e-8
 
 
@@ -221,7 +221,7 @@ def test_residuals_come_back_under_check_names(warped, circle_bundle):
     warped_batch = PointAnalysis(warped, sample_interior_points(warped, rng, 3, 0.05, 1.5))
     bundle_batch = PointAnalysis(
         circle_bundle, sample_interior_points(circle_bundle, rng, 3, 0.05, 1.5))
-    keys = {*structure_identity_residuals(warped_batch, warped),
+    keys = {*structure_identities(warped_batch, warped),
             *warped_submersion_residuals(warped_batch, warped),
             *circle_bundle_residuals(bundle_batch, circle_bundle, 4.0)}
     assert len(keys) == 22
