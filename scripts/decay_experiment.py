@@ -11,7 +11,7 @@ field, prints the headline numbers and writes the row-by-row CSV.
 import argparse
 from pathlib import Path
 
-from qchgeom import BundleParams, WarpedBundleMetric, build_polynomial, solve_profile
+from qchgeom import FubiniStudy, WarpedBundleMetric, build_polynomial, solve_profile
 from qchgeom.flows import jacobi_decay_experiment
 
 
@@ -30,7 +30,7 @@ def main() -> int:
 
     s = 2.0 * args.k / args.n
     profile = solve_profile(build_polynomial(args.x, args.y, s))
-    model = WarpedBundleMetric(BundleParams(n=args.n, c0=args.c0, s=s), profile)
+    model = WarpedBundleMetric(profile, FubiniStudy(args.n - 1, args.c0))
     L = profile.L
     report = jacobi_decay_experiment(model, args.start * L, L * (1.0 - 1e-3),
                                      samples=args.samples)

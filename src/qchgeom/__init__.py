@@ -3,7 +3,6 @@ quasi-constant holomorphic sectional curvature, and for verifying their
 curvature identities at machine precision on sampled points."""
 
 from .geometry import (
-    BundleParams,
     CircleBundleMetric,
     EuclideanMetric,
     FubiniStudy,
@@ -22,7 +21,7 @@ from .profile import (
 )
 
 __all__ = [
-    "BundleParams", "CircleBundleMetric",
+    "CircleBundleMetric",
     "EuclideanMetric", "FubiniStudy", "ProductBase", "BaseChartMetric",
     "WarpedBundleMetric", "Jet2", "seed_chart",
     "CubicProfilePolynomial", "ProfileSolution", "boundary_report",

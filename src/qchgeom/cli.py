@@ -22,7 +22,9 @@ import dataclasses
 import functools
 import io
 import json
+import math
 import sys
+import typing
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
@@ -84,6 +86,8 @@ class RunConfig:
             raise ConfigError(f"constraint sample_count >= 10 violated ({self.sample_count})")
         if self.alpha <= 0 or self.beta <= 0:
             raise ConfigError("constraint alpha, beta > 0 violated")
+        if self.perturb_f == 0:
+            raise ConfigError("constraint perturb_f != 0 violated (f must not vanish)")
         if self.mode == "negative-control" and self.n != 3:
             raise ConfigError(
                 "negative-control mode uses a product of two projective lines, "
@@ -98,8 +102,10 @@ class RunConfig:
         if unknown:
             raise ConfigError(f"unknown tolerance names: {unknown}")
         for name, value in self.tolerances.items():
-            if not (isinstance(value, (int, float)) and value > 0):
-                raise ConfigError(f"tolerance {name!r} must be positive, got {value!r}")
+            if (isinstance(value, bool) or not isinstance(value, (int, float))
+                    or not 0 < value < math.inf):
+                raise ConfigError(f"tolerance {name!r} must be positive and finite, "
+                                  f"got {value!r}")
 
     def effective_s(self) -> float:
         if self.s is not None:
@@ -128,22 +134,27 @@ class RunConfig:
         missing = [k for k in ("mode", "rng_seed") if k not in data]
         if missing:
             raise ConfigError(f"missing required configuration keys: {missing}")
-        typed: dict = {}
-        for key, value in data.items():
-            if key in ("n", "k", "sample_count", "rng_seed") and value is not None:
-                if not isinstance(value, int) or isinstance(value, bool):
-                    raise ConfigError(f"configuration key {key!r} must be an integer")
-            if key in ("c0", "s", "x", "y", "alpha", "beta", "perturb_f",
-                       "z_radius", "sample_margin") and value is not None:
-                if isinstance(value, bool) or not isinstance(value, (int, float)):
-                    raise ConfigError(f"configuration key {key!r} must be a number")
-                value = float(value)
-            if key == "tolerances" and not isinstance(value, dict):
-                raise ConfigError("configuration key 'tolerances' must be an object")
-            if key == "mode" and not isinstance(value, str):
-                raise ConfigError("configuration key 'mode' must be a string")
-            typed[key] = value
-        return cls(**typed)
+        hints = typing.get_type_hints(cls)
+        return cls(**{key: _typed(key, value, hints[key]) for key, value in data.items()})
+
+
+_KINDS = {int: "an integer", float: "a finite number", str: "a string", dict: "an object"}
+
+
+def _typed(key: str, value, annotation):
+    """A configuration value checked against its field's annotation: None
+    only where the annotation allows it, no booleans, an int wherever a float
+    is allowed (converted), and only finite floats."""
+    kinds = typing.get_args(annotation) or (annotation,)
+    if value is None and type(None) in kinds:
+        return None
+    kind = kinds[0]
+    if kind is float and isinstance(value, int) and not isinstance(value, bool):
+        value = float(value)
+    if (isinstance(value, bool) or not isinstance(value, kind)
+            or (kind is float and not math.isfinite(value))):
+        raise ConfigError(f"configuration key {key!r} must be {_KINDS[kind]}, got {value!r}")
+    return value
 
 
 def parse_config(path) -> RunConfig:
@@ -183,7 +194,7 @@ def emit_summary_csv(config: RunConfig, path, points: int = 100) -> None:
     parts = []
     for analysis in batch_analyses(model, axis):
         fit = fit_qch_coefficients(analysis)
-        rs = ricci_split(analysis, fit, model.params.n)
+        rs = ricci_split(analysis, fit, model.n)
         d1, d2 = section_divergences(analysis, model)
         parts.append((fit.a, fit.b, fit.c, rs.lam_engine, rs.mu_engine, np.hypot(d1, d2)))
     columns += [np.concatenate(col) for col in zip(*parts)]
@@ -235,7 +246,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, help="override the RNG seed")
     parser.add_argument("--out", default=".", help="output directory")
     parser.add_argument("--points", type=int,
-                        help="override sample_count / table rows")
+                        help="override sample_count (verify) or the table rows (sample)")
 
 
 def _effective_config(args) -> RunConfig:
@@ -247,11 +258,18 @@ def _effective_config(args) -> RunConfig:
         data = {"mode": "warped", "rng_seed": 42, "k": 1}
     if args.mode:
         data["mode"] = args.mode
-    if getattr(args, "seed", None) is not None:
+    if args.seed is not None:
         data["rng_seed"] = args.seed
-    if getattr(args, "points", None) is not None:
+    if args.points is not None and args.command != "sample":
         data["sample_count"] = args.points
-    return RunConfig.from_dict(data)
+    config = RunConfig.from_dict(data)
+    if args.command == "sample":
+        if config.mode == "circle-bundle":
+            raise ConfigError("sample tabulates the t axis of the warped chart, "
+                              "which circle-bundle mode does not have")
+        if args.points is not None and args.points < 1:
+            raise ConfigError(f"sample needs --points >= 1, got {args.points}")
+    return config
 
 
 @functools.cache
@@ -309,8 +327,7 @@ def main(argv=None) -> int:
             return 0 if report.all_pass else 1
 
         if args.command == "sample":
-            rows = args.points if args.points else 100
-            emit_summary_csv(config, out_dir / "summary.csv", rows)
+            emit_summary_csv(config, out_dir / "summary.csv", args.points or 100)
             print(f"summary table written to {out_dir / 'summary.csv'}")
             return 0
 

@@ -134,7 +134,9 @@ class PointAnalysis:
     * ``metric_jets(coords)``: the metric components as one B + (d, d) jet of
       the seeded coordinates ``coords``;
     * ``complex_structure_jets``: the same for J, or None where there is none;
-    * ``frame_at(x, g)``: a ``FrameBasis`` orthonormal for the metric values g.
+    * ``frame_at(x, g)``: the B + (d, d) array of frame rows orthonormal for
+      the metric values g, laid out by chart: (H, JH, E_1..E_2m) on the total
+      space, (xi/alpha, E_1..E_2m) on the circle bundle, E rows on the base.
     """
 
     def __init__(self, field, x):
@@ -231,7 +233,8 @@ class PointAnalysis:
         return J.value, J.gradient
 
     @cached_property
-    def frame(self):
+    def frame(self) -> np.ndarray:
+        """The field's g-orthonormal frame rows, B + (d, d)."""
         return self.field.frame_at(self.x, self.g)
 
 

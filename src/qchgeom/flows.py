@@ -276,35 +276,19 @@ def solve_ivp(trial: Callable[[float, float, object], _Trial], span: float, stat
 # -- geodesics --------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class GeodesicState:
-    """Position and (unit) velocity, in chart coordinates."""
-
-    position: np.ndarray
-    velocity: np.ndarray
-
-
 @dataclass
 class GeodesicPath:
     """A solved geodesic with dense output on [0, span]."""
 
     field: object
     span: float
-    taus: np.ndarray
-    positions: np.ndarray   # (N, d)
-    velocities: np.ndarray  # (N, d)
     stats: SolveStats
     dense: Panels           # packed (position, velocity) on the solve's panels
 
     def states(self, taus) -> tuple[np.ndarray, np.ndarray]:
         """(positions, velocities) at a float or an array of parameters."""
-        d = self.positions.shape[1]
         packed = self.dense(taus)
-        return packed[..., :d], packed[..., d:]
-
-    def state(self, tau: float) -> GeodesicState:
-        x, v = self.states(tau)
-        return GeodesicState(position=x, velocity=v)
+        return packed[..., :self.field.dim], packed[..., self.field.dim:]
 
 
 def geodesic_acceleration(gamma: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -385,25 +369,19 @@ def _geodesic_panel(field, a: float, b: float, start) -> _Trial:
                   PICARD_RATE / rate if rate else np.inf)
 
 
-def integrate_geodesic(field, start: GeodesicState, span: float) -> GeodesicPath:
-    """Integrate the geodesic equation x'' = -Gamma(x)(x', x') on [0, span],
-    tabulated at 64 even parameters."""
+def integrate_geodesic(field, x0: np.ndarray, v0: np.ndarray, span: float) -> GeodesicPath:
+    """Integrate the geodesic equation x'' = -Gamma(x)(x', x') on [0, span]
+    from the position x0 and the velocity v0, in chart coordinates."""
     sol = solve_ivp(lambda a, b, state: _geodesic_panel(field, a, b, state), span,
-                    (start.position, start.velocity, None, None), name="geodesic tables")
-    dense = Panels(sol.t, sol.values)
-    d = start.position.shape[0]
-    taus = np.linspace(0.0, span, 64)
-    packed = dense(taus)
-    return GeodesicPath(field=field, span=span, taus=taus, positions=packed[:, :d],
-                        velocities=packed[:, d:], stats=sol.stats, dense=dense)
+                    (x0, v0, None, None), name="geodesic tables")
+    return GeodesicPath(field=field, span=span, stats=sol.stats,
+                        dense=Panels(sol.t, sol.values))
 
 
-def geodesic_residuals(path: GeodesicPath, taus=None):
-    """max |nabla_cdot cdot| on the dense solution: the acceleration is the
-    derivative of the panels' interpolant (``Panels.derivative``), Gamma is
-    re-evaluated at its points."""
-    if taus is None:
-        taus = path.taus[1:-1]
+def geodesic_residuals(path: GeodesicPath, taus) -> float:
+    """max |nabla_cdot cdot| at the parameters ``taus``: the acceleration is
+    the derivative of the panels' interpolant (``Panels.derivative``), Gamma
+    is re-evaluated at its points."""
     taus = np.asarray(taus, dtype=float)
     x, v = path.states(taus)
     vdot = path.dense.derivative()(taus)[..., x.shape[-1]:]
@@ -489,7 +467,7 @@ def _unpack(packed: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray, np.ndar
 def _initial_frame(analysis: PointAnalysis, velocity: np.ndarray) -> np.ndarray:
     """Orthonormal frame with e_0 = cdot(0), completed from the chart frame."""
     g = analysis.g
-    candidates = [velocity] + list(analysis.frame.vectors)
+    candidates = [velocity] + list(analysis.frame)
     rows = []
     for vec in candidates:
         w = np.array(vec, dtype=float)
@@ -516,14 +494,13 @@ def integrate_jacobi(path: GeodesicPath, C0: np.ndarray, DC0: np.ndarray, *,
     (``_jacobi_panel``).  The certified tables are kept as the result's
     ``coefficients``.
     """
-    field = path.field
-    start = path.state(0.0)
-    analysis0 = PointAnalysis(field, start.position)
-    frame0 = _initial_frame(analysis0, start.velocity)
+    x0, v0 = path.states(0.0)
+    analysis0 = PointAnalysis(path.field, x0)
+    frame0 = _initial_frame(analysis0, v0)
     g0 = analysis0.g
     y0 = frame0 @ g0 @ np.asarray(C0, dtype=float)
     yp0 = frame0 @ g0 @ np.asarray(DC0, dtype=float)
-    dot0 = frame0 @ g0 @ start.velocity  # g(cdot, e_a), parallel-constant
+    dot0 = frame0 @ g0 @ v0  # g(cdot, e_a), parallel-constant
     tables = []
 
     def trial(a, b, state):
@@ -616,14 +593,14 @@ def jacobi_decay_experiment(model, t0: float, t_end: float, *,
     v0 = np.zeros(d)
     v0[0] = 1.0
 
-    path = integrate_geodesic(model, GeodesicState(x0, v0), t_end - t0)
+    path = integrate_geodesic(model, x0, v0, t_end - t0)
     analysis0 = PointAnalysis(model, x0)
     C0 = np.zeros(d)
     C0[1] = 1.0  # the fiber field: f(t0) JH in coordinates
     DC0 = analysis0.gamma[:, 0, 1]  # nabla_H of the fiber field
     jac = integrate_jacobi(path, C0, DC0, samples=samples)
 
-    n = model.params.n
+    n = model.n
     t = t0 + jac.taus
     r, rp, rpp, rppp = profile.evaluate(t)
     f = profile.warp_from(r, rp, rpp, rppp)[0]

@@ -27,8 +27,6 @@ sign).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .batch import matvec, mT
@@ -44,30 +42,6 @@ END_MARGIN_FRAC = 1e-3
 
 class ChartBoundsError(ValueError):
     """Point lies outside the valid region of its chart."""
-
-
-@dataclass(frozen=True)
-class BundleParams:
-    """Construction parameters of the total space.
-
-    n is half the real dimension (so dim M = 2n >= 6), the base is complex
-    m = n - 1 dimensional with holomorphic sectional curvature c0, and s is
-    the fiber pitch d theta = s Omega.
-    """
-
-    n: int
-    c0: float
-    s: float
-
-    def __post_init__(self):
-        if self.n < 3:
-            raise ValueError(f"need n >= 3 (real dimension >= 6), got n={self.n}")
-        if self.c0 <= 0.0:
-            raise ValueError(f"base curvature c0 must be positive, got {self.c0}")
-
-    @property
-    def m(self) -> int:
-        return self.n - 1
 
 
 # -- base models --------------------------------------------------------------
@@ -219,25 +193,6 @@ class ProductBase(_BaseModel):
 # -- frames -------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class FrameBasis:
-    """g-orthonormal frame rows, plus the structural vectors they come from.
-
-    For total-space charts the rows are ordered (H, JH = xi/f, E_1..E_2m);
-    xi is the unnormalized fiber field with theta(xi) = 1 exactly.
-    """
-
-    vectors: np.ndarray                 # B + (d, d) rows = orthonormal frame
-    h_vec: np.ndarray | None = None     # B + (d,) unit t-direction
-    xi: np.ndarray | None = None        # B + (d,) fiber field, theta(xi) = 1
-    jh: np.ndarray | None = None        # xi / f (or xi / alpha on the bundle)
-
-    @property
-    def horizontal(self) -> np.ndarray:
-        skip = 2 if self.h_vec is not None else (1 if self.jh is not None else 0)
-        return self.vectors[..., skip:, :]
-
-
 def _gram_schmidt(rows: np.ndarray, g: np.ndarray) -> np.ndarray:
     """g-orthonormalise the rows B + (k, d), in order, at every point of B.
 
@@ -261,14 +216,6 @@ def _cholesky(a: np.ndarray) -> np.ndarray:
         c[..., j + 1:, j] = ((a[..., j + 1:, j] - matvec(c[..., j + 1:, :j], row))
                              / c[..., j, j, None])
     return c
-
-
-def _unit_rows(index: int, x: np.ndarray) -> np.ndarray:
-    """The coordinate vector e_index at every point of a batch x, B + (d,),
-    of x's dtype."""
-    out = np.zeros_like(x)
-    out[..., index] = 1.0
-    return out
 
 
 # -- metric fields -------------------------------------------------------------
@@ -349,22 +296,25 @@ def _lift_rows(sigma: Jet2, s: float, dim: int) -> Jet2:
 class WarpedBundleMetric:
     """dt^2 + f(t)^2 (dpsi + s sigma)^2 + r(t)^2 h on (0, L) x bundle chart.
 
-    ``product_mode`` drops the pitch (s = 0, theta = dpsi) and the r^2 scaling
-    of the base block.  ``warp_scale`` multiplies f everywhere (metric and
-    complex structure); any value other than 1 breaks the parallel-J condition
-    and serves as a negative control.
+    The base (complex dimension m, curvature scale ``base.c0``) and the warp
+    profile fix the model: half the real dimension is n = m + 1 >= 3 and the
+    fiber pitch d theta = s Omega is the profile's s.  ``product_mode`` drops
+    the pitch (s = 0, theta = dpsi) and the r^2 scaling of the base block.
+    ``warp_scale`` multiplies f everywhere (metric and complex structure); any
+    value other than 1 breaks the parallel-J condition and serves as a
+    negative control.
     """
 
-    def __init__(self, params: BundleParams, profile: ProfileSolution, base=None,
-                 *, product_mode: bool = False, warp_scale: float = 1.0):
-        self.params = params
+    def __init__(self, profile: ProfileSolution, base, *, product_mode: bool = False,
+                 warp_scale: float = 1.0):
+        if base.m < 2:
+            raise ValueError(f"need n >= 3 (real dimension >= 6), got n={base.m + 1}")
         self.profile = profile
-        self.base = base if base is not None else FubiniStudy(params.m, params.c0)
-        if 2 * (1 + self.base.m) != 2 * params.n:
-            raise ValueError("base dimension does not match bundle parameters")
+        self.base = base
+        self.n = base.m + 1
         self.product_mode = product_mode
         self.warp_scale = warp_scale
-        self.s = 0.0 if product_mode else params.s
+        self.s = 0.0 if product_mode else profile.s
         self.dim = 2 + self.base.dim
         # entries are d x d jets, about 0.7 MB a point at d = 14
         self._base_memo = _SliceMemo(16)
@@ -486,18 +436,18 @@ class WarpedBundleMetric:
         r, _ = self.warp_jets(coords[..., 0])
         return (r * r) / self.s
 
-    def frame_at(self, x: np.ndarray, g_values: np.ndarray) -> FrameBasis:
+    def frame_at(self, x: np.ndarray, g_values: np.ndarray) -> np.ndarray:
+        """The g-orthonormal rows (H, JH, E_1..E_2m): H = d/dt, JH = xi/f for
+        the fiber field xi = d/dpsi, and the E rows by Gram-Schmidt from the
+        horizontal lifts of the base coordinate vectors."""
         d = self.dim
         f = self.profile.warp_from(*self.profile_at(x[..., 0]))[0] * self.warp_scale
-        h_vec = _unit_rows(0, x)
-        xi = _unit_rows(1, x)
-        jh = xi / np.asarray(f)[..., None]
-        lifts = np.broadcast_to(np.eye(d)[2:], x.shape[:-1] + (d - 2, d)).astype(x.dtype)
+        rows = np.broadcast_to(np.eye(d), x.shape[:-1] + (d, d)).astype(x.dtype)
+        rows[..., 1, :] /= np.asarray(f)[..., None]
         if self.s != 0.0:
-            lifts[..., 1] = -self.s * self._base_at(x[..., 2:])[1].value
-        horizontals = _gram_schmidt(lifts, g_values)
-        vectors = np.concatenate([h_vec[..., None, :], jh[..., None, :], horizontals], axis=-2)
-        return FrameBasis(vectors=vectors, h_vec=h_vec, xi=xi, jh=jh)
+            rows[..., 2:, 1] = -self.s * self._base_at(x[..., 2:])[1].value
+        rows[..., 2:, :] = _gram_schmidt(rows[..., 2:, :], g_values)
+        return rows
 
 
 class CircleBundleMetric:
@@ -548,15 +498,16 @@ class CircleBundleMetric:
         one B + (2m, d) jet, from the memoised sigma."""
         return _lift_rows(self.connection_forms(coords.value[..., 1:])[0], self.s, self.dim)
 
-    def frame_at(self, x: np.ndarray, g_values: np.ndarray) -> FrameBasis:
+    def frame_at(self, x: np.ndarray, g_values: np.ndarray) -> np.ndarray:
+        """The g-orthonormal rows (xi/alpha, E_1..E_2m): the fiber field
+        xi = d/dpsi scaled to unit length, and the E rows by Gram-Schmidt
+        from the horizontal lifts of the base coordinate vectors."""
         d = self.dim
-        xi = _unit_rows(0, x)
-        xihat = xi / self.alpha
-        lifts = np.broadcast_to(np.eye(d)[1:], x.shape[:-1] + (d - 1, d)).astype(x.dtype)
-        lifts[..., 0] = -self.s * self.connection_forms(x[..., 1:])[0].value
-        horizontals = _gram_schmidt(lifts, g_values)
-        return FrameBasis(vectors=np.concatenate([xihat[..., None, :], horizontals], axis=-2),
-                          h_vec=None, xi=xi, jh=xihat)
+        rows = np.broadcast_to(np.eye(d), x.shape[:-1] + (d, d)).astype(x.dtype)
+        rows[..., 0, :] /= self.alpha
+        rows[..., 1:, 0] = -self.s * self.connection_forms(x[..., 1:])[0].value
+        rows[..., 1:, :] = _gram_schmidt(rows[..., 1:, :], g_values)
+        return rows
 
 
 class BaseChartMetric:
@@ -576,9 +527,8 @@ class BaseChartMetric:
         j0 = self.base.j0
         return Jet2.constant(np.broadcast_to(j0, coords.shape[:-1] + j0.shape), coords.dim)
 
-    def frame_at(self, x: np.ndarray, g_values: np.ndarray) -> FrameBasis:
-        rows = np.broadcast_to(np.eye(self.dim), g_values.shape)
-        return FrameBasis(vectors=_gram_schmidt(rows, g_values))
+    def frame_at(self, x: np.ndarray, g_values: np.ndarray) -> np.ndarray:
+        return _gram_schmidt(np.broadcast_to(np.eye(self.dim), g_values.shape), g_values)
 
 
 class EuclideanMetric:
@@ -596,8 +546,8 @@ class EuclideanMetric:
 
     complex_structure_jets = None
 
-    def frame_at(self, x, g_values) -> FrameBasis:
-        return FrameBasis(vectors=np.broadcast_to(np.eye(self.dim), np.shape(g_values)))
+    def frame_at(self, x, g_values) -> np.ndarray:
+        return np.broadcast_to(np.eye(self.dim), np.shape(g_values))
 
 
 def exterior_derivative_2form(w: np.ndarray) -> np.ndarray:

@@ -157,20 +157,20 @@ def _probe_deviations(R: np.ndarray, g: np.ndarray, J: np.ndarray,
 def fit_qch_coefficients(analysis: PointAnalysis, *,
                          draws: np.ndarray | None = None) -> QCHCoefficients:
     """Engine-facing fit at the analyzed point(s), its residual along ``draws``."""
-    vectors = analysis.frame.vectors
+    frame = analysis.frame
     J = analysis.complex_structure[0]
     return fit_from_curvature(analysis.riemann, analysis.g, J,
-                              vectors[..., 0, :], vectors[..., 1, :],
-                              analysis.frame.horizontal[..., 0, :], draws=draws)
+                              frame[..., 0, :], frame[..., 1, :], frame[..., 2, :],
+                              draws=draws)
 
 
 def qch_residual_samples(analysis: PointAnalysis, coeffs: QCHCoefficients,
                          rng: np.random.Generator, samples: int) -> np.ndarray:
     """Per-sample deviations |K(X) - phi(|X_D|)|, B + (samples,)."""
-    vectors = analysis.frame.vectors
+    frame = analysis.frame
     J = analysis.complex_structure[0]
     g = analysis.g
-    split = split_tensors(g, J, vectors[..., 0, :], vectors[..., 1, :])
+    split = split_tensors(g, J, frame[..., 0, :], frame[..., 1, :])
     draws = rng.standard_normal(g.shape[:-2] + (samples, g.shape[-1]))
     return _probe_deviations(analysis.riemann, g, J, split, coeffs, draws)
 
@@ -182,7 +182,7 @@ def section_divergences(analysis: PointAnalysis, model, section=(1.0, 0.0)) -> t
     """(div_E X, div_E JX) for a unit section X = c1 H + c2 JH of D (default
     X = H); the section's (c1, c2) are floats or arrays with one entry per
     point."""
-    e_frame = analysis.frame.horizontal
+    e_frame = analysis.frame[..., 2:, :]
     c1, c2 = section
     d1 = div_e(analysis, model.section_jets(analysis.coords, c1, c2), e_frame)
     # J(c1 H + c2 JH) = c1 JH - c2 H
@@ -201,9 +201,9 @@ def kappa_and_principal_section(analysis: PointAnalysis, divergences: tuple):
     kappa = np.sqrt(d1 * d1 + d2 * d2)  # analytic, unlike np.hypot
     if np.any(kappa.real < 1e-13):
         raise ValueError("kappa vanishes at this point; principal section undefined")
-    vectors = analysis.frame.vectors
-    xi_p = (np.asarray(d1)[..., None] * vectors[..., 0, :]
-            + np.asarray(d2)[..., None] * vectors[..., 1, :]) / np.asarray(kappa)[..., None]
+    frame = analysis.frame
+    xi_p = (np.asarray(d1)[..., None] * frame[..., 0, :]
+            + np.asarray(d2)[..., None] * frame[..., 1, :]) / np.asarray(kappa)[..., None]
     return per_point(kappa), xi_p
 
 
@@ -235,8 +235,8 @@ def ricci_split(analysis: PointAnalysis, coeffs: QCHCoefficients, n: int) -> Ric
     """Split rho into E and D eigenvalues, engine tensor vs coefficient formulas."""
     rho = analysis.ricci
     frame = analysis.frame
-    d_block = frame.vectors[..., :2, :]
-    e_block = frame.horizontal
+    d_block = frame[..., :2, :]
+    e_block = frame[..., 2:, :]
     rho_e = e_block @ rho @ mT(e_block)
     rho_d = d_block @ rho @ mT(d_block)
     k = rho_e.shape[-1]
@@ -276,11 +276,10 @@ def structure_identity_residuals(analysis: PointAnalysis, model, *,
     draws: the coefficients come from fixed probes) and ``divergences`` their
     ``section_divergences``.
     """
-    n = model.params.n
+    n = model.n
     frame = analysis.frame
     g = analysis.g
-    h_hat, jh_hat = frame.vectors[..., 0, :], frame.vectors[..., 1, :]
-    e_frame = frame.horizontal
+    h_hat, jh_hat, e_frame = frame[..., 0, :], frame[..., 1, :], frame[..., 2:, :]
     J = analysis.complex_structure[0]
     split = split_tensors(g, J, h_hat, jh_hat)
     r, rp, rpp, rppp = model.profile_at(analysis.x[..., 0])
@@ -325,8 +324,7 @@ def structure_identity_residuals(analysis: PointAnalysis, model, *,
     nabla_theta = -np.einsum("...kij,...k->...ij", gamma, theta)
     target = (each(kap / (2.0 * (n - 1))) * split.m
               - each(p_star) * (jtheta[..., :, None] * jtheta[..., None, :]))
-    fr = frame.vectors
-    out["identity_nabla_theta"] = max_abs(fr @ (nabla_theta - target) @ mT(fr), 2)
+    out["identity_nabla_theta"] = max_abs(frame @ (nabla_theta - target) @ mT(frame), 2)
 
     # coefficient gradients along t:
     #   da/dt = b kappa / (2(n-1)),   db/dt = (b + 4c) kappa / (n-1)
@@ -337,7 +335,7 @@ def structure_identity_residuals(analysis: PointAnalysis, model, *,
     # Hess(tau)|_E = f kappa / (2(n-1)) m
     tau = model.potential_jets(coords)
     dev = killing_deviation(analysis, j_gradient_field(analysis, tau))
-    out["potential_killing"] = max_abs(fr @ dev @ mT(fr), 2)
+    out["potential_killing"] = max_abs(frame @ dev @ mT(frame), 2)
     hess = hessian_form(analysis, tau)
     hess_e = e_frame @ hess @ mT(e_frame)
     k = hess_e.shape[-1]
@@ -374,8 +372,7 @@ def warped_submersion_residuals(analysis: PointAnalysis, model) -> dict[str, flo
     by check."""
     g = analysis.g
     frame = analysis.frame
-    h_hat, jh_hat = frame.vectors[..., 0, :], frame.vectors[..., 1, :]
-    e_frame = frame.horizontal
+    h_hat, jh_hat, e_frame = frame[..., 0, :], frame[..., 1, :], frame[..., 2:, :]
     r, rp, rpp, rppp = model.profile_at(analysis.x[..., 0])
     f, fp, _ = model.profile.warp_from(r, rp, rpp, rppp)
     s = model.s
@@ -407,7 +404,7 @@ def warped_submersion_residuals(analysis: PointAnalysis, model) -> dict[str, flo
     # twist tensor: g(nabla_E F, xi) = (s f^2 / (2 r^2)) g(E, J~F) on lifts
     if s != 0.0:
         j0 = model.base.j0
-        lhs = matvec(n_lift, matvec(g, frame.xi)[..., None, :])
+        lhs = matvec(n_lift, g[..., :, 1][..., None, :])   # g(., xi), xi = d/dpsi
         g_lift = lift_vals @ g @ mT(lift_vals)
         rhs = each(s * f * f / (2.0 * r * r)) * (g_lift @ j0)
         out["submersion_twist"] = max_abs(lhs - rhs, 2)
@@ -418,7 +415,7 @@ def warped_submersion_residuals(analysis: PointAnalysis, model) -> dict[str, flo
     out["submersion_mixed_curvature"] = max_abs(mixed - each(target) * np.eye(nb), 2)
 
     # degenerate components: R(X, Y, Z, V) = 0 for X, Y, Z in D, V in E
-    d_pair = frame.vectors[..., :2, :]
+    d_pair = frame[..., :2, :]
     degen = contract_slots(R4, d_pair, d_pair, d_pair, e_frame, rank=4)
     out["submersion_degenerate"] = max_abs(degen, 4)
 
@@ -453,9 +450,8 @@ def circle_bundle_residuals(analysis: PointAnalysis, model,
     nb = model.base.dim          # 2m
     g = analysis.g
     frame = analysis.frame
-    xi = frame.xi
-    xi_hat = frame.vectors[..., 0, :]
-    e_frame = frame.horizontal
+    xi = np.broadcast_to(np.eye(model.dim)[0], g.shape[:-1])   # xi = d/dpsi
+    xi_hat, e_frame = frame[..., 0, :], frame[..., 1:, :]
     rho = analysis.ricci
     R4 = analysis.riemann
     out: dict = {}

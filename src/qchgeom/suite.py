@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .batch import each, inner, max_abs, mT
+from .batch import each, max_abs, mT
 from .curvature import (
     PointAnalysis,
     batch_analyses,
@@ -33,7 +33,6 @@ from .curvature import (
 from .flows import jacobi_decay_experiment
 from .geometry import (
     BaseChartMetric,
-    BundleParams,
     CircleBundleMetric,
     FubiniStudy,
     ProductBase,
@@ -283,11 +282,10 @@ def _metric_invariant_checks(res: _Residuals, model, analyses, *, has_j: bool) -
     for an in analyses:
         g = an.g
         eye = np.eye(g.shape[-1])
-        frame = an.frame
-        fr = frame.vectors
+        fr = an.frame
         gamma = an.gamma
-        # theta(xi) = 1 and g(H, xi) = 0 exactly on total charts
-        theta = (np.abs(inner(g, frame.h_vec, frame.xi)) if frame.h_vec is not None
+        # theta(xi) = 1 and g(H, xi) = g(dt, dpsi) = 0 exactly on total charts
+        theta = (np.abs(g[..., 0, 1]) if isinstance(model, WarpedBundleMetric)
                  else np.zeros(g.shape[:-2]))
         res.add(metric_positive_definite=np.maximum(0.0, -np.linalg.eigvalsh(g).min(axis=-1)),
                 frame_orthonormality=max_abs(fr @ g @ mT(fr) - eye, 2),
@@ -353,7 +351,7 @@ def _warped_structure_checks(res: _Residuals, model, analyses, rng) -> None:
             moves.append(rng.standard_normal((2, nz)))
         fit = fit_qch_coefficients(an, draws=np.stack(draws))
         r, rp, _, _ = model.profile_at(an.x[..., 0])
-        n, c0 = model.params.n, model.params.c0
+        n, c0 = model.n, model.base.c0
         rs = ricci_split(an, fit, n)
         d1, d2 = section_divergences(an, model)
         phis = np.array(phis)
@@ -373,7 +371,7 @@ def _warped_structure_checks(res: _Residuals, model, analyses, rng) -> None:
 
 def _nabla_j_check(res: _Residuals, analyses) -> None:
     for an in analyses:
-        res.add(nabla_j=max_frame_component_3tensor(nabla_j(an), an.frame.vectors, an.g))
+        res.add(nabla_j=max_frame_component_3tensor(nabla_j(an), an.frame, an.g))
 
 
 def _decay_checks(res: _Residuals, model) -> None:
@@ -391,15 +389,12 @@ def _decay_checks(res: _Residuals, model) -> None:
 
 def build_warped_model(config) -> WarpedBundleMetric:
     """Profile + geometry for the warped / product / negative-control modes."""
-    s = config.effective_s()
-    profile = solve_profile(build_polynomial(config.x, config.y, s))
-    params = BundleParams(n=config.n, c0=config.c0, s=s)
+    profile = solve_profile(build_polynomial(config.x, config.y, config.effective_s()))
     if config.mode == "negative-control":
         base = ProductBase([FubiniStudy(1, config.c0), FubiniStudy(1, config.c0)])
     else:
-        base = FubiniStudy(params.m, config.c0)
-    return WarpedBundleMetric(params, profile, base,
-                              product_mode=(config.mode == "product"),
+        base = FubiniStudy(config.n - 1, config.c0)
+    return WarpedBundleMetric(profile, base, product_mode=(config.mode == "product"),
                               warp_scale=config.perturb_f)
 
 
@@ -407,7 +402,7 @@ def _circle_bundle_checks(res: _Residuals, model, analyses) -> None:
     base_chart = BaseChartMetric(model.base)
     for an in analyses:
         ab = PointAnalysis(base_chart, an.x[..., 1:])
-        fr = ab.frame.vectors
+        fr = ab.frame
         rho_b = fr @ ab.ricci @ mT(fr)
         k = rho_b.shape[-1]
         mu0 = np.trace(rho_b, axis1=-2, axis2=-1) / k
@@ -426,7 +421,7 @@ def _fit_with_draws(an: PointAnalysis, rng) -> QCHCoefficients:
 def _product_checks(res: _Residuals, model, analyses, rng) -> None:
     for an in analyses:
         fit = _fit_with_draws(an, rng)
-        rs = ricci_split(an, fit, model.params.n)
+        rs = ricci_split(an, fit, model.n)
         d1, d2 = section_divergences(an, model)
         res.add(qch_fit_residual=fit.residual, kappa_vanishes=np.hypot(d1, d2),
                 ricci_lambda=np.abs(rs.lam_engine - rs.lam_formula),

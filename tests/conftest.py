@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from qchgeom import (
-    BundleParams,
     CircleBundleMetric,
     FubiniStudy,
     ProductBase,
@@ -32,29 +31,24 @@ def profile(cubic):
 
 
 @pytest.fixture(scope="session")
-def params(profile):
-    return BundleParams(n=N, c0=C0, s=S)
+def warped(profile):
+    return WarpedBundleMetric(profile, FubiniStudy(N - 1, C0))
 
 
 @pytest.fixture(scope="session")
-def warped(params, profile):
-    return WarpedBundleMetric(params, profile)
+def product(profile):
+    return WarpedBundleMetric(profile, FubiniStudy(N - 1, C0), product_mode=True)
 
 
 @pytest.fixture(scope="session")
-def product(params, profile):
-    return WarpedBundleMetric(params, profile, product_mode=True)
+def perturbed(profile):
+    return WarpedBundleMetric(profile, FubiniStudy(N - 1, C0), warp_scale=1.01)
 
 
 @pytest.fixture(scope="session")
-def perturbed(params, profile):
-    return WarpedBundleMetric(params, profile, warp_scale=1.01)
-
-
-@pytest.fixture(scope="session")
-def negative(params, profile):
+def negative(profile):
     base = ProductBase([FubiniStudy(1, C0), FubiniStudy(1, C0)])
-    return WarpedBundleMetric(params, profile, base)
+    return WarpedBundleMetric(profile, base)
 
 
 @pytest.fixture(scope="session")

@@ -82,7 +82,7 @@ def criterion(number, passed, text):
 
 
 def _max_nabla_j(analyses):
-    return max(max_frame_component_3tensor(nabla_j(an), an.frame.vectors, an.g)
+    return max(max_frame_component_3tensor(nabla_j(an), an.frame, an.g)
                for an in analyses)
 
 
@@ -94,12 +94,12 @@ def test_c01_parallel_complex_structure(warped_50, perturbed_50):
               f"1.01-perturbed warp gives {worst_perturbed:.2e} > 1e-3")
 
 
-def test_c02_quasi_constancy(warped, params, warped_50, warped_fits, negative, negative_20):
+def test_c02_quasi_constancy(warped, warped_50, warped_fits, negative, negative_20):
     fit_worst = max(fit.residual for fit in warped_fits)
     a_worst = 0.0
     for an, fit in zip(warped_50, warped_fits):
         r, rp, _, _ = warped.profile.evaluate(an.x[0])
-        a_worst = max(a_worst, abs(fit.a - (params.c0 / r ** 2 - 4.0 * rp ** 2 / r ** 2)))
+        a_worst = max(a_worst, abs(fit.a - (warped.base.c0 / r ** 2 - 4.0 * rp ** 2 / r ** 2)))
     rng = np.random.default_rng(2002)
     neg_medians = []
     for an in negative_20:
@@ -112,10 +112,10 @@ def test_c02_quasi_constancy(warped, params, warped_50, warped_fits, negative, n
               f"product-of-lines control median {neg_median:.2e} > 1e-2")
 
 
-def test_c03_ricci_split(params, warped_50, warped_fits):
+def test_c03_ricci_split(warped, warped_50, warped_fits):
     lam = mu = off = 0.0
     for an, fit in zip(warped_50, warped_fits):
-        rs = ricci_split(an, fit, params.n)
+        rs = ricci_split(an, fit, warped.n)
         lam = max(lam, abs(rs.lam_engine - rs.lam_formula))
         mu = max(mu, abs(rs.mu_engine - rs.mu_formula))
         off = max(off, rs.off_block_max)
@@ -185,7 +185,7 @@ def test_c07_submersion_cross_checks(warped, warped_50, circle_bundle, bundle_20
     bundle_worst = 0.0
     for an in bundle_20:
         ab = PointAnalysis(base_chart, an.x[1:])
-        rho_b = ab.frame.vectors @ ab.ricci @ ab.frame.vectors.T
+        rho_b = ab.frame @ ab.ricci @ ab.frame.T
         mu0 = float(np.trace(rho_b) / rho_b.shape[0])
         out = circle_bundle_residuals(an, circle_bundle, mu0)
         bundle_worst = max(bundle_worst, out["bundle_fiber_ricci"],

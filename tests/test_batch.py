@@ -15,7 +15,6 @@ import pytest
 
 import qchgeom.curvature as curvature
 from qchgeom import (
-    BundleParams,
     CircleBundleMetric,
     FubiniStudy,
     ProductBase,
@@ -62,14 +61,14 @@ def _close(batch, single) -> bool:
 def _models(n):
     s = 2.0 / n
     profile = solve_profile(build_polynomial(1.0, 2.0, s))
-    params = BundleParams(n=n, c0=4.0, s=s)
-    return params, {
+    base = FubiniStudy(n - 1, 4.0)
+    return {
         "base-fubini-study": BaseChartMetric(FubiniStudy(n - 1, 4.0)),
         "base-product": BaseChartMetric(ProductBase([FubiniStudy(1, 4.0),
                                                      FubiniStudy(n - 2, 4.0)])),
-        "warped": WarpedBundleMetric(params, profile),
-        "product-mode": WarpedBundleMetric(params, profile, product_mode=True),
-        "perturbed": WarpedBundleMetric(params, profile, warp_scale=1.01),
+        "warped": WarpedBundleMetric(profile, base),
+        "product-mode": WarpedBundleMetric(profile, base, product_mode=True),
+        "perturbed": WarpedBundleMetric(profile, base, warp_scale=1.01),
         "circle-bundle": CircleBundleMetric(1.3, 0.8, s, FubiniStudy(n - 1, 4.0)),
     }
 
@@ -86,17 +85,17 @@ QUANTITIES = {
     "dgamma": dgamma,
     "riemann": lambda an: an.riemann,
     "ricci": lambda an: an.ricci,
-    "frame": lambda an: an.frame.vectors,
+    "frame": lambda an: an.frame,
     "j": lambda an: an.complex_structure[0],
     "j_gradient": lambda an: an.complex_structure[1],
 }
-CASES = ([(n, name, count) for n in (3, 5) for name in _models(3)[1] for count in (1, 7)]
-         + [(7, name, 3) for name in _models(3)[1]])
+CASES = ([(n, name, count) for n in (3, 5) for name in _models(3) for count in (1, 7)]
+         + [(7, name, 3) for name in _models(3)])
 
 
 @pytest.mark.parametrize("n,name,count", CASES)
 def test_batched_analysis_matches_single_points(n, name, count):
-    model = _models(n)[1][name]
+    model = _models(n)[name]
     points = _points(model, count)
     analyses = batch_analyses(model, points)
     assert sum(len(an.x) for an in analyses) == count
@@ -113,8 +112,7 @@ def test_slices_split_the_batch(monkeypatch):
     """Slices of a small budget (3 points at d = 6) cover 7 points as 3 + 3 + 1."""
     monkeypatch.setattr(curvature, "BATCH_ELEMENTS", 3 * 6 ** 4)
     assert batch_slices(7, 6) == [slice(0, 3), slice(3, 6), slice(6, 7)]
-    params, models = _models(3)
-    model = models["warped"]
+    model = _models(3)["warped"]
     points = _points(model, 7)
     analyses = batch_analyses(model, points)
     assert [len(an.x) for an in analyses] == [3, 3, 1]
@@ -124,10 +122,9 @@ def test_slices_split_the_batch(monkeypatch):
 
 
 def _family_cases(n, name, count=5):
-    params, models = _models(n)
-    model = models[name]
+    model = _models(n)[name]
     points = _points(model, count, seed=11)
-    return params, model, points, PointAnalysis(model, points)
+    return model, points, PointAnalysis(model, points)
 
 
 def _assert_per_point(batched, singles, label):
@@ -140,7 +137,7 @@ def _assert_per_point(batched, singles, label):
 
 @pytest.mark.parametrize("n", [3, 5])
 def test_warped_families_match_single_points(n):
-    params, model, points, batch = _family_cases(n, "warped")
+    model, points, batch = _family_cases(n, "warped")
     singles = [PointAnalysis(model, p) for p in points]
     d, nz = model.dim, model.base.dim
     rng = np.random.default_rng(5)
@@ -152,8 +149,8 @@ def test_warped_families_match_single_points(n):
     fits = [fit_qch_coefficients(an, draws=w) for an, w in zip(singles, draws)]
     for field in ("a", "b", "c", "residual"):
         _assert_per_point(getattr(fit, field), [getattr(f, field) for f in fits], field)
-    rs = ricci_split(batch, fit, params.n)
-    rss = [ricci_split(an, f, params.n) for an, f in zip(singles, fits)]
+    rs = ricci_split(batch, fit, model.n)
+    rss = [ricci_split(an, f, model.n) for an, f in zip(singles, fits)]
     for field in ("lam_engine", "mu_engine", "lam_formula", "mu_formula", "off_block_max",
                   "e_block_deviation", "d_block_deviation"):
         _assert_per_point(getattr(rs, field), [getattr(r, field) for r in rss], field)
@@ -183,10 +180,10 @@ def test_warped_families_match_single_points(n):
 
 @pytest.mark.parametrize("name", ["warped", "perturbed", "product-mode", "base-product"])
 def test_invariant_families_match_single_points(name):
-    params, model, points, batch = _family_cases(3, name)
+    model, points, batch = _family_cases(3, name)
     singles = [PointAnalysis(model, p) for p in points]
     def parallel_j(an):
-        return max_frame_component_3tensor(nabla_j(an), an.frame.vectors, an.g)
+        return max_frame_component_3tensor(nabla_j(an), an.frame, an.g)
 
     _assert_per_point(parallel_j(batch), [parallel_j(an) for an in singles], "nabla_j")
     _assert_per_point(_kahler_form_closedness(batch),
@@ -205,7 +202,7 @@ def test_invariant_families_match_single_points(name):
 
 @pytest.mark.parametrize("n", [3, 5])
 def test_circle_bundle_family_matches_single_points(n):
-    params, model, points, batch = _family_cases(n, "circle-bundle")
+    model, points, batch = _family_cases(n, "circle-bundle")
     mu0 = np.linspace(3.0, 4.0, len(points))
     _assert_per_point(circle_bundle_residuals(batch, model, mu0),
                       [circle_bundle_residuals(PointAnalysis(model, p), model, m)

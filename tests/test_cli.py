@@ -110,6 +110,28 @@ def test_config_rejects_pitch_that_disagrees_with_k(tmp_path, capsys, mode):
     small_config(mode=mode, s=2.0 / 3.0)
 
 
+@pytest.mark.parametrize("overrides", [
+    {"out_dir": 5},
+    {"tolerances": {"nabla_j": True}},
+    {"tolerances": {"nabla_j": float("inf")}},
+    {"c0": float("nan")},
+    {"mode": "circle-bundle", "alpha": float("inf")},
+    {"perturb_f": float("nan")},
+    {"perturb_f": 0},
+], ids=["out-dir-number", "tolerance-true", "tolerance-infinity", "c0-nan",
+        "alpha-infinity", "perturb-f-nan", "perturb-f-zero"])
+def test_config_rejects_values_outside_the_schema(tmp_path, capsys, monkeypatch, overrides):
+    """Each key's type comes from its field's annotation: no booleans as
+    numbers, only finite numbers, and f must not be scaled to zero.  Each is
+    a configuration error (exit 2) that creates no output directory."""
+    monkeypatch.chdir(tmp_path)
+    data = {"mode": "warped", "rng_seed": 1, "k": 1, "sample_count": 10}
+    path = write_config(tmp_path, {**data, **overrides})
+    assert main(["verify", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err.startswith("configuration error: ")
+    assert sorted(os.listdir(tmp_path)) == ["config.json"]
+
+
 def test_negative_control_needs_n3(tmp_path):
     path = write_config(tmp_path, {"mode": "negative-control", "rng_seed": 1,
                                    "k": 1, "n": 4})
@@ -326,6 +348,23 @@ def test_cli_summary_table(tmp_path):
     assert rows[0] == "t,r,f,a,b,c,lambda,mu,kappa"
     assert len(rows) == 101
     assert all(len(row.split(",")) == 9 for row in rows[1:])
+
+
+def test_cli_sample_points_set_only_the_rows(tmp_path):
+    """--points gives the table's rows; the verify sample count, which must
+    be at least 10, does not constrain it."""
+    assert main(["sample", "--points", "5", "--out", str(tmp_path)]) == 0
+    assert len((tmp_path / "summary.csv").read_text().splitlines()) == 6
+    assert main(["sample", "--points", "0", "--out", str(tmp_path / "none")]) == 2
+    assert not (tmp_path / "none").exists()
+
+
+def test_cli_sample_rejects_circle_bundle_mode(tmp_path, capsys):
+    """The table runs along the warped chart's t axis: circle-bundle mode has
+    none, so asking for it is a configuration error, not a warped table."""
+    assert main(["sample", "--mode", "circle-bundle", "--out", str(tmp_path / "out")]) == 2
+    assert "circle-bundle" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_summary_values_match_closed_forms(tmp_path):

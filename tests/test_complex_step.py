@@ -50,7 +50,7 @@ def _gradient_law_errors(n, x):
     divergences = section_divergences(analysis, model)
     dlog_kappa = dkappa / kappa_and_principal_section(analysis, divergences)[0]
     r, rp, rpp, _ = model.profile.evaluate(x[..., 0])
-    c0 = model.params.c0
+    c0 = model.base.c0
     return (np.abs(da - (-2.0 * c0 * rp / r ** 3 - 8.0 * rp * rpp / r ** 2
                          + 8.0 * rp ** 3 / r ** 3)),
             np.abs(dlog_kappa - (rpp / rp - rp / r)))
@@ -101,7 +101,7 @@ def test_real_part_equals_real_analysis(n):
     stepped = PointAnalysis(model, complex_step(x, np.eye(model.dim)[0]))
     fit_r, fit_c = fit_qch_coefficients(real), fit_qch_coefficients(stepped)
     pairs = [(real.riemann, stepped.riemann),
-             (real.frame.vectors, stepped.frame.vectors),
+             (real.frame, stepped.frame),
              (kappa_and_principal_section(real, section_divergences(real, model))[0],
               kappa_and_principal_section(stepped, section_divergences(stepped, model))[0])]
     pairs += [(getattr(fit_r, k), getattr(fit_c, k)) for k in ("a", "b", "c")]

@@ -178,7 +178,7 @@ def test_batched_probes_match_per_probe_loop(warped_point_analysis):
     g, J = an.g, an.complex_structure[0]
     R = an.riemann
     frame = an.frame
-    split = split_tensors(g, J, frame.vectors[0], frame.vectors[1])
+    split = split_tensors(g, J, frame[0], frame[1])
     fit = fit_qch_coefficients(an, draws=np.random.default_rng(5).standard_normal((100, len(g))))
 
     rng = np.random.default_rng(5)

@@ -16,7 +16,6 @@ from qchgeom.curvature import (
 from qchgeom.flows import jacobi_matrix
 from qchgeom.geometry import (
     BaseChartMetric,
-    BundleParams,
     WarpedBundleMetric,
 )
 from qchgeom.jets import compose, seed_chart, zeros
@@ -143,7 +142,7 @@ def test_kahler_type_curvature(warped_point_analysis):
 def test_degenerate_curvature_components(warped_point_analysis):
     # R(X, Y, Z, V) = 0 for X, Y, Z spanning D and V a unit E direction
     an = warped_point_analysis
-    fr = an.frame.vectors
+    fr = an.frame
     R = an.riemann
     d_pair = fr[:2]
     vals = np.einsum("ijkl,ai,bj,ck,dl->abcd", R, d_pair, d_pair, d_pair, fr[2:])
@@ -166,15 +165,15 @@ def test_ricci_properties(warped_analyses):
 
 def test_nabla_j_kahler_vs_perturbed(warped, perturbed, sample_point):
     an = PointAnalysis(warped, sample_point)
-    assert max_frame_component_3tensor(nabla_j(an), an.frame.vectors, an.g) < 1e-7
+    assert max_frame_component_3tensor(nabla_j(an), an.frame, an.g) < 1e-7
     an_p = PointAnalysis(perturbed, sample_point)
-    assert max_frame_component_3tensor(nabla_j(an_p), an_p.frame.vectors, an_p.g) > 1e-3
+    assert max_frame_component_3tensor(nabla_j(an_p), an_p.frame, an_p.g) > 1e-3
 
 
 def test_nabla_j_product_mode(product, profile):
     pt = np.array([0.45 * profile.L, 0.8, 0.25, -0.2, 0.1, 0.3])
     an = PointAnalysis(product, pt)
-    assert max_frame_component_3tensor(nabla_j(an), an.frame.vectors, an.g) < 1e-7
+    assert max_frame_component_3tensor(nabla_j(an), an.frame, an.g) < 1e-7
 
 
 def test_killing_deviation_fiber_field(warped, warped_point_analysis):
@@ -188,7 +187,7 @@ def test_killing_deviation_composite_field(warped, warped_point_analysis):
     an = warped_point_analysis
     _, f = warped.warp_jets(an.coords[..., 0])
     dev = killing_deviation(an, warped.section_jets(an.coords, 0.0, 1.0) * f[..., None])
-    fr = an.frame.vectors
+    fr = an.frame
     assert np.abs(fr @ dev @ fr.T).max() < 1e-7
 
 
@@ -206,34 +205,34 @@ def test_killing_deviation_axial_field_detects_expansion(warped, profile, sample
     assert abs(dev[1, 1] - 2.0 * f * fp) < 1e-12
 
 
-def test_e_divergences(warped, warped_point_analysis, profile, params):
+def test_e_divergences(warped, warped_point_analysis, profile):
     an = warped_point_analysis
-    e_frame = an.frame.horizontal
+    e_frame = an.frame[2:]
     r, rp, _, _ = profile.evaluate(an.x[0])
     div_h = div_e(an, warped.section_jets(an.coords, 1.0, 0.0), e_frame)
-    assert abs(div_h - 2.0 * (params.n - 1) * rp / r) < 1e-12
+    assert abs(div_h - 2.0 * (warped.n - 1) * rp / r) < 1e-12
     assert abs(div_e(an, fiber_field(warped, an.coords), e_frame)) < 1e-12
 
 
-def test_hessian_form_of_killing_potential(warped, warped_point_analysis, profile, params):
+def test_hessian_form_of_killing_potential(warped, warped_point_analysis, profile):
     an = warped_point_analysis
     hess = hessian_form(an, warped.potential_jets(an.coords))
-    e_frame = an.frame.horizontal
+    e_frame = an.frame[2:]
     hess_e = e_frame @ hess @ e_frame.T
     f = profile.warp(an.x[0])
     r, rp, _, _ = profile.evaluate(an.x[0])
-    kappa = 2.0 * (params.n - 1) * rp / r
-    target = f * kappa / (2.0 * (params.n - 1))
+    kappa = 2.0 * (warped.n - 1) * rp / r
+    target = f * kappa / (2.0 * (warped.n - 1))
     assert np.abs(hess_e - target * np.eye(4)).max() < 1e-12
     # and the D block: Hess(tau)(H, H) = f'
-    h_hat = an.frame.vectors[0]
+    h_hat = an.frame[0]
     fp = warp_derivatives(profile, an.x[0])[1]
     assert abs(float(h_hat @ hess @ h_hat) - fp) < 1e-12
 
 
 def test_sectional_degenerate_plane_rejected(warped_point_analysis):
     an = warped_point_analysis
-    X = an.frame.vectors[0]
+    X = an.frame[0]
     with pytest.raises(ValueError, match="degenerate"):
         sectional_curvature(an.riemann, an.g, X, 2.0 * X)
 
@@ -250,14 +249,14 @@ def test_jacobi_operator_matches_full_riemann(n):
     Riemann tensor, at off-axis points, for non-unit v, one point or a batch."""
     s = 2.0 / n
     profile = solve_profile(build_polynomial(1.0, 2.0, s))
-    model = WarpedBundleMetric(BundleParams(n=n, c0=4.0, s=s), profile)
+    model = WarpedBundleMetric(profile, FubiniStudy(n - 1, 4.0))
     rng = np.random.default_rng(70 + n)
     points = sample_interior_points(model, rng, 3, 0.05, 1.5)
     v = 2.5 * rng.standard_normal((3, model.dim))
     batched = jacobi_operator(PointAnalysis(model, points), v)
     for i, p in enumerate(points):
         an = PointAnalysis(model, p)
-        frame = an.frame.vectors
+        frame = an.frame
         reference = jacobi_matrix(an.riemann, v[i], frame)
         K = jacobi_operator(an, v[i])
         scale = np.abs(reference).max()

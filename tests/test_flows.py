@@ -5,7 +5,6 @@ from scipy import integrate
 import qchgeom.curvature as curvature
 import qchgeom.flows as flows
 from qchgeom import (
-    BundleParams,
     EuclideanMetric,
     FubiniStudy,
     WarpedBundleMetric,
@@ -16,7 +15,6 @@ from qchgeom.cli import main
 from qchgeom.curvature import PointAnalysis, jacobi_operator
 from qchgeom.flows import (
     FlowError,
-    GeodesicState,
     coefficients_at,
     geodesic_acceleration,
     geodesic_residuals,
@@ -39,11 +37,11 @@ def decay_report(warped):
 def test_flat_geodesic_is_straight_line():
     field = EuclideanMetric(3)
     v = np.array([0.6, 0.8, 0.0])
-    path = integrate_geodesic(field, GeodesicState(np.zeros(3), v), 2.5)
+    path = integrate_geodesic(field, np.zeros(3), v, 2.5)
     for tau in (0.5, 1.7, 2.5):
-        st = path.state(tau)
-        assert np.abs(st.position - tau * v).max() < 1e-10
-        assert abs(np.linalg.norm(st.velocity) - 1.0) < 1e-8
+        x, vt = path.states(tau)
+        assert np.abs(x - tau * v).max() < 1e-10
+        assert abs(np.linalg.norm(vt) - 1.0) < 1e-8
 
 
 def test_axial_geodesic_stays_on_axis(warped, profile):
@@ -51,20 +49,19 @@ def test_axial_geodesic_stays_on_axis(warped, profile):
     x0 = np.array([t0, 0.7, 0.2, -0.1, 0.15, 0.05])
     v0 = np.zeros(6); v0[0] = 1.0
     span = 0.4 * profile.L
-    path = integrate_geodesic(warped, GeodesicState(x0, v0), span)
-    end = path.state(span)
+    path = integrate_geodesic(warped, x0, v0, span)
+    x_end, v_end = path.states(span)
     # metric components depend only on t, so the t-line is a unit geodesic
-    assert abs(end.position[0] - (t0 + span)) < 1e-10
-    assert np.abs(end.position[1:] - x0[1:]).max() < 1e-10
-    g_end = PointAnalysis(warped, end.position).g
-    assert abs(float(end.velocity @ g_end @ end.velocity) - 1.0) < 1e-8
+    assert abs(x_end[0] - (t0 + span)) < 1e-10
+    assert np.abs(x_end[1:] - x0[1:]).max() < 1e-10
+    g_end = PointAnalysis(warped, x_end).g
+    assert abs(float(v_end @ g_end @ v_end) - 1.0) < 1e-8
     assert geodesic_residuals(path, [0.1 * span, 0.5 * span, 0.9 * span]) < 1e-8
 
 
 def test_flat_jacobi_field_is_linear():
     field = EuclideanMetric(3)
-    path = integrate_geodesic(field, GeodesicState(np.zeros(3),
-                                                   np.array([1.0, 0.0, 0.0])), 2.0)
+    path = integrate_geodesic(field, np.zeros(3), np.array([1.0, 0.0, 0.0]), 2.0)
     C0 = np.array([0.0, 1.0, 0.0])
     DC0 = np.array([0.0, 0.0, 0.5])
     result = integrate_jacobi(path, C0, DC0, samples=40)
@@ -83,7 +80,7 @@ def test_constant_curvature_jacobi_oscillates():
     C0 = np.array([0.0, 1.0])
     C0 = C0 - (v0 @ an0.g @ C0) * v0
     C0 = C0 / np.sqrt(C0 @ an0.g @ C0)
-    path = integrate_geodesic(bm, GeodesicState(x0, v0), 0.6)
+    path = integrate_geodesic(bm, x0, v0, 0.6)
     result = integrate_jacobi(path, C0, np.zeros(2), samples=30)
     for i, tau in enumerate(result.taus):
         assert abs(np.linalg.norm(result.y[i]) - abs(np.cos(2.0 * tau))) < 1e-6
@@ -94,7 +91,7 @@ def test_velocity_inner_product_conserved(warped, profile):
     t0 = 0.3 * profile.L
     x0 = np.array([t0, 0.4, 0.1, 0.2, -0.1, 0.05])
     v0 = np.zeros(6); v0[0] = 1.0
-    path = integrate_geodesic(warped, GeodesicState(x0, v0), 0.3 * profile.L)
+    path = integrate_geodesic(warped, x0, v0, 0.3 * profile.L)
     an0 = PointAnalysis(warped, x0)
     C0 = np.zeros(6); C0[1] = 1.0
     DC0 = an0.gamma[:, 0, 1]
@@ -107,7 +104,7 @@ def test_jacobi_equation_residual_on_solution(warped, profile):
     x0 = np.array([t0, 0.0, 0.0, 0.0, 0.0, 0.0])
     v0 = np.zeros(6); v0[0] = 1.0
     span = 0.3 * profile.L
-    path = integrate_geodesic(warped, GeodesicState(x0, v0), span)
+    path = integrate_geodesic(warped, x0, v0, span)
     an0 = PointAnalysis(warped, x0)
     C0 = np.zeros(6); C0[1] = 1.0
     DC0 = an0.gamma[:, 0, 1]
@@ -159,12 +156,12 @@ def test_jacobi_equation_residual_on_desk_flow():
     operator, solves the Jacobi equation of the full Riemann tensor."""
     n, s = 5, 2.0 / 5
     profile = solve_profile(build_polynomial(1.0, 2.0, s))
-    model = WarpedBundleMetric(BundleParams(n=n, c0=4.0, s=s), profile)
+    model = WarpedBundleMetric(profile, FubiniStudy(n - 1, 4.0))
     L = profile.L
     x0 = np.zeros(model.dim); x0[0] = 0.2 * L
     v0 = np.zeros(model.dim); v0[0] = 1.0
     span = L * (1.0 - 1e-3) - x0[0]
-    path = integrate_geodesic(model, GeodesicState(x0, v0), span)
+    path = integrate_geodesic(model, x0, v0, span)
     C0 = np.zeros(model.dim); C0[1] = 1.0
     DC0 = PointAnalysis(model, x0).gamma[:, 0, 1]
     result = integrate_jacobi(path, C0, DC0, samples=160)
@@ -180,7 +177,7 @@ def test_decay_flow_work_stays_bounded_off_the_desk(x, y):
     more."""
     n, s = 3, 2.0 / 3.0
     profile = solve_profile(build_polynomial(x, y, s))
-    model = WarpedBundleMetric(BundleParams(n=n, c0=4.0, s=s), profile)
+    model = WarpedBundleMetric(profile, FubiniStudy(n - 1, 4.0))
     L = profile.L
     report = jacobi_decay_experiment(model, 0.2 * L, L * (1.0 - 1e-3), samples=160)
     assert report.geodesic_stats == flows.SolveStats(nfev=flows.PANEL_NODES, steps=1)
@@ -193,7 +190,7 @@ def _fubini_study_ray(c0, span, direction):
     bm = BaseChartMetric(FubiniStudy(1, c0))
     g0 = PointAnalysis(bm, np.zeros(2)).g
     u = np.asarray(direction, dtype=float) / np.linalg.norm(direction)
-    return integrate_geodesic(bm, GeodesicState(np.zeros(2), u / np.sqrt(u @ g0 @ u)), span), u
+    return integrate_geodesic(bm, np.zeros(2), u / np.sqrt(u @ g0 @ u), span), u
 
 
 @pytest.mark.parametrize("c0,span,direction", [(4.0, 1.2, (1.0, 0.0)), (1.0, 2.5, (0.6, 0.8)),
@@ -244,11 +241,11 @@ def _desk_flow(n):
     """(path, C0, DC0) of the suite's decay flow on the warped desk at n."""
     s = 2.0 / n
     profile = solve_profile(build_polynomial(1.0, 2.0, s))
-    model = WarpedBundleMetric(BundleParams(n=n, c0=4.0, s=s), profile)
+    model = WarpedBundleMetric(profile, FubiniStudy(n - 1, 4.0))
     L = profile.L
     x0 = np.zeros(model.dim); x0[0] = 0.2 * L
     v0 = np.zeros(model.dim); v0[0] = 1.0
-    path = integrate_geodesic(model, GeodesicState(x0, v0), L * (1.0 - 1e-3) - x0[0])
+    path = integrate_geodesic(model, x0, v0, L * (1.0 - 1e-3) - x0[0])
     C0 = np.zeros(model.dim); C0[1] = 1.0
     return path, C0, PointAnalysis(model, x0).gamma[:, 0, 1]
 
@@ -258,10 +255,10 @@ def _reference_jacobi(path, C0, DC0, *, rtol, atol, samples=200):
     as it was before the Chebyshev panels: (y, y') at ``samples`` equally
     spaced tau."""
     field = path.field
-    d = path.positions.shape[1]
-    start = path.state(0.0)
-    analysis0 = PointAnalysis(field, start.position)
-    frame0 = flows._initial_frame(analysis0, start.velocity)
+    d = field.dim
+    x0, v0 = path.states(0.0)
+    analysis0 = PointAnalysis(field, x0)
+    frame0 = flows._initial_frame(analysis0, v0)
     g0 = analysis0.g
     y0 = frame0 @ g0 @ np.asarray(C0, dtype=float)
     yp0 = frame0 @ g0 @ np.asarray(DC0, dtype=float)
@@ -270,9 +267,8 @@ def _reference_jacobi(path, C0, DC0, *, rtol, atol, samples=200):
         frame = state[:d * d].reshape(d, d)
         y = state[d * d:d * d + d]
         yp = state[d * d + d:]
-        geo = path.state(tau)
-        analysis = PointAnalysis(field, geo.position)
-        v = geo.velocity
+        x, v = path.states(tau)
+        analysis = PointAnalysis(field, x)
         dframe = -frame @ (v @ analysis.gamma).T
         ypp = frame @ (jacobi_operator(analysis, v).T @ (y @ frame))
         return np.concatenate([dframe.ravel(), yp, ypp])
@@ -349,7 +345,7 @@ class _KinkedPlane(EuclideanMetric):
 def test_coefficient_jump_is_never_certified():
     # c = 0.7 is no dyadic point of [0, 2], so no bisection lands on the jump
     field = _KinkedPlane(0.7)
-    path = integrate_geodesic(field, GeodesicState(np.zeros(2), np.array([1.0, 0.0])), 2.0)
+    path = integrate_geodesic(field, np.zeros(2), np.array([1.0, 0.0]), 2.0)
     with pytest.raises(FlowError, match=r"jacobi coefficient tables exceed 32 panels: "
                                         r"no certified Chebyshev interpolant near tau = 0\.7"):
         integrate_jacobi(path, np.array([0.0, 1.0]), np.zeros(2))
@@ -398,7 +394,7 @@ def test_decay_report_counts_coefficient_work(decay_report):
 def _loop_rows(model, jac, t0):
     """The decay table row by row, as it was computed before vectorising."""
     profile = model.profile
-    n = model.params.n
+    n = model.n
     rows = np.empty((len(jac.taus), 5))
     for i, tau in enumerate(jac.taus):
         t = t0 + tau
@@ -408,7 +404,7 @@ def _loop_rows(model, jac, t0):
         norm = float(np.linalg.norm(y))
         dlog_c = float(y @ yp) / float(y @ y)
         dlog_kappa = rpp / rp - rp / r
-        theta_cdot = float(jac.path.state(tau).velocity[0])
+        theta_cdot = float(jac.path.states(tau)[1][0])
         kappa = 2.0 * (n - 1) * rp / r
         ratio_res = abs(dlog_kappa - dlog_c + kappa * theta_cdot / (n - 1))
         rows[i] = (t, norm, f, ratio_res, jac.velocity_inner[i])
@@ -435,19 +431,19 @@ def test_batched_residuals_match_point_loops():
     x0 = np.array([0.1, 0.05])
     g0 = PointAnalysis(bm, x0).g
     v0 = np.array([0.6, 0.8]); v0 = v0 / np.sqrt(v0 @ g0 @ v0)
-    path = integrate_geodesic(bm, GeodesicState(x0, v0), 0.6)
+    path = integrate_geodesic(bm, x0, v0, 0.6)
     result = integrate_jacobi(path, np.array([0.3, -0.2]), np.array([0.1, 0.4]), samples=30)
     taus, d = np.array([0.1, 0.25, 0.4, 0.5]), 2
 
     geodesic_ref, jacobi_ref = [], []
     for tau in taus:
-        s0 = path.state(tau)
-        an = PointAnalysis(bm, s0.position)
-        res = path.dense.derivative()(tau)[d:] - geodesic_acceleration(an.gamma, s0.velocity)
+        x, v = path.states(tau)
+        an = PointAnalysis(bm, x)
+        res = path.dense.derivative()(tau)[d:] - geodesic_acceleration(an.gamma, v)
         geodesic_ref.append(np.sqrt(res @ an.g @ res))
         state = result.dense(tau)
         ypp = result.dense.derivative()(tau)[d * d + d:]
-        M = jacobi_matrix(an.riemann, s0.velocity, state[:d * d].reshape(d, d))
+        M = jacobi_matrix(an.riemann, v, state[:d * d].reshape(d, d))
         jacobi_ref.append(np.abs(ypp - M @ state[d * d:d * d + d]).max())
     assert geodesic_residuals(path, taus) == pytest.approx(max(geodesic_ref), rel=1e-6, abs=1e-13)
     assert jacobi_equation_residual(result, taus) == pytest.approx(max(jacobi_ref), rel=1e-6,

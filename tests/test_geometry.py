@@ -4,6 +4,9 @@ import pytest
 from qchgeom import (
     CircleBundleMetric,
     FubiniStudy,
+    WarpedBundleMetric,
+    build_polynomial,
+    solve_profile,
 )
 from qchgeom.cli import RunConfig
 from qchgeom.curvature import PointAnalysis, batch_analyses
@@ -116,11 +119,13 @@ def test_metric_invariants_at_many_points(warped):
         np.linalg.cholesky(g)
         assert np.abs(J @ J + np.eye(6)).max() < 1e-12
         assert np.abs(J.T @ g @ J - g).max() < 1e-10
-        fr = an.frame.vectors
+        fr = an.frame
         assert np.abs(fr @ g @ fr.T - np.eye(6)).max() < 1e-10
-        # theta(xi) = 1 exactly: theta = dpsi + s sigma has no psi dependence
-        assert an.frame.xi[1] == 1.0
-        assert abs(float(an.frame.h_vec @ g @ an.frame.xi)) < 1e-12
+        # H = d/dt and JH = xi/f for the coordinate field xi = d/dpsi, so
+        # theta(xi) = 1 exactly and g(H, xi) is the entry g_{t psi}
+        assert np.array_equal(fr[0], np.eye(6)[0])
+        assert np.array_equal(np.flatnonzero(fr[1]), [1])
+        assert abs(g[0, 1]) < 1e-12
 
 
 def test_kahler_form_closed(warped, warped_analyses):
@@ -157,8 +162,10 @@ def test_circle_bundle_sample():
     g = an.g
     assert abs(g[0, 0] - 1.3 ** 2) < 1e-15
     assert an.complex_structure is None
-    fr = an.frame.vectors
+    fr = an.frame
     assert np.abs(fr @ g @ fr.T - np.eye(5)).max() < 1e-10
+    assert np.array_equal(np.flatnonzero(fr[0]), [0])  # xi/alpha, xi = d/dpsi
+    assert fr[0, 0] == 1.0 / 1.3
 
 
 def test_circle_bundle_horizontal_block():
@@ -193,7 +200,7 @@ def test_product_base_is_einstein_but_not_constant_curvature(negative):
     base = negative.base
     bm = BaseChartMetric(base)
     an = PointAnalysis(bm, np.array([0.2, 0.1, -0.3, 0.15]))
-    rho = an.frame.vectors @ an.ricci @ an.frame.vectors.T
+    rho = an.frame @ an.ricci @ an.frame.T
     mu0 = np.trace(rho) / 4.0
     assert np.abs(rho - mu0 * np.eye(4)).max() < 1e-12  # Einstein
     # holomorphic curvature spreads over [c0/2, c0] on mixed directions
@@ -206,35 +213,35 @@ def test_product_base_is_einstein_but_not_constant_curvature(negative):
     assert abs(k_pure - k_mix) > 0.5
 
 
-def test_bundle_params_validation():
-    from qchgeom import BundleParams
-
+def test_bundle_params_validation(profile):
+    """The base and the profile fix the model: n = m + 1 >= 3, c0 is the
+    base's and s the profile's (0 in product mode)."""
     with pytest.raises(ValueError, match="n >= 3"):
-        BundleParams(n=2, c0=4.0, s=1.0)
-    with pytest.raises(ValueError, match="c0 must be positive"):
-        BundleParams(n=3, c0=0.0, s=1.0)
-    p = BundleParams(n=3, c0=4.0, s=2.0 / 3.0)
-    assert p.m == 2
+        WarpedBundleMetric(profile, FubiniStudy(1, 4.0))
+    with pytest.raises(ValueError, match="must be positive"):
+        FubiniStudy(2, 0.0)
+    model = WarpedBundleMetric(profile, FubiniStudy(2, 4.0))
+    assert (model.n, model.base.c0, model.s) == (3, 4.0, profile.s)
+    assert WarpedBundleMetric(profile, FubiniStudy(2, 4.0), product_mode=True).s == 0.0
 
 
 @pytest.mark.parametrize("chart", ["warped", "circle-bundle"])
 def test_theta_derivative_detects_wrong_cross_term_pitch(warped, circle_bundle,
-                                                         params, profile, chart):
+                                                         profile, chart):
     """theta is read off the assembled metric, so a metric whose cross terms
     carry another pitch than the model's s fails d theta = s Omega."""
-    from qchgeom import BundleParams, WarpedBundleMetric
     from qchgeom.suite import _connection_form_residuals
 
-    wrong_s = 1.1 * params.s
     z = np.array([0.3, -0.2, 0.1, 0.25])
     if chart == "warped":
         model = warped
-        wrong = WarpedBundleMetric(BundleParams(n=params.n, c0=params.c0, s=wrong_s),
-                                   profile)
+        poly = profile.polynomial
+        wrong = WarpedBundleMetric(
+            solve_profile(build_polynomial(poly.x, poly.y, 1.1 * profile.s)), warped.base)
         point = np.array([0.4 * profile.L, 0.5, *z])
     else:
         model = circle_bundle
-        wrong = CircleBundleMetric(model.alpha, model.beta, wrong_s, model.base)
+        wrong = CircleBundleMetric(model.alpha, model.beta, 1.1 * model.s, model.base)
         point = np.array([0.5, *z])
     res_sigma, res_theta = _connection_form_residuals(model, PointAnalysis(model, point))
     assert res_sigma < 1e-12 and res_theta < 1e-12

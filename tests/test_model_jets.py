@@ -19,7 +19,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qchgeom import (
-    BundleParams,
     CircleBundleMetric,
     FubiniStudy,
     ProductBase,
@@ -72,16 +71,17 @@ def _models(n):
     m = n - 1
     s = 2.0 / n
     profile = solve_profile(build_polynomial(1.0, 2.0, s))
-    params = BundleParams(n=n, c0=4.0, s=s)
     rng = np.random.default_rng(40 + n)
     z = rng.uniform(-0.4, 0.4, 2 * m)
     total = np.concatenate(([0.4 * profile.L, 0.7], z))
     return [
         ("fubini-study", FubiniStudy(m, 4.0), z),
         ("product-base", ProductBase([FubiniStudy(1, 4.0), FubiniStudy(m - 1, 4.0)]), z),
-        ("warped", WarpedBundleMetric(params, profile), total),
-        ("product-mode", WarpedBundleMetric(params, profile, product_mode=True), total),
-        ("perturbed", WarpedBundleMetric(params, profile, warp_scale=1.01), total),
+        ("warped", WarpedBundleMetric(profile, FubiniStudy(m, 4.0)), total),
+        ("product-mode", WarpedBundleMetric(profile, FubiniStudy(m, 4.0), product_mode=True),
+         total),
+        ("perturbed", WarpedBundleMetric(profile, FubiniStudy(m, 4.0), warp_scale=1.01),
+         total),
         ("circle-bundle", CircleBundleMetric(1.3, 0.8, s, FubiniStudy(m, 4.0)),
          np.concatenate(([0.7], z))),
         ("base-chart", BaseChartMetric(FubiniStudy(m, 4.0)), z),
@@ -132,10 +132,9 @@ def _jet_arithmetic_metric(model, coords):
 def test_warped_metric_jets_match_jet_arithmetic(n, variant):
     s = 2.0 / n
     profile = solve_profile(build_polynomial(1.0, 2.0, s))
-    params = BundleParams(n=n, c0=4.0, s=s)
     base = (ProductBase([FubiniStudy(1, 4.0), FubiniStudy(n - 2, 4.0)])
-            if variant == "product-base" else None)
-    model = WarpedBundleMetric(params, profile, base,
+            if variant == "product-base" else FubiniStudy(n - 1, 4.0))
+    model = WarpedBundleMetric(profile, base,
                                product_mode=variant == "product-mode",
                                warp_scale=1.05 if variant == "warp-scale" else 1.0)
     points = sample_interior_points(model, np.random.default_rng(60 + n), 5, 0.05, 1.5)

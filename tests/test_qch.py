@@ -29,7 +29,7 @@ def split_setup(warped_point_analysis):
     an = warped_point_analysis
     fr = an.frame
     J = an.complex_structure[0]
-    split = split_tensors(an.g, J, fr.vectors[0], fr.vectors[1])
+    split = split_tensors(an.g, J, fr[0], fr[1])
     return an, J, split
 
 
@@ -59,7 +59,7 @@ def test_model_tensor_unit_vector_values(split_setup):
 
 def test_model_tensors_vanish_on_e(split_setup):
     an, J, split = split_setup
-    e = an.frame.horizontal[1]
+    e = an.frame[3]
     Je = J @ e
     _, phi, psi = model_tensors(an.g, J, split, e, Je, Je, e)
     assert abs(phi) < 1e-14
@@ -71,7 +71,7 @@ def test_synthetic_fit_recovers_coefficients(split_setup):
     Pi, Phi, Psi = model_tensor_arrays(an.g, J, split)
     R_syn = 2.0 * Pi - 1.0 * Phi + 0.5 * Psi
     fr = an.frame
-    fit = fit_from_curvature(R_syn, an.g, J, fr.vectors[0], fr.vectors[1], fr.horizontal[0],
+    fit = fit_from_curvature(R_syn, an.g, J, fr[0], fr[1], fr[2],
                              draws=np.random.default_rng(1).standard_normal((100, 6)))
     assert abs(fit.a - 2.0) < 1e-12
     assert abs(fit.b + 1.0) < 1e-12
@@ -79,14 +79,14 @@ def test_synthetic_fit_recovers_coefficients(split_setup):
     assert fit.residual < 1e-12
 
 
-def test_warped_fit_closed_forms(warped, profile, params, warped_analyses):
+def test_warped_fit_closed_forms(warped, profile, warped_analyses):
     rng = np.random.default_rng(3)
     for an in warped_analyses[:6]:
         fit = fit_qch_coefficients(an, draws=rng.standard_normal((60, an.g.shape[-1])))
         r, rp, rpp, _ = profile.evaluate(an.x[0])
         f, fp, fpp = warp_derivatives(profile, an.x[0])
-        a_t = params.c0 / r ** 2 - 4.0 * rp ** 2 / r ** 2
-        b_t = -2.0 * params.c0 / r ** 2 + 8.0 * rp ** 2 / r ** 2 - 8.0 * rpp / r
+        a_t = warped.base.c0 / r ** 2 - 4.0 * rp ** 2 / r ** 2
+        b_t = -2.0 * warped.base.c0 / r ** 2 + 8.0 * rp ** 2 / r ** 2 - 8.0 * rpp / r
         c_t = -fpp / f - a_t - b_t
         assert fit.residual < 1e-7
         assert abs(fit.a - a_t) < 1e-7
@@ -113,11 +113,11 @@ def test_ricci_formula_arithmetic():
     assert lam == 1.0 and mu == 7.0
 
 
-def test_ricci_split_engine_matches_formula(warped, params, warped_analyses):
+def test_ricci_split_engine_matches_formula(warped, warped_analyses):
     rng = np.random.default_rng(7)
     for an in warped_analyses[:6]:
         fit = fit_qch_coefficients(an)
-        rs = ricci_split(an, fit, params.n)
+        rs = ricci_split(an, fit, warped.n)
         assert abs(rs.lam_engine - rs.lam_formula) < 1e-7
         assert abs(rs.mu_engine - rs.mu_formula) < 1e-7
         assert rs.off_block_max < 1e-8
@@ -125,15 +125,15 @@ def test_ricci_split_engine_matches_formula(warped, params, warped_analyses):
         assert rs.d_block_deviation < 1e-8
 
 
-def test_kappa_and_principal_section(warped, profile, params, warped_point_analysis):
+def test_kappa_and_principal_section(warped, profile, warped_point_analysis):
     an = warped_point_analysis
     d1, d2 = section_divergences(an, warped)
     kap, xi_p = kappa_and_principal_section(an, (d1, d2))
     r, rp, _, _ = profile.evaluate(an.x[0])
-    assert abs(kap - kappa_closed_form(params.n, r, rp)) < 1e-7
+    assert abs(kap - kappa_closed_form(warped.n, r, rp)) < 1e-7
     assert kap > 0.0
     # the t-direction is principal here: div_E(JH) = 0
-    assert np.abs(xi_p - an.frame.vectors[0]).max() < 1e-12
+    assert np.abs(xi_p - an.frame[0]).max() < 1e-12
     assert abs(d2) < 1e-12
     assert abs(d1 - kap) < 1e-12
 
@@ -208,7 +208,7 @@ def test_circle_bundle_closed_forms(circle_bundle):
         z = 0.5 * rng.standard_normal(4)
         an = PointAnalysis(circle_bundle, np.array([rng.uniform(0, 6.2), *z]))
         ab = PointAnalysis(base_chart, z)
-        rho_b = ab.frame.vectors @ ab.ricci @ ab.frame.vectors.T
+        rho_b = ab.frame @ ab.ricci @ ab.frame.T
         mu0 = float(np.trace(rho_b) / 4.0)
         out = circle_bundle_residuals(an, circle_bundle, mu0)
         for name, value in out.items():
@@ -235,21 +235,21 @@ def test_circle_bundle_fiber_ricci_scaling():
     cb = CircleBundleMetric(1.4, 0.9, 0.75, FubiniStudy(2, 4.0))
     an = PointAnalysis(cb, np.array([0.2, 0.3, -0.2, 0.1, 0.25]))
     rho = an.ricci
-    xi_hat = an.frame.vectors[0]
+    xi_hat = an.frame[0]
     target = 0.75 ** 2 * 1.4 ** 2 * 4 / (4.0 * 0.9 ** 4)
     assert abs(float(xi_hat @ rho @ xi_hat) - target) < 1e-10
 
 
-def test_product_mode_coefficients(product, profile, params):
+def test_product_mode_coefficients(product, profile):
     rng = np.random.default_rng(21)
     pt = np.array([0.35 * profile.L, 0.4, 0.15, 0.2, -0.1, 0.05])
     an = PointAnalysis(product, pt)
     fit = fit_qch_coefficients(an, draws=rng.standard_normal((80, an.g.shape[-1])))
     f, _, fpp = warp_derivatives(profile, pt[0])
     assert fit.residual < 1e-7
-    assert abs(fit.a - params.c0) < 1e-10
-    assert abs(fit.b + 2.0 * params.c0) < 1e-10
-    assert abs(fit.c - (params.c0 - fpp / f)) < 1e-10
-    rs = ricci_split(an, fit, params.n)
+    assert abs(fit.a - product.base.c0) < 1e-10
+    assert abs(fit.b + 2.0 * product.base.c0) < 1e-10
+    assert abs(fit.c - (product.base.c0 - fpp / f)) < 1e-10
+    rs = ricci_split(an, fit, product.n)
     assert abs(rs.lam_engine - rs.lam_formula) < 1e-10
     assert abs(rs.mu_engine - rs.mu_formula) < 1e-10
