@@ -69,8 +69,8 @@ class RunConfig:
     def __post_init__(self):
         if self.mode not in MODES:
             raise ConfigError(f"mode must be one of {MODES}, got {self.mode!r}")
-        if not isinstance(self.rng_seed, int):
-            raise ConfigError("rng_seed must be an integer")
+        if not isinstance(self.rng_seed, int) or self.rng_seed < 0:
+            raise ConfigError(f"rng_seed must be a non-negative integer, got {self.rng_seed!r}")
         if self.n < 3:
             raise ConfigError(f"constraint n >= 3 violated (n = {self.n})")
         if self.c0 <= 0:
@@ -80,6 +80,9 @@ class RunConfig:
         if (self.s is not None and self.k is not None
                 and abs(self.s - 2.0 * self.k / self.n) > 1e-12):
             raise ConfigError(f"s = {self.s} does not match 2k/n = {2.0 * self.k / self.n}")
+        if self.mode != "circle-bundle" and not self.effective_s() > 0:
+            raise ConfigError(f"constraint s > 0 violated outside circle-bundle mode "
+                              f"(s = {self.effective_s()})")
         if not (0 < self.x < self.y):
             raise ConfigError(f"constraint 0 < x < y violated (x = {self.x}, y = {self.y})")
         if self.sample_count < 10:
@@ -337,6 +340,9 @@ def main(argv=None) -> int:
     except (ProfileError, FlowError, ChartBoundsError,
             np.linalg.LinAlgError, ValueError) as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
+        return 3
+    except MemoryError as exc:
+        print(f"out of memory: {exc}", file=sys.stderr)
         return 3
     return 2
 

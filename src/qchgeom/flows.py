@@ -11,9 +11,9 @@ Chebyshev matrices that integrate node values once and twice from a,
 
 * The geodesic x'' = -Gamma(x)(x', x') is solved by Picard iteration of that
   form, one batched ``PointAnalysis`` of the panel's nodes per iteration,
-  started on each panel after the first from the cubic Taylor continuation
-  of the previous one's end.  On the axial line of the warped metric
-  Gamma(e_t, e_t) = 0 and the first iteration is already the fixed point.
+  started from the straight line through the state at the panel's start.
+  On the axial line of the warped metric Gamma(e_t, e_t) = 0 and the first
+  iteration is already the fixed point.
 * The Jacobi system is integrated in a parallel-transported orthonormal
   frame, which turns the covariant second derivative into a plain one:
   carrying the frame rows e_a alongside the geodesic, the field
@@ -50,7 +50,7 @@ from numpy.polynomial import chebyshev
 
 from .batch import inner, matvec, mT
 from .curvature import PointAnalysis, batch_slices, contract_slots, jacobi_operator
-from .geometry import END_MARGIN_FRAC
+from .geometry import END_MARGIN_FRAC, _gram_schmidt
 
 # Chebyshev nodes per panel, and the most panels one solve may certify, and
 # reject, before it is abandoned (FlowError, exit 3).  The desk runs and the
@@ -63,10 +63,8 @@ MAX_PANELS = 32
 
 # Picard iterations one geodesic panel may take.  A panel whose iterates
 # contract too slowly to meet the cap is rejected and tried shorter, so the
-# cap ends only an iteration that stalls.  Panels are sized for a contraction
-# rate of about PICARD_RATE per iteration, which scales with their length.
+# cap ends only an iteration that stalls.
 MAX_PICARD = 24
-PICARD_RATE = 0.1
 
 _EPS = np.finfo(float).eps
 _TINY = np.finfo(float).tiny
@@ -151,14 +149,12 @@ class Panels:
 class _Trial:
     """One panel tried by ``solve_ivp``: node values the certificate reads,
     (p, tables) + entries, or None when the panel failed outright; the exact
-    evaluations it made; ``finish``, called once it is accepted, giving its
-    dense node values (p, m) and the state at its right end; and a bound on
-    the next panel's length over this one's."""
+    evaluations it made; and ``finish``, called once it is accepted, giving
+    its dense node values (p, m) and the state at its right end."""
 
     tables: np.ndarray | None
     evaluations: int
     finish: Callable[[], tuple[np.ndarray, object]] | None
-    limit: float = np.inf
 
 
 @dataclass
@@ -236,11 +232,10 @@ def solve_ivp(trial: Callable[[float, float, object], _Trial], span: float, stat
     panel.  That floor is measured, not set: it follows the noise of the
     evaluations, which differs between tables and across the profile range
     by orders of magnitude.  It only rises, so a certified panel stays
-    certified.  A rejected panel is tried again at half its length (or at
-    its trial's ``limit``, down to 1/8), and the panel after it does not
-    grow.  Once ``MAX_PANELS`` panels are certified, or as many rejected,
-    short of span, the solve raises ``FlowError`` naming the solve
-    (``name``) and the tau its certified part reached.
+    certified.  A rejected panel is tried again at half its length, and the
+    panel after it does not grow.  Once ``MAX_PANELS`` panels are certified,
+    or as many rejected, short of span, the solve raises ``FlowError`` naming
+    the solve (``name``) and the tau its certified part reached.
     """
     edges, values = [0.0], []
     scale = noise = 0.0
@@ -262,10 +257,10 @@ def solve_ivp(trial: Callable[[float, float, object], _Trial], span: float, stat
             floor = np.maximum(_EPS * scale, noise)
         if piece.tables is None or not (tail <= floor).all():
             rejected += 1
-            length, grow = (b - a) * min(max(piece.limit, 0.125), 0.5), False
+            length, grow = 0.5 * (b - a), False
             continue
         factor = _length_factor(envelope, np.maximum(floor, _TINY))
-        length = (b - a) * min(factor, piece.limit, np.inf if grow else 1.0)
+        length = (b - a) * (factor if grow else min(factor, 1.0))
         grow = True
         node_values, state = piece.finish()
         values.append(node_values)
@@ -316,22 +311,16 @@ def _analyses(field, x: np.ndarray):
 
 
 def _geodesic_panel(field, a: float, b: float, start) -> _Trial:
-    """Picard iteration of the integral form on [a, b] from the state at a:
-    position, velocity, and, after the first panel, the acceleration and its
-    tau-derivative there.  The first iterate is the straight line through the
-    state, or with those two its cubic Taylor continuation, which starts a
-    curved geodesic near the fixed point.  It stops when an iterate moves no
-    node further than the rounding of the values; a panel whose iterates
-    contract too slowly to get there within ``MAX_PICARD`` iterations is
-    returned as failed, and an iteration past the cap raises ``FlowError``."""
-    x, v, acc0, jerk0 = start
+    """Picard iteration of the integral form on [a, b] from the position and
+    velocity at a, started from the straight line through them.  It stops
+    when an iterate moves no node further than the rounding of the values; a
+    panel whose iterates contract too slowly to get there within
+    ``MAX_PICARD`` iterations is returned as failed, and an iteration past
+    the cap raises ``FlowError``."""
+    x, v = start
     h2 = 0.5 * (b - a)
-    step = (_NODES + 1.0) * h2
-    line = x + np.outer(step, v)
+    line = x + np.outer((_NODES + 1.0) * h2, v)
     X, V = line, np.broadcast_to(v, line.shape)
-    if acc0 is not None:
-        X = line + np.outer(step ** 2 / 2.0, acc0) + np.outer(step ** 3 / 6.0, jerk0)
-        V = V + np.outer(step, acc0) + np.outer(step ** 2 / 2.0, jerk0)
     p = PANEL_NODES
     history = []
     while True:
@@ -353,27 +342,20 @@ def _geodesic_panel(field, a: float, b: float, start) -> _Trial:
         if len(history) > 1:
             rate = history[-1] / history[-2]
             if rate >= 1.0 or len(history) - np.log(history[-1]) / np.log(rate) > MAX_PICARD:
-                return _Trial(None, p * len(history), None, PICARD_RATE / rate)
+                return _Trial(None, p * len(history), None)
 
     def finish():
-        # the acceleration and its tau-derivative at b, from its Chebyshev
-        # coefficients: T_k(1) = 1 and T_k'(1) = k^2
-        coeffs = _TO_COEFFS @ acc
-        end = (x + 2.0 * h2 * v + h2 * h2 * (_S2[p] @ acc), v + h2 * (_S1[p] @ acc),
-               coeffs.sum(axis=0), (np.arange(p) ** 2 @ coeffs) / h2)
+        end = (x + 2.0 * h2 * v + h2 * h2 * (_S2[p] @ acc), v + h2 * (_S1[p] @ acc))
         return np.concatenate([X, V], axis=1), end
 
-    # the mean contraction before the last step, which rounding may cut short
-    rate = (history[-2] / history[0]) ** (1.0 / (len(history) - 2)) if len(history) > 2 else 0.0
-    return _Trial(np.stack([X, V], axis=1), p * len(history), finish,
-                  PICARD_RATE / rate if rate else np.inf)
+    return _Trial(np.stack([X, V], axis=1), p * len(history), finish)
 
 
 def integrate_geodesic(field, x0: np.ndarray, v0: np.ndarray, span: float) -> GeodesicPath:
     """Integrate the geodesic equation x'' = -Gamma(x)(x', x') on [0, span]
     from the position x0 and the velocity v0, in chart coordinates."""
     sol = solve_ivp(lambda a, b, state: _geodesic_panel(field, a, b, state), span,
-                    (x0, v0, None, None), name="geodesic tables")
+                    (x0, v0), name="geodesic tables")
     return GeodesicPath(field=field, span=span, stats=sol.stats,
                         dense=Panels(sol.t, sol.values))
 
@@ -465,23 +447,12 @@ def _unpack(packed: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray, np.ndar
 
 
 def _initial_frame(analysis: PointAnalysis, velocity: np.ndarray) -> np.ndarray:
-    """Orthonormal frame with e_0 = cdot(0), completed from the chart frame."""
-    g = analysis.g
-    candidates = [velocity] + list(analysis.frame)
-    rows = []
-    for vec in candidates:
-        w = np.array(vec, dtype=float)
-        for e in rows:
-            w -= (e @ g @ w) * e
-        nrm = float(np.sqrt(max(w @ g @ w, 0.0)))
-        if nrm < 1e-8:
-            continue
-        rows.append(w / nrm)
-        if len(rows) == g.shape[0]:
-            break
-    if len(rows) != g.shape[0]:
-        raise FlowError("could not complete an orthonormal frame along the geodesic")
-    return np.stack(rows)
+    """Orthonormal frame with e_0 = cdot(0): cdot(0) first, then the chart
+    frame without its row of largest |g(e_a, cdot)|, orthonormalised in that
+    order."""
+    frame, g = analysis.frame, analysis.g
+    drop = np.argmax(np.abs(frame @ g @ velocity))
+    return _gram_schmidt(np.vstack([velocity, np.delete(frame, drop, axis=0)]), g)
 
 
 def integrate_jacobi(path: GeodesicPath, C0: np.ndarray, DC0: np.ndarray, *,

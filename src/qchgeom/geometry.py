@@ -71,7 +71,7 @@ class FubiniStudy(_BaseModel):
 
     P linear in z in its first derivative and of constant second derivative
     (``_d2p``), the derivatives of h and sigma in z's entries are a few
-    broadcast products, pushed through z's own jet by one chain rule
+    broadcast products, placed in the chart slots z is seeded in
     (``jets.pullback``).
     """
 
@@ -225,22 +225,21 @@ class _SliceMemo:
     """A bundle model's values of z alone (or of t alone), memoised on the
     values of a batch.
 
-    A lookup at z (one point's base coordinates, B + (2m,), or with
-    ``point_axes`` = 0 one t per point, B) calls ``build`` on a miss; the key
-    is the dtype, shape and bytes of the whole batch.  Base components depend
-    only on z, so the frame, the fields and the checks at an analysed batch,
-    or the same batch moved along t, reuse one evaluation; the warp profile
-    depends only on t, so they reuse one evaluation of it as well.  Such reuse
-    is local: once ``points`` points are held the memo starts over, since a
-    larger one only keeps memory alive for as long as the model lives.  A
-    batch moved off the real axis (a complex step) is built and not kept,
-    unless ``keep_complex``: a step along t leaves z real, and shares its
-    real entry.
+    A lookup at z (one point's base coordinates, B + (2m,), or one t per
+    point, B + (1,)) calls ``build`` on a miss; the key is the dtype, shape
+    and bytes of the whole batch.  Base components depend only on z, so the
+    frame, the fields and the checks at an analysed batch, or the same batch
+    moved along t, reuse one evaluation; the warp profile depends only on t,
+    so they reuse one evaluation of it as well.  Such reuse is local: once
+    ``points`` points are held the memo starts over, since a larger one only
+    keeps memory alive for as long as the model lives.  A batch moved off the
+    real axis (a complex step) is built and not kept, unless
+    ``keep_complex``: a step along t leaves z real, and shares its real
+    entry.
     """
 
-    def __init__(self, points: int, *, point_axes: int = 1, keep_complex: bool = False):
+    def __init__(self, points: int, *, keep_complex: bool = False):
         self.capacity = points
-        self.point_axes = point_axes
         self.keep_complex = keep_complex
         self.entries: dict[tuple, tuple] = {}
         self.points = 0
@@ -255,7 +254,7 @@ class _SliceMemo:
         hit = self.entries.get(key)
         if hit is None:
             hit = build(z)
-            points = z.size // z.shape[-1] if self.point_axes else z.size
+            points = z.size // z.shape[-1]
             if self.points + points > self.capacity:
                 self.entries.clear()
                 self.points = 0
@@ -319,7 +318,7 @@ class WarpedBundleMetric:
         # entries are d x d jets, about 0.7 MB a point at d = 14
         self._base_memo = _SliceMemo(16)
         # entries are (r, r', r'', r''') at a t batch, 64 bytes a point
-        self._profile_memo = _SliceMemo(4096, point_axes=0, keep_complex=True)
+        self._profile_memo = _SliceMemo(4096, keep_complex=True)
 
     # coordinates are (t, psi, z_1..z_2m)
     def check_bounds(self, x: np.ndarray) -> None:
@@ -353,12 +352,12 @@ class WarpedBundleMetric:
         fields and the checks at one analysed batch read one evaluation.  The
         arrays are shared, so they are read-only."""
         def build(t):
-            values = self.profile.evaluate(t)
+            values = self.profile.evaluate(t[..., 0])
             for v in values:
                 if isinstance(v, np.ndarray):
                     v.flags.writeable = False
             return values
-        return self._profile_memo(t, build)
+        return self._profile_memo(np.asarray(t)[..., None], build)
 
     def warp_jets(self, t_jet: Jet2) -> tuple[Jet2, Jet2]:
         """(r, f) at a jet-seeded t, with the control scale applied to f."""

@@ -16,9 +16,9 @@ differentiation, as in Griewank & Walther, *Evaluating Derivatives*).
 
 Leading value axes are batch axes: a jet of shape (N, d, d) holds one (d, d)
 metric at each of N chart points, each differentiated in its own chart.
-Value axes are indexed from the right (``x[..., i]``) and ``@`` follows numpy
-matmul semantics over the leading axes, so the same model code serves one
-point (batch shape ()) and a batch.
+Value axes are indexed from the right (``x[..., i]``) and ``@`` with a
+constant matrix follows numpy matmul semantics over the leading axes, so the
+same model code serves one point (batch shape ()) and a batch.
 """
 
 from __future__ import annotations
@@ -209,27 +209,14 @@ class Jet2:
         return powi(self, exponent)
 
     def __matmul__(self, other):
-        """Matrix product (numpy matmul semantics over leading axes).
-
-        Either two matrix jets (the product rule, contracted), or a jet times a
-        constant matrix, which contracts the jet's last value axis.
-        """
-        if not isinstance(other, Jet2):
-            other = np.asarray(other)
-            return Jet2(self.value @ other, _apply(self.gradient, -1, 1, other),
-                        _apply(self.hessian, -1, 2, other))
-        _check_same_dim(self, other)
-        a, b = self, other
-        # derivative axes moved in front of the matrix axes: (..., x, i, k)
-        ga, gb = np.moveaxis(a.gradient, -1, -3), np.moveaxis(b.gradient, -1, -3)
-        av, bv = a.value[..., None, :, :], b.value[..., None, :, :]
-        ha = np.moveaxis(a.hessian, (-2, -1), (-4, -3))
-        hb = np.moveaxis(b.hessian, (-2, -1), (-4, -3))
-        cross = ga[..., :, None, :, :] @ gb[..., None, :, :, :]   # (..., x, y, i, j)
-        hess = (ha @ bv[..., None, :, :] + av[..., None, :, :] @ hb
-                + cross + np.swapaxes(cross, -3, -4))
-        return Jet2(a.value @ b.value, np.moveaxis(ga @ bv + av @ gb, -3, -1),
-                    np.moveaxis(hess, (-4, -3), (-2, -1)))
+        """A jet times a constant matrix (numpy matmul semantics over leading
+        axes), which contracts the jet's last value axis.  A product of two
+        jets is not defined."""
+        if isinstance(other, Jet2):
+            raise TypeError("jet @ jet is not defined: multiply a jet by a constant matrix")
+        other = np.asarray(other)
+        return Jet2(self.value @ other, _apply(self.gradient, -1, 1, other),
+                    _apply(self.hessian, -1, 2, other))
 
     def __rmatmul__(self, other):
         """A constant matrix applied to a vector jet, or to the rows of a matrix jet."""
@@ -288,39 +275,26 @@ def compose(a: Jet2, value, d1, d2) -> Jet2:
 
 
 def pullback(x: Jet2, value: np.ndarray, d1: np.ndarray, d2: np.ndarray) -> Jet2:
-    """Chain rule through a function of the vector jet x, given in closed form.
+    """The jet of a function of the vector jet x, given in closed form.
 
-    x has value B + (n,) for batch axes B; the function's value at x.value
-    has shape B + V, its derivatives in x's n entries B + V + (n,) and
-    B + V + (n, n).  Its jet is d1 G and G^T d2 G + d1 H for x's gradient G
-    and Hessian H.  When x is seeded straight from a run of chart coordinates
-    (H zero, G rows of the identity) that is placing d1 and d2 in the slots
-    of those coordinates, and the products are skipped.
+    x has value B + (n,) for batch axes B and must be seeded straight from a
+    run of n chart coordinates (gradient rows of the identity, Hessian zero),
+    else ``ValueError``.  The function's value at x.value has shape B + V,
+    its derivatives in x's n entries B + V + (n,) and B + V + (n, n); they
+    land in the slots of those coordinates as they stand.
     """
-    grad, hess = x.gradient, x.hessian
-    batch, (n, dim) = grad.shape[:-2], grad.shape[-2:]
-    shape = np.shape(value)
-    flat = not hess.any()
-    if flat:
-        # x seeded as the chart coordinates off..off+n-1: the derivatives
-        # land in those slots as they stand
-        off = int(np.argmax(grad.reshape(-1, dim)[0]))
-        if off + n <= dim and (grad == np.eye(dim)[off:off + n]).all():
-            slots = slice(off, off + n)
-            dtype = np.result_type(d1, d2)
-            out = Jet2(value, np.zeros(shape + (dim,), dtype), np.zeros(shape + (dim, dim), dtype))
-            out.gradient[..., slots] = d1
-            out.hessian[..., slots, slots] = d2
-            return out
-    flat1 = d1.reshape(batch + (-1, n))
-    gradient = (flat1 @ grad).reshape(shape + (dim,))
-    # G^T d2 G as two products over every entry: first on b, then on a
-    half = (d2.reshape(batch + (-1, n)) @ grad).reshape(batch + (-1, n, dim))
-    hessian = (np.swapaxes(half, -1, -2).reshape(batch + (-1, n)) @ grad).reshape(
-        shape + (dim, dim))
-    if not flat:
-        hessian += (flat1 @ hess.reshape(batch + (n, dim * dim))).reshape(hessian.shape)
-    return Jet2(value, gradient, hessian)
+    grad = x.gradient
+    n, dim = grad.shape[-2:]
+    off = int(np.argmax(grad.reshape(-1, dim)[0]))
+    if (x.hessian.any() or off + n > dim
+            or not (grad == np.eye(dim)[off:off + n]).all()):
+        raise ValueError("pullback needs a jet seeded as a run of chart coordinates")
+    shape, slots = np.shape(value), slice(off, off + n)
+    dtype = np.result_type(d1, d2)
+    out = Jet2(value, np.zeros(shape + (dim,), dtype), np.zeros(shape + (dim, dim), dtype))
+    out.gradient[..., slots] = d1
+    out.hessian[..., slots, slots] = d2
+    return out
 
 
 def sqrt(a: Jet2) -> Jet2:

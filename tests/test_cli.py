@@ -118,18 +118,37 @@ def test_config_rejects_pitch_that_disagrees_with_k(tmp_path, capsys, mode):
     {"mode": "circle-bundle", "alpha": float("inf")},
     {"perturb_f": float("nan")},
     {"perturb_f": 0},
+    {"rng_seed": -1},
+    {"k": 0},
+    {"k": None, "s": -0.5},
+    {"mode": "product", "k": 0},
+    {"mode": "negative-control", "k": 0},
 ], ids=["out-dir-number", "tolerance-true", "tolerance-infinity", "c0-nan",
-        "alpha-infinity", "perturb-f-nan", "perturb-f-zero"])
+        "alpha-infinity", "perturb-f-nan", "perturb-f-zero", "seed-negative",
+        "k-zero", "s-negative", "product-k-zero", "negative-control-k-zero"])
 def test_config_rejects_values_outside_the_schema(tmp_path, capsys, monkeypatch, overrides):
     """Each key's type comes from its field's annotation: no booleans as
-    numbers, only finite numbers, and f must not be scaled to zero.  Each is
-    a configuration error (exit 2) that creates no output directory."""
+    numbers, only finite numbers, f must not be scaled to zero, the seed is
+    non-negative, and outside circle-bundle mode the pitch is positive.  Each
+    is a configuration error (exit 2) that creates no output directory."""
     monkeypatch.chdir(tmp_path)
     data = {"mode": "warped", "rng_seed": 1, "k": 1, "sample_count": 10}
     path = write_config(tmp_path, {**data, **overrides})
     assert main(["verify", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
     assert capsys.readouterr().err.startswith("configuration error: ")
     assert sorted(os.listdir(tmp_path)) == ["config.json"]
+
+
+def test_negative_seed_flag_is_a_configuration_error(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert main(["verify", "--seed", "-1", "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err.startswith("configuration error: rng_seed")
+    assert os.listdir(tmp_path) == []
+
+
+def test_circle_bundle_accepts_the_trivial_bundle():
+    """s = 0 in circle-bundle mode is the product of the circle and the base."""
+    assert small_config(mode="circle-bundle", k=0).effective_s() == 0.0
 
 
 def test_negative_control_needs_n3(tmp_path):
@@ -246,6 +265,21 @@ def test_cli_numerical_error_exit(tmp_path, monkeypatch):
     cfg = write_config(tmp_path, {"mode": "warped", "rng_seed": 7, "k": 1,
                                   "sample_count": 10})
     assert main(["verify", "--config", str(cfg), "--out", str(tmp_path)]) == 3
+
+
+def test_cli_out_of_memory_exit(tmp_path, monkeypatch, capsys):
+    """Running out of memory is a numerical failure (exit 3), not a failed
+    verification (exit 1)."""
+    import qchgeom.cli as cli_mod
+
+    def exhaust(config):
+        raise MemoryError("synthetic allocation failure")
+
+    monkeypatch.setattr(cli_mod, "run_suite", exhaust)
+    cfg = write_config(tmp_path, {"mode": "warped", "rng_seed": 7, "k": 1,
+                                  "sample_count": 10})
+    assert main(["verify", "--config", str(cfg), "--out", str(tmp_path)]) == 3
+    assert "out of memory: synthetic allocation failure" in capsys.readouterr().err
 
 
 def test_cli_flow_cap_exit(tmp_path, monkeypatch, capsys):

@@ -209,16 +209,6 @@ def test_radial_fubini_study_geodesic_matches_closed_form(c0, span, direction):
     assert path.stats.steps > 1 and path.stats.nfev > path.stats.steps * flows.PANEL_NODES
 
 
-@pytest.mark.parametrize("c0,span,direction,straight", [
-    (4.0, 1.2, (1.0, 0.0), 4296), (1.0, 2.5, (0.6, 0.8), 4656), (9.0, 0.9, (1.0, 1.0), 6192)])
-def test_curved_geodesic_panels_start_from_the_continuation(c0, span, direction, straight):
-    """Each panel after the first starts its Picard iteration from the cubic
-    Taylor continuation of the previous panel's end; started from the straight
-    line the rays took ``straight`` exact evaluations."""
-    path, _ = _fubini_study_ray(c0, span, direction)
-    assert path.stats.nfev <= 0.7 * straight
-
-
 def test_picard_cap_raises_flow_error(monkeypatch):
     """A curved geodesic needs more than one Picard iteration per panel."""
     monkeypatch.setattr(flows, "MAX_PICARD", 1)

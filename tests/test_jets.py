@@ -210,17 +210,19 @@ def _entrywise_product(a, b, i, j):
 
 
 def test_batched_matmul_matches_scalar_arithmetic():
-    """A batch of matrix-jet products equals the product rule entry by entry."""
+    """A batch of matrix jets times a constant matrix, on either side, equals
+    the product rule entry by entry; a product of two jets is not defined."""
     rng = np.random.default_rng(31)
     a, b = _random_jet(rng, (5, 3, 4), 2), _random_jet(rng, (5, 4, 2), 2)
+    with pytest.raises(TypeError, match="jet @ jet"):
+        a @ b
     const = rng.standard_normal((2, 3))
-    prod, right, left = a @ b, b @ const, const.T @ b.T
+    right, left = b @ const, const.T @ b.T
     c, ct = Jet2.constant(const, 2), Jet2.constant(const.T, 2)
     for n in range(5):
         for i in range(3):
             for j in range(2):
-                for got, want in ((prod[n][i, j], _entrywise_product(a[n], b[n], i, j)),
-                                  (right[n][0, j], _entrywise_product(b[n][:1], c, 0, j)),
+                for got, want in ((right[n][0, j], _entrywise_product(b[n][:1], c, 0, j)),
                                   (left[n][i, 0], _entrywise_product(ct, b[n].T, i, 0))):
                     for x, y in ((got.value, want.value), (got.gradient, want.gradient),
                                  (got.hessian, want.hessian)):

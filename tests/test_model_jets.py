@@ -188,34 +188,44 @@ def _curved_z(rng, batch, m, d):
     return lin + 0.2 * (lin * lin)
 
 
+def _assert_rejects_curved_z(base, z):
+    """The closed forms are placed in z's chart slots, so a z jet that is not
+    seeded from chart coordinates raises."""
+    for build in (base.metric_jets, base.connection_potential_jets):
+        with pytest.raises(ValueError, match="seeded as a run of chart coordinates"):
+            build(z)
+
+
 @pytest.mark.parametrize("batch", [(), (4,)])
 @pytest.mark.parametrize("m", range(1, 7))
 def test_fubini_study_closed_forms_match_jet_products(m, batch):
-    """Seeded in the base chart, in the base slots of a total chart, and
-    through a z jet with a nonzero Hessian."""
+    """Seeded in the base chart and in the base slots of a total chart; a z
+    jet with a nonzero Hessian raises."""
     rng = np.random.default_rng(70 + m)
     base = FubiniStudy(m, 4.0)
     z = rng.uniform(-0.6, 0.6, batch + (2 * m,))
     _assert_closed_forms(base, seed_chart(z), "base chart")
     total = np.concatenate([rng.uniform(0.1, 0.9, batch + (2,)), z], axis=-1)
     _assert_closed_forms(base, seed_chart(total)[..., 2:], "total chart")
-    _assert_closed_forms(base, _curved_z(rng, batch, m, 2 * m + 1), "curved z")
+    _assert_rejects_curved_z(base, _curved_z(rng, batch, m, 2 * m + 1))
 
 
 @pytest.mark.parametrize("batch", [(), (3,)])
 def test_product_base_slices_match_jet_products(batch):
-    """Each factor of a product base is differentiated through its slice of z."""
+    """Each factor of a product base is differentiated through its slice of
+    z; a z jet with a nonzero Hessian raises."""
     rng = np.random.default_rng(77)
     factors = [FubiniStudy(1, 4.0), FubiniStudy(2, 9.0)]
     base = ProductBase(factors)
     total = rng.uniform(-0.5, 0.5, batch + (2 + base.dim,))
-    for z in (seed_chart(total)[..., 2:], _curved_z(rng, batch, base.m, 5)):
-        h, sigma = zeros(z.shape + (base.dim,), z.dim), zeros(z.shape, z.dim)
-        for f, span in zip(factors, base._spans()):
-            h[..., span, span] = _product_metric(f, z[..., span])
-            sigma[..., span] = _product_potential(f, z[..., span])
-        _assert_same_jet(base.metric_jets(z), h, "product metric")
-        _assert_same_jet(base.connection_potential_jets(z), sigma, "product potential")
+    z = seed_chart(total)[..., 2:]
+    h, sigma = zeros(z.shape + (base.dim,), z.dim), zeros(z.shape, z.dim)
+    for f, span in zip(factors, base._spans()):
+        h[..., span, span] = _product_metric(f, z[..., span])
+        sigma[..., span] = _product_potential(f, z[..., span])
+    _assert_same_jet(base.metric_jets(z), h, "product metric")
+    _assert_same_jet(base.connection_potential_jets(z), sigma, "product potential")
+    _assert_rejects_curved_z(base, _curved_z(rng, batch, base.m, 5))
 
 
 @settings(max_examples=40, deadline=None)
@@ -259,12 +269,12 @@ def test_closed_forms_use_no_jet_products(monkeypatch):
     rng = np.random.default_rng(3)
     base = FubiniStudy(3, 4.0)
     z = rng.uniform(-0.5, 0.5, (2, 6))
-    for zj in (seed_chart(z), seed_chart(np.concatenate([z, z], axis=-1))[..., 6:],
-               _curved_z(rng, (2,), 3, 7)):
+    for zj in (seed_chart(z), seed_chart(np.concatenate([z, z], axis=-1))[..., 6:]):
         calls.clear()
         base.metric_jets(zj)
         base.connection_potential_jets(zj)
         assert not calls
+    _assert_rejects_curved_z(base, _curved_z(rng, (2,), 3, 7))
 
 
 def _count_base_builds(monkeypatch, config):

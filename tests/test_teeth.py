@@ -2,10 +2,13 @@
 that breaks the property it certifies, and to pass without it, on the n = 3
 warped desk at 10 points."""
 
+from functools import cached_property
+
 import numpy as np
 import pytest
 
 from qchgeom.cli import RunConfig
+from qchgeom.curvature import PointAnalysis
 from qchgeom.geometry import WarpedBundleMetric
 from qchgeom.suite import run_suite
 
@@ -49,3 +52,47 @@ def test_frame_orthonormality_sees_a_scaled_row(unperturbed, monkeypatch):
     monkeypatch.setattr(WarpedBundleMetric, "frame_at", stretched)
     assert unperturbed["frame_orthonormality"]
     assert not _verdicts()["frame_orthonormality"]
+
+
+def _twisted_gamma(gamma):
+    """A constant antisymmetric twist of 1e-6 max|Gamma| in the (1, 2) pair of
+    Gamma^0: smooth along the decay flow, so its panels still certify."""
+    twist = 1e-6 * np.abs(gamma).max()
+    out = gamma.copy()
+    out[..., 0, 1, 2] += twist
+    out[..., 0, 2, 1] -= twist
+    return out
+
+
+_NOISE = np.random.default_rng(16)
+
+
+def _noisy(values):
+    """values with relative noise of 1e-6 in every entry."""
+    return values * (1.0 + 1e-6 * _NOISE.standard_normal(values.shape))
+
+
+def _scaled_j(structure):
+    values, grads = structure
+    return (1.0 + 1e-6) * values, grads
+
+
+@pytest.mark.parametrize("check,attribute,mutate", [
+    ("christoffel_symmetry", "gamma", _twisted_gamma),
+    ("curvature_pair_symmetry", "riemann", _noisy),
+    ("curvature_antisymmetry", "riemann", _noisy),
+    ("bianchi_first", "riemann", _noisy),
+    ("ricci_symmetry", "ricci", _noisy),
+    ("complex_structure_involution", "complex_structure", _scaled_j),
+    ("hermitian_metric", "complex_structure", _scaled_j),
+])
+def test_engine_identities_see_a_mutated_analysis(unperturbed, monkeypatch, check, attribute,
+                                                   mutate):
+    """The identities that hold for every metric fail once the engine's
+    Gamma, R, Ricci or J is mutated in ``PointAnalysis``."""
+    compute = getattr(PointAnalysis, attribute).func
+    mutated = cached_property(lambda self: mutate(compute(self)))
+    mutated.__set_name__(PointAnalysis, attribute)
+    monkeypatch.setattr(PointAnalysis, attribute, mutated)
+    assert unperturbed[check]
+    assert not _verdicts()[check]
