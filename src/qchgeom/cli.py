@@ -11,7 +11,7 @@ Subcommands:
 * ``report`` -- pretty-print a previously written JSON report.
 
 Exit codes: 0 all checks in order, 1 verification failure, 2 configuration
-error or unreadable report, 3 numerical/integration error.
+or usage error or unreadable report, 3 numerical/integration error.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ import json
 import math
 import sys
 import typing
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -33,10 +33,10 @@ import numpy as np
 
 from .curvature import batch_analyses
 from .flows import FlowError
-from .geometry import END_MARGIN_FRAC, ChartBoundsError
+from .geometry import ChartBoundsError
 from .profile import ProfileError, boundary_report, build_polynomial, solve_profile
 from .qch import fit_qch_coefficients, ricci_split, section_divergences
-from .suite import DEFAULT_TOLERANCES, VerificationReport, build_warped_model, run_suite
+from .suite import SAMPLE_MARGIN, VerificationReport, build_warped_model, run_suite
 
 MODES = ("warped", "product", "circle-bundle", "negative-control")
 
@@ -45,26 +45,22 @@ class ConfigError(ValueError):
     """Invalid run configuration."""
 
 
-@dataclass
+@dataclass(kw_only=True)
 class RunConfig:
-    """Validated configuration of one verification run."""
+    """Validated configuration of one verification run: the model, its sample
+    count and its seed."""
 
     mode: str
     rng_seed: int
     n: int = 3
     c0: float = 4.0
-    s: float | None = None
-    k: int | None = None
+    k: int
     x: float = 1.0
     y: float = 2.0
     alpha: float = 1.0
     beta: float = 1.0
     sample_count: int = 50
     perturb_f: float = 1.0
-    z_radius: float = 1.5
-    sample_margin: float = 0.05
-    tolerances: dict = field(default_factory=dict)
-    out_dir: str | None = None
 
     def __post_init__(self):
         if self.mode not in MODES:
@@ -75,14 +71,9 @@ class RunConfig:
             raise ConfigError(f"constraint n >= 3 violated (n = {self.n})")
         if self.c0 <= 0:
             raise ConfigError(f"constraint c0 > 0 violated (c0 = {self.c0})")
-        if self.s is None and self.k is None:
-            raise ConfigError("either s or k must be given (s = 2k/n)")
-        if (self.s is not None and self.k is not None
-                and abs(self.s - 2.0 * self.k / self.n) > 1e-12):
-            raise ConfigError(f"s = {self.s} does not match 2k/n = {2.0 * self.k / self.n}")
-        if self.mode != "circle-bundle" and not self.effective_s() > 0:
+        if self.mode != "circle-bundle" and not self.s > 0:
             raise ConfigError(f"constraint s > 0 violated outside circle-bundle mode "
-                              f"(s = {self.effective_s()})")
+                              f"(s = {self.s})")
         if not (0 < self.x < self.y):
             raise ConfigError(f"constraint 0 < x < y violated (x = {self.x}, y = {self.y})")
         if self.sample_count < 10:
@@ -95,63 +86,35 @@ class RunConfig:
             raise ConfigError(
                 "negative-control mode uses a product of two projective lines, "
                 "which requires n = 3")
-        if not (END_MARGIN_FRAC <= self.sample_margin < 0.5):
-            # below the chart's own end margin, sampled points leave the chart
-            raise ConfigError(f"constraint {END_MARGIN_FRAC} <= sample_margin < 1/2 "
-                              f"violated ({self.sample_margin})")
-        if not (0 < self.z_radius < 4.0):
-            raise ConfigError("constraint 0 < z_radius < 4 (chart radius) violated")
-        unknown = sorted(set(self.tolerances) - set(DEFAULT_TOLERANCES))
-        if unknown:
-            raise ConfigError(f"unknown tolerance names: {unknown}")
-        for name, value in self.tolerances.items():
-            if (isinstance(value, bool) or not isinstance(value, (int, float))
-                    or not 0 < value < math.inf):
-                raise ConfigError(f"tolerance {name!r} must be positive and finite, "
-                                  f"got {value!r}")
 
-    def effective_s(self) -> float:
-        if self.s is not None:
-            return float(self.s)
+    @property
+    def s(self) -> float:
+        """The pitch s = 2k/n of the bundle."""
         return 2.0 * self.k / self.n
 
     def to_dict(self) -> dict:
-        out = {}
-        for f in dataclasses.fields(self):
-            value = getattr(self, f.name)
-            if f.name == "tolerances":
-                value = dict(value)
-            out[f.name] = value
-        out["effective_s"] = self.effective_s()
-        return out
+        return dataclasses.asdict(self)
 
     @classmethod
     def from_dict(cls, data: dict) -> "RunConfig":
         if not isinstance(data, dict):
             raise ConfigError("configuration must be a JSON object")
-        data = dict(data)
-        data.pop("effective_s", None)  # echo field, recomputed
         unknown = set(data) - {f.name for f in dataclasses.fields(cls)}
         if unknown:
             raise ConfigError(f"unknown configuration keys: {sorted(unknown)}")
-        missing = [k for k in ("mode", "rng_seed") if k not in data]
+        missing = [k for k in ("mode", "rng_seed", "k") if k not in data]
         if missing:
             raise ConfigError(f"missing required configuration keys: {missing}")
         hints = typing.get_type_hints(cls)
         return cls(**{key: _typed(key, value, hints[key]) for key, value in data.items()})
 
 
-_KINDS = {int: "an integer", float: "a finite number", str: "a string", dict: "an object"}
+_KINDS = {int: "an integer", float: "a finite number", str: "a string"}
 
 
-def _typed(key: str, value, annotation):
-    """A configuration value checked against its field's annotation: None
-    only where the annotation allows it, no booleans, an int wherever a float
-    is allowed (converted), and only finite floats."""
-    kinds = typing.get_args(annotation) or (annotation,)
-    if value is None and type(None) in kinds:
-        return None
-    kind = kinds[0]
+def _typed(key: str, value, kind):
+    """A configuration value checked against its field's type: no booleans,
+    an int wherever a float is allowed (converted), and only finite floats."""
     if kind is float and isinstance(value, int) and not isinstance(value, bool):
         value = float(value)
     if (isinstance(value, bool) or not isinstance(value, kind)
@@ -187,8 +150,8 @@ def emit_summary_csv(config: RunConfig, path, points: int = 100) -> None:
     """Axis table (t, r, f, a, b, c, lambda, mu, kappa) for plotting."""
     model = build_warped_model(config)
     profile = model.profile
-    lo = config.sample_margin * profile.L
-    hi = (1.0 - config.sample_margin) * profile.L
+    lo = SAMPLE_MARGIN * profile.L
+    hi = (1.0 - SAMPLE_MARGIN) * profile.L
     ts = np.linspace(lo, hi, points)
     axis = np.zeros((points, model.dim))
     axis[:, 0] = ts
@@ -243,27 +206,16 @@ def show_saved_report(path) -> int:
 # -- entry point ----------------------------------------------------------------
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--config", help="JSON configuration file")
-    parser.add_argument("--mode", choices=MODES, help="override the configured mode")
-    parser.add_argument("--seed", type=int, help="override the RNG seed")
-    parser.add_argument("--out", default=".", help="output directory")
-    parser.add_argument("--points", type=int,
-                        help="override sample_count (verify) or the table rows (sample)")
-
-
 def _effective_config(args) -> RunConfig:
     if args.config:
-        config = parse_config(args.config)
-        data = config.to_dict()
-        data.pop("effective_s", None)
+        data = parse_config(args.config).to_dict()
     else:
         data = {"mode": "warped", "rng_seed": 42, "k": 1}
     if args.mode:
         data["mode"] = args.mode
     if args.seed is not None:
         data["rng_seed"] = args.seed
-    if args.points is not None and args.command != "sample":
+    if args.command == "verify" and args.points is not None:
         data["sample_count"] = args.points
     config = RunConfig.from_dict(data)
     if args.command == "sample":
@@ -291,15 +243,25 @@ def _parser() -> argparse.ArgumentParser:
         ("report", "pretty-print a previously written report"),
     ):
         p = sub.add_parser(name, help=text)
-        _add_common(p)
+        p.add_argument("--out", default=".", help="output directory")
         if name == "report":
             p.add_argument("path", nargs="?", default=None,
                            help="report file (default <out>/report.json)")
+            continue
+        p.add_argument("--config", help="JSON configuration file")
+        p.add_argument("--mode", choices=MODES, help="override the configured mode")
+        p.add_argument("--seed", type=int, help="override the RNG seed")
+        if name in ("verify", "sample"):
+            p.add_argument("--points", type=int,
+                           help="override sample_count (verify) or the table rows (sample)")
     return parser
 
 
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
+    out_dir = Path(args.out)
+    if args.command == "report":
+        return show_saved_report(args.path or out_dir / "report.json")
 
     try:
         config = _effective_config(args)
@@ -307,14 +269,11 @@ def main(argv=None) -> int:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
 
-    out_dir = Path(config.out_dir or args.out)
-    if args.command == "report":
-        return show_saved_report(args.path or out_dir / "report.json")
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
 
         if args.command == "solve-profile":
-            poly = build_polynomial(config.x, config.y, config.effective_s())
+            poly = build_polynomial(config.x, config.y, config.s)
             solution = solve_profile(poly)
             solution.export_csv(out_dir / "profile.csv")
             print(f"half-period length L = {solution.L:.12f} "
@@ -334,9 +293,6 @@ def main(argv=None) -> int:
             print(f"summary table written to {out_dir / 'summary.csv'}")
             return 0
 
-    except ConfigError as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return 2
     except (ProfileError, FlowError, ChartBoundsError,
             np.linalg.LinAlgError, ValueError) as exc:
         print(f"numerical error: {exc}", file=sys.stderr)

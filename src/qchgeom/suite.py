@@ -125,10 +125,13 @@ CHECKS: dict[str, tuple[float, str]] = {
 
 # sample points at which the second Bianchi spot check runs
 BIANCHI2_POINTS = 2
+# share of [0, L] kept clear of sample points at each end of the warped chart
+SAMPLE_MARGIN = 0.05
+# sampled base points lie within this radius of the affine chart's origin
+Z_RADIUS = 1.5
+# the median residual the quasi-constancy control must exceed to fail decisively
+NEGATIVE_CONTROL_FLOOR = 1e-2
 
-# plus the median residual the quasi-constancy control must exceed to fail decisively
-DEFAULT_TOLERANCES: dict[str, float] = {
-    **{name: tol for name, (tol, _) in CHECKS.items()}, "qch_fit_negative_floor": 1e-2}
 
 @dataclass
 class CheckResult:
@@ -194,8 +197,7 @@ class VerificationReport:
         }
 
 
-def sample_interior_points(model, rng: np.random.Generator, count: int,
-                           margin_frac: float, z_radius: float) -> np.ndarray:
+def sample_interior_points(model, rng: np.random.Generator, count: int) -> np.ndarray:
     """Random interior chart points (count, d), kept away from the collapsing
     ends and from the far region of the affine chart where conditioning
     degrades.  Each row draws z, then psi, then t on the warped chart, and
@@ -204,11 +206,11 @@ def sample_interior_points(model, rng: np.random.Generator, count: int,
     has_t = isinstance(model, WarpedBundleMetric)
     if has_t:
         L = model.profile.L
-        lo, hi = margin_frac * L, (1.0 - margin_frac) * L
+        lo, hi = SAMPLE_MARGIN * L, (1.0 - SAMPLE_MARGIN) * L
     nz = model.base.dim
     for row in points:
         z = rng.standard_normal(nz)
-        z *= rng.uniform(0.1, 1.0) * z_radius / max(float(np.linalg.norm(z)), 1e-12)
+        z *= rng.uniform(0.1, 1.0) * Z_RADIUS / max(float(np.linalg.norm(z)), 1e-12)
         psi = rng.uniform(0.0, 2.0 * np.pi)
         lead = [rng.uniform(lo, hi), psi] if has_t else [psi]
         row[:] = np.concatenate((lead, z))[-model.dim:]
@@ -232,13 +234,14 @@ class _Residuals:
         for name, values in residuals.items():
             self._parts[name].append(np.ravel(values))
 
-    def checks(self, tol: dict) -> list[CheckResult]:
+    def checks(self) -> list[CheckResult]:
         """One result per check: its largest residual over every point, NaN if
         any is NaN (np.max propagates it, where max(0.0, nan) drops it)."""
         out = []
         for name, parts in self._parts.items():
             values = np.concatenate(parts)
-            out.append(CheckResult(name, CHECKS[name][1], float(np.max(values)), tol[name],
+            tolerance, claim = CHECKS[name]
+            out.append(CheckResult(name, claim, float(np.max(values)), tolerance,
                                    self.samples.get(name, len(values)),
                                    expected_fail=name in self.controls,
                                    details=self.controls.get(name, {})))
@@ -389,7 +392,7 @@ def _decay_checks(res: _Residuals, model) -> None:
 
 def build_warped_model(config) -> WarpedBundleMetric:
     """Profile + geometry for the warped / product / negative-control modes."""
-    profile = solve_profile(build_polynomial(config.x, config.y, config.effective_s()))
+    profile = solve_profile(build_polynomial(config.x, config.y, config.s))
     if config.mode == "negative-control":
         base = ProductBase([FubiniStudy(1, config.c0), FubiniStudy(1, config.c0)])
     else:
@@ -428,35 +431,32 @@ def _product_checks(res: _Residuals, model, analyses, rng) -> None:
                 ricci_mu=np.abs(rs.mu_engine - rs.mu_formula))
 
 
-def _negative_control_checks(res: _Residuals, analyses, rng, floor: float) -> None:
+def _negative_control_checks(res: _Residuals, analyses, rng) -> None:
     """The quasi-constancy fit on a base that is Einstein but not of constant
     holomorphic curvature: it must fail, with its median residual above
-    ``floor``."""
+    ``NEGATIVE_CONTROL_FLOOR``."""
     fits = [_fit_with_draws(an, rng) for an in analyses]
     medians = [np.median(qch_residual_samples(an, fit, rng, 40), axis=-1)
                for an, fit in zip(analyses, fits)]
     for fit in fits:
         res.add(qch_fit_residual=fit.residual)
     res.controls["qch_fit_residual"] = {
-        "discrimination_floor": floor,
+        "discrimination_floor": NEGATIVE_CONTROL_FLOOR,
         "median_residual": float(np.median(np.concatenate(medians)))}
 
 
 def run_suite(config) -> VerificationReport:
     """Run every check enabled for the configured mode; deterministic in the seed."""
     rng = np.random.default_rng(config.rng_seed)
-    tol = dict(DEFAULT_TOLERANCES)
-    tol.update(config.tolerances)
     res = _Residuals()
     bundle = config.mode == "circle-bundle"
     if bundle:
-        model = CircleBundleMetric(config.alpha, config.beta, config.effective_s(),
+        model = CircleBundleMetric(config.alpha, config.beta, config.s,
                                    FubiniStudy(config.n - 1, config.c0))
     else:
         model = build_warped_model(config)
         _profile_checks(res, model.profile, model.profile.polynomial)
-    points = sample_interior_points(model, rng, config.sample_count,
-                                    config.sample_margin, config.z_radius)
+    points = sample_interior_points(model, rng, config.sample_count)
     analyses = batch_analyses(model, points)
     _metric_invariant_checks(res, model, analyses, has_j=not bundle)
     _curvature_invariant_checks(res, model, points, analyses, rng, has_j=not bundle)
@@ -469,7 +469,7 @@ def run_suite(config) -> VerificationReport:
         _nabla_j_check(res, analyses)
         res.samples["qch_fit_residual"] = 100 * len(points)
         if config.mode == "negative-control":
-            _negative_control_checks(res, analyses, rng, tol["qch_fit_negative_floor"])
+            _negative_control_checks(res, analyses, rng)
         elif config.mode == "product":
             _product_checks(res, model, analyses, rng)
         else:  # warped
@@ -480,4 +480,4 @@ def run_suite(config) -> VerificationReport:
                 _decay_checks(res, model)
 
     return VerificationReport(mode=config.mode, seed=config.rng_seed,
-                              config_echo=config.to_dict(), checks=res.checks(tol))
+                              config_echo=config.to_dict(), checks=res.checks())

@@ -58,7 +58,7 @@ def circle_bundle():
 
 def _analyses(model, seed, count):
     rng = np.random.default_rng(seed)
-    points = sample_interior_points(model, rng, count, 0.05, 1.5)
+    points = sample_interior_points(model, rng, count)
     return [PointAnalysis(model, p) for p in points]
 
 

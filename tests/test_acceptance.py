@@ -35,7 +35,7 @@ def _fit(an, rng):
 def _sampled_analyses(model, seed, count=POINTS):
     rng = np.random.default_rng(seed)
     return [PointAnalysis(model, p)
-            for p in sample_interior_points(model, rng, count, 0.05, 1.5)]
+            for p in sample_interior_points(model, rng, count)]
 
 
 @pytest.fixture(scope="module")

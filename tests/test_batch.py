@@ -74,7 +74,7 @@ def _models(n):
 
 
 def _points(model, count, seed=7):
-    return sample_interior_points(model, np.random.default_rng(seed), count, 0.05, 1.5)
+    return sample_interior_points(model, np.random.default_rng(seed), count)
 
 
 QUANTITIES = {

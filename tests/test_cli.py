@@ -34,7 +34,7 @@ def test_minimal_config_derives_pitch(tmp_path):
     path = write_config(tmp_path, {"mode": "warped", "n": 3, "c0": 4.0,
                                    "k": 1, "x": 1.0, "y": 2.0, "rng_seed": 42})
     config = parse_config(path)
-    assert abs(config.effective_s() - 2.0 / 3.0) < 1e-15
+    assert abs(config.s - 2.0 / 3.0) < 1e-15
 
 
 def test_config_rejects_bad_ordering(tmp_path):
@@ -59,7 +59,7 @@ def test_config_requires_seed_and_mode(tmp_path):
 
 def test_config_requires_pitch_source(tmp_path):
     path = write_config(tmp_path, {"mode": "warped", "rng_seed": 1})
-    with pytest.raises(ConfigError, match="either s or k"):
+    with pytest.raises(ConfigError, match=r"missing required configuration keys: \['k'\]"):
         parse_config(path)
 
 
@@ -67,29 +67,24 @@ def test_config_type_checks(tmp_path):
     path = write_config(tmp_path, {"mode": "warped", "rng_seed": 1, "k": 1.5})
     with pytest.raises(ConfigError, match="must be an integer"):
         parse_config(path)
-    path = write_config(tmp_path, {"mode": "warped", "rng_seed": 1, "k": 1,
-                                   "tolerances": {"nabla_j": -1.0}})
-    with pytest.raises(ConfigError, match="must be positive"):
-        parse_config(path)
 
 
-def test_config_rejects_unknown_tolerance_names(tmp_path):
-    path = write_config(tmp_path, {"mode": "warped", "rng_seed": 1, "k": 1,
-                                   "tolerances": {"nabla_jj": 1e-3, "nabla_j": 1e-6,
-                                                  "bianchi": 1e-9}})
-    with pytest.raises(ConfigError, match=r"unknown tolerance names: \['bianchi', 'nabla_jj'\]"):
-        parse_config(path)
+@pytest.mark.parametrize("key,value", [
+    ("s", 2.0 / 3.0), ("tolerances", {"nabla_j": 1e-6}), ("out_dir", "elsewhere"),
+    ("z_radius", 1.5), ("sample_margin", 0.05),
+], ids=["s", "tolerances", "out_dir", "z_radius", "sample_margin"])
+def test_config_rejects_removed_keys(tmp_path, capsys, monkeypatch, key, value):
+    """A run is its model, its sample count and its seed: the pitch comes
+    from k alone, every tolerance from the check table, the output directory
+    from --out, and the sampling radius and end margin are fixed.  A config
+    naming any other key, even with a value a run would use, exits 2 and
+    creates no directory."""
+    monkeypatch.chdir(tmp_path)
+    path = write_config(tmp_path, {"mode": "warped", "rng_seed": 1, "k": 1, key: value})
     assert main(["verify", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
-    assert not (tmp_path / "out").exists()
-
-
-@pytest.mark.parametrize("margin", [0.0005, 0.5])
-def test_config_keeps_samples_inside_the_chart(margin):
-    """A sample margin below the chart's end margin would sample points the
-    analysis rejects; it is a configuration error, not a run-time one."""
-    with pytest.raises(ConfigError, match="sample_margin"):
-        small_config(sample_margin=margin)
-    small_config(sample_margin=0.001)
+    assert capsys.readouterr().err == (
+        f"configuration error: unknown configuration keys: {[key]}\n")
+    assert sorted(os.listdir(tmp_path)) == ["config.json"]
 
 
 def test_config_roundtrip(tmp_path):
@@ -99,32 +94,17 @@ def test_config_roundtrip(tmp_path):
     assert again == config
 
 
-@pytest.mark.parametrize("mode", ["warped", "product", "circle-bundle", "negative-control"])
-def test_config_rejects_pitch_that_disagrees_with_k(tmp_path, capsys, mode):
-    """Given both, s must equal 2k/n in every mode: a configuration error
-    (exit 2), not a numerical one, and not an s that silently wins."""
-    path = write_config(tmp_path, {"mode": mode, "n": 3, "k": 1, "s": 1.0, "rng_seed": 1})
-    assert main(["verify", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
-    assert "s = 1.0 does not match 2k/n" in capsys.readouterr().err
-    assert not (tmp_path / "out").exists()
-    small_config(mode=mode, s=2.0 / 3.0)
-
-
 @pytest.mark.parametrize("overrides", [
-    {"out_dir": 5},
-    {"tolerances": {"nabla_j": True}},
-    {"tolerances": {"nabla_j": float("inf")}},
     {"c0": float("nan")},
     {"mode": "circle-bundle", "alpha": float("inf")},
     {"perturb_f": float("nan")},
     {"perturb_f": 0},
     {"rng_seed": -1},
     {"k": 0},
-    {"k": None, "s": -0.5},
+    {"k": -1},
     {"mode": "product", "k": 0},
     {"mode": "negative-control", "k": 0},
-], ids=["out-dir-number", "tolerance-true", "tolerance-infinity", "c0-nan",
-        "alpha-infinity", "perturb-f-nan", "perturb-f-zero", "seed-negative",
+], ids=["c0-nan", "alpha-infinity", "perturb-f-nan", "perturb-f-zero", "seed-negative",
         "k-zero", "s-negative", "product-k-zero", "negative-control-k-zero"])
 def test_config_rejects_values_outside_the_schema(tmp_path, capsys, monkeypatch, overrides):
     """Each key's type comes from its field's annotation: no booleans as
@@ -148,7 +128,7 @@ def test_negative_seed_flag_is_a_configuration_error(tmp_path, capsys, monkeypat
 
 def test_circle_bundle_accepts_the_trivial_bundle():
     """s = 0 in circle-bundle mode is the product of the circle and the base."""
-    assert small_config(mode="circle-bundle", k=0).effective_s() == 0.0
+    assert small_config(mode="circle-bundle", k=0).s == 0.0
 
 
 def test_negative_control_needs_n3(tmp_path):
@@ -338,6 +318,20 @@ def test_cli_report_missing_file(tmp_path, capsys):
     assert main(["report", "--out", str(out)]) == 2
     assert "cannot read report:" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [["report", "--points", "5"], ["solve-profile", "--points", "5"],
+                                  ["report", "--config", "config.json"]],
+                         ids=["report-points", "solve-profile-points", "report-config"])
+def test_options_only_where_they_are_read(tmp_path, capsys, monkeypatch, argv):
+    """``report`` reads no configuration and ``solve-profile`` samples no
+    points: each is a usage error (exit 2) before any directory is made."""
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert os.listdir(tmp_path) == []
 
 
 @pytest.mark.parametrize("text", ['{"mode": "warped", "checks": [', '{"mode": "warped"}', "[]"],

@@ -35,7 +35,7 @@ def _warped(n):
 
 
 def _points(model, count, seed=3):
-    return sample_interior_points(model, np.random.default_rng(seed), count, 0.05, 1.5)
+    return sample_interior_points(model, np.random.default_rng(seed), count)
 
 
 def _gradient_law_errors(n, x):

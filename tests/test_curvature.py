@@ -251,7 +251,7 @@ def test_jacobi_operator_matches_full_riemann(n):
     profile = solve_profile(build_polynomial(1.0, 2.0, s))
     model = WarpedBundleMetric(profile, FubiniStudy(n - 1, 4.0))
     rng = np.random.default_rng(70 + n)
-    points = sample_interior_points(model, rng, 3, 0.05, 1.5)
+    points = sample_interior_points(model, rng, 3)
     v = 2.5 * rng.standard_normal((3, model.dim))
     batched = jacobi_operator(PointAnalysis(model, points), v)
     for i, p in enumerate(points):

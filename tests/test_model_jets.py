@@ -137,7 +137,7 @@ def test_warped_metric_jets_match_jet_arithmetic(n, variant):
     model = WarpedBundleMetric(profile, base,
                                product_mode=variant == "product-mode",
                                warp_scale=1.05 if variant == "warp-scale" else 1.0)
-    points = sample_interior_points(model, np.random.default_rng(60 + n), 5, 0.05, 1.5)
+    points = sample_interior_points(model, np.random.default_rng(60 + n), 5)
     for x in (points[0], points):
         coords = seed_chart(x)
         g, reference = model.metric_jets(coords), _jet_arithmetic_metric(model, coords)

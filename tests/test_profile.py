@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from scipy.special import ellipj, ellipk
 
 from qchgeom.profile import (
-    CubicProfilePolynomial,
     ProfileError,
     ProfileSolution,
     boundary_report,
@@ -19,7 +18,7 @@ from qchgeom.profile import (
     period_length,
     solve_profile,
 )
-from qchgeom.suite import DEFAULT_TOLERANCES, _profile_checks, _Residuals
+from qchgeom.suite import _profile_checks, _Residuals
 
 from helpers import warp_derivatives
 
@@ -40,8 +39,9 @@ def closed_form_length(x, y, s):
 
 
 def test_factorization_oracle():
-    """The coefficient closed form must solve the four defining constraints;
-    oracle = direct linear solve for the cubic coefficients."""
+    """The root form must solve the four defining constraints; oracle = the
+    cubic whose coefficients a direct linear solve gives, at points across
+    and beyond [x, y]."""
     rng = np.random.default_rng(3)
     for _ in range(20):
         x = rng.uniform(0.3, 2.0)
@@ -56,13 +56,18 @@ def test_factorization_oracle():
         target = np.array([0.0, 0.0, s, -s])
         oracle = np.linalg.solve(rows, target)
         poly = build_polynomial(x, y, s)
-        assert np.allclose(poly.coefficients, oracle, rtol=1e-9, atol=1e-11)
+        t = np.linspace(0.0, 2.0 * y, 17)
+        assert np.allclose(poly(t), np.polynomial.polynomial.polyval(t, oracle),
+                           rtol=1e-9, atol=1e-11)
 
 
 def test_example_cubic_coefficients():
-    # (x, y, s) = (1, 2, 2) gives exactly (t-1)(t-2)(t-3)
+    # (x, y, s) = (1, 2, 2) gives exactly (t-1)(t-2)(t-3) = t^3 - 6t^2 + 11t - 6
     poly = build_polynomial(1.0, 2.0, 2.0)
-    assert np.allclose(poly.coefficients, [-6.0, 11.0, -6.0, 1.0], atol=1e-12)
+    t = np.linspace(-1.0, 4.0, 11)
+    assert np.allclose(poly(t), ((t - 6.0) * t + 11.0) * t - 6.0, atol=1e-12)
+    assert np.allclose(poly.deriv1(t), (3.0 * t - 12.0) * t + 11.0, atol=1e-12)
+    assert np.allclose(poly.deriv2(t), 6.0 * t - 12.0, atol=1e-12)
 
 
 def test_endpoint_slope_constraints():
@@ -72,45 +77,38 @@ def test_endpoint_slope_constraints():
 
 
 def test_cubic_just_above_y_equals_x_builds():
-    """Regression: at y/x = 1.001 the monomial x P'(x) and y P'(y) round at
-    about 1e-12 (y P'(y) = -0.9374999999987723 here), which the absolute
-    self-check bound of 1e-12 max(1, s) once rejected (exit 3)."""
+    """Regression: at y/x = 1.001 the monomial x P'(x) and y P'(y) rounded at
+    about 1e-12 (y P'(y) = -0.9374999999987723 here), which an absolute
+    self-check bound of 1e-12 max(1, s) once rejected (exit 3).  From the
+    roots, P vanishes exactly at both ends and the slopes hold to rounding."""
     poly = build_polynomial(1.0, 1.001, 0.9375)
+    assert poly(poly.x) == 0.0 and poly(poly.y) == 0.0
+    assert abs(poly.x * poly.deriv1(poly.x) - poly.s) < 4 * np.finfo(float).eps * poly.s
+    assert abs(poly.y * poly.deriv1(poly.y) + poly.s) < 4 * np.finfo(float).eps * poly.s
     sol = solve_profile(poly)
     assert sol.L > 0.0 and sol.first_integral_residual() < 1e-11
 
 
 def _exact_half_slope(poly, r):
     """P'(r)/2 in exact rational arithmetic from the float roots and c3."""
-    x, y, c3, r = (Fraction(v) for v in (poly.x, poly.y, poly.coefficients[3], float(r)))
+    x, y, c3, r = (Fraction(v) for v in (poly.x, poly.y, poly.c3, float(r)))
     return float(c3 * ((r - y) * (r - x - y) + (r - x) * (r - x - y) + (r - x) * (r - y)) / 2)
 
 
 @settings(max_examples=60, deadline=None)
 @given(x=st.floats(0.05, 5.0), gap=st.floats(1e-6, 3e-3), s=st.floats(0.1, 5.0))
 def test_cubics_near_y_equals_x_build_and_keep_r_second_derivative(x, gap, s):
-    """Every cubic with y/x = 1 + gap in [1 + 1e-6, 1.003] passes the
-    self-checks, and r'' = P'(r)/2, evaluated in the factored form, stays
-    within a few eps of its exact value relative to the size of its terms,
-    c3 (y - x) y; the monomial P' rounds at about y/(y - x) times that.
-    (Below gap = 1e-6 the monomial P cannot be told positive on (x, y) from
-    its rounding, and ``build_polynomial`` raises ProfileError by design.)"""
+    """Every cubic with y/x = 1 + gap in [1 + 1e-6, 1.003] builds, and
+    r'' = P'(r)/2, evaluated from the roots, stays within a few eps of its
+    exact value relative to the size of its terms, c3 (y - x) y; the
+    monomial P' rounds at about y/(y - x) times that."""
     y = x * (1.0 + gap)
     sol = solve_profile(build_polynomial(x, y, s))
     poly = sol.polynomial
     r, _, rpp, _ = sol.evaluate(np.linspace(0.0, sol.L, 9))
-    scale = poly.coefficients[3] * (y - x) * y
+    scale = poly.c3 * (y - x) * y
     for ri, got in zip(r, rpp):
         assert abs(got - _exact_half_slope(poly, ri)) <= 8 * np.finfo(float).eps * scale
-
-
-def test_self_check_catches_a_wrong_slope(monkeypatch):
-    """The rounding bound keeps its teeth: a P' off by 1e-12 relative fails."""
-    deriv1 = CubicProfilePolynomial.deriv1
-    monkeypatch.setattr(CubicProfilePolynomial, "deriv1",
-                        lambda self, t: deriv1(self, t) * (1.0 + 1e-12))
-    with pytest.raises(ProfileError, match=r"x P'\(x\) = "):
-        build_polynomial(1.0, 2.0, 2.0 / 3.0)
 
 
 def test_midpoint_positive():
@@ -297,7 +295,7 @@ def turning_point_series(poly, root, tau, terms=12):
     recursion.  A = P'(root)/2 and B = P''(root)/2 are taken from the
     factored P = c3 (r - x)(r - y)(r - x - y), free of the cancellation of
     the monomial form near y = x."""
-    x, y, c3 = poly.x, poly.y, poly.coefficients[3]
+    x, y, c3 = poly.x, poly.y, poly.c3
     A = 0.5 * c3 * (y - x) * (y if root == x else -x)
     B = c3 * (3.0 * root - 2.0 * (x + y))
     C = 1.5 * c3
@@ -320,7 +318,7 @@ def test_turning_points_keep_relative_accuracy(x, y, s):
     series."""
     poly = build_polynomial(x, y, s)
     sol = solve_profile(poly)
-    c3, L = poly.coefficients[3], sol.L
+    c3, L = poly.c3, sol.L
     for frac in (1e-6, 1e-4, 1e-2):
         t_far = L - frac * L
         for t, root, tau in ((frac * L, x, frac * L), (t_far, y, t_far - L)):
@@ -340,7 +338,7 @@ def test_wrong_frequency_fails_the_profile_checks(profile):
     for label, omega in (("solved", profile.omega), ("off", profile.omega * (1.0 + 1e-6))):
         res = _Residuals()
         _profile_checks(res, ProfileSolution(poly, omega, profile.quadrature_length), poly)
-        verdicts[label] = {c.name: c.passed for c in res.checks(DEFAULT_TOLERANCES)}
+        verdicts[label] = {c.name: c.passed for c in res.checks()}
     assert all(verdicts["solved"].values())
     assert not verdicts["off"]["profile_first_integral"]
     assert not verdicts["off"]["profile_length_agreement"]

@@ -218,9 +218,9 @@ def test_circle_bundle_closed_forms(circle_bundle):
 def test_residuals_come_back_under_check_names(warped, circle_bundle):
     """The residual functions key each residual by the check it feeds."""
     rng = np.random.default_rng(19)
-    warped_batch = PointAnalysis(warped, sample_interior_points(warped, rng, 3, 0.05, 1.5))
+    warped_batch = PointAnalysis(warped, sample_interior_points(warped, rng, 3))
     bundle_batch = PointAnalysis(
-        circle_bundle, sample_interior_points(circle_bundle, rng, 3, 0.05, 1.5))
+        circle_bundle, sample_interior_points(circle_bundle, rng, 3))
     keys = {*structure_identities(warped_batch, warped),
             *warped_submersion_residuals(warped_batch, warped),
             *circle_bundle_residuals(bundle_batch, circle_bundle, 4.0)}

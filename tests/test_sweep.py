@@ -27,11 +27,12 @@ quantity behind their fault is measured to be large.
   0.035 of their tolerance.  The Kaehler type R(J., J., ., .) = R still fails there
   (36 times its tolerance), as J's chart components carry the rounding
   that fails ``hermitian_metric`` at the same points.
-* A near-degenerate profile, y/x close to 1 with a large pitch: the monomial
-  coefficients of P grow like s / (x y (y - x)), ``profile_constraints`` is
-  absolute (1e-12), and the decay ratio law misses by 1.6e-6 at x = 0.1,
-  y = 0.1001, k = 5.  Every failure had a rounding scale, eps times the sum
-  of the terms of P(y), of at least 2e-12; they are allowed from 2e-13.
+* A near-degenerate profile, y/x close to 1 with a large pitch: the decay
+  ratio law misses by 1.6e-6 at x = 0.1, y = 0.1001, k = 5, where the
+  monomial coefficients of P would reach 3e6.  Every failure had a rounding
+  scale, eps times the sum of the monomial terms of P(y), of at least 2e-12;
+  they are allowed from 2e-13.  (``profile_constraints`` failed there too
+  while P was evaluated in monomial form; from its roots it reads 4.4e-16.)
 """
 
 import json
@@ -45,13 +46,12 @@ from qchgeom import FubiniStudy
 from qchgeom.cli import RunConfig, main
 from qchgeom.curvature import PointAnalysis
 from qchgeom.geometry import CircleBundleMetric
-from qchgeom.profile import build_polynomial
 from qchgeom.suite import build_warped_model, run_suite, sample_interior_points
 
 CHART_SCALE = {"bianchi_second_spot", "curvature_kahler_type", "hermitian_metric",
                "kahler_form_closed", "ricci_e_block", "ricci_j_invariance", "ricci_symmetry",
                "submersion_twist"}
-DEGENERATE_PROFILE = {"profile_constraints", "decay_ratio_law"}
+DEGENERATE_PROFILE = {"decay_ratio_law"}
 
 FORMERLY_FAILING = [
     {"mode": "warped", "n": 3, "k": 1, "c0": 0.01, "rng_seed": 42},
@@ -70,20 +70,22 @@ PROFILE_ROUNDING = 2e-13
 def chart_condition(config: RunConfig) -> float:
     """The largest condition number of g at the suite's sample points."""
     if config.mode == "circle-bundle":
-        model = CircleBundleMetric(config.alpha, config.beta, config.effective_s(),
+        model = CircleBundleMetric(config.alpha, config.beta, config.s,
                                    FubiniStudy(config.n - 1, config.c0))
     else:
         model = build_warped_model(config)
     points = sample_interior_points(model, np.random.default_rng(config.rng_seed),
-                                    config.sample_count, config.sample_margin, config.z_radius)
+                                    config.sample_count)
     return float(np.linalg.cond(PointAnalysis(model, points).g).max())
 
 
 def profile_rounding(config: RunConfig) -> float:
-    """eps times the sum of the magnitudes of the monomial terms of P(y)."""
-    poly = build_polynomial(config.x, config.y, config.effective_s())
-    return np.finfo(float).eps * sum(abs(c) * config.y ** i
-                                     for i, c in enumerate(poly.coefficients))
+    """eps times the sum of the magnitudes of the monomial terms of P(y):
+    P = c3 (t^3 - e1 t^2 + e2 t - e3) for the roots x, y, x + y."""
+    x, y, s = config.x, config.y, config.s
+    e1, e2, e3 = 2.0 * (x + y), x * y + (x + y) ** 2, x * y * (x + y)
+    terms = (e3, e2 * y, e1 * y ** 2, y ** 3)
+    return np.finfo(float).eps * s / (x * y * (y - x)) * sum(terms)
 
 
 @pytest.mark.parametrize("config", FORMERLY_FAILING,

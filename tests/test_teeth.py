@@ -10,19 +10,70 @@ import pytest
 from qchgeom.cli import RunConfig
 from qchgeom.curvature import PointAnalysis
 from qchgeom.geometry import WarpedBundleMetric
+from qchgeom.profile import ProfileSolution
 from qchgeom.suite import run_suite
 
 
-def _verdicts():
+def _verdicts(**overrides):
     """{check name: passed} of the n = 3 warped run at 10 points."""
     report = run_suite(RunConfig.from_dict(
-        {"mode": "warped", "n": 3, "k": 1, "rng_seed": 42, "sample_count": 10}))
+        {"mode": "warped", "n": 3, "k": 1, "rng_seed": 42, "sample_count": 10, **overrides}))
     return {c.name: c.passed for c in report.checks}
 
 
 @pytest.fixture(scope="module")
 def unperturbed():
     return _verdicts()
+
+
+@pytest.fixture(scope="module")
+def scaled_warp():
+    """The run with f scaled by 1.05, no longer Kaehler."""
+    return _verdicts(perturb_f=1.05)
+
+
+@pytest.fixture(scope="module")
+def scaled_r_second_derivative():
+    """The run with r'' scaled by 1 + 1e-6 wherever the profile is evaluated."""
+    evaluate = ProfileSolution.evaluate
+
+    def scaled(self, t):
+        r, rp, rpp, rppp = evaluate(self, t)
+        return r, rp, (1.0 + 1e-6) * rpp, rppp
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ProfileSolution, "evaluate", scaled)
+        return _verdicts()
+
+
+@pytest.mark.parametrize("perturbed,check", [
+    ("scaled_warp", "qch_coefficient_a"),
+    ("scaled_warp", "ricci_lambda"),
+    ("scaled_warp", "ricci_mu"),
+    ("scaled_r_second_derivative", "profile_boundary"),
+    ("scaled_r_second_derivative", "decay_norm_tracks_warp"),
+])
+def test_closed_forms_see_a_perturbed_profile(unperturbed, request, perturbed, check):
+    """The closed forms in r and f fail once the warp leaves the solved
+    profile: a = c0/r^2 - 4 r'^2/r^2 and the Ricci eigenvalues against the
+    fit once f is scaled, the endpoint slopes of f and |C| = f along the
+    flow once r'' is."""
+    assert unperturbed[check]
+    assert not request.getfixturevalue(perturbed)[check]
+
+
+def test_theta_derivative_sees_a_scaled_kaehler_form(unperturbed, monkeypatch):
+    """d theta = s Omega: an Omega scaled by 1 + 1e-6 no longer matches the
+    d theta read off the metric."""
+    connection_forms = WarpedBundleMetric.connection_forms
+
+    def scaled(self, z):
+        sigma, omega = connection_forms(self, z)
+        return sigma, (1.0 + 1e-6) * omega
+
+    monkeypatch.setattr(WarpedBundleMetric, "connection_forms", scaled)
+    assert unperturbed["theta_derivative"]
+    assert not _verdicts()["theta_derivative"]
 
 
 def test_theta_normalization_sees_a_t_psi_cross_term(unperturbed, monkeypatch):
