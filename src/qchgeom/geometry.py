@@ -12,11 +12,12 @@ Charts
 
 All metric and complex-structure components are jet-evaluable so the
 curvature layer sees exact first and second derivatives.  The Fubini-Study
-jets are closed forms in z (``FubiniStudy``), and each bundle model builds
-its z-only parts once per batch of base points (``_SliceMemo``): the metric,
-the frame, the horizontal lifts and the connection-form check all read that
-one evaluation.  The warped model keeps the warp profile at a batch of t the
-same way (``WarpedBundleMetric.profile_at``).  A point is its chart
+jets are closed forms in z (``FubiniStudy``), and each bundle model keeps
+its z-only parts at the last real and the last complex batch of base points
+it read (``_SliceMemo``): the metric, the frame, the horizontal lifts and the
+connection-form check at a batch all read one evaluation.  The warped model
+keeps the warp profile at the last batches of t the same way
+(``WarpedBundleMetric.profile_at``).  A point is its chart
 coordinates, shape (d,), and a batch of points carries leading batch axes,
 B + (d,); each model reads t, psi and z by slicing its own layout.  The
 connection potential is fixed in the rotation-invariant gauge
@@ -222,45 +223,31 @@ def _cholesky(a: np.ndarray) -> np.ndarray:
 
 
 class _SliceMemo:
-    """A bundle model's values of z alone (or of t alone), memoised on the
-    values of a batch.
+    """A bundle model's values of z alone (or of t alone) at the last real
+    and the last complex batch looked up.
 
-    A lookup at z (one point's base coordinates, B + (2m,), or one t per
-    point, B + (1,)) calls ``build`` on a miss; the key is the dtype, shape
-    and bytes of the whole batch.  Base components depend only on z, so the
-    frame, the fields and the checks at an analysed batch, or the same batch
-    moved along t, reuse one evaluation; the warp profile depends only on t,
-    so they reuse one evaluation of it as well.  Such reuse is local: once
-    ``points`` points are held the memo starts over, since a larger one only
-    keeps memory alive for as long as the model lives.  A batch moved off the
-    real axis (a complex step) is built and not kept, unless
-    ``keep_complex``: a step along t leaves z real, and shares its real
-    entry.
+    A lookup at z (the base coordinates of a batch, B + (2m,), or its t, one
+    per point, B + (1,)) calls ``build`` unless z is the batch held for its
+    dtype kind, compared by dtype, shape and bytes; a complex batch with zero
+    imaginary part (a complex step along t leaves z real) shares the real
+    entry.  The suite runs every check at one sample slice before it moves
+    on, and at a slice reads its own points, then their complex step along t,
+    then its points moved in z; so the metric, J, the frame, the fields and
+    the checks at a slice build each part once.
     """
 
-    def __init__(self, points: int, *, keep_complex: bool = False):
-        self.capacity = points
-        self.keep_complex = keep_complex
-        self.entries: dict[tuple, tuple] = {}
-        self.points = 0
+    def __init__(self):
+        self.entries: dict[str, tuple] = {}
 
     def __call__(self, z, build) -> tuple:
         z = np.asarray(z)
-        if np.iscomplexobj(z) and not self.keep_complex:
-            if z.imag.any():  # a complex step that moves z: built once, not kept
-                return build(z)
-            z = z.real  # a complex step along t leaves z real: share its entry
+        if np.iscomplexobj(z) and not z.imag.any():
+            z = z.real
         key = (z.dtype.str, z.shape, z.tobytes())
-        hit = self.entries.get(key)
-        if hit is None:
-            hit = build(z)
-            points = z.size // z.shape[-1]
-            if self.points + points > self.capacity:
-                self.entries.clear()
-                self.points = 0
-            self.entries[key] = hit
-            self.points += points
-        return hit
+        held = self.entries.get(z.dtype.kind)
+        if held is None or held[0] != key:
+            held = self.entries[z.dtype.kind] = (key, build(z))
+        return held[1]
 
 
 def _base_parts(base, z: np.ndarray, d: int, s: float) -> tuple[Jet2, Jet2, Jet2]:
@@ -292,7 +279,25 @@ def _lift_rows(sigma: Jet2, s: float, dim: int) -> Jet2:
     return rows
 
 
-class WarpedBundleMetric:
+class _BundleMetric:
+    """What the bundle models share: the z-only parts of a batch, from the
+    model's ``_base_at``, with z the last 2m chart coordinates."""
+
+    def connection_forms(self, z: np.ndarray) -> tuple[Jet2, np.ndarray]:
+        """(sigma, Omega) at the z-slice: the potential as a chart jet and the
+        values of the base Kaehler form h(J., .)."""
+        off = self.dim - self.base.dim
+        h, sigma, _ = self._base_at(z)
+        return sigma, self.base.j0.T @ h.value[..., off:, off:]
+
+    def lift_jets(self, coords: Jet2) -> Jet2:
+        """The horizontal lifts of the base coordinate vectors as the rows of
+        one B + (2m, d) jet, from the memoised sigma."""
+        z = coords.value[..., self.dim - self.base.dim:]
+        return _lift_rows(self._base_at(z)[1], self.s, self.dim)
+
+
+class WarpedBundleMetric(_BundleMetric):
     """dt^2 + f(t)^2 (dpsi + s sigma)^2 + r(t)^2 h on (0, L) x bundle chart.
 
     The base (complex dimension m, curvature scale ``base.c0``) and the warp
@@ -315,10 +320,8 @@ class WarpedBundleMetric:
         self.warp_scale = warp_scale
         self.s = 0.0 if product_mode else profile.s
         self.dim = 2 + self.base.dim
-        # entries are d x d jets, about 0.7 MB a point at d = 14
-        self._base_memo = _SliceMemo(16)
-        # entries are (r, r', r'', r''') at a t batch, 64 bytes a point
-        self._profile_memo = _SliceMemo(4096, keep_complex=True)
+        self._base_memo = _SliceMemo()
+        self._profile_memo = _SliceMemo()
 
     # coordinates are (t, psi, z_1..z_2m)
     def check_bounds(self, x: np.ndarray) -> None:
@@ -335,22 +338,16 @@ class WarpedBundleMetric:
         (``_SliceMemo``): the base metric h (in the z block of a total-chart
         matrix), the potential sigma, and Theta = theta x theta with
         theta = dpsi + s sigma, all seeded in the total chart (z sits at
-        coordinates 2..d-1).  Points sharing z (samples along one t-geodesic,
-        a batch moved along t, the frame and fields at an analysed batch)
-        reuse one evaluation."""
+        coordinates 2..d-1).  The frame and fields at an analysed batch, its
+        complex step along t and the nodes of an axial flow panel reuse one
+        evaluation."""
         return self._base_memo(z, lambda z: _base_parts(self.base, z, self.dim, self.s))
-
-    def connection_forms(self, z: np.ndarray) -> tuple[Jet2, np.ndarray]:
-        """(sigma, Omega) at the z-slice, from the memo: the potential as a
-        total-chart jet and the values of the base Kaehler form h(J., .)."""
-        h, sigma, _ = self._base_at(z)
-        return sigma, self.base.j0.T @ h.value[..., 2:, 2:]
 
     def profile_at(self, t) -> tuple:
         """(r, r', r'', r''') at t, a float or a batch (complex t included),
         from the model's memo (``_SliceMemo``): the metric, J, the frame, the
-        fields and the checks at one analysed batch read one evaluation.  The
-        arrays are shared, so they are read-only."""
+        fields and the checks at one analysed batch, and the batch moved in z,
+        read one evaluation.  The arrays are shared, so they are read-only."""
         def build(t):
             values = self.profile.evaluate(t[..., 0])
             for v in values:
@@ -416,11 +413,6 @@ class WarpedBundleMetric:
         out[..., 1] = c2 * reciprocal(f)
         return out
 
-    def lift_jets(self, coords: Jet2) -> Jet2:
-        """The horizontal lifts of the base coordinate vectors as the rows of
-        one B + (2m, d) jet, from the memoised sigma."""
-        return _lift_rows(self._base_at(coords.value[..., 2:])[1], self.s, self.dim)
-
     def base_unit_lift_jets(self, coords: Jet2, i: int) -> Jet2:
         """The horizontal lift of the i-th base coordinate vector, scaled to
         unit length in the base metric h (its g-length is r in warped mode)."""
@@ -449,7 +441,7 @@ class WarpedBundleMetric:
         return rows
 
 
-class CircleBundleMetric:
+class CircleBundleMetric(_BundleMetric):
     """Odd-dimensional bundle metric alpha^2 theta x theta + beta^2 h on (psi, z)."""
 
     def __init__(self, alpha: float, beta: float, s: float, base: FubiniStudy):
@@ -460,42 +452,23 @@ class CircleBundleMetric:
         self.s = s
         self.base = base
         self.dim = 1 + base.dim
-        # entries are sigma and Omega alone, 2m (1 + d + d^2) + 4m^2 numbers a
-        # point (18 kB at d = 13), so the sample slices and the displaced
-        # points of the Bianchi spot check all fit
-        self._base_memo = _SliceMemo(256)
+        self._base_memo = _SliceMemo()
 
     # coordinates are (psi, z_1..z_2m)
     def check_bounds(self, x: np.ndarray) -> None:
         self.base.check_bounds(x[..., 1:])
 
-    def _forms(self, h: Jet2, sigma: Jet2) -> tuple[Jet2, np.ndarray]:
-        return sigma, self.base.j0.T @ h.value[..., 1:, 1:]
-
-    def connection_forms(self, z: np.ndarray) -> tuple[Jet2, np.ndarray]:
-        """(sigma, Omega) at the z-slice, from the model's memo
-        (``_SliceMemo``): the potential as a bundle-chart jet and the values
-        of the base Kaehler form h(J., .)."""
-        def build(z):
-            h, sigma, _ = _base_parts(self.base, z, self.dim, self.s)
-            return self._forms(h, sigma)
-        return self._base_memo(z, build)
+    def _base_at(self, z: np.ndarray) -> tuple[Jet2, Jet2, Jet2]:
+        """(h, sigma, Theta) at the z-slice, from the model's memo, as
+        ``WarpedBundleMetric._base_at`` reads them on its chart."""
+        return self._base_memo(z, lambda z: _base_parts(self.base, z, self.dim, self.s))
 
     def metric_jets(self, coords: Jet2) -> Jet2:
-        """alpha^2 theta x theta + beta^2 h.  Its sigma and Omega go into the
-        memo, so the frame, the lifts and the checks at the same points build
-        no base jets again."""
-        z = coords.value[..., 1:]
-        h, sigma, theta2 = _base_parts(self.base, z, self.dim, self.s)
-        self._base_memo(z, lambda _: self._forms(h, sigma))
+        """alpha^2 theta x theta + beta^2 h."""
+        h, _, theta2 = self._base_at(coords.value[..., 1:])
         return self.alpha ** 2 * theta2 + self.beta ** 2 * h
 
     complex_structure_jets = None  # no complex structure on the odd-dim chart
-
-    def lift_jets(self, coords: Jet2) -> Jet2:
-        """The horizontal lifts of the base coordinate vectors as the rows of
-        one B + (2m, d) jet, from the memoised sigma."""
-        return _lift_rows(self.connection_forms(coords.value[..., 1:])[0], self.s, self.dim)
 
     def frame_at(self, x: np.ndarray, g_values: np.ndarray) -> np.ndarray:
         """The g-orthonormal rows (xi/alpha, E_1..E_2m): the fiber field
@@ -504,7 +477,7 @@ class CircleBundleMetric:
         d = self.dim
         rows = np.broadcast_to(np.eye(d), x.shape[:-1] + (d, d)).astype(x.dtype)
         rows[..., 0, :] /= self.alpha
-        rows[..., 1:, 0] = -self.s * self.connection_forms(x[..., 1:])[0].value
+        rows[..., 1:, 0] = -self.s * self._base_at(x[..., 1:])[1].value
         rows[..., 1:, :] = _gram_schmidt(rows[..., 1:, :], g_values)
         return rows
 

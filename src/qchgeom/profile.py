@@ -67,13 +67,18 @@ def build_polynomial(x: float, y: float, s: float) -> CubicProfilePolynomial:
     """The unique admissible cubic for endpoint values (x, y) and pitch s.
 
     P(x) = P(y) = 0, x P'(x) = s, y P'(y) = -s and P > 0 on (x, y) hold by
-    construction once 0 < x < y and s > 0; otherwise ``ValueError``.
+    construction once 0 < x < y, s > 0 and the leading coefficient
+    s/(x y (y - x)) is finite; otherwise ``ValueError``.
     """
     if not (0.0 < x < y):
         raise ValueError(f"endpoint values must satisfy 0 < x < y, got x={x}, y={y}")
     if s <= 0.0:
         raise ValueError(f"pitch s must be positive, got s={s}")
-    return CubicProfilePolynomial(x, y, s, s / (x * y * (y - x)))
+    scale = x * y * (y - x)
+    if not (scale > 0.0 and np.isfinite(s / scale)):
+        raise ValueError(f"the cubic's leading coefficient s/(x y (y - x)) is not finite "
+                         f"at x={x}, y={y}, s={s}")
+    return CubicProfilePolynomial(x, y, s, s / scale)
 
 
 def period_length(poly: CubicProfilePolynomial, *, tol: float = 1e-9) -> float:

@@ -165,13 +165,13 @@ def fit_qch_coefficients(analysis: PointAnalysis, *,
 
 
 def qch_residual_samples(analysis: PointAnalysis, coeffs: QCHCoefficients,
-                         rng: np.random.Generator, samples: int) -> np.ndarray:
-    """Per-sample deviations |K(X) - phi(|X_D|)|, B + (samples,)."""
+                         draws: np.ndarray) -> np.ndarray:
+    """Per-sample deviations |K(X) - phi(|X_D|)| on the unit vectors along
+    ``draws``, standard normals B + (samples, d); the result is B + (samples,)."""
     frame = analysis.frame
     J = analysis.complex_structure[0]
     g = analysis.g
     split = split_tensors(g, J, frame[..., 0, :], frame[..., 1, :])
-    draws = rng.standard_normal(g.shape[:-2] + (samples, g.shape[-1]))
     return _probe_deviations(analysis.riemann, g, J, split, coeffs, draws)
 
 

@@ -7,11 +7,16 @@ marked ``expected_fail`` encode negative controls: the suite counts them as
 in order exactly when they fail, and, for the quasi-constancy control, when
 they fail decisively (median residual above the discrimination floor).
 
-``CHECKS`` holds each check's tolerance and claim.  The sample points form
-one batch.  Each check family analyses it in a few memory-bounded slices
-(``curvature.batch_analyses``) and adds one residual per point under each
-check's name; one place then reduces every check's residuals with ``np.max``,
-so a NaN residual at any point fails its check.
+``CHECKS`` holds each check's tolerance and claim.  ``run_suite`` draws the
+sample points and then, in one block and in the seed's order, every other
+random number of the run.  It walks the points once, in memory-bounded
+slices (``curvature.batch_slices``): at each slice it builds one
+``PointAnalysis`` and runs every check family of its mode on it, each adding
+one residual per point under each check's name, and drops the analysis
+before the next slice.  The checks of the whole run (the profile, the second
+Bianchi spot check, the decay flow) run once.  One place then reduces every
+check's residuals with ``np.max``, so a NaN residual at any point fails its
+check.
 """
 
 from __future__ import annotations
@@ -24,7 +29,7 @@ import numpy as np
 from .batch import each, max_abs, mT
 from .curvature import (
     PointAnalysis,
-    batch_analyses,
+    batch_slices,
     contract_slots,
     max_frame_component_3tensor,
     nabla_j,
@@ -42,7 +47,6 @@ from .geometry import (
 )
 from .profile import FIRST_INTEGRAL_SAMPLES, boundary_report, build_polynomial, solve_profile
 from .qch import (
-    QCHCoefficients,
     circle_bundle_residuals,
     coefficient_base_independence,
     fit_qch_coefficients,
@@ -281,54 +285,47 @@ def _connection_form_residuals(model, analysis: PointAnalysis) -> tuple:
     return res_sigma, max_abs(dtheta - target, 2)
 
 
-def _metric_invariant_checks(res: _Residuals, model, analyses, *, has_j: bool) -> None:
-    for an in analyses:
-        g = an.g
-        eye = np.eye(g.shape[-1])
-        fr = an.frame
-        gamma = an.gamma
-        # theta(xi) = 1 and g(H, xi) = g(dt, dpsi) = 0 exactly on total charts
-        theta = (np.abs(g[..., 0, 1]) if isinstance(model, WarpedBundleMetric)
-                 else np.zeros(g.shape[:-2]))
-        res.add(metric_positive_definite=np.maximum(0.0, -np.linalg.eigvalsh(g).min(axis=-1)),
-                frame_orthonormality=max_abs(fr @ g @ mT(fr) - eye, 2),
-                christoffel_symmetry=max_abs(gamma - mT(gamma), 3),
-                theta_normalization=theta)
-        if has_j:
-            J = an.complex_structure[0]
-            res.add(complex_structure_involution=max_abs(J @ J + eye, 2),
-                    hermitian_metric=max_abs(mT(J) @ g @ J - g, 2),
-                    kahler_form_closed=_kahler_form_closedness(an))
-        if model.s != 0.0:
-            ds, dt = _connection_form_residuals(model, an)
-            res.add(connection_form_derivative=ds, theta_derivative=dt)
+def _metric_invariant_checks(res: _Residuals, model, an: PointAnalysis, *,
+                             has_j: bool) -> None:
+    g = an.g
+    eye = np.eye(g.shape[-1])
+    fr = an.frame
+    gamma = an.gamma
+    # theta(xi) = 1 and g(H, xi) = g(dt, dpsi) = 0 exactly on total charts
+    theta = (np.abs(g[..., 0, 1]) if isinstance(model, WarpedBundleMetric)
+             else np.zeros(g.shape[:-2]))
+    res.add(metric_positive_definite=np.maximum(0.0, -np.linalg.eigvalsh(g).min(axis=-1)),
+            frame_orthonormality=max_abs(fr @ g @ mT(fr) - eye, 2),
+            christoffel_symmetry=max_abs(gamma - mT(gamma), 3),
+            theta_normalization=theta)
+    if has_j:
+        J = an.complex_structure[0]
+        res.add(complex_structure_involution=max_abs(J @ J + eye, 2),
+                hermitian_metric=max_abs(mT(J) @ g @ J - g, 2),
+                kahler_form_closed=_kahler_form_closedness(an))
+    if model.s != 0.0:
+        ds, dt = _connection_form_residuals(model, an)
+        res.add(connection_form_derivative=ds, theta_derivative=dt)
 
 
-def _curvature_invariant_checks(res: _Residuals, model, points, analyses, rng, *,
-                                has_j: bool) -> None:
-    for an in analyses:
-        R = an.riemann
-        scale = np.maximum(max_abs(R, 4), 1e-30)
+def _curvature_invariant_checks(res: _Residuals, an: PointAnalysis, *, has_j: bool) -> None:
+    R = an.riemann
+    scale = np.maximum(max_abs(R, 4), 1e-30)
 
-        def relative(x):
-            return max_abs(x, 4) / scale
+    def relative(x):
+        return max_abs(x, 4) / scale
 
-        rho = an.ricci
-        res.add(curvature_antisymmetry=np.maximum(relative(R + np.swapaxes(R, -4, -3)),
-                                                  relative(R + np.swapaxes(R, -2, -1))),
-                curvature_pair_symmetry=relative(R - np.moveaxis(R, (-2, -1), (-4, -3))),
-                bianchi_first=relative(R + np.moveaxis(R, -2, -4) + np.moveaxis(R, -4, -2)),
-                ricci_symmetry=max_abs(rho - mT(rho), 2))
-        if has_j:
-            J = an.complex_structure[0]
-            rj = np.moveaxis(contract_slots(R, mT(J), mT(J), rank=4), (-2, -1), (-4, -3))
-            res.add(curvature_kahler_type=relative(rj - R),
-                    ricci_j_invariance=max_abs(mT(J) @ rho @ J - rho, 2))
-    # unit directions (A, B, C) at the first points, one (points, 3, d) draw
-    spots = points[:BIANCHI2_POINTS]
-    dirs = rng.standard_normal(spots.shape[:-1] + (3, model.dim))
-    dirs /= np.linalg.norm(dirs, axis=-1, keepdims=True)
-    res.add(bianchi_second_spot=second_bianchi_residual(model, spots, dirs))
+    rho = an.ricci
+    res.add(curvature_antisymmetry=np.maximum(relative(R + np.swapaxes(R, -4, -3)),
+                                              relative(R + np.swapaxes(R, -2, -1))),
+            curvature_pair_symmetry=relative(R - np.moveaxis(R, (-2, -1), (-4, -3))),
+            bianchi_first=relative(R + np.moveaxis(R, -2, -4) + np.moveaxis(R, -4, -2)),
+            ricci_symmetry=max_abs(rho - mT(rho), 2))
+    if has_j:
+        J = an.complex_structure[0]
+        rj = np.moveaxis(contract_slots(R, mT(J), mT(J), rank=4), (-2, -1), (-4, -3))
+        res.add(curvature_kahler_type=relative(rj - R),
+                ricci_j_invariance=max_abs(mT(J) @ rho @ J - rho, 2))
 
 
 def _profile_checks(res: _Residuals, profile, poly) -> None:
@@ -343,38 +340,34 @@ def _profile_checks(res: _Residuals, profile, poly) -> None:
     res.samples["profile_first_integral"] = FIRST_INTEGRAL_SAMPLES
 
 
-def _warped_structure_checks(res: _Residuals, model, analyses, rng) -> None:
-    d, nz = model.dim, model.base.dim
-    for an in analyses:
-        # per point, in the seed's draw order: fit probes, section angle, base moves
-        draws, phis, moves = [], [], []
-        for _ in range(len(an.x)):
-            draws.append(rng.standard_normal((100, d)))
-            phis.append(rng.uniform(0.0, 2.0 * np.pi))
-            moves.append(rng.standard_normal((2, nz)))
-        fit = fit_qch_coefficients(an, draws=np.stack(draws))
-        r, rp, _, _ = model.profile_at(an.x[..., 0])
-        n, c0 = model.n, model.base.c0
-        rs = ricci_split(an, fit, n)
-        d1, d2 = section_divergences(an, model)
-        phis = np.array(phis)
-        d1r, d2r = section_divergences(an, model, (np.cos(phis), np.sin(phis)))
-        res.add(qch_fit_residual=fit.residual,
-                qch_coefficient_a=np.abs(fit.a - (c0 / r ** 2 - 4.0 * rp ** 2 / r ** 2)),
-                ricci_lambda=np.abs(rs.lam_engine - rs.lam_formula),
-                ricci_mu=np.abs(rs.mu_engine - rs.mu_formula),
-                ricci_off_block=rs.off_block_max, ricci_e_block=rs.e_block_deviation,
-                principal_section=np.abs(d2),  # div_E(JH) = 0 makes H the principal section
-                kappa_section_independence=np.abs(np.hypot(d1r, d2r) - np.hypot(d1, d2)),
-                qch_coefficient_base_independence=coefficient_base_independence(
-                    an, model, draws=np.stack(moves), fit=fit),
-                **structure_identity_residuals(an, model, fit=fit, divergences=(d1, d2)),
-                **warped_submersion_residuals(an, model))
+def _warped_structure_checks(res: _Residuals, model, an: PointAnalysis, probes, phis,
+                             moves) -> None:
+    """The QCH structure at a slice: the fit with its residual along the
+    ``probes``, the section rotated by the angles ``phis``, and the base
+    independence at the points moved by ``moves``.  The slice's own points
+    come first, then the complex step along t of the gradient laws, then the
+    moved points, the order in which the model's memos hold one batch each."""
+    fit = fit_qch_coefficients(an, draws=probes)
+    r, rp, _, _ = model.profile_at(an.x[..., 0])
+    n, c0 = model.n, model.base.c0
+    rs = ricci_split(an, fit, n)
+    d1, d2 = section_divergences(an, model)
+    d1r, d2r = section_divergences(an, model, (np.cos(phis), np.sin(phis)))
+    res.add(qch_fit_residual=fit.residual,
+            qch_coefficient_a=np.abs(fit.a - (c0 / r ** 2 - 4.0 * rp ** 2 / r ** 2)),
+            ricci_lambda=np.abs(rs.lam_engine - rs.lam_formula),
+            ricci_mu=np.abs(rs.mu_engine - rs.mu_formula),
+            ricci_off_block=rs.off_block_max, ricci_e_block=rs.e_block_deviation,
+            principal_section=np.abs(d2),  # div_E(JH) = 0 makes H the principal section
+            kappa_section_independence=np.abs(np.hypot(d1r, d2r) - np.hypot(d1, d2)),
+            **warped_submersion_residuals(an, model))
+    res.add(**structure_identity_residuals(an, model, fit=fit, divergences=(d1, d2)))
+    res.add(qch_coefficient_base_independence=coefficient_base_independence(
+        an, model, draws=moves, fit=fit))
 
 
-def _nabla_j_check(res: _Residuals, analyses) -> None:
-    for an in analyses:
-        res.add(nabla_j=max_frame_component_3tensor(nabla_j(an), an.frame, an.g))
+def _nabla_j_check(res: _Residuals, an: PointAnalysis) -> None:
+    res.add(nabla_j=max_frame_component_3tensor(nabla_j(an), an.frame, an.g))
 
 
 def _decay_checks(res: _Residuals, model) -> None:
@@ -401,83 +394,102 @@ def build_warped_model(config) -> WarpedBundleMetric:
                               warp_scale=config.perturb_f)
 
 
-def _circle_bundle_checks(res: _Residuals, model, analyses) -> None:
-    base_chart = BaseChartMetric(model.base)
-    for an in analyses:
-        ab = PointAnalysis(base_chart, an.x[..., 1:])
-        fr = ab.frame
-        rho_b = fr @ ab.ricci @ mT(fr)
-        k = rho_b.shape[-1]
-        mu0 = np.trace(rho_b, axis1=-2, axis2=-1) / k
-        res.add(base_einstein=max_abs(rho_b - each(mu0) * np.eye(k), 2),
-                **circle_bundle_residuals(an, model, mu0))
+def _circle_bundle_checks(res: _Residuals, model, an: PointAnalysis) -> None:
+    ab = PointAnalysis(BaseChartMetric(model.base), an.x[..., 1:])
+    fr = ab.frame
+    rho_b = fr @ ab.ricci @ mT(fr)
+    k = rho_b.shape[-1]
+    mu0 = np.trace(rho_b, axis1=-2, axis2=-1) / k
+    res.add(base_einstein=max_abs(rho_b - each(mu0) * np.eye(k), 2),
+            **circle_bundle_residuals(an, model, mu0))
 
 
-def _fit_with_draws(an: PointAnalysis, rng) -> QCHCoefficients:
-    """The fit at an analysis, its residual along 100 standard-normal draws
-    per point: one draw of B + (100, d), the same stream as 100 draws of size
-    d point after point, so batching leaves the probes of a seed unchanged."""
-    d = an.g.shape[-1]
-    return fit_qch_coefficients(an, draws=rng.standard_normal(an.g.shape[:-2] + (100, d)))
+def _product_checks(res: _Residuals, model, an: PointAnalysis, probes) -> None:
+    fit = fit_qch_coefficients(an, draws=probes)
+    rs = ricci_split(an, fit, model.n)
+    d1, d2 = section_divergences(an, model)
+    res.add(qch_fit_residual=fit.residual, kappa_vanishes=np.hypot(d1, d2),
+            ricci_lambda=np.abs(rs.lam_engine - rs.lam_formula),
+            ricci_mu=np.abs(rs.mu_engine - rs.mu_formula))
 
 
-def _product_checks(res: _Residuals, model, analyses, rng) -> None:
-    for an in analyses:
-        fit = _fit_with_draws(an, rng)
-        rs = ricci_split(an, fit, model.n)
-        d1, d2 = section_divergences(an, model)
-        res.add(qch_fit_residual=fit.residual, kappa_vanishes=np.hypot(d1, d2),
-                ricci_lambda=np.abs(rs.lam_engine - rs.lam_formula),
-                ricci_mu=np.abs(rs.mu_engine - rs.mu_formula))
-
-
-def _negative_control_checks(res: _Residuals, analyses, rng) -> None:
+def _negative_control_checks(res: _Residuals, an: PointAnalysis, probes, samples) -> np.ndarray:
     """The quasi-constancy fit on a base that is Einstein but not of constant
-    holomorphic curvature: it must fail, with its median residual above
-    ``NEGATIVE_CONTROL_FLOOR``."""
-    fits = [_fit_with_draws(an, rng) for an in analyses]
-    medians = [np.median(qch_residual_samples(an, fit, rng, 40), axis=-1)
-               for an, fit in zip(analyses, fits)]
-    for fit in fits:
-        res.add(qch_fit_residual=fit.residual)
-    res.controls["qch_fit_residual"] = {
-        "discrimination_floor": NEGATIVE_CONTROL_FLOOR,
-        "median_residual": float(np.median(np.concatenate(medians)))}
+    holomorphic curvature, with its residual along the ``probes``; returns
+    each point's median deviation along its ``samples``, whose median over
+    the run must exceed ``NEGATIVE_CONTROL_FLOOR``."""
+    fit = fit_qch_coefficients(an, draws=probes)
+    res.add(qch_fit_residual=fit.residual)
+    return np.median(qch_residual_samples(an, fit, samples), axis=-1)
+
+
+def _sample_checks(res: _Residuals, model, mode: str, points: np.ndarray, draws) -> None:
+    """Every family of the mode at the sample points, one slice at a time:
+    one analysis per slice, dropped before the next, and each family reads
+    the slice's rows of the ``draws``.  No analysis outlives the call, so the
+    decay flow, which analyses its own points, runs without one."""
+    model.check_bounds(points)
+    bundle = mode == "circle-bundle"
+    medians = []
+    for sl in batch_slices(len(points), model.dim):
+        an = PointAnalysis(model, points[sl])
+        rows = [a[sl] for a in draws]
+        _metric_invariant_checks(res, model, an, has_j=not bundle)
+        _curvature_invariant_checks(res, an, has_j=not bundle)
+        if bundle:
+            _circle_bundle_checks(res, model, an)
+            continue
+        # with perturb_f != 1 this check fails decisively: that is a hard
+        # failure mode (exit 1), not an annotated expected failure
+        _nabla_j_check(res, an)
+        if mode == "negative-control":
+            medians.append(_negative_control_checks(res, an, *rows))
+        elif mode == "product":
+            _product_checks(res, model, an, *rows)
+        else:
+            _warped_structure_checks(res, model, an, *rows)
+    if medians:
+        res.controls["qch_fit_residual"] = {
+            "discrimination_floor": NEGATIVE_CONTROL_FLOOR,
+            "median_residual": float(np.median(np.concatenate(medians)))}
 
 
 def run_suite(config) -> VerificationReport:
     """Run every check enabled for the configured mode; deterministic in the seed."""
     rng = np.random.default_rng(config.rng_seed)
     res = _Residuals()
-    bundle = config.mode == "circle-bundle"
-    if bundle:
+    mode, count = config.mode, config.sample_count
+    if mode == "circle-bundle":
         model = CircleBundleMetric(config.alpha, config.beta, config.s,
                                    FubiniStudy(config.n - 1, config.c0))
     else:
         model = build_warped_model(config)
         _profile_checks(res, model.profile, model.profile.polynomial)
-    points = sample_interior_points(model, rng, config.sample_count)
-    analyses = batch_analyses(model, points)
-    _metric_invariant_checks(res, model, analyses, has_j=not bundle)
-    _curvature_invariant_checks(res, model, points, analyses, rng, has_j=not bundle)
-
-    if bundle:
-        _circle_bundle_checks(res, model, analyses)
+        res.samples["qch_fit_residual"] = 100 * count
+    points = sample_interior_points(model, rng, count)
+    # every other number the run draws, in the seed's order, each family's
+    # with one row per sample point (a draw of N + (k,) is the stream of N
+    # draws of (k,)): unit directions (A, B, C) at the Bianchi spots, then
+    # fit probes, a section angle and base moves point after point (warped),
+    # or fit probes and then the control's residual samples
+    d, nz = model.dim, model.base.dim
+    spots = points[:BIANCHI2_POINTS]
+    dirs = rng.standard_normal(spots.shape[:-1] + (3, d))
+    dirs /= np.linalg.norm(dirs, axis=-1, keepdims=True)
+    if mode == "warped":
+        per_point = [(rng.standard_normal((100, d)), rng.uniform(0.0, 2.0 * np.pi),
+                      rng.standard_normal((2, nz))) for _ in range(count)]
+        draws = [np.array(a) for a in zip(*per_point)]
+    elif mode == "circle-bundle":
+        draws = []
     else:
-        # with perturb_f != 1 this check fails decisively: that is a hard
-        # failure mode (exit 1), not an annotated expected failure
-        _nabla_j_check(res, analyses)
-        res.samples["qch_fit_residual"] = 100 * len(points)
-        if config.mode == "negative-control":
-            _negative_control_checks(res, analyses, rng)
-        elif config.mode == "product":
-            _product_checks(res, model, analyses, rng)
-        else:  # warped
-            _warped_structure_checks(res, model, analyses, rng)
-            if config.perturb_f == 1.0:
-                # the flow analyses its own points: free the sample slices first
-                del analyses
-                _decay_checks(res, model)
+        draws = [rng.standard_normal((count, 100, d))]
+        if mode == "negative-control":
+            draws.append(rng.standard_normal((count, 40, d)))
 
-    return VerificationReport(mode=config.mode, seed=config.rng_seed,
+    _sample_checks(res, model, mode, points, draws)
+    res.add(bianchi_second_spot=second_bianchi_residual(model, spots, dirs))
+    if mode == "warped" and config.perturb_f == 1.0:
+        _decay_checks(res, model)
+    return VerificationReport(mode=mode, seed=config.rng_seed,
                               config_echo=config.to_dict(), checks=res.checks())

@@ -171,11 +171,11 @@ def test_warped_families_match_single_points(n):
     _assert_per_point(warped_submersion_residuals(batch, model),
                       [warped_submersion_residuals(an, model) for an in singles],
                       "submersion")
-    # one (points, 40, d) draw gives the probes of per-point draws of (40, d)
-    batched = qch_residual_samples(batch, fit, np.random.default_rng(9), 40)
-    rng = np.random.default_rng(9)
-    _assert_per_point(batched, [qch_residual_samples(an, f, rng, 40)
-                                for an, f in zip(singles, fits)], "residual_samples")
+    # the batched deviations along (points, 40, d) draws are each point's along its rows
+    samples = np.random.default_rng(9).standard_normal((len(singles), 40, d))
+    _assert_per_point(qch_residual_samples(batch, fit, samples),
+                      [qch_residual_samples(an, f, w) for an, f, w in zip(singles, fits, samples)],
+                      "residual_samples")
 
 
 @pytest.mark.parametrize("name", ["warped", "perturbed", "product-mode", "base-product"])

@@ -277,6 +277,16 @@ def test_cli_flow_cap_exit(tmp_path, monkeypatch, capsys):
     assert not (tmp_path / "report.json").exists()
 
 
+@pytest.mark.parametrize("command", ["verify", "solve-profile"])
+def test_cli_degenerate_profile_exit(tmp_path, capsys, command):
+    """Endpoint values so small that x y (y - x) underflows leave no cubic to
+    build: a numerical error (exit 3), not a failed verification (exit 1)."""
+    cfg = write_config(tmp_path, {"mode": "warped", "rng_seed": 42, "k": 1,
+                                  "x": 1e-200, "y": 2e-200})
+    assert main([command, "--config", str(cfg), "--out", str(tmp_path)]) == 3
+    assert "numerical error: the cubic's leading coefficient" in capsys.readouterr().err
+
+
 def test_cli_runs_without_scipy(tmp_path):
     """Neither importing the CLI nor a full warped run with its decay flow
     loads any scipy module: the runtime needs numpy only."""

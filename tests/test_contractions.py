@@ -193,5 +193,6 @@ def test_batched_probes_match_per_probe_loop(warped_point_analysis):
     loop = np.array(loop)
     assert abs(fit.residual - loop.max()) <= 1e-12 * max(abs(fit.a), 1.0)
 
-    batched = qch_residual_samples(an, fit, np.random.default_rng(5), 100)
+    samples = np.random.default_rng(5).standard_normal((100, len(g)))
+    batched = qch_residual_samples(an, fit, samples)
     assert np.abs(batched - loop).max() <= 1e-12 * max(abs(fit.a), 1.0)

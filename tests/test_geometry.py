@@ -8,6 +8,7 @@ from qchgeom import (
     build_polynomial,
     solve_profile,
 )
+from qchgeom import geometry
 from qchgeom.cli import RunConfig
 from qchgeom.curvature import PointAnalysis, batch_analyses
 from qchgeom.geometry import ChartBoundsError, exterior_derivative_1form
@@ -270,3 +271,25 @@ def test_profile_evaluated_once_per_t_batch(monkeypatch):
                                    "sample_count": 10, "rng_seed": 42}))
     assert len(batches) >= 20
     assert len(calls) <= len(batches) + 3
+
+
+def test_base_built_once_per_z_batch(monkeypatch):
+    """The same run builds the z-only parts of the warped metric once per
+    distinct z batch: the suite finishes each sample slice before the next,
+    so the base memo, which holds the last real and the last complex batch,
+    never sees a batch again once it has moved on.  With each family walking
+    every slice in turn and a memo of 16 points, the run made 43 builds of
+    36 batches."""
+    calls, batches = [], set()
+    base_parts = geometry._base_parts
+
+    def counted(base, z, d, s):
+        calls.append(1)
+        batches.add((z.dtype.str, z.shape, z.tobytes()))
+        return base_parts(base, z, d, s)
+
+    monkeypatch.setattr(geometry, "_base_parts", counted)
+    run_suite(RunConfig.from_dict({"mode": "warped", "n": 7, "k": 1, "perturb_f": 1.05,
+                                   "sample_count": 10, "rng_seed": 42}))
+    assert len(batches) >= 30
+    assert len(calls) == len(batches)

@@ -1,21 +1,23 @@
 """Checks that no other test names, each shown to fail under a perturbation
 that breaks the property it certifies, and to pass without it, on the n = 3
-warped desk at 10 points."""
+warped desk or the n = 3 circle bundle at 10 points."""
 
 from functools import cached_property
 
 import numpy as np
 import pytest
 
+from qchgeom import suite
 from qchgeom.cli import RunConfig
 from qchgeom.curvature import PointAnalysis
-from qchgeom.geometry import WarpedBundleMetric
+from qchgeom.geometry import CircleBundleMetric, FubiniStudy, ProductBase, WarpedBundleMetric
 from qchgeom.profile import ProfileSolution
 from qchgeom.suite import run_suite
 
 
 def _verdicts(**overrides):
-    """{check name: passed} of the n = 3 warped run at 10 points."""
+    """{check name: passed} of the n = 3 warped run at 10 points, or of the
+    mode the overrides name."""
     report = run_suite(RunConfig.from_dict(
         {"mode": "warped", "n": 3, "k": 1, "rng_seed": 42, "sample_count": 10, **overrides}))
     return {c.name: c.passed for c in report.checks}
@@ -147,3 +149,51 @@ def test_engine_identities_see_a_mutated_analysis(unperturbed, monkeypatch, chec
     monkeypatch.setattr(PointAnalysis, attribute, mutated)
     assert unperturbed[check]
     assert not _verdicts()[check]
+
+
+@pytest.fixture(scope="module")
+def bundle_unperturbed():
+    return _verdicts(mode="circle-bundle")
+
+
+@pytest.fixture(scope="module")
+def bundle_scaled_alpha():
+    """The circle-bundle run with its metric built from alpha (1 + 1e-6),
+    while the closed forms read the model's alpha."""
+    metric_jets = CircleBundleMetric.metric_jets
+
+    def scaled(self, coords):
+        alpha = self.alpha
+        self.alpha = alpha * (1.0 + 1e-6)
+        try:
+            return metric_jets(self, coords)
+        finally:
+            self.alpha = alpha
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(CircleBundleMetric, "metric_jets", scaled)
+        return _verdicts(mode="circle-bundle")
+
+
+@pytest.mark.parametrize("check", [
+    "bundle_fiber_sectional",
+    "bundle_horizontal_ricci",
+    "bundle_twist_operator",
+    "bundle_fiber_ricci",
+    "bundle_mixed_fiber_curvature",
+])
+def test_bundle_closed_forms_see_a_scaled_fiber(bundle_unperturbed, bundle_scaled_alpha, check):
+    """The closed forms in alpha fail once the metric's fiber length leaves
+    the model's alpha by 1e-6.  ``bundle_vertizontal`` holds for every
+    metric of this form, so no model perturbation fails it."""
+    assert bundle_unperturbed[check]
+    assert not bundle_scaled_alpha[check]
+
+
+def test_base_einstein_sees_an_unequal_product_base(bundle_unperturbed, monkeypatch):
+    """CP^1(c0) x CP^1(1.001 c0), the n = 3 base with its factors' curvatures
+    apart, is not Einstein: rho_0 = mu_0 h fails."""
+    monkeypatch.setattr(suite, "FubiniStudy", lambda m, c0: ProductBase(
+        [FubiniStudy(1, c0), FubiniStudy(1, 1.001 * c0)]))
+    assert bundle_unperturbed["base_einstein"]
+    assert not _verdicts(mode="circle-bundle")["base_einstein"]
