@@ -36,7 +36,7 @@ from .flows import FlowError
 from .geometry import ChartBoundsError
 from .profile import ProfileError, boundary_report, build_polynomial, solve_profile
 from .qch import fit_qch_coefficients, ricci_split, section_divergences
-from .suite import SAMPLE_MARGIN, VerificationReport, build_warped_model, run_suite
+from .suite import SAMPLE_MARGIN, VerificationReport, build_model, run_suite
 
 MODES = ("warped", "product", "circle-bundle", "negative-control")
 
@@ -148,7 +148,7 @@ def emit_report(report: VerificationReport, path) -> dict:
 
 def emit_summary_csv(config: RunConfig, path, points: int = 100) -> None:
     """Axis table (t, r, f, a, b, c, lambda, mu, kappa) for plotting."""
-    model = build_warped_model(config)
+    model = build_model(config)
     profile = model.profile
     lo = SAMPLE_MARGIN * profile.L
     hi = (1.0 - SAMPLE_MARGIN) * profile.L
@@ -158,7 +158,7 @@ def emit_summary_csv(config: RunConfig, path, points: int = 100) -> None:
     r, rp, rpp, rppp = profile.evaluate(ts)
     columns = [ts, r, profile.warp_from(r, rp, rpp, rppp)[0]]
     parts = []
-    for analysis in batch_analyses(model, axis):
+    for _, analysis in batch_analyses(model, axis):
         fit = fit_qch_coefficients(analysis)
         rs = ricci_split(analysis, fit, model.n)
         d1, d2 = section_divergences(analysis, model)

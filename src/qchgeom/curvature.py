@@ -30,7 +30,10 @@ inherit the rounding of R's lowering.
 
 Every array may carry leading batch axes, one entry per sample point: an
 analysis of N points holds gamma of shape (N, d, d, d), and the indices above
-name the trailing axes.  One point is the batch shape ().
+name the trailing axes.  One point is the batch shape ().  Every loop over
+a batch goes through ``batch_analyses``: it yields (slice, analysis) pairs
+over slices that keep one rank-4 tensor within ``BATCH_ELEMENTS``, and makes
+each analysis only when the loop reaches it, so a loop holds one at a time.
 
 An analysis keeps the dtype of its coordinates, and the path to curvature is
 analytic (nothing conjugates, takes a modulus or compares complex values).
@@ -64,14 +67,12 @@ def batch_slices(count: int, dim: int) -> list[slice]:
     return [slice(i, min(i + size, count)) for i in range(0, count, size)]
 
 
-def batch_analyses(field, x: np.ndarray) -> list["PointAnalysis"]:
-    """Analyses of a batch of points x (N, d), one per memory-bounded slice.
-
-    Raises ``ChartBoundsError`` when a point lies outside the valid region of
-    the field's chart.
-    """
-    field.check_bounds(x)
-    return [PointAnalysis(field, x[sl]) for sl in batch_slices(len(x), field.dim)]
+def batch_analyses(field, x: np.ndarray):
+    """(slice, analysis) pairs over the points x (N, d), one batched analysis
+    per memory-bounded slice, each made only when the loop reaches it.  The
+    points are not checked against the chart: the caller does that once."""
+    for sl in batch_slices(len(x), field.dim):
+        yield sl, PointAnalysis(field, x[sl])
 
 
 def contract_slots(T: np.ndarray, *factors, rank: int | None = None) -> np.ndarray:
@@ -418,8 +419,7 @@ def second_bianchi_residual(field, x, directions):
     moved = complex_step(np.asarray(x, dtype=float)[..., None, :], V).reshape(-1, d)
     V, X, Y = (a.reshape(-1, d) for a in (V, X, Y))
     parts = []
-    for sl in batch_slices(len(moved), d):
-        an = PointAnalysis(field, moved[sl])
+    for sl, an in batch_analyses(field, moved):
         v, a, b = V[sl], X[sl], Y[sl]
         R0 = an.riemann.real
         # d/ds R(x + s V)(X, Y, ., .) at s = 0, and the Christoffel terms with

@@ -49,7 +49,7 @@ import numpy as np
 from numpy.polynomial import chebyshev
 
 from .batch import inner, matvec, mT
-from .curvature import PointAnalysis, batch_slices, contract_slots, jacobi_operator
+from .curvature import PointAnalysis, batch_analyses, contract_slots, jacobi_operator
 from .geometry import END_MARGIN_FRAC, _gram_schmidt
 
 # Chebyshev nodes per panel, and the most panels one solve may certify, and
@@ -303,13 +303,6 @@ def jacobi_matrix(R4: np.ndarray, v: np.ndarray, frame: np.ndarray) -> np.ndarra
     return mT(contract_slots(R4, v, frame, v, frame, rank=4))
 
 
-def _analyses(field, x: np.ndarray):
-    """(slice, analysis) over the points x (N, d), one batched analysis per
-    memory-bounded slice."""
-    return [(sl, PointAnalysis(field, x[sl]))
-            for sl in batch_slices(len(x), x.shape[1])]
-
-
 def _geodesic_panel(field, a: float, b: float, start) -> _Trial:
     """Picard iteration of the integral form on [a, b] from the position and
     velocity at a, started from the straight line through them.  It stops
@@ -328,7 +321,7 @@ def _geodesic_panel(field, a: float, b: float, start) -> _Trial:
             raise FlowError(f"geodesic Picard iteration exceeds {MAX_PICARD} iterations "
                             f"on the panel at tau = {a:.6g}")
         acc = np.empty_like(X)
-        for sl, analysis in _analyses(field, X):
+        for sl, analysis in batch_analyses(field, X):
             acc[sl] = geodesic_acceleration(analysis.gamma, V[sl])
         X1 = line + h2 * h2 * (_S2[:p] @ acc)
         V1 = v + h2 * (_S1[:p] @ acc)
@@ -383,7 +376,7 @@ def coefficients_at(path: GeodesicPath, taus: np.ndarray) -> np.ndarray:
     x, v = path.states(taus)
     d = x.shape[1]
     out = np.empty((len(x), 2, d, d))
-    for sl, analysis in _analyses(path.field, x):
+    for sl, analysis in batch_analyses(path.field, x):
         out[sl, 0] = transport_matrix(analysis.gamma, v[sl])
         out[sl, 1] = jacobi_operator(analysis, v[sl])
     return out

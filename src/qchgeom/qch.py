@@ -4,7 +4,10 @@ On a Kaehler manifold with a distinguished J-invariant plane field
 D = span{H, JH}, quasi-constancy means the holomorphic sectional curvature of
 a unit vector X depends only on |X_D|; equivalently the curvature tensor
 decomposes as R = a Pi + b Phi + c Psi against three model tensors built from
-g, J and the splitting.  This module fits (a, b, c), splits the Ricci tensor,
+g, J and the D block of g.  That block is h = theta x theta + Jtheta x Jtheta
+for the covectors theta = g(H, .) and Jtheta = g(JH, .) of the frame's first
+two rows (``d_block``), so |X_D|^2 = h(X, X), and the E block is g - h; no
+projector is formed.  This module fits (a, b, c), splits the Ricci tensor,
 computes the divergence invariant kappa with its principal section, and
 evaluates the pointwise structure identities and submersion cross-checks
 against their closed forms.  The residual functions return each residual
@@ -40,37 +43,23 @@ from .curvature import (
 )
 
 
-# -- splitting and model tensors ------------------------------------------------
+# -- the D block and model tensors -----------------------------------------------
 
 
-@dataclass(frozen=True)
-class SplitTensors:
-    """Projections onto D and E and the induced metric/form blocks."""
-
-    p_d: np.ndarray      # (d, d) projection operator onto D
-    p_e: np.ndarray      # (d, d) projection operator onto E = D-perp
-    h: np.ndarray        # g restricted through p_D (bilinear form)
-    m: np.ndarray        # g restricted through p_E
-    omega: np.ndarray    # omega(X, Y) = h(JX, Y)
-
-
-def split_tensors(g: np.ndarray, J: np.ndarray, h_hat: np.ndarray,
-                  jh_hat: np.ndarray) -> SplitTensors:
-    """Build the D/E split from the orthonormal pair spanning D."""
-    p_d = (h_hat[..., :, None] * matvec(g, h_hat)[..., None, :]
-           + jh_hat[..., :, None] * matvec(g, jh_hat)[..., None, :])
-    p_e = np.eye(g.shape[-1]) - p_d
-    h = mT(p_d) @ g @ p_d
-    m = mT(p_e) @ g @ p_e
-    return SplitTensors(p_d=p_d, p_e=p_e, h=h, m=m, omega=mT(J) @ h)
+def d_block(g: np.ndarray, frame: np.ndarray) -> np.ndarray:
+    """h = theta x theta + Jtheta x Jtheta, g restricted to D = span{H, JH},
+    from the covectors theta = g(H, .) and Jtheta = g(JH, .) of the frame's
+    first two rows, which are g-orthonormal by construction."""
+    covectors = frame[..., :2, :] @ g
+    return mT(covectors) @ covectors
 
 
 def model_tensor_arrays(g: np.ndarray, J: np.ndarray,
-                        split: SplitTensors) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+                        h: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Component arrays of the model tensors (Pi, Phi, Psi).
 
-    With gj_ij = g(J e_i, e_j), h and omega the D-blocks of g and of the
-    Kaehler form:
+    With gj_ij = g(J e_i, e_j), h the D block of g (``d_block``) and
+    omega = J^T h that of the Kaehler form:
 
       Pi  = 1/4 ( g_jk g_il - g_ik g_jl + gj_jk gj_il - gj_ik gj_jl
                   - 2 gj_ij gj_kl )
@@ -80,7 +69,7 @@ def model_tensor_arrays(g: np.ndarray, J: np.ndarray,
       Psi = -om_ij om_kl
     """
     gj = mT(J) @ g
-    h, om = split.h, split.omega
+    om = mT(J) @ h
 
     def prod(A, B, subscripts):
         left, out = subscripts.split("->")
@@ -120,35 +109,34 @@ _PROBE_MATRIX = np.array([
 ])
 
 
-def fit_from_curvature(R: np.ndarray, g: np.ndarray, J: np.ndarray,
-                       h_hat: np.ndarray, jh_hat: np.ndarray, e_unit: np.ndarray, *,
+def fit_from_curvature(R: np.ndarray, g: np.ndarray, J: np.ndarray, frame: np.ndarray, *,
                        draws: np.ndarray | None = None) -> QCHCoefficients:
     """Fit phi(|X_D|) = a + b |X_D|^2 + c |X_D|^4 from three deterministic probes.
 
-    Probes are X = cos(alpha) e + sin(alpha) H with |X_D|^2 in {0, 1/2, 1},
-    a fixed well-conditioned 3x3 system; random unit vectors only feed the
-    residual that certifies (or refutes) quasi-constancy.  They lie along
-    ``draws``, standard normals of shape B + (samples, d); without them the
-    residual is 0.
+    Probes are X = cos(alpha) E_1 + sin(alpha) H, from the frame rows
+    (H, JH, E_1, ...), with |X_D|^2 in {0, 1/2, 1}, a fixed well-conditioned
+    3x3 system; random unit vectors only feed the residual that certifies
+    (or refutes) quasi-constancy.  They lie along ``draws``, standard normals
+    of shape B + (samples, d); without them the residual is 0.
     """
+    h_hat, e_unit = frame[..., 0, :], frame[..., 2, :]
     half = (e_unit + h_hat) / np.sqrt(2.0)
     probes = holomorphic_sectional_curvature(R, g, J, np.stack([e_unit, half, h_hat], axis=-2))
     solved = np.linalg.solve(_PROBE_MATRIX, np.asarray(probes)[..., None])[..., 0]
     a, b, c = (per_point(x) for x in np.moveaxis(solved, -1, 0))
     coeffs = QCHCoefficients(a=a, b=b, c=c, residual=per_point(np.zeros_like(a)))
     if draws is not None:
-        split = split_tensors(g, J, h_hat, jh_hat)
-        deviations = _probe_deviations(R, g, J, split, coeffs, draws)
+        deviations = _probe_deviations(R, g, J, d_block(g, frame), coeffs, draws)
         coeffs = dataclasses.replace(coeffs, residual=per_point(deviations.max(axis=-1)))
     return coeffs
 
 
-def _probe_deviations(R: np.ndarray, g: np.ndarray, J: np.ndarray,
-                      split: SplitTensors, coeffs: QCHCoefficients,
-                      w: np.ndarray) -> np.ndarray:
-    """|K(X) - phi(|X_D|)| on the unit vectors along the draws w, B + (samples, d)."""
+def _probe_deviations(R: np.ndarray, g: np.ndarray, J: np.ndarray, h: np.ndarray,
+                      coeffs: QCHCoefficients, w: np.ndarray) -> np.ndarray:
+    """|K(X) - phi(|X_D|)| on the unit vectors along the draws w, B + (samples, d),
+    with |X_D|^2 = h(X, X) for h the D block of g."""
     w = w / np.sqrt(np.sum((w @ g) * w, axis=-1))[..., None]
-    tau2 = np.sum((w @ split.h) * w, axis=-1)
+    tau2 = np.sum((w @ h) * w, axis=-1)
     k = holomorphic_sectional_curvature(R, g, J, w)
     a, b, c = (np.asarray(x)[..., None] for x in (coeffs.a, coeffs.b, coeffs.c))
     return np.abs(k - (a + b * tau2 + c * tau2 ** 2))
@@ -157,22 +145,17 @@ def _probe_deviations(R: np.ndarray, g: np.ndarray, J: np.ndarray,
 def fit_qch_coefficients(analysis: PointAnalysis, *,
                          draws: np.ndarray | None = None) -> QCHCoefficients:
     """Engine-facing fit at the analyzed point(s), its residual along ``draws``."""
-    frame = analysis.frame
-    J = analysis.complex_structure[0]
-    return fit_from_curvature(analysis.riemann, analysis.g, J,
-                              frame[..., 0, :], frame[..., 1, :], frame[..., 2, :],
-                              draws=draws)
+    return fit_from_curvature(analysis.riemann, analysis.g, analysis.complex_structure[0],
+                              analysis.frame, draws=draws)
 
 
 def qch_residual_samples(analysis: PointAnalysis, coeffs: QCHCoefficients,
                          draws: np.ndarray) -> np.ndarray:
     """Per-sample deviations |K(X) - phi(|X_D|)| on the unit vectors along
     ``draws``, standard normals B + (samples, d); the result is B + (samples,)."""
-    frame = analysis.frame
-    J = analysis.complex_structure[0]
     g = analysis.g
-    split = split_tensors(g, J, frame[..., 0, :], frame[..., 1, :])
-    return _probe_deviations(analysis.riemann, g, J, split, coeffs, draws)
+    return _probe_deviations(analysis.riemann, g, analysis.complex_structure[0],
+                             d_block(g, analysis.frame), coeffs, draws)
 
 
 # -- kappa, principal section, Ricci split ---------------------------------------
@@ -280,8 +263,6 @@ def structure_identity_residuals(analysis: PointAnalysis, model, *,
     frame = analysis.frame
     g = analysis.g
     h_hat, jh_hat, e_frame = frame[..., 0, :], frame[..., 1, :], frame[..., 2:, :]
-    J = analysis.complex_structure[0]
-    split = split_tensors(g, J, h_hat, jh_hat)
     r, rp, rpp, rppp = model.profile_at(analysis.x[..., 0])
     f, fp, _ = model.profile.warp_from(r, rp, rpp, rppp)
 
@@ -318,11 +299,12 @@ def structure_identity_residuals(analysis: PointAnalysis, model, *,
     out["identity_log_kappa_gradient"] = np.abs(dkap / kap + kap / (n - 1) + p_star)
 
     # nabla theta = kappa/(2(n-1)) m - p* (J theta) x (J theta), theta = H-flat
+    # and m = g - h the E block of g
     theta = matvec(g, h_hat)
     jtheta = matvec(g, jh_hat)
     gamma = analysis.gamma
     nabla_theta = -np.einsum("...kij,...k->...ij", gamma, theta)
-    target = (each(kap / (2.0 * (n - 1))) * split.m
+    target = (each(kap / (2.0 * (n - 1))) * (g - d_block(g, frame))
               - each(p_star) * (jtheta[..., :, None] * jtheta[..., None, :]))
     out["identity_nabla_theta"] = max_abs(frame @ (nabla_theta - target) @ mT(frame), 2)
 

@@ -2,15 +2,16 @@
 
 Each check verifies one stated property of the constructed metrics at a set
 of randomly sampled interior chart points (or of the solved profile / the
-flow experiment) and records its worst residual against a tolerance.  Checks
-marked ``expected_fail`` encode negative controls: the suite counts them as
-in order exactly when they fail, and, for the quasi-constancy control, when
-they fail decisively (median residual above the discrimination floor).
+flow experiment) and records its worst residual against a tolerance.  The
+check marked ``expected_fail`` is the quasi-constancy negative control: the
+suite counts it as in order exactly when it fails decisively (median residual
+above its discrimination floor).
 
-``CHECKS`` holds each check's tolerance and claim.  ``run_suite`` draws the
+``CHECKS`` holds each check's tolerance and claim.  ``build_model`` returns
+the model of a configuration in any mode.  ``run_suite`` builds it, draws the
 sample points and then, in one block and in the seed's order, every other
 random number of the run.  It walks the points once, in memory-bounded
-slices (``curvature.batch_slices``): at each slice it builds one
+slices (``curvature.batch_analyses``): at each slice it takes one
 ``PointAnalysis`` and runs every check family of its mode on it, each adding
 one residual per point under each check's name, and drops the analysis
 before the next slice.  The checks of the whole run (the profile, the second
@@ -29,7 +30,7 @@ import numpy as np
 from .batch import each, max_abs, mT
 from .curvature import (
     PointAnalysis,
-    batch_slices,
+    batch_analyses,
     contract_slots,
     max_frame_component_3tensor,
     nabla_j,
@@ -158,10 +159,8 @@ class CheckResult:
         """Whether the suite counts this check as healthy."""
         if not self.expected_fail:
             return self.passed
-        floor = self.details.get("discrimination_floor")
-        if floor is not None:
-            return (not self.passed) and self.details["median_residual"] > floor
-        return not self.passed
+        return (not self.passed
+                and self.details["median_residual"] > self.details["discrimination_floor"])
 
     def to_dict(self) -> dict:
         return {
@@ -383,8 +382,12 @@ def _decay_checks(res: _Residuals, model) -> None:
                        decay_velocity_inner=samples, geodesic_residual=7)
 
 
-def build_warped_model(config) -> WarpedBundleMetric:
-    """Profile + geometry for the warped / product / negative-control modes."""
+def build_model(config):
+    """The model of the configured mode: the circle bundle, or the warped
+    chart over its solved profile (warped, product, negative-control)."""
+    if config.mode == "circle-bundle":
+        return CircleBundleMetric(config.alpha, config.beta, config.s,
+                                  FubiniStudy(config.n - 1, config.c0))
     profile = solve_profile(build_polynomial(config.x, config.y, config.s))
     if config.mode == "negative-control":
         base = ProductBase([FubiniStudy(1, config.c0), FubiniStudy(1, config.c0)])
@@ -431,8 +434,7 @@ def _sample_checks(res: _Residuals, model, mode: str, points: np.ndarray, draws)
     model.check_bounds(points)
     bundle = mode == "circle-bundle"
     medians = []
-    for sl in batch_slices(len(points), model.dim):
-        an = PointAnalysis(model, points[sl])
+    for sl, an in batch_analyses(model, points):
         rows = [a[sl] for a in draws]
         _metric_invariant_checks(res, model, an, has_j=not bundle)
         _curvature_invariant_checks(res, an, has_j=not bundle)
@@ -459,11 +461,8 @@ def run_suite(config) -> VerificationReport:
     rng = np.random.default_rng(config.rng_seed)
     res = _Residuals()
     mode, count = config.mode, config.sample_count
-    if mode == "circle-bundle":
-        model = CircleBundleMetric(config.alpha, config.beta, config.s,
-                                   FubiniStudy(config.n - 1, config.c0))
-    else:
-        model = build_warped_model(config)
+    model = build_model(config)
+    if mode != "circle-bundle":
         _profile_checks(res, model.profile, model.profile.polynomial)
         res.samples["qch_fit_residual"] = 100 * count
     points = sample_interior_points(model, rng, count)

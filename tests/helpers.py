@@ -227,7 +227,7 @@ def structure_identities(analysis, model):
                                         divergences=section_divergences(analysis, model))
 
 
-def model_tensors(g, J, split, X, Y, Z, U):
+def model_tensors(g, J, h, X, Y, Z, U):
     """(Pi, Phi, Psi) evaluated on one 4-tuple of tangent vectors."""
     return tuple(per_point(contract_slots(T, X, Y, Z, U, rank=4))
-                 for T in model_tensor_arrays(g, J, split))
+                 for T in model_tensor_arrays(g, J, h))

@@ -97,7 +97,7 @@ CASES = ([(n, name, count) for n in (3, 5) for name in _models(3) for count in (
 def test_batched_analysis_matches_single_points(n, name, count):
     model = _models(n)[name]
     points = _points(model, count)
-    analyses = batch_analyses(model, points)
+    analyses = [an for _, an in batch_analyses(model, points)]
     assert sum(len(an.x) for an in analyses) == count
     singles = [PointAnalysis(model, p) for p in points]
     for quantity, get in QUANTITIES.items():
@@ -114,7 +114,9 @@ def test_slices_split_the_batch(monkeypatch):
     assert batch_slices(7, 6) == [slice(0, 3), slice(3, 6), slice(6, 7)]
     model = _models(3)["warped"]
     points = _points(model, 7)
-    analyses = batch_analyses(model, points)
+    pairs = list(batch_analyses(model, points))
+    assert [sl for sl, _ in pairs] == batch_slices(7, 6)
+    analyses = [an for _, an in pairs]
     assert [len(an.x) for an in analyses] == [3, 3, 1]
     batched = np.concatenate([an.riemann for an in analyses])
     single = np.stack([PointAnalysis(model, p).riemann for p in points])

@@ -21,16 +21,16 @@ from qchgeom.qch import (
     kappa_and_principal_section,
     section_divergences,
 )
-from qchgeom.suite import build_warped_model, sample_interior_points
+from qchgeom.suite import build_model, sample_interior_points
 
 from helpers import dgamma
 
 # the desk configuration of the shared fixtures
-C0, S = 4.0, 2.0 / 3.0
+C0 = 4.0
 
 
 def _warped(n):
-    return build_warped_model(RunConfig.from_dict(
+    return build_model(RunConfig.from_dict(
         {"mode": "warped", "n": n, "k": 1, "c0": C0, "rng_seed": 0}))
 
 
@@ -119,11 +119,8 @@ def test_real_parts_are_the_real_curvature(name, n, c0):
     its analyses at x + i h V, with V moving z too.  They equal the real
     analysis within 1e-14 of each one's largest entry (measured: at most
     5e-15, on the c0 = 0.01 charts)."""
-    if name == "circle-bundle":
-        model = geometry.CircleBundleMetric(1.0, 1.0, 2.0 / n, geometry.FubiniStudy(n - 1, c0))
-    else:
-        model = build_warped_model(RunConfig.from_dict(
-            {"mode": name, "n": n, "k": 1, "c0": c0, "rng_seed": 0}))
+    model = build_model(RunConfig.from_dict(
+        {"mode": name, "n": n, "k": 1, "c0": c0, "rng_seed": 0}))
     x = _points(model, 3)
     v = np.random.default_rng(8).standard_normal(x.shape)
     v /= np.linalg.norm(v, axis=-1, keepdims=True)
@@ -141,11 +138,7 @@ def test_complex_step_matches_the_jets_along_any_direction(name):
     the jets' dg(V) and dGamma(V) within 1e-12 of their largest entry.  The
     second Bianchi check reads dR(V) this way, with z complex too, so the
     base models' closed forms, the memo and every assembly are on the path."""
-    if name == "circle-bundle":
-        model = geometry.CircleBundleMetric(1.0, 1.0, S, geometry.FubiniStudy(2, C0))
-    else:
-        model = build_warped_model(RunConfig.from_dict(
-            {"mode": name, "n": 3, "k": 1, "rng_seed": 0}))
+    model = build_model(RunConfig.from_dict({"mode": name, "n": 3, "k": 1, "rng_seed": 0}))
     x = _points(model, 3, seed=5)
     v = np.random.default_rng(6).standard_normal(x.shape)
     real = PointAnalysis(model, x)

@@ -18,7 +18,7 @@ from qchgeom.curvature import (
 )
 from qchgeom.flows import geodesic_acceleration, jacobi_matrix, transport_matrix
 from qchgeom.jets import Jet2
-from qchgeom.qch import fit_qch_coefficients, qch_residual_samples, split_tensors
+from qchgeom.qch import d_block, fit_qch_coefficients, qch_residual_samples
 
 from helpers import dgamma as dgamma_of
 
@@ -178,7 +178,7 @@ def test_batched_probes_match_per_probe_loop(warped_point_analysis):
     g, J = an.g, an.complex_structure[0]
     R = an.riemann
     frame = an.frame
-    split = split_tensors(g, J, frame[0], frame[1])
+    h = d_block(g, frame)
     fit = fit_qch_coefficients(an, draws=np.random.default_rng(5).standard_normal((100, len(g))))
 
     rng = np.random.default_rng(5)
@@ -186,7 +186,7 @@ def test_batched_probes_match_per_probe_loop(warped_point_analysis):
     for _ in range(100):
         w = rng.standard_normal(g.shape[0])
         w /= np.sqrt(w @ g @ w)
-        tau2 = float(w @ split.h @ w)
+        tau2 = float(w @ h @ w)
         jw = J @ w
         k = np.einsum("ijkl,i,j,k,l->", R, w, jw, jw, w) / float(w @ g @ w) ** 2
         loop.append(abs(k - (fit.a + fit.b * tau2 + fit.c * tau2 ** 2)))

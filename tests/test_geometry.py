@@ -10,7 +10,7 @@ from qchgeom import (
 )
 from qchgeom import geometry
 from qchgeom.cli import RunConfig
-from qchgeom.curvature import PointAnalysis, batch_analyses
+from qchgeom.curvature import PointAnalysis
 from qchgeom.geometry import ChartBoundsError, exterior_derivative_1form
 from qchgeom.jets import seed_chart
 from qchgeom.profile import ProfileSolution
@@ -147,14 +147,14 @@ def test_product_mode_base_block_unscaled(product, profile):
 def test_interior_margin_enforced(warped, profile):
     with pytest.raises(ChartBoundsError, match="interior margin"):
         warped.check_bounds(np.array([1e-5 * profile.L, 0.0, 0.0, 0.0, 0.0, 0.0]))
-    # the analysis of a batch checks every point of it against the chart
+    # a batch is checked point by point against the chart
     inside = np.array([0.5 * profile.L, 0.0, 0.0, 0.0, 0.0, 0.0])
     end = np.array([profile.L, 0.0, 0.0, 0.0, 0.0, 0.0])
     with pytest.raises(ChartBoundsError, match=r"^t = [0-9.e+-]+ outside interior margin"):
-        batch_analyses(warped, np.stack([inside, end]))
+        warped.check_bounds(np.stack([inside, end]))
     far = np.array([0.5 * profile.L, 0.0, 3.0, 3.0, 0.0, 0.0])
     with pytest.raises(ChartBoundsError, match="chart radius"):
-        batch_analyses(warped, np.stack([inside, far]))
+        warped.check_bounds(np.stack([inside, far]))
 
 
 def test_circle_bundle_sample():

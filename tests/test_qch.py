@@ -7,6 +7,7 @@ from qchgeom.geometry import BaseChartMetric
 from qchgeom.qch import (
     circle_bundle_residuals,
     coefficient_base_independence,
+    d_block,
     fit_from_curvature,
     fit_qch_coefficients,
     kappa_and_principal_section,
@@ -16,7 +17,6 @@ from qchgeom.qch import (
     ricci_eigenvalue_formulas,
     ricci_split,
     section_divergences,
-    split_tensors,
     warped_submersion_residuals,
 )
 from qchgeom.suite import CHECKS, sample_interior_points
@@ -29,49 +29,49 @@ def split_setup(warped_point_analysis):
     an = warped_point_analysis
     fr = an.frame
     J = an.complex_structure[0]
-    split = split_tensors(an.g, J, fr[0], fr[1])
-    return an, J, split
+    return an, J, d_block(an.g, fr)
 
 
 def test_split_projections(split_setup):
-    an, J, split = split_setup
-    eye = np.eye(6)
-    assert np.abs(split.p_d + split.p_e - eye).max() < 1e-14
-    assert np.abs(split.p_d @ split.p_d - split.p_d).max() < 1e-13
-    assert np.abs(split.h + split.m - an.g).max() < 1e-12
-    # D is J-invariant: J p_D = p_D J
-    assert np.abs(J @ split.p_d - split.p_d @ J).max() < 1e-12
+    """h, the D block of g, is symmetric and J-invariant, has H and JH as
+    unit vectors and annihilates E."""
+    an, J, h = split_setup
+    fr = an.frame
+    assert np.abs(h - h.T).max() < 1e-12
+    assert np.abs(J.T @ h @ J - h).max() < 1e-12
+    assert abs(fr[0] @ h @ fr[0] - 1.0) < 1e-12
+    assert abs(fr[1] @ h @ fr[1] - 1.0) < 1e-12
+    assert np.abs(fr[2:] @ h).max() < 1e-12
 
 
 def test_model_tensor_unit_vector_values(split_setup):
-    an, J, split = split_setup
+    an, J, h = split_setup
     rng = np.random.default_rng(17)
     for _ in range(10):
         X = rng.standard_normal(6)
         X /= np.sqrt(X @ an.g @ X)
         JX = J @ X
-        pi, phi, psi = model_tensors(an.g, J, split, X, JX, JX, X)
-        td2 = float(X @ split.h @ X)
+        pi, phi, psi = model_tensors(an.g, J, h, X, JX, JX, X)
+        td2 = float(X @ h @ X)
         assert abs(pi - 1.0) < 1e-12
         assert abs(phi - td2) < 1e-12
         assert abs(psi - td2 ** 2) < 1e-12
 
 
 def test_model_tensors_vanish_on_e(split_setup):
-    an, J, split = split_setup
+    an, J, h = split_setup
     e = an.frame[3]
     Je = J @ e
-    _, phi, psi = model_tensors(an.g, J, split, e, Je, Je, e)
+    _, phi, psi = model_tensors(an.g, J, h, e, Je, Je, e)
     assert abs(phi) < 1e-14
     assert abs(psi) < 1e-14
 
 
 def test_synthetic_fit_recovers_coefficients(split_setup):
-    an, J, split = split_setup
-    Pi, Phi, Psi = model_tensor_arrays(an.g, J, split)
+    an, J, h = split_setup
+    Pi, Phi, Psi = model_tensor_arrays(an.g, J, h)
     R_syn = 2.0 * Pi - 1.0 * Phi + 0.5 * Psi
-    fr = an.frame
-    fit = fit_from_curvature(R_syn, an.g, J, fr[0], fr[1], fr[2],
+    fit = fit_from_curvature(R_syn, an.g, J, an.frame,
                              draws=np.random.default_rng(1).standard_normal((100, 6)))
     assert abs(fit.a - 2.0) < 1e-12
     assert abs(fit.b + 1.0) < 1e-12

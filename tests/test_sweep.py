@@ -42,11 +42,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qchgeom import FubiniStudy
 from qchgeom.cli import RunConfig, main
 from qchgeom.curvature import PointAnalysis
-from qchgeom.geometry import CircleBundleMetric
-from qchgeom.suite import build_warped_model, run_suite, sample_interior_points
+from qchgeom.suite import build_model, run_suite, sample_interior_points
 
 CHART_SCALE = {"bianchi_second_spot", "curvature_kahler_type", "hermitian_metric",
                "kahler_form_closed", "ricci_e_block", "ricci_j_invariance", "ricci_symmetry",
@@ -69,11 +67,7 @@ PROFILE_ROUNDING = 2e-13
 
 def chart_condition(config: RunConfig) -> float:
     """The largest condition number of g at the suite's sample points."""
-    if config.mode == "circle-bundle":
-        model = CircleBundleMetric(config.alpha, config.beta, config.s,
-                                   FubiniStudy(config.n - 1, config.c0))
-    else:
-        model = build_warped_model(config)
+    model = build_model(config)
     points = sample_interior_points(model, np.random.default_rng(config.rng_seed),
                                     config.sample_count)
     return float(np.linalg.cond(PointAnalysis(model, points).g).max())

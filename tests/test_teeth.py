@@ -93,6 +93,33 @@ def test_theta_normalization_sees_a_t_psi_cross_term(unperturbed, monkeypatch):
     assert not _verdicts()["theta_normalization"]
 
 
+def test_principal_section_sees_a_rotated_section(unperturbed, monkeypatch):
+    """div_E(JH) = 0: with every section c1 H + c2 JH rotated by 1e-6 in D,
+    the section read as JH has a divergence of order 1e-6 kappa."""
+    section_jets = WarpedBundleMetric.section_jets
+    cos, sin = np.cos(1e-6), np.sin(1e-6)
+
+    def rotated(self, coords, c1, c2):
+        return section_jets(self, coords, cos * c1 - sin * c2, sin * c1 + cos * c2)
+
+    monkeypatch.setattr(WarpedBundleMetric, "section_jets", rotated)
+    assert unperturbed["principal_section"]
+    assert not _verdicts()["principal_section"]
+
+
+def test_base_independence_sees_a_tilted_base(unperturbed, monkeypatch):
+    """The coefficients depend on t alone: a base metric h (1 + 1e-6 u_1),
+    which varies along the base, moves a between nearby base points."""
+    metric_jets = FubiniStudy.metric_jets
+
+    def tilted(self, z):
+        return metric_jets(self, z) * (1.0 + 1e-6 * z[..., 0, None, None])
+
+    monkeypatch.setattr(FubiniStudy, "metric_jets", tilted)
+    assert unperturbed["qch_coefficient_base_independence"]
+    assert not _verdicts()["qch_coefficient_base_independence"]
+
+
 def test_frame_orthonormality_sees_a_scaled_row(unperturbed, monkeypatch):
     """A frame row scaled by 1 + 1e-6 is no longer g-unit."""
     frame_at = WarpedBundleMetric.frame_at
@@ -125,6 +152,16 @@ def _noisy(values):
     return values * (1.0 + 1e-6 * _NOISE.standard_normal(values.shape))
 
 
+def _off_block_ricci(rho):
+    """rho + 1e-6 max|rho| (dt x du_1 + du_1 x dt), symmetric, coupling
+    H = d/dt of D to the first base direction of E."""
+    bump = 1e-6 * np.abs(rho).max()
+    out = rho.copy()
+    out[..., 0, 2] += bump
+    out[..., 2, 0] += bump
+    return out
+
+
 def _scaled_j(structure):
     values, grads = structure
     return (1.0 + 1e-6) * values, grads
@@ -136,13 +173,14 @@ def _scaled_j(structure):
     ("curvature_antisymmetry", "riemann", _noisy),
     ("bianchi_first", "riemann", _noisy),
     ("ricci_symmetry", "ricci", _noisy),
+    ("ricci_off_block", "ricci", _off_block_ricci),
     ("complex_structure_involution", "complex_structure", _scaled_j),
     ("hermitian_metric", "complex_structure", _scaled_j),
 ])
 def test_engine_identities_see_a_mutated_analysis(unperturbed, monkeypatch, check, attribute,
                                                    mutate):
-    """The identities that hold for every metric fail once the engine's
-    Gamma, R, Ricci or J is mutated in ``PointAnalysis``."""
+    """The identities that hold for every metric, and rho(D, E) = 0, fail
+    once the engine's Gamma, R, Ricci or J is mutated in ``PointAnalysis``."""
     compute = getattr(PointAnalysis, attribute).func
     mutated = cached_property(lambda self: mutate(compute(self)))
     mutated.__set_name__(PointAnalysis, attribute)
