@@ -4,7 +4,6 @@ curvature identities at machine precision on sampled points."""
 
 from .geometry import (
     CircleBundleMetric,
-    EuclideanMetric,
     FubiniStudy,
     ProductBase,
     BaseChartMetric,
@@ -21,8 +20,7 @@ from .profile import (
 )
 
 __all__ = [
-    "CircleBundleMetric",
-    "EuclideanMetric", "FubiniStudy", "ProductBase", "BaseChartMetric",
+    "CircleBundleMetric", "FubiniStudy", "ProductBase", "BaseChartMetric",
     "WarpedBundleMetric", "Jet2", "seed_chart",
     "CubicProfilePolynomial", "ProfileSolution", "boundary_report",
     "build_polynomial", "period_length", "solve_profile",

@@ -130,8 +130,6 @@ class PointAnalysis:
     A field is anything with
 
     * ``dim``: the chart dimension d;
-    * ``check_bounds(x)``: raise ``ChartBoundsError`` at a point outside the
-      chart's valid region;
     * ``metric_jets(coords)``: the metric components as one B + (d, d) jet of
       the seeded coordinates ``coords``;
     * ``complex_structure_jets``: the same for J, or None where there is none;
@@ -243,18 +241,14 @@ class PointAnalysis:
 
 
 def holomorphic_sectional_curvature(R: np.ndarray, g: np.ndarray,
-                                    J: np.ndarray, X):
-    """R(X, JX, JX, X) / |X|^4 for one vector X per point, or per row of probes.
+                                    J: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """R(X, JX, JX, X) / |X|^4 per row of the probes X, B + (P, d) for R of
+    batch shape B: the result is B + (P,).
 
-    With R of batch shape B, X is B + (d,) or B + (P, d) for P probes per
-    point.  The pairs (X, JX) and (JX, X) meet R viewed as a (d^2, d^2)
-    matrix, so P probes cost one O(P d^4) product per point, taken over
-    slices of the probes that keep each B + (slice, d^2) array in budget.
+    The pairs (X, JX) and (JX, X) meet R viewed as a (d^2, d^2) matrix, so P
+    probes cost one O(P d^4) product per point, taken over slices of the
+    probes that keep each B + (slice, d^2) array in budget.
     """
-    X = np.asarray(X)
-    single = X.ndim == R.ndim - 3
-    if single:
-        X = X[..., None, :]
     norm2 = np.sum((X @ g) * X, axis=-1)
     if np.any(norm2.real <= 0.0):
         raise ValueError("holomorphic sectional curvature of a null vector")
@@ -270,8 +264,7 @@ def holomorphic_sectional_curvature(R: np.ndarray, g: np.ndarray,
         np.sum((pairs(x, jx) @ flat) * pairs(jx, x), axis=-1)
         for x, jx in ((X[..., i:i + step, :], JX[..., i:i + step, :])
                       for i in range(0, X.shape[-2], step))], axis=-1)
-    out = num / norm2 ** 2
-    return per_point(out[..., 0] if single else out)
+    return num / norm2 ** 2
 
 
 def jacobi_operator(analysis: PointAnalysis, v: np.ndarray) -> np.ndarray:

@@ -3,9 +3,11 @@
 Both flows march across [0, span] on panels, each carrying its solution as
 values at the first-kind Chebyshev nodes of the panel; dense output is the
 barycentric formula of the second kind (Trefethen, *Approximation Theory and
-Approximation Practice*, ch. 5).  On a panel [a, b] the equations are solved
-in integral form (Greengard's spectral integration): with S and S2 the
-Chebyshev matrices that integrate node values once and twice from a,
+Approximation Practice*, ch. 5).  Each solve hands out that interpolant
+(``states``), not samples of it: a caller picks its own parameters.  On a
+panel [a, b] the equations are solved in integral form (Greengard's spectral
+integration): with S and S2 the Chebyshev matrices that integrate node
+values once and twice from a,
 
     x'' = A   becomes   x = x(a) + (tau - a) x'(a) + S2 A,   x' = x'(a) + S A.
 
@@ -22,9 +24,10 @@ Chebyshev matrices that integrate node values once and twice from a,
   K(tau), are evaluated jet-exactly at the panel's nodes, and the system is
   linear in them: per panel one block solve for the frame, F' = -F T^T, and
   one for y'' = (F K^T F^T) y, each in p d unknowns.  In the parallel frame
-  |C| is the Euclidean norm of y and g(cdot, C) is a fixed linear functional
-  of y, so the decay diagnostics near the collapsing end of the chart stay
-  well conditioned even though coordinate components blow up like 1/f there.
+  |C| is the Euclidean norm of y and g(cdot, C) = y . g(cdot, e_a), a row
+  fixed at the start (``JacobiResult.velocity_row``), so the decay
+  diagnostics near the collapsing end of the chart stay well conditioned
+  even though coordinate components blow up like 1/f there.
 
 A panel is accepted when the tail of its Chebyshev coefficients lies at the
 roundoff floor of the values met in the window (``_certificate``); the next
@@ -415,22 +418,16 @@ def _jacobi_panel(h2: float, coefficients: np.ndarray, frame: np.ndarray, y: np.
 
 @dataclass
 class JacobiResult:
-    """Jacobi field along a geodesic, in the transported frame."""
+    """Jacobi field along a geodesic, in the transported frame, as panels."""
 
     path: GeodesicPath
-    taus: np.ndarray
-    y: np.ndarray             # (N, d) frame components of C
-    yp: np.ndarray            # (N, d) frame components of nabla_cdot C
-    frames: np.ndarray        # (N, d, d) transported frame rows at samples
-    velocity_inner: np.ndarray  # g(cdot, C) at samples
     stats: SolveStats
-    coefficients: Panels      # Gamma(., cdot) and K at the nodes, (P, p, 2, d, d)
-    dense: Panels             # packed (frame, y, y') on the solve's panels
+    dense: Panels               # packed (frame, y, y') on the solve's panels
+    velocity_row: np.ndarray    # (d,) g(cdot, e_a), parallel-constant: g(cdot, C) = y . it
 
     def states(self, taus) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(frames, y, y') from the dense solution at a float or an array of
-        parameters."""
-        return _unpack(self.dense(taus), self.y.shape[1])
+        """(frames, y, y') at a float or an array of parameters."""
+        return _unpack(self.dense(taus), len(self.velocity_row))
 
 
 def _unpack(packed: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -448,15 +445,13 @@ def _initial_frame(analysis: PointAnalysis, velocity: np.ndarray) -> np.ndarray:
     return _gram_schmidt(np.vstack([velocity, np.delete(frame, drop, axis=0)]), g)
 
 
-def integrate_jacobi(path: GeodesicPath, C0: np.ndarray, DC0: np.ndarray, *,
-                     samples: int = 200) -> JacobiResult:
+def integrate_jacobi(path: GeodesicPath, C0: np.ndarray, DC0: np.ndarray) -> JacobiResult:
     """Integrate nabla^2 C = R(cdot, C) cdot along a solved geodesic.
 
     Each panel evaluates Gamma(., cdot) and the directional Jacobi operator
     (``curvature.jacobi_operator``) jet-exactly at its nodes; once those
     tables certify, the linear system is solved on the panel by collocation
-    (``_jacobi_panel``).  The certified tables are kept as the result's
-    ``coefficients``.
+    (``_jacobi_panel``).
     """
     x0, v0 = path.states(0.0)
     analysis0 = PointAnalysis(path.field, x0)
@@ -464,26 +459,15 @@ def integrate_jacobi(path: GeodesicPath, C0: np.ndarray, DC0: np.ndarray, *,
     g0 = analysis0.g
     y0 = frame0 @ g0 @ np.asarray(C0, dtype=float)
     yp0 = frame0 @ g0 @ np.asarray(DC0, dtype=float)
-    dot0 = frame0 @ g0 @ v0  # g(cdot, e_a), parallel-constant
-    tables = []
 
     def trial(a, b, state):
         coefficients = coefficients_at(path, 0.5 * (a + b) + 0.5 * (b - a) * _NODES)
-
-        def finish():
-            tables.append(coefficients)
-            return _jacobi_panel(0.5 * (b - a), coefficients, *state)
-
-        return _Trial(coefficients, PANEL_NODES, finish)
+        return _Trial(coefficients, PANEL_NODES,
+                      lambda: _jacobi_panel(0.5 * (b - a), coefficients, *state))
 
     sol = solve_ivp(trial, path.span, (frame0, y0, yp0), name="jacobi coefficient tables")
-    dense = Panels(sol.t, sol.values)
-    taus = np.linspace(0.0, path.span, samples)
-    frames, y, yp = _unpack(dense(taus), len(y0))
-    return JacobiResult(path=path, taus=taus, y=y, yp=yp, frames=frames,
-                        velocity_inner=y @ dot0, stats=sol.stats,
-                        coefficients=Panels(sol.t, np.stack(tables)),
-                        dense=dense)
+    return JacobiResult(path=path, stats=sol.stats, dense=Panels(sol.t, sol.values),
+                        velocity_row=frame0 @ g0 @ v0)
 
 
 def jacobi_equation_residual(result: JacobiResult, taus) -> float:
@@ -562,20 +546,22 @@ def jacobi_decay_experiment(model, t0: float, t_end: float, *,
     C0 = np.zeros(d)
     C0[1] = 1.0  # the fiber field: f(t0) JH in coordinates
     DC0 = analysis0.gamma[:, 0, 1]  # nabla_H of the fiber field
-    jac = integrate_jacobi(path, C0, DC0, samples=samples)
+    jac = integrate_jacobi(path, C0, DC0)
 
     n = model.n
-    t = t0 + jac.taus
+    taus = np.linspace(0.0, path.span, samples)
+    _, y, yp = jac.states(taus)
+    velocity_inner = y @ jac.velocity_row
+    t = t0 + taus
     r, rp, rpp, rppp = profile.evaluate(t)
     f = profile.warp_from(r, rp, rpp, rppp)[0]
-    y, yp = jac.y, jac.yp
     norm = np.sqrt(_dot(y, y))
     dlog_c = _dot(y, yp) / _dot(y, y)
     dlog_kappa = rpp / rp - rp / r
-    theta_cdot = path.states(jac.taus)[1][:, 0]
+    theta_cdot = path.states(taus)[1][:, 0]
     kappa = 2.0 * (n - 1) * rp / r
     ratio_res = np.abs(dlog_kappa - dlog_c + kappa * theta_cdot / (n - 1))
-    rows = np.column_stack([t, norm, f, ratio_res, jac.velocity_inner])
+    rows = np.column_stack([t, norm, f, ratio_res, velocity_inner])
 
     interior = np.linspace(0.05, 0.95, 7) * path.span
     return DecayReport(
@@ -583,7 +569,7 @@ def jacobi_decay_experiment(model, t0: float, t_end: float, *,
         max_norm_deviation=float(np.abs(norm - f).max()),
         max_ratio_residual=float(ratio_res.max()),
         decay_factor=float(rows[-1, 1] / rows[0, 1]),
-        max_velocity_inner=float(np.abs(jac.velocity_inner).max()),
+        max_velocity_inner=float(np.abs(velocity_inner).max()),
         geodesic_residual=geodesic_residuals(path, interior),
         geodesic_stats=path.stats,
         jacobi_stats=jac.stats,

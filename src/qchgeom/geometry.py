@@ -489,9 +489,6 @@ class BaseChartMetric:
         self.base = base
         self.dim = base.dim
 
-    def check_bounds(self, x: np.ndarray) -> None:
-        self.base.check_bounds(x)
-
     def metric_jets(self, coords: Jet2) -> Jet2:
         return self.base.metric_jets(coords)
 
@@ -501,25 +498,6 @@ class BaseChartMetric:
 
     def frame_at(self, x: np.ndarray, g_values: np.ndarray) -> np.ndarray:
         return _gram_schmidt(np.broadcast_to(np.eye(self.dim), g_values.shape), g_values)
-
-
-class EuclideanMetric:
-    """Flat R^d, for oracle tests of the curvature and flow layers."""
-
-    def __init__(self, dim: int):
-        self.dim = dim
-
-    def check_bounds(self, x) -> None:
-        pass
-
-    def metric_jets(self, coords: Jet2) -> Jet2:
-        eye = np.eye(self.dim)
-        return Jet2.constant(np.broadcast_to(eye, coords.shape[:-1] + eye.shape), coords.dim)
-
-    complex_structure_jets = None
-
-    def frame_at(self, x, g_values) -> np.ndarray:
-        return np.broadcast_to(np.eye(self.dim), np.shape(g_values))
 
 
 def exterior_derivative_2form(w: np.ndarray) -> np.ndarray:

@@ -169,10 +169,6 @@ class ProfileSolution:
         rp = (2.0 * (y - x) * self.omega * sn * cn * np.where(far, kp2 / (dn * dn * dn), dn))[()]
         return r, rp, 0.5 * poly.deriv1(r), 0.5 * poly.deriv2(r) * rp
 
-    def warp(self, t):
-        r, rp, _, _ = self.evaluate(t)
-        return 2.0 * r * rp / self.s
-
     def warp_from(self, r, rp, rpp, rppp) -> tuple:
         """(f, f', f'') from an evaluated (r, r', r'', r''')."""
         f = 2.0 * r * rp / self.s
@@ -216,9 +212,9 @@ def boundary_report(sol: ProfileSolution) -> dict[str, float]:
     2 r(0) r''(0) = s and 2 r(L) r''(L) = -s.  r' and r''' = P''(r) r'/2,
     both exact from ``evaluate``, vanish there when r is even about each end.
     """
-    (r0, rp0, rpp0, rppp0), (rL, rpL, rppL, rpppL) = (sol.evaluate(t) for t in (0.0, sol.L))
-    fp0 = 2.0 * (rp0 ** 2 + r0 * rpp0) / sol.s
-    fpL = 2.0 * (rpL ** 2 + rL * rppL) / sol.s
+    start, end = sol.evaluate(0.0), sol.evaluate(sol.L)
+    (r0, rp0, rpp0, rppp0), (rL, rpL, rppL, rpppL) = start, end
+    fp0, fpL = sol.warp_from(*start)[1], sol.warp_from(*end)[1]
     return {
         "fp_start_minus_one": fp0 - 1.0,
         "fp_end_plus_one": fpL + 1.0,

@@ -4,15 +4,16 @@ On a Kaehler manifold with a distinguished J-invariant plane field
 D = span{H, JH}, quasi-constancy means the holomorphic sectional curvature of
 a unit vector X depends only on |X_D|; equivalently the curvature tensor
 decomposes as R = a Pi + b Phi + c Psi against three model tensors built from
-g, J and the D block of g.  That block is h = theta x theta + Jtheta x Jtheta
-for the covectors theta = g(H, .) and Jtheta = g(JH, .) of the frame's first
-two rows (``d_block``), so |X_D|^2 = h(X, X), and the E block is g - h; no
-projector is formed.  This module fits (a, b, c), splits the Ricci tensor,
-computes the divergence invariant kappa with its principal section, and
-evaluates the pointwise structure identities and submersion cross-checks
-against their closed forms.  The residual functions return each residual
-under the name of the ``suite.CHECKS`` check it feeds; a check with several
-parts gets the larger of them.
+g, J and the D block of g; the fit reads (a, b, c) off holomorphic sectional
+curvatures without forming the tensors.  That block is
+h = theta x theta + Jtheta x Jtheta for the covectors theta = g(H, .) and
+Jtheta = g(JH, .) of the frame's first two rows (``d_block``), so
+|X_D|^2 = h(X, X), and the E block is g - h; no projector is formed.  This
+module fits (a, b, c), splits the Ricci tensor, computes the divergence
+invariant kappa, and evaluates the pointwise structure identities and
+submersion cross-checks against their closed forms.  The residual functions
+return each residual under the name of the ``suite.CHECKS`` check it feeds;
+a check with several parts gets the larger of them.
 
 Every function takes an analysis of one point or of a batch of points and
 returns its results per point: floats for one point, arrays for a batch.
@@ -43,7 +44,7 @@ from .curvature import (
 )
 
 
-# -- the D block and model tensors -----------------------------------------------
+# -- the D block -----------------------------------------------------------------
 
 
 def d_block(g: np.ndarray, frame: np.ndarray) -> np.ndarray:
@@ -52,41 +53,6 @@ def d_block(g: np.ndarray, frame: np.ndarray) -> np.ndarray:
     first two rows, which are g-orthonormal by construction."""
     covectors = frame[..., :2, :] @ g
     return mT(covectors) @ covectors
-
-
-def model_tensor_arrays(g: np.ndarray, J: np.ndarray,
-                        h: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Component arrays of the model tensors (Pi, Phi, Psi).
-
-    With gj_ij = g(J e_i, e_j), h the D block of g (``d_block``) and
-    omega = J^T h that of the Kaehler form:
-
-      Pi  = 1/4 ( g_jk g_il - g_ik g_jl + gj_jk gj_il - gj_ik gj_jl
-                  - 2 gj_ij gj_kl )
-      Phi = 1/8 ( g_jk h_il - g_ik h_jl + g_il h_jk - g_jl h_ik
-                  + gj_jk om_il - gj_ik om_jl + gj_il om_jk - gj_jl om_ik
-                  - 2 gj_ij om_kl - 2 gj_kl om_ij )
-      Psi = -om_ij om_kl
-    """
-    gj = mT(J) @ g
-    om = mT(J) @ h
-
-    def prod(A, B, subscripts):
-        left, out = subscripts.split("->")
-        a, b = left.split(",")
-        return np.einsum(f"...{a},...{b}->...{out}", A, B)
-
-    Pi = 0.25 * (prod(g, g, "jk,il->ijkl") - prod(g, g, "ik,jl->ijkl")
-                 + prod(gj, gj, "jk,il->ijkl") - prod(gj, gj, "ik,jl->ijkl")
-                 - 2.0 * prod(gj, gj, "ij,kl->ijkl"))
-    Phi = 0.125 * (prod(g, h, "jk,il->ijkl") - prod(g, h, "ik,jl->ijkl")
-                   + prod(g, h, "il,jk->ijkl") - prod(g, h, "jl,ik->ijkl")
-                   + prod(gj, om, "jk,il->ijkl") - prod(gj, om, "ik,jl->ijkl")
-                   + prod(gj, om, "il,jk->ijkl") - prod(gj, om, "jl,ik->ijkl")
-                   - 2.0 * prod(gj, om, "ij,kl->ijkl")
-                   - 2.0 * prod(gj, om, "kl,ij->ijkl"))
-    Psi = -prod(om, om, "ij,kl->ijkl")
-    return Pi, Phi, Psi
 
 
 # -- coefficient fit --------------------------------------------------------------
@@ -158,7 +124,7 @@ def qch_residual_samples(analysis: PointAnalysis, coeffs: QCHCoefficients,
                              d_block(g, analysis.frame), coeffs, draws)
 
 
-# -- kappa, principal section, Ricci split ---------------------------------------
+# -- kappa and the Ricci split ----------------------------------------------------
 
 
 def section_divergences(analysis: PointAnalysis, model, section=(1.0, 0.0)) -> tuple:
@@ -173,21 +139,18 @@ def section_divergences(analysis: PointAnalysis, model, section=(1.0, 0.0)) -> t
     return d1, d2
 
 
-def kappa_and_principal_section(analysis: PointAnalysis, divergences: tuple):
-    """(kappa, principal section) with div_E(J xi) = 0 and div_E(xi) = kappa >= 0.
+def kappa(divergences: tuple):
+    """kappa = sqrt(d1^2 + d2^2) >= 0, from the (d1, d2) of
+    ``section_divergences`` at the point(s); analytic, unlike np.hypot.
 
-    ``divergences`` are the (d1, d2) of ``section_divergences`` at the point(s).
-    Raises ``ValueError`` where kappa vanishes (product mode), since the
-    principal section is undefined there.
+    Raises ``ValueError`` where kappa vanishes (product mode), which the
+    gradient law divides by.
     """
     d1, d2 = divergences
-    kappa = np.sqrt(d1 * d1 + d2 * d2)  # analytic, unlike np.hypot
-    if np.any(kappa.real < 1e-13):
-        raise ValueError("kappa vanishes at this point; principal section undefined")
-    frame = analysis.frame
-    xi_p = (np.asarray(d1)[..., None] * frame[..., 0, :]
-            + np.asarray(d2)[..., None] * frame[..., 1, :]) / np.asarray(kappa)[..., None]
-    return per_point(kappa), xi_p
+    kap = np.sqrt(d1 * d1 + d2 * d2)
+    if np.any(kap.real < 1e-13):
+        raise ValueError("kappa vanishes at this point")
+    return per_point(kap)
 
 
 def kappa_closed_form(n: int, r: float, rp: float) -> float:
@@ -242,8 +205,8 @@ def coefficient_t_derivatives(analysis: PointAnalysis, model) -> tuple:
     x = analysis.x
     stepped = PointAnalysis(model, complex_step(x, np.eye(x.shape[-1])[0]))
     fit = fit_qch_coefficients(stepped)
-    kappa = kappa_and_principal_section(stepped, section_divergences(stepped, model))[0]
-    return step_derivative(fit.a), step_derivative(fit.b), step_derivative(kappa)
+    kap = kappa(section_divergences(stepped, model))
+    return step_derivative(fit.a), step_derivative(fit.b), step_derivative(kap)
 
 
 def structure_identity_residuals(analysis: PointAnalysis, model, *,
@@ -293,7 +256,7 @@ def structure_identity_residuals(analysis: PointAnalysis, model, *,
         e_part(matvec(nH, jh_hat)), e_part(matvec(nJH, h_hat))))
 
     # kappa closed form, and d ln kappa = -(kappa/(n-1) + p*) theta along H
-    kap, _ = kappa_and_principal_section(analysis, divergences)
+    kap = kappa(divergences)
     out["kappa_closed_form"] = np.abs(kap - kappa_closed_form(n, r, rp))
     da, db, dkap = coefficient_t_derivatives(analysis, model)
     out["identity_log_kappa_gradient"] = np.abs(dkap / kap + kap / (n - 1) + p_star)

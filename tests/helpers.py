@@ -1,23 +1,18 @@
 """Shared test machinery: random jet-expression trees with a float evaluator
 (for finite-difference references), a polynomial derivative oracle, and the
 small definitions that only tests use (seeded variables, constant fields,
-sectional curvature, the derivatives of the Christoffel symbols, the base
-Kaehler form, warp derivatives, model tensors on vectors)."""
+flat space, sectional curvature, the derivatives of the Christoffel symbols,
+the base Kaehler form, warp derivatives, the model tensors)."""
 
 import math
 
 import numpy as np
 
 from qchgeom import jets
-from qchgeom.batch import inner, per_point
+from qchgeom.batch import inner, mT, per_point
 from qchgeom.curvature import contract_slots
 from qchgeom.jets import Jet2
-from qchgeom.qch import (
-    fit_qch_coefficients,
-    model_tensor_arrays,
-    section_divergences,
-    structure_identity_residuals,
-)
+from qchgeom.qch import fit_qch_coefficients, section_divergences, structure_identity_residuals
 
 UNARY = ("sqrt1p", "log1p", "expb", "recip1p", "neg", "square")
 BINARY = ("add", "sub", "mul", "divs")
@@ -190,6 +185,22 @@ def fiber_field(model, coords):
     return constant_vector_field(coords, np.eye(model.dim)[1])
 
 
+class EuclideanMetric:
+    """Flat R^d, for oracle tests of the curvature and flow layers."""
+
+    def __init__(self, dim: int):
+        self.dim = dim
+
+    def metric_jets(self, coords: Jet2) -> Jet2:
+        eye = np.eye(self.dim)
+        return Jet2.constant(np.broadcast_to(eye, coords.shape[:-1] + eye.shape), coords.dim)
+
+    complex_structure_jets = None
+
+    def frame_at(self, x, g_values) -> np.ndarray:
+        return np.broadcast_to(np.eye(self.dim), np.shape(g_values))
+
+
 def sectional_curvature(R, g, X, Y):
     """K(X, Y) = R(X, Y, Y, X) / (|X|^2 |Y|^2 - g(X, Y)^2)."""
     gxy = inner(g, X, Y)
@@ -231,3 +242,37 @@ def model_tensors(g, J, h, X, Y, Z, U):
     """(Pi, Phi, Psi) evaluated on one 4-tuple of tangent vectors."""
     return tuple(per_point(contract_slots(T, X, Y, Z, U, rank=4))
                  for T in model_tensor_arrays(g, J, h))
+
+
+def model_tensor_arrays(g, J, h):
+    """Component arrays of the model tensors (Pi, Phi, Psi).
+
+    With gj_ij = g(J e_i, e_j), h the D block of g (``qch.d_block``) and
+    omega = J^T h that of the Kaehler form:
+
+      Pi  = 1/4 ( g_jk g_il - g_ik g_jl + gj_jk gj_il - gj_ik gj_jl
+                  - 2 gj_ij gj_kl )
+      Phi = 1/8 ( g_jk h_il - g_ik h_jl + g_il h_jk - g_jl h_ik
+                  + gj_jk om_il - gj_ik om_jl + gj_il om_jk - gj_jl om_ik
+                  - 2 gj_ij om_kl - 2 gj_kl om_ij )
+      Psi = -om_ij om_kl
+    """
+    gj = mT(J) @ g
+    om = mT(J) @ h
+
+    def prod(A, B, subscripts):
+        left, out = subscripts.split("->")
+        a, b = left.split(",")
+        return np.einsum(f"...{a},...{b}->...{out}", A, B)
+
+    Pi = 0.25 * (prod(g, g, "jk,il->ijkl") - prod(g, g, "ik,jl->ijkl")
+                 + prod(gj, gj, "jk,il->ijkl") - prod(gj, gj, "ik,jl->ijkl")
+                 - 2.0 * prod(gj, gj, "ij,kl->ijkl"))
+    Phi = 0.125 * (prod(g, h, "jk,il->ijkl") - prod(g, h, "ik,jl->ijkl")
+                   + prod(g, h, "il,jk->ijkl") - prod(g, h, "jl,ik->ijkl")
+                   + prod(gj, om, "jk,il->ijkl") - prod(gj, om, "ik,jl->ijkl")
+                   + prod(gj, om, "il,jk->ijkl") - prod(gj, om, "jl,ik->ijkl")
+                   - 2.0 * prod(gj, om, "ij,kl->ijkl")
+                   - 2.0 * prod(gj, om, "kl,ij->ijkl"))
+    Psi = -prod(om, om, "ij,kl->ijkl")
+    return Pi, Phi, Psi

@@ -306,6 +306,26 @@ def test_cli_runs_without_scipy(tmp_path):
     assert json.loads((tmp_path / "report.json").read_text())["mode"] == "warped"
 
 
+@pytest.mark.parametrize("all_pass,code,verdict", [(True, 0, "ALL CHECKS IN ORDER"),
+                                                   (False, 1, "FAILURES PRESENT")],
+                         ids=["all-pass", "failures"])
+def test_python_m_qchgeom_reports_with_the_exit_code(tmp_path, all_pass, code, verdict):
+    """``python -m qchgeom`` runs the CLI and exits with its code: ``report``
+    of a hand-written report exits 0 when all its checks are in order, 1 when
+    not."""
+    report = {"mode": "warped", "environment": {"seed": 42}, "all_pass": all_pass,
+              "checks": [{"name": "nabla_j", "claim": "nabla J = 0", "pass": all_pass,
+                          "in_order": all_pass, "expected_fail": False,
+                          "max_residual": 1e-9 if all_pass else 1e-3, "tolerance": 1e-7}]}
+    path = tmp_path / "report.json"
+    path.write_text(json.dumps(report))
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    out = subprocess.run([sys.executable, "-m", "qchgeom", "report", str(path)],
+                         capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src))
+    assert out.returncode == code, out.stderr
+    assert out.stdout.splitlines()[-1] == verdict
+
+
 @pytest.mark.parametrize("x,y", [(0.1, 10.0), (1.0, 1.001), (1.0, 1.1)])
 def test_verify_reaches_a_verdict_across_the_profile_range(tmp_path, x, y):
     """Far from the desk (x, y) = (1, 2) a run still ends in a verdict with a

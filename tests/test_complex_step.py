@@ -18,7 +18,7 @@ from qchgeom.curvature import PointAnalysis, complex_step, step_derivative
 from qchgeom.qch import (
     coefficient_t_derivatives,
     fit_qch_coefficients,
-    kappa_and_principal_section,
+    kappa,
     section_divergences,
 )
 from qchgeom.suite import build_model, sample_interior_points
@@ -48,7 +48,7 @@ def _gradient_law_errors(n, x):
     analysis = PointAnalysis(model, x)
     da, _, dkappa = coefficient_t_derivatives(analysis, model)
     divergences = section_divergences(analysis, model)
-    dlog_kappa = dkappa / kappa_and_principal_section(analysis, divergences)[0]
+    dlog_kappa = dkappa / kappa(divergences)
     r, rp, rpp, _ = model.profile.evaluate(x[..., 0])
     c0 = model.base.c0
     return (np.abs(da - (-2.0 * c0 * rp / r ** 3 - 8.0 * rp * rpp / r ** 2
@@ -102,8 +102,8 @@ def test_real_part_equals_real_analysis(n):
     fit_r, fit_c = fit_qch_coefficients(real), fit_qch_coefficients(stepped)
     pairs = [(real.riemann, stepped.riemann),
              (real.frame, stepped.frame),
-             (kappa_and_principal_section(real, section_divergences(real, model))[0],
-              kappa_and_principal_section(stepped, section_divergences(stepped, model))[0])]
+             (kappa(section_divergences(real, model)),
+              kappa(section_divergences(stepped, model)))]
     pairs += [(getattr(fit_r, k), getattr(fit_c, k)) for k in ("a", "b", "c")]
     for exact, complex_value in pairs:
         assert np.iscomplexobj(complex_value)

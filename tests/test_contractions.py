@@ -118,7 +118,7 @@ def test_curvature_operators(d, rng):
         jx = J @ x
         return np.einsum("ijkl,i,j,k,l->", R, x, jx, jx, x) / float(x @ g @ x) ** 2
 
-    assert _close(holomorphic_sectional_curvature(R, g, J, X), hol_reference(X))
+    assert _close(holomorphic_sectional_curvature(R, g, J, X[None])[0], hol_reference(X))
     batch = rng.standard_normal((7, d))
     assert _close(holomorphic_sectional_curvature(R, g, J, batch),
                   np.array([hol_reference(x) for x in batch]))

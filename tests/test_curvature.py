@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from qchgeom import EuclideanMetric, FubiniStudy
+from qchgeom import FubiniStudy
 from qchgeom.curvature import (
     PointAnalysis,
     div_e,
@@ -23,6 +23,7 @@ from qchgeom.profile import build_polynomial, solve_profile
 from qchgeom.suite import sample_interior_points
 
 from helpers import (
+    EuclideanMetric,
     constant_vector_field,
     dgamma,
     fiber_field,
@@ -99,7 +100,7 @@ def test_fubini_study_holomorphic_curvature_constant(c0):
         z = rng.uniform(-1.0, 1.0, 4)
         an = PointAnalysis(bm, z)
         X = rng.standard_normal(4)
-        k = holomorphic_sectional_curvature(an.riemann, an.g, base.j0, X)
+        k = holomorphic_sectional_curvature(an.riemann, an.g, base.j0, X[None])[0]
         assert abs(k - c0) < 1e-8
 
 
@@ -219,7 +220,7 @@ def test_hessian_form_of_killing_potential(warped, warped_point_analysis, profil
     hess = hessian_form(an, warped.potential_jets(an.coords))
     e_frame = an.frame[2:]
     hess_e = e_frame @ hess @ e_frame.T
-    f = profile.warp(an.x[0])
+    f = warp_derivatives(profile, an.x[0])[0]
     r, rp, _, _ = profile.evaluate(an.x[0])
     kappa = 2.0 * (warped.n - 1) * rp / r
     target = f * kappa / (2.0 * (warped.n - 1))

@@ -5,7 +5,6 @@ from scipy import integrate
 import qchgeom.curvature as curvature
 import qchgeom.flows as flows
 from qchgeom import (
-    EuclideanMetric,
     FubiniStudy,
     WarpedBundleMetric,
     build_polynomial,
@@ -26,6 +25,8 @@ from qchgeom.flows import (
 )
 from qchgeom.geometry import BaseChartMetric
 from qchgeom.jets import Jet2, compose
+
+from helpers import EuclideanMetric, warp_derivatives
 
 
 @pytest.fixture(scope="module")
@@ -64,10 +65,12 @@ def test_flat_jacobi_field_is_linear():
     path = integrate_geodesic(field, np.zeros(3), np.array([1.0, 0.0, 0.0]), 2.0)
     C0 = np.array([0.0, 1.0, 0.0])
     DC0 = np.array([0.0, 0.0, 0.5])
-    result = integrate_jacobi(path, C0, DC0, samples=40)
-    for i, tau in enumerate(result.taus):
+    result = integrate_jacobi(path, C0, DC0)
+    taus = np.linspace(0.0, 2.0, 40)
+    frames, y, _ = result.states(taus)
+    for i, tau in enumerate(taus):
         expected = C0 + tau * DC0
-        assert np.abs(result.y[i] @ result.frames[i] - expected).max() < 1e-9
+        assert np.abs(y[i] @ frames[i] - expected).max() < 1e-9
 
 
 def test_constant_curvature_jacobi_oscillates():
@@ -81,9 +84,11 @@ def test_constant_curvature_jacobi_oscillates():
     C0 = C0 - (v0 @ an0.g @ C0) * v0
     C0 = C0 / np.sqrt(C0 @ an0.g @ C0)
     path = integrate_geodesic(bm, x0, v0, 0.6)
-    result = integrate_jacobi(path, C0, np.zeros(2), samples=30)
-    for i, tau in enumerate(result.taus):
-        assert abs(np.linalg.norm(result.y[i]) - abs(np.cos(2.0 * tau))) < 1e-6
+    result = integrate_jacobi(path, C0, np.zeros(2))
+    taus = np.linspace(0.0, 0.6, 30)
+    y = result.states(taus)[1]
+    for i, tau in enumerate(taus):
+        assert abs(np.linalg.norm(y[i]) - abs(np.cos(2.0 * tau))) < 1e-6
 
 
 def test_velocity_inner_product_conserved(warped, profile):
@@ -95,8 +100,9 @@ def test_velocity_inner_product_conserved(warped, profile):
     an0 = PointAnalysis(warped, x0)
     C0 = np.zeros(6); C0[1] = 1.0
     DC0 = an0.gamma[:, 0, 1]
-    result = integrate_jacobi(path, C0, DC0, samples=50)
-    assert np.abs(result.velocity_inner).max() < 1e-8
+    result = integrate_jacobi(path, C0, DC0)
+    y = result.states(np.linspace(0.0, path.span, 50))[1]
+    assert np.abs(y @ result.velocity_row).max() < 1e-8
 
 
 def test_jacobi_equation_residual_on_solution(warped, profile):
@@ -108,7 +114,7 @@ def test_jacobi_equation_residual_on_solution(warped, profile):
     an0 = PointAnalysis(warped, x0)
     C0 = np.zeros(6); C0[1] = 1.0
     DC0 = an0.gamma[:, 0, 1]
-    result = integrate_jacobi(path, C0, DC0, samples=50)
+    result = integrate_jacobi(path, C0, DC0)
     taus = [0.2 * span, 0.5 * span, 0.8 * span]
     assert jacobi_equation_residual(result, taus) < 1e-7
 
@@ -118,7 +124,7 @@ def test_decay_norm_tracks_warp(decay_report, profile):
     # and the tabulated f column really is the warp function
     t_col, _, f_col = decay_report.rows[:, 0], decay_report.rows[:, 1], decay_report.rows[:, 2]
     for t, f in zip(t_col[::40], f_col[::40]):
-        assert abs(f - profile.warp(t)) < 1e-14
+        assert abs(f - warp_derivatives(profile, t)[0]) < 1e-14
 
 
 def test_decay_ratio_law(decay_report):
@@ -164,7 +170,7 @@ def test_jacobi_equation_residual_on_desk_flow():
     path = integrate_geodesic(model, x0, v0, span)
     C0 = np.zeros(model.dim); C0[1] = 1.0
     DC0 = PointAnalysis(model, x0).gamma[:, 0, 1]
-    result = integrate_jacobi(path, C0, DC0, samples=160)
+    result = integrate_jacobi(path, C0, DC0)
     assert jacobi_equation_residual(result, np.linspace(0.05, 0.95, 7) * span) < 1e-7
 
 
@@ -271,6 +277,15 @@ def _reference_jacobi(path, C0, DC0, *, rtol, atol, samples=200):
     return packed[:, d * d:d * d + d], packed[:, d * d + d:]
 
 
+def _certified_tables(path, result):
+    """Gamma(., cdot) and K at the nodes of each certified panel of a Jacobi
+    solve, (P, p, 2, d, d), evaluated as the solve evaluated them."""
+    edges = result.dense.edges
+    return flows.Panels(edges, np.stack([
+        coefficients_at(path, 0.5 * (a + b) + 0.5 * (b - a) * flows._NODES)
+        for a, b in zip(edges[:-1], edges[1:])]))
+
+
 @pytest.mark.parametrize("n", [3, 5])
 def test_coefficient_panels_hold_off_the_nodes(n):
     """Midway between the nodes of every panel, the interpolated Gamma(., cdot)
@@ -278,7 +293,7 @@ def test_coefficient_panels_hold_off_the_nodes(n):
     value of each."""
     path, C0, DC0 = _desk_flow(n)
     result = integrate_jacobi(path, C0, DC0)
-    table = result.coefficients
+    table = _certified_tables(path, result)
     nodes = np.sort(flows._NODES)
     mids = 0.5 * (nodes[1:] + nodes[:-1])
     a, b = table.edges[:-1, None], table.edges[1:, None]
@@ -298,7 +313,7 @@ def test_certified_panel_tails_sit_near_roundoff():
     and K; about 50 eps and 4 eps here).  The certificate accepts a tail up to
     its measured floor, so a floor lifted far above roundoff fails here."""
     path, C0, DC0 = _desk_flow(3)
-    table = integrate_jacobi(path, C0, DC0).coefficients
+    table = _certified_tables(path, integrate_jacobi(path, C0, DC0))
     scale = np.abs(table.values).max(axis=(0, 1, 3, 4))
     tails = np.array([flows._certificate(panel)[1] for panel in table.values])
     assert tails.shape == (table.count, 2)
@@ -309,9 +324,9 @@ def test_jacobi_flow_matches_the_per_stage_reference():
     """y and y' at the 200 samples of the n = 3 desk flow agree with scipy's
     DOP853 at rtol 3e-14, analysing every integrator stage exactly."""
     path, C0, DC0 = _desk_flow(3)
-    result = integrate_jacobi(path, C0, DC0)
+    _, y, yp = integrate_jacobi(path, C0, DC0).states(np.linspace(0.0, path.span, 200))
     y_ref, yp_ref = _reference_jacobi(path, C0, DC0, rtol=3e-14, atol=1e-16)
-    for got, ref in ((result.y, y_ref), (result.yp, yp_ref)):
+    for got, ref in ((y, y_ref), (yp, yp_ref)):
         scale = np.abs(ref).max(axis=1, keepdims=True)
         assert (np.abs(got - ref) <= 1e-9 * scale).all()
 
@@ -367,7 +382,7 @@ def test_jacobi_solve_analyses_a_fifth_of_its_stages_or_fewer(monkeypatch):
         init(self, field, x)
 
     monkeypatch.setattr(curvature.PointAnalysis, "__init__", counting)
-    result = integrate_jacobi(path, C0, DC0, samples=160)
+    result = integrate_jacobi(path, C0, DC0)
     assert 0 < len(built) < result.stats.nfev / 5
     # every exact evaluation is one analysed point (plus the start's frame),
     # and the panel march wastes fewer than the bisection's 552
@@ -381,23 +396,26 @@ def test_decay_report_counts_coefficient_work(decay_report):
     assert evaluations >= panels * flows.PANEL_NODES
 
 
-def _loop_rows(model, jac, t0):
-    """The decay table row by row, as it was computed before vectorising."""
+def _loop_rows(model, jac, t0, samples):
+    """The decay table row by row at ``samples`` equally spaced tau, as it was
+    computed before vectorising."""
     profile = model.profile
     n = model.n
-    rows = np.empty((len(jac.taus), 5))
-    for i, tau in enumerate(jac.taus):
+    taus = np.linspace(0.0, jac.path.span, samples)
+    _, ys, yps = jac.states(taus)
+    rows = np.empty((samples, 5))
+    for i, tau in enumerate(taus):
         t = t0 + tau
         r, rp, rpp, rppp = profile.evaluate(t)
         f = profile.warp_from(r, rp, rpp, rppp)[0]
-        y, yp = jac.y[i], jac.yp[i]
+        y, yp = ys[i], yps[i]
         norm = float(np.linalg.norm(y))
         dlog_c = float(y @ yp) / float(y @ y)
         dlog_kappa = rpp / rp - rp / r
         theta_cdot = float(jac.path.states(tau)[1][0])
         kappa = 2.0 * (n - 1) * rp / r
         ratio_res = abs(dlog_kappa - dlog_c + kappa * theta_cdot / (n - 1))
-        rows[i] = (t, norm, f, ratio_res, jac.velocity_inner[i])
+        rows[i] = (t, norm, f, ratio_res, y @ jac.velocity_row)
     return rows
 
 
@@ -411,7 +429,7 @@ def test_decay_rows_match_the_row_loop(warped, profile, monkeypatch):
     monkeypatch.setattr(flows, "integrate_jacobi", capture)
     t0 = 0.2 * profile.L
     report = jacobi_decay_experiment(warped, t0, profile.L * (1.0 - 1e-3), samples=160)
-    assert np.array_equal(report.rows, _loop_rows(warped, captured[0], t0))
+    assert np.array_equal(report.rows, _loop_rows(warped, captured[0], t0, 160))
 
 
 def test_batched_residuals_match_point_loops():
@@ -422,7 +440,7 @@ def test_batched_residuals_match_point_loops():
     g0 = PointAnalysis(bm, x0).g
     v0 = np.array([0.6, 0.8]); v0 = v0 / np.sqrt(v0 @ g0 @ v0)
     path = integrate_geodesic(bm, x0, v0, 0.6)
-    result = integrate_jacobi(path, np.array([0.3, -0.2]), np.array([0.1, 0.4]), samples=30)
+    result = integrate_jacobi(path, np.array([0.3, -0.2]), np.array([0.1, 0.4]))
     taus, d = np.array([0.1, 0.25, 0.4, 0.5]), 2
 
     geodesic_ref, jacobi_ref = [], []

@@ -16,7 +16,7 @@ from qchgeom.jets import seed_chart
 from qchgeom.profile import ProfileSolution
 from qchgeom.suite import run_suite, sample_interior_points
 
-from helpers import kahler_form_jets
+from helpers import kahler_form_jets, warp_derivatives
 
 
 def _base_metric(m, c0, z):
@@ -87,7 +87,7 @@ def test_theta_derivative_on_bundle_chart():
 def test_metric_sample_block_structure(warped, profile, sample_point):
     an = PointAnalysis(warped, sample_point)
     g = an.g
-    f = profile.warp(sample_point[0])
+    f = warp_derivatives(profile, sample_point[0])[0]
     r = profile.evaluate(sample_point[0])[0]
     assert g[0, 0] == 1.0
     assert abs(g[1, 1] - f * f) < 1e-15
@@ -209,8 +209,7 @@ def test_product_base_is_einstein_but_not_constant_curvature(negative):
     e1 = np.array([1.0, 0, 0, 0]); e1 /= np.sqrt(e1 @ g @ e1)
     e2 = np.array([0, 0, 1.0, 0]); e2 /= np.sqrt(e2 @ g @ e2)
     mix = (e1 + e2) / np.sqrt((e1 + e2) @ g @ (e1 + e2))
-    k_pure = holomorphic_sectional_curvature(an.riemann, g, base.j0, e1)
-    k_mix = holomorphic_sectional_curvature(an.riemann, g, base.j0, mix)
+    k_pure, k_mix = holomorphic_sectional_curvature(an.riemann, g, base.j0, np.stack([e1, mix]))
     assert abs(k_pure - k_mix) > 0.5
 
 

@@ -10,9 +10,8 @@ from qchgeom.qch import (
     d_block,
     fit_from_curvature,
     fit_qch_coefficients,
-    kappa_and_principal_section,
+    kappa,
     kappa_closed_form,
-    model_tensor_arrays,
     qch_residual_samples,
     ricci_eigenvalue_formulas,
     ricci_split,
@@ -21,7 +20,7 @@ from qchgeom.qch import (
 )
 from qchgeom.suite import CHECKS, sample_interior_points
 
-from helpers import model_tensors, structure_identities, warp_derivatives
+from helpers import model_tensor_arrays, model_tensors, structure_identities, warp_derivatives
 
 
 @pytest.fixture(scope="module")
@@ -129,12 +128,12 @@ def test_ricci_split_engine_matches_formula(warped, warped_analyses):
 def test_kappa_and_principal_section(warped, profile, warped_point_analysis):
     an = warped_point_analysis
     d1, d2 = section_divergences(an, warped)
-    kap, xi_p = kappa_and_principal_section(an, (d1, d2))
+    kap = kappa((d1, d2))
     r, rp, _, _ = profile.evaluate(an.x[0])
     assert abs(kap - kappa_closed_form(warped.n, r, rp)) < 1e-7
     assert kap > 0.0
-    # the t-direction is principal here: div_E(JH) = 0
-    assert np.abs(xi_p - an.frame[0]).max() < 1e-12
+    # the t-direction is principal here, xi_p = (d1 H + d2 JH)/kappa = H:
+    # div_E(JH) = 0 and div_E(H) = kappa
     assert abs(d2) < 1e-12
     assert abs(d1 - kap) < 1e-12
 
@@ -160,8 +159,8 @@ def test_kappa_vanishes_in_product_mode(product, profile):
     an = PointAnalysis(product, pt)
     d1, d2 = section_divergences(an, product)
     assert np.hypot(d1, d2) < 1e-10
-    with pytest.raises(ValueError, match="principal section undefined"):
-        kappa_and_principal_section(an, (d1, d2))
+    with pytest.raises(ValueError, match="kappa vanishes"):
+        kappa((d1, d2))
 
 
 def test_structure_identities(warped, warped_analyses):

@@ -1,18 +1,31 @@
 """Checks that no other test names, each shown to fail under a perturbation
 that breaks the property it certifies, and to pass without it, on the n = 3
-warped desk or the n = 3 circle bundle at 10 points."""
+warped desk or the n = 3 circle bundle at 10 points; and the rule that every
+check in ``suite.CHECKS`` is named by another test or has a case here."""
 
+import json
+import re
 from functools import cached_property
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from qchgeom import suite
-from qchgeom.cli import RunConfig
+from qchgeom import flows, qch, suite
+from qchgeom.cli import RunConfig, main
 from qchgeom.curvature import PointAnalysis
 from qchgeom.geometry import CircleBundleMetric, FubiniStudy, ProductBase, WarpedBundleMetric
 from qchgeom.profile import ProfileSolution
-from qchgeom.suite import run_suite
+from qchgeom.suite import CHECKS, run_suite
+
+
+def bites(*checks):
+    """Record on a case the checks it shows failing, for the rule at the end;
+    a parametrized case records them through its ``check`` argument."""
+    def mark(test):
+        test.checks = checks
+        return test
+    return mark
 
 
 def _verdicts(**overrides):
@@ -64,6 +77,7 @@ def test_closed_forms_see_a_perturbed_profile(unperturbed, request, perturbed, c
     assert not request.getfixturevalue(perturbed)[check]
 
 
+@bites("theta_derivative")
 def test_theta_derivative_sees_a_scaled_kaehler_form(unperturbed, monkeypatch):
     """d theta = s Omega: an Omega scaled by 1 + 1e-6 no longer matches the
     d theta read off the metric."""
@@ -78,6 +92,7 @@ def test_theta_derivative_sees_a_scaled_kaehler_form(unperturbed, monkeypatch):
     assert not _verdicts()["theta_derivative"]
 
 
+@bites("theta_normalization")
 def test_theta_normalization_sees_a_t_psi_cross_term(unperturbed, monkeypatch):
     """g(H, xi) = g_{t psi} = 0: a metric with 1e-6 in that entry fails it."""
     metric_jets = WarpedBundleMetric.metric_jets
@@ -93,6 +108,7 @@ def test_theta_normalization_sees_a_t_psi_cross_term(unperturbed, monkeypatch):
     assert not _verdicts()["theta_normalization"]
 
 
+@bites("principal_section")
 def test_principal_section_sees_a_rotated_section(unperturbed, monkeypatch):
     """div_E(JH) = 0: with every section c1 H + c2 JH rotated by 1e-6 in D,
     the section read as JH has a divergence of order 1e-6 kappa."""
@@ -107,6 +123,7 @@ def test_principal_section_sees_a_rotated_section(unperturbed, monkeypatch):
     assert not _verdicts()["principal_section"]
 
 
+@bites("qch_coefficient_base_independence")
 def test_base_independence_sees_a_tilted_base(unperturbed, monkeypatch):
     """The coefficients depend on t alone: a base metric h (1 + 1e-6 u_1),
     which varies along the base, moves a between nearby base points."""
@@ -120,6 +137,7 @@ def test_base_independence_sees_a_tilted_base(unperturbed, monkeypatch):
     assert not _verdicts()["qch_coefficient_base_independence"]
 
 
+@bites("frame_orthonormality")
 def test_frame_orthonormality_sees_a_scaled_row(unperturbed, monkeypatch):
     """A frame row scaled by 1 + 1e-6 is no longer g-unit."""
     frame_at = WarpedBundleMetric.frame_at
@@ -142,6 +160,14 @@ def _twisted_gamma(gamma):
     out[..., 0, 1, 2] += twist
     out[..., 0, 2, 1] -= twist
     return out
+
+
+def _mutate_analysis(monkeypatch, attribute, mutate):
+    """Every ``PointAnalysis`` hands out ``mutate`` of its cached ``attribute``."""
+    compute = getattr(PointAnalysis, attribute).func
+    mutated = cached_property(lambda self: mutate(compute(self)))
+    mutated.__set_name__(PointAnalysis, attribute)
+    monkeypatch.setattr(PointAnalysis, attribute, mutated)
 
 
 _NOISE = np.random.default_rng(16)
@@ -181,10 +207,7 @@ def test_engine_identities_see_a_mutated_analysis(unperturbed, monkeypatch, chec
                                                    mutate):
     """The identities that hold for every metric, and rho(D, E) = 0, fail
     once the engine's Gamma, R, Ricci or J is mutated in ``PointAnalysis``."""
-    compute = getattr(PointAnalysis, attribute).func
-    mutated = cached_property(lambda self: mutate(compute(self)))
-    mutated.__set_name__(PointAnalysis, attribute)
-    monkeypatch.setattr(PointAnalysis, attribute, mutated)
+    _mutate_analysis(monkeypatch, attribute, mutate)
     assert unperturbed[check]
     assert not _verdicts()[check]
 
@@ -223,11 +246,13 @@ def bundle_scaled_alpha():
 def test_bundle_closed_forms_see_a_scaled_fiber(bundle_unperturbed, bundle_scaled_alpha, check):
     """The closed forms in alpha fail once the metric's fiber length leaves
     the model's alpha by 1e-6.  ``bundle_vertizontal`` holds for every
-    metric of this form, so no model perturbation fails it."""
+    metric of this form, so no model perturbation fails it (its case mutates
+    the engine instead)."""
     assert bundle_unperturbed[check]
     assert not bundle_scaled_alpha[check]
 
 
+@bites("base_einstein")
 def test_base_einstein_sees_an_unequal_product_base(bundle_unperturbed, monkeypatch):
     """CP^1(c0) x CP^1(1.001 c0), the n = 3 base with its factors' curvatures
     apart, is not Einstein: rho_0 = mu_0 h fails."""
@@ -235,3 +260,129 @@ def test_base_einstein_sees_an_unequal_product_base(bundle_unperturbed, monkeypa
         [FubiniStudy(1, c0), FubiniStudy(1, 1.001 * c0)]))
     assert bundle_unperturbed["base_einstein"]
     assert not _verdicts(mode="circle-bundle")["base_einstein"]
+
+
+@bites("bundle_vertizontal")
+def test_bundle_vertizontal_sees_a_shifted_fiber_row(bundle_unperturbed, monkeypatch):
+    """The xi-coefficient of nabla_E F against g(E, TF)/alpha^2: with
+    1e-6 max|Gamma| added to every entry of Gamma^xi (index 0), the
+    xi-coefficients of the lifts' derivatives no longer match the twist."""
+    def shifted(gamma):
+        out = gamma.copy()
+        out[..., 0, :, :] += 1e-6 * np.abs(gamma).max()
+        return out
+
+    _mutate_analysis(monkeypatch, "gamma", shifted)
+    assert bundle_unperturbed["bundle_vertizontal"]
+    assert not _verdicts(mode="circle-bundle")["bundle_vertizontal"]
+
+
+@bites("kappa_section_independence")
+def test_kappa_section_independence_sees_an_affine_divergence(unperturbed, monkeypatch):
+    """kappa = |(div_E X, div_E JX)| is the same for every unit section X of D
+    only while div_E is linear in X: div_E + 1e-6 moves it by up to 1e-6
+    between two sections."""
+    div_e = qch.div_e
+    monkeypatch.setattr(qch, "div_e", lambda *args: div_e(*args) + 1e-6)
+    assert unperturbed["kappa_section_independence"]
+    assert not _verdicts()["kappa_section_independence"]
+
+
+@bites("decay_velocity_inner")
+def test_decay_velocity_inner_sees_a_tilted_start(unperturbed, monkeypatch):
+    """g(cdot, C) is parallel-constant along the flow, so C(0) tilted toward
+    cdot by 1e-6 carries g(cdot, C) = 1e-6 all the way."""
+    integrate = flows.integrate_jacobi
+
+    def tilted(path, C0, DC0):
+        C0 = C0.copy()
+        C0[0] += 1e-6
+        return integrate(path, C0, DC0)
+
+    monkeypatch.setattr(flows, "integrate_jacobi", tilted)
+    assert unperturbed["decay_velocity_inner"]
+    assert not _verdicts()["decay_velocity_inner"]
+
+
+@bites("decay_collapse")
+def test_decay_collapse_sees_a_flow_ending_short(unperturbed, monkeypatch):
+    """|C| = f collapses only near t = L: a flow ending at 0.6 L keeps |C|
+    far above 1e-2 of its start."""
+    experiment = suite.jacobi_decay_experiment
+
+    def short(model, t0, t_end, **kwargs):
+        return experiment(model, t0, 0.6 * model.profile.L, **kwargs)
+
+    monkeypatch.setattr(suite, "jacobi_decay_experiment", short)
+    assert unperturbed["decay_collapse"]
+    assert not _verdicts()["decay_collapse"]
+
+
+@bites("geodesic_residual")
+def test_geodesic_residual_sees_a_pushed_flow(unperturbed, monkeypatch):
+    """nabla_cdot cdot = 0: the geodesic panels solved with 1e-6 cdot added to
+    their acceleration, while ``geodesic_residuals`` reads the true one.
+    (Gamma scaled by 1 + 1e-6 would not bite: Gamma(e_t, e_t) = 0 exactly on
+    the axis the flow follows.)"""
+    panel, acceleration = flows._geodesic_panel, flows.geodesic_acceleration
+
+    def pushed_panel(field, a, b, start):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(flows, "geodesic_acceleration",
+                          lambda gamma, v: acceleration(gamma, v) + 1e-6 * v)
+            return panel(field, a, b, start)
+
+    monkeypatch.setattr(flows, "_geodesic_panel", pushed_panel)
+    assert unperturbed["geodesic_residual"]
+    assert not _verdicts()["geodesic_residual"]
+
+
+@bites("metric_positive_definite")
+@pytest.mark.parametrize("factor,error", [
+    (2.0, "Gram matrix is not positive definite"),
+    (1.0 + 1e-6, "holomorphic sectional curvature of a null vector"),
+], ids=["frame-cholesky", "null-probe"])
+def test_indefinite_metric_ends_the_run_with_exit_3(unperturbed, tmp_path, monkeypatch, capsys,
+                                                    factor, error):
+    """``metric_positive_definite`` cannot fail in a run: g - factor lambda_min
+    v v^T, indefinite for a factor above 1, stops the run before any check
+    reduces, in the frame's Cholesky factor or at a null probe of the fit, so
+    ``verify`` exits 3 and writes no report."""
+    def indefinite(self):
+        g = self.metric.value
+        lam, vecs = np.linalg.eigh(g)
+        v = vecs[..., :, 0]
+        return g - factor * lam[..., 0, None, None] * v[..., :, None] * v[..., None, :]
+
+    monkeypatch.setattr(PointAnalysis, "g", property(indefinite))
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({"mode": "warped", "n": 3, "k": 1, "rng_seed": 42,
+                               "sample_count": 10}))
+    assert unperturbed["metric_positive_definite"]
+    assert main(["verify", "--config", str(cfg), "--out", str(tmp_path)]) == 3
+    assert error in capsys.readouterr().err
+    assert not (tmp_path / "report.json").exists()
+
+
+def _cases() -> set[str]:
+    """The checks the cases of this module show failing: through ``bites``
+    or a parametrized ``check`` argument."""
+    found = set()
+    for test in (v for k, v in globals().items() if k.startswith("test_")):
+        found.update(getattr(test, "checks", ()))
+        for mark in getattr(test, "pytestmark", ()):
+            names = [a.strip() for a in mark.args[0].split(",")]
+            if mark.name == "parametrize" and "check" in names:
+                at = names.index("check")
+                found.update(v[at] if len(names) > 1 else v for v in mark.args[1])
+    return found
+
+
+def test_every_check_has_a_case():
+    """Each name in ``suite.CHECKS`` is named as a whole word in another test
+    module, or a case here shows it failing: a check added without either
+    fails this test."""
+    here = Path(__file__)
+    elsewhere = " ".join(p.read_text() for p in here.parent.glob("test_*.py") if p != here)
+    named = {name for name in CHECKS if re.search(rf"\b{name}\b", elsewhere)}
+    assert sorted(set(CHECKS) - named - _cases()) == []
