@@ -33,7 +33,6 @@ import numpy as np
 
 from .curvature import batch_analyses
 from .flows import FlowError
-from .geometry import ChartBoundsError
 from .profile import ProfileError, boundary_report, build_polynomial, solve_profile
 from .qch import fit_qch_coefficients, ricci_split, section_divergences
 from .suite import SAMPLE_MARGIN, VerificationReport, build_model, run_suite
@@ -82,6 +81,9 @@ class RunConfig:
             raise ConfigError("constraint alpha, beta > 0 violated")
         if self.perturb_f == 0:
             raise ConfigError("constraint perturb_f != 0 violated (f must not vanish)")
+        if self.perturb_f != 1 and self.mode in ("product", "circle-bundle"):
+            # the product's (t, psi) block is Kaehler for any f; the bundle has no f
+            raise ConfigError(f"perturb_f != 1 would break nothing in {self.mode} mode")
         if self.mode == "negative-control" and self.n != 3:
             raise ConfigError(
                 "negative-control mode uses a product of two projective lines, "
@@ -293,8 +295,7 @@ def main(argv=None) -> int:
             print(f"summary table written to {out_dir / 'summary.csv'}")
             return 0
 
-    except (ProfileError, FlowError, ChartBoundsError,
-            np.linalg.LinAlgError, ValueError) as exc:
+    except (ProfileError, FlowError, np.linalg.LinAlgError, ValueError) as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return 3
     except MemoryError as exc:

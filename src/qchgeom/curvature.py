@@ -69,8 +69,7 @@ def batch_slices(count: int, dim: int) -> list[slice]:
 
 def batch_analyses(field, x: np.ndarray):
     """(slice, analysis) pairs over the points x (N, d), one batched analysis
-    per memory-bounded slice, each made only when the loop reaches it.  The
-    points are not checked against the chart: the caller does that once."""
+    per memory-bounded slice, each made only when the loop reaches it."""
     for sl in batch_slices(len(x), field.dim):
         yield sl, PointAnalysis(field, x[sl])
 

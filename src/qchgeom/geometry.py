@@ -35,30 +35,14 @@ from .jets import Jet2, compose, pullback, reciprocal, scale_along, zeros
 from .jets import sqrt as jet_sqrt
 from .profile import ProfileSolution
 
-# |z| bound of the affine chart of CP^m, and the share of (0, L) kept clear of
-# each collapsing end of the warped chart
-CHART_RADIUS = 4.0
+# the share of (0, L) the decay flow keeps clear of the collapsing end t = L
 END_MARGIN_FRAC = 1e-3
-
-
-class ChartBoundsError(ValueError):
-    """Point lies outside the valid region of its chart."""
 
 
 # -- base models --------------------------------------------------------------
 
 
-class _BaseModel:
-    """What the base models share: the chart-radius gate."""
-
-    def check_bounds(self, z: np.ndarray) -> None:
-        rad = float(np.max(np.linalg.norm(z, axis=-1)))
-        if rad >= self.chart_radius:
-            raise ChartBoundsError(
-                f"|z| = {rad} exceeds chart radius {self.chart_radius}")
-
-
-class FubiniStudy(_BaseModel):
+class FubiniStudy:
     """Fubini-Study metric on an affine chart of CP^m, curvature c0.
 
     Real layout (u_1..u_m, v_1..v_m) for complex w_a = u_a + i v_a.  With
@@ -84,7 +68,6 @@ class FubiniStudy(_BaseModel):
         self.m = m
         self.c0 = c0
         self.dim = 2 * m
-        self.chart_radius = CHART_RADIUS
         j0 = np.zeros((self.dim, self.dim))
         for a in range(m):
             j0[m + a, a] = 1.0   # J du_a = dv_a
@@ -152,7 +135,7 @@ class FubiniStudy(_BaseModel):
         return pullback(z, k * u[..., None] * jx, k * d1, k * d2)
 
 
-class ProductBase(_BaseModel):
+class ProductBase:
     """Block product of Fubini-Study factors (coordinates concatenated).
 
     With equal-curvature CP^1 factors this is Einstein but does not have
@@ -164,7 +147,6 @@ class ProductBase(_BaseModel):
         self.factors = factors
         self.m = sum(f.m for f in factors)
         self.dim = 2 * self.m
-        self.chart_radius = min(f.chart_radius for f in factors)
         j0 = np.zeros((self.dim, self.dim))
         for f, span in zip(factors, self._spans()):
             j0[span, span] = f.j0
@@ -304,9 +286,9 @@ class WarpedBundleMetric(_BundleMetric):
     profile fix the model: half the real dimension is n = m + 1 >= 3 and the
     fiber pitch d theta = s Omega is the profile's s.  ``product_mode`` drops
     the pitch (s = 0, theta = dpsi) and the r^2 scaling of the base block.
-    ``warp_scale`` multiplies f everywhere (metric and complex structure); any
-    value other than 1 breaks the parallel-J condition and serves as a
-    negative control.
+    ``warp_scale`` multiplies f everywhere (metric and complex structure); at
+    a nonzero pitch any value other than 1 breaks the parallel-J condition
+    and serves as a negative control.
     """
 
     def __init__(self, profile: ProfileSolution, base, *, product_mode: bool = False,
@@ -322,16 +304,6 @@ class WarpedBundleMetric(_BundleMetric):
         self.dim = 2 + self.base.dim
         self._base_memo = _SliceMemo()
         self._profile_memo = _SliceMemo()
-
-    # coordinates are (t, psi, z_1..z_2m)
-    def check_bounds(self, x: np.ndarray) -> None:
-        margin = END_MARGIN_FRAC * self.profile.L
-        t = x[..., 0]
-        outside = t[(t < margin) | (t > self.profile.L - margin)]
-        if outside.size:
-            raise ChartBoundsError(f"t = {outside[0]} outside interior margin "
-                                   f"[{margin}, {self.profile.L - margin}]")
-        self.base.check_bounds(x[..., 2:])
 
     def _base_at(self, z: np.ndarray) -> tuple[Jet2, Jet2, Jet2]:
         """The z-only parts of the metric at the z-slice, from the model's memo
@@ -453,10 +425,6 @@ class CircleBundleMetric(_BundleMetric):
         self.base = base
         self.dim = 1 + base.dim
         self._base_memo = _SliceMemo()
-
-    # coordinates are (psi, z_1..z_2m)
-    def check_bounds(self, x: np.ndarray) -> None:
-        self.base.check_bounds(x[..., 1:])
 
     def _base_at(self, z: np.ndarray) -> tuple[Jet2, Jet2, Jet2]:
         """(h, sigma, Theta) at the z-slice, from the model's memo, as

@@ -57,11 +57,11 @@ _GRADIENT_SLOT = (slice(None),)
 _HESSIAN_SLOTS = (slice(None), slice(None))
 
 
-def _apply(arr: np.ndarray, axis: int, extra: int, matrix: np.ndarray) -> np.ndarray:
-    """out[..., j, ...] = sum_k arr[..., k, ...] matrix[k, j] over value axis ``axis``
-    (negative), which sits ``extra`` derivative axes before the end of ``arr``."""
-    moved = np.moveaxis(arr, axis - extra, -1)
-    return np.moveaxis(moved @ matrix, -1, axis - extra)
+def _apply(arr: np.ndarray, extra: int, matrix: np.ndarray) -> np.ndarray:
+    """out[..., j, ...] = sum_k arr[..., k, ...] matrix[k, j] over the last value
+    axis, which sits ``extra`` derivative axes before the end of ``arr``."""
+    moved = np.moveaxis(arr, -1 - extra, -1)
+    return np.moveaxis(moved @ matrix, -1, -1 - extra)
 
 
 class Jet2:
@@ -101,16 +101,7 @@ class Jet2:
     def shape(self) -> tuple:
         return np.shape(self.value)
 
-    def __repr__(self) -> str:
-        return f"Jet2({self.value!r}, grad={self.gradient!r})"
-
     # -- array protocol -----------------------------------------------------
-
-    def __len__(self) -> int:
-        return len(self.value)
-
-    def __iter__(self):
-        return (self[i] for i in range(len(self)))
 
     # a value index extends over the trailing derivative axes unchanged
     def __getitem__(self, index) -> "Jet2":
@@ -132,12 +123,6 @@ class Jet2:
             self.value[index] = other
             self.gradient[grad] = 0.0
             self.hessian[hess] = 0.0
-
-    @property
-    def T(self) -> "Jet2":
-        """Transpose of the last two value axes (a matrix jet, or a batch of them)."""
-        return Jet2(np.swapaxes(self.value, -1, -2), np.swapaxes(self.gradient, -2, -3),
-                    np.swapaxes(self.hessian, -3, -4))
 
     def sum(self, axis: int = -1) -> "Jet2":
         """Sum along one value axis."""
@@ -165,9 +150,6 @@ class Jet2:
             return Jet2(self.value - other.value, self.gradient - other.gradient,
                         self.hessian - other.hessian)
         return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
 
     def __neg__(self):
         return Jet2(-self.value, -self.gradient, -self.hessian)
@@ -200,14 +182,6 @@ class Jet2:
             return Jet2(q, qg, qh)
         return self * (1.0 / other)
 
-    def __rtruediv__(self, other):
-        return reciprocal(self) * other
-
-    def __pow__(self, exponent):
-        if not isinstance(exponent, int):
-            raise TypeError("jet exponent must be an integer; use sqrt/exp/log otherwise")
-        return powi(self, exponent)
-
     def __matmul__(self, other):
         """A jet times a constant matrix (numpy matmul semantics over leading
         axes), which contracts the jet's last value axis.  A product of two
@@ -215,16 +189,8 @@ class Jet2:
         if isinstance(other, Jet2):
             raise TypeError("jet @ jet is not defined: multiply a jet by a constant matrix")
         other = np.asarray(other)
-        return Jet2(self.value @ other, _apply(self.gradient, -1, 1, other),
-                    _apply(self.hessian, -1, 2, other))
-
-    def __rmatmul__(self, other):
-        """A constant matrix applied to a vector jet, or to the rows of a matrix jet."""
-        other = np.asarray(other)
-        axis = -2 if np.ndim(self.value) >= 2 else -1
-        return Jet2(_apply(self.value, axis, 0, other.T),
-                    _apply(self.gradient, axis, 1, other.T),
-                    _apply(self.hessian, axis, 2, other.T))
+        return Jet2(self.value @ other, _apply(self.gradient, 1, other),
+                    _apply(self.hessian, 2, other))
 
 
 def zeros(shape: tuple, dim: int, dtype=float) -> Jet2:
@@ -322,15 +288,3 @@ def reciprocal(a: Jet2) -> Jet2:
         raise JetDomainError("reciprocal of zero jet value")
     inv = 1.0 / a.value
     return compose(a, inv, -inv * inv, 2.0 * inv ** 3)
-
-
-def powi(a: Jet2, k: int) -> Jet2:
-    """Integer power by the monomial chain rule."""
-    if k < 0:
-        return powi(reciprocal(a), -k)
-    if k == 0:
-        return Jet2.constant(np.ones(a.shape), a.dim)
-    if k == 1:
-        return a
-    v = a.value
-    return compose(a, v ** k, k * v ** (k - 1), k * (k - 1) * v ** (k - 2))

@@ -431,7 +431,6 @@ def _sample_checks(res: _Residuals, model, mode: str, points: np.ndarray, draws)
     one analysis per slice, dropped before the next, and each family reads
     the slice's rows of the ``draws``.  No analysis outlives the call, so the
     decay flow, which analyses its own points, runs without one."""
-    model.check_bounds(points)
     bundle = mode == "circle-bundle"
     medians = []
     for sl, an in batch_analyses(model, points):

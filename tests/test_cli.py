@@ -104,12 +104,16 @@ def test_config_roundtrip(tmp_path):
     {"k": -1},
     {"mode": "product", "k": 0},
     {"mode": "negative-control", "k": 0},
+    {"mode": "product", "perturb_f": 1.05},
+    {"mode": "circle-bundle", "perturb_f": 1.05},
 ], ids=["c0-nan", "alpha-infinity", "perturb-f-nan", "perturb-f-zero", "seed-negative",
-        "k-zero", "s-negative", "product-k-zero", "negative-control-k-zero"])
+        "k-zero", "s-negative", "product-k-zero", "negative-control-k-zero",
+        "product-perturb-f", "circle-bundle-perturb-f"])
 def test_config_rejects_values_outside_the_schema(tmp_path, capsys, monkeypatch, overrides):
     """Each key's type comes from its field's annotation: no booleans as
-    numbers, only finite numbers, f must not be scaled to zero, the seed is
-    non-negative, and outside circle-bundle mode the pitch is positive.  Each
+    numbers, only finite numbers, f must not be scaled to zero, nor scaled at
+    all where that breaks nothing (product and circle-bundle mode), the seed
+    is non-negative, and outside circle-bundle mode the pitch is positive.  Each
     is a configuration error (exit 2) that creates no output directory."""
     monkeypatch.chdir(tmp_path)
     data = {"mode": "warped", "rng_seed": 1, "k": 1, "sample_count": 10}

@@ -11,12 +11,18 @@ from qchgeom import (
 from qchgeom import geometry
 from qchgeom.cli import RunConfig
 from qchgeom.curvature import PointAnalysis
-from qchgeom.geometry import ChartBoundsError, exterior_derivative_1form
+from qchgeom.geometry import exterior_derivative_1form
 from qchgeom.jets import seed_chart
 from qchgeom.profile import ProfileSolution
-from qchgeom.suite import run_suite, sample_interior_points
+from qchgeom.suite import (
+    SAMPLE_MARGIN,
+    Z_RADIUS,
+    build_model,
+    run_suite,
+    sample_interior_points,
+)
 
-from helpers import kahler_form_jets, warp_derivatives
+from helpers import warp_derivatives
 
 
 def _base_metric(m, c0, z):
@@ -46,11 +52,6 @@ def test_base_metric_rotation_invariant_determinant():
     assert abs(np.linalg.det(h) - np.linalg.det(h2)) < 1e-14
 
 
-def test_chart_bound_enforced():
-    with pytest.raises(ChartBoundsError, match="chart radius"):
-        FubiniStudy(1, 4.0).check_bounds(np.array([3.0, 3.0]))
-
-
 def test_connection_potential_vanishes_at_origin():
     sigma = FubiniStudy(2, 4.0).connection_potential_jets(seed_chart(np.zeros(4)))
     assert np.all(sigma.value == 0.0)
@@ -64,7 +65,7 @@ def test_connection_potential_derivative_is_kahler_form(m, c0):
         z = rng.uniform(-0.9, 0.9, 2 * m)
         zj = seed_chart(z)
         sigma = base.connection_potential_jets(zj)
-        omega = kahler_form_jets(base, zj).value
+        omega = base.j0.T @ base.metric_jets(zj).value
         dsigma = exterior_derivative_1form(sigma)
         assert np.abs(dsigma - omega).max() < 1e-8
 
@@ -77,7 +78,7 @@ def test_theta_derivative_on_bundle_chart():
     # with alpha = 1 the psi row of the bundle metric is theta = dpsi + s sigma
     g = CircleBundleMetric(1.0, 1.0, s, base).metric_jets(seed_chart(np.r_[0.0, z]))
     theta = g[0]
-    omega = kahler_form_jets(base, seed_chart(z)).value
+    omega = base.j0.T @ base.metric_jets(seed_chart(z)).value
     dtheta = exterior_derivative_1form(theta)
     # pulled back, d theta sees only the z block
     assert np.abs(dtheta[1:, 1:] - s * omega).max() < 1e-8
@@ -144,17 +145,18 @@ def test_product_mode_base_block_unscaled(product, profile):
     assert np.abs(g[1, 2:]).max() == 0.0  # no connection cross terms at s = 0
 
 
-def test_interior_margin_enforced(warped, profile):
-    with pytest.raises(ChartBoundsError, match="interior margin"):
-        warped.check_bounds(np.array([1e-5 * profile.L, 0.0, 0.0, 0.0, 0.0, 0.0]))
-    # a batch is checked point by point against the chart
-    inside = np.array([0.5 * profile.L, 0.0, 0.0, 0.0, 0.0, 0.0])
-    end = np.array([profile.L, 0.0, 0.0, 0.0, 0.0, 0.0])
-    with pytest.raises(ChartBoundsError, match=r"^t = [0-9.e+-]+ outside interior margin"):
-        warped.check_bounds(np.stack([inside, end]))
-    far = np.array([0.5 * profile.L, 0.0, 3.0, 3.0, 0.0, 0.0])
-    with pytest.raises(ChartBoundsError, match="chart radius"):
-        warped.check_bounds(np.stack([inside, far]))
+@pytest.mark.parametrize("mode", ["warped", "product", "circle-bundle", "negative-control"])
+def test_sample_points_stay_inside_the_sampling_region(mode):
+    """Every sampled row has t in [SAMPLE_MARGIN L, (1 - SAMPLE_MARGIN) L]
+    (where the chart has t) and |z| <= Z_RADIUS, the region the checks'
+    tolerances are set for."""
+    model = build_model(RunConfig(mode=mode, n=3, k=1, rng_seed=3))
+    points = sample_interior_points(model, np.random.default_rng(3), 200)
+    z = points[:, model.dim - model.base.dim:]
+    assert np.linalg.norm(z, axis=-1).max() <= Z_RADIUS
+    if mode != "circle-bundle":
+        t, L = points[:, 0], model.profile.L
+        assert t.min() >= SAMPLE_MARGIN * L and t.max() <= (1.0 - SAMPLE_MARGIN) * L
 
 
 def test_circle_bundle_sample():

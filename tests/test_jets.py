@@ -119,14 +119,6 @@ def test_domain_errors_report_value():
         jets.reciprocal(Jet2.constant(0.0, 1))
 
 
-def test_negative_integer_power():
-    u = variable(0, 2.0, 1)
-    w = u ** -2
-    assert abs(w.value - 0.25) < 1e-15
-    assert abs(w.gradient[0] + 2.0 / 8.0) < 1e-15
-    assert abs(w.hessian[0, 0] - 6.0 / 16.0) < 1e-15
-
-
 def test_polynomial_exactness():
     """Degree <= 4 polynomials in <= 3 variables: jets match the monomial
     differentiation oracle to near machine precision."""
@@ -171,18 +163,6 @@ def test_product_hessian_symmetric_exact(a, b):
     assert np.array_equal(w.hessian, w.hessian.T)
 
 
-@given(a=st.floats(min_value=0.2, max_value=3.0), k=st.integers(2, 5))
-def test_integer_power_matches_repeated_product(a, k):
-    u = variable(0, a, 1)
-    by_pow = u ** k
-    by_mul = u
-    for _ in range(k - 1):
-        by_mul = by_mul * u
-    assert abs(by_pow.value - by_mul.value) < 1e-12 * max(1.0, abs(by_mul.value))
-    assert abs(by_pow.gradient[0] - by_mul.gradient[0]) < 1e-11 * max(1.0, abs(by_mul.gradient[0]))
-    assert abs(by_pow.hessian[0, 0] - by_mul.hessian[0, 0]) < 1e-11 * max(1.0, abs(by_mul.hessian[0, 0]))
-
-
 @settings(max_examples=30)
 @given(x=st.floats(min_value=0.5, max_value=2.0))
 def test_chain_rule_against_closed_form(x):
@@ -210,23 +190,20 @@ def _entrywise_product(a, b, i, j):
 
 
 def test_batched_matmul_matches_scalar_arithmetic():
-    """A batch of matrix jets times a constant matrix, on either side, equals
-    the product rule entry by entry; a product of two jets is not defined."""
+    """A batch of matrix jets times a constant matrix equals the product rule
+    entry by entry; a product of two jets is not defined."""
     rng = np.random.default_rng(31)
     a, b = _random_jet(rng, (5, 3, 4), 2), _random_jet(rng, (5, 4, 2), 2)
     with pytest.raises(TypeError, match="jet @ jet"):
         a @ b
     const = rng.standard_normal((2, 3))
-    right, left = b @ const, const.T @ b.T
-    c, ct = Jet2.constant(const, 2), Jet2.constant(const.T, 2)
+    right, c = b @ const, Jet2.constant(const, 2)
     for n in range(5):
-        for i in range(3):
-            for j in range(2):
-                for got, want in ((right[n][0, j], _entrywise_product(b[n][:1], c, 0, j)),
-                                  (left[n][i, 0], _entrywise_product(ct, b[n].T, i, 0))):
-                    for x, y in ((got.value, want.value), (got.gradient, want.gradient),
-                                 (got.hessian, want.hessian)):
-                        assert np.allclose(x, y, rtol=1e-13, atol=1e-13)
+        for j in range(2):
+            got, want = right[n][0, j], _entrywise_product(b[n][:1], c, 0, j)
+            for x, y in ((got.value, want.value), (got.gradient, want.gradient),
+                         (got.hessian, want.hessian)):
+                assert np.allclose(x, y, rtol=1e-13, atol=1e-13)
 
 
 def test_batched_indexing_transpose_and_sum():
@@ -234,7 +211,6 @@ def test_batched_indexing_transpose_and_sum():
     a = _random_jet(rng, (4, 3, 3), 5)
     col = a[..., 1]
     assert col.shape == (4, 3) and np.array_equal(col.gradient, a.gradient[..., 1, :])
-    assert np.array_equal(a.T[2].hessian, a[2].T.hessian)
     total = a.sum()
     assert np.array_equal(total.hessian, a.hessian.sum(axis=-3))
     x = seed_chart(rng.standard_normal((4, 5)))
