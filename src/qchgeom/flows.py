@@ -52,7 +52,7 @@ import numpy as np
 from numpy.polynomial import chebyshev
 
 from .batch import inner, matvec, mT
-from .curvature import PointAnalysis, batch_analyses, contract_slots, jacobi_operator
+from .curvature import PointAnalysis, batch_analyses, jacobi_operator
 from .geometry import END_MARGIN_FRAC, _gram_schmidt
 
 # Chebyshev nodes per panel, and the most panels one solve may certify, and
@@ -300,12 +300,6 @@ def transport_matrix(gamma: np.ndarray, v: np.ndarray) -> np.ndarray:
     return (v[..., None, None, :] @ gamma)[..., 0, :]
 
 
-def jacobi_matrix(R4: np.ndarray, v: np.ndarray, frame: np.ndarray) -> np.ndarray:
-    """M[a, b] = R(v, e_b, v, e_a): the Jacobi operator in the frame rows e,
-    for R4 of batch shape B, v of B + (d,) and frame of B + (d, d)."""
-    return mT(contract_slots(R4, v, frame, v, frame, rank=4))
-
-
 def _geodesic_panel(field, a: float, b: float, start) -> _Trial:
     """Picard iteration of the integral form on [a, b] from the position and
     velocity at a, started from the straight line through them.  It stops
@@ -472,14 +466,15 @@ def integrate_jacobi(path: GeodesicPath, C0: np.ndarray, DC0: np.ndarray) -> Jac
 
 def jacobi_equation_residual(result: JacobiResult, taus) -> float:
     """max |nabla^2 C - R(cdot, C) cdot| on the integrated solution (frame
-    comps), with y'' the derivative of the panels' interpolant of y'
-    (``Panels.derivative``)."""
+    comps): y'' from the panels' interpolant of y' (``Panels.derivative``),
+    and R(cdot, C) cdot = M y with M = F K^T F^T for the frame rows F and K
+    from ``jacobi_operator``, as the panels take it."""
     taus = np.asarray(taus, dtype=float)
     frame, y, _ = result.states(taus)
     _, _, ypp = _unpack(result.dense.derivative()(taus), y.shape[-1])
     x, v = result.path.states(taus)
-    analysis = PointAnalysis(result.path.field, x)
-    M = jacobi_matrix(analysis.riemann, v, frame)
+    K = jacobi_operator(PointAnalysis(result.path.field, x), v)
+    M = frame @ mT(K) @ mT(frame)
     return float(np.abs(ypp - matvec(M, y)).max())
 
 

@@ -261,6 +261,11 @@ def _lift_rows(sigma: Jet2, s: float, dim: int) -> Jet2:
     return rows
 
 
+def _square(v, dv, d2v) -> tuple:
+    """v^2 and its first two derivatives, from v's."""
+    return v * v, 2.0 * v * dv, 2.0 * (dv * dv + v * d2v)
+
+
 class _BundleMetric:
     """What the bundle models share: the z-only parts of a batch, from the
     model's ``_base_at``, with z the last 2m chart coordinates."""
@@ -278,6 +283,17 @@ class _BundleMetric:
         z = coords.value[..., self.dim - self.base.dim:]
         return _lift_rows(self._base_at(z)[1], self.s, self.dim)
 
+    def _fiber_frame(self, x: np.ndarray, g_values: np.ndarray, fiber_length) -> np.ndarray:
+        """The frame rows at x: xi = d/dpsi over its g-length, then the E rows
+        by Gram-Schmidt from the horizontal lifts of the base coordinate vectors."""
+        d, off = self.dim, self.dim - self.base.dim
+        rows = np.broadcast_to(np.eye(d), x.shape[:-1] + (d, d)).astype(x.dtype)
+        rows[..., off - 1, :] /= np.asarray(fiber_length)[..., None]
+        if self.s != 0.0:
+            rows[..., off:, off - 1] = -self.s * self._base_at(x[..., off:])[1].value
+        rows[..., off:, :] = _gram_schmidt(rows[..., off:, :], g_values)
+        return rows
+
 
 class WarpedBundleMetric(_BundleMetric):
     """dt^2 + f(t)^2 (dpsi + s sigma)^2 + r(t)^2 h on (0, L) x bundle chart.
@@ -286,9 +302,9 @@ class WarpedBundleMetric(_BundleMetric):
     profile fix the model: half the real dimension is n = m + 1 >= 3 and the
     fiber pitch d theta = s Omega is the profile's s.  ``product_mode`` drops
     the pitch (s = 0, theta = dpsi) and the r^2 scaling of the base block.
-    ``warp_scale`` multiplies f everywhere (metric and complex structure); at
-    a nonzero pitch any value other than 1 breaks the parallel-J condition
-    and serves as a negative control.
+    ``warp_scale`` multiplies f, in ``warps`` alone; at a nonzero pitch any
+    value other than 1 breaks the parallel-J condition and serves as a
+    negative control.
     """
 
     def __init__(self, profile: ProfileSolution, base, *, product_mode: bool = False,
@@ -328,22 +344,19 @@ class WarpedBundleMetric(_BundleMetric):
             return values
         return self._profile_memo(np.asarray(t)[..., None], build)
 
-    def warp_jets(self, t_jet: Jet2) -> tuple[Jet2, Jet2]:
-        """(r, f) at a jet-seeded t, with the control scale applied to f."""
-        values = self.profile_at(t_jet.value)
-        r = compose(t_jet, *values[:3])
-        f = compose(t_jet, *self.profile.warp_from(*values))
+    def warps(self, t) -> tuple[tuple, tuple]:
+        """(r, r', r'') and (f, f', f'') at t from one profile lookup, with f
+        scaled by ``warp_scale``: the one place the control scale is read."""
+        values = self.profile_at(t)
+        f = self.profile.warp_from(*values)
         if self.warp_scale != 1.0:
-            f = f * self.warp_scale
-        return r, f
+            f = tuple(self.warp_scale * x for x in f)
+        return values[:3], f
 
-    def _squared_warps(self, t) -> tuple[tuple, tuple]:
-        """r^2 and f^2 (with the control scale) at t, each as its value and
-        first two t-derivatives."""
-        r, rp, rpp, rppp = self.profile_at(t)
-        f, fp, fpp = (self.warp_scale * x for x in self.profile.warp_from(r, rp, rpp, rppp))
-        return ((r * r, 2.0 * r * rp, 2.0 * (rp * rp + r * rpp)),
-                (f * f, 2.0 * f * fp, 2.0 * (fp * fp + f * fpp)))
+    def warp_jets(self, t_jet: Jet2) -> tuple[Jet2, Jet2]:
+        """(r, f) at a jet-seeded t, from ``warps``."""
+        r, f = self.warps(t_jet.value)
+        return compose(t_jet, *r), compose(t_jet, *f)
 
     def metric_jets(self, coords: Jet2) -> Jet2:
         """dt^2 + f(t)^2 Theta(z) + r(t)^2 h(z) (h unscaled in product mode).
@@ -353,9 +366,9 @@ class WarpedBundleMetric(_BundleMetric):
         and column of their derivatives.
         """
         h, _, theta2 = self._base_at(coords.value[..., 2:])
-        r2, f2 = self._squared_warps(coords.value[..., 0])
-        g = scale_along(theta2, 0, *f2) + (h if self.product_mode
-                                           else scale_along(h, 0, *r2))
+        r, f = self.warps(coords.value[..., 0])
+        g = scale_along(theta2, 0, *_square(*f)) + (h if self.product_mode
+                                                    else scale_along(h, 0, *_square(*r)))
         g.value[..., 0, 0] += 1.0
         return g
 
@@ -375,15 +388,13 @@ class WarpedBundleMetric(_BundleMetric):
     # -- fields of the divergence and identity checks, as jets at the seeded
     # coordinates of an analysis --------------------------------------------
 
-    def section_jets(self, coords: Jet2, c1, c2) -> Jet2:
-        """c1 * H + c2 * JH with constant coefficients (a rotated unit section,
-        JH = xi / f); c1 and c2 are floats, or arrays with one entry per point
-        of a batch."""
+    def section_jets(self, coords: Jet2) -> tuple[Jet2, Jet2]:
+        """(H, JH): the unit sections H = d/dt and JH = xi / f of D."""
         _, f = self.warp_jets(coords[..., 0])
-        out = zeros(coords.shape, coords.dim, coords.value.dtype)
-        out.value[..., 0] = c1
-        out[..., 1] = c2 * reciprocal(f)
-        return out
+        pair = zeros(coords.shape[:-1] + (2, self.dim), coords.dim, coords.value.dtype)
+        pair.value[..., 0, 0] = 1.0
+        pair[..., 1, 1] = reciprocal(f)
+        return pair[..., 0, :], pair[..., 1, :]
 
     def base_unit_lift_jets(self, coords: Jet2, i: int) -> Jet2:
         """The horizontal lift of the i-th base coordinate vector, scaled to
@@ -400,17 +411,8 @@ class WarpedBundleMetric(_BundleMetric):
         return (r * r) / self.s
 
     def frame_at(self, x: np.ndarray, g_values: np.ndarray) -> np.ndarray:
-        """The g-orthonormal rows (H, JH, E_1..E_2m): H = d/dt, JH = xi/f for
-        the fiber field xi = d/dpsi, and the E rows by Gram-Schmidt from the
-        horizontal lifts of the base coordinate vectors."""
-        d = self.dim
-        f = self.profile.warp_from(*self.profile_at(x[..., 0]))[0] * self.warp_scale
-        rows = np.broadcast_to(np.eye(d), x.shape[:-1] + (d, d)).astype(x.dtype)
-        rows[..., 1, :] /= np.asarray(f)[..., None]
-        if self.s != 0.0:
-            rows[..., 2:, 1] = -self.s * self._base_at(x[..., 2:])[1].value
-        rows[..., 2:, :] = _gram_schmidt(rows[..., 2:, :], g_values)
-        return rows
+        """The g-orthonormal rows (H, JH, E_1..E_2m), with JH = xi/f."""
+        return self._fiber_frame(x, g_values, self.warps(x[..., 0])[1][0])
 
 
 class CircleBundleMetric(_BundleMetric):
@@ -439,15 +441,8 @@ class CircleBundleMetric(_BundleMetric):
     complex_structure_jets = None  # no complex structure on the odd-dim chart
 
     def frame_at(self, x: np.ndarray, g_values: np.ndarray) -> np.ndarray:
-        """The g-orthonormal rows (xi/alpha, E_1..E_2m): the fiber field
-        xi = d/dpsi scaled to unit length, and the E rows by Gram-Schmidt
-        from the horizontal lifts of the base coordinate vectors."""
-        d = self.dim
-        rows = np.broadcast_to(np.eye(d), x.shape[:-1] + (d, d)).astype(x.dtype)
-        rows[..., 0, :] /= self.alpha
-        rows[..., 1:, 0] = -self.s * self._base_at(x[..., 1:])[1].value
-        rows[..., 1:, :] = _gram_schmidt(rows[..., 1:, :], g_values)
-        return rows
+        """The g-orthonormal rows (xi/alpha, E_1..E_2m)."""
+        return self._fiber_frame(x, g_values, self.alpha)
 
 
 class BaseChartMetric:

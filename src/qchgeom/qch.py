@@ -132,10 +132,11 @@ def section_divergences(analysis: PointAnalysis, model, section=(1.0, 0.0)) -> t
     X = H); the section's (c1, c2) are floats or arrays with one entry per
     point."""
     e_frame = analysis.frame[..., 2:, :]
-    c1, c2 = section
-    d1 = div_e(analysis, model.section_jets(analysis.coords, c1, c2), e_frame)
+    c1, c2 = (np.asarray(c)[..., None] for c in section)
+    H, JH = model.section_jets(analysis.coords)
+    d1 = div_e(analysis, H * c1 + JH * c2, e_frame)
     # J(c1 H + c2 JH) = c1 JH - c2 H
-    d2 = div_e(analysis, model.section_jets(analysis.coords, -c2, c1), e_frame)
+    d2 = div_e(analysis, JH * c1 - H * c2, e_frame)
     return d1, d2
 
 
@@ -168,7 +169,6 @@ class RicciSplit:
     mu_formula: float
     off_block_max: float
     e_block_deviation: float
-    d_block_deviation: float
 
 
 def ricci_eigenvalue_formulas(a: float, b: float, c: float, n: int) -> tuple[float, float]:
@@ -184,16 +184,14 @@ def ricci_split(analysis: PointAnalysis, coeffs: QCHCoefficients, n: int) -> Ric
     d_block = frame[..., :2, :]
     e_block = frame[..., 2:, :]
     rho_e = e_block @ rho @ mT(e_block)
-    rho_d = d_block @ rho @ mT(d_block)
     k = rho_e.shape[-1]
     lam_engine = np.trace(rho_e, axis1=-2, axis2=-1) / k
-    mu_engine = np.trace(rho_d, axis1=-2, axis2=-1) / 2.0
+    mu_engine = np.trace(d_block @ rho @ mT(d_block), axis1=-2, axis2=-1) / 2.0
     lam_formula, mu_formula = ricci_eigenvalue_formulas(coeffs.a, coeffs.b, coeffs.c, n)
     return RicciSplit(lam_engine=per_point(lam_engine), mu_engine=per_point(mu_engine),
                       lam_formula=lam_formula, mu_formula=mu_formula,
                       off_block_max=max_abs(d_block @ rho @ mT(e_block), 2),
-                      e_block_deviation=max_abs(rho_e - each(lam_engine) * np.eye(k), 2),
-                      d_block_deviation=max_abs(rho_d - each(mu_engine) * np.eye(2), 2))
+                      e_block_deviation=max_abs(rho_e - each(lam_engine) * np.eye(k), 2))
 
 
 # -- structure identities ---------------------------------------------------------
@@ -233,8 +231,7 @@ def structure_identity_residuals(analysis: PointAnalysis, model, *,
 
     # nabla H and nabla JH, (nabla X)[k, i] = nabla_i X^k
     coords = analysis.coords
-    nH = covariant_vector_derivative(analysis, model.section_jets(coords, 1.0, 0.0))
-    nJH = covariant_vector_derivative(analysis, model.section_jets(coords, 0.0, 1.0))
+    nH, nJH = (covariant_vector_derivative(analysis, x) for x in model.section_jets(coords))
     nHH, nJJ = matvec(nH, h_hat), matvec(nJH, jh_hat)
 
     # p = g(nabla_xi xi, J xi) with xi the principal section (= H here)

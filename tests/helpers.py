@@ -1,8 +1,9 @@
 """Shared test machinery: random jet-expression trees with a float evaluator
 (for finite-difference references), a polynomial derivative oracle, and the
 small definitions that only tests use (seeded variables, constant fields,
-flat space, sectional curvature, the derivatives of the Christoffel symbols,
-warp derivatives, the model tensors)."""
+flat space, sectional curvature, the Jacobi matrix of the full Riemann
+tensor, the derivatives of the Christoffel symbols, warp derivatives, the
+model tensors)."""
 
 import math
 
@@ -208,6 +209,14 @@ def sectional_curvature(R, g, X, Y):
     if np.any(area2 <= 0.0):
         raise ValueError("sectional curvature of a degenerate plane")
     return per_point(contract_slots(R, X, Y, Y, X, rank=4) / area2)
+
+
+def jacobi_matrix(R4, v, frame):
+    """M[a, b] = R(v, e_b, v, e_a): the Jacobi operator in the frame rows e,
+    contracted from the full Riemann tensor R4 of batch shape B, with v of
+    B + (d,) and frame of B + (d, d); the reference for the directional
+    ``curvature.jacobi_operator``."""
+    return mT(contract_slots(R4, v, frame, v, frame, rank=4))
 
 
 def dgamma(analysis):

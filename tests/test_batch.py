@@ -154,7 +154,7 @@ def test_warped_families_match_single_points(n):
     rs = ricci_split(batch, fit, model.n)
     rss = [ricci_split(an, f, model.n) for an, f in zip(singles, fits)]
     for field in ("lam_engine", "mu_engine", "lam_formula", "mu_formula", "off_block_max",
-                  "e_block_deviation", "d_block_deviation"):
+                  "e_block_deviation"):
         _assert_per_point(getattr(rs, field), [getattr(r, field) for r in rss], field)
     for batched, per_point in (
             (section_divergences(batch, model),

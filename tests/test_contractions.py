@@ -16,11 +16,11 @@ from qchgeom.curvature import (
     max_frame_component_3tensor,
     metric_inverse_jets,
 )
-from qchgeom.flows import geodesic_acceleration, jacobi_matrix, transport_matrix
+from qchgeom.flows import geodesic_acceleration, transport_matrix
 from qchgeom.jets import Jet2
 from qchgeom.qch import d_block, fit_qch_coefficients, qch_residual_samples
 
-from helpers import dgamma as dgamma_of
+from helpers import dgamma as dgamma_of, jacobi_matrix
 
 RTOL = 1e-12
 

@@ -13,7 +13,6 @@ from qchgeom.curvature import (
     nabla_j,
     second_bianchi_residual,
 )
-from qchgeom.flows import jacobi_matrix
 from qchgeom.geometry import (
     BaseChartMetric,
     WarpedBundleMetric,
@@ -27,6 +26,7 @@ from helpers import (
     constant_vector_field,
     dgamma,
     fiber_field,
+    jacobi_matrix,
     sectional_curvature,
     warp_derivatives,
 )
@@ -187,7 +187,7 @@ def test_killing_deviation_composite_field(warped, warped_point_analysis):
     # f JH rebuilt through the warp jets is the same Killing field
     an = warped_point_analysis
     _, f = warped.warp_jets(an.coords[..., 0])
-    dev = killing_deviation(an, warped.section_jets(an.coords, 0.0, 1.0) * f[..., None])
+    dev = killing_deviation(an, warped.section_jets(an.coords)[1] * f[..., None])
     fr = an.frame
     assert np.abs(fr @ dev @ fr.T).max() < 1e-7
 
@@ -195,7 +195,7 @@ def test_killing_deviation_composite_field(warped, warped_point_analysis):
 def test_killing_deviation_axial_field_detects_expansion(warped, profile, sample_point):
     # L_H g = 2 r r' h on the base block and 2 f f' on the fiber block
     an = PointAnalysis(warped, sample_point)
-    dev = killing_deviation(an, warped.section_jets(an.coords, 1.0, 0.0))
+    dev = killing_deviation(an, warped.section_jets(an.coords)[0])
     r, rp, _, _ = profile.evaluate(sample_point[0])
     f, fp, _ = warp_derivatives(profile, sample_point[0])
     z = seed_chart(sample_point)[2:]
@@ -210,7 +210,7 @@ def test_e_divergences(warped, warped_point_analysis, profile):
     an = warped_point_analysis
     e_frame = an.frame[2:]
     r, rp, _, _ = profile.evaluate(an.x[0])
-    div_h = div_e(an, warped.section_jets(an.coords, 1.0, 0.0), e_frame)
+    div_h = div_e(an, warped.section_jets(an.coords)[0], e_frame)
     assert abs(div_h - 2.0 * (warped.n - 1) * rp / r) < 1e-12
     assert abs(div_e(an, fiber_field(warped, an.coords), e_frame)) < 1e-12
 

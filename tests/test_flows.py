@@ -21,12 +21,11 @@ from qchgeom.flows import (
     integrate_jacobi,
     jacobi_decay_experiment,
     jacobi_equation_residual,
-    jacobi_matrix,
 )
 from qchgeom.geometry import BaseChartMetric
 from qchgeom.jets import Jet2, compose
 
-from helpers import EuclideanMetric, warp_derivatives
+from helpers import EuclideanMetric, jacobi_matrix, warp_derivatives
 
 
 @pytest.fixture(scope="module")

@@ -10,7 +10,7 @@ from qchgeom import (
 )
 from qchgeom import geometry
 from qchgeom.cli import RunConfig
-from qchgeom.curvature import PointAnalysis
+from qchgeom.curvature import PointAnalysis, batch_slices
 from qchgeom.geometry import exterior_derivative_1form
 from qchgeom.jets import seed_chart
 from qchgeom.profile import ProfileSolution
@@ -294,3 +294,44 @@ def test_base_built_once_per_z_batch(monkeypatch):
                                    "sample_count": 10, "rng_seed": 42}))
     assert len(batches) >= 30
     assert len(calls) == len(batches)
+
+
+@pytest.mark.parametrize("batched", [True, False])
+def test_one_control_scale_reaches_frame_sections_and_metric(profile, batched):
+    """warp_scale 1.05 is read once (``warps``), and every reader of f sees
+    the same scaled f: the frame's JH row is the section JH, its psi entry is
+    J's (psi, t) entry, g(JH, JH) = 1, and f = 1.05 * 2 r r'/s.  A site that
+    dropped or doubled the scale would break one of these."""
+    model = WarpedBundleMetric(profile, FubiniStudy(2, 4.0), warp_scale=1.05)
+    points = sample_interior_points(model, np.random.default_rng(17), 5)
+    x = points if batched else points[0]
+    coords = seed_chart(x)
+    g = model.metric_jets(coords).value
+    jh_row = model.frame_at(x, g)[..., 1, :]
+    assert np.array_equal(jh_row, model.section_jets(coords)[1].value)
+    assert np.array_equal(model.complex_structure_jets(coords).value[..., 1, 0],
+                          jh_row[..., 1])
+    assert np.abs(np.einsum("...i,...ij,...j->...", jh_row, g, jh_row) - 1.0).max() < 1e-14
+    r, rp, _, _ = profile.evaluate(x[..., 0])
+    f = model.warps(x[..., 0])[1][0]
+    assert np.allclose(f, 1.05 * 2.0 * r * rp / profile.s, rtol=1e-15, atol=0.0)
+
+
+def test_sections_built_four_times_per_slice(monkeypatch):
+    """The n = 3 warped run at 10 points builds the pair (H, JH) four times
+    per sample slice: the divergences of H and of the rotated section, the
+    covariant derivatives of the structure identities, and the divergences at
+    the complex step of the gradient laws.  Built once per section, the run
+    made 8."""
+    calls = []
+    section_jets = WarpedBundleMetric.section_jets
+
+    def counted(self, coords):
+        calls.append(1)
+        return section_jets(self, coords)
+
+    monkeypatch.setattr(WarpedBundleMetric, "section_jets", counted)
+    config = RunConfig.from_dict({"mode": "warped", "n": 3, "k": 1, "sample_count": 10,
+                                  "rng_seed": 42})
+    run_suite(config)
+    assert len(calls) == 4 * len(batch_slices(10, build_model(config).dim))

@@ -122,7 +122,8 @@ def test_ricci_split_engine_matches_formula(warped, warped_analyses):
         assert abs(rs.mu_engine - rs.mu_formula) < 1e-7
         assert rs.off_block_max < 1e-8
         assert rs.e_block_deviation < 1e-8
-        assert rs.d_block_deviation < 1e-8
+        rho_d = an.frame[:2] @ an.ricci @ an.frame[:2].T
+        assert np.abs(rho_d - rs.mu_engine * np.eye(2)).max() < 1e-8
 
 
 def test_kappa_and_principal_section(warped, profile, warped_point_analysis):

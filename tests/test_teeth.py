@@ -110,13 +110,14 @@ def test_theta_normalization_sees_a_t_psi_cross_term(unperturbed, monkeypatch):
 
 @bites("principal_section")
 def test_principal_section_sees_a_rotated_section(unperturbed, monkeypatch):
-    """div_E(JH) = 0: with every section c1 H + c2 JH rotated by 1e-6 in D,
-    the section read as JH has a divergence of order 1e-6 kappa."""
+    """div_E(JH) = 0: with the pair (H, JH) rotated by 1e-6 in D, the
+    section read as JH has a divergence of order 1e-6 kappa."""
     section_jets = WarpedBundleMetric.section_jets
     cos, sin = np.cos(1e-6), np.sin(1e-6)
 
-    def rotated(self, coords, c1, c2):
-        return section_jets(self, coords, cos * c1 - sin * c2, sin * c1 + cos * c2)
+    def rotated(self, coords):
+        H, JH = section_jets(self, coords)
+        return H * cos + JH * sin, JH * cos - H * sin
 
     monkeypatch.setattr(WarpedBundleMetric, "section_jets", rotated)
     assert unperturbed["principal_section"]
