@@ -74,17 +74,16 @@ def batch_analyses(field, x: np.ndarray):
         yield sl, PointAnalysis(field, x[sl])
 
 
-def contract_slots(T: np.ndarray, *factors, rank: int | None = None) -> np.ndarray:
+def contract_slots(T: np.ndarray, *factors, rank: int) -> np.ndarray:
     """Contract the leading slots of T, in order, with one factor each.
 
     A vector factor removes its slot; a (k, d) factor of row vectors replaces
-    its slot by a new trailing axis of length k.  With ``rank`` given, the
-    axes of T before its last ``rank`` are batch axes, shared by every factor
-    (B + (d,) or B + (k, d)).  One pairwise contraction per slot keeps a
-    rank-4 tensor at O(d^4 k) instead of the single nested loop a
-    multi-operand einsum runs.
+    its slot by a new trailing axis of length k.  The axes of T before its
+    last ``rank`` are batch axes, shared by every factor (B + (d,) or
+    B + (k, d)).  One pairwise contraction per slot keeps a rank-4 tensor at
+    O(d^4 k) instead of the single nested loop a multi-operand einsum runs.
     """
-    nb = 0 if rank is None else T.ndim - rank
+    nb = T.ndim - rank
     batch = T.shape[:nb]
     for f in factors:
         f = np.asarray(f)

@@ -12,15 +12,17 @@ Charts
 
 All metric and complex-structure components are jet-evaluable so the
 curvature layer sees exact first and second derivatives.  The Fubini-Study
-jets are closed forms in z (``FubiniStudy``), and each bundle model keeps
-its z-only parts at the last real and the last complex batch of base points
-it read (``_SliceMemo``): the metric, the frame, the horizontal lifts and the
-connection-form check at a batch all read one evaluation.  The warped model
-keeps the warp profile at the last batches of t the same way
-(``WarpedBundleMetric.profile_at``).  A point is its chart
-coordinates, shape (d,), and a batch of points carries leading batch axes,
-B + (d,); each model reads t, psi and z by slicing its own layout.  The
-connection potential is fixed in the rotation-invariant gauge
+jets are closed forms in z (``FubiniStudy``).  Each bundle model keeps its
+z-only parts, h and theta x theta in z's own 2m derivative slots, at the
+last real and the last complex batch and single point of base points it
+read (``_base_parts``, ``_SliceMemo``): the metric, the frame, the
+horizontal lifts and the connection-form check at a batch all read one
+evaluation, and the metric writes its chart jet from them once
+(``_bundle_jet``).  The warped model keeps the warp profile at the last
+batches of t the same way (``WarpedBundleMetric.profile_at``).  A point is
+its chart coordinates, shape (d,), and a batch of points carries leading
+batch axes, B + (d,); each model reads t, psi and z by slicing its own
+layout.  The connection potential is fixed in the rotation-invariant gauge
 sigma = -(1/4) dK o J for the Kaehler potential K, which vanishes at the
 chart origin and satisfies d sigma = Omega componentwise (this pins its
 sign).
@@ -31,7 +33,7 @@ from __future__ import annotations
 import numpy as np
 
 from .batch import matvec, mT
-from .jets import Jet2, compose, pullback, reciprocal, scale_along, zeros
+from .jets import Jet2, compose, pullback, reciprocal, seed_chart, zeros
 from .jets import sqrt as jet_sqrt
 from .profile import ProfileSolution
 
@@ -206,46 +208,118 @@ def _cholesky(a: np.ndarray) -> np.ndarray:
 
 class _SliceMemo:
     """A bundle model's values of z alone (or of t alone) at the last real
-    and the last complex batch looked up.
+    and the last complex batch looked up, and at the last real and the last
+    complex single point.
 
     A lookup at z (the base coordinates of a batch, B + (2m,), or its t, one
-    per point, B + (1,)) calls ``build`` unless z is the batch held for its
-    dtype kind, compared by dtype, shape and bytes; a complex batch with zero
-    imaginary part (a complex step along t leaves z real) shares the real
-    entry.  The suite runs every check at one sample slice before it moves
-    on, and at a slice reads its own points, then their complex step along t,
-    then its points moved in z; so the metric, J, the frame, the fields and
-    the checks at a slice build each part once.
+    per point, B + (1,)) calls ``build`` unless z is the entry held for its
+    dtype kind and for whether it is one point, compared by dtype, shape and
+    bytes; a complex batch with zero imaginary part (a complex step along t
+    leaves z real) shares the real entry.  The suite runs every check at one
+    sample slice before it moves on, and at a slice reads its own points,
+    then their complex step along t, then its points moved in z; so the
+    metric, J, the frame, the fields and the checks at a slice build each
+    part once.  A flow reads its start point between two walks over the same
+    node batches, which a single point therefore does not evict.
     """
 
     def __init__(self):
-        self.entries: dict[str, tuple] = {}
+        self.entries: dict[tuple, tuple] = {}
 
     def __call__(self, z, build) -> tuple:
         z = np.asarray(z)
         if np.iscomplexobj(z) and not z.imag.any():
             z = z.real
-        key = (z.dtype.str, z.shape, z.tobytes())
-        held = self.entries.get(z.dtype.kind)
+        key, slot = (z.dtype.str, z.shape, z.tobytes()), (z.dtype.kind, z.ndim == 1)
+        held = self.entries.get(slot)
         if held is None or held[0] != key:
-            held = self.entries[z.dtype.kind] = (key, build(z))
+            held = self.entries[slot] = (key, build(z))
         return held[1]
 
 
 def _base_parts(base, z: np.ndarray, d: int, s: float) -> tuple[Jet2, Jet2, Jet2]:
-    """The base metric h (in the z block of a d x d matrix), the potential
-    sigma and Theta = theta x theta for theta = dpsi + s sigma at z, seeded in
-    the d-dimensional chart whose last coordinates are z, with psi just
-    before them."""
-    off = d - base.dim
-    zj = Jet2(z, np.broadcast_to(np.eye(d)[off:], z.shape + (d,)), np.zeros(z.shape + (d, d)))
-    h = zeros(z.shape[:-1] + (d, d), d, z.dtype)
-    h[..., off:, off:] = base.metric_jets(zj)
-    sigma = base.connection_potential_jets(zj)
-    theta = zeros(z.shape[:-1] + (d,), d, z.dtype)
-    theta[..., off - 1] = 1.0
-    theta[..., off:] = s * sigma
-    return h, sigma, theta[..., :, None] * theta[..., None, :]
+    """The z-only parts of a bundle metric at z: the base metric h and
+    Theta = theta x theta for theta = dpsi + s sigma on its (psi, z) entries,
+    both with derivatives in z's own 2m chart slots, and the potential sigma,
+    seeded in the d-dimensional chart whose last coordinates are z (psi just
+    before them).
+
+    Theta is the product rule in the order ``Jet2.__mul__`` sums it, on the
+    only entries and slots where it is not zero: theta's derivatives are s
+    times sigma's.
+    """
+    zj = seed_chart(z)
+    h, sigma = base.metric_jets(zj), base.connection_potential_jets(zj)
+    batch, n = z.shape[:-1], z.shape[-1]
+    v = np.ones(batch + (n + 1,), zj.value.dtype)
+    v[..., 1:] = s * sigma.value
+    G = np.concatenate([np.zeros(batch + (1, n), sigma.gradient.dtype),
+                        s * sigma.gradient], axis=-2)
+    H = np.concatenate([np.zeros(batch + (1, n, n), sigma.hessian.dtype),
+                        s * sigma.hessian], axis=-3)
+    # the v_j x_i terms are the v_i x_j terms with i and j swapped; two
+    # Hessian-sized arrays live at a time
+    gradient = v[..., :, None, None] * G[..., None, :, :]
+    hessian = v[..., :, None, None, None] * H[..., None, :, :, :]
+    hessian = hessian + np.swapaxes(hessian, -3, -4)
+    cross = G[..., :, None, :, None] * G[..., None, :, None, :]
+    hessian += cross
+    hessian += np.swapaxes(cross, -1, -2)
+    theta2 = Jet2(v[..., :, None] * v[..., None, :],
+                  gradient + np.swapaxes(gradient, -2, -3), hessian)
+    return h, _in_chart(sigma, d), theta2
+
+
+def _in_chart(jet: Jet2, d: int) -> Jet2:
+    """A jet with derivatives in its own n slots, placed in the last n slots
+    of a d-dimensional chart (z's slots in a bundle chart)."""
+    off, shape = d - jet.dim, np.shape(jet.value)
+    out = Jet2(jet.value, np.zeros(shape + (d,), jet.gradient.dtype),
+               np.zeros(shape + (d, d), jet.hessian.dtype))
+    out.gradient[..., off:] = jet.gradient
+    out.hessian[..., off:, off:] = jet.hessian
+    return out
+
+
+def _bundle_jet(d: int, theta2: Jet2, h: Jet2, fiber: tuple, base: tuple | None) -> Jet2:
+    """The d x d chart jet fiber * Theta + base * h, for Theta on the trailing
+    (psi, z) block and h on its z x z entries, both with derivatives in the
+    chart's last 2m slots (z).
+
+    A scale is a one-tuple (a number), or (phi, phi', phi'') of a function of
+    chart coordinate 0 (t) alone, one per point; base None leaves h
+    unscaled.  Theta and h are constant along t, so the product rule with a
+    scale along t adds terms in the t slot alone: the numbers of
+    ``Jet2.__mul__`` with the jet of the scale, without its dense outer
+    product of gradients, each entry summed as fiber * Theta + base * h.
+    Every other entry of the jet is zero.
+    """
+    block, z = slice(d - theta2.shape[-1], None), slice(d - theta2.dim, None)
+    g = zeros(theta2.shape[:-2] + (d, d), d, np.result_type(theta2.value, *fiber))
+
+    def combined(k: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """The k-th t-derivative of the scales times one part (value,
+        gradient or Hessian) of Theta and of h, summed on the z x z entries."""
+        slots = (slice(None),) * (a.ndim - theta2.value.ndim)
+        expand = (Ellipsis,) + (None,) * (2 + len(slots))
+        zz = (Ellipsis, slice(1, None), slice(1, None)) + slots
+        out = np.asarray(fiber[k])[expand] * a
+        if base is not None:
+            out[zz] += np.asarray(base[k])[expand] * b
+        elif k == 0:
+            out[zz] += b
+        return out
+
+    g.value[..., block, block] = combined(0, theta2.value, h.value)
+    g.gradient[..., block, block, z] = combined(0, theta2.gradient, h.gradient)
+    g.hessian[..., block, block, z, z] = combined(0, theta2.hessian, h.hessian)
+    if len(fiber) == 3:
+        g.gradient[..., block, block, 0] = combined(1, theta2.value, h.value)
+        cross = combined(1, theta2.gradient, h.gradient)
+        g.hessian[..., block, block, 0, z] = cross
+        g.hessian[..., block, block, z, 0] = cross
+        g.hessian[..., block, block, 0, 0] = combined(2, theta2.value, h.value)
+    return g
 
 
 def _lift_rows(sigma: Jet2, s: float, dim: int) -> Jet2:
@@ -273,9 +347,8 @@ class _BundleMetric:
     def connection_forms(self, z: np.ndarray) -> tuple[Jet2, np.ndarray]:
         """(sigma, Omega) at the z-slice: the potential as a chart jet and the
         values of the base Kaehler form h(J., .)."""
-        off = self.dim - self.base.dim
         h, sigma, _ = self._base_at(z)
-        return sigma, self.base.j0.T @ h.value[..., off:, off:]
+        return sigma, self.base.j0.T @ h.value
 
     def lift_jets(self, coords: Jet2) -> Jet2:
         """The horizontal lifts of the base coordinate vectors as the rows of
@@ -323,10 +396,11 @@ class WarpedBundleMetric(_BundleMetric):
 
     def _base_at(self, z: np.ndarray) -> tuple[Jet2, Jet2, Jet2]:
         """The z-only parts of the metric at the z-slice, from the model's memo
-        (``_SliceMemo``): the base metric h (in the z block of a total-chart
-        matrix), the potential sigma, and Theta = theta x theta with
-        theta = dpsi + s sigma, all seeded in the total chart (z sits at
-        coordinates 2..d-1).  The frame and fields at an analysed batch, its
+        (``_SliceMemo``, built by ``_base_parts``): the base metric h and
+        Theta = theta x theta with theta = dpsi + s sigma on its (psi, z)
+        entries, both differentiated in z's 2m slots alone, and the
+        potential sigma, seeded in the total chart (z sits at coordinates
+        2..d-1).  The metric, the frame and fields at an analysed batch, its
         complex step along t and the nodes of an axial flow panel reuse one
         evaluation."""
         return self._base_memo(z, lambda z: _base_parts(self.base, z, self.dim, self.s))
@@ -361,14 +435,14 @@ class WarpedBundleMetric(_BundleMetric):
     def metric_jets(self, coords: Jet2) -> Jet2:
         """dt^2 + f(t)^2 Theta(z) + r(t)^2 h(z) (h unscaled in product mode).
 
-        Theta and h come from the base memo; the t-only factors scale them by
-        the product rule of ``jets.scale_along``, which touches only the t row
-        and column of their derivatives.
+        Theta and h come from the base memo, and f^2 and r^2 scale them into
+        one total-chart jet (``_bundle_jet``).  Its dtype comes from the warps
+        as well: a complex step along t leaves z, and so the memo, real.
         """
         h, _, theta2 = self._base_at(coords.value[..., 2:])
         r, f = self.warps(coords.value[..., 0])
-        g = scale_along(theta2, 0, *_square(*f)) + (h if self.product_mode
-                                                    else scale_along(h, 0, *_square(*r)))
+        g = _bundle_jet(self.dim, theta2, h, _square(*f),
+                        None if self.product_mode else _square(*r))
         g.value[..., 0, 0] += 1.0
         return g
 
@@ -399,9 +473,8 @@ class WarpedBundleMetric(_BundleMetric):
     def base_unit_lift_jets(self, coords: Jet2, i: int) -> Jet2:
         """The horizontal lift of the i-th base coordinate vector, scaled to
         unit length in the base metric h (its g-length is r in warped mode)."""
-        h = self._base_at(coords.value[..., 2:])[0]
-        return (self.lift_jets(coords)[..., i, :]
-                * reciprocal(jet_sqrt(h[..., 2 + i, 2 + i]))[..., None])
+        h_ii = _in_chart(self._base_at(coords.value[..., 2:])[0][..., i, i], self.dim)
+        return self.lift_jets(coords)[..., i, :] * reciprocal(jet_sqrt(h_ii))[..., None]
 
     def potential_jets(self, coords: Jet2) -> Jet2:
         """The Killing potential r(t)^2 / s."""
@@ -434,9 +507,9 @@ class CircleBundleMetric(_BundleMetric):
         return self._base_memo(z, lambda z: _base_parts(self.base, z, self.dim, self.s))
 
     def metric_jets(self, coords: Jet2) -> Jet2:
-        """alpha^2 theta x theta + beta^2 h."""
+        """alpha^2 theta x theta + beta^2 h, as one chart jet (``_bundle_jet``)."""
         h, _, theta2 = self._base_at(coords.value[..., 1:])
-        return self.alpha ** 2 * theta2 + self.beta ** 2 * h
+        return _bundle_jet(self.dim, theta2, h, (self.alpha ** 2,), (self.beta ** 2,))
 
     complex_structure_jets = None  # no complex structure on the odd-dim chart
 

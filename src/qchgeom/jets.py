@@ -211,29 +211,6 @@ def seed_chart(x: np.ndarray) -> Jet2:
     return Jet2(x, grad, np.zeros(x.shape + (d, d)))
 
 
-def scale_along(b: Jet2, axis: int, phi, dphi, d2phi) -> Jet2:
-    """phi * b for a function phi of chart coordinate ``axis`` alone and a jet b
-    constant along that coordinate (its derivatives in slot ``axis`` vanish).
-
-    phi comes as its value and first two derivatives along the coordinate,
-    with b's batch shape (one per point).  The product rule then adds to phi
-    times b's derivatives only terms in row and column ``axis``: the same
-    numbers as ``Jet2.__mul__`` with the jet of phi, without its dense outer
-    product of the two gradients.
-    """
-    if np.ndim(phi):  # one factor per point of a batch, aligned to b's entries
-        expand = (Ellipsis,) + (None,) * (np.ndim(b.value) - np.ndim(phi))
-        phi, dphi, d2phi = phi[expand], dphi[expand], d2phi[expand]
-    gradient = _g(phi) * b.gradient
-    gradient[..., axis] += dphi * b.value
-    hessian = _h(phi) * b.hessian
-    cross = _g(dphi) * b.gradient
-    hessian[..., axis, :] += cross
-    hessian[..., :, axis] += cross
-    hessian[..., axis, axis] += d2phi * b.value
-    return Jet2(phi * b.value, gradient, hessian)
-
-
 def compose(a: Jet2, value, d1, d2) -> Jet2:
     """Chain rule through a function with supplied derivatives at ``a.value``."""
     return Jet2(value, _g(d1) * a.gradient,

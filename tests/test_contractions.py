@@ -111,7 +111,7 @@ def test_curvature_operators(d, rng):
     g = a @ a.T + d * np.eye(d)
     J = rng.standard_normal((d, d))
     X, Y, Z, W = rng.standard_normal((4, d))
-    assert _close(contract_slots(R, X, Y, Z, W),
+    assert _close(contract_slots(R, X, Y, Z, W, rank=R.ndim),
                   np.einsum("ijkl,i,j,k,l->", R, X, Y, Z, W))
 
     def hol_reference(x):
@@ -149,26 +149,26 @@ def test_check_site_contractions(d, rng):
     pair = rng.standard_normal((2, d))
     e_frame = rng.standard_normal((d - 2, d))
     # suite: Kaehler-type curvature R(J., J., ., .)
-    assert _close(contract_slots(R, J.T, J.T).transpose(2, 3, 0, 1),
+    assert _close(contract_slots(R, J.T, J.T, rank=R.ndim).transpose(2, 3, 0, 1),
                   np.einsum("ai,bj,abkl->ijkl", J, J, R))
     # qch: mixed-plane and degenerate components on the warped chart
-    assert _close(contract_slots(R, x, e_frame, e_frame, x),
+    assert _close(contract_slots(R, x, e_frame, e_frame, x, rank=R.ndim),
                   np.einsum("ijkl,i,aj,bk,l->ab", R, x, e_frame, e_frame, x))
-    assert _close(contract_slots(R, pair, pair, pair, e_frame),
+    assert _close(contract_slots(R, pair, pair, pair, e_frame, rank=R.ndim),
                   np.einsum("ijkl,ai,bj,ck,dl->abcd", R, pair, pair, pair, e_frame))
     # qch: mixed fiber curvature and fiber-plane sectional curvature on the bundle
-    assert _close(contract_slots(R, e_frame, x, e_frame, x),
+    assert _close(contract_slots(R, e_frame, x, e_frame, x, rank=R.ndim),
                   np.einsum("ijkl,ai,j,bk,l->ab", R, e_frame, x, e_frame, x))
-    assert _close(np.diagonal(contract_slots(R, e_frame, x, y, e_frame)),
+    assert _close(np.diagonal(contract_slots(R, e_frame, x, y, e_frame, rank=R.ndim)),
                   np.einsum("ijkl,ai,j,k,al->a", R, e_frame, x, y, e_frame))
     # qch: frame coefficients of the lift covariant derivatives
     n_lift = rng.standard_normal((d - 2, d - 2, d))
     coef = rng.standard_normal((d - 2, d - 2))
-    assert _close(contract_slots(n_lift, coef, coef).transpose(1, 2, 0),
+    assert _close(contract_slots(n_lift, coef, coef, rank=n_lift.ndim).transpose(1, 2, 0),
                   np.einsum("ai,bj,ijk->abk", coef, coef, n_lift))
     # curvature: the cyclic sum of the second Bianchi spot check
     covR = rng.standard_normal((d,) * 5)
-    assert _close(contract_slots(covR, x, y, pair[0]),
+    assert _close(contract_slots(covR, x, y, pair[0], rank=covR.ndim),
                   np.einsum("aijkl,a,i,j->kl", covR, x, y, pair[0]))
 
 

@@ -274,13 +274,8 @@ def test_profile_evaluated_once_per_t_batch(monkeypatch):
     assert len(calls) <= len(batches) + 3
 
 
-def test_base_built_once_per_z_batch(monkeypatch):
-    """The same run builds the z-only parts of the warped metric once per
-    distinct z batch: the suite finishes each sample slice before the next,
-    so the base memo, which holds the last real and the last complex batch,
-    never sees a batch again once it has moved on.  With each family walking
-    every slice in turn and a memo of 16 points, the run made 43 builds of
-    36 batches."""
+def _base_builds(monkeypatch, config: dict) -> tuple[int, int]:
+    """(builds of the z-only parts, distinct z batches built) in one run."""
     calls, batches = [], set()
     base_parts = geometry._base_parts
 
@@ -290,10 +285,34 @@ def test_base_built_once_per_z_batch(monkeypatch):
         return base_parts(base, z, d, s)
 
     monkeypatch.setattr(geometry, "_base_parts", counted)
-    run_suite(RunConfig.from_dict({"mode": "warped", "n": 7, "k": 1, "perturb_f": 1.05,
-                                   "sample_count": 10, "rng_seed": 42}))
-    assert len(batches) >= 30
-    assert len(calls) == len(batches)
+    run_suite(RunConfig.from_dict(config))
+    return len(calls), len(batches)
+
+
+def test_base_built_once_per_z_batch(monkeypatch):
+    """The same run builds the z-only parts of the warped metric once per
+    distinct z batch: the suite finishes each sample slice before the next,
+    so the base memo, which holds the last real and the last complex batch,
+    never sees a batch again once it has moved on.  With each family walking
+    every slice in turn and a memo of 16 points, the run made 43 builds of
+    36 batches."""
+    builds, batches = _base_builds(monkeypatch, {"mode": "warped", "n": 7, "k": 1,
+                                                 "perturb_f": 1.05, "sample_count": 10,
+                                                 "rng_seed": 42})
+    assert batches >= 30
+    assert builds == batches
+
+
+def test_decay_flow_builds_each_z_batch_once(monkeypatch):
+    """The warped n = 5 run at 10 points, decay flow included, builds the
+    z-only parts once per distinct z batch.  The flow reads its start point
+    between the geodesic's node batches and the Jacobi coefficients' batches
+    of the same z; when a single point evicted the batch, the run made 11
+    builds of 10 batches."""
+    builds, batches = _base_builds(monkeypatch, {"mode": "warped", "n": 5, "k": 1,
+                                                 "sample_count": 10, "rng_seed": 42})
+    assert batches == 10
+    assert builds == batches
 
 
 @pytest.mark.parametrize("batched", [True, False])

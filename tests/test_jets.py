@@ -215,23 +215,3 @@ def test_batched_indexing_transpose_and_sum():
     assert np.array_equal(total.hessian, a.hessian.sum(axis=-3))
     x = seed_chart(rng.standard_normal((4, 5)))
     assert x.gradient.shape == (4, 5, 5) and np.array_equal(x.gradient[2], np.eye(5))
-
-
-@pytest.mark.parametrize("batch", [(), (4,)])
-def test_scale_along_matches_jet_product(batch):
-    """phi(x_axis) * b, with b constant along the axis, equals the jet product
-    with phi's jet, bit for bit."""
-    rng = np.random.default_rng(17)
-    d, axis = 5, 1
-    b = Jet2(rng.standard_normal(batch + (3, 3)), rng.standard_normal(batch + (3, 3, d)),
-             rng.standard_normal(batch + (3, 3, d, d)))
-    b.gradient[..., axis] = 0.0
-    b.hessian[..., axis, :] = 0.0
-    b.hessian[..., :, axis] = 0.0
-    x = seed_chart(rng.standard_normal(batch + (d,)))
-    phi, dphi, d2phi = (rng.standard_normal(batch) for _ in range(3))
-    phi_jet = jets.compose(x[..., axis], phi, dphi, d2phi)
-    reference = phi_jet[..., None, None] * b
-    product = jets.scale_along(b, axis, phi, dphi, d2phi)
-    for part in ("value", "gradient", "hessian"):
-        assert np.array_equal(getattr(product, part), getattr(reference, part)), part

@@ -28,6 +28,7 @@ from qchgeom import (
 )
 from qchgeom import geometry
 from qchgeom.cli import RunConfig
+from qchgeom.curvature import COMPLEX_STEP
 from qchgeom.geometry import BaseChartMetric
 from qchgeom.suite import run_suite, sample_interior_points
 from qchgeom.jets import Jet2, reciprocal, seed_chart, zeros
@@ -107,22 +108,50 @@ def test_model_jets_match_central_differences(n, name):
 
 
 def _jet_arithmetic_metric(model, coords):
-    """The warped metric assembled by plain jet arithmetic: f theta as one jet,
-    its outer square, then r^2 h (the reference for the separable assembly)."""
-    d = model.dim
-    batch = coords.shape[:-1]
-    r, f = model.warp_jets(coords[..., 0])
-    z = coords[..., 2:]
+    """The bundle metric assembled by plain jet arithmetic: theta = dpsi + s sigma
+    as one jet (times f on the warped chart), its outer square, then r^2 h
+    (h in product mode, and alpha^2 theta x theta + beta^2 h on the circle
+    bundle): the reference for the assembly from the memo's z-only parts."""
+    d, batch, dtype = model.dim, coords.shape[:-1], coords.value.dtype
+    off = d - model.base.dim
+    z = coords[..., off:]
     h = model.base.metric_jets(z)
-    sigma = model.base.connection_potential_jets(z)
-    f_theta = zeros(batch + (d - 1,), coords.dim)
-    f_theta[..., 0] = f
-    f_theta[..., 1:] = f[..., None] * (model.s * sigma)
-    g = zeros(batch + (d, d), coords.dim)
+    theta = zeros(batch + (d - off + 1,), coords.dim, dtype)
+    theta[..., 0] = 1.0
+    theta[..., 1:] = model.s * model.base.connection_potential_jets(z)
+    g = zeros(batch + (d, d), coords.dim, dtype)
+    if isinstance(model, CircleBundleMetric):
+        g[...] = model.alpha ** 2 * (theta[..., :, None] * theta[..., None, :])
+        g[..., 1:, 1:] += model.beta ** 2 * h
+        return g
+    r, f = model.warp_jets(coords[..., 0])
+    f_theta = f[..., None] * theta
     g[..., 0, 0] = 1.0
     g[..., 1:, 1:] = f_theta[..., :, None] * f_theta[..., None, :]
     g[..., 2:, 2:] += h if model.product_mode else (r * r)[..., None, None] * h
     return g
+
+
+def _assert_matches_jet_arithmetic(model, points, label):
+    """The model's metric jets at one point, at the batch, at its complex step
+    along the first coordinate (t or psi, which leaves z real, so the memo's
+    real entry serves it) and at a complex step along a random direction
+    equal the jet-arithmetic reference; real and imaginary parts each within
+    1e-14 of their largest entry."""
+    h = COMPLEX_STEP
+    lead = np.zeros(model.dim)
+    lead[0] = 1.0
+    tilt = np.random.default_rng(model.dim).standard_normal(model.dim)
+    for x in (points[0], points, points + 1j * h * lead, points + 1j * h * tilt):
+        coords = seed_chart(x)
+        g, reference = model.metric_jets(coords), _jet_arithmetic_metric(model, coords)
+        for part in ("value", "gradient", "hessian"):
+            actual, expected = getattr(g, part), getattr(reference, part)
+            assert actual.shape == expected.shape
+            for take in (np.real, np.imag):
+                scale = np.abs(take(expected)).max()
+                err = np.abs(take(actual) - take(expected)).max()
+                assert err <= 1e-14 * scale, f"{label} {part} {take.__name__}"
 
 
 @pytest.mark.parametrize("variant", ["warped", "product-mode", "warp-scale", "product-base"])
@@ -136,14 +165,14 @@ def test_warped_metric_jets_match_jet_arithmetic(n, variant):
                                product_mode=variant == "product-mode",
                                warp_scale=1.05 if variant == "warp-scale" else 1.0)
     points = sample_interior_points(model, np.random.default_rng(60 + n), 5)
-    for x in (points[0], points):
-        coords = seed_chart(x)
-        g, reference = model.metric_jets(coords), _jet_arithmetic_metric(model, coords)
-        for part in ("value", "gradient", "hessian"):
-            actual, expected = getattr(g, part), getattr(reference, part)
-            assert actual.shape == expected.shape
-            scale = np.abs(expected).max()
-            assert np.abs(actual - expected).max() <= 1e-14 * scale, f"{variant} {part}"
+    _assert_matches_jet_arithmetic(model, points, variant)
+
+
+@pytest.mark.parametrize("n", [3, 5])
+def test_circle_bundle_metric_jets_match_jet_arithmetic(n):
+    model = CircleBundleMetric(1.3, 0.8, 2.0 / n, FubiniStudy(n - 1, 4.0))
+    points = sample_interior_points(model, np.random.default_rng(80 + n), 5)
+    _assert_matches_jet_arithmetic(model, points, "circle-bundle")
 
 
 # -- closed-form Fubini-Study jets against generic jet products -----------------
@@ -255,6 +284,9 @@ def test_scaled_potential_fails_connection_form_check(monkeypatch):
 
 
 def test_closed_forms_use_no_jet_products(monkeypatch):
+    """The Fubini-Study closed forms, a build of each bundle model's z-only
+    parts (``_base_parts``) and each bundle model's metric from them make no
+    jet product."""
     calls = []
     product = Jet2.__mul__
 
@@ -271,6 +303,14 @@ def test_closed_forms_use_no_jet_products(monkeypatch):
         calls.clear()
         base.metric_jets(zj)
         base.connection_potential_jets(zj)
+        assert not calls
+    profile = solve_profile(build_polynomial(1.0, 2.0, 0.5))
+    for model in (WarpedBundleMetric(profile, base), CircleBundleMetric(1.3, 0.8, 0.5, base)):
+        x = sample_interior_points(model, rng, 2)
+        calls.clear()
+        geometry._base_parts(base, x[..., -base.dim:], model.dim, model.s)
+        assert not calls
+        model.metric_jets(seed_chart(x))
         assert not calls
     _assert_rejects_curved_z(base, _curved_z(rng, (2,), 3, 7))
 
