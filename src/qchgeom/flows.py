@@ -22,8 +22,12 @@ values once and twice from a,
   C = sum_a y_a e_a solves y_a'' = R(cdot, e_b, cdot, e_a) y_b.  Its
   coefficients, the transport matrix Gamma(., cdot) and the Jacobi operator
   K(tau), are evaluated jet-exactly at the panel's nodes, and the system is
-  linear in them: per panel one block solve for the frame, F' = -F T^T, and
-  one for y'' = (F K^T F^T) y, each in p d unknowns.  In the parallel frame
+  linear in them: per panel one collocation solve for the frame, F' = -F T^T,
+  and one for y'' = (F K^T F^T) y.  Each splits along the coupled groups of
+  coordinates, the connected components of the nonzero pattern of its table
+  over the panel's nodes: a group of b coordinates is one system in p b
+  unknowns.  On the axial line of the warped metric T, K and F are diagonal,
+  so each solve is d systems of p unknowns.  In the parallel frame
   |C| is the Euclidean norm of y and g(cdot, C) = y . g(cdot, e_a), a row
   fixed at the start (``JacobiResult.velocity_row``), so the decay
   diagnostics near the collapsing end of the chart stay well conditioned
@@ -282,6 +286,7 @@ class GeodesicPath:
     span: float
     stats: SolveStats
     dense: Panels           # packed (position, velocity) on the solve's panels
+    start: tuple[np.ndarray, np.ndarray]   # the exact (position, velocity) at tau = 0
 
     def states(self, taus) -> tuple[np.ndarray, np.ndarray]:
         """(positions, velocities) at a float or an array of parameters."""
@@ -347,7 +352,8 @@ def integrate_geodesic(field, x0: np.ndarray, v0: np.ndarray, span: float) -> Ge
     sol = solve_ivp(lambda a, b, state: _geodesic_panel(field, a, b, state), span,
                     (x0, v0), name="geodesic tables")
     return GeodesicPath(field=field, span=span, stats=sol.stats,
-                        dense=Panels(sol.t, sol.values))
+                        dense=Panels(sol.t, sol.values),
+                        start=(np.array(x0, dtype=float), np.array(v0, dtype=float)))
 
 
 def geodesic_residuals(path: GeodesicPath, taus) -> float:
@@ -379,11 +385,45 @@ def coefficients_at(path: GeodesicPath, taus: np.ndarray) -> np.ndarray:
     return out
 
 
-def _block(weights: np.ndarray, blocks: np.ndarray) -> np.ndarray:
-    """The (p d, p d) matrix of sum_k weights[j, k] blocks[k] acting on the
-    node values (p, d) of a vector, flattened."""
-    p, d = blocks.shape[:2]
-    return (weights[:, None, :, None] * blocks.transpose(1, 0, 2)[None]).reshape(p * d, p * d)
+def _coupled_groups(tables: np.ndarray) -> list[np.ndarray]:
+    """The connected components of the nonzero pattern of (p, d, d) tables,
+    taken over every node and symmetrised: one (count, size) index array per
+    component size.  Coordinates of different components never meet in the
+    tables, so a linear system built from them splits along the components."""
+    d = tables.shape[-1]
+    link = (tables != 0.0).any(axis=0)
+    link |= link.T | np.eye(d, dtype=bool)
+    least = np.arange(d)
+    while True:
+        # each coordinate takes the least label among its neighbours: a
+        # component ends labelled by its least coordinate
+        lower = np.where(link, least, d).min(axis=1)
+        if (lower == least).all():
+            break
+        least = lower
+    groups: dict[int, list[np.ndarray]] = {}
+    for root in np.flatnonzero(least == np.arange(d)):
+        members = np.flatnonzero(least == root)
+        groups.setdefault(len(members), []).append(members)
+    return [np.array(members) for members in groups.values()]
+
+
+def _grouped_solve(weights: np.ndarray, tables: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """X (p, d, r) with X[j] + sum_k weights[j, k] tables[k] X[k] = rhs[j],
+    for tables (p, d, d) and rhs (p, d, r): one collocation system in
+    p * size unknowns per coupled group of coordinates (``_coupled_groups``),
+    the groups of one size stacked into one batched solve."""
+    p = len(tables)
+    out = np.empty(rhs.shape)
+    for members in _coupled_groups(tables):
+        count, size = members.shape
+        sub = tables[:, members[:, :, None], members[:, None, :]]    # (p, count, size, size)
+        system = weights[:, None, :, None] * sub.transpose(1, 2, 0, 3)[:, None]
+        system = system.reshape(count, p * size, p * size) + np.eye(p * size)
+        part = rhs[:, members].transpose(1, 0, 2, 3).reshape(count, p * size, -1)
+        solved = np.linalg.solve(system, part).reshape(count, p, size, -1)
+        out[:, members] = solved.transpose(1, 0, 2, 3)
+    return out
 
 
 def _jacobi_panel(h2: float, coefficients: np.ndarray, frame: np.ndarray, y: np.ndarray,
@@ -393,16 +433,14 @@ def _jacobi_panel(h2: float, coefficients: np.ndarray, frame: np.ndarray, y: np.
     left end: (node values (p, d d + 2 d), state at its right end)."""
     p, d = PANEL_NODES, y.shape[0]
     transport, K = coefficients[:, 0], coefficients[:, 1]
-    # every frame row e solves e' = -T e: one matrix, d right-hand sides
-    rows = np.linalg.solve(np.eye(p * d) + h2 * _block(_S1[:p], transport),
-                           np.tile(frame.T, (p, 1)))
-    frames = rows.reshape(p, d, d).transpose(0, 2, 1)
+    # every frame row e solves e' = -T e: d right-hand sides
+    rows = _grouped_solve(_S1[:p], h2 * transport, np.broadcast_to(frame.T, (p, d, d)))
+    frames = rows.transpose(0, 2, 1)
     frame_end = frame - h2 * (_S1[p] @ (frames @ mT(transport)).reshape(p, -1)).reshape(d, d)
     # y'' = M y with M = F K^T F^T, the Jacobi matrix of the frame
     M = frames @ mT(K) @ mT(frames)
     line = y + np.outer((_NODES + 1.0) * h2, yp)
-    ys = np.linalg.solve(np.eye(p * d) - h2 * h2 * _block(_S2[:p], M),
-                         line.ravel()).reshape(p, d)
+    ys = _grouped_solve(_S2[:p], -h2 * h2 * M, line[..., None])[..., 0]
     ypp = matvec(M, ys)
     yps = yp + h2 * (_S1[:p] @ ypp)
     end = (frame_end, y + 2.0 * h2 * yp + h2 * h2 * (_S2[p] @ ypp),
@@ -445,9 +483,10 @@ def integrate_jacobi(path: GeodesicPath, C0: np.ndarray, DC0: np.ndarray) -> Jac
     Each panel evaluates Gamma(., cdot) and the directional Jacobi operator
     (``curvature.jacobi_operator``) jet-exactly at its nodes; once those
     tables certify, the linear system is solved on the panel by collocation
-    (``_jacobi_panel``).
+    (``_jacobi_panel``).  The start frame and metric are taken at the
+    geodesic's exact start (``GeodesicPath.start``), not at its interpolant.
     """
-    x0, v0 = path.states(0.0)
+    x0, v0 = path.start
     analysis0 = PointAnalysis(path.field, x0)
     frame0 = _initial_frame(analysis0, v0)
     g0 = analysis0.g

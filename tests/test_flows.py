@@ -10,6 +10,7 @@ from qchgeom import (
     build_polynomial,
     solve_profile,
 )
+from qchgeom.batch import matvec, mT
 from qchgeom.cli import main
 from qchgeom.curvature import PointAnalysis, jacobi_operator
 from qchgeom.flows import (
@@ -251,7 +252,7 @@ def _reference_jacobi(path, C0, DC0, *, rtol, atol, samples=200):
     spaced tau."""
     field = path.field
     d = field.dim
-    x0, v0 = path.states(0.0)
+    x0, v0 = path.start
     analysis0 = PointAnalysis(field, x0)
     frame0 = flows._initial_frame(analysis0, v0)
     g0 = analysis0.g
@@ -365,6 +366,122 @@ def test_panel_cap_ends_the_run_with_exit_3(tmp_path, monkeypatch, capsys):
     assert main(["verify", "--config", str(cfg), "--out", str(tmp_path)]) == 3
     assert "jacobi coefficient tables exceed 1 panels" in capsys.readouterr().err
     assert not (tmp_path / "report.json").exists()
+
+
+def _solve_sizes(monkeypatch):
+    """The unknowns of every ``np.linalg.solve`` made from here on, one
+    entry per system (a batched call counts each of its systems)."""
+    sizes = []
+    solve = np.linalg.solve
+
+    def counting(a, b):
+        sizes.extend([a.shape[-1]] * (a.size // a.shape[-1] ** 2))
+        return solve(a, b)
+
+    monkeypatch.setattr(np.linalg, "solve", counting)
+    return sizes
+
+
+def test_jacobi_solve_starts_at_the_exact_start(monkeypatch):
+    """The Jacobi start frame and metric are taken at the x0 the geodesic
+    started from, where the decay experiment takes nabla C(0), not at the
+    interpolant's value at tau = 0: on the n = 3 desk that misses t by
+    6.7e-16."""
+    path, C0, DC0 = _desk_flow(3)
+    x0 = np.zeros(path.field.dim); x0[0] = 0.2 * path.field.profile.L
+    assert path.states(0.0)[0][0] != x0[0]
+    seen = []
+
+    def recording(field, x):
+        seen.append(x)
+        return PointAnalysis(field, x)
+
+    monkeypatch.setattr(flows, "PointAnalysis", recording)
+    integrate_jacobi(path, C0, DC0)
+    assert len(seen) == 1 and np.array_equal(seen[0], x0)
+
+
+def _dense_jacobi_panel(h2, coefficients, frame, y, yp):
+    """The collocation panel as two dense solves in p d unknowns each, with
+    the block matrix of the whole table: the reference for the grouped
+    solve."""
+    p, d = flows.PANEL_NODES, y.shape[0]
+    S1, S2 = flows._S1, flows._S2
+
+    def block(weights, tables):
+        return (weights[:, None, :, None] * tables.transpose(1, 0, 2)[None]).reshape(p * d, p * d)
+
+    transport, K = coefficients[:, 0], coefficients[:, 1]
+    rows = np.linalg.solve(np.eye(p * d) + h2 * block(S1[:p], transport),
+                           np.tile(frame.T, (p, 1)))
+    frames = rows.reshape(p, d, d).transpose(0, 2, 1)
+    frame_end = frame - h2 * (S1[p] @ (frames @ mT(transport)).reshape(p, -1)).reshape(d, d)
+    M = frames @ mT(K) @ mT(frames)
+    line = y + np.outer((flows._NODES + 1.0) * h2, yp)
+    ys = np.linalg.solve(np.eye(p * d) - h2 * h2 * block(S2[:p], M), line.ravel()).reshape(p, d)
+    ypp = matvec(M, ys)
+    yps = yp + h2 * (S1[:p] @ ypp)
+    end = (frame_end, y + 2.0 * h2 * yp + h2 * h2 * (S2[p] @ ypp), yp + h2 * (S1[p] @ ypp))
+    return np.concatenate([frames.reshape(p, d * d), ys, yps], axis=1), end
+
+
+@pytest.mark.parametrize("pattern", ["full", "two-block", "one-way", "chain", "diagonal"])
+def test_grouped_panel_solve_matches_the_dense_one(pattern, monkeypatch):
+    """At d = 7, with T, K and the start frame random but for zeros outside
+    a coupling pattern, the panel's node values and end state agree with
+    the dense solve within 1e-12 of the largest entry of each: the frame
+    system with its d right-hand sides and the y system.  Each solve splits
+    into the pattern's groups and no further.  The patterns: all coordinates
+    coupled; a permuted group of 1 and one of 6; the same with the 6 reading
+    the 1 at one node only, which joins them; a permuted chain, each
+    coordinate coupled to the next alone; each coordinate on its own."""
+    d, p = 7, flows.PANEL_NODES
+    rng = np.random.default_rng(11)
+    if pattern == "full":
+        mask = np.ones((d, d), dtype=bool)
+    elif pattern == "diagonal":
+        mask = np.eye(d, dtype=bool)
+    elif pattern == "chain":
+        order = np.argsort(rng.permutation(d))
+        mask = np.abs(order[:, None] - order[None, :]) <= 1
+    else:
+        block = np.isin(np.arange(d), rng.permutation(d)[:1])
+        mask = block[:, None] == block[None, :]
+    coefficients = rng.normal(size=(p, 2, d, d)) * mask
+    frame = (np.eye(d) + 0.3 * rng.normal(size=(d, d))) * mask
+    if pattern == "one-way":
+        coefficients[p // 2] += rng.normal(size=(2, d, d)) * np.outer(~block, block)
+    y, yp = rng.normal(size=d), rng.normal(size=d)
+    expected = _dense_jacobi_panel(0.15, coefficients, frame, y, yp)
+    sizes = _solve_sizes(monkeypatch)
+    values, end = flows._jacobi_panel(0.15, coefficients, frame, y, yp)
+    for got, ref in zip((values,) + end, (expected[0],) + expected[1]):
+        assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+    # both systems split the same way: the frame rows carry the pattern to M
+    counts = {size // p: sizes.count(size) // 2 for size in set(sizes)}
+    assert counts == ({1: 1, 6: 1} if pattern == "two-block" else
+                      {1: 7} if pattern == "diagonal" else {7: 1})
+
+
+@pytest.mark.parametrize("n", [3, 5, 7])
+def test_desk_flow_solves_one_coordinate_at_a_time(n, monkeypatch):
+    """On the axial geodesic of the warped desk the tables the Jacobi solve
+    reads, T = Gamma(., cdot) and K, and the transported frames are
+    diagonal at every node, off-diagonal entries exactly zero, and the
+    geodesic runs along e_t exactly.  So the solve makes no system larger
+    than one panel's nodes: a coupling that crept in (a sigma(0) of 1e-17,
+    say) fails here rather than going back to dense solves unseen."""
+    path, C0, DC0 = _desk_flow(n)
+    d = path.field.dim
+    sizes = _solve_sizes(monkeypatch)
+    result = integrate_jacobi(path, C0, DC0)
+    assert max(sizes) == flows.PANEL_NODES
+    off = ~np.eye(d, dtype=bool)
+    table = _certified_tables(path, result).values
+    frames = result.dense.values[..., :d * d].reshape(table.shape[:2] + (d, d))
+    assert not table[..., off].any() and not frames[..., off].any()
+    position, velocity = np.split(path.dense.values, 2, axis=-1)
+    assert not position[..., 1:].any() and (velocity == np.eye(d)[0]).all()
 
 
 def test_jacobi_solve_analyses_a_fifth_of_its_stages_or_fewer(monkeypatch):
