@@ -51,6 +51,7 @@ from __future__ import annotations
 import csv
 from collections.abc import Callable
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from numpy.polynomial import chebyshev
@@ -293,6 +294,12 @@ class GeodesicPath:
         packed = self.dense(taus)
         return packed[..., :self.field.dim], packed[..., self.field.dim:]
 
+    @cached_property
+    def start_analysis(self) -> PointAnalysis:
+        """The analysis of the exact start position, built once for every
+        solve and diagnostic that reads it."""
+        return PointAnalysis(self.field, self.start[0])
+
 
 def geodesic_acceleration(gamma: np.ndarray, v: np.ndarray) -> np.ndarray:
     """-Gamma^k_ij v^i v^j, for v of shape B + (d,)."""
@@ -356,16 +363,16 @@ def integrate_geodesic(field, x0: np.ndarray, v0: np.ndarray, span: float) -> Ge
                         start=(np.array(x0, dtype=float), np.array(v0, dtype=float)))
 
 
-def geodesic_residuals(path: GeodesicPath, taus) -> float:
-    """max |nabla_cdot cdot| at the parameters ``taus``: the acceleration is
-    the derivative of the panels' interpolant (``Panels.derivative``), Gamma
-    is re-evaluated at its points."""
+def geodesic_residuals(path: GeodesicPath, taus) -> np.ndarray:
+    """|nabla_cdot cdot| at each of the parameters ``taus``: the acceleration
+    is the derivative of the panels' interpolant (``Panels.derivative``),
+    Gamma is re-evaluated at its points."""
     taus = np.asarray(taus, dtype=float)
     x, v = path.states(taus)
     vdot = path.dense.derivative()(taus)[..., x.shape[-1]:]
     analysis = PointAnalysis(path.field, x)
     res = vdot - geodesic_acceleration(analysis.gamma, v)
-    return float(np.sqrt(inner(analysis.g, res, res)).max())
+    return np.sqrt(inner(analysis.g, res, res))
 
 
 # -- the Jacobi flow --------------------------------------------------------------
@@ -484,10 +491,11 @@ def integrate_jacobi(path: GeodesicPath, C0: np.ndarray, DC0: np.ndarray) -> Jac
     (``curvature.jacobi_operator``) jet-exactly at its nodes; once those
     tables certify, the linear system is solved on the panel by collocation
     (``_jacobi_panel``).  The start frame and metric are taken at the
-    geodesic's exact start (``GeodesicPath.start``), not at its interpolant.
+    geodesic's exact start (``GeodesicPath.start_analysis``), not at its
+    interpolant.
     """
-    x0, v0 = path.start
-    analysis0 = PointAnalysis(path.field, x0)
+    v0 = path.start[1]
+    analysis0 = path.start_analysis
     frame0 = _initial_frame(analysis0, v0)
     g0 = analysis0.g
     y0 = frame0 @ g0 @ np.asarray(C0, dtype=float)
@@ -522,18 +530,24 @@ def jacobi_equation_residual(result: JacobiResult, taus) -> float:
 
 @dataclass
 class DecayReport:
-    """Decay law of the Jacobi field carrying the fiber Killing vector."""
+    """Decay law of the Jacobi field carrying the fiber Killing vector: one
+    row per sample, and the geodesic equation's residual at 7 interior
+    parameters of the flow."""
 
     rows: np.ndarray          # columns: t, |C|, f(t), ratio_residual, g(cdot, C)
-    max_norm_deviation: float
-    max_ratio_residual: float
-    decay_factor: float
-    max_velocity_inner: float
-    geodesic_residual: float
+    geodesic_residuals: np.ndarray
     geodesic_stats: SolveStats
     jacobi_stats: SolveStats  # exact coefficient evaluations, certified panels
 
     COLUMNS = ("t", "C_norm", "f", "ratio_residual", "g_cdot_C")
+
+    def residuals(self) -> dict[str, np.ndarray]:
+        """Each sample's residual under the name of the ``suite.CHECKS`` check
+        it feeds; the collapse is |C| at the last sample over the first."""
+        _, norm, f, ratio, inner = self.rows.T
+        return {"decay_norm_tracks_warp": np.abs(norm - f), "decay_ratio_law": ratio,
+                "decay_collapse": norm[-1] / norm[0], "decay_velocity_inner": np.abs(inner),
+                "geodesic_residual": self.geodesic_residuals}
 
     def to_csv(self, path) -> None:
         with open(path, "w", newline="") as fh:
@@ -576,10 +590,9 @@ def jacobi_decay_experiment(model, t0: float, t_end: float, *,
     v0[0] = 1.0
 
     path = integrate_geodesic(model, x0, v0, t_end - t0)
-    analysis0 = PointAnalysis(model, x0)
     C0 = np.zeros(d)
     C0[1] = 1.0  # the fiber field: f(t0) JH in coordinates
-    DC0 = analysis0.gamma[:, 0, 1]  # nabla_H of the fiber field
+    DC0 = path.start_analysis.gamma[:, 0, 1]  # nabla_H of the fiber field
     jac = integrate_jacobi(path, C0, DC0)
 
     n = model.n
@@ -598,13 +611,5 @@ def jacobi_decay_experiment(model, t0: float, t_end: float, *,
     rows = np.column_stack([t, norm, f, ratio_res, velocity_inner])
 
     interior = np.linspace(0.05, 0.95, 7) * path.span
-    return DecayReport(
-        rows=rows,
-        max_norm_deviation=float(np.abs(norm - f).max()),
-        max_ratio_residual=float(ratio_res.max()),
-        decay_factor=float(rows[-1, 1] / rows[0, 1]),
-        max_velocity_inner=float(np.abs(velocity_inner).max()),
-        geodesic_residual=geodesic_residuals(path, interior),
-        geodesic_stats=path.stats,
-        jacobi_stats=jac.stats,
-    )
+    return DecayReport(rows=rows, geodesic_residuals=geodesic_residuals(path, interior),
+                       geodesic_stats=path.stats, jacobi_stats=jac.stats)

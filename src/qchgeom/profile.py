@@ -87,9 +87,12 @@ def period_length(poly: CubicProfilePolynomial, *, tol: float = 1e-9) -> float:
     The inverse-square-root endpoint singularities are removed by the
     substitution t = x + (y - x) sin^2(u), after which the integrand
     2 / sqrt(c3 (y - (y - x) sin^2 u)) is smooth on [0, pi/2].  The node count
-    doubles from 32 until two successive rules agree within ``tol`` (32 nodes
-    alone miss by 1.4e-5 at x = 0.1, y = 10); the estimate is floored at the
-    rounding level of the sum, and past 1,024 nodes the quadrature fails.
+    doubles from 32 until two successive rules agree within ``tol`` relative
+    to the finer (32 nodes alone miss by 1.4e-5 at x = 0.1, y = 10); the
+    estimate is floored at the rounding level of the sum, and past 1,024
+    nodes the quadrature fails.  The test is relative because L grows with
+    the endpoints: at x = 1e6, y = 3e6, L = 7.0e6, rounding alone moves the
+    sum by 3e-9.
     """
     x, y, c3 = poly.x, poly.y, poly.c3
 
@@ -102,10 +105,11 @@ def period_length(poly: CubicProfilePolynomial, *, tol: float = 1e-9) -> float:
     for nodes in (64, 128, 256, 512, 1024):
         finer = rule(nodes)
         err = max(abs(finer - value), _EPS * finer)
-        if err <= tol:
+        if err <= tol * finer:
             return finer
         value = finer
-    raise ProfileError(f"period quadrature error estimate {err:.3e} exceeds {tol:.1e}")
+    raise ProfileError(f"period quadrature error estimate {err:.3e} exceeds {tol:.1e} "
+                       f"of the length {finer:.6g}")
 
 
 def _landen(m: float, kp: float) -> tuple[np.ndarray, np.ndarray]:
@@ -178,12 +182,12 @@ class ProfileSolution:
 
     # -- diagnostics ---------------------------------------------------------
 
-    def first_integral_residual(self) -> float:
-        """max |r'^2 - P(r)| at ``FIRST_INTEGRAL_SAMPLES`` interior points, with
-        r' from the elliptic functions and P(r) from the cubic."""
+    def first_integral_residuals(self) -> np.ndarray:
+        """|r'^2 - P(r)| at each of ``FIRST_INTEGRAL_SAMPLES`` interior points,
+        with r' from the elliptic functions and P(r) from the cubic."""
         r, rp, _, _ = self.evaluate(
             np.linspace(0.0, self.L, FIRST_INTEGRAL_SAMPLES + 2)[1:-1])
-        return float(np.max(np.abs(rp * rp - self.polynomial(r))))
+        return np.abs(rp * rp - self.polynomial(r))
 
     def export_csv(self, path) -> None:
         """(t, r, r', r'', f, f') at 512 equally spaced t on [0, L], 17 digits."""

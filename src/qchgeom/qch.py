@@ -4,16 +4,18 @@ On a Kaehler manifold with a distinguished J-invariant plane field
 D = span{H, JH}, quasi-constancy means the holomorphic sectional curvature of
 a unit vector X depends only on |X_D|; equivalently the curvature tensor
 decomposes as R = a Pi + b Phi + c Psi against three model tensors built from
-g, J and the D block of g; the fit reads (a, b, c) off holomorphic sectional
-curvatures without forming the tensors.  That block is
+g, J and the D block of g.  The fit reads (a, b, c) off the holomorphic
+sectional curvatures of three fixed probes without forming the tensors, and
+``qch_residual_samples``, the one scorer of random probes, hands out the
+deviation from a + b |X_D|^2 + c |X_D|^4 along each.  That block is
 h = theta x theta + Jtheta x Jtheta for the covectors theta = g(H, .) and
 Jtheta = g(JH, .) of the frame's first two rows (``d_block``), so
 |X_D|^2 = h(X, X), and the E block is g - h; no projector is formed.  This
 module fits (a, b, c), splits the Ricci tensor, computes the divergence
 invariant kappa, and evaluates the pointwise structure identities and
 submersion cross-checks against their closed forms.  The residual functions
-return each residual under the name of the ``suite.CHECKS`` check it feeds;
-a check with several parts gets the larger of them.
+return each residual under the name of the ``suite.CHECKS`` check it feeds,
+one per point; a check with several parts gets the larger of them.
 
 Every function takes an analysis of one point or of a batch of points and
 returns its results per point: floats for one point, arrays for a batch.
@@ -24,7 +26,6 @@ t-derivatives, which the gradient laws read.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
@@ -60,12 +61,11 @@ def d_block(g: np.ndarray, frame: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class QCHCoefficients:
-    """Fitted decomposition coefficients and the certifying residual (per point)."""
+    """Fitted decomposition coefficients (per point)."""
 
     a: float
     b: float
     c: float
-    residual: float
 
 
 _PROBE_MATRIX = np.array([
@@ -75,53 +75,40 @@ _PROBE_MATRIX = np.array([
 ])
 
 
-def fit_from_curvature(R: np.ndarray, g: np.ndarray, J: np.ndarray, frame: np.ndarray, *,
-                       draws: np.ndarray | None = None) -> QCHCoefficients:
+def fit_from_curvature(R: np.ndarray, g: np.ndarray, J: np.ndarray,
+                       frame: np.ndarray) -> QCHCoefficients:
     """Fit phi(|X_D|) = a + b |X_D|^2 + c |X_D|^4 from three deterministic probes.
 
     Probes are X = cos(alpha) E_1 + sin(alpha) H, from the frame rows
     (H, JH, E_1, ...), with |X_D|^2 in {0, 1/2, 1}, a fixed well-conditioned
-    3x3 system; random unit vectors only feed the residual that certifies
-    (or refutes) quasi-constancy.  They lie along ``draws``, standard normals
-    of shape B + (samples, d); without them the residual is 0.
+    3x3 system.  Whether the fit certifies (or refutes) quasi-constancy is
+    for ``qch_residual_samples`` to say, on random unit vectors.
     """
     h_hat, e_unit = frame[..., 0, :], frame[..., 2, :]
     half = (e_unit + h_hat) / np.sqrt(2.0)
     probes = holomorphic_sectional_curvature(R, g, J, np.stack([e_unit, half, h_hat], axis=-2))
     solved = np.linalg.solve(_PROBE_MATRIX, np.asarray(probes)[..., None])[..., 0]
     a, b, c = (per_point(x) for x in np.moveaxis(solved, -1, 0))
-    coeffs = QCHCoefficients(a=a, b=b, c=c, residual=per_point(np.zeros_like(a)))
-    if draws is not None:
-        deviations = _probe_deviations(R, g, J, d_block(g, frame), coeffs, draws)
-        coeffs = dataclasses.replace(coeffs, residual=per_point(deviations.max(axis=-1)))
-    return coeffs
+    return QCHCoefficients(a=a, b=b, c=c)
 
 
-def _probe_deviations(R: np.ndarray, g: np.ndarray, J: np.ndarray, h: np.ndarray,
-                      coeffs: QCHCoefficients, w: np.ndarray) -> np.ndarray:
-    """|K(X) - phi(|X_D|)| on the unit vectors along the draws w, B + (samples, d),
-    with |X_D|^2 = h(X, X) for h the D block of g."""
-    w = w / np.sqrt(np.sum((w @ g) * w, axis=-1))[..., None]
-    tau2 = np.sum((w @ h) * w, axis=-1)
-    k = holomorphic_sectional_curvature(R, g, J, w)
-    a, b, c = (np.asarray(x)[..., None] for x in (coeffs.a, coeffs.b, coeffs.c))
-    return np.abs(k - (a + b * tau2 + c * tau2 ** 2))
-
-
-def fit_qch_coefficients(analysis: PointAnalysis, *,
-                         draws: np.ndarray | None = None) -> QCHCoefficients:
-    """Engine-facing fit at the analyzed point(s), its residual along ``draws``."""
+def fit_qch_coefficients(analysis: PointAnalysis) -> QCHCoefficients:
+    """Engine-facing fit at the analyzed point(s)."""
     return fit_from_curvature(analysis.riemann, analysis.g, analysis.complex_structure[0],
-                              analysis.frame, draws=draws)
+                              analysis.frame)
 
 
 def qch_residual_samples(analysis: PointAnalysis, coeffs: QCHCoefficients,
                          draws: np.ndarray) -> np.ndarray:
-    """Per-sample deviations |K(X) - phi(|X_D|)| on the unit vectors along
-    ``draws``, standard normals B + (samples, d); the result is B + (samples,)."""
+    """Per-sample deviations |K(X) - phi(|X_D|)| on the unit vectors X along
+    ``draws``, standard normals B + (samples, d), with |X_D|^2 = h(X, X) for
+    h the D block of g; the result is B + (samples,)."""
     g = analysis.g
-    return _probe_deviations(analysis.riemann, g, analysis.complex_structure[0],
-                             d_block(g, analysis.frame), coeffs, draws)
+    w = draws / np.sqrt(np.sum((draws @ g) * draws, axis=-1))[..., None]
+    tau2 = np.sum((w @ d_block(g, analysis.frame)) * w, axis=-1)
+    k = holomorphic_sectional_curvature(analysis.riemann, g, analysis.complex_structure[0], w)
+    a, b, c = (np.asarray(x)[..., None] for x in (coeffs.a, coeffs.b, coeffs.c))
+    return np.abs(k - (a + b * tau2 + c * tau2 ** 2))
 
 
 # -- kappa and the Ricci split ----------------------------------------------------
@@ -216,9 +203,8 @@ def structure_identity_residuals(analysis: PointAnalysis, model, *,
     at the complex points x + i h e_t (``coefficient_t_derivatives``): the
     fit and kappa there carry them in their imaginary parts, exact to
     rounding, with no step to tune.  t-only dependence of the coefficients
-    is asserted separately.  ``fit`` is the fit at the point(s) (any residual
-    draws: the coefficients come from fixed probes) and ``divergences`` their
-    ``section_divergences``.
+    is asserted separately.  ``fit`` is the fit at the point(s) and
+    ``divergences`` their ``section_divergences``.
     """
     n = model.n
     frame = analysis.frame

@@ -2,10 +2,11 @@
 
 Each check verifies one stated property of the constructed metrics at a set
 of randomly sampled interior chart points (or of the solved profile / the
-flow experiment) and records its worst residual against a tolerance.  The
-check marked ``expected_fail`` is the quasi-constancy negative control: the
-suite counts it as in order exactly when it fails decisively (median residual
-above its discrimination floor).
+flow experiment) and records its worst residual against a tolerance, and the
+number of residuals that is the worst of.  The check marked ``expected_fail``
+is the quasi-constancy negative control: the suite counts it as in order
+exactly when it fails decisively (median residual above its discrimination
+floor).
 
 ``CHECKS`` holds each check's tolerance and claim.  ``build_model`` returns
 the model of a configuration in any mode.  ``run_suite`` builds it, draws the
@@ -13,11 +14,13 @@ sample points and then, in one block and in the seed's order, every other
 random number of the run.  It walks the points once, in memory-bounded
 slices (``curvature.batch_analyses``): at each slice it takes one
 ``PointAnalysis`` and runs every check family of its mode on it, each adding
-one residual per point under each check's name, and drops the analysis
-before the next slice.  The checks of the whole run (the profile, the second
-Bianchi spot check, the decay flow) run once.  One place then reduces every
-check's residuals with ``np.max``, so a NaN residual at any point fails its
-check.
+its residuals under each check's name (one per point, or one per random
+probe of the QCH fit), and drops the analysis before the next slice.  The
+checks of the whole run (the profile, the second Bianchi spot check, the
+decay flow) run once and add one residual per sample they take.  One place,
+``_Residuals``, then reduces every check's residuals with ``np.max``, so a
+NaN residual at any sample fails its check, and counts them: no check's
+``samples`` is declared.
 """
 
 from __future__ import annotations
@@ -38,6 +41,7 @@ from .curvature import (
 )
 from .flows import jacobi_decay_experiment
 from .geometry import (
+    END_MARGIN_FRAC,
     BaseChartMetric,
     CircleBundleMetric,
     FubiniStudy,
@@ -46,7 +50,7 @@ from .geometry import (
     exterior_derivative_1form,
     exterior_derivative_2form,
 )
-from .profile import FIRST_INTEGRAL_SAMPLES, boundary_report, build_polynomial, solve_profile
+from .profile import boundary_report, build_polynomial, solve_profile
 from .qch import (
     circle_bundle_residuals,
     coefficient_base_independence,
@@ -221,16 +225,15 @@ def sample_interior_points(model, rng: np.random.Generator, count: int) -> np.nd
 
 
 class _Residuals:
-    """Per-point residuals keyed by check name, gathered over analysis slices.
+    """Per-sample residuals keyed by check name, gathered over analysis slices.
 
-    A check reports one sample per residual unless ``samples`` names its count;
-    ``controls`` holds the details of each negative control, a check the
-    suite counts as in order when it fails.
+    A check reports one sample per residual; ``controls`` holds the details
+    of each negative control, a check the suite counts as in order when it
+    fails.
     """
 
     def __init__(self):
         self._parts = defaultdict(list)
-        self.samples: dict[str, int] = {}
         self.controls: dict[str, dict] = {}
 
     def add(self, **residuals) -> None:
@@ -238,14 +241,14 @@ class _Residuals:
             self._parts[name].append(np.ravel(values))
 
     def checks(self) -> list[CheckResult]:
-        """One result per check: its largest residual over every point, NaN if
-        any is NaN (np.max propagates it, where max(0.0, nan) drops it)."""
+        """One result per check: its largest residual over every sample, NaN if
+        any is NaN (np.max propagates it, where max(0.0, nan) drops it), and
+        the number of samples."""
         out = []
         for name, parts in self._parts.items():
             values = np.concatenate(parts)
             tolerance, claim = CHECKS[name]
-            out.append(CheckResult(name, claim, float(np.max(values)), tolerance,
-                                   self.samples.get(name, len(values)),
+            out.append(CheckResult(name, claim, float(np.max(values)), tolerance, len(values),
                                    expected_fail=name in self.controls,
                                    details=self.controls.get(name, {})))
         return out
@@ -334,25 +337,24 @@ def _profile_checks(res: _Residuals, profile, poly) -> None:
                                     abs(poly.y * poly.deriv1(poly.y) + poly.s)),
             profile_boundary=max(abs(rep["fp_start_minus_one"]), abs(rep["fp_end_plus_one"]),
                                  abs(rep["boundary_start"]), abs(rep["boundary_end"])),
-            profile_first_integral=profile.first_integral_residual(),
+            profile_first_integral=profile.first_integral_residuals(),
             profile_length_agreement=abs(profile.L - profile.quadrature_length))
-    res.samples["profile_first_integral"] = FIRST_INTEGRAL_SAMPLES
 
 
 def _warped_structure_checks(res: _Residuals, model, an: PointAnalysis, probes, phis,
                              moves) -> None:
-    """The QCH structure at a slice: the fit with its residual along the
-    ``probes``, the section rotated by the angles ``phis``, and the base
+    """The QCH structure at a slice: the fit with its deviation along each of
+    the ``probes``, the section rotated by the angles ``phis``, and the base
     independence at the points moved by ``moves``.  The slice's own points
     come first, then the complex step along t of the gradient laws, then the
     moved points, the order in which the model's memos hold one batch each."""
-    fit = fit_qch_coefficients(an, draws=probes)
+    fit = fit_qch_coefficients(an)
     r, rp, _, _ = model.profile_at(an.x[..., 0])
     n, c0 = model.n, model.base.c0
     rs = ricci_split(an, fit, n)
     d1, d2 = section_divergences(an, model)
     d1r, d2r = section_divergences(an, model, (np.cos(phis), np.sin(phis)))
-    res.add(qch_fit_residual=fit.residual,
+    res.add(qch_fit_residual=qch_residual_samples(an, fit, probes),
             qch_coefficient_a=np.abs(fit.a - (c0 / r ** 2 - 4.0 * rp ** 2 / r ** 2)),
             ricci_lambda=np.abs(rs.lam_engine - rs.lam_formula),
             ricci_mu=np.abs(rs.mu_engine - rs.mu_formula),
@@ -370,16 +372,9 @@ def _nabla_j_check(res: _Residuals, an: PointAnalysis) -> None:
 
 
 def _decay_checks(res: _Residuals, model) -> None:
-    L, samples = model.profile.L, 160
-    rep = jacobi_decay_experiment(model, 0.2 * L, L * (1.0 - 1e-3), samples=samples)
-    res.add(decay_norm_tracks_warp=rep.max_norm_deviation,
-            decay_ratio_law=rep.max_ratio_residual,
-            decay_collapse=rep.decay_factor,
-            decay_velocity_inner=rep.max_velocity_inner,
-            geodesic_residual=rep.geodesic_residual)
-    # the geodesic residual is taken at seven interior points of the flow
-    res.samples.update(decay_norm_tracks_warp=samples, decay_ratio_law=samples,
-                       decay_velocity_inner=samples, geodesic_residual=7)
+    L = model.profile.L
+    rep = jacobi_decay_experiment(model, 0.2 * L, L * (1.0 - END_MARGIN_FRAC), samples=160)
+    res.add(**rep.residuals())
 
 
 def build_model(config):
@@ -408,21 +403,22 @@ def _circle_bundle_checks(res: _Residuals, model, an: PointAnalysis) -> None:
 
 
 def _product_checks(res: _Residuals, model, an: PointAnalysis, probes) -> None:
-    fit = fit_qch_coefficients(an, draws=probes)
+    fit = fit_qch_coefficients(an)
     rs = ricci_split(an, fit, model.n)
     d1, d2 = section_divergences(an, model)
-    res.add(qch_fit_residual=fit.residual, kappa_vanishes=np.hypot(d1, d2),
+    res.add(qch_fit_residual=qch_residual_samples(an, fit, probes),
+            kappa_vanishes=np.hypot(d1, d2),
             ricci_lambda=np.abs(rs.lam_engine - rs.lam_formula),
             ricci_mu=np.abs(rs.mu_engine - rs.mu_formula))
 
 
 def _negative_control_checks(res: _Residuals, an: PointAnalysis, probes, samples) -> np.ndarray:
     """The quasi-constancy fit on a base that is Einstein but not of constant
-    holomorphic curvature, with its residual along the ``probes``; returns
-    each point's median deviation along its ``samples``, whose median over
-    the run must exceed ``NEGATIVE_CONTROL_FLOOR``."""
-    fit = fit_qch_coefficients(an, draws=probes)
-    res.add(qch_fit_residual=fit.residual)
+    holomorphic curvature, with its deviation along each of the ``probes``;
+    returns each point's median deviation along its ``samples``, whose
+    median over the run must exceed ``NEGATIVE_CONTROL_FLOOR``."""
+    fit = fit_qch_coefficients(an)
+    res.add(qch_fit_residual=qch_residual_samples(an, fit, probes))
     return np.median(qch_residual_samples(an, fit, samples), axis=-1)
 
 
@@ -463,7 +459,6 @@ def run_suite(config) -> VerificationReport:
     model = build_model(config)
     if mode != "circle-bundle":
         _profile_checks(res, model.profile, model.profile.polynomial)
-        res.samples["qch_fit_residual"] = 100 * count
     points = sample_interior_points(model, rng, count)
     # every other number the run draws, in the seed's order, each family's
     # with one row per sample point (a draw of N + (k,) is the stream of N

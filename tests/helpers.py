@@ -3,7 +3,7 @@
 small definitions that only tests use (seeded variables, constant fields,
 flat space, sectional curvature, the Jacobi matrix of the full Riemann
 tensor, the derivatives of the Christoffel symbols, warp derivatives, the
-model tensors)."""
+model tensors, a profile off the cubic)."""
 
 import math
 
@@ -13,6 +13,7 @@ from qchgeom import jets
 from qchgeom.batch import inner, mT, per_point
 from qchgeom.curvature import contract_slots
 from qchgeom.jets import Jet2
+from qchgeom.profile import ProfileSolution
 from qchgeom.qch import fit_qch_coefficients, section_divergences, structure_identity_residuals
 
 UNARY = ("sqrt1p", "log1p", "expb", "recip1p", "neg", "square")
@@ -233,6 +234,30 @@ def dgamma(analysis):
 def warp_derivatives(profile, t):
     """(f, f', f'') at ``t``, a float or an array of t."""
     return profile.warp_from(*profile.evaluate(t))
+
+
+class PerturbedProfile(ProfileSolution):
+    """A solved profile with eps (y - x) sin^4(pi t/L) added to r.
+
+    The term is even about both ends and vanishes there with its first
+    three derivatives, so f = 2 r r'/s keeps f'(0) = 1, f'(L) = -1 and the
+    smooth closing, while r'^2 = P(r) no longer holds.  ``evaluate`` returns
+    the sum and its first three t-derivatives, analytic in t, so a complex
+    step still carries them."""
+
+    def __init__(self, solution: ProfileSolution, eps: float):
+        super().__init__(solution.polynomial, solution.omega, solution.quadrature_length)
+        self.eps = eps
+
+    def evaluate(self, t):
+        r, rp, rpp, rppp = super().evaluate(t)
+        w = np.pi / self.L
+        sn, cs = np.sin(w * np.asarray(t)), np.cos(w * np.asarray(t))
+        amp = self.eps * (self.polynomial.y - self.polynomial.x)
+        return (r + amp * sn ** 4,
+                rp + amp * 4.0 * w * sn ** 3 * cs,
+                rpp + amp * 4.0 * w ** 2 * (3.0 * sn ** 2 * cs ** 2 - sn ** 4),
+                rppp + amp * 4.0 * w ** 3 * (6.0 * sn * cs ** 3 - 10.0 * sn ** 3 * cs))
 
 
 def structure_identities(analysis, model):

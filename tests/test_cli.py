@@ -404,6 +404,15 @@ def test_cli_solve_profile(tmp_path, capsys):
     assert any(len(cell.split(".")[-1]) >= 15 for cell in lines[5].split(",")[:2])
 
 
+def test_cli_solve_profile_far_from_the_origin(tmp_path):
+    """At x = 1e6, y = 3e6 the half-period is 7.0e6 long and the profile
+    solves (exit 0): the quadrature's stopping test is relative to L."""
+    cfg = write_config(tmp_path, {"mode": "warped", "rng_seed": 42, "k": 1, "n": 3,
+                                  "x": 1e6, "y": 3e6})
+    assert main(["solve-profile", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+    assert (tmp_path / "profile.csv").exists()
+
+
 def test_cli_summary_table(tmp_path):
     assert main(["sample", "--out", str(tmp_path)]) == 0
     rows = (tmp_path / "summary.csv").read_text().splitlines()

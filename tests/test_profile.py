@@ -86,7 +86,7 @@ def test_cubic_just_above_y_equals_x_builds():
     assert abs(poly.x * poly.deriv1(poly.x) - poly.s) < 4 * np.finfo(float).eps * poly.s
     assert abs(poly.y * poly.deriv1(poly.y) + poly.s) < 4 * np.finfo(float).eps * poly.s
     sol = solve_profile(poly)
-    assert sol.L > 0.0 and sol.first_integral_residual() < 1e-11
+    assert sol.L > 0.0 and sol.first_integral_residuals().max() < 1e-11
 
 
 def _exact_half_slope(poly, r):
@@ -163,7 +163,7 @@ def test_solution_initial_conditions(profile):
 
 
 def test_first_integral_conservation(profile):
-    assert profile.first_integral_residual() < 1e-8
+    assert profile.first_integral_residuals().max() < 1e-8
 
 
 def test_first_passage_matches_quadrature(profile):
@@ -234,6 +234,27 @@ def test_warp_derivatives_match_differences_of_warp(profile):
     fd2 = (-w[0] + 16.0 * w[1] - 30.0 * w[2] + 16.0 * w[3] - w[4]) / (12.0 * h * h)
     assert np.abs(fp - fd1).max() < 1e-10
     assert np.abs(fpp - fd2).max() < 1e-7
+
+
+def test_period_quadrature_stops_relative_to_the_length(monkeypatch):
+    """Regression: the quadrature stopped once its error estimate was below
+    1e-9 as an absolute length, which rounding alone exceeds past L of about
+    2e6: at x = 1e6, y = 3e6 (n = 3, k = 1, L = 7.0e6) the estimate read
+    2.8e-9 and the solve raised ``ProfileError``.  Relative to L it stops,
+    and the desk still stops at 64 nodes."""
+    sol = solve_profile(build_polynomial(1e6, 3e6, 2.0 / 3.0))
+    assert sol.L > 6e6
+    assert abs(sol.L - sol.quadrature_length) <= 1e-12 * sol.L
+    rules = []
+    leggauss = np.polynomial.legendre.leggauss
+
+    def recording(nodes):
+        rules.append(nodes)
+        return leggauss(nodes)
+
+    monkeypatch.setattr(np.polynomial.legendre, "leggauss", recording)
+    assert period_length(build_polynomial(1.0, 2.0, 2.0 / 3.0)) > 0.0
+    assert rules == [32, 64]
 
 
 def test_quadrature_failure_reports_estimate():

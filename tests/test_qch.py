@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -70,24 +72,26 @@ def test_synthetic_fit_recovers_coefficients(split_setup):
     an, J, h = split_setup
     Pi, Phi, Psi = model_tensor_arrays(an.g, J, h)
     R_syn = 2.0 * Pi - 1.0 * Phi + 0.5 * Psi
-    fit = fit_from_curvature(R_syn, an.g, J, an.frame,
-                             draws=np.random.default_rng(1).standard_normal((100, 6)))
+    fit = fit_from_curvature(R_syn, an.g, J, an.frame)
     assert abs(fit.a - 2.0) < 1e-12
     assert abs(fit.b + 1.0) < 1e-12
     assert abs(fit.c - 0.5) < 1e-12
-    assert fit.residual < 1e-12
+    synthetic = SimpleNamespace(riemann=R_syn, g=an.g, complex_structure=(J,), frame=an.frame)
+    draws = np.random.default_rng(1).standard_normal((100, 6))
+    assert qch_residual_samples(synthetic, fit, draws).max() < 1e-12
 
 
 def test_warped_fit_closed_forms(warped, profile, warped_analyses):
     rng = np.random.default_rng(3)
     for an in warped_analyses[:6]:
-        fit = fit_qch_coefficients(an, draws=rng.standard_normal((60, an.g.shape[-1])))
+        probes = rng.standard_normal((60, an.g.shape[-1]))
+        fit = fit_qch_coefficients(an)
         r, rp, rpp, _ = profile.evaluate(an.x[0])
         f, fp, fpp = warp_derivatives(profile, an.x[0])
         a_t = warped.base.c0 / r ** 2 - 4.0 * rp ** 2 / r ** 2
         b_t = -2.0 * warped.base.c0 / r ** 2 + 8.0 * rp ** 2 / r ** 2 - 8.0 * rpp / r
         c_t = -fpp / f - a_t - b_t
-        assert fit.residual < 1e-7
+        assert qch_residual_samples(an, fit, probes).max() < 1e-7
         assert abs(fit.a - a_t) < 1e-7
         assert abs(fit.b - b_t) < 1e-7
         assert abs(fit.c - c_t) < 1e-7
@@ -99,8 +103,9 @@ def test_negative_control_breaks_quasi_constancy(negative, profile):
     for k in range(6):
         pt = np.array([(0.2 + 0.1 * k) * profile.L, 0.3 * k, *(0.3 * rng.standard_normal(4))])
         an = PointAnalysis(negative, pt)
-        fit = fit_qch_coefficients(an, draws=rng.standard_normal((60, an.g.shape[-1])))
-        samples = rng.standard_normal((60, an.g.shape[-1]))
+        fit = fit_qch_coefficients(an)
+        probes, samples = rng.standard_normal((2, 60, an.g.shape[-1]))
+        assert qch_residual_samples(an, fit, probes).max() > 1e-7
         medians.append(np.median(qch_residual_samples(an, fit, samples)))
     assert np.median(medians) > 1e-2
     assert min(medians) > 1e-3
@@ -245,9 +250,10 @@ def test_product_mode_coefficients(product, profile):
     rng = np.random.default_rng(21)
     pt = np.array([0.35 * profile.L, 0.4, 0.15, 0.2, -0.1, 0.05])
     an = PointAnalysis(product, pt)
-    fit = fit_qch_coefficients(an, draws=rng.standard_normal((80, an.g.shape[-1])))
+    probes = rng.standard_normal((80, an.g.shape[-1]))
+    fit = fit_qch_coefficients(an)
     f, _, fpp = warp_derivatives(profile, pt[0])
-    assert fit.residual < 1e-7
+    assert qch_residual_samples(an, fit, probes).max() < 1e-7
     assert abs(fit.a - product.base.c0) < 1e-10
     assert abs(fit.b + 2.0 * product.base.c0) < 1e-10
     assert abs(fit.c - (product.base.c0 - fpp / f)) < 1e-10

@@ -16,6 +16,7 @@ from pathlib import Path
 
 import pytest
 
+from qchgeom import suite
 from qchgeom.cli import RunConfig
 from qchgeom.suite import CHECKS, run_suite
 
@@ -53,6 +54,23 @@ def test_oracle_covers_the_check_table():
     check is in the table."""
     names = set().union(*json.loads(ORACLE.read_text()).values())
     assert names == set(CHECKS)
+
+
+def test_sample_counts_follow_the_computation(monkeypatch):
+    """A check's ``samples`` is the number of residuals it was reduced over,
+    never a declared count: with the fit scored on 50 of its 100 probes per
+    point and the decay flow sampled 80 times, the report reads 50 per point
+    and 80."""
+    score, experiment = suite.qch_residual_samples, suite.jacobi_decay_experiment
+    monkeypatch.setattr(suite, "qch_residual_samples",
+                        lambda an, fit, draws: score(an, fit, draws[..., :50, :]))
+    monkeypatch.setattr(suite, "jacobi_decay_experiment",
+                        lambda *args, **kwargs: experiment(*args, **dict(kwargs, samples=80)))
+    checks = run_suite(RunConfig.from_dict(dict(COMMON, mode="warped"))).checks
+    samples = {c.name: c.samples for c in checks}
+    assert samples["qch_fit_residual"] == 50 * COMMON["sample_count"]
+    for check in ("decay_norm_tracks_warp", "decay_ratio_law", "decay_velocity_inner"):
+        assert samples[check] == 80
 
 
 if __name__ == "__main__":

@@ -18,6 +18,8 @@ from qchgeom.geometry import CircleBundleMetric, FubiniStudy, ProductBase, Warpe
 from qchgeom.profile import ProfileSolution
 from qchgeom.suite import CHECKS, run_suite
 
+from helpers import PerturbedProfile
+
 
 def bites(*checks):
     """Record on a case the checks it shows failing, for the rule at the end;
@@ -336,6 +338,30 @@ def test_geodesic_residual_sees_a_pushed_flow(unperturbed, monkeypatch):
     monkeypatch.setattr(flows, "_geodesic_panel", pushed_panel)
     assert unperturbed["geodesic_residual"]
     assert not _verdicts()["geodesic_residual"]
+
+
+@bites("profile_first_integral")
+def test_only_the_first_integral_sees_a_profile_off_the_cubic(unperturbed, profile,
+                                                             monkeypatch):
+    """Kaehler and QCH hold for every admissible warp with f = 2 r r'/s, not
+    only for the cubic's: with r + 1e-3 (y - x) sin^4(pi t/L) in place of the
+    solved profile every check stays in order but ``profile_first_integral``,
+    which reads r'^2 = P(r) off the profile, not off g.  The perturbation's
+    derivatives are checked against the complex step first."""
+    perturbed = PerturbedProfile(profile, 1e-3)
+    t = np.linspace(0.1, 0.9, 5) * profile.L
+    values = perturbed.evaluate(t)
+    stepped = perturbed.evaluate(t + 1e-30j)
+    for k in range(3):
+        assert np.allclose(stepped[k].imag / 1e-30, values[k + 1], rtol=1e-12, atol=1e-12)
+
+    solve = suite.solve_profile
+    monkeypatch.setattr(suite, "solve_profile",
+                        lambda poly: PerturbedProfile(solve(poly), 1e-3))
+    report = run_suite(RunConfig.from_dict(
+        {"mode": "warped", "n": 3, "k": 1, "rng_seed": 42, "sample_count": 10}))
+    assert unperturbed["profile_first_integral"]
+    assert [c.name for c in report.checks if not c.in_order] == ["profile_first_integral"]
 
 
 @bites("metric_positive_definite")
