@@ -27,7 +27,12 @@ derives from scratch the identities the numerical suite asserts:
     entry of dh, d^2 h, d sigma and d^2 sigma, and d sigma = Omega;
   * on a non-diagonal 3 x 3 polynomial metric, the two curvature formulas of
     ``curvature.PointAnalysis``: the first-kind R_ijkl equals g_lb R^b_ijk
-    built from d Gamma, and the contracted Ricci equals g^{il} R_ijkl.
+    built from d Gamma, and the contracted Ricci equals g^{il} R_ijkl;
+  * on a generic metric in 3 coordinates, the contraction
+    ``curvature.riemann_along`` reads: R(X, Y, ., .) of the first-kind form
+    for constant X, Y equals (S - S^T)/2 + M - M^T with S = A(X, Y) - A(Y, X),
+    A(U, W)[k, l] = U^m W^a d_m d_k g_al and M[k, l] = Gamma^b(X, e_k)
+    Gamma_b(Y, e_l).
 
 Everything is exact symbolic algebra; the runtime is about a minute.
 """
@@ -408,6 +413,56 @@ def first_kind_block():
     return ok
 
 
+def riemann_along_block():
+    """R(X, Y, e_k, e_l) for constant X and Y, contracted from the first-kind
+    form, against the formula ``curvature.riemann_along`` evaluates, on a
+    generic metric: six free functions g_ab(x1, x2, x3).  Every term holds
+    g^-1 at most once, so with g^-1 = adj(g)/det(g) both sides times det(g)
+    are polynomials in the jet of g, compared by expansion.
+    """
+    print("R(X, Y, ., .) contracted from the jet (generic 3 x 3 metric):")
+    d = 3
+    rng = range(d)
+    x = sp.symbols("x1:4", real=True)
+    X, Y = sp.symbols("X1:4", real=True), sp.symbols("Y1:4", real=True)
+    g = sp.Matrix(d, d, lambda a, b: sp.Function(f"g{min(a, b) + 1}{max(a, b) + 1}")(*x))
+    det, adj = g.det(), g.adjugate()
+
+    def dg(a, b, i):
+        return sp.diff(g[a, b], x[i])
+
+    def d2g(a, b, i, j):
+        return sp.diff(g[a, b], x[i], x[j])
+
+    first = [[[(dg(j, l, i) + dg(i, l, j) - dg(i, j, l)) / 2 for j in rng] for i in rng]
+             for l in rng]
+    # det(g) Gamma^k_ij
+    gamma_det = [[[sum(adj[k, l] * first[l][i][j] for l in rng) for j in rng]
+                  for i in rng] for k in rng]
+
+    def first_kind_det(i, j, k, l):
+        return (det * (d2g(j, l, i, k) + d2g(i, k, j, l) - d2g(j, k, i, l) - d2g(i, l, j, k)) / 2
+                + sum(first[b][j][l] * gamma_det[b][i][k] - first[b][i][l] * gamma_det[b][j][k]
+                      for b in rng))
+
+    def A(U, W, k, l):
+        return sum(U[m] * W[a] * d2g(a, l, m, k) for m in rng for a in rng)
+
+    def S(k, l):
+        return A(X, Y, k, l) - A(Y, X, k, l)
+
+    def M_det(k, l):
+        """det(g) Gamma^b(X, e_k) Gamma_b(Y, e_l)"""
+        return sum(sum(X[i] * gamma_det[b][i][k] for i in rng)
+                   * sum(Y[j] * first[b][j][l] for j in rng) for b in rng)
+
+    ok = all(sp.expand(sum(X[i] * Y[j] * first_kind_det(i, j, k, l) for i in rng for j in rng)
+                       - det * (S(k, l) - S(l, k)) / 2 - M_det(k, l) + M_det(l, k)) == 0
+             for k in rng for l in rng)
+    print(f"  R(X, Y, e_k, e_l) = (S - S^T)/2 + M - M^T: {'ok' if ok else 'MISMATCH'}")
+    return ok
+
+
 def profile_block():
     """sn, cn, dn as symbols S, C, D with dS = CD, dC = -SD, dD = -m SC per
     unit of u = omega t, reduced by C^2 = 1 - S^2 and D^2 = 1 - m S^2."""
@@ -455,6 +510,7 @@ if __name__ == "__main__":
     good &= bundle_block()
     good &= fubini_study_block()
     good &= first_kind_block()
+    good &= riemann_along_block()
     good &= profile_block()
     print("symbolic validation:", "all identities confirmed" if good else "FAILURES")
     raise SystemExit(0 if good else 1)

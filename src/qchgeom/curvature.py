@@ -28,6 +28,29 @@ tensor is its own O(d^4) contraction of the same jet,
 so an analysis that needs only Ricci never builds R, and Ricci does not
 inherit the rounding of R's lowering.
 
+R itself costs one O(d^5) product.  A family that reads it along one pair of
+directions contracts the jet instead: ``riemann_along`` gives R(X, Y, ., .)
+from two O(d^4) reads of the Hessian and O(d^3) algebra, and
+``jacobi_operator`` gives R(v, ., v, .) the same way.  So:
+
+* R whole (``PointAnalysis.riemann``): the sample analyses, whose families
+  read all of it (the curvature symmetries, the QCH fit and its random
+  probes, the submersion and bundle components), and the complex step along
+  t of the gradient laws (``qch.coefficient_t_derivatives``);
+* R along a pair: ``qch.coefficient_base_independence`` (a = K(E_1) at the
+  point and at the moved points) and ``second_bianchi_residual``;
+* R along v twice: the Jacobi coefficients of the decay flow.
+
+The complex step along t reads only the fit's three probes, yet keeps R: the
+derivative it takes in its imaginary part loses headroom when contracted
+first at near-degenerate profiles.  ``identity_gradient_b`` (tolerance
+1e-6) at warped n = 3, c0 = 1, x = 0.125, y = 0.125125, k = 2, seed 0,
+10 points, with the stepped fit's probes read by each route:
+
+    R, then probes (kept)                 2.5e-8
+    riemann_along per probe               1.1e-6  fails
+    jacobi_operator per probe             1.9e-6  fails
+
 Every array may carry leading batch axes, one entry per sample point: an
 analysis of N points holds gamma of shape (N, d, d, d), and the indices above
 name the trailing axes.  One point is the batch shape ().  Every loop over
@@ -238,6 +261,14 @@ class PointAnalysis:
 # -- operations ----------------------------------------------------------------
 
 
+def _probe_norms(g: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """g(X, X) per row of X, refusing a probe that is not g-positive."""
+    norm2 = np.sum((X @ g) * X, axis=-1)
+    if np.any(norm2.real <= 0.0):
+        raise ValueError("holomorphic sectional curvature of a null vector")
+    return norm2
+
+
 def holomorphic_sectional_curvature(R: np.ndarray, g: np.ndarray,
                                     J: np.ndarray, X: np.ndarray) -> np.ndarray:
     """R(X, JX, JX, X) / |X|^4 per row of the probes X, B + (P, d) for R of
@@ -247,9 +278,7 @@ def holomorphic_sectional_curvature(R: np.ndarray, g: np.ndarray,
     probes cost one O(P d^4) product per point, taken over slices of the
     probes that keep each B + (slice, d^2) array in budget.
     """
-    norm2 = np.sum((X @ g) * X, axis=-1)
-    if np.any(norm2.real <= 0.0):
-        raise ValueError("holomorphic sectional curvature of a null vector")
+    norm2 = _probe_norms(g, X)
     JX = X @ mT(J)
     d = X.shape[-1]
     flat = R.reshape(R.shape[:-4] + (d * d, d * d))
@@ -263,6 +292,50 @@ def holomorphic_sectional_curvature(R: np.ndarray, g: np.ndarray,
         for x, jx in ((X[..., i:i + step, :], JX[..., i:i + step, :])
                       for i in range(0, X.shape[-2], step))], axis=-1)
     return num / norm2 ** 2
+
+
+def _first_kind_along(analysis: PointAnalysis, V: np.ndarray) -> np.ndarray:
+    """Gamma_b(V, e_k) as [b, k], for V of shape B + (d,)."""
+    return (V[..., None, None, :] @ analysis.connection)[..., 0, :]
+
+
+def connection_along(analysis: PointAnalysis, V: np.ndarray) -> np.ndarray:
+    """Gamma^b(V, e_k) as [b, k], for V of shape B + (d,): the first-kind
+    symbols along V raised by g^-1, an O(d^3) product with no gamma built."""
+    return analysis.g_inv @ _first_kind_along(analysis, V)
+
+
+def riemann_along(analysis: PointAnalysis, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """R(X, Y, e_k, e_l) as [k, l] at the analysed point(s), X and Y of shape
+    B + (d,), contracted straight from the metric jet: no R is formed.
+
+    Contracting the first-kind form (module docstring) with X^i Y^j gives
+
+        R(X, Y, ., .) = (S - S^T) / 2 + M - M^T,
+        S = A(X, Y) - A(Y, X),  A(U, W)[k, l] = U^m W^a d_m d_k g_al,
+        M[k, l] = Gamma^b(X, e_k) Gamma_b(Y, e_l),
+
+    so a pair costs one product of the Hessian's first value slot with
+    (X, Y), O(d^4), and O(d^3) algebra after it: no O(d^5) product.
+    """
+    hess = analysis.metric.hessian
+    batch, d = hess.shape[:-4], hess.shape[-1]
+    # h[u][l, m, k] = U^a d_m d_k g_al for U = X, Y, then each against the other on m
+    h = (np.stack((X, Y), axis=-2) @ hess.reshape(batch + (d, d ** 3))).reshape(
+        batch + (2, d, d, d))
+    s_t = ((X[..., None, None, :] @ h[..., 1, :, :, :])[..., 0, :]
+           - (Y[..., None, None, :] @ h[..., 0, :, :, :])[..., 0, :])    # S^T
+    half = 0.5 * mT(s_t) + mT(connection_along(analysis, X)) @ _first_kind_along(analysis, Y)
+    return half - mT(half)
+
+
+def holomorphic_curvature_along(analysis: PointAnalysis, X: np.ndarray) -> np.ndarray:
+    """R(X, JX, JX, X) / |X|^4 for one vector X per point, B + (d,), from
+    ``riemann_along``: one O(d^4) product, where the tensor costs O(d^5)."""
+    g, J = analysis.g, analysis.complex_structure[0]
+    norm2 = _probe_norms(g, X[..., None, :])[..., 0]
+    JX = matvec(J, X)
+    return np.sum(matvec(riemann_along(analysis, X, JX), X) * JX, axis=-1) / norm2 ** 2
 
 
 def jacobi_operator(analysis: PointAnalysis, v: np.ndarray) -> np.ndarray:
@@ -398,9 +471,11 @@ def second_bianchi_residual(field, x, directions):
     at x + i h V (three complex points per point, analysed as one batch),
     plus the Christoffel terms contracted against V.  R and Gamma at x are
     the real parts of the same analysis (the step moves them by O(h^2), far
-    below rounding).  This is the one check that consumes third derivatives
-    of the metric.  ``x`` may be a batch, with ``directions`` of shape
-    B + (3, d); the result then has one entry per point.
+    below rounding).  Every curvature term is R(U, W, ., .) for a pair of
+    directions, read by ``riemann_along``, so no Riemann tensor is built.
+    This is the one check that consumes third derivatives of the metric.
+    ``x`` may be a batch, with ``directions`` of shape B + (3, d); the result
+    then has one entry per point.
     """
     dirs = np.asarray(directions, dtype=float)       # B + (3, d)
     batch, d = dirs.shape[:-2], dirs.shape[-1]
@@ -412,14 +487,14 @@ def second_bianchi_residual(field, x, directions):
     parts = []
     for sl, an in batch_analyses(field, moved):
         v, a, b = V[sl], X[sl], Y[sl]
-        R0 = an.riemann.real
-        # d/ds R(x + s V)(X, Y, ., .) at s = 0, and the Christoffel terms with
-        # G[m, i] = V^a Gamma^m_{ai}
-        derivative = step_derivative(contract_slots(an.riemann, a, b, rank=4))
-        G = (an.gamma.real * v[:, None, :, None]).sum(axis=-2)
-        Q0 = contract_slots(R0, a, b, rank=4)                        # R0(X, Y, ., .)
-        parts.append(derivative - contract_slots(R0, matvec(G, a), b, rank=4)
-                     - contract_slots(R0, a, matvec(G, b), rank=4)
+        # R(X, Y, ., .) at x + i h V: its real part is R0(X, Y, ., .), its
+        # imaginary part over h the derivative along V; and the Christoffel
+        # terms with G[m, i] = V^a Gamma^m_{ai}
+        along = riemann_along(an, a, b)
+        G = connection_along(an, v).real
+        Q0 = along.real
+        parts.append(step_derivative(along) - riemann_along(an, matvec(G, a), b).real
+                     - riemann_along(an, a, matvec(G, b)).real
                      - mT(G) @ Q0 - Q0 @ G)
     cov = np.concatenate(parts).reshape(batch + (3, d, d))
     return per_point(np.abs(cov.sum(axis=-3)).max(axis=(-2, -1)))

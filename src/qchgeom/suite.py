@@ -364,7 +364,7 @@ def _warped_structure_checks(res: _Residuals, model, an: PointAnalysis, probes, 
             **warped_submersion_residuals(an, model))
     res.add(**structure_identity_residuals(an, model, fit=fit, divergences=(d1, d2)))
     res.add(qch_coefficient_base_independence=coefficient_base_independence(
-        an, model, draws=moves, fit=fit))
+        an, model, draws=moves))
 
 
 def _nabla_j_check(res: _Residuals, an: PointAnalysis) -> None:

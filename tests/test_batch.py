@@ -164,9 +164,9 @@ def test_warped_families_match_single_points(n):
               for an, phi in zip(singles, phis)])):
         for k in range(2):
             _assert_per_point(batched[k], [p[k] for p in per_point], "section_divergences")
-    _assert_per_point(coefficient_base_independence(batch, model, draws=moves, fit=fit),
-                      [coefficient_base_independence(an, model, draws=m, fit=f)
-                       for an, m, f in zip(singles, moves, fits)], "base_independence")
+    _assert_per_point(coefficient_base_independence(batch, model, draws=moves),
+                      [coefficient_base_independence(an, model, draws=m)
+                       for an, m in zip(singles, moves)], "base_independence")
     _assert_per_point(structure_identities(batch, model),
                       [structure_identities(an, model) for an in singles],
                       "structure_identities")

@@ -1,16 +1,24 @@
+import functools
+
 import numpy as np
 import pytest
 
-from qchgeom import FubiniStudy
+from qchgeom import FubiniStudy, suite
+from qchgeom.cli import RunConfig
 from qchgeom.curvature import (
     PointAnalysis,
+    batch_slices,
+    complex_step,
+    contract_slots,
     div_e,
     hessian_form,
+    holomorphic_curvature_along,
     holomorphic_sectional_curvature,
     jacobi_operator,
     killing_deviation,
     max_frame_component_3tensor,
     nabla_j,
+    riemann_along,
     second_bianchi_residual,
 )
 from qchgeom.geometry import (
@@ -279,3 +287,75 @@ def test_christoffel_symbols_alone(warped, sample_point):
     assert "riemann" not in vars(an) and "ricci" not in vars(an)
     raised = np.einsum("kl,lij->kij", an.g_inv, an.connection)
     assert np.abs(gamma - raised).max() <= 1e-14 * np.abs(raised).max()
+
+
+@pytest.mark.parametrize("mode,n", [(mode, n) for mode in ("warped", "product", "circle-bundle")
+                                    for n in (3, 5, 7)] + [("negative-control", 3)])
+def test_riemann_along_matches_the_contracted_tensor(mode, n):
+    """R(X, Y, ., .) contracted straight from the metric jet equals the full
+    tensor contracted with X and Y, at real points and at complex-step
+    points, in the real part and in the imaginary part (the derivative the
+    second Bianchi check reads), each within 1e-13 of its largest entry of R."""
+    model = suite.build_model(RunConfig(mode=mode, n=n, k=1, rng_seed=0))
+    rng = np.random.default_rng(80 + n)
+    points = sample_interior_points(model, rng, 3)
+    X, Y, V = rng.standard_normal((3,) + points.shape)
+    for x in (points, complex_step(points, V)):
+        an = PointAnalysis(model, x)
+        got, reference = riemann_along(an, X, Y), contract_slots(an.riemann, X, Y, rank=4)
+        for part in (np.real, np.imag):
+            scale = np.abs(part(an.riemann)).max()
+            assert np.abs(part(got) - part(reference)).max() <= 1e-13 * scale
+        assert got.dtype == reference.dtype
+
+
+def test_holomorphic_curvature_along_refuses_a_null_vector(warped_point_analysis):
+    """The probe of ``coefficient_base_independence`` keeps the fit's guard:
+    a vector of zero length raises rather than dividing by |X|^4 = 0."""
+    an = warped_point_analysis
+    e1 = an.frame[2]
+    assert holomorphic_curvature_along(an, e1) == pytest.approx(
+        holomorphic_sectional_curvature(an.riemann, an.g, an.complex_structure[0],
+                                        e1[None, :])[0], rel=1e-13)
+    with pytest.raises(ValueError, match="null vector"):
+        holomorphic_curvature_along(an, np.zeros_like(e1))
+
+
+def test_a_warped_run_builds_the_riemann_tensor_only_where_it_is_read_whole(monkeypatch):
+    """A count, not a timing: a warped run builds R once per sample slice and
+    once per slice's complex step along t, and never inside the base
+    independence or the second Bianchi check, which read it along pairs of
+    directions (``riemann_along``)."""
+    builds, inside = [], []
+    compute = PointAnalysis.riemann.func
+
+    def counting(self):
+        builds.append((self.x, tuple(inside)))
+        return compute(self)
+
+    riemann = functools.cached_property(counting)
+    riemann.__set_name__(PointAnalysis, "riemann")
+    monkeypatch.setattr(PointAnalysis, "riemann", riemann)
+    for name in ("coefficient_base_independence", "second_bianchi_residual"):
+        family = getattr(suite, name)
+
+        def marked(*args, family=family, name=name, **kwargs):
+            inside.append(name)
+            try:
+                return family(*args, **kwargs)
+            finally:
+                inside.pop()
+
+        monkeypatch.setattr(suite, name, marked)
+    config = RunConfig(mode="warped", n=5, k=1, rng_seed=3, sample_count=30)
+    suite.run_suite(config)
+    assert all(not within for _, within in builds)
+    # the run's sample points are the first draw of its seed
+    points = sample_interior_points(suite.build_model(config), np.random.default_rng(3), 30)
+    slices = [points[sl] for sl in batch_slices(30, 10)]
+    real = [x for x, _ in builds if not np.iscomplexobj(x)]
+    stepped = [x for x, _ in builds if np.iscomplexobj(x)]
+    assert len(real) == len(stepped) == len(slices) == 5
+    for x, t_step, sample in zip(real, stepped, slices):
+        assert np.array_equal(x, sample) and np.array_equal(t_step.real, sample)
+        assert np.any(t_step.imag[:, 0]) and not np.any(t_step.imag[:, 1:])
