@@ -3,8 +3,11 @@
 Both flows march across [0, span] on panels, each carrying its solution as
 values at the first-kind Chebyshev nodes of the panel; dense output is the
 barycentric formula of the second kind (Trefethen, *Approximation Theory and
-Approximation Practice*, ch. 5).  Each solve hands out that interpolant
-(``states``), not samples of it: a caller picks its own parameters.  On a
+Approximation Practice*, ch. 5), added up one node at a time, so a read
+holds a few arrays of samples x columns, never samples x nodes x columns.
+Each solve hands out that interpolant (``states``), not samples of it: a
+caller picks its own parameters, and reads only the columns it uses through
+a view of the node values (``Panels.columns``).  On a
 panel [a, b] the equations are solved in integral form (Greengard's spectral
 integration): with S and S2 the Chebyshev matrices that integrate node
 values once and twice from a,
@@ -124,21 +127,46 @@ class Panels:
         return len(self.edges) - 1
 
     def __call__(self, taus) -> np.ndarray:
-        """Values at a float or an array of parameters: taus.shape + value
-        shape.  The formula is applied to the differences from each panel's
-        first node value, so a constant comes back bit for bit."""
+        """Values at a float or an array of parameters in [edges[0],
+        edges[-1]]: taus.shape + value shape.  The formula is applied to the
+        differences from each panel's first node value, so a constant comes
+        back bit for bit, and a tau on a node reads that node's value.  Its sum
+        is added up one node at a time, in node order, each column on its
+        own: the working set is a few arrays of taus.size x columns, and a
+        caller that reads a view of some columns (``columns``) gets them as
+        the whole read would give them.  A tau outside the panels raises
+        ``ValueError``."""
         taus = np.asarray(taus, dtype=float)
         flat = taus.reshape(-1)
-        i = np.clip(np.searchsorted(self.edges, flat, side="right") - 1, 0, self.count - 1)
+        lo, hi = self.edges[0], self.edges[-1]
+        outside = ~((flat >= lo) & (flat <= hi))
+        if outside.any():
+            raise ValueError(f"tau = {float(flat[outside][0])!r} lies outside the panels' "
+                             f"span [{float(lo)!r}, {float(hi)!r}]")
+        i = np.minimum(np.searchsorted(self.edges, flat, side="right") - 1, self.count - 1)
         a, b = self.edges[i], self.edges[i + 1]
         gap = ((2.0 * flat - a - b) / (b - a))[:, None] - _NODES
         hit = gap == 0.0
-        q = np.where(hit.any(axis=1, keepdims=True), hit, _WEIGHTS / np.where(hit, 1.0, gap))
-        values = self.values[i]
-        first = values[:, :1]
-        q = q.reshape(q.shape + (1,) * (values.ndim - 2))
-        out = first[:, 0] + (q * (values - first)).sum(axis=1) / q.sum(axis=1)
-        return out.reshape(taus.shape + self.values.shape[2:])
+        on_node = hit.any(axis=1)
+        q = np.where(on_node[:, None], hit, _WEIGHTS / np.where(hit, 1.0, gap))
+        q = q.reshape(q.shape + (1,) * (self.values.ndim - 2))
+        first = self.values[i, 0]
+        total = q[:, 0] * (first - first)     # node 0's term, then the rest in order
+        for k in range(1, PANEL_NODES):
+            step = self.values[i, k]
+            step -= first
+            step *= q[:, k]
+            total += step
+        total /= q.sum(axis=1)
+        total += first
+        total[on_node] = self.values[i[on_node], hit[on_node].argmax(axis=1)]
+        return total.reshape(taus.shape + self.values.shape[2:])
+
+    def columns(self, which) -> "Panels":
+        """The interpolant of some columns of the last value axis (a slice, or
+        an index for one column as scalar values), on a view of the node
+        values."""
+        return Panels(self.edges, self.values[..., which])
 
     def derivative(self) -> "Panels":
         """The tau-derivative of the interpolant, as its values at the same
@@ -369,7 +397,7 @@ def geodesic_residuals(path: GeodesicPath, taus) -> np.ndarray:
     Gamma is re-evaluated at its points."""
     taus = np.asarray(taus, dtype=float)
     x, v = path.states(taus)
-    vdot = path.dense.derivative()(taus)[..., x.shape[-1]:]
+    vdot = path.dense.derivative().columns(slice(x.shape[-1], None))(taus)
     analysis = PointAnalysis(path.field, x)
     res = vdot - geodesic_acceleration(analysis.gamma, v)
     return np.sqrt(inner(analysis.g, res, res))
@@ -466,13 +494,10 @@ class JacobiResult:
 
     def states(self, taus) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(frames, y, y') at a float or an array of parameters."""
-        return _unpack(self.dense(taus), len(self.velocity_row))
-
-
-def _unpack(packed: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(frames, y, y') from packed Jacobi states B + (d d + 2 d,)."""
-    return (packed[..., :d * d].reshape(packed.shape[:-1] + (d, d)),
-            packed[..., d * d:d * d + d], packed[..., d * d + d:])
+        d = len(self.velocity_row)
+        packed = self.dense(taus)
+        return (packed[..., :d * d].reshape(packed.shape[:-1] + (d, d)),
+                packed[..., d * d:d * d + d], packed[..., d * d + d:])
 
 
 def _initial_frame(analysis: PointAnalysis, velocity: np.ndarray) -> np.ndarray:
@@ -517,8 +542,10 @@ def jacobi_equation_residual(result: JacobiResult, taus) -> float:
     and R(cdot, C) cdot = M y with M = F K^T F^T for the frame rows F and K
     from ``jacobi_operator``, as the panels take it."""
     taus = np.asarray(taus, dtype=float)
-    frame, y, _ = result.states(taus)
-    _, _, ypp = _unpack(result.dense.derivative()(taus), y.shape[-1])
+    d = len(result.velocity_row)
+    packed = result.dense.columns(slice(d * d + d))(taus)
+    frame, y = packed[..., :d * d].reshape(packed.shape[:-1] + (d, d)), packed[..., d * d:]
+    ypp = result.dense.derivative().columns(slice(d * d + d, None))(taus)
     x, v = result.path.states(taus)
     K = jacobi_operator(PointAnalysis(result.path.field, x), v)
     M = frame @ mT(K) @ mT(frame)
@@ -597,7 +624,8 @@ def jacobi_decay_experiment(model, t0: float, t_end: float, *,
 
     n = model.n
     taus = np.linspace(0.0, path.span, samples)
-    _, y, yp = jac.states(taus)
+    packed = jac.dense.columns(slice(d * d, None))(taus)
+    y, yp = packed[:, :d], packed[:, d:]
     velocity_inner = y @ jac.velocity_row
     t = t0 + taus
     r, rp, rpp, rppp = profile.evaluate(t)
@@ -605,7 +633,7 @@ def jacobi_decay_experiment(model, t0: float, t_end: float, *,
     norm = np.sqrt(_dot(y, y))
     dlog_c = _dot(y, yp) / _dot(y, y)
     dlog_kappa = rpp / rp - rp / r
-    theta_cdot = path.states(taus)[1][:, 0]
+    theta_cdot = path.dense.columns(slice(d, d + 1))(taus)[:, 0]
     kappa = 2.0 * (n - 1) * rp / r
     ratio_res = np.abs(dlog_kappa - dlog_c + kappa * theta_cdot / (n - 1))
     rows = np.column_stack([t, norm, f, ratio_res, velocity_inner])

@@ -3,7 +3,7 @@
 small definitions that only tests use (seeded variables, constant fields,
 flat space, sectional curvature, the Jacobi matrix of the full Riemann
 tensor, the derivatives of the Christoffel symbols, warp derivatives, the
-model tensors, a profile off the cubic)."""
+model tensors, a profile off the cubic, the gathered panel formula)."""
 
 import math
 
@@ -12,6 +12,7 @@ import numpy as np
 from qchgeom import jets
 from qchgeom.batch import inner, mT, per_point
 from qchgeom.curvature import contract_slots
+from qchgeom.flows import _NODES, _WEIGHTS
 from qchgeom.jets import Jet2
 from qchgeom.profile import ProfileSolution
 from qchgeom.qch import fit_qch_coefficients, section_divergences, structure_identity_residuals
@@ -234,6 +235,28 @@ def dgamma(analysis):
 def warp_derivatives(profile, t):
     """(f, f', f'') at ``t``, a float or an array of t."""
     return profile.warp_from(*profile.evaluate(t))
+
+
+def gathered_panels(panels, taus):
+    """``flows.Panels(taus)`` by the gathered formula: every tau's whole panel
+    of node values taken into one (taus, p) + value shape array and summed
+    over the nodes, differences from the panel's first node value, a tau on
+    a node reading that node's value.  The reference for the evaluator,
+    which adds the same sum up one node at a time."""
+    taus = np.asarray(taus, dtype=float)
+    flat = taus.reshape(-1)
+    i = np.clip(np.searchsorted(panels.edges, flat, side="right") - 1, 0, panels.count - 1)
+    a, b = panels.edges[i], panels.edges[i + 1]
+    gap = ((2.0 * flat - a - b) / (b - a))[:, None] - _NODES
+    hit = gap == 0.0
+    q = np.where(hit.any(axis=1, keepdims=True), hit, _WEIGHTS / np.where(hit, 1.0, gap))
+    values = panels.values[i]
+    first = values[:, :1]
+    q = q.reshape(q.shape + (1,) * (values.ndim - 2))
+    out = first[:, 0] + (q * (values - first)).sum(axis=1) / q.sum(axis=1)
+    on_node = hit.any(axis=1)
+    out[on_node] = values[on_node, hit[on_node].argmax(axis=1)]
+    return out.reshape(taus.shape + panels.values.shape[2:])
 
 
 class PerturbedProfile(ProfileSolution):

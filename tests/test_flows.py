@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy import integrate
@@ -26,7 +28,7 @@ from qchgeom.flows import (
 from qchgeom.geometry import BaseChartMetric
 from qchgeom.jets import Jet2, compose
 
-from helpers import EuclideanMetric, jacobi_matrix, warp_derivatives
+from helpers import EuclideanMetric, gathered_panels, jacobi_matrix, warp_derivatives
 
 
 @pytest.fixture(scope="module")
@@ -606,3 +608,115 @@ def test_panel_derivative_is_exact_for_the_interpolant():
     cubic = flows.Panels(edges, np.stack([nodes ** 3, 2.0 - nodes], axis=-1)).derivative()
     expect = np.stack([3.0 * taus ** 2, -np.ones_like(taus)], axis=-1)
     assert np.abs(cubic(taus) - expect).max() < 1e-10
+
+
+# -- the dense output's contract ------------------------------------------------
+
+# three panels of different lengths, the first starting away from 0
+_EDGES = np.array([-0.4, 0.3, 1.1, 2.0])
+
+
+def _random_panels(shape, seed=0):
+    rng = np.random.default_rng(seed)
+    return flows.Panels(_EDGES, rng.normal(size=(3, flows.PANEL_NODES) + shape))
+
+
+def _node_taus():
+    """Each panel's nodes mapped onto it, as the Jacobi solve places them."""
+    a, b = _EDGES[:-1, None], _EDGES[1:, None]
+    return (0.5 * (a + b) + 0.5 * (b - a) * flows._NODES).ravel()
+
+
+def _tau_kinds(rng):
+    """A float tau, a 2-D array of random taus, the edges and the nodes."""
+    return [0.7, rng.uniform(_EDGES[0], _EDGES[-1], size=(5, 4)), _EDGES, _node_taus()]
+
+
+@pytest.mark.parametrize("shape", [(), (7,), (2, 3, 3)])
+def test_panels_read_node_values_exactly(shape):
+    """A tau that the panel's map sends onto a node reads that node's value
+    bit for bit, of values that differ in sign and size (the formula's
+    first + (value - first) would round them)."""
+    panels = _random_panels(shape)
+    taus = _node_taus()
+    i = np.repeat(np.arange(3), flows.PANEL_NODES)
+    a, b = _EDGES[i], _EDGES[i + 1]
+    on_node = (2.0 * taus - a - b) / (b - a) == np.tile(flows._NODES, 3)
+    assert on_node.sum() >= 10
+    nodes = panels.values.reshape((-1,) + shape)
+    assert np.array_equal(panels(taus)[on_node], nodes[on_node])
+
+
+@pytest.mark.parametrize("shape", [(), (7,), (2, 3, 3)])
+def test_panels_give_a_constant_back_bit_for_bit(shape):
+    """A constant, one per entry, comes back bit for bit anywhere on the
+    panels: every difference from the first node value is 0."""
+    rng = np.random.default_rng(1)
+    constant = rng.normal(size=shape) / 3.0
+    panels = flows.Panels(_EDGES, np.broadcast_to(constant, (3, flows.PANEL_NODES) + shape))
+    for taus in _tau_kinds(rng):
+        got = panels(taus)
+        assert got.shape == np.shape(taus) + shape
+        assert np.array_equal(got, np.broadcast_to(constant, got.shape))
+
+
+@pytest.mark.parametrize("shape", [(7,), (2, 3, 3)])
+def test_node_by_node_sum_is_the_gathered_formula(shape):
+    """The evaluator adds the barycentric sum up one node at a time; the
+    gathered formula (``helpers.gathered_panels``) sums whole panels.  Both
+    add each entry's terms in node order, so they agree bit for bit, for
+    the value shapes the flows use: packed states (m,) and the coefficient
+    tables (2, d, d) of ``_certified_tables``."""
+    panels = _random_panels(shape, seed=2)
+    for taus in _tau_kinds(np.random.default_rng(3)):
+        assert np.array_equal(panels(taus), gathered_panels(panels, taus))
+
+
+def test_panels_read_columns_as_the_whole_read_gives_them():
+    """Each column is summed on its own, so a view of some columns, of one
+    column, or of one column taken down to scalar values, reads what the
+    whole read gives them.  (The gathered formula would not: on scalar
+    values numpy sums the nodes pairwise, within rounding of node order.)"""
+    panels = _random_panels((9,), seed=4)
+    rng = np.random.default_rng(5)
+    for taus in _tau_kinds(rng):
+        whole = panels(taus)
+        for which in (slice(2, 5), slice(4, 5), slice(6, None), 3):
+            part = panels.columns(which)
+            assert np.shares_memory(part.values, panels.values)
+            assert np.array_equal(part(taus), whole[..., which])
+        scalar = panels.columns(3)
+        reference = gathered_panels(scalar, taus)
+        assert np.allclose(scalar(taus), reference, rtol=0.0,
+                           atol=64 * np.finfo(float).eps * np.abs(scalar.values).max())
+
+
+@pytest.mark.parametrize("tau", [np.nextafter(-0.4, -1.0), np.nextafter(2.0, 3.0), -5.0,
+                                 np.nan, [0.5, 2.5]])
+def test_panels_refuse_a_tau_outside_their_span(tau):
+    """No tau outside [edges[0], edges[-1]] is extrapolated with an end
+    panel's polynomial: it raises, naming the tau and the span.  The edges
+    themselves are read."""
+    panels = _random_panels((2,))
+    with pytest.raises(ValueError, match=r"tau = .* outside the panels' span \[-0\.4, 2\.0\]"):
+        panels(tau)
+    assert panels(_EDGES).shape == (4, 2)
+
+
+def test_dense_output_works_in_place_of_gathering():
+    """Reading the n = 5 desk Jacobi solve at 160 taus, as the decay
+    experiment does, peaks below a quarter of one (160, p, d^2 + 2 d) gather
+    of its panels (0.92 of 3.7 MB; the node-by-node sum reads about 0.7
+    MB), under tracemalloc, which sees numpy's allocations."""
+    path, C0, DC0 = _desk_flow(5)
+    result = integrate_jacobi(path, C0, DC0)
+    taus = np.linspace(0.0, path.span, 160)
+    d = path.field.dim
+    gather = taus.size * flows.PANEL_NODES * (d * d + 2 * d) * np.dtype(float).itemsize
+    tracemalloc.start()
+    try:
+        result.states(taus)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < gather / 4, (peak, gather)
