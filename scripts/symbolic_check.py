@@ -32,7 +32,12 @@ derives from scratch the identities the numerical suite asserts:
     ``curvature.riemann_along`` reads: R(X, Y, ., .) of the first-kind form
     for constant X, Y equals (S - S^T)/2 + M - M^T with S = A(X, Y) - A(Y, X),
     A(U, W)[k, l] = U^m W^a d_m d_k g_al and M[k, l] = Gamma^b(X, e_k)
-    Gamma_b(Y, e_l).
+    Gamma_b(Y, e_l);
+  * on the same metric, the contraction ``curvature.jacobi_operator`` reads:
+    R(v, e_j, v, e_l) of the first-kind form for constant v equals
+    (d_v d_v g + H(v, v) - C - C^T)/2 + Gamma_b(e_j, e_l) Gamma^b(v, v)
+    - Gamma^b(v, e_j) Gamma_b(v, e_l) with H(v, v)[j, l] = v^a v^b d_j d_l g_ab
+    and C[j, l] = d_l d_v g_jv.
 
 Everything is exact symbolic algebra; the runtime is about a minute.
 """
@@ -413,18 +418,15 @@ def first_kind_block():
     return ok
 
 
-def riemann_along_block():
-    """R(X, Y, e_k, e_l) for constant X and Y, contracted from the first-kind
-    form, against the formula ``curvature.riemann_along`` evaluates, on a
-    generic metric: six free functions g_ab(x1, x2, x3).  Every term holds
-    g^-1 at most once, so with g^-1 = adj(g)/det(g) both sides times det(g)
-    are polynomials in the jet of g, compared by expansion.
-    """
-    print("R(X, Y, ., .) contracted from the jet (generic 3 x 3 metric):")
+def generic_metric():
+    """A generic metric in 3 coordinates, six free functions g_ab(x1, x2, x3),
+    as (d2g, det(g), first-kind symbols, det(g) Gamma^k_ij, det(g) R_ijkl of
+    the first-kind form).  Every term holds g^-1 at most once, so with
+    g^-1 = adj(g)/det(g) each quantity times det(g) is a polynomial in the
+    jet of g, and two of them are compared by expansion."""
     d = 3
     rng = range(d)
     x = sp.symbols("x1:4", real=True)
-    X, Y = sp.symbols("X1:4", real=True), sp.symbols("Y1:4", real=True)
     g = sp.Matrix(d, d, lambda a, b: sp.Function(f"g{min(a, b) + 1}{max(a, b) + 1}")(*x))
     det, adj = g.det(), g.adjugate()
 
@@ -436,7 +438,6 @@ def riemann_along_block():
 
     first = [[[(dg(j, l, i) + dg(i, l, j) - dg(i, j, l)) / 2 for j in rng] for i in rng]
              for l in rng]
-    # det(g) Gamma^k_ij
     gamma_det = [[[sum(adj[k, l] * first[l][i][j] for l in rng) for j in rng]
                   for i in rng] for k in rng]
 
@@ -444,6 +445,18 @@ def riemann_along_block():
         return (det * (d2g(j, l, i, k) + d2g(i, k, j, l) - d2g(j, k, i, l) - d2g(i, l, j, k)) / 2
                 + sum(first[b][j][l] * gamma_det[b][i][k] - first[b][i][l] * gamma_det[b][j][k]
                       for b in rng))
+
+    return d2g, det, first, gamma_det, first_kind_det
+
+
+def riemann_along_block():
+    """R(X, Y, e_k, e_l) for constant X and Y, contracted from the first-kind
+    form, against the formula ``curvature.riemann_along`` evaluates, on the
+    generic metric (``generic_metric``)."""
+    print("R(X, Y, ., .) contracted from the jet (generic 3 x 3 metric):")
+    rng = range(3)
+    X, Y = sp.symbols("X1:4", real=True), sp.symbols("Y1:4", real=True)
+    d2g, det, first, gamma_det, first_kind_det = generic_metric()
 
     def A(U, W, k, l):
         return sum(U[m] * W[a] * d2g(a, l, m, k) for m in rng for a in rng)
@@ -460,6 +473,42 @@ def riemann_along_block():
                        - det * (S(k, l) - S(l, k)) / 2 - M_det(k, l) + M_det(l, k)) == 0
              for k in rng for l in rng)
     print(f"  R(X, Y, e_k, e_l) = (S - S^T)/2 + M - M^T: {'ok' if ok else 'MISMATCH'}")
+    return ok
+
+
+def jacobi_operator_block():
+    """K[j, l] = R(v, e_j, v, e_l) for constant v, contracted from the
+    first-kind form, against the formula ``curvature.jacobi_operator``
+    evaluates, on the generic metric (``generic_metric``):
+
+        K = (d_v d_v g + H(v, v) - C - C^T) / 2 + Gamma_b(., .) Gamma^b(v, v)
+            - Gamma^b(v, .)^T Gamma_b(v, .),
+
+    H(v, v)[j, l] = v^a v^b d_j d_l g_ab and C[j, l] = d_l d_v g_jv.
+    """
+    print("R(v, ., v, .) contracted from the jet (generic 3 x 3 metric):")
+    rng = range(3)
+    v = sp.symbols("v1:4", real=True)
+    d2g, det, first, gamma_det, first_kind_det = generic_metric()
+    # det(g) Gamma^b(v, v), det(g) Gamma^b(v, e_j) and Gamma_b(v, e_l)
+    w_det = [sum(v[i] * v[k] * gamma_det[b][i][k] for i in rng for k in rng) for b in rng]
+    along_det = [[sum(v[i] * gamma_det[b][i][j] for i in rng) for j in rng] for b in rng]
+    first_along = [[sum(v[i] * first[b][i][l] for i in rng) for l in rng] for b in rng]
+
+    def C(j, l):
+        return sum(v[m] * v[a] * d2g(j, a, l, m) for m in rng for a in rng)
+
+    def K_det(j, l):
+        slots = sum(v[m] * v[a] * (d2g(j, l, m, a) + d2g(m, a, j, l)) for m in rng for a in rng)
+        return (det * (slots - C(j, l) - C(l, j)) / 2
+                + sum(first[b][j][l] * w_det[b] - along_det[b][j] * first_along[b][l]
+                      for b in rng))
+
+    ok = all(sp.expand(sum(v[i] * v[k] * first_kind_det(i, j, k, l) for i in rng for k in rng)
+                       - K_det(j, l)) == 0
+             for j in rng for l in rng)
+    print(f"  R(v, e_j, v, e_l) = (d_v d_v g + H(v, v) - C - C^T)/2 + Gamma_b Gamma^b(v, v)"
+          f" - Gamma^b(v, .)^T Gamma_b(v, .): {'ok' if ok else 'MISMATCH'}")
     return ok
 
 
@@ -511,6 +560,7 @@ if __name__ == "__main__":
     good &= fubini_study_block()
     good &= first_kind_block()
     good &= riemann_along_block()
+    good &= jacobi_operator_block()
     good &= profile_block()
     print("symbolic validation:", "all identities confirmed" if good else "FAILURES")
     raise SystemExit(0 if good else 1)

@@ -12,34 +12,35 @@ Index conventions (fixed once, used everywhere):
                           R(X, Y)Z = ([nabla_X, nabla_Y] - nabla_[X,Y]) Z
     ricci[j, k]         = Ric_jk = g^{il} R_ijkl
 
-The lowered tensor is taken in its first-kind form,
+Curvature has one formula, the lowered tensor in its first-kind form,
 
     R_ijkl = (d_i d_k g_jl + d_j d_l g_ik - d_i d_l g_jk - d_j d_k g_il) / 2
              + Gamma_{b,jl} Gamma^b_{ik} - Gamma_{b,il} Gamma^b_{jk},
 
-which is g_lb R^b_ijk with d Gamma^b written out: one (d^2, d) x (d, d^2)
-product and permuted sums, and no g^-1 on the second-derivative term, whose
-rounding an ill-conditioned chart would otherwise multiply.  The Ricci
-tensor is its own O(d^4) contraction of the same jet,
+which is g_lb R^b_ijk with d Gamma^b written out: no g^-1 on the
+second-derivative term, whose rounding an ill-conditioned chart would
+otherwise multiply.  It has three readers:
+
+* R whole (``PointAnalysis.riemann``), one (d^2, d) x (d, d^2) product and
+  permuted sums, O(d^5): the sample analyses, whose families read all of it
+  (the curvature symmetries, the QCH fit and its random probes, the
+  submersion and bundle components), and the complex step along t of the
+  gradient laws (``qch.coefficient_t_derivatives``);
+* R along a pair (``riemann_along``), R(X, Y, ., .) from two O(d^4) reads
+  of the Hessian and O(d^3) algebra: ``qch.coefficient_base_independence``
+  (a = K(E_1) at the point and at the moved points) and
+  ``second_bianchi_residual``;
+* R along v twice (``jacobi_operator``), R(v, ., v, .) the same way: the
+  Jacobi coefficients of the decay flow.
+
+The Ricci tensor is the formula contracted with g^{il}, written out as its
+own O(d^4) contraction of the same jet,
 
     Ric_jk = d_i Gamma^i_jk - d_j d_k log sqrt(det g)
              + Gamma^i_ia Gamma^a_jk - Gamma^i_ja Gamma^a_ik,
 
 so an analysis that needs only Ricci never builds R, and Ricci does not
 inherit the rounding of R's lowering.
-
-R itself costs one O(d^5) product.  A family that reads it along one pair of
-directions contracts the jet instead: ``riemann_along`` gives R(X, Y, ., .)
-from two O(d^4) reads of the Hessian and O(d^3) algebra, and
-``jacobi_operator`` gives R(v, ., v, .) the same way.  So:
-
-* R whole (``PointAnalysis.riemann``): the sample analyses, whose families
-  read all of it (the curvature symmetries, the QCH fit and its random
-  probes, the submersion and bundle components), and the complex step along
-  t of the gradient laws (``qch.coefficient_t_derivatives``);
-* R along a pair: ``qch.coefficient_base_independence`` (a = K(E_1) at the
-  point and at the moved points) and ``second_bianchi_residual``;
-* R along v twice: the Jacobi coefficients of the decay flow.
 
 The complex step along t reads only the fit's three probes, yet keeps R: the
 derivative it takes in its imaginary part loses headroom when contracted
@@ -49,7 +50,8 @@ first at near-degenerate profiles.  ``identity_gradient_b`` (tolerance
 
     R, then probes (kept)                 2.5e-8
     riemann_along per probe               1.1e-6  fails
-    jacobi_operator per probe             1.9e-6  fails
+    jacobi_operator along X per probe     8.6e-7
+    jacobi_operator along JX per probe    1.4e-6  fails
 
 Every array may carry leading batch axes, one entry per sample point: an
 analysis of N points holds gamma of shape (N, d, d, d), and the indices above
@@ -189,8 +191,9 @@ class PointAnalysis:
 
     @cached_property
     def gamma(self) -> np.ndarray:
-        """The Christoffel symbols of the second kind: geodesic and Jacobi
-        flows need only these."""
+        """The Christoffel symbols of the second kind, for the sample
+        families; the flows read them along a velocity alone
+        (``connection_along``)."""
         first, ginv = self.connection, self.g_inv
         batch, d = ginv.shape[:-2], ginv.shape[-1]
         return (ginv @ first.reshape(batch + (d, d * d))).reshape(first.shape)
@@ -341,36 +344,28 @@ def holomorphic_curvature_along(analysis: PointAnalysis, X: np.ndarray) -> np.nd
 def jacobi_operator(analysis: PointAnalysis, v: np.ndarray) -> np.ndarray:
     """K[j, l] = R(v, e_j, v, e_l) at the analysed point(s), v of shape B + (d,).
 
-    The Jacobi operator along v, from the metric jet without dGamma or the
-    Riemann tensor.  Contracting R^b_{ijk} with v^i v^k gives
+    The first-kind form (module docstring) at i = k = v:
 
-        D_v(Gamma^b(., v)) - d(Gamma^b(v, v)) + Gamma_v Gamma_v - Gamma(., Gamma(v, v)),
+        K = (d_v d_v g + H(v, v) - C - C^T) / 2 + Gamma_b(., .) Gamma^b(v, v)
+            - Gamma^b(v, .)^T Gamma_b(v, .),
+        H(v, v)[j, l] = v^a v^b d_j d_l g_ab,  C[j, l] = d_l d_v g_jv,
 
-    and d Gamma = 1/2 g^-1 (d brackets - 2 dg Gamma); lowering b cancels the
-    g^-1.  So K needs, besides Gamma and dg, the metric Hessian contracted
-    once with v and once on its value slots with v x v: two O(d^4) products,
-    then O(d^3) algebra.
+    so K costs the metric Hessian contracted once with v and once on its
+    value slots with v x v, two O(d^4) products, then O(d^3) algebra.
     """
-    g, dg, hess = analysis.g, analysis.metric.gradient, analysis.metric.hessian
-    gamma = analysis.gamma
-    batch, d = g.shape[:-2], g.shape[-1]
-    # hv[a, b, m] = d_m d_v g_ab, then the Hessian against v x v on its
-    # derivative slots plus the Hessian against v x v on its value slots
+    hess = analysis.metric.hessian
+    batch, d = hess.shape[:-4], hess.shape[-1]
+    # hv[a, b, m] = d_m d_v g_ab, then d_v d_v g + H(v, v)
     hv = matvec(hess.reshape(batch + (d ** 3, d)), v).reshape(batch + (d, d, d))
     vv = (v[..., :, None] * v[..., None, :]).reshape(batch + (1, d * d))
     h_slots = (matvec(hv, v[..., None, :])
-               + (vv @ hess.reshape(batch + (d * d, d * d))).reshape(g.shape))
-    # p[l, j] = v^k d_j d_v g_{kl}
-    p = (v[..., None, :] @ hv.reshape(batch + (d, d * d))).reshape(g.shape)
-    gamma_v = (v[..., None, None, :] @ gamma)[..., 0, :]           # Gamma^b(v, .)
-    w = matvec(gamma_v, v)                                          # Gamma^b(v, v)
-    gamma_w = (gamma @ w[..., None, :, None])[..., 0]               # Gamma^b(., w)
-    dg_v = matvec(dg, v[..., None, :])                              # d_v g_{lb}
-    dg_w = (w[..., None, None, :] @ dg)[..., 0, :]                  # w^b d_j g_{lb}
-    # indexed [l, j]
-    k_lj = (0.5 * (h_slots - p - mT(p)) - dg_v @ gamma_v + dg_w
-            + g @ (gamma_v @ gamma_v - gamma_w))
-    return mT(k_lj)
+               + (vv @ hess.reshape(batch + (d * d, d * d))).reshape(batch + (d, d)))
+    c = (v[..., None, :] @ hv.reshape(batch + (d, d * d))).reshape(batch + (d, d))
+    gamma_v = connection_along(analysis, v)                         # Gamma^b(v, .)
+    first_w = (matvec(gamma_v, v)[..., None, :]
+               @ analysis.connection.reshape(batch + (d, d * d))).reshape(batch + (d, d))
+    return (0.5 * (h_slots - c - mT(c)) + first_w
+            - mT(gamma_v) @ _first_kind_along(analysis, v))
 
 
 def nabla_j(analysis: PointAnalysis) -> np.ndarray:

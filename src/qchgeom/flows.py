@@ -23,18 +23,21 @@ values once and twice from a,
   frame, which turns the covariant second derivative into a plain one:
   carrying the frame rows e_a alongside the geodesic, the field
   C = sum_a y_a e_a solves y_a'' = R(cdot, e_b, cdot, e_a) y_b.  Its
-  coefficients, the transport matrix Gamma(., cdot) and the Jacobi operator
-  K(tau), are evaluated jet-exactly at the panel's nodes, and the system is
-  linear in them: per panel one collocation solve for the frame, F' = -F T^T,
-  and one for y'' = (F K^T F^T) y.  Each splits along the coupled groups of
-  coordinates, the connected components of the nonzero pattern of its table
-  over the panel's nodes: a group of b coordinates is one system in p b
-  unknowns.  On the axial line of the warped metric T, K and F are diagonal,
-  so each solve is d systems of p unknowns.  In the parallel frame
-  |C| is the Euclidean norm of y and g(cdot, C) = y . g(cdot, e_a), a row
-  fixed at the start (``JacobiResult.velocity_row``), so the decay
+  coefficients, the transport matrix T = Gamma(cdot, .) and the Jacobi
+  operator K(tau), are evaluated jet-exactly at the panel's nodes, and the
+  system is linear in them: per panel one collocation solve for the frame,
+  F' = -F T^T, and one for y'' = (F K^T F^T) y.  Where T, K and F are
+  diagonal at every node, as on the axial line of the warped metric, each
+  solve is d systems of p unknowns; else it is one in p d.  In the parallel
+  frame |C| is the Euclidean norm of y and g(cdot, C) = y . g(cdot, e_a), a
+  row fixed at the start (``JacobiResult.velocity_row``), so the decay
   diagnostics near the collapsing end of the chart stay well conditioned
   even though coordinate components blow up like 1/f there.
+
+Both flows read Gamma only along the velocity, Gamma^k(cdot, .) =
+``curvature.connection_along``, and K from the first-kind form of R
+(``curvature.jacobi_operator``): no flow builds the second-kind array
+``PointAnalysis.gamma``.
 
 A panel is accepted when the tail of its Chebyshev coefficients lies at the
 roundoff floor of the values met in the window (``_certificate``); the next
@@ -60,7 +63,7 @@ import numpy as np
 from numpy.polynomial import chebyshev
 
 from .batch import inner, matvec, mT
-from .curvature import PointAnalysis, batch_analyses, jacobi_operator
+from .curvature import PointAnalysis, batch_analyses, connection_along, jacobi_operator
 from .geometry import END_MARGIN_FRAC, _gram_schmidt
 
 # Chebyshev nodes per panel, and the most panels one solve may certify, and
@@ -329,15 +332,9 @@ class GeodesicPath:
         return PointAnalysis(self.field, self.start[0])
 
 
-def geodesic_acceleration(gamma: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """-Gamma^k_ij v^i v^j, for v of shape B + (d,)."""
-    return -matvec(matvec(gamma, v[..., None, :]), v)
-
-
-def transport_matrix(gamma: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """T[k, j] = Gamma^k_ij v^i, for v of shape B + (d,): parallel frame rows e
-    along velocity v change as d/dtau e = -e @ T^T."""
-    return (v[..., None, None, :] @ gamma)[..., 0, :]
+def geodesic_acceleration(analysis: PointAnalysis, v: np.ndarray) -> np.ndarray:
+    """-Gamma^k_ij v^i v^j at the analysed point(s), for v of shape B + (d,)."""
+    return -matvec(connection_along(analysis, v), v)
 
 
 def _geodesic_panel(field, a: float, b: float, start) -> _Trial:
@@ -359,7 +356,7 @@ def _geodesic_panel(field, a: float, b: float, start) -> _Trial:
                             f"on the panel at tau = {a:.6g}")
         acc = np.empty_like(X)
         for sl, analysis in batch_analyses(field, X):
-            acc[sl] = geodesic_acceleration(analysis.gamma, V[sl])
+            acc[sl] = geodesic_acceleration(analysis, V[sl])
         X1 = line + h2 * h2 * (_S2[:p] @ acc)
         V1 = v + h2 * (_S1[:p] @ acc)
         speed = np.abs(V1).max()
@@ -399,7 +396,7 @@ def geodesic_residuals(path: GeodesicPath, taus) -> np.ndarray:
     x, v = path.states(taus)
     vdot = path.dense.derivative().columns(slice(x.shape[-1], None))(taus)
     analysis = PointAnalysis(path.field, x)
-    res = vdot - geodesic_acceleration(analysis.gamma, v)
+    res = vdot - geodesic_acceleration(analysis, v)
     return np.sqrt(inner(analysis.g, res, res))
 
 
@@ -407,58 +404,36 @@ def geodesic_residuals(path: GeodesicPath, taus) -> np.ndarray:
 
 
 def coefficients_at(path: GeodesicPath, taus: np.ndarray) -> np.ndarray:
-    """(N, 2, d, d): Gamma(., cdot) and K = ``jacobi_operator`` along cdot at
-    the geodesic's points of parameters ``taus``, jet-exact, from one array
-    call into the dense output and one batched analysis per memory-bounded
-    slice."""
+    """(N, 2, d, d): the transport matrix T[k, j] = Gamma^k(cdot, e_j), along
+    which parallel frame rows e change as e' = -e T^T, and K =
+    ``jacobi_operator`` along cdot at the geodesic's points of parameters
+    ``taus``, jet-exact, from one array call into the dense output and one
+    batched analysis per memory-bounded slice."""
     x, v = path.states(taus)
     d = x.shape[1]
     out = np.empty((len(x), 2, d, d))
     for sl, analysis in batch_analyses(path.field, x):
-        out[sl, 0] = transport_matrix(analysis.gamma, v[sl])
+        out[sl, 0] = connection_along(analysis, v[sl])
         out[sl, 1] = jacobi_operator(analysis, v[sl])
     return out
 
 
-def _coupled_groups(tables: np.ndarray) -> list[np.ndarray]:
-    """The connected components of the nonzero pattern of (p, d, d) tables,
-    taken over every node and symmetrised: one (count, size) index array per
-    component size.  Coordinates of different components never meet in the
-    tables, so a linear system built from them splits along the components."""
-    d = tables.shape[-1]
-    link = (tables != 0.0).any(axis=0)
-    link |= link.T | np.eye(d, dtype=bool)
-    least = np.arange(d)
-    while True:
-        # each coordinate takes the least label among its neighbours: a
-        # component ends labelled by its least coordinate
-        lower = np.where(link, least, d).min(axis=1)
-        if (lower == least).all():
-            break
-        least = lower
-    groups: dict[int, list[np.ndarray]] = {}
-    for root in np.flatnonzero(least == np.arange(d)):
-        members = np.flatnonzero(least == root)
-        groups.setdefault(len(members), []).append(members)
-    return [np.array(members) for members in groups.values()]
-
-
 def _grouped_solve(weights: np.ndarray, tables: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """X (p, d, r) with X[j] + sum_k weights[j, k] tables[k] X[k] = rhs[j],
-    for tables (p, d, d) and rhs (p, d, r): one collocation system in
-    p * size unknowns per coupled group of coordinates (``_coupled_groups``),
-    the groups of one size stacked into one batched solve."""
-    p = len(tables)
-    out = np.empty(rhs.shape)
-    for members in _coupled_groups(tables):
-        count, size = members.shape
-        sub = tables[:, members[:, :, None], members[:, None, :]]    # (p, count, size, size)
-        system = weights[:, None, :, None] * sub.transpose(1, 2, 0, 3)[:, None]
-        system = system.reshape(count, p * size, p * size) + np.eye(p * size)
-        part = rhs[:, members].transpose(1, 0, 2, 3).reshape(count, p * size, -1)
-        solved = np.linalg.solve(system, part).reshape(count, p, size, -1)
-        out[:, members] = solved.transpose(1, 0, 2, 3)
-    return out
+    for tables (p, d, d) and rhs (p, d, r).  When every table is diagonal at
+    every node the system splits into d systems in p unknowns, solved as one
+    batch; else it is one system in p * d unknowns.  (The axial flow's tables
+    are diagonal, and an off-axis flow couples every coordinate.)"""
+    p, d = tables.shape[:2]
+    diagonal = not tables[:, ~np.eye(d, dtype=bool)].any()
+    members = np.arange(d).reshape((d, 1) if diagonal else (1, d))
+    count, size = members.shape
+    sub = tables[:, members[:, :, None], members[:, None, :]]    # (p, count, size, size)
+    system = weights[:, None, :, None] * sub.transpose(1, 2, 0, 3)[:, None]
+    system = system.reshape(count, p * size, p * size) + np.eye(p * size)
+    part = rhs[:, members].transpose(1, 0, 2, 3).reshape(count, p * size, -1)
+    solved = np.linalg.solve(system, part).reshape(count, p, size, -1)
+    return solved.transpose(1, 0, 2, 3).reshape(rhs.shape)
 
 
 def _jacobi_panel(h2: float, coefficients: np.ndarray, frame: np.ndarray, y: np.ndarray,
@@ -619,7 +594,7 @@ def jacobi_decay_experiment(model, t0: float, t_end: float, *,
     path = integrate_geodesic(model, x0, v0, t_end - t0)
     C0 = np.zeros(d)
     C0[1] = 1.0  # the fiber field: f(t0) JH in coordinates
-    DC0 = path.start_analysis.gamma[:, 0, 1]  # nabla_H of the fiber field
+    DC0 = connection_along(path.start_analysis, v0)[:, 1]  # nabla_H of the fiber field
     jac = integrate_jacobi(path, C0, DC0)
 
     n = model.n

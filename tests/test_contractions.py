@@ -8,15 +8,18 @@ compared on random tensors at d = 6 and d = 14.
 import numpy as np
 import pytest
 
+from qchgeom import suite
+from qchgeom.cli import RunConfig
 from qchgeom.curvature import (
     PointAnalysis,
+    connection_along,
     contract_slots,
     div_e,
     holomorphic_sectional_curvature,
     max_frame_component_3tensor,
     metric_inverse_jets,
 )
-from qchgeom.flows import geodesic_acceleration, transport_matrix
+from qchgeom.flows import geodesic_acceleration
 from qchgeom.jets import Jet2
 from qchgeom.qch import d_block, fit_qch_coefficients, qch_residual_samples
 
@@ -130,13 +133,20 @@ def test_curvature_operators(d, rng):
 
 
 def test_flow_contractions(d, rng):
-    gamma = rng.standard_normal((d, d, d))
+    """What the flows read of Gamma, the first-kind symbols along a velocity
+    raised by g^-1, against single einsums over the second-kind array at
+    real warped points, one and a batch; and the Jacobi matrix of a frame."""
+    model = suite.build_model(RunConfig(mode="warped", n=d // 2, k=1, rng_seed=0))
+    points = suite.sample_interior_points(model, rng, 3)
+    velocities = rng.standard_normal((3, d))
+    for x, v in ((points[0], velocities[0]), (points, velocities)):
+        an = PointAnalysis(model, x)
+        assert _close(connection_along(an, v), np.einsum("...kij,...i->...kj", an.gamma, v))
+        assert _close(geodesic_acceleration(an, v),
+                      -np.einsum("...kij,...i,...j->...k", an.gamma, v, v))
     R = rng.standard_normal((d, d, d, d))
     v = rng.standard_normal(d)
     frame = rng.standard_normal((d, d))
-    assert _close(geodesic_acceleration(gamma, v), -np.einsum("kij,i,j->k", gamma, v, v))
-    assert _close(-frame @ transport_matrix(gamma, v).T,
-                  -np.einsum("kij,i,aj->ak", gamma, v, frame))
     assert _close(jacobi_matrix(R, v, frame),
                   np.einsum("ijkl,i,bj,k,al->ab", R, v, frame, v, frame))
 

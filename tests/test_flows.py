@@ -451,10 +451,10 @@ def test_grouped_panel_solve_matches_the_dense_one(pattern, monkeypatch):
     a coupling pattern, the panel's node values and end state agree with
     the dense solve within 1e-12 of the largest entry of each: the frame
     system with its d right-hand sides and the y system.  Each solve splits
-    into the pattern's groups and no further.  The patterns: all coordinates
-    coupled; a permuted group of 1 and one of 6; the same with the 6 reading
-    the 1 at one node only, which joins them; a permuted chain, each
-    coordinate coupled to the next alone; each coordinate on its own."""
+    per coordinate when the pattern is diagonal, else it is one system.  The
+    patterns: all coordinates coupled; a permuted group of 1 and one of 6;
+    the same with the 6 reading the 1 at one node only; a permuted chain,
+    each coordinate coupled to the next alone; each coordinate on its own."""
     d, p = 7, flows.PANEL_NODES
     rng = np.random.default_rng(11)
     if pattern == "full":
@@ -479,8 +479,7 @@ def test_grouped_panel_solve_matches_the_dense_one(pattern, monkeypatch):
         assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
     # both systems split the same way: the frame rows carry the pattern to M
     counts = {size // p: sizes.count(size) // 2 for size in set(sizes)}
-    assert counts == ({1: 1, 6: 1} if pattern == "two-block" else
-                      {1: 7} if pattern == "diagonal" else {7: 1})
+    assert counts == ({1: 7} if pattern == "diagonal" else {7: 1})
 
 
 @pytest.mark.parametrize("n", [3, 5, 7])
@@ -568,6 +567,33 @@ def test_decay_rows_match_the_row_loop(warped, profile, monkeypatch):
     assert np.array_equal(report.rows, _loop_rows(warped, captured[0], t0, 160))
 
 
+def test_flows_never_read_the_second_kind_array(monkeypatch):
+    """The flows read Gamma along the velocity alone (``connection_along``)
+    and K from the first-kind form: with ``PointAnalysis.gamma`` made to
+    raise, the desk decay experiment runs at n = 3 and 5, and so do a curved
+    Fubini-Study geodesic, its Jacobi solve (whose tables couple every
+    coordinate) and both their residuals."""
+    def refuse(analysis):
+        raise AssertionError("a flow read PointAnalysis.gamma")
+
+    monkeypatch.setattr(PointAnalysis, "gamma", property(refuse))
+    for n in (3, 5):
+        profile = solve_profile(build_polynomial(1.0, 2.0, 2.0 / n))
+        model = WarpedBundleMetric(profile, FubiniStudy(n - 1, 4.0))
+        jacobi_decay_experiment(model, 0.2 * profile.L, profile.L * (1.0 - 1e-3))
+    bm = BaseChartMetric(FubiniStudy(2, 4.0))
+    x0 = np.array([0.1, 0.05, -0.2, 0.15])
+    v0 = np.array([0.6, 0.8, -0.3, 0.2])
+    v0 = v0 / np.sqrt(v0 @ PointAnalysis(bm, x0).g @ v0)
+    path = integrate_geodesic(bm, x0, v0, 0.6)
+    result = integrate_jacobi(path, np.array([0.3, -0.2, 0.1, 0.5]),
+                              np.array([0.1, 0.4, 0.0, -0.2]))
+    taus = np.linspace(0.1, 0.5, 4)
+    assert coefficients_at(path, taus)[:, :, ~np.eye(4, dtype=bool)].all()
+    assert geodesic_residuals(path, taus).max() < 1e-10
+    assert jacobi_equation_residual(result, taus) < 1e-8
+
+
 def test_batched_residuals_match_point_loops():
     """One analysis over all tau gives the residuals of one analysis per tau,
     each with the derivative of the panels' interpolant taken at its tau."""
@@ -583,7 +609,7 @@ def test_batched_residuals_match_point_loops():
     for tau in taus:
         x, v = path.states(tau)
         an = PointAnalysis(bm, x)
-        res = path.dense.derivative()(tau)[d:] - geodesic_acceleration(an.gamma, v)
+        res = path.dense.derivative()(tau)[d:] - geodesic_acceleration(an, v)
         geodesic_ref.append(np.sqrt(res @ an.g @ res))
         state = result.dense(tau)
         ypp = result.dense.derivative()(tau)[d * d + d:]

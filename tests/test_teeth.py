@@ -353,7 +353,7 @@ def test_geodesic_residual_sees_a_pushed_flow(unperturbed, monkeypatch):
     def pushed_panel(field, a, b, start):
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(flows, "geodesic_acceleration",
-                          lambda gamma, v: acceleration(gamma, v) + 1e-6 * v)
+                          lambda analysis, v: acceleration(analysis, v) + 1e-6 * v)
             return panel(field, a, b, start)
 
     monkeypatch.setattr(flows, "_geodesic_panel", pushed_panel)
