@@ -148,7 +148,7 @@ def emit_report(report: VerificationReport, path) -> dict:
     return payload
 
 
-def emit_summary_csv(config: RunConfig, path, points: int = 100) -> None:
+def emit_summary_csv(config: RunConfig, path, points: int) -> None:
     """Axis table (t, r, f, a, b, c, lambda, mu, kappa) for plotting."""
     model = build_model(config)
     profile = model.profile

@@ -5,12 +5,12 @@ values at the first-kind Chebyshev nodes of the panel; dense output is the
 barycentric formula of the second kind (Trefethen, *Approximation Theory and
 Approximation Practice*, ch. 5), added up one node at a time, so a read
 holds a few arrays of samples x columns, never samples x nodes x columns.
-Each solve hands out that interpolant (``states``), not samples of it: a
-caller picks its own parameters, and reads only the columns it uses through
-a view of the node values (``Panels.columns``).  On a
-panel [a, b] the equations are solved in integral form (Greengard's spectral
-integration): with S and S2 the Chebyshev matrices that integrate node
-values once and twice from a,
+Each solve hands out that interpolant (``GeodesicPath.states``,
+``JacobiResult.dense``), not samples of it: a caller picks its own
+parameters, and reads only the columns it uses through a view of the node
+values (``Panels.columns``).  On a panel [a, b] the equations are solved in
+integral form (Greengard's spectral integration): with S and S2 the
+Chebyshev matrices that integrate node values once and twice from a,
 
     x'' = A   becomes   x = x(a) + (tau - a) x'(a) + S2 A,   x' = x'(a) + S A.
 
@@ -65,6 +65,7 @@ from numpy.polynomial import chebyshev
 from .batch import inner, matvec, mT
 from .curvature import PointAnalysis, batch_analyses, connection_along, jacobi_operator
 from .geometry import END_MARGIN_FRAC, _gram_schmidt
+from .qch import kappa_closed_form
 
 # Chebyshev nodes per panel, and the most panels one solve may certify, and
 # reject, before it is abandoned (FlowError, exit 3).  The desk runs and the
@@ -467,13 +468,6 @@ class JacobiResult:
     dense: Panels               # packed (frame, y, y') on the solve's panels
     velocity_row: np.ndarray    # (d,) g(cdot, e_a), parallel-constant: g(cdot, C) = y . it
 
-    def states(self, taus) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(frames, y, y') at a float or an array of parameters."""
-        d = len(self.velocity_row)
-        packed = self.dense(taus)
-        return (packed[..., :d * d].reshape(packed.shape[:-1] + (d, d)),
-                packed[..., d * d:d * d + d], packed[..., d * d + d:])
-
 
 def _initial_frame(analysis: PointAnalysis, velocity: np.ndarray) -> np.ndarray:
     """Orthonormal frame with e_0 = cdot(0): cdot(0) first, then the chart
@@ -564,8 +558,7 @@ def _dot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return (x[:, None, :] @ y[:, :, None])[:, 0, 0]
 
 
-def jacobi_decay_experiment(model, t0: float, t_end: float, *,
-                            samples: int = 200) -> DecayReport:
+def jacobi_decay_experiment(model, t0: float, t_end: float, *, samples: int) -> DecayReport:
     """Integrate the Jacobi field that restricts the fiber Killing field along
     the t-line geodesic through psi = 0, z = 0 and compare against the closed
     forms.
@@ -609,7 +602,7 @@ def jacobi_decay_experiment(model, t0: float, t_end: float, *,
     dlog_c = _dot(y, yp) / _dot(y, y)
     dlog_kappa = rpp / rp - rp / r
     theta_cdot = path.dense.columns(slice(d, d + 1))(taus)[:, 0]
-    kappa = 2.0 * (n - 1) * rp / r
+    kappa = kappa_closed_form(n, r, rp)
     ratio_res = np.abs(dlog_kappa - dlog_c + kappa * theta_cdot / (n - 1))
     rows = np.column_stack([t, norm, f, ratio_res, velocity_inner])
 

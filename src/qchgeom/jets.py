@@ -124,13 +124,6 @@ class Jet2:
             self.gradient[grad] = 0.0
             self.hessian[hess] = 0.0
 
-    def sum(self, axis: int = -1) -> "Jet2":
-        """Sum along one value axis."""
-        if axis < 0:
-            axis += np.ndim(self.value)
-        return Jet2(self.value.sum(axis), self.gradient.sum(axis),
-                    self.hessian.sum(axis))
-
     # -- ring operations ----------------------------------------------------
 
     def __add__(self, other):

@@ -33,6 +33,8 @@ _EPS = np.finfo(float).eps
 
 # interior points at which the first integral r'^2 = P(r) is checked
 FIRST_INTEGRAL_SAMPLES = 400
+# relative agreement of two successive period quadrature rules
+PERIOD_RTOL = 1e-9
 
 
 class ProfileError(RuntimeError):
@@ -81,14 +83,14 @@ def build_polynomial(x: float, y: float, s: float) -> CubicProfilePolynomial:
     return CubicProfilePolynomial(x, y, s, s / scale)
 
 
-def period_length(poly: CubicProfilePolynomial, *, tol: float = 1e-9) -> float:
+def period_length(poly: CubicProfilePolynomial) -> float:
     """Half-period L = integral over [x, y] of dt / sqrt(P(t)), by Gauss-Legendre.
 
     The inverse-square-root endpoint singularities are removed by the
     substitution t = x + (y - x) sin^2(u), after which the integrand
     2 / sqrt(c3 (y - (y - x) sin^2 u)) is smooth on [0, pi/2].  The node count
-    doubles from 32 until two successive rules agree within ``tol`` relative
-    to the finer (32 nodes alone miss by 1.4e-5 at x = 0.1, y = 10); the
+    doubles from 32 until two successive rules agree within ``PERIOD_RTOL``
+    relative to the finer (32 nodes alone miss by 1.4e-5 at x = 0.1, y = 10); the
     estimate is floored at the rounding level of the sum, and past 1,024
     nodes the quadrature fails.  The test is relative because L grows with
     the endpoints: at x = 1e6, y = 3e6, L = 7.0e6, rounding alone moves the
@@ -105,10 +107,10 @@ def period_length(poly: CubicProfilePolynomial, *, tol: float = 1e-9) -> float:
     for nodes in (64, 128, 256, 512, 1024):
         finer = rule(nodes)
         err = max(abs(finer - value), _EPS * finer)
-        if err <= tol * finer:
+        if err <= PERIOD_RTOL * finer:
             return finer
         value = finer
-    raise ProfileError(f"period quadrature error estimate {err:.3e} exceeds {tol:.1e} "
+    raise ProfileError(f"period quadrature error estimate {err:.3e} exceeds {PERIOD_RTOL:.1e} "
                        f"of the length {finer:.6g}")
 
 

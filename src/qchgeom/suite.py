@@ -15,7 +15,9 @@ random number of the run.  It walks the points once, in memory-bounded
 slices (``curvature.batch_analyses``): at each slice it takes one
 ``PointAnalysis`` and runs every check family of its mode on it, each adding
 its residuals under each check's name (one per point, or one per random
-probe of the QCH fit), and drops the analysis before the next slice.  The
+probe of the QCH fit), and drops the analysis before the next slice.  Every
+mode but the circle bundle fits (a, b, c) once per slice and scores the fit
+along its probes; the negative control's median reads those same scores.  The
 checks of the whole run (the profile, the second Bianchi spot check, the
 decay flow) run once and add one residual per sample they take.  One place,
 ``_Residuals``, then reduces every check's residuals with ``np.max``, so a
@@ -287,8 +289,7 @@ def _connection_form_residuals(model, analysis: PointAnalysis) -> tuple:
     return res_sigma, max_abs(dtheta - target, 2)
 
 
-def _metric_invariant_checks(res: _Residuals, model, an: PointAnalysis, *,
-                             has_j: bool) -> None:
+def _metric_invariant_checks(res: _Residuals, model, an: PointAnalysis) -> None:
     g = an.g
     eye = np.eye(g.shape[-1])
     fr = an.frame
@@ -300,7 +301,7 @@ def _metric_invariant_checks(res: _Residuals, model, an: PointAnalysis, *,
             frame_orthonormality=max_abs(fr @ g @ mT(fr) - eye, 2),
             christoffel_symmetry=max_abs(gamma - mT(gamma), 3),
             theta_normalization=theta)
-    if has_j:
+    if an.complex_structure is not None:
         J = an.complex_structure[0]
         res.add(complex_structure_involution=max_abs(J @ J + eye, 2),
                 hermitian_metric=max_abs(mT(J) @ g @ J - g, 2),
@@ -310,7 +311,7 @@ def _metric_invariant_checks(res: _Residuals, model, an: PointAnalysis, *,
         res.add(connection_form_derivative=ds, theta_derivative=dt)
 
 
-def _curvature_invariant_checks(res: _Residuals, an: PointAnalysis, *, has_j: bool) -> None:
+def _curvature_invariant_checks(res: _Residuals, an: PointAnalysis) -> None:
     R = an.riemann
     scale = np.maximum(max_abs(R, 4), 1e-30)
 
@@ -323,7 +324,7 @@ def _curvature_invariant_checks(res: _Residuals, an: PointAnalysis, *, has_j: bo
             curvature_pair_symmetry=relative(R - np.moveaxis(R, (-2, -1), (-4, -3))),
             bianchi_first=relative(R + np.moveaxis(R, -2, -4) + np.moveaxis(R, -4, -2)),
             ricci_symmetry=max_abs(rho - mT(rho), 2))
-    if has_j:
+    if an.complex_structure is not None:
         J = an.complex_structure[0]
         rj = np.moveaxis(contract_slots(R, mT(J), mT(J), rank=4), (-2, -1), (-4, -3))
         res.add(curvature_kahler_type=relative(rj - R),
@@ -341,28 +342,24 @@ def _profile_checks(res: _Residuals, profile, poly) -> None:
             profile_length_agreement=abs(profile.L - profile.quadrature_length))
 
 
-def _warped_structure_checks(res: _Residuals, model, an: PointAnalysis, probes, phis,
-                             moves) -> None:
-    """The QCH structure at a slice: the fit with its deviation along each of
-    the ``probes``, the section rotated by the angles ``phis``, and the base
-    independence at the points moved by ``moves``.  The slice's own points
-    come first, then the complex step along t of the gradient laws, then the
-    moved points, the order in which the model's memos hold one batch each."""
-    fit = fit_qch_coefficients(an)
+def _warped_structure_checks(res: _Residuals, model, an: PointAnalysis, fit, rs,
+                             divergences, phis, moves) -> None:
+    """The QCH structure at a slice, from the slice's ``fit``, Ricci split
+    ``rs`` and section ``divergences``: the section rotated by the angles
+    ``phis``, and the base independence at the points moved by ``moves``.
+    The slice's own points come first, then the complex step along t of the
+    gradient laws, then the moved points, the order in which the model's
+    memos hold one batch each."""
     r, rp, _, _ = model.profile_at(an.x[..., 0])
-    n, c0 = model.n, model.base.c0
-    rs = ricci_split(an, fit, n)
-    d1, d2 = section_divergences(an, model)
+    c0 = model.base.c0
+    d1, d2 = divergences
     d1r, d2r = section_divergences(an, model, (np.cos(phis), np.sin(phis)))
-    res.add(qch_fit_residual=qch_residual_samples(an, fit, probes),
-            qch_coefficient_a=np.abs(fit.a - (c0 / r ** 2 - 4.0 * rp ** 2 / r ** 2)),
-            ricci_lambda=np.abs(rs.lam_engine - rs.lam_formula),
-            ricci_mu=np.abs(rs.mu_engine - rs.mu_formula),
+    res.add(qch_coefficient_a=np.abs(fit.a - (c0 / r ** 2 - 4.0 * rp ** 2 / r ** 2)),
             ricci_off_block=rs.off_block_max, ricci_e_block=rs.e_block_deviation,
             principal_section=np.abs(d2),  # div_E(JH) = 0 makes H the principal section
             kappa_section_independence=np.abs(np.hypot(d1r, d2r) - np.hypot(d1, d2)),
             **warped_submersion_residuals(an, model))
-    res.add(**structure_identity_residuals(an, model, fit=fit, divergences=(d1, d2)))
+    res.add(**structure_identity_residuals(an, model, fit=fit, divergences=divergences))
     res.add(qch_coefficient_base_independence=coefficient_base_independence(
         an, model, draws=moves))
 
@@ -402,49 +399,39 @@ def _circle_bundle_checks(res: _Residuals, model, an: PointAnalysis) -> None:
             **circle_bundle_residuals(an, model, mu0))
 
 
-def _product_checks(res: _Residuals, model, an: PointAnalysis, probes) -> None:
-    fit = fit_qch_coefficients(an)
-    rs = ricci_split(an, fit, model.n)
-    d1, d2 = section_divergences(an, model)
-    res.add(qch_fit_residual=qch_residual_samples(an, fit, probes),
-            kappa_vanishes=np.hypot(d1, d2),
-            ricci_lambda=np.abs(rs.lam_engine - rs.lam_formula),
-            ricci_mu=np.abs(rs.mu_engine - rs.mu_formula))
-
-
-def _negative_control_checks(res: _Residuals, an: PointAnalysis, probes, samples) -> np.ndarray:
-    """The quasi-constancy fit on a base that is Einstein but not of constant
-    holomorphic curvature, with its deviation along each of the ``probes``;
-    returns each point's median deviation along its ``samples``, whose
-    median over the run must exceed ``NEGATIVE_CONTROL_FLOOR``."""
-    fit = fit_qch_coefficients(an)
-    res.add(qch_fit_residual=qch_residual_samples(an, fit, probes))
-    return np.median(qch_residual_samples(an, fit, samples), axis=-1)
-
-
 def _sample_checks(res: _Residuals, model, mode: str, points: np.ndarray, draws) -> None:
     """Every family of the mode at the sample points, one slice at a time:
     one analysis per slice, dropped before the next, and each family reads
-    the slice's rows of the ``draws``.  No analysis outlives the call, so the
-    decay flow, which analyses its own points, runs without one."""
-    bundle = mode == "circle-bundle"
+    the slice's rows of the ``draws``.  Every QCH mode fits (a, b, c) once
+    per slice and scores it along the slice's probes; the negative control
+    keeps each point's median deviation, whose median over the run must
+    exceed ``NEGATIVE_CONTROL_FLOOR``.  No analysis outlives the call, so
+    the decay flow, which analyses its own points, runs without one."""
     medians = []
     for sl, an in batch_analyses(model, points):
-        rows = [a[sl] for a in draws]
-        _metric_invariant_checks(res, model, an, has_j=not bundle)
-        _curvature_invariant_checks(res, an, has_j=not bundle)
-        if bundle:
+        _metric_invariant_checks(res, model, an)
+        _curvature_invariant_checks(res, an)
+        if mode == "circle-bundle":
             _circle_bundle_checks(res, model, an)
             continue
         # with perturb_f != 1 this check fails decisively: that is a hard
         # failure mode (exit 1), not an annotated expected failure
         _nabla_j_check(res, an)
+        probes, *rows = (a[sl] for a in draws)
+        fit = fit_qch_coefficients(an)
+        deviations = qch_residual_samples(an, fit, probes)
+        res.add(qch_fit_residual=deviations)
         if mode == "negative-control":
-            medians.append(_negative_control_checks(res, an, *rows))
-        elif mode == "product":
-            _product_checks(res, model, an, *rows)
+            medians.append(np.median(deviations, axis=-1))
+            continue
+        rs = ricci_split(an, fit, model.n)
+        divergences = section_divergences(an, model)
+        res.add(ricci_lambda=np.abs(rs.lam_engine - rs.lam_formula),
+                ricci_mu=np.abs(rs.mu_engine - rs.mu_formula))
+        if mode == "product":
+            res.add(kappa_vanishes=np.hypot(*divergences))
         else:
-            _warped_structure_checks(res, model, an, *rows)
+            _warped_structure_checks(res, model, an, fit, rs, divergences, *rows)
     if medians:
         res.controls["qch_fit_residual"] = {
             "discrimination_floor": NEGATIVE_CONTROL_FLOOR,
@@ -464,7 +451,7 @@ def run_suite(config) -> VerificationReport:
     # with one row per sample point (a draw of N + (k,) is the stream of N
     # draws of (k,)): unit directions (A, B, C) at the Bianchi spots, then
     # fit probes, a section angle and base moves point after point (warped),
-    # or fit probes and then the control's residual samples
+    # or fit probes alone (product, negative-control)
     d, nz = model.dim, model.base.dim
     spots = points[:BIANCHI2_POINTS]
     dirs = rng.standard_normal(spots.shape[:-1] + (3, d))
@@ -477,8 +464,6 @@ def run_suite(config) -> VerificationReport:
         draws = []
     else:
         draws = [rng.standard_normal((count, 100, d))]
-        if mode == "negative-control":
-            draws.append(rng.standard_normal((count, 40, d)))
 
     _sample_checks(res, model, mode, points, draws)
     res.add(bianchi_second_spot=second_bianchi_residual(model, spots, dirs))

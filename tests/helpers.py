@@ -3,7 +3,8 @@
 small definitions that only tests use (seeded variables, constant fields,
 flat space, sectional curvature, the Jacobi matrix of the full Riemann
 tensor, the derivatives of the Christoffel symbols, warp derivatives, the
-model tensors, a profile off the cubic, the gathered panel formula)."""
+model tensors, a profile off the cubic, the gathered panel formula, the
+unpacked states of a Jacobi solve)."""
 
 import math
 
@@ -257,6 +258,15 @@ def gathered_panels(panels, taus):
     on_node = hit.any(axis=1)
     out[on_node] = values[on_node, hit[on_node].argmax(axis=1)]
     return out.reshape(taus.shape + panels.values.shape[2:])
+
+
+def jacobi_states(result, taus):
+    """(frames, y, y') of a ``flows.JacobiResult`` at a float or an array of
+    parameters, unpacked from its panels' (frame, y, y') columns."""
+    d = len(result.velocity_row)
+    packed = result.dense(taus)
+    return (packed[..., :d * d].reshape(packed.shape[:-1] + (d, d)),
+            packed[..., d * d:d * d + d], packed[..., d * d + d:])
 
 
 class PerturbedProfile(ProfileSolution):

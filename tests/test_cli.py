@@ -15,6 +15,8 @@ from qchgeom.cli import (
     main,
     parse_config,
 )
+from qchgeom import suite
+from qchgeom.curvature import batch_slices
 from qchgeom.suite import CheckResult, run_suite
 
 
@@ -190,6 +192,26 @@ def test_negative_control_expected_fail():
     assert not rec.passed
     assert rec.details["median_residual"] > 1e-2
     assert rec.in_order
+
+
+def test_negative_control_median_reads_the_scored_probes(monkeypatch):
+    """The control scores its fit once per analysis slice and takes its median
+    from those scores: at 150 points, three slices at n = 3, the suite scores
+    three times, and the run's median is the median over points of each
+    point's median scored deviation."""
+    score = suite.qch_residual_samples
+    scored = []
+
+    def recording(an, fit, draws):
+        scored.append(score(an, fit, draws))
+        return scored[-1]
+
+    monkeypatch.setattr(suite, "qch_residual_samples", recording)
+    report = run_suite(small_config(mode="negative-control", sample_count=150))
+    assert len(scored) == len(batch_slices(150, 6)) == 3
+    rec = next(c for c in report.checks if c.name == "qch_fit_residual")
+    per_point = np.concatenate([np.median(s, axis=-1) for s in scored])
+    assert rec.details["median_residual"] == float(np.median(per_point))
 
 
 def test_product_mode_suite():

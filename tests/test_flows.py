@@ -28,7 +28,13 @@ from qchgeom.flows import (
 from qchgeom.geometry import BaseChartMetric
 from qchgeom.jets import Jet2, compose
 
-from helpers import EuclideanMetric, gathered_panels, jacobi_matrix, warp_derivatives
+from helpers import (
+    EuclideanMetric,
+    gathered_panels,
+    jacobi_matrix,
+    jacobi_states,
+    warp_derivatives,
+)
 
 
 @pytest.fixture(scope="module")
@@ -69,7 +75,7 @@ def test_flat_jacobi_field_is_linear():
     DC0 = np.array([0.0, 0.0, 0.5])
     result = integrate_jacobi(path, C0, DC0)
     taus = np.linspace(0.0, 2.0, 40)
-    frames, y, _ = result.states(taus)
+    frames, y, _ = jacobi_states(result, taus)
     for i, tau in enumerate(taus):
         expected = C0 + tau * DC0
         assert np.abs(y[i] @ frames[i] - expected).max() < 1e-9
@@ -88,7 +94,7 @@ def test_constant_curvature_jacobi_oscillates():
     path = integrate_geodesic(bm, x0, v0, 0.6)
     result = integrate_jacobi(path, C0, np.zeros(2))
     taus = np.linspace(0.0, 0.6, 30)
-    y = result.states(taus)[1]
+    y = jacobi_states(result, taus)[1]
     for i, tau in enumerate(taus):
         assert abs(np.linalg.norm(y[i]) - abs(np.cos(2.0 * tau))) < 1e-6
 
@@ -103,7 +109,7 @@ def test_velocity_inner_product_conserved(warped, profile):
     C0 = np.zeros(6); C0[1] = 1.0
     DC0 = an0.gamma[:, 0, 1]
     result = integrate_jacobi(path, C0, DC0)
-    y = result.states(np.linspace(0.0, path.span, 50))[1]
+    y = jacobi_states(result, np.linspace(0.0, path.span, 50))[1]
     assert np.abs(y @ result.velocity_row).max() < 1e-8
 
 
@@ -151,7 +157,7 @@ def test_decay_report_csv(tmp_path, decay_report):
 
 def test_experiment_window_validation(warped, profile):
     with pytest.raises(ValueError, match="window"):
-        jacobi_decay_experiment(warped, 0.2 * profile.L, 1.5 * profile.L)
+        jacobi_decay_experiment(warped, 0.2 * profile.L, 1.5 * profile.L, samples=160)
 
 
 def test_decay_report_counts_solver_work(decay_report):
@@ -326,7 +332,8 @@ def test_jacobi_flow_matches_the_per_stage_reference():
     """y and y' at the 200 samples of the n = 3 desk flow agree with scipy's
     DOP853 at rtol 3e-14, analysing every integrator stage exactly."""
     path, C0, DC0 = _desk_flow(3)
-    _, y, yp = integrate_jacobi(path, C0, DC0).states(np.linspace(0.0, path.span, 200))
+    _, y, yp = jacobi_states(integrate_jacobi(path, C0, DC0),
+                             np.linspace(0.0, path.span, 200))
     y_ref, yp_ref = _reference_jacobi(path, C0, DC0, rtol=3e-14, atol=1e-16)
     for got, ref in ((y, y_ref), (yp, yp_ref)):
         scale = np.abs(ref).max(axis=1, keepdims=True)
@@ -537,7 +544,7 @@ def _loop_rows(model, jac, t0, samples):
     profile = model.profile
     n = model.n
     taus = np.linspace(0.0, jac.path.span, samples)
-    _, ys, yps = jac.states(taus)
+    _, ys, yps = jacobi_states(jac, taus)
     rows = np.empty((samples, 5))
     for i, tau in enumerate(taus):
         t = t0 + tau
@@ -580,7 +587,7 @@ def test_flows_never_read_the_second_kind_array(monkeypatch):
     for n in (3, 5):
         profile = solve_profile(build_polynomial(1.0, 2.0, 2.0 / n))
         model = WarpedBundleMetric(profile, FubiniStudy(n - 1, 4.0))
-        jacobi_decay_experiment(model, 0.2 * profile.L, profile.L * (1.0 - 1e-3))
+        jacobi_decay_experiment(model, 0.2 * profile.L, profile.L * (1.0 - 1e-3), samples=160)
     bm = BaseChartMetric(FubiniStudy(2, 4.0))
     x0 = np.array([0.1, 0.05, -0.2, 0.15])
     v0 = np.array([0.6, 0.8, -0.3, 0.2])
@@ -741,7 +748,7 @@ def test_dense_output_works_in_place_of_gathering():
     gather = taus.size * flows.PANEL_NODES * (d * d + 2 * d) * np.dtype(float).itemsize
     tracemalloc.start()
     try:
-        result.states(taus)
+        jacobi_states(result, taus)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -206,12 +206,10 @@ def test_batched_matmul_matches_scalar_arithmetic():
                 assert np.allclose(x, y, rtol=1e-13, atol=1e-13)
 
 
-def test_batched_indexing_transpose_and_sum():
+def test_batched_indexing_and_seeding():
     rng = np.random.default_rng(32)
     a = _random_jet(rng, (4, 3, 3), 5)
     col = a[..., 1]
     assert col.shape == (4, 3) and np.array_equal(col.gradient, a.gradient[..., 1, :])
-    total = a.sum()
-    assert np.array_equal(total.hessian, a.hessian.sum(axis=-3))
     x = seed_chart(rng.standard_normal((4, 5)))
     assert x.gradient.shape == (4, 5, 5) and np.array_equal(x.gradient[2], np.eye(5))

@@ -178,10 +178,15 @@ def test_circle_bundle_metric_jets_match_jet_arithmetic(n):
 # -- closed-form Fubini-Study jets against generic jet products -----------------
 
 
+def _norm_squared(z):
+    """|z|^2 of a jet vector, summed entry by entry."""
+    return sum(z[..., i] * z[..., i] for i in range(z.value.shape[-1]))
+
+
 def _product_metric(base, z):
     """h = (4/c0)(I/W - (z z^T + (Jz)(Jz)^T)/W^2), W = 1 + |z|^2, assembled by
     generic jet products: the reference for the closed form."""
-    inv_w2 = reciprocal(1.0 + (z * z).sum())[..., None, None]
+    inv_w2 = reciprocal(1.0 + _norm_squared(z))[..., None, None]
     jz = z @ base.j0.T
     outer = z[..., :, None] * z[..., None, :] + jz[..., :, None] * jz[..., None, :]
     return (4.0 / base.c0) * (inv_w2 * np.eye(base.dim) - (inv_w2 * inv_w2) * outer)
@@ -189,7 +194,7 @@ def _product_metric(base, z):
 
 def _product_potential(base, z):
     """sigma = (2/c0) Jz / W by generic jet products."""
-    coef = (2.0 / base.c0) * reciprocal(1.0 + (z * z).sum())
+    coef = (2.0 / base.c0) * reciprocal(1.0 + _norm_squared(z))
     return coef[..., None] * (z @ base.j0.T)
 
 

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import ellipj, ellipk
 
+from qchgeom import profile as profile_module
 from qchgeom.profile import (
     ProfileError,
     ProfileSolution,
@@ -257,11 +258,12 @@ def test_period_quadrature_stops_relative_to_the_length(monkeypatch):
     assert rules == [32, 64]
 
 
-def test_quadrature_failure_reports_estimate():
+def test_quadrature_failure_reports_estimate(monkeypatch):
     # a sound polynomial but an impossible tolerance triggers the error path
+    monkeypatch.setattr(profile_module, "PERIOD_RTOL", 1e-18)
     poly = build_polynomial(1.0, 2.0, 1.0)
     with pytest.raises(ProfileError, match="error estimate"):
-        period_length(poly, tol=1e-18)
+        period_length(poly)
 
 
 def test_one_point_evaluation_matches_array_path(profile):
