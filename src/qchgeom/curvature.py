@@ -26,12 +26,24 @@ otherwise multiply.  It has three readers:
   (the curvature symmetries, the QCH fit and its random probes, the
   submersion and bundle components), and the complex step along t of the
   gradient laws (``qch.coefficient_t_derivatives``);
-* R along a pair (``riemann_along``), R(X, Y, ., .) from two O(d^4) reads
-  of the Hessian and O(d^3) algebra: ``qch.coefficient_base_independence``
-  (a = K(E_1) at the point and at the moved points) and
-  ``second_bianchi_residual``;
-* R along v twice (``jacobi_operator``), R(v, ., v, .) the same way: the
-  Jacobi coefficients of the decay flow.
+* R along a pair (``riemann_along``), R(X, Y, ., .) from the metric's
+  second derivatives along X and along Y and O(d^3) algebra:
+  ``qch.coefficient_base_independence`` (a = K(E_1) at the point and at the
+  moved points) and ``second_bianchi_residual``;
+* R along v twice (``jacobi_operator``), R(v, ., v, .) the same way, with
+  v^a v^b d d g_ab besides: the Jacobi coefficients of the decay flow.
+
+R whole and Ricci read the dense Hessian of the metric jet, B + (d, d, d,
+d), and they alone assemble it.  The directional readers read two
+contractions of it, d_. d_v g (``hessian_along``, d^3 entries per
+direction, every direction of a reader in one pass over the metric) and
+v^a w^b d d g_ab (``hessian_pair``, d^2): a bundle model's jet
+(``geometry.BundleJet``) takes both from its z-only parts and t-warps, so
+no directional reader forms the Hessian, and a jet without parts
+(``BaseChartMetric``, the test fields) contracts its dense Hessian by the
+same formulas.  Which route a contraction takes is the field's, not the
+analysis's: it is the same whether or not the analysis already holds the
+dense Hessian, so both sides of the base independence round alike.
 
 The Ricci tensor is the formula contracted with g^{il}, written out as its
 own O(d^4) contraction of the same jet,
@@ -57,8 +69,10 @@ Every array may carry leading batch axes, one entry per sample point: an
 analysis of N points holds gamma of shape (N, d, d, d), and the indices above
 name the trailing axes.  One point is the batch shape ().  Every loop over
 a batch goes through ``batch_analyses``: it yields (slice, analysis) pairs
-over slices that keep one rank-4 tensor within ``BATCH_ELEMENTS``, and makes
-each analysis only when the loop reaches it, so a loop holds one at a time.
+over slices that keep one rank-4 tensor within ``BATCH_ELEMENTS`` (a
+rank-3 one for directional reads of points that share their parts), and
+makes each analysis only when the loop reaches it, so a loop holds one at a
+time.
 
 An analysis keeps the dtype of its coordinates, and the path to curvature is
 analytic (nothing conjugates, takes a modulus or compares complex values).
@@ -85,17 +99,27 @@ COMPLEX_STEP = 1e-30
 BATCH_ELEMENTS = 1 << 16
 
 
-def batch_slices(count: int, dim: int) -> list[slice]:
-    """Consecutive slices of ``count`` points, each small enough that one rank-4
-    tensor over the slice stays within ``BATCH_ELEMENTS``."""
-    size = max(1, BATCH_ELEMENTS // dim ** 4)
+def batch_slices(count: int, dim: int, rank: int = 4) -> list[slice]:
+    """Consecutive slices of ``count`` points, each small enough that one
+    tensor of the given rank per point over the slice stays within
+    ``BATCH_ELEMENTS``."""
+    size = max(1, BATCH_ELEMENTS // dim ** rank)
     return [slice(i, min(i + size, count)) for i in range(0, count, size)]
 
 
-def batch_analyses(field, x: np.ndarray):
+def batch_analyses(field, x: np.ndarray, *, directional: bool = False):
     """(slice, analysis) pairs over the points x (N, d), one batched analysis
-    per memory-bounded slice, each made only when the loop reaches it."""
-    for sl in batch_slices(len(x), field.dim):
+    per memory-bounded slice, each made only when the loop reaches it.
+
+    An analysis holds a rank-4 array per point: the metric Hessian, R, or
+    the field's z-only parts.  One read only along directions
+    (``directional``: ``connection_along``, ``riemann_along``,
+    ``jacobi_operator``) forms no Hessian, and where every point shares its
+    parts (``field.shares_parts``, the nodes of an axial flow panel) it
+    holds them once: its slices then count rank-3 arrays per point."""
+    shares = getattr(field, "shares_parts", None)
+    rank = 3 if directional and shares is not None and shares(x) else 4
+    for sl in batch_slices(len(x), field.dim, rank):
         yield sl, PointAnalysis(field, x[sl])
 
 
@@ -206,11 +230,13 @@ class PointAnalysis:
         first, gamma, hess = self.connection, self.gamma, self.metric.hessian
         batch, d = hess.shape[:-4], hess.shape[-1]
         # the terms symmetric under (i, k) <-> (j, l), as a (d^2, d^2) matrix:
-        # pairs[i, k, j, l] = (d_i d_k g_jl + d_j d_l g_ik) / 2 + Gamma^b_ik Gamma_{b,jl}
+        # pairs[i, k, j, l] = (d_i d_k g_jl + d_j d_l g_ik) / 2 + Gamma^b_ik Gamma_{b,jl},
+        # summed in place: one Hessian-sized temporary fewer per build
         flat = hess.reshape(batch + (d * d, d * d))
-        pairs = (0.5 * (flat + mT(flat))
-                 + mT(gamma.reshape(batch + (d, d * d)))
-                 @ first.reshape(batch + (d, d * d))).reshape(hess.shape)
+        pairs = flat + mT(flat)
+        pairs *= 0.5
+        pairs += mT(gamma.reshape(batch + (d, d * d))) @ first.reshape(batch + (d, d * d))
+        pairs = pairs.reshape(hess.shape)
         # R_ijkl = pairs[i, k, j, l] - pairs[i, l, j, k], as Gamma^b_il Gamma_{b,jk}
         # = Gamma_{b,il} Gamma^b_jk
         return _perm(pairs, "ikjl->ijkl") - _perm(pairs, "iljk->ijkl")
@@ -308,6 +334,32 @@ def connection_along(analysis: PointAnalysis, V: np.ndarray) -> np.ndarray:
     return analysis.g_inv @ _first_kind_along(analysis, V)
 
 
+def hessian_along(metric, V: np.ndarray) -> np.ndarray:
+    """[a, b, m, u] = d_m d_u g_ab for k directions u, the rows of V of shape
+    B + (k, d): from the parts of a metric jet that keeps them
+    (``geometry.BundleJet.hessian_along``), else the dense Hessian contracted
+    with V.  Either way the metric is read once for all k directions."""
+    along = getattr(metric, "hessian_along", None)
+    if along is not None:
+        return along(V)
+    hess = metric.hessian
+    batch, d = hess.shape[:-4], hess.shape[-1]
+    return (hess.reshape(batch + (d ** 3, d)) @ mT(V)).reshape(batch + (d, d, d, -1))
+
+
+def hessian_pair(metric, v: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """[m, k] = v^a w^b d_m d_k g_ab for v and w of shape B + (d,): from the
+    parts of a metric jet that keeps them (``geometry.BundleJet.hessian_pair``),
+    else the dense Hessian contracted on its value slots with v x w."""
+    pair = getattr(metric, "hessian_pair", None)
+    if pair is not None:
+        return pair(v, w)
+    hess = metric.hessian
+    batch, d = hess.shape[:-4], hess.shape[-1]
+    vw = (v[..., :, None] * w[..., None, :]).reshape(batch + (1, d * d))
+    return (vw @ hess.reshape(batch + (d * d, d * d))).reshape(batch + (d, d))
+
+
 def riemann_along(analysis: PointAnalysis, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     """R(X, Y, e_k, e_l) as [k, l] at the analysed point(s), X and Y of shape
     B + (d,), contracted straight from the metric jet: no R is formed.
@@ -318,16 +370,21 @@ def riemann_along(analysis: PointAnalysis, X: np.ndarray, Y: np.ndarray) -> np.n
         S = A(X, Y) - A(Y, X),  A(U, W)[k, l] = U^m W^a d_m d_k g_al,
         M[k, l] = Gamma^b(X, e_k) Gamma_b(Y, e_l),
 
-    so a pair costs one product of the Hessian's first value slot with
-    (X, Y), O(d^4), and O(d^3) algebra after it: no O(d^5) product.
+    so a pair reads the Hessian along X and along Y in one pass
+    (``hessian_along``, d^3 entries each) and takes O(d^3) algebra after it.
     """
-    hess = analysis.metric.hessian
-    batch, d = hess.shape[:-4], hess.shape[-1]
-    # h[u][l, m, k] = U^a d_m d_k g_al for U = X, Y, then each against the other on m
-    h = (np.stack((X, Y), axis=-2) @ hess.reshape(batch + (d, d ** 3))).reshape(
-        batch + (2, d, d, d))
-    s_t = ((X[..., None, None, :] @ h[..., 1, :, :, :])[..., 0, :]
-           - (Y[..., None, None, :] @ h[..., 0, :, :, :])[..., 0, :])    # S^T
+    along = hessian_along(analysis.metric, np.stack((X, Y), axis=-2))
+    return _riemann_from(analysis, X, Y, along[..., 0], along[..., 1])
+
+
+def _riemann_from(analysis: PointAnalysis, X: np.ndarray, Y: np.ndarray,
+                  hx: np.ndarray, hy: np.ndarray) -> np.ndarray:
+    """``riemann_along`` from the Hessian along X and along Y, hx and hy of
+    shape B + (d, d, d) (``hessian_along``)."""
+    batch, d = X.shape[:-1], X.shape[-1]
+    # S^T[l, k] = Y^a d_k d_X g_al - X^a d_k d_Y g_al
+    s_t = ((Y[..., None, :] @ hx.reshape(batch + (d, d * d)))
+           - (X[..., None, :] @ hy.reshape(batch + (d, d * d)))).reshape(batch + (d, d))
     half = 0.5 * mT(s_t) + mT(connection_along(analysis, X)) @ _first_kind_along(analysis, Y)
     return half - mT(half)
 
@@ -350,16 +407,15 @@ def jacobi_operator(analysis: PointAnalysis, v: np.ndarray) -> np.ndarray:
             - Gamma^b(v, .)^T Gamma_b(v, .),
         H(v, v)[j, l] = v^a v^b d_j d_l g_ab,  C[j, l] = d_l d_v g_jv,
 
-    so K costs the metric Hessian contracted once with v and once on its
-    value slots with v x v, two O(d^4) products, then O(d^3) algebra.
+    so K reads the Hessian along v (``hessian_along``, d^3 entries) and on
+    its value slots with v x v (``hessian_pair``, d^2 entries), then takes
+    O(d^3) algebra.
     """
-    hess = analysis.metric.hessian
-    batch, d = hess.shape[:-4], hess.shape[-1]
+    metric = analysis.metric
+    batch, d = metric.shape[:-2], metric.shape[-1]
     # hv[a, b, m] = d_m d_v g_ab, then d_v d_v g + H(v, v)
-    hv = matvec(hess.reshape(batch + (d ** 3, d)), v).reshape(batch + (d, d, d))
-    vv = (v[..., :, None] * v[..., None, :]).reshape(batch + (1, d * d))
-    h_slots = (matvec(hv, v[..., None, :])
-               + (vv @ hess.reshape(batch + (d * d, d * d))).reshape(batch + (d, d)))
+    hv = hessian_along(metric, v[..., None, :])[..., 0]
+    h_slots = matvec(hv, v[..., None, :]) + hessian_pair(metric, v, v)
     c = (v[..., None, :] @ hv.reshape(batch + (d, d * d))).reshape(batch + (d, d))
     gamma_v = connection_along(analysis, v)                         # Gamma^b(v, .)
     first_w = (matvec(gamma_v, v)[..., None, :]
@@ -484,12 +540,16 @@ def second_bianchi_residual(field, x, directions):
         v, a, b = V[sl], X[sl], Y[sl]
         # R(X, Y, ., .) at x + i h V: its real part is R0(X, Y, ., .), its
         # imaginary part over h the derivative along V; and the Christoffel
-        # terms with G[m, i] = V^a Gamma^m_{ai}
-        along = riemann_along(an, a, b)
+        # terms with G[m, i] = V^a Gamma^m_{ai}.  The three pairs read the
+        # Hessian along a, b, Ga and Gb, in one pass
         G = connection_along(an, v).real
+        Ga, Gb = matvec(G, a), matvec(G, b)
+        h = hessian_along(an.metric, np.stack((a, b, Ga, Gb), axis=-2))
+        h_a, h_b, h_ga, h_gb = (h[..., i] for i in range(4))
+        along = _riemann_from(an, a, b, h_a, h_b)
         Q0 = along.real
-        parts.append(step_derivative(along) - riemann_along(an, matvec(G, a), b).real
-                     - riemann_along(an, a, matvec(G, b)).real
+        parts.append(step_derivative(along) - _riemann_from(an, Ga, b, h_ga, h_b).real
+                     - _riemann_from(an, a, Gb, h_a, h_gb).real
                      - mT(G) @ Q0 - Q0 @ G)
     cov = np.concatenate(parts).reshape(batch + (3, d, d))
     return per_point(np.abs(cov.sum(axis=-3)).max(axis=(-2, -1)))

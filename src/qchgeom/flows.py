@@ -37,7 +37,15 @@ Chebyshev matrices that integrate node values once and twice from a,
 Both flows read Gamma only along the velocity, Gamma^k(cdot, .) =
 ``curvature.connection_along``, and K from the first-kind form of R
 (``curvature.jacobi_operator``): no flow builds the second-kind array
-``PointAnalysis.gamma``.
+``PointAnalysis.gamma``, and none assembles the dense metric Hessian.  K
+reads the metric's second derivatives along cdot, which a bundle model
+contracts from its z-only parts and t-warps (``geometry.BundleJet``).  So
+each analysis of the flows is directional (``batch_analyses(...,
+directional=True)``): where a panel's nodes share one z, as on the axial
+line, the parts are built once for the panel and the analysis holds d^3
+entries per node, so a whole panel of 24 nodes is one analysis while
+24 d^3 fits ``curvature.BATCH_ELEMENTS`` (d <= 12), and off the axis the
+panel goes in slices of the rank-4 bound.
 
 A panel is accepted when the tail of its Chebyshev coefficients lies at the
 roundoff floor of the values met in the window (``_certificate``); the next
@@ -356,7 +364,7 @@ def _geodesic_panel(field, a: float, b: float, start) -> _Trial:
             raise FlowError(f"geodesic Picard iteration exceeds {MAX_PICARD} iterations "
                             f"on the panel at tau = {a:.6g}")
         acc = np.empty_like(X)
-        for sl, analysis in batch_analyses(field, X):
+        for sl, analysis in batch_analyses(field, X, directional=True):
             acc[sl] = geodesic_acceleration(analysis, V[sl])
         X1 = line + h2 * h2 * (_S2[:p] @ acc)
         V1 = v + h2 * (_S1[:p] @ acc)
@@ -409,11 +417,11 @@ def coefficients_at(path: GeodesicPath, taus: np.ndarray) -> np.ndarray:
     which parallel frame rows e change as e' = -e T^T, and K =
     ``jacobi_operator`` along cdot at the geodesic's points of parameters
     ``taus``, jet-exact, from one array call into the dense output and one
-    batched analysis per memory-bounded slice."""
+    batched directional analysis per memory-bounded slice."""
     x, v = path.states(taus)
     d = x.shape[1]
     out = np.empty((len(x), 2, d, d))
-    for sl, analysis in batch_analyses(path.field, x):
+    for sl, analysis in batch_analyses(path.field, x, directional=True):
         out[sl, 0] = connection_along(analysis, v[sl])
         out[sl, 1] = jacobi_operator(analysis, v[sl])
     return out

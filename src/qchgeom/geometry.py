@@ -15,20 +15,28 @@ curvature layer sees exact first and second derivatives.  The Fubini-Study
 jets are closed forms in z (``FubiniStudy``).  Each bundle model keeps its
 z-only parts, h and theta x theta in z's own 2m derivative slots, at the
 last real and the last complex batch and single point of base points it
-read (``_base_parts``, ``_SliceMemo``): the metric, the frame, the
-horizontal lifts and the connection-form check at a batch all read one
-evaluation, and the metric writes its chart jet from them once
-(``_bundle_jet``).  The warped model keeps the warp profile at the last
-batches of t the same way (``WarpedBundleMetric.profile_at``).  A point is
-its chart coordinates, shape (d,), and a batch of points carries leading
-batch axes, B + (d,); each model reads t, psi and z by slicing its own
-layout.  The connection potential is fixed in the rotation-invariant gauge
+read (``_base_parts``, ``_SliceMemo``), built once for a batch whose
+points share one z (the nodes of an axial flow panel) and broadcast: the
+metric, the frame, the horizontal lifts and the connection-form check at a
+batch all read one evaluation.  The metric jet keeps them with the warps
+(``BundleJet``): its value and gradient are written at once, its dense
+B + (d, d, d, d) Hessian only when read, which R whole and Ricci do, and
+the directional readers of the curvature layer (``riemann_along``,
+``jacobi_operator``) contract the parts instead, d_. d_v g
+(``BundleJet.hessian_along``) and v^a w^b d d g_ab
+(``BundleJet.hessian_pair``).  The warped model keeps the warp profile at
+the last batches of t the same way (``WarpedBundleMetric.profile_at``).  A
+point is its chart coordinates, shape (d,), and a batch of points carries
+leading batch axes, B + (d,); each model reads t, psi and z by slicing its
+own layout.  The connection potential is fixed in the rotation-invariant gauge
 sigma = -(1/4) dK o J for the Kaehler potential K, which vanishes at the
 chart origin and satisfies d sigma = Omega componentwise (this pins its
 sign).
 """
 
 from __future__ import annotations
+
+from functools import cached_property
 
 import numpy as np
 
@@ -237,7 +245,33 @@ class _SliceMemo:
         return held[1]
 
 
+def _shared_row(z: np.ndarray) -> np.ndarray | None:
+    """The one z that every point of the batch z, B + (2m,), sits at, or None
+    for a single point and for a batch of more than one z."""
+    if z.ndim < 2 or z.size == z.shape[-1]:
+        return None
+    row = z.reshape(-1, z.shape[-1])[0]
+    return row if (z == row).all() else None
+
+
+def _broadcast(jet: Jet2, batch: tuple) -> Jet2:
+    """A jet at one point as read-only views over the batch shape B."""
+    return Jet2(*(np.broadcast_to(a, batch + a.shape)
+                  for a in (jet.value, jet.gradient, jet.hessian)))
+
+
 def _base_parts(base, z: np.ndarray, d: int, s: float) -> tuple[Jet2, Jet2, Jet2]:
+    """The z-only parts of a bundle metric at z (``_parts_at``).  A batch whose
+    points all sit at one z, as every node of an axial flow panel sits at
+    z = 0, builds them there once and broadcasts them over the batch as
+    read-only views; any other batch builds them point by point."""
+    row = _shared_row(z)
+    if row is None:
+        return _parts_at(base, z, d, s)
+    return tuple(_broadcast(part, z.shape[:-1]) for part in _parts_at(base, row, d, s))
+
+
+def _parts_at(base, z: np.ndarray, d: int, s: float) -> tuple[Jet2, Jet2, Jet2]:
     """The z-only parts of a bundle metric at z: the base metric h and
     Theta = theta x theta for theta = dpsi + s sigma on its (psi, z) entries,
     both with derivatives in z's own 2m chart slots, and the potential sigma,
@@ -281,10 +315,30 @@ def _in_chart(jet: Jet2, d: int) -> Jet2:
     return out
 
 
-def _bundle_jet(d: int, theta2: Jet2, h: Jet2, fiber: tuple, base: tuple | None) -> Jet2:
-    """The d x d chart jet fiber * Theta + base * h, for Theta on the trailing
-    (psi, z) block and h on its z x z entries, both with derivatives in the
-    chart's last 2m slots (z).
+def _last_slot(part: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """part contracted on its last axis with each of k vectors w, per point:
+    B + V + (n,) against w of shape B + (k, n) gives B + V + (k,), from one
+    read of part for all k (w is copied as a contiguous (n, k) matrix, so
+    that the product is one BLAS call per point)."""
+    batch = part.shape[:w.ndim - 2]
+    return (part.reshape(batch + (-1, part.shape[-1])) @ np.ascontiguousarray(mT(w))).reshape(
+        part.shape[:-1] + w.shape[-2:-1])
+
+
+def _value_pair(part: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """x^a y^b part[a, b, ...] per point: part B + (p, p) + S against x and y
+    of shape B + (p,) gives B + S."""
+    nb, p = x.ndim - 1, x.shape[-1]
+    batch, slots = part.shape[:nb], part.shape[nb + 2:]
+    first = (x[..., None, :] @ part.reshape(batch + (p, -1)))[..., 0, :]
+    return (y[..., None, :] @ first.reshape(batch + (p, -1)))[..., 0, :].reshape(batch + slots)
+
+
+class BundleJet:
+    """The d x d chart jet fiber * Theta + base * h of a bundle model, kept
+    with its parts: Theta on the trailing (psi, z) block and h on its z x z
+    entries, both with derivatives in the chart's last 2m slots (z), and
+    their scales.
 
     A scale is a one-tuple (a number), or (phi, phi', phi'') of a function of
     chart coordinate 0 (t) alone, one per point; base None leaves h
@@ -293,33 +347,117 @@ def _bundle_jet(d: int, theta2: Jet2, h: Jet2, fiber: tuple, base: tuple | None)
     ``Jet2.__mul__`` with the jet of the scale, without its dense outer
     product of gradients, each entry summed as fiber * Theta + base * h.
     Every other entry of the jet is zero.
-    """
-    block, z = slice(d - theta2.shape[-1], None), slice(d - theta2.dim, None)
-    g = zeros(theta2.shape[:-2] + (d, d), d, np.result_type(theta2.value, *fiber))
 
-    def combined(k: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """The k-th t-derivative of the scales times one part (value,
-        gradient or Hessian) of Theta and of h, summed on the z x z entries."""
-        slots = (slice(None),) * (a.ndim - theta2.value.ndim)
-        expand = (Ellipsis,) + (None,) * (2 + len(slots))
-        zz = (Ellipsis, slice(1, None), slice(1, None)) + slots
-        out = np.asarray(fiber[k])[expand] * a
-        if base is not None:
-            out[zz] += np.asarray(base[k])[expand] * b
-        elif k == 0:
-            out[zz] += b
+    ``value`` and ``gradient`` are assembled at once.  The Hessian, one
+    B + (d, d, d, d) array, is assembled on its first read (``hessian``),
+    which the readers of R whole and of Ricci make.  The directional readers
+    contract the parts instead (``hessian_along``, ``hessian_pair``), and
+    never form it.  Indexing reads the dense jet (``Jet2.__getitem__``).
+    """
+
+    def __init__(self, d: int, theta2: Jet2, h: Jet2, fiber: tuple, base: tuple | None):
+        self.theta2, self.h, self.fiber, self.base = theta2, h, fiber, base
+        self.batch = theta2.shape[:-2]
+        self.block, self.z = slice(d - theta2.shape[-1], None), slice(d - theta2.dim, None)
+        self.along_t = len(fiber) == 3
+        self.dtype = np.result_type(theta2.value, *fiber)
+        block, z = self.block, self.z
+        self.value = np.zeros(self.batch + (d, d), self.dtype)
+        self.gradient = np.zeros(self.batch + (d, d, d), self.dtype)
+        self.value[..., block, block] = self._combined(0, theta2.value, h.value)
+        self.gradient[..., block, block, z] = self._combined(0, theta2.gradient, h.gradient)
+        if self.along_t:
+            self.gradient[..., block, block, 0] = self._combined(1, theta2.value, h.value)
+
+    @property
+    def dim(self) -> int:
+        return self.gradient.shape[-1]
+
+    @property
+    def shape(self) -> tuple:
+        return self.value.shape
+
+    def __getitem__(self, index) -> Jet2:
+        return Jet2(self.value, self.gradient, self.hessian)[index]
+
+    def _combined(self, k: int, a: np.ndarray, b: np.ndarray, rank: int = 2) -> np.ndarray:
+        """The k-th t-derivative of the scales times one part of Theta and the
+        same part of h (a value, a derivative, or a contraction of either),
+        summed on the z x z entries of Theta's block; parts contracted on
+        their ``rank`` value axes (rank 0) are summed whole."""
+        slots = a.ndim - len(self.batch)
+        expand = (Ellipsis,) + (None,) * slots
+        out = np.asarray(self.fiber[k])[expand] * a
+        if self.base is None and k > 0:
+            return out
+        other = b if self.base is None else np.asarray(self.base[k])[expand] * b
+        if rank == 0:
+            return out + other
+        out[(Ellipsis,) + (slice(1, None),) * rank + (slice(None),) * (slots - rank)] += other
         return out
 
-    g.value[..., block, block] = combined(0, theta2.value, h.value)
-    g.gradient[..., block, block, z] = combined(0, theta2.gradient, h.gradient)
-    g.hessian[..., block, block, z, z] = combined(0, theta2.hessian, h.hessian)
-    if len(fiber) == 3:
-        g.gradient[..., block, block, 0] = combined(1, theta2.value, h.value)
-        cross = combined(1, theta2.gradient, h.gradient)
-        g.hessian[..., block, block, 0, z] = cross
-        g.hessian[..., block, block, z, 0] = cross
-        g.hessian[..., block, block, 0, 0] = combined(2, theta2.value, h.value)
-    return g
+    @cached_property
+    def _t_blocks(self) -> tuple[np.ndarray, np.ndarray]:
+        """The Hessian's entries on Theta's block with a t slot: d_t d_z g,
+        B + (p, p, 2m), and d_t d_t g, B + (p, p)."""
+        th, h = self.theta2, self.h
+        return self._combined(1, th.gradient, h.gradient), self._combined(2, th.value, h.value)
+
+    @cached_property
+    def hessian(self) -> np.ndarray:
+        block, z = self.block, self.z
+        hess = np.zeros(self.batch + (self.dim,) * 4, self.dtype)
+        hess[..., block, block, z, z] = self._combined(0, self.theta2.hessian, self.h.hessian)
+        if self.along_t:
+            cross, tt = self._t_blocks
+            hess[..., block, block, 0, z] = cross
+            hess[..., block, block, z, 0] = cross
+            hess[..., block, block, 0, 0] = tt
+        return hess
+
+    def hessian_along(self, v: np.ndarray) -> np.ndarray:
+        """[a, b, m, u] = d_m d_u g_ab for k directions u, the rows of v of
+        shape B + (k, d): Theta's and h's z-derivatives contracted with the
+        directions' z entries, each scaled by its scale first, and the
+        t-derivatives of the scales times their t entries.  Each part is
+        read once for all k directions: O(d^4) per z-slice the parts were
+        built at, O(k d^3) per point."""
+        th, h, block, z = self.theta2, self.h, self.block, self.z
+        vz = v[..., z]
+
+        def scaled(scale: tuple | None) -> np.ndarray:
+            return vz if scale is None else np.asarray(scale[0])[..., None, None] * vz
+
+        out = np.zeros(v.shape[:-2] + (self.dim,) * 3 + v.shape[-2:-1],
+                       np.result_type(self.dtype, v))
+        out[..., block, block, z, :] = _last_slot(th.hessian, scaled(self.fiber))
+        out[..., z, z, z, :] += _last_slot(h.hessian, scaled(self.base))
+        if self.along_t:
+            cross, tt = self._t_blocks
+            t = v[..., None, None, :, 0]                  # B + (1, 1, k)
+            out[..., block, block, z, :] += cross[..., None] * t[..., None, :]
+            out[..., block, block, 0, :] = _last_slot(cross, vz) + tt[..., None] * t
+        return out
+
+    def hessian_pair(self, v: np.ndarray, w: np.ndarray) -> np.ndarray:
+        """[m, k] = v^a w^b d_m d_k g_ab for v and w of shape B + (d,): the
+        parts contracted on their value axes, Theta with the (psi, z) entries
+        of v and w and h with their z entries, then scaled."""
+        th, h, block, z = self.theta2, self.h, self.block, self.z
+        vb, wb, vz, wz = v[..., block], w[..., block], v[..., z], w[..., z]
+
+        def part(name: str, k: int) -> np.ndarray:
+            return self._combined(k, _value_pair(getattr(th, name), vb, wb),
+                                  _value_pair(getattr(h, name), vz, wz), rank=0)
+
+        out = np.zeros(v.shape[:-1] + (self.dim,) * 2, np.result_type(self.dtype, v, w))
+        out[..., z, z] = part("hessian", 0)
+        if self.along_t:
+            cross = part("gradient", 1)
+            out[..., 0, z] = cross
+            out[..., z, 0] = cross
+            out[..., 0, 0] = part("value", 2)
+        return out
 
 
 def _lift_rows(sigma: Jet2, s: float, dim: int) -> Jet2:
@@ -349,6 +487,11 @@ class _BundleMetric:
         values of the base Kaehler form h(J., .)."""
         h, sigma, _ = self._base_at(z)
         return sigma, self.base.j0.T @ h.value
+
+    def shares_parts(self, x: np.ndarray) -> bool:
+        """Whether every point of the batch x, B + (d,), sits at one z, so that
+        one build of the z-only parts serves them all (``_base_parts``)."""
+        return _shared_row(x[..., self.dim - self.base.dim:]) is not None
 
     def lift_jets(self, coords: Jet2) -> Jet2:
         """The horizontal lifts of the base coordinate vectors as the rows of
@@ -436,13 +579,13 @@ class WarpedBundleMetric(_BundleMetric):
         """dt^2 + f(t)^2 Theta(z) + r(t)^2 h(z) (h unscaled in product mode).
 
         Theta and h come from the base memo, and f^2 and r^2 scale them into
-        one total-chart jet (``_bundle_jet``).  Its dtype comes from the warps
+        one total-chart jet (``BundleJet``).  Its dtype comes from the warps
         as well: a complex step along t leaves z, and so the memo, real.
         """
         h, _, theta2 = self._base_at(coords.value[..., 2:])
         r, f = self.warps(coords.value[..., 0])
-        g = _bundle_jet(self.dim, theta2, h, _square(*f),
-                        None if self.product_mode else _square(*r))
+        g = BundleJet(self.dim, theta2, h, _square(*f),
+                      None if self.product_mode else _square(*r))
         g.value[..., 0, 0] += 1.0
         return g
 
@@ -507,9 +650,9 @@ class CircleBundleMetric(_BundleMetric):
         return self._base_memo(z, lambda z: _base_parts(self.base, z, self.dim, self.s))
 
     def metric_jets(self, coords: Jet2) -> Jet2:
-        """alpha^2 theta x theta + beta^2 h, as one chart jet (``_bundle_jet``)."""
+        """alpha^2 theta x theta + beta^2 h, as one chart jet (``BundleJet``)."""
         h, _, theta2 = self._base_at(coords.value[..., 1:])
-        return _bundle_jet(self.dim, theta2, h, (self.alpha ** 2,), (self.beta ** 2,))
+        return BundleJet(self.dim, theta2, h, (self.alpha ** 2,), (self.beta ** 2,))
 
     complex_structure_jets = None  # no complex structure on the odd-dim chart
 

@@ -1,4 +1,5 @@
 import tracemalloc
+from functools import cached_property
 
 import numpy as np
 import pytest
@@ -25,7 +26,7 @@ from qchgeom.flows import (
     jacobi_decay_experiment,
     jacobi_equation_residual,
 )
-from qchgeom.geometry import BaseChartMetric
+from qchgeom.geometry import BaseChartMetric, BundleJet
 from qchgeom.jets import Jet2, compose
 
 from helpers import (
@@ -530,6 +531,36 @@ def test_jacobi_solve_analyses_a_fifth_of_its_stages_or_fewer(monkeypatch):
     # and the panel march wastes fewer than the bisection's 552
     assert sum(np.size(a.x[..., 0]) for a in analysed) == result.stats.nfev + 1
     assert result.stats.nfev < 552
+
+
+def test_desk_decay_flow_reads_the_metric_along_its_velocity(monkeypatch):
+    """Counts, not timings: the n = 5 desk decay experiment assembles no dense
+    chart Hessian (``BundleJet.hessian``), since the flows read the metric
+    only along directions, from z-only parts that the nodes of a panel share
+    at z = 0; each Jacobi trial and the geodesic analyse their 24 nodes as
+    one batch; and the solves take the work they took with the Hessian
+    (geodesic 24 evaluations and 1 panel, Jacobi 384 and 13)."""
+    dense, sizes = [], []
+    assemble = BundleJet.hessian.func
+    counted = cached_property(lambda self: dense.append(1) or assemble(self))
+    counted.__set_name__(BundleJet, "hessian")
+    monkeypatch.setattr(BundleJet, "hessian", counted)
+    init = curvature.PointAnalysis.__init__
+
+    def sized(self, field, x):
+        sizes.append(np.size(x[..., 0]))
+        init(self, field, x)
+
+    monkeypatch.setattr(curvature.PointAnalysis, "__init__", sized)
+    n = 5
+    profile = solve_profile(build_polynomial(1.0, 2.0, 2.0 / n))
+    model = WarpedBundleMetric(profile, FubiniStudy(n - 1, 4.0))
+    L = profile.L
+    report = jacobi_decay_experiment(model, 0.2 * L, L * (1.0 - 1e-3), samples=160)
+    assert not dense
+    assert report.geodesic_stats == flows.SolveStats(nfev=24, steps=1)
+    assert report.jacobi_stats == flows.SolveStats(nfev=384, steps=13)
+    assert sizes.count(flows.PANEL_NODES) == 1 + 384 // flows.PANEL_NODES
 
 
 def test_decay_report_counts_coefficient_work(decay_report):

@@ -6,9 +6,11 @@ differences of the assembled values, with the bounds of acceptance check c09:
 gradient within 1e-6 and Hessian within 1e-4, relative.
 
 The closed-form Fubini-Study jets must also equal, within 1e-14 of the
-largest entry, the same quantities assembled by generic jet products, and
-counters bound the base-jet work of a run: no jet products inside the closed
-forms, and one base build per batch of base points.
+largest entry, the same quantities assembled by generic jet products; the
+directional reads a bundle metric takes from its parts must equal the dense
+Hessian's within 1e-13; and counters bound the base-jet work of a run: no
+jet products inside the closed forms, and one base build per batch of base
+points.
 """
 
 import functools
@@ -28,7 +30,7 @@ from qchgeom import (
 )
 from qchgeom import geometry
 from qchgeom.cli import RunConfig
-from qchgeom.curvature import COMPLEX_STEP
+from qchgeom.curvature import COMPLEX_STEP, hessian_along, hessian_pair
 from qchgeom.geometry import BaseChartMetric
 from qchgeom.suite import run_suite, sample_interior_points
 from qchgeom.jets import Jet2, reciprocal, seed_chart, zeros
@@ -173,6 +175,60 @@ def test_circle_bundle_metric_jets_match_jet_arithmetic(n):
     model = CircleBundleMetric(1.3, 0.8, 2.0 / n, FubiniStudy(n - 1, 4.0))
     points = sample_interior_points(model, np.random.default_rng(80 + n), 5)
     _assert_matches_jet_arithmetic(model, points, "circle-bundle")
+
+
+# -- contractions of the parts against the dense Hessian --------------------------
+
+
+def _bundle_models(variant: str, n: int):
+    profile = solve_profile(build_polynomial(1.0, 2.0, 2.0 / n))
+    if variant == "circle-bundle":
+        return CircleBundleMetric(1.3, 0.8, 2.0 / n, FubiniStudy(n - 1, 4.0))
+    base = (ProductBase([FubiniStudy(1, 4.0), FubiniStudy(n - 2, 4.0)])
+            if variant == "negative-control" else FubiniStudy(n - 1, 4.0))
+    return WarpedBundleMetric(profile, base, product_mode=variant == "product",
+                              warp_scale=1.05 if variant == "perturb_f" else 1.0)
+
+
+@pytest.mark.parametrize("variant", ["warped", "product", "negative-control", "circle-bundle",
+                                     "perturb_f"])
+@pytest.mark.parametrize("n", [3, 5])
+def test_parts_contractions_match_the_dense_hessian(n, variant):
+    """The directional reads of a bundle metric's Hessian, contracted from its
+    z-only parts and t-warps (``BundleJet.hessian_along`` and
+    ``hessian_pair``), and the same reads of the dense Hessian by the route
+    of a jet without parts (``curvature.hessian_along`` and ``hessian_pair``
+    on a plain ``Jet2``), both equal the dense Hessian contracted with the
+    directions by ``np.einsum``, real and imaginary parts each within 1e-13
+    of their largest entry: at one point, at a batch, at a batch sharing one
+    z (whose parts are built once and broadcast), and at complex steps of
+    them along the first coordinate and along a random direction, with three
+    directions read at once along and one pair on the value slots."""
+    model = _bundle_models(variant, n)
+    d = model.dim
+    rng = np.random.default_rng(90 + n)
+    points = sample_interior_points(model, rng, 5)
+    shared = points.copy()
+    shared[:, -model.base.dim:] = points[0, -model.base.dim:]
+    assert model.shares_parts(shared) and not model.shares_parts(points)
+    lead, tilt = np.eye(d)[0], rng.standard_normal(d)
+    V = rng.standard_normal((5, 3, d))
+    v, w = rng.standard_normal((2, 5, d))
+    for batch in (points, shared):
+        for x, i in ((batch[0], 0), (batch, slice(None))):
+            for step in (0.0, COMPLEX_STEP * lead, COMPLEX_STEP * tilt):
+                g = model.metric_jets(seed_chart(x + 1j * step if np.any(step) else x))
+                dense = Jet2(g.value, g.gradient, g.hessian)
+                along = np.einsum("...abmn,...un->...abmu", g.hessian, V[i])
+                pair = np.einsum("...abmk,...a,...b->...mk", g.hessian, v[i], w[i])
+                for got, want in ((hessian_along(g, V[i]), along),
+                                  (hessian_along(dense, V[i]), along),
+                                  (hessian_pair(g, v[i], w[i]), pair),
+                                  (hessian_pair(dense, v[i], w[i]), pair)):
+                    assert got.shape == want.shape
+                    for take in (np.real, np.imag):
+                        scale = np.abs(take(want)).max()
+                        assert np.abs(take(got) - take(want)).max() <= 1e-13 * scale
 
 
 # -- closed-form Fubini-Study jets against generic jet products -----------------

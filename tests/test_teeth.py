@@ -14,8 +14,13 @@ import pytest
 from qchgeom import flows, qch, suite
 from qchgeom.cli import RunConfig, main
 from qchgeom.curvature import PointAnalysis
-from qchgeom.geometry import CircleBundleMetric, FubiniStudy, ProductBase, WarpedBundleMetric
-from qchgeom.jets import Jet2
+from qchgeom.geometry import (
+    BundleJet,
+    CircleBundleMetric,
+    FubiniStudy,
+    ProductBase,
+    WarpedBundleMetric,
+)
 from qchgeom.profile import ProfileSolution
 from qchgeom.suite import CHECKS, run_suite
 
@@ -218,20 +223,23 @@ def test_engine_identities_see_a_mutated_analysis(unperturbed, monkeypatch, chec
 
 @bites("bianchi_second_spot")
 def test_second_bianchi_sees_a_noisy_hessian_at_complex_steps(unperturbed, monkeypatch):
-    """The cyclic sum reads R(X, Y, ., .) from the metric Hessian at complex
-    points x + i h V, its imaginary part carrying the third derivatives:
-    relative noise of 1e-6 on that Hessian, at complex-step analyses only,
-    breaks the sum (3.8e-6 against 1e-6; over noise seeds 0-7 it read
-    1.1e-6 to 5.6e-6, so the noise here has a seed of its own)."""
+    """The cyclic sum reads R(X, Y, ., .) from the metric Hessian along its
+    directions (``BundleJet.hessian_along``, one read for X, Y, GX and GY)
+    at complex points x + i h V, its imaginary part carrying the third
+    derivatives: relative noise of 1e-6 on those contractions, at complex
+    points only, breaks the sum (3.1e-6 against 1e-6, 3.4e-16 unperturbed;
+    over noise seeds 0-7 it read 3.0e-6 to 5.1e-6, so the noise here has a
+    seed of its own)."""
     noise = np.random.default_rng(0)
+    along = BundleJet.hessian_along
 
-    def noisy_at_complex_points(jet):
-        if not np.iscomplexobj(jet.value):
-            return jet
-        hessian = jet.hessian * (1.0 + 1e-6 * noise.standard_normal(jet.hessian.shape))
-        return Jet2(jet.value, jet.gradient, hessian)
+    def noisy_at_complex_points(self, v):
+        out = along(self, v)
+        if not np.iscomplexobj(out):
+            return out
+        return out * (1.0 + 1e-6 * noise.standard_normal(out.shape))
 
-    _mutate_analysis(monkeypatch, "metric", noisy_at_complex_points)
+    monkeypatch.setattr(BundleJet, "hessian_along", noisy_at_complex_points)
     assert unperturbed["bianchi_second_spot"]
     assert not _verdicts()["bianchi_second_spot"]
 
@@ -326,6 +334,22 @@ def test_decay_velocity_inner_sees_a_tilted_start(unperturbed, monkeypatch):
     monkeypatch.setattr(flows, "integrate_jacobi", tilted)
     assert unperturbed["decay_velocity_inner"]
     assert not _verdicts()["decay_velocity_inner"]
+
+
+@bites("decay_ratio_law")
+def test_decay_ratio_law_sees_scaled_jacobi_coefficients(unperturbed, monkeypatch):
+    """The Jacobi solve reads K = R(cdot, ., cdot, .) from the metric's parts
+    (``curvature.jacobi_operator``); with that K scaled by 1 + 1e-7 at every
+    node the panels still certify, and |C| still tracks f (2.6e-7 against
+    1e-6), but the ratio law, which differentiates log |C| into the
+    collapsing end, reads 1.3e-2 against 1e-6 (5.4e-12 unperturbed)."""
+    jacobi_operator = flows.jacobi_operator
+    monkeypatch.setattr(flows, "jacobi_operator",
+                        lambda analysis, v: (1.0 + 1e-7) * jacobi_operator(analysis, v))
+    verdicts = _verdicts()
+    assert unperturbed["decay_ratio_law"]
+    assert not verdicts["decay_ratio_law"]
+    assert verdicts["decay_norm_tracks_warp"]
 
 
 @bites("decay_collapse")
