@@ -35,15 +35,16 @@ otherwise multiply.  It has three readers:
 
 R whole and Ricci read the dense Hessian of the metric jet, B + (d, d, d,
 d), and they alone assemble it.  The directional readers read two
-contractions of it, d_. d_v g (``hessian_along``, d^3 entries per
-direction, every direction of a reader in one pass over the metric) and
-v^a w^b d d g_ab (``hessian_pair``, d^2): a bundle model's jet
-(``geometry.BundleJet``) takes both from its z-only parts and t-warps, so
-no directional reader forms the Hessian, and a jet without parts
-(``BaseChartMetric``, the test fields) contracts its dense Hessian by the
-same formulas.  Which route a contraction takes is the field's, not the
-analysis's: it is the same whether or not the analysis already holds the
-dense Hessian, so both sides of the base independence round alike.
+contractions of it, the metric jet's d_. d_v g (``hessian_along``, d^3
+entries per direction, every direction of a reader in one pass over the
+metric) and v^a w^b d d g_ab (``hessian_pair``, d^2): a bundle model's jet
+(``geometry.BundleJet``) takes both from its z-only parts and t-warps, and
+the parts from their factors, so no directional reader forms a rank-4
+array, and a jet without parts (a plain ``jets.Jet2``: the test fields)
+contracts its dense Hessian by the same formulas.  Which route a
+contraction takes is the field's, not the analysis's: it is the same
+whether or not the analysis already holds the dense Hessian, so both sides
+of the base independence round alike.
 
 The Ricci tensor is the formula contracted with g^{il}, written out as its
 own O(d^4) contraction of the same jet,
@@ -69,10 +70,11 @@ Every array may carry leading batch axes, one entry per sample point: an
 analysis of N points holds gamma of shape (N, d, d, d), and the indices above
 name the trailing axes.  One point is the batch shape ().  Every loop over
 a batch goes through ``batch_analyses``: it yields (slice, analysis) pairs
-over slices that keep one rank-4 tensor within ``BATCH_ELEMENTS`` (a
-rank-3 one for directional reads of points that share their parts), and
-makes each analysis only when the loop reaches it, so a loop holds one at a
-time.
+over balanced slices that keep the analysis's largest array within
+``BATCH_ELEMENTS`` (a rank-4 tensor per point; for a directional read the
+metric Hessian along ``DIRECTIONS`` directions, or along one where the
+points share their parts), and makes each analysis only when the loop
+reaches it, so a loop holds one at a time.
 
 An analysis keeps the dtype of its coordinates, and the path to curvature is
 analytic (nothing conjugates, takes a modulus or compares complex values).
@@ -98,28 +100,45 @@ COMPLEX_STEP = 1e-30
 # (0.5 MB): about 50 points at d = 6, 6 at d = 10 and 1 at d = 14
 BATCH_ELEMENTS = 1 << 16
 
+# the most directions one directional read takes at once: X, Y, GX and GY of
+# the second Bianchi check, each a (d, d, d) Hessian along it
+DIRECTIONS = 4
 
-def batch_slices(count: int, dim: int, rank: int = 4) -> list[slice]:
-    """Consecutive slices of ``count`` points, each small enough that one
-    tensor of the given rank per point over the slice stays within
-    ``BATCH_ELEMENTS``."""
-    size = max(1, BATCH_ELEMENTS // dim ** rank)
-    return [slice(i, min(i + size, count)) for i in range(0, count, size)]
+
+def batch_slices(count: int, per_point: int) -> list[slice]:
+    """Consecutive slices of ``count`` points, as few as keep ``per_point``
+    entries per point (one point at least) within ``BATCH_ELEMENTS``, and of
+    sizes that differ by at most one."""
+    pieces = -(-count // max(1, BATCH_ELEMENTS // per_point))
+    size, extra = divmod(count, max(pieces, 1))
+    bounds = [i * size + min(i, extra) for i in range(pieces + 1)]
+    return [slice(a, b) for a, b in zip(bounds, bounds[1:])]
 
 
 def batch_analyses(field, x: np.ndarray, *, directional: bool = False):
     """(slice, analysis) pairs over the points x (N, d), one batched analysis
     per memory-bounded slice, each made only when the loop reaches it.
 
-    An analysis holds a rank-4 array per point: the metric Hessian, R, or
-    the field's z-only parts.  One read only along directions
-    (``directional``: ``connection_along``, ``riemann_along``,
-    ``jacobi_operator``) forms no Hessian, and where every point shares its
-    parts (``field.shares_parts``, the nodes of an axial flow panel) it
-    holds them once: its slices then count rank-3 arrays per point."""
+    An analysis that reads R whole or Ricci holds rank-4 arrays, the metric
+    Hessian and R, so its slices count d^4 entries per point.  One read only
+    along directions (``directional``: ``connection_along``,
+    ``riemann_along``, ``jacobi_operator``) of a field that keeps its
+    metric's z-only parts (``field.shares_parts``) forms no rank-4 array:
+    its largest is the metric Hessian along its directions, d^3 entries
+    each, at most ``DIRECTIONS`` of them, so its slices count
+    ``DIRECTIONS`` d^3 per point (5 points at d = 14, 75 at d = 6); where
+    every point shares its parts (the nodes of an axial flow panel, read
+    along one direction) they count d^3.  The one dense part, the h of a
+    ``ProductBase`` (the negative control's, at d = 6), holds (d - 2)^4
+    entries per point, within that count.  A field without parts is
+    counted at d^4 per point on either route."""
+    d = field.dim
     shares = getattr(field, "shares_parts", None)
-    rank = 3 if directional and shares is not None and shares(x) else 4
-    for sl in batch_slices(len(x), field.dim, rank):
+    if not directional or shares is None:
+        per_point = d ** 4
+    else:
+        per_point = d ** 3 if shares(x) else DIRECTIONS * d ** 3
+    for sl in batch_slices(len(x), per_point):
         yield sl, PointAnalysis(field, x[sl])
 
 
@@ -334,32 +353,6 @@ def connection_along(analysis: PointAnalysis, V: np.ndarray) -> np.ndarray:
     return analysis.g_inv @ _first_kind_along(analysis, V)
 
 
-def hessian_along(metric, V: np.ndarray) -> np.ndarray:
-    """[a, b, m, u] = d_m d_u g_ab for k directions u, the rows of V of shape
-    B + (k, d): from the parts of a metric jet that keeps them
-    (``geometry.BundleJet.hessian_along``), else the dense Hessian contracted
-    with V.  Either way the metric is read once for all k directions."""
-    along = getattr(metric, "hessian_along", None)
-    if along is not None:
-        return along(V)
-    hess = metric.hessian
-    batch, d = hess.shape[:-4], hess.shape[-1]
-    return (hess.reshape(batch + (d ** 3, d)) @ mT(V)).reshape(batch + (d, d, d, -1))
-
-
-def hessian_pair(metric, v: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """[m, k] = v^a w^b d_m d_k g_ab for v and w of shape B + (d,): from the
-    parts of a metric jet that keeps them (``geometry.BundleJet.hessian_pair``),
-    else the dense Hessian contracted on its value slots with v x w."""
-    pair = getattr(metric, "hessian_pair", None)
-    if pair is not None:
-        return pair(v, w)
-    hess = metric.hessian
-    batch, d = hess.shape[:-4], hess.shape[-1]
-    vw = (v[..., :, None] * w[..., None, :]).reshape(batch + (1, d * d))
-    return (vw @ hess.reshape(batch + (d * d, d * d))).reshape(batch + (d, d))
-
-
 def riemann_along(analysis: PointAnalysis, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     """R(X, Y, e_k, e_l) as [k, l] at the analysed point(s), X and Y of shape
     B + (d,), contracted straight from the metric jet: no R is formed.
@@ -371,16 +364,17 @@ def riemann_along(analysis: PointAnalysis, X: np.ndarray, Y: np.ndarray) -> np.n
         M[k, l] = Gamma^b(X, e_k) Gamma_b(Y, e_l),
 
     so a pair reads the Hessian along X and along Y in one pass
-    (``hessian_along``, d^3 entries each) and takes O(d^3) algebra after it.
+    (``hessian_along`` of the metric jet, d^3 entries each) and takes O(d^3)
+    algebra after it.
     """
-    along = hessian_along(analysis.metric, np.stack((X, Y), axis=-2))
+    along = analysis.metric.hessian_along(np.stack((X, Y), axis=-2))
     return _riemann_from(analysis, X, Y, along[..., 0], along[..., 1])
 
 
 def _riemann_from(analysis: PointAnalysis, X: np.ndarray, Y: np.ndarray,
                   hx: np.ndarray, hy: np.ndarray) -> np.ndarray:
     """``riemann_along`` from the Hessian along X and along Y, hx and hy of
-    shape B + (d, d, d) (``hessian_along``)."""
+    shape B + (d, d, d) (the metric jet's ``hessian_along``)."""
     batch, d = X.shape[:-1], X.shape[-1]
     # S^T[l, k] = Y^a d_k d_X g_al - X^a d_k d_Y g_al
     s_t = ((Y[..., None, :] @ hx.reshape(batch + (d, d * d)))
@@ -407,15 +401,15 @@ def jacobi_operator(analysis: PointAnalysis, v: np.ndarray) -> np.ndarray:
             - Gamma^b(v, .)^T Gamma_b(v, .),
         H(v, v)[j, l] = v^a v^b d_j d_l g_ab,  C[j, l] = d_l d_v g_jv,
 
-    so K reads the Hessian along v (``hessian_along``, d^3 entries) and on
-    its value slots with v x v (``hessian_pair``, d^2 entries), then takes
-    O(d^3) algebra.
+    so K reads the Hessian along v (the metric jet's ``hessian_along``, d^3
+    entries) and on its value slots with v x v (``hessian_pair``, d^2
+    entries), then takes O(d^3) algebra.
     """
     metric = analysis.metric
     batch, d = metric.shape[:-2], metric.shape[-1]
     # hv[a, b, m] = d_m d_v g_ab, then d_v d_v g + H(v, v)
-    hv = hessian_along(metric, v[..., None, :])[..., 0]
-    h_slots = matvec(hv, v[..., None, :]) + hessian_pair(metric, v, v)
+    hv = metric.hessian_along(v[..., None, :])[..., 0]
+    h_slots = matvec(hv, v[..., None, :]) + metric.hessian_pair(v, v)
     c = (v[..., None, :] @ hv.reshape(batch + (d, d * d))).reshape(batch + (d, d))
     gamma_v = connection_along(analysis, v)                         # Gamma^b(v, .)
     first_w = (matvec(gamma_v, v)[..., None, :]
@@ -536,7 +530,7 @@ def second_bianchi_residual(field, x, directions):
     moved = complex_step(np.asarray(x, dtype=float)[..., None, :], V).reshape(-1, d)
     V, X, Y = (a.reshape(-1, d) for a in (V, X, Y))
     parts = []
-    for sl, an in batch_analyses(field, moved):
+    for sl, an in batch_analyses(field, moved, directional=True):
         v, a, b = V[sl], X[sl], Y[sl]
         # R(X, Y, ., .) at x + i h V: its real part is R0(X, Y, ., .), its
         # imaginary part over h the derivative along V; and the Christoffel
@@ -544,7 +538,7 @@ def second_bianchi_residual(field, x, directions):
         # Hessian along a, b, Ga and Gb, in one pass
         G = connection_along(an, v).real
         Ga, Gb = matvec(G, a), matvec(G, b)
-        h = hessian_along(an.metric, np.stack((a, b, Ga, Gb), axis=-2))
+        h = an.metric.hessian_along(np.stack((a, b, Ga, Gb), axis=-2))
         h_a, h_b, h_ga, h_gb = (h[..., i] for i in range(4))
         along = _riemann_from(an, a, b, h_a, h_b)
         Q0 = along.real

@@ -44,8 +44,9 @@ each analysis of the flows is directional (``batch_analyses(...,
 directional=True)``): where a panel's nodes share one z, as on the axial
 line, the parts are built once for the panel and the analysis holds d^3
 entries per node, so a whole panel of 24 nodes is one analysis while
-24 d^3 fits ``curvature.BATCH_ELEMENTS`` (d <= 12), and off the axis the
-panel goes in slices of the rank-4 bound.
+24 d^3 fits ``curvature.BATCH_ELEMENTS`` (d <= 12; two of 12 at d = 14),
+and off the axis the panel goes in slices of ``curvature.DIRECTIONS`` d^3
+entries per node.
 
 A panel is accepted when the tail of its Chebyshev coefficients lies at the
 roundoff floor of the values met in the window (``_certificate``); the next

@@ -18,17 +18,24 @@ last real and the last complex batch and single point of base points it
 read (``_base_parts``, ``_SliceMemo``), built once for a batch whose
 points share one z (the nodes of an axial flow panel) and broadcast: the
 metric, the frame, the horizontal lifts and the connection-form check at a
-batch all read one evaluation.  The metric jet keeps them with the warps
-(``BundleJet``): its value and gradient are written at once, its dense
-B + (d, d, d, d) Hessian only when read, which R whole and Ricci do, and
-the directional readers of the curvature layer (``riemann_along``,
-``jacobi_operator``) contract the parts instead, d_. d_v g
-(``BundleJet.hessian_along``) and v^a w^b d d g_ab
-(``BundleJet.hessian_pair``).  The warped model keeps the warp profile at
-the last batches of t the same way (``WarpedBundleMetric.profile_at``).  A
-point is its chart coordinates, shape (d,), and a batch of points carries
-leading batch axes, B + (d,); each model reads t, psi and z by slicing its
-own layout.  The connection potential is fixed in the rotation-invariant gauge
+batch all read one evaluation.  Theta is kept as theta's own jet
+(``ThetaSquareJet``) and a Fubini-Study h as the factors of its closed
+form (``FubiniStudyJet``): O(d^3) entries per point, each part's dense
+Hessian assembled only when read.  The metric jet keeps the parts with the
+warps (``BundleJet``): its value and gradient are written at once, its
+dense B + (d, d, d, d) Hessian only when read, which R whole and Ricci do,
+and the directional readers of the curvature layer (``riemann_along``,
+``jacobi_operator``) ask the parts for their contractions instead,
+d_. d_v g (``BundleJet.hessian_along``) and v^a w^b d d g_ab
+(``BundleJet.hessian_pair``), which Theta and a Fubini-Study h take from
+their factors.  J's Hessian, nonzero in its t and psi rows, is placed in a
+dense array only when read, too, so a directional analysis holds no
+rank-4 array per point (a batch sharing one z holds its parts' dense jets
+once, as views).  The warped model keeps the warp profile at the last batches
+of t the same way (``WarpedBundleMetric.profile_at``).  A point is its
+chart coordinates, shape (d,), and a batch of points carries leading batch
+axes, B + (d,); each model reads t, psi and z by slicing its own layout.
+The connection potential is fixed in the rotation-invariant gauge
 sigma = -(1/4) dK o J for the Kaehler potential K, which vanishes at the
 chart origin and satisfies d sigma = Omega componentwise (this pins its
 sign).
@@ -40,8 +47,9 @@ from functools import cached_property
 
 import numpy as np
 
-from .batch import matvec, mT
-from .jets import Jet2, compose, pullback, reciprocal, seed_chart, zeros
+from .batch import inner, matvec, mT
+from .jets import (Jet2, compose, last_slot, pullback, reciprocal, seed_chart, seeded_slots,
+                   value_pair, zeros)
 from .jets import sqrt as jet_sqrt
 from .profile import ProfileSolution
 
@@ -67,7 +75,8 @@ class FubiniStudy:
     P linear in z in its first derivative and of constant second derivative
     (``_d2p``), the derivatives of h and sigma in z's entries are a few
     broadcast products, placed in the chart slots z is seeded in
-    (``jets.pullback``).
+    (``jets.pullback``).  h keeps its Hessian as those products
+    (``FubiniStudyJet``), so a directional read never forms it.
     """
 
     def __init__(self, m: int, c0: float):
@@ -94,13 +103,14 @@ class FubiniStudy:
         return 1.0 / (1.0 + np.sum(x * x, axis=-1)), x @ self.j0.T
 
     def metric_jets(self, z: Jet2) -> Jet2:
+        """h at the seeded z, with its Hessian kept in closed form
+        (``FubiniStudyJet``)."""
+        slots = seeded_slots(z)
         x = z.value
         u, jx = self._u_jz(x)
-        n, eye, k = self.dim, np.eye(self.dim), 4.0 / self.c0
-        batch = np.shape(u)
+        eye, k = np.eye(self.dim), 4.0 / self.c0
         u1, u2, u3 = (p[..., None, None] for p in (u, u * u, u * u * u))
-        outer = x[..., :, None] * x[..., None, :]
-        P = outer + jx[..., :, None] * jx[..., None, :]
+        P = x[..., :, None] * x[..., None, :] + jx[..., :, None] * jx[..., None, :]
         # dP[i, j, a] = e[i, j, a] + e[j, i, a], e[i, j, a] = delta_ia z_j + J_ia (Jz)_j
         e = eye[:, None, :] * x[..., None, :, None] + self.j0[:, None, :] * jx[..., None, :, None]
         dp = e + np.swapaxes(e, -2, -3)
@@ -113,16 +123,10 @@ class FubiniStudy:
         a = 4.0 * u3 * P - 2.0 * u2 * eye
         c = 8.0 * u3 * eye - 24.0 * u2 * u2 * P
         d1 = a[..., None] * x[..., None, None, :] - u2[..., None] * dp
-        # all but the d2P term as one product of (n^2, n + 2) and (n + 2, n^2)
-        # factors, with sym[c, a, b] = z_a delta_cb + delta_ca z_b
-        sym = x[..., None, :, None] * eye[:, None, :] + eye[:, :, None] * x[..., None, None, :]
-        left = np.concatenate([a.reshape(batch + (n * n, 1)), c.reshape(batch + (n * n, 1)),
-                               4.0 * u3 * dp.reshape(batch + (n * n, n))], axis=-1)
-        right = np.concatenate([np.broadcast_to(eye.reshape(1, n * n), batch + (1, n * n)),
-                                outer.reshape(batch + (1, n * n)),
-                                sym.reshape(batch + (n, n * n))], axis=-2)
-        d2 = (k * left @ right).reshape(batch + (n,) * 4) - k * u2[..., None, None] * self._d2p
-        return pullback(z, k * (u1 * eye - u2 * P), k * d1, d2)
+        gradient = np.zeros(P.shape + (z.dim,), d1.dtype)
+        gradient[..., slots] = k * d1
+        return FubiniStudyJet(k * (u1 * eye - u2 * P), gradient, (x, u, a, c, dp),
+                              self, slots)
 
     def connection_potential_jets(self, z: Jet2) -> Jet2:
         """sigma with d sigma = Omega, sigma(origin) = 0.
@@ -183,6 +187,173 @@ class ProductBase:
         return sigma
 
 
+# -- jets whose Hessian is kept in factors -------------------------------------
+
+
+class _FactoredJet(Jet2):
+    """A jet whose Hessian is kept in per-point factors smaller than it.
+    ``value`` and ``gradient`` are held; the dense Hessian is assembled from
+    the factors on its first read (``assemble``), which R whole, Ricci and
+    jet arithmetic make.  The z-only parts of a bundle metric also answer
+    the directional reads of ``BundleJet`` from their factors
+    (``hessian_along``, ``hessian_pair``), in O(d^3) per point and
+    direction."""
+
+    def __init__(self, value, gradient, factors: tuple):
+        self.value, self.gradient, self.factors = value, gradient, factors
+
+    @cached_property
+    def hessian(self) -> np.ndarray:
+        return self.assemble()
+
+
+class _LeadingRowsJet(_FactoredJet):
+    """A matrix jet, B + (d, d), whose second derivatives sit in its first
+    rows alone: the factor is their Hessian, B + (r, d, D, D)."""
+
+    def assemble(self) -> np.ndarray:
+        (rows,) = self.factors
+        hessian = np.zeros(self.gradient.shape + self.gradient.shape[-1:], rows.dtype)
+        hessian[..., :rows.shape[-4], :, :, :] = rows
+        return hessian
+
+
+class FubiniStudyJet(_FactoredJet):
+    """h = k (u I - u^2 P) of ``FubiniStudy.metric_jets`` with its Hessian
+    kept as the closed form's factors (z, u, A, C, dP) at each point:
+
+        d_a d_b h_ij / k = A_ij delta_ab + C_ij z_a z_b
+                           + 4 u^3 (z_a dP_ijb + z_b dP_ija) - u^2 d2P_ijab,
+        d2P_ijab = delta_ia delta_jb + delta_ib delta_ja + J_ia J_jb + J_ib J_ja.
+
+    ``base`` is the model and ``slots`` the chart slots z is seeded in,
+    where the derivatives land.  The dense Hessian is one
+    (n^2, n + 2) x (n + 2, n^2) product per point plus the d2P term."""
+
+    def __init__(self, value, gradient, factors: tuple, base: "FubiniStudy", slots: slice):
+        super().__init__(value, gradient, factors)
+        self.base, self.slots = base, slots
+
+    def _in_slots(self, own: np.ndarray, *axes: int) -> np.ndarray:
+        """own, whose derivative ``axes`` run over z's n entries, with those
+        axes in the chart's slots."""
+        slots, dim = self.slots, self.dim
+        if slots == slice(0, dim):
+            return own
+        shape, index = list(own.shape), [slice(None)] * own.ndim
+        for ax in axes:
+            shape[ax], index[ax] = dim, slots
+        out = np.zeros(shape, own.dtype)
+        out[tuple(index)] = own
+        return out
+
+    def assemble(self) -> np.ndarray:
+        z, u, a, c, dp = self.factors
+        base = self.base
+        n, eye, k = base.dim, np.eye(base.dim), 4.0 / base.c0
+        batch = np.shape(u)
+        u2, u3 = (p[..., None, None] for p in (u * u, u * u * u))
+        # all but the d2P term as one product of (n^2, n + 2) and (n + 2, n^2)
+        # factors, with sym[c, a, b] = z_a delta_cb + delta_ca z_b
+        sym = z[..., None, :, None] * eye[:, None, :] + eye[:, :, None] * z[..., None, None, :]
+        left = np.concatenate([a.reshape(batch + (n * n, 1)), c.reshape(batch + (n * n, 1)),
+                               4.0 * u3 * dp.reshape(batch + (n * n, n))], axis=-1)
+        right = np.concatenate([np.broadcast_to(eye.reshape(1, n * n), batch + (1, n * n)),
+                                (z[..., :, None] * z[..., None, :]).reshape(batch + (1, n * n)),
+                                sym.reshape(batch + (n, n * n))], axis=-2)
+        d2 = (k * left @ right).reshape(batch + (n,) * 4) - k * u2[..., None, None] * base._d2p
+        return self._in_slots(d2, -2, -1)
+
+    def hessian_along(self, w: np.ndarray) -> np.ndarray:
+        """The closed form contracted on b with each direction w:
+        A_ij w_a + (C_ij z.w + 4 u^3 dP_ij.w) z_a + 4 u^3 (z.w) dP_ija
+        - u^2 (E_ija + E_jia), E_ija = delta_ia w_j + J_ia (J w)_j."""
+        z, u, a, c, dp = self.factors
+        base = self.base
+        eye, j0, k = np.eye(base.dim), base.j0, 4.0 / base.c0
+        ws = w[..., self.slots]                            # B + (k, n), z's slots
+        wt = mT(ws)                                        # [b, u]
+        zw = matvec(ws, z)                                 # [u] = z . w_u
+        u2, u3 = u * u, u * u * u
+        # [i, j, u] = C_ij z.w_u + 4 u^3 dP_ij.w_u
+        q = (c[..., None] * zw[..., None, None, :]
+             + 4.0 * u3[..., None, None, None] * last_slot(dp, ws))
+        out = q[..., :, :, None, :] * z[..., None, None, :, None]
+        out += a[..., None, None] * wt[..., None, None, :, :]
+        out += dp[..., None] * (4.0 * u3[..., None] * zw)[..., None, None, None, :]
+        e = (eye[:, None, :, None] * wt[..., None, :, None, :]
+             + j0[:, None, :, None] * (j0 @ wt)[..., None, :, None, :])
+        out -= u2[..., None, None, None, None] * (e + np.swapaxes(e, -3, -4))
+        return self._in_slots(k * out, -2)
+
+    def hessian_pair(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """The closed form contracted with x^i y^j: (x A y) delta_ab
+        + (x C y) z_a z_b + 4 u^3 (z_a q_b + q_a z_b) - u^2 (x_a y_b
+        + (J^T x)_a (J^T y)_b + the same with a and b swapped), for
+        q_b = x^i y^j dP_ijb."""
+        z, u, a, c, dp = self.factors
+        base = self.base
+        eye, j0, k = np.eye(base.dim), base.j0, 4.0 / base.c0
+        u2, u3 = (p[..., None, None] for p in (u * u, u * u * u))
+        zq = z[..., :, None] * value_pair(dp, x, y)[..., None, :]
+        xy = (x[..., :, None] * y[..., None, :]
+              + (x @ j0)[..., :, None] * (y @ j0)[..., None, :])
+        out = (inner(a, x, y)[..., None, None] * eye
+               + inner(c, x, y)[..., None, None] * (z[..., :, None] * z[..., None, :])
+               + 4.0 * u3 * (zq + mT(zq)) - u2 * (xy + mT(xy)))
+        return self._in_slots(k * out, -2, -1)
+
+
+class ThetaSquareJet(_FactoredJet):
+    """Theta = theta x theta on the (psi, z) entries, theta = dpsi + s sigma,
+    kept as theta's own jet (v, G, H): B + (p,), B + (p, 2m) and
+    B + (p, 2m, 2m) for p = 2m + 1, in z's 2m slots.  By the product rule
+
+        d_a d_b Theta_ij = v_i H_jab + H_iab v_j + G_ia G_jb + G_ib G_ja.
+
+    The dense Hessian is the sum in the order ``Jet2.__mul__`` takes it."""
+
+    @classmethod
+    def square(cls, v: np.ndarray, G: np.ndarray, H: np.ndarray) -> "ThetaSquareJet":
+        # the v_j x_i terms are the v_i x_j terms with i and j swapped
+        gradient = v[..., :, None, None] * G[..., None, :, :]
+        return cls(v[..., :, None] * v[..., None, :],
+                   gradient + np.swapaxes(gradient, -2, -3), (v, G, H))
+
+    def assemble(self) -> np.ndarray:
+        v, G, H = self.factors
+        # two Hessian-sized arrays live at a time
+        hessian = v[..., :, None, None, None] * H[..., None, :, :, :]
+        hessian = hessian + np.swapaxes(hessian, -3, -4)
+        cross = G[..., :, None, :, None] * G[..., None, :, None, :]
+        hessian += cross
+        hessian += np.swapaxes(cross, -1, -2)
+        return hessian
+
+    def hessian_along(self, w: np.ndarray) -> np.ndarray:
+        """v_i (H_j w)_a + G_ia (G_j . w) plus the same with i and j swapped,
+        for each direction w of B + (k, 2m)."""
+        v, G, H = self.factors
+        half = (v[..., :, None, None, None] * last_slot(H, w)[..., None, :, :, :]
+                + G[..., :, None, :, None] * (G @ mT(w))[..., None, :, None, :])
+        return half + np.swapaxes(half, -3, -4)
+
+    def hessian_pair(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """(x.v) (y.H) + (y.v) (x.H) + (x.G) (y.G)^T + (y.G) (x.G)^T, with
+        (y.H)_ab = y^i H_iab and (x.G)_a = x^i G_ia."""
+        v, G, H = self.factors
+        n = H.shape[-1]
+
+        def first(r, part):
+            return (r[..., None, :] @ part.reshape(r.shape + (-1,)))[..., 0, :]
+
+        xh, yh = (first(r, H).reshape(r.shape[:-1] + (n, n)) for r in (x, y))
+        xg, yg = first(x, G), first(y, G)
+        cross = xg[..., :, None] * yg[..., None, :]
+        return (np.sum(x * v, axis=-1)[..., None, None] * yh
+                + np.sum(y * v, axis=-1)[..., None, None] * xh + cross + mT(cross))
+
+
 # -- frames -------------------------------------------------------------------
 
 
@@ -225,10 +396,12 @@ class _SliceMemo:
     bytes; a complex batch with zero imaginary part (a complex step along t
     leaves z real) shares the real entry.  The suite runs every check at one
     sample slice before it moves on, and at a slice reads its own points,
-    then their complex step along t, then its points moved in z; so the
-    metric, J, the frame, the fields and the checks at a slice build each
-    part once.  A flow reads its start point between two walks over the same
-    node batches, which a single point therefore does not evict.
+    then their complex step along t; so the metric, J, the frame, the fields
+    and the checks at a slice build each part once.  The base moves of every
+    slice come after the last slice, in directional batches of their own,
+    and then the complex points of the second Bianchi check.  A flow reads
+    its start point between two walks over the same node batches, which a
+    single point therefore does not evict.
     """
 
     def __init__(self):
@@ -254,34 +427,31 @@ def _shared_row(z: np.ndarray) -> np.ndarray | None:
     return row if (z == row).all() else None
 
 
-def _broadcast(jet: Jet2, batch: tuple) -> Jet2:
-    """A jet at one point as read-only views over the batch shape B."""
-    return Jet2(*(np.broadcast_to(a, batch + a.shape)
-                  for a in (jet.value, jet.gradient, jet.hessian)))
-
-
 def _base_parts(base, z: np.ndarray, d: int, s: float) -> tuple[Jet2, Jet2, Jet2]:
     """The z-only parts of a bundle metric at z (``_parts_at``).  A batch whose
     points all sit at one z, as every node of an axial flow panel sits at
-    z = 0, builds them there once and broadcasts them over the batch as
-    read-only views; any other batch builds them point by point."""
+    z = 0, builds them there once and broadcasts their dense jets over the
+    batch as read-only views (``Jet2.broadcast_to``): one rank-4 array per
+    part for the whole batch, which a directional read contracts in one
+    product per point, where the factors would take a dozen array
+    operations per read (the n = 5 desk decay flow took 41-47 ms through
+    them and 33-35 ms so, in-process on one pinned CPU of a 2-vCPU VM).
+    Any other batch builds them point by point, factored."""
     row = _shared_row(z)
     if row is None:
         return _parts_at(base, z, d, s)
-    return tuple(_broadcast(part, z.shape[:-1]) for part in _parts_at(base, row, d, s))
+    return tuple(part.broadcast_to(z.shape[:-1]) for part in _parts_at(base, row, d, s))
 
 
 def _parts_at(base, z: np.ndarray, d: int, s: float) -> tuple[Jet2, Jet2, Jet2]:
     """The z-only parts of a bundle metric at z: the base metric h and
-    Theta = theta x theta for theta = dpsi + s sigma on its (psi, z) entries,
-    both with derivatives in z's own 2m chart slots, and the potential sigma,
-    seeded in the d-dimensional chart whose last coordinates are z (psi just
-    before them).
-
-    Theta is the product rule in the order ``Jet2.__mul__`` sums it, on the
-    only entries and slots where it is not zero: theta's derivatives are s
-    times sigma's.
-    """
+    Theta = theta x theta for theta = dpsi + s sigma on its (psi, z) entries
+    (``ThetaSquareJet``, from theta's jet: its derivatives are s times
+    sigma's), both with derivatives in z's own 2m chart slots, and the
+    potential sigma, seeded in the d-dimensional chart whose last
+    coordinates are z (psi just before them).  Theta, and h of a
+    Fubini-Study base (``FubiniStudyJet``), keep their Hessians in factors
+    of O(d^3) entries per point."""
     zj = seed_chart(z)
     h, sigma = base.metric_jets(zj), base.connection_potential_jets(zj)
     batch, n = z.shape[:-1], z.shape[-1]
@@ -291,17 +461,7 @@ def _parts_at(base, z: np.ndarray, d: int, s: float) -> tuple[Jet2, Jet2, Jet2]:
                         s * sigma.gradient], axis=-2)
     H = np.concatenate([np.zeros(batch + (1, n, n), sigma.hessian.dtype),
                         s * sigma.hessian], axis=-3)
-    # the v_j x_i terms are the v_i x_j terms with i and j swapped; two
-    # Hessian-sized arrays live at a time
-    gradient = v[..., :, None, None] * G[..., None, :, :]
-    hessian = v[..., :, None, None, None] * H[..., None, :, :, :]
-    hessian = hessian + np.swapaxes(hessian, -3, -4)
-    cross = G[..., :, None, :, None] * G[..., None, :, None, :]
-    hessian += cross
-    hessian += np.swapaxes(cross, -1, -2)
-    theta2 = Jet2(v[..., :, None] * v[..., None, :],
-                  gradient + np.swapaxes(gradient, -2, -3), hessian)
-    return h, _in_chart(sigma, d), theta2
+    return h, _in_chart(sigma, d), ThetaSquareJet.square(v, G, H)
 
 
 def _in_chart(jet: Jet2, d: int) -> Jet2:
@@ -313,25 +473,6 @@ def _in_chart(jet: Jet2, d: int) -> Jet2:
     out.gradient[..., off:] = jet.gradient
     out.hessian[..., off:, off:] = jet.hessian
     return out
-
-
-def _last_slot(part: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """part contracted on its last axis with each of k vectors w, per point:
-    B + V + (n,) against w of shape B + (k, n) gives B + V + (k,), from one
-    read of part for all k (w is copied as a contiguous (n, k) matrix, so
-    that the product is one BLAS call per point)."""
-    batch = part.shape[:w.ndim - 2]
-    return (part.reshape(batch + (-1, part.shape[-1])) @ np.ascontiguousarray(mT(w))).reshape(
-        part.shape[:-1] + w.shape[-2:-1])
-
-
-def _value_pair(part: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """x^a y^b part[a, b, ...] per point: part B + (p, p) + S against x and y
-    of shape B + (p,) gives B + S."""
-    nb, p = x.ndim - 1, x.shape[-1]
-    batch, slots = part.shape[:nb], part.shape[nb + 2:]
-    first = (x[..., None, :] @ part.reshape(batch + (p, -1)))[..., 0, :]
-    return (y[..., None, :] @ first.reshape(batch + (p, -1)))[..., 0, :].reshape(batch + slots)
 
 
 class BundleJet:
@@ -350,9 +491,15 @@ class BundleJet:
 
     ``value`` and ``gradient`` are assembled at once.  The Hessian, one
     B + (d, d, d, d) array, is assembled on its first read (``hessian``),
-    which the readers of R whole and of Ricci make.  The directional readers
-    contract the parts instead (``hessian_along``, ``hessian_pair``), and
-    never form it.  Indexing reads the dense jet (``Jet2.__getitem__``).
+    from the parts' own dense Hessians, which the readers of R whole and of
+    Ricci make.  The directional readers ask the parts for their
+    contractions instead (``hessian_along``, ``hessian_pair``): Theta and a
+    Fubini-Study h take them from their factors (``ThetaSquareJet``,
+    ``FubiniStudyJet``), so neither the jet's nor a part's dense Hessian is
+    formed and a point holds O(d^3) entries; a dense part (the h of a
+    ``ProductBase``, or the views a batch sharing one z holds,
+    ``_base_parts``) contracts its Hessian (``Jet2.hessian_along``).
+    Indexing reads the dense jet (``Jet2.__getitem__``).
     """
 
     def __init__(self, d: int, theta2: Jet2, h: Jet2, fiber: tuple, base: tuple | None):
@@ -420,8 +567,7 @@ class BundleJet:
         shape B + (k, d): Theta's and h's z-derivatives contracted with the
         directions' z entries, each scaled by its scale first, and the
         t-derivatives of the scales times their t entries.  Each part is
-        read once for all k directions: O(d^4) per z-slice the parts were
-        built at, O(k d^3) per point."""
+        read once for all k directions, O(k d^3) per point."""
         th, h, block, z = self.theta2, self.h, self.block, self.z
         vz = v[..., z]
 
@@ -430,13 +576,13 @@ class BundleJet:
 
         out = np.zeros(v.shape[:-2] + (self.dim,) * 3 + v.shape[-2:-1],
                        np.result_type(self.dtype, v))
-        out[..., block, block, z, :] = _last_slot(th.hessian, scaled(self.fiber))
-        out[..., z, z, z, :] += _last_slot(h.hessian, scaled(self.base))
+        out[..., block, block, z, :] = th.hessian_along(scaled(self.fiber))
+        out[..., z, z, z, :] += h.hessian_along(scaled(self.base))
         if self.along_t:
             cross, tt = self._t_blocks
             t = v[..., None, None, :, 0]                  # B + (1, 1, k)
             out[..., block, block, z, :] += cross[..., None] * t[..., None, :]
-            out[..., block, block, 0, :] = _last_slot(cross, vz) + tt[..., None] * t
+            out[..., block, block, 0, :] = last_slot(cross, vz) + tt[..., None] * t
         return out
 
     def hessian_pair(self, v: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -447,11 +593,12 @@ class BundleJet:
         vb, wb, vz, wz = v[..., block], w[..., block], v[..., z], w[..., z]
 
         def part(name: str, k: int) -> np.ndarray:
-            return self._combined(k, _value_pair(getattr(th, name), vb, wb),
-                                  _value_pair(getattr(h, name), vz, wz), rank=0)
+            return self._combined(k, value_pair(getattr(th, name), vb, wb),
+                                  value_pair(getattr(h, name), vz, wz), rank=0)
 
         out = np.zeros(v.shape[:-1] + (self.dim,) * 2, np.result_type(self.dtype, v, w))
-        out[..., z, z] = part("hessian", 0)
+        out[..., z, z] = self._combined(0, th.hessian_pair(vb, wb), h.hessian_pair(vz, wz),
+                                        rank=0)
         if self.along_t:
             cross = part("gradient", 1)
             out[..., 0, z] = cross
@@ -590,17 +737,26 @@ class WarpedBundleMetric(_BundleMetric):
         return g
 
     def complex_structure_jets(self, coords: Jet2) -> Jet2:
-        """J with J H = xi/f, J xi = -f H, and the base structure on lifts."""
+        """J with J H = xi/f, J xi = -f H, and the base structure on lifts.
+
+        Only the t and psi rows vary; the rest is j0 on the z block, so the
+        Hessian, nonzero in those two rows, is placed in a B + (d, d, d, d)
+        array only when read (``_LeadingRowsJet``): an analysis reads J's
+        value and gradient alone."""
         _, f = self.warp_jets(coords[..., 0])
         _, sigma, _ = self._base_at(coords.value[..., 2:])
         j0 = self.base.j0
-        J = zeros(coords.shape[:-1] + (self.dim, self.dim), coords.dim, coords.value.dtype)
-        J[..., 1, 0] = reciprocal(f)
-        J[..., 0, 1] = -f
-        J[..., 0, 2:] = -(f[..., None] * (self.s * sigma))
-        J[..., 1, 2:] = -(self.s * (sigma @ j0))
-        J[..., 2:, 2:] = j0
-        return J
+        batch, d = coords.shape[:-1], self.dim
+        rows = zeros(batch + (2, d), coords.dim, coords.value.dtype)
+        rows[..., 1, 0] = reciprocal(f)
+        rows[..., 0, 1] = -f
+        rows[..., 0, 2:] = -(f[..., None] * (self.s * sigma))
+        rows[..., 1, 2:] = -(self.s * (sigma @ j0))
+        value = np.zeros(batch + (d, d), rows.value.dtype)
+        gradient = np.zeros(batch + (d, d, coords.dim), rows.gradient.dtype)
+        value[..., :2, :], gradient[..., :2, :, :] = rows.value, rows.gradient
+        value[..., 2:, 2:] = j0
+        return _LeadingRowsJet(value, gradient, (rows.hessian,))
 
     # -- fields of the divergence and identity checks, as jets at the seeded
     # coordinates of an analysis --------------------------------------------

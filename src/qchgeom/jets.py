@@ -19,13 +19,19 @@ metric at each of N chart points, each differentiated in its own chart.
 Value axes are indexed from the right (``x[..., i]``) and ``@`` with a
 constant matrix follows numpy matmul semantics over the leading axes, so the
 same model code serves one point (batch shape ()) and a batch.
+
+A jet also answers two reads of its Hessian that the curvature layer takes
+along directions, d_. d_w of every entry (``hessian_along``) and, for a
+matrix jet, x^a y^b d d J_ab (``hessian_pair``); a jet that keeps its
+Hessian in smaller factors (the z-only parts of a bundle metric in
+``geometry``) overrides them.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .batch import inexact
+from .batch import inexact, mT
 
 
 class JetDomainError(ValueError):
@@ -62,6 +68,25 @@ def _apply(arr: np.ndarray, extra: int, matrix: np.ndarray) -> np.ndarray:
     axis, which sits ``extra`` derivative axes before the end of ``arr``."""
     moved = np.moveaxis(arr, -1 - extra, -1)
     return np.moveaxis(moved @ matrix, -1, -1 - extra)
+
+
+def last_slot(part: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """part contracted on its last axis with each of k vectors w, per point:
+    B + V + (n,) against w of shape B + (k, n) gives B + V + (k,), from one
+    read of part for all k (w is copied as a contiguous (n, k) matrix, so
+    that the product is one BLAS call per point)."""
+    batch = part.shape[:w.ndim - 2]
+    return (part.reshape(batch + (-1, part.shape[-1])) @ np.ascontiguousarray(mT(w))).reshape(
+        part.shape[:-1] + w.shape[-2:-1])
+
+
+def value_pair(part: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """x^a y^b part[a, b, ...] per point: part B + (p, p) + S against x and y
+    of shape B + (p,) gives B + S."""
+    nb, p = x.ndim - 1, x.shape[-1]
+    batch, slots = part.shape[:nb], part.shape[nb + 2:]
+    first = (x[..., None, :] @ part.reshape(batch + (p, -1)))[..., 0, :]
+    return (y[..., None, :] @ first.reshape(batch + (p, -1)))[..., 0, :].reshape(batch + slots)
 
 
 class Jet2:
@@ -185,6 +210,24 @@ class Jet2:
         return Jet2(self.value @ other, _apply(self.gradient, 1, other),
                     _apply(self.hessian, 2, other))
 
+    # -- reads of the Hessian -----------------------------------------------
+
+    def hessian_along(self, w: np.ndarray) -> np.ndarray:
+        """d_. d_u of every entry for k directions u, the rows of w of shape
+        B + (k, d) for batch axes B: B + V + (d, k) for a jet of value B + V,
+        one read of the Hessian for all k directions."""
+        return last_slot(self.hessian, w)
+
+    def hessian_pair(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """x^a y^b d_. d_. J_ab for a jet J of value B + (p, p) and x, y of
+        shape B + (p,): B + (d, d)."""
+        return value_pair(self.hessian, x, y)
+
+    def broadcast_to(self, batch: tuple) -> "Jet2":
+        """The jet at one point as read-only views over the batch shape B."""
+        return Jet2(*(np.broadcast_to(a, batch + a.shape)
+                      for a in (self.value, self.gradient, self.hessian)))
+
 
 def zeros(shape: tuple, dim: int, dtype=float) -> Jet2:
     """An all-zero jet of the given value shape, to be filled by assignment;
@@ -210,22 +253,29 @@ def compose(a: Jet2, value, d1, d2) -> Jet2:
                 _h(d1) * a.hessian + _h(d2) * _outer(a.gradient, a.gradient))
 
 
-def pullback(x: Jet2, value: np.ndarray, d1: np.ndarray, d2: np.ndarray) -> Jet2:
-    """The jet of a function of the vector jet x, given in closed form.
-
-    x has value B + (n,) for batch axes B and must be seeded straight from a
-    run of n chart coordinates (gradient rows of the identity, Hessian zero),
-    else ``ValueError``.  The function's value at x.value has shape B + V,
-    its derivatives in x's n entries B + V + (n,) and B + V + (n, n); they
-    land in the slots of those coordinates as they stand.
-    """
+def seeded_slots(x: Jet2) -> slice:
+    """The chart slots of the vector jet x, value B + (n,), which must be
+    seeded straight from a run of n chart coordinates (gradient rows of the
+    identity, Hessian zero), else ``ValueError``."""
     grad = x.gradient
     n, dim = grad.shape[-2:]
     off = int(np.argmax(grad.reshape(-1, dim)[0]))
     if (x.hessian.any() or off + n > dim
             or not (grad == np.eye(dim)[off:off + n]).all()):
-        raise ValueError("pullback needs a jet seeded as a run of chart coordinates")
-    shape, slots = np.shape(value), slice(off, off + n)
+        raise ValueError("a closed form needs a jet seeded as a run of chart coordinates")
+    return slice(off, off + n)
+
+
+def pullback(x: Jet2, value: np.ndarray, d1: np.ndarray, d2: np.ndarray) -> Jet2:
+    """The jet of a function of the vector jet x, given in closed form.
+
+    x is seeded from a run of chart coordinates (``seeded_slots``).  The
+    function's value at x.value has shape B + V, its derivatives in x's n
+    entries B + V + (n,) and B + V + (n, n); they land in the slots of those
+    coordinates as they stand.
+    """
+    slots, dim = seeded_slots(x), x.dim
+    shape = np.shape(value)
     dtype = np.result_type(d1, d2)
     out = Jet2(value, np.zeros(shape + (dim,), dtype), np.zeros(shape + (dim, dim), dtype))
     out.gradient[..., slots] = d1

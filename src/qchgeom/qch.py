@@ -33,6 +33,7 @@ import numpy as np
 from .batch import each, inner, matvec, max_abs, mT, per_point
 from .curvature import (
     PointAnalysis,
+    batch_analyses,
     complex_step,
     contract_slots,
     covariant_vector_derivative,
@@ -275,27 +276,31 @@ def structure_identity_residuals(analysis: PointAnalysis, model, *,
     return {key: per_point(value) for key, value in out.items()}
 
 
-def coefficient_base_independence(analysis: PointAnalysis, model, *, draws: np.ndarray):
-    """The larger of |a(z_k) - a(z)| over two batches of base points z_k moved
-    from the analysed points z at the same t and psi (t-only check).
+def coefficient_a(analysis: PointAnalysis) -> np.ndarray:
+    """a = K(E_1) at the analysed point(s), the fit's first probe
+    (|X_D| = 0), from one contraction of the metric jet
+    (``curvature.holomorphic_curvature_along``): no Riemann tensor."""
+    return holomorphic_curvature_along(analysis, analysis.frame[..., 2, :])
+
+
+def coefficient_base_independence(model, points: np.ndarray, a, *, draws: np.ndarray):
+    """The larger of |a(z_k) - a(z)| over two base points z_k moved from each
+    of the points, B + (d,), at the same t and psi (t-only check), per point.
 
     The base points move by 0.05 times standard-normal ``draws`` of shape
-    B + (2, 2m).  Both sides of each difference read a = K(E_1), the fit's
-    first probe (|X_D| = 0), from one contraction of the metric jet
-    (``curvature.holomorphic_curvature_along``): the moved analyses build no
-    Riemann tensor, and the sample's own a is taken the same way, so the two
-    sides round alike.
+    B + (2, 2m).  ``a`` holds a at the points themselves, read in their own
+    analyses by ``coefficient_a``; the moved points are read the same way,
+    all of them together in directional analyses
+    (``curvature.batch_analyses``), so the two sides of each difference
+    round alike and no moved analysis builds a rank-4 array.  The suite
+    makes this one call per run, after its sample slices.
     """
-    def coefficient_a(an):
-        return holomorphic_curvature_along(an, an.frame[..., 2, :])
-
-    a0 = coefficient_a(analysis)
-    worst = 0.0
-    for k in range(2):
-        moved = analysis.x.copy()
-        moved[..., 2:] += 0.05 * draws[..., k, :]
-        worst = np.maximum(worst, np.abs(coefficient_a(PointAnalysis(model, moved)) - a0))
-    return per_point(worst)
+    moved = np.repeat(points[..., None, :], 2, axis=-2)
+    moved[..., 2:] += 0.05 * draws
+    a_moved = np.concatenate([coefficient_a(an) for _, an in batch_analyses(
+        model, moved.reshape(-1, points.shape[-1]), directional=True)])
+    return per_point(np.abs(a_moved.reshape(moved.shape[:-1]) - np.asarray(a)[..., None])
+                     .max(axis=-1))
 
 
 # -- submersion cross-checks -------------------------------------------------------

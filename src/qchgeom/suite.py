@@ -18,11 +18,13 @@ its residuals under each check's name (one per point, or one per random
 probe of the QCH fit), and drops the analysis before the next slice.  Every
 mode but the circle bundle fits (a, b, c) once per slice and scores the fit
 along its probes; the negative control's median reads those same scores.  The
-checks of the whole run (the profile, the second Bianchi spot check, the
-decay flow) run once and add one residual per sample they take.  One place,
-``_Residuals``, then reduces every check's residuals with ``np.max``, so a
-NaN residual at any sample fails its check, and counts them: no check's
-``samples`` is declared.
+checks of the whole run (the profile, the base independence at every
+point's base moves, the second Bianchi spot check, the decay flow) run once,
+after the slices, and add one residual per sample they take; the moves and
+the Bianchi points are read along directions alone, in batched directional
+analyses.  One place, ``_Residuals``, then reduces every check's residuals
+with ``np.max``, so a NaN residual at any sample fails its check, and counts
+them: no check's ``samples`` is declared.
 """
 
 from __future__ import annotations
@@ -55,6 +57,7 @@ from .geometry import (
 from .profile import boundary_report, build_polynomial, solve_profile
 from .qch import (
     circle_bundle_residuals,
+    coefficient_a,
     coefficient_base_independence,
     fit_qch_coefficients,
     qch_residual_samples,
@@ -343,13 +346,12 @@ def _profile_checks(res: _Residuals, profile, poly) -> None:
 
 
 def _warped_structure_checks(res: _Residuals, model, an: PointAnalysis, fit, rs,
-                             divergences, phis, moves) -> None:
+                             divergences, phis) -> None:
     """The QCH structure at a slice, from the slice's ``fit``, Ricci split
-    ``rs`` and section ``divergences``: the section rotated by the angles
-    ``phis``, and the base independence at the points moved by ``moves``.
-    The slice's own points come first, then the complex step along t of the
-    gradient laws, then the moved points, the order in which the model's
-    memos hold one batch each."""
+    ``rs`` and section ``divergences``, with the section rotated by the
+    angles ``phis``.  The slice's own points come first, then the complex
+    step along t of the gradient laws, the order in which the model's memos
+    hold one batch each."""
     r, rp, _, _ = model.profile_at(an.x[..., 0])
     c0 = model.base.c0
     d1, d2 = divergences
@@ -360,8 +362,6 @@ def _warped_structure_checks(res: _Residuals, model, an: PointAnalysis, fit, rs,
             kappa_section_independence=np.abs(np.hypot(d1r, d2r) - np.hypot(d1, d2)),
             **warped_submersion_residuals(an, model))
     res.add(**structure_identity_residuals(an, model, fit=fit, divergences=divergences))
-    res.add(qch_coefficient_base_independence=coefficient_base_independence(
-        an, model, draws=moves))
 
 
 def _nabla_j_check(res: _Residuals, an: PointAnalysis) -> None:
@@ -405,9 +405,12 @@ def _sample_checks(res: _Residuals, model, mode: str, points: np.ndarray, draws)
     the slice's rows of the ``draws``.  Every QCH mode fits (a, b, c) once
     per slice and scores it along the slice's probes; the negative control
     keeps each point's median deviation, whose median over the run must
-    exceed ``NEGATIVE_CONTROL_FLOOR``.  No analysis outlives the call, so
+    exceed ``NEGATIVE_CONTROL_FLOOR``.  The warped mode keeps each point's
+    coefficient a, and after the last slice compares it with a at every
+    point's two base moves, all analysed together
+    (``coefficient_base_independence``).  No analysis outlives the call, so
     the decay flow, which analyses its own points, runs without one."""
-    medians = []
+    medians, own_a = [], []
     for sl, an in batch_analyses(model, points):
         _metric_invariant_checks(res, model, an)
         _curvature_invariant_checks(res, an)
@@ -417,9 +420,8 @@ def _sample_checks(res: _Residuals, model, mode: str, points: np.ndarray, draws)
         # with perturb_f != 1 this check fails decisively: that is a hard
         # failure mode (exit 1), not an annotated expected failure
         _nabla_j_check(res, an)
-        probes, *rows = (a[sl] for a in draws)
         fit = fit_qch_coefficients(an)
-        deviations = qch_residual_samples(an, fit, probes)
+        deviations = qch_residual_samples(an, fit, draws[0][sl])
         res.add(qch_fit_residual=deviations)
         if mode == "negative-control":
             medians.append(np.median(deviations, axis=-1))
@@ -431,11 +433,15 @@ def _sample_checks(res: _Residuals, model, mode: str, points: np.ndarray, draws)
         if mode == "product":
             res.add(kappa_vanishes=np.hypot(*divergences))
         else:
-            _warped_structure_checks(res, model, an, fit, rs, divergences, *rows)
+            _warped_structure_checks(res, model, an, fit, rs, divergences, draws[1][sl])
+            own_a.append(coefficient_a(an))
     if medians:
         res.controls["qch_fit_residual"] = {
             "discrimination_floor": NEGATIVE_CONTROL_FLOOR,
             "median_residual": float(np.median(np.concatenate(medians)))}
+    if own_a:
+        res.add(qch_coefficient_base_independence=coefficient_base_independence(
+            model, points, np.concatenate(own_a), draws=draws[2]))
 
 
 def run_suite(config) -> VerificationReport:

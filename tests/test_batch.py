@@ -33,6 +33,7 @@ from qchgeom.curvature import (
 from qchgeom.geometry import BaseChartMetric
 from qchgeom.qch import (
     circle_bundle_residuals,
+    coefficient_a,
     coefficient_base_independence,
     fit_qch_coefficients,
     qch_residual_samples,
@@ -109,18 +110,38 @@ def test_batched_analysis_matches_single_points(n, name, count):
 
 
 def test_slices_split_the_batch(monkeypatch):
-    """Slices of a small budget (3 points at d = 6) cover 7 points as 3 + 3 + 1."""
+    """Slices of a small budget (3 points at d = 6) cover 7 points in the
+    fewest slices, 3, balanced as 3 + 2 + 2."""
     monkeypatch.setattr(curvature, "BATCH_ELEMENTS", 3 * 6 ** 4)
-    assert batch_slices(7, 6) == [slice(0, 3), slice(3, 6), slice(6, 7)]
+    assert batch_slices(7, 6 ** 4) == [slice(0, 3), slice(3, 5), slice(5, 7)]
     model = _models(3)["warped"]
     points = _points(model, 7)
     pairs = list(batch_analyses(model, points))
-    assert [sl for sl, _ in pairs] == batch_slices(7, 6)
+    assert [sl for sl, _ in pairs] == batch_slices(7, 6 ** 4)
     analyses = [an for _, an in pairs]
-    assert [len(an.x) for an in analyses] == [3, 3, 1]
+    assert [len(an.x) for an in analyses] == [3, 2, 2]
     batched = np.concatenate([an.riemann for an in analyses])
     single = np.stack([PointAnalysis(model, p).riemann for p in points])
     assert _close(batched, single)
+
+
+def test_slices_are_balanced():
+    """At the fewest slices that keep every slice within BATCH_ELEMENTS,
+    consecutive slices cover the points once and their sizes differ by at
+    most one: a 24-node flow panel at d = 14, one node over budget, goes
+    in 12 + 12 (was 23 + 1), and the 6 complex Bianchi points at d = 14 in
+    3 + 3."""
+    for count in range(0, 40):
+        for per_point in (1, 6 ** 4, 14 ** 3, 4 * 14 ** 3, 10 ** 4, 14 ** 4, 20 ** 4):
+            slices = batch_slices(count, per_point)
+            cap = max(1, curvature.BATCH_ELEMENTS // per_point)
+            sizes = [sl.stop - sl.start for sl in slices]
+            assert [sl.start for sl in slices] == [sum(sizes[:k]) for k in range(len(sizes))]
+            assert sum(sizes) == count and len(slices) == -(-count // cap)
+            assert all(0 < size <= cap for size in sizes)
+            assert max(sizes, default=0) - min(sizes, default=0) <= 1
+    assert batch_slices(24, 14 ** 3) == [slice(0, 12), slice(12, 24)]
+    assert batch_slices(6, 4 * 14 ** 3) == [slice(0, 3), slice(3, 6)]
 
 
 def _family_cases(n, name, count=5):
@@ -164,9 +185,10 @@ def test_warped_families_match_single_points(n):
               for an, phi in zip(singles, phis)])):
         for k in range(2):
             _assert_per_point(batched[k], [p[k] for p in per_point], "section_divergences")
-    _assert_per_point(coefficient_base_independence(batch, model, draws=moves),
-                      [coefficient_base_independence(an, model, draws=m)
-                       for an, m in zip(singles, moves)], "base_independence")
+    _assert_per_point(coefficient_base_independence(model, points, coefficient_a(batch),
+                                                    draws=moves),
+                      [coefficient_base_independence(model, p, coefficient_a(an), draws=m)
+                       for p, an, m in zip(points, singles, moves)], "base_independence")
     _assert_per_point(structure_identities(batch, model),
                       [structure_identities(an, model) for an in singles],
                       "structure_identities")

@@ -208,7 +208,7 @@ def test_negative_control_median_reads_the_scored_probes(monkeypatch):
 
     monkeypatch.setattr(suite, "qch_residual_samples", recording)
     report = run_suite(small_config(mode="negative-control", sample_count=150))
-    assert len(scored) == len(batch_slices(150, 6)) == 3
+    assert len(scored) == len(batch_slices(150, 6 ** 4)) == 3
     rec = next(c for c in report.checks if c.name == "qch_fit_residual")
     per_point = np.concatenate([np.median(s, axis=-1) for s in scored])
     assert rec.details["median_residual"] == float(np.median(per_point))

@@ -352,7 +352,7 @@ def test_a_warped_run_builds_the_riemann_tensor_only_where_it_is_read_whole(monk
     assert all(not within for _, within in builds)
     # the run's sample points are the first draw of its seed
     points = sample_interior_points(suite.build_model(config), np.random.default_rng(3), 30)
-    slices = [points[sl] for sl in batch_slices(30, 10)]
+    slices = [points[sl] for sl in batch_slices(30, 10 ** 4)]
     real = [x for x, _ in builds if not np.iscomplexobj(x)]
     stepped = [x for x, _ in builds if np.iscomplexobj(x)]
     assert len(real) == len(stepped) == len(slices) == 5

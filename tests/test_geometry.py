@@ -293,25 +293,33 @@ def test_base_built_once_per_z_batch(monkeypatch):
     """The same run builds the z-only parts of the warped metric once per
     distinct z batch: the suite finishes each sample slice before the next,
     so the base memo, which holds the last real and the last complex batch,
-    never sees a batch again once it has moved on.  With each family walking
+    never sees a batch again once it has moved on.  At d = 14 that is 16
+    batches: 10 sample slices of one point (their complex step along t
+    shares the real entry), the 20 base moves in 4 directional slices of 5
+    and the 6 complex Bianchi points in 2 of 3.  With each family walking
     every slice in turn and a memo of 16 points, the run made 43 builds of
-    36 batches."""
+    36 batches; with the moves and the Bianchi points one per analysis, 36
+    of 36."""
     builds, batches = _base_builds(monkeypatch, {"mode": "warped", "n": 7, "k": 1,
                                                  "perturb_f": 1.05, "sample_count": 10,
                                                  "rng_seed": 42})
-    assert batches >= 30
+    assert batches == 16
     assert builds == batches
 
 
 def test_decay_flow_builds_each_z_batch_once(monkeypatch):
     """The warped n = 5 run at 10 points, decay flow included, builds the
-    z-only parts once per distinct z batch.  The flow reads its start point
-    between the geodesic's node batches and the Jacobi coefficients' batches
-    of the same z; when a single point evicted the batch, the run made 11
-    builds of 10 batches."""
+    z-only parts once per distinct z batch: 2 sample slices, the 20 base
+    moves in 2 directional slices, the Bianchi points in 1, and the flow's
+    3 batches at z = 0 (its 24-node panels, its start point and the 7
+    points of its geodesic residual).
+    The flow reads its start point between the geodesic's node batches and
+    the Jacobi coefficients' batches of the same z; when a single point
+    evicted the batch, the run made 11 builds of 10 batches (the moves then
+    took 4 slices)."""
     builds, batches = _base_builds(monkeypatch, {"mode": "warped", "n": 5, "k": 1,
                                                  "sample_count": 10, "rng_seed": 42})
-    assert batches == 10
+    assert batches == 8
     assert builds == batches
 
 
@@ -353,4 +361,4 @@ def test_sections_built_four_times_per_slice(monkeypatch):
     config = RunConfig.from_dict({"mode": "warped", "n": 3, "k": 1, "sample_count": 10,
                                   "rng_seed": 42})
     run_suite(config)
-    assert len(calls) == 4 * len(batch_slices(10, build_model(config).dim))
+    assert len(calls) == 4 * len(batch_slices(10, build_model(config).dim ** 4))

@@ -7,10 +7,11 @@ gradient within 1e-6 and Hessian within 1e-4, relative.
 
 The closed-form Fubini-Study jets must also equal, within 1e-14 of the
 largest entry, the same quantities assembled by generic jet products; the
-directional reads a bundle metric takes from its parts must equal the dense
-Hessian's within 1e-13; and counters bound the base-jet work of a run: no
-jet products inside the closed forms, and one base build per batch of base
-points.
+directional reads a bundle metric and each of its z-only parts take from
+factors must equal the dense Hessian's within 1e-13; and counters bound
+the base-jet work of a run: no jet products inside the closed forms, one
+base build per batch of base points, and no dense Hessian in the
+directional steps of a run.
 """
 
 import functools
@@ -30,9 +31,10 @@ from qchgeom import (
 )
 from qchgeom import geometry
 from qchgeom.cli import RunConfig
-from qchgeom.curvature import COMPLEX_STEP, hessian_along, hessian_pair
+from qchgeom.curvature import COMPLEX_STEP, PointAnalysis, second_bianchi_residual
 from qchgeom.geometry import BaseChartMetric
-from qchgeom.suite import run_suite, sample_interior_points
+from qchgeom.qch import coefficient_a, coefficient_base_independence
+from qchgeom.suite import build_model, run_suite, sample_interior_points
 from qchgeom.jets import Jet2, reciprocal, seed_chart, zeros
 
 
@@ -190,6 +192,24 @@ def _bundle_models(variant: str, n: int):
                               warp_scale=1.05 if variant == "perturb_f" else 1.0)
 
 
+def _assert_contraction(got, want):
+    """Real and imaginary parts each within 1e-13 of their largest entry."""
+    assert got.shape == want.shape
+    for take in (np.real, np.imag):
+        scale = np.abs(take(want)).max()
+        assert np.abs(take(got) - take(want)).max() <= 1e-13 * scale
+
+
+def _assert_reads_match_einsum(jet, V, v, w):
+    """A jet's ``hessian_along`` and ``hessian_pair`` against np.einsum of
+    its dense Hessian, which is read first."""
+    hessian = jet.hessian
+    _assert_contraction(jet.hessian_along(V),
+                        np.einsum("...abmn,...un->...abmu", hessian, V))
+    _assert_contraction(jet.hessian_pair(v, w),
+                        np.einsum("...abmk,...a,...b->...mk", hessian, v, w))
+
+
 @pytest.mark.parametrize("variant", ["warped", "product", "negative-control", "circle-bundle",
                                      "perturb_f"])
 @pytest.mark.parametrize("n", [3, 5])
@@ -197,19 +217,23 @@ def test_parts_contractions_match_the_dense_hessian(n, variant):
     """The directional reads of a bundle metric's Hessian, contracted from its
     z-only parts and t-warps (``BundleJet.hessian_along`` and
     ``hessian_pair``), and the same reads of the dense Hessian by the route
-    of a jet without parts (``curvature.hessian_along`` and ``hessian_pair``
-    on a plain ``Jet2``), both equal the dense Hessian contracted with the
-    directions by ``np.einsum``, real and imaginary parts each within 1e-13
-    of their largest entry: at one point, at a batch, at a batch sharing one
-    z (whose parts are built once and broadcast), and at complex steps of
-    them along the first coordinate and along a random direction, with three
-    directions read at once along and one pair on the value slots."""
+    of a jet without parts (``Jet2.hessian_along`` and ``hessian_pair``),
+    both equal the dense Hessian contracted with the directions by
+    ``np.einsum``; and so do the reads of each z-only part, Theta and h, on
+    z's slots and on the part's value axes: from their factors where the
+    base is Fubini-Study (``ThetaSquareJet``, ``FubiniStudyJet``), from the
+    dense Hessian of a ``ProductBase`` h.  Real and imaginary parts each
+    within 1e-13 of their largest entry: at one point, at a batch, at a
+    batch sharing one z (whose parts are built once and broadcast as views
+    of their dense jets), and at complex steps of them along the first
+    coordinate and along a random direction, with three directions read at
+    once along and one pair on the value slots."""
     model = _bundle_models(variant, n)
-    d = model.dim
+    d, nz = model.dim, model.base.dim
     rng = np.random.default_rng(90 + n)
     points = sample_interior_points(model, rng, 5)
     shared = points.copy()
-    shared[:, -model.base.dim:] = points[0, -model.base.dim:]
+    shared[:, -nz:] = points[0, -nz:]
     assert model.shares_parts(shared) and not model.shares_parts(points)
     lead, tilt = np.eye(d)[0], rng.standard_normal(d)
     V = rng.standard_normal((5, 3, d))
@@ -217,18 +241,42 @@ def test_parts_contractions_match_the_dense_hessian(n, variant):
     for batch in (points, shared):
         for x, i in ((batch[0], 0), (batch, slice(None))):
             for step in (0.0, COMPLEX_STEP * lead, COMPLEX_STEP * tilt):
-                g = model.metric_jets(seed_chart(x + 1j * step if np.any(step) else x))
-                dense = Jet2(g.value, g.gradient, g.hessian)
-                along = np.einsum("...abmn,...un->...abmu", g.hessian, V[i])
-                pair = np.einsum("...abmk,...a,...b->...mk", g.hessian, v[i], w[i])
-                for got, want in ((hessian_along(g, V[i]), along),
-                                  (hessian_along(dense, V[i]), along),
-                                  (hessian_pair(g, v[i], w[i]), pair),
-                                  (hessian_pair(dense, v[i], w[i]), pair)):
-                    assert got.shape == want.shape
-                    for take in (np.real, np.imag):
-                        scale = np.abs(take(want)).max()
-                        assert np.abs(take(got) - take(want)).max() <= 1e-13 * scale
+                xs = x + 1j * step if np.any(step) else x
+                g = model.metric_jets(seed_chart(xs))
+                _assert_reads_match_einsum(g, V[i], v[i], w[i])
+                _assert_reads_match_einsum(Jet2(g.value, g.gradient, g.hessian),
+                                           V[i], v[i], w[i])
+                h, _, theta2 = model._base_at(xs[..., -nz:])
+                # a batch sharing one z holds its parts' dense jets as views
+                factored = batch is points or x.ndim == 1
+                assert type(theta2) is (geometry.ThetaSquareJet if factored else Jet2)
+                assert type(h) is (geometry.FubiniStudyJet
+                                   if factored and variant != "negative-control" else Jet2)
+                for part in (theta2, h):
+                    p = part.shape[-1]
+                    _assert_reads_match_einsum(part, V[i][..., -nz:], v[i][..., -p:],
+                                               w[i][..., -p:])
+
+
+@pytest.mark.parametrize("batch", [(), (4,)])
+@pytest.mark.parametrize("m", [1, 3])
+def test_fubini_study_reads_land_in_the_seeded_slots(m, batch):
+    """The closed form's directional reads equal the einsum of its dense
+    Hessian when z is seeded as the whole chart and as the last slots of a
+    larger one (zero in the other slots), at real and complex z."""
+    rng = np.random.default_rng(30 + m)
+    base = FubiniStudy(m, 4.0)
+    total = rng.uniform(-0.6, 0.6, batch + (2 + 2 * m,))
+    tilt = rng.standard_normal(total.shape)
+    for x in (total, total + 1j * COMPLEX_STEP * tilt):
+        for chart, z in ((seed_chart(x[..., 2:]), slice(None)), (seed_chart(x), slice(2, None))):
+            h = base.metric_jets(chart[..., z])
+            assert type(h) is geometry.FubiniStudyJet
+            V = rng.standard_normal(batch + (3, chart.dim))
+            v, w = rng.standard_normal((2,) + batch + (2 * m,))
+            _assert_reads_match_einsum(h, V, v, w)
+            if z != slice(None):
+                assert not h.hessian_along(V)[..., :2, :].any()
 
 
 # -- closed-form Fubini-Study jets against generic jet products -----------------
@@ -419,3 +467,51 @@ def test_warped_base_jets_come_from_the_memo(monkeypatch):
     counts = _count_base_builds(monkeypatch, RunConfig(
         mode="warped", n=7, k=1, rng_seed=1, sample_count=10, perturb_f=1.05))
     assert counts["sigma"] > 0 and counts["outside"] == 0
+
+
+def test_directional_steps_assemble_no_dense_hessian(monkeypatch):
+    """At n = 7 (d = 14, 13 on the circle bundle) the second Bianchi check
+    and the base-independence moves read the metric along directions
+    alone: no z-only part assembles its dense Hessian and no
+    ``BundleJet.hessian`` is formed.  So they run in directional slices of
+    BATCH_ELEMENTS // (4 d^3) points: the 6 complex Bianchi points in 2
+    analyses of 3 (1 of 6 at d = 13), the 20 moves of 10 points in 4 of 5.
+    A sample analysis, which reads R whole, assembles all three."""
+    assembled, analyses = [], []
+
+    def spy(name, build):
+        def read(self):
+            assembled.append(name)
+            return build(self)
+        return read
+
+    for cls in (geometry.FubiniStudyJet, geometry.ThetaSquareJet):
+        monkeypatch.setattr(cls, "assemble", spy(cls.__name__, cls.assemble))
+    hessian = functools.cached_property(spy("BundleJet", geometry.BundleJet.hessian.func))
+    hessian.__set_name__(geometry.BundleJet, "hessian")
+    monkeypatch.setattr(geometry.BundleJet, "hessian", hessian)
+    init = PointAnalysis.__init__
+
+    def counted(self, field, x):
+        analyses.append(len(x))
+        init(self, field, x)
+
+    rng = np.random.default_rng(7)
+    for mode, bianchi in (("warped", [3, 3]), ("product", [3, 3]), ("circle-bundle", [6])):
+        model = build_model(RunConfig(mode=mode, n=7, k=1, rng_seed=7, sample_count=10))
+        points = sample_interior_points(model, rng, 10)
+        dirs = rng.standard_normal((2, 3, model.dim))
+        dirs /= np.linalg.norm(dirs, axis=-1, keepdims=True)
+        a = coefficient_a(PointAnalysis(model, points)) if mode == "warped" else None
+        monkeypatch.setattr(PointAnalysis, "__init__", counted)
+        second_bianchi_residual(model, points[:2], dirs)
+        assert analyses == bianchi and not assembled, mode
+        if mode == "warped":
+            analyses.clear()
+            coefficient_base_independence(model, points, a,
+                                          draws=rng.standard_normal((10, 2, model.base.dim)))
+            assert analyses == [5, 5, 5, 5] and not assembled
+        monkeypatch.setattr(PointAnalysis, "__init__", init)
+        analyses.clear()
+    PointAnalysis(model, points[:1]).riemann
+    assert sorted(set(assembled)) == ["BundleJet", "FubiniStudyJet", "ThetaSquareJet"]

@@ -8,6 +8,7 @@ from qchgeom.curvature import PointAnalysis
 from qchgeom.geometry import BaseChartMetric
 from qchgeom.qch import (
     circle_bundle_residuals,
+    coefficient_a,
     coefficient_base_independence,
     d_block,
     fit_from_curvature,
@@ -192,7 +193,8 @@ def test_structure_identities(warped, warped_analyses):
 def test_coefficients_depend_on_t_only(warped, warped_point_analysis):
     rng = np.random.default_rng(13)
     an = warped_point_analysis
-    dev = coefficient_base_independence(an, warped, draws=rng.standard_normal((2, warped.base.dim)))
+    dev = coefficient_base_independence(warped, an.x, coefficient_a(an),
+                                        draws=rng.standard_normal((2, warped.base.dim)))
     assert dev < 1e-8
 
 

@@ -135,7 +135,10 @@ def test_principal_section_sees_a_rotated_section(unperturbed, monkeypatch):
 @bites("qch_coefficient_base_independence")
 def test_base_independence_sees_a_tilted_base(unperturbed, monkeypatch):
     """The coefficients depend on t alone: a base metric h (1 + 1e-6 u_1),
-    which varies along the base, moves a between nearby base points."""
+    which varies along the base, moves a between nearby base points.  The
+    tilted h is a dense jet (a jet product), so the moved points read it
+    through its own Hessian (``Jet2.hessian_along``), the route a dense part
+    takes, in their batched directional analyses."""
     metric_jets = FubiniStudy.metric_jets
 
     def tilted(self, z):
@@ -227,7 +230,7 @@ def test_second_bianchi_sees_a_noisy_hessian_at_complex_steps(unperturbed, monke
     directions (``BundleJet.hessian_along``, one read for X, Y, GX and GY)
     at complex points x + i h V, its imaginary part carrying the third
     derivatives: relative noise of 1e-6 on those contractions, at complex
-    points only, breaks the sum (3.1e-6 against 1e-6, 3.4e-16 unperturbed;
+    points only, breaks the sum (3.1e-6 against 1e-6, 7.4e-16 unperturbed;
     over noise seeds 0-7 it read 3.0e-6 to 5.1e-6, so the noise here has a
     seed of its own)."""
     noise = np.random.default_rng(0)
