@@ -37,9 +37,10 @@ def inner(g: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return np.sum((x[..., None, :] @ g)[..., 0, :] * y, axis=-1)
 
 
-def max_abs(x: np.ndarray, rank: int):
-    """max |x| over the last ``rank`` axes: one value per point."""
-    return per_point(np.abs(x).max(axis=tuple(range(-rank, 0))))
+def max_abs(x: np.ndarray, rank: int, out: np.ndarray | None = None):
+    """max |x| over the last ``rank`` axes: one value per point.  |x| goes
+    into ``out`` where given, which may be ``x`` itself."""
+    return per_point(np.abs(x, out=out).max(axis=tuple(range(-rank, 0))))
 
 
 def each(c) -> np.ndarray:

@@ -97,8 +97,17 @@ from .jets import Jet2, seed_chart
 COMPLEX_STEP = 1e-30
 
 # float64 entries of one (points, d, d, d, d) array in a batched analysis
-# (0.5 MB): about 50 points at d = 6, 6 at d = 10 and 1 at d = 14
-BATCH_ELEMENTS = 1 << 16
+# (0.625 MB).  A slice that reads R whole holds three such arrays per point
+# at most, complex ones at its complex step along t, which comes before its
+# real R and Hessian exist: the metric Hessian, R and the one buffer R is
+# summed in.  With two points to a slice at d = 14 (2 * 14^4 = 76,832
+# entries) that step, and the second Bianchi read in one slice of its 6
+# points, trace below the run's peak at 2^16 with one point to a slice
+# (6.38 and 6.41 MB against 6.46 MB by tracemalloc over a points-d14 pass);
+# 5 * 2^14 is the smallest multiple of 2^14 that holds two.  Points per
+# slice that reads R whole: 63 at d = 6, 8 at d = 10, 3 at d = 12, 2 at
+# d = 13 and 14, 1 from d = 15
+BATCH_ELEMENTS = 5 << 14
 
 # the most directions one directional read takes at once: X, Y, GX and GY of
 # the second Bianchi check, each a (d, d, d) Hessian along it
@@ -120,15 +129,17 @@ def batch_analyses(field, x: np.ndarray, *, directional: bool = False):
     per memory-bounded slice, each made only when the loop reaches it.
 
     An analysis that reads R whole or Ricci holds rank-4 arrays, the metric
-    Hessian and R, so its slices count d^4 entries per point.  One read only
+    Hessian and R, and one buffer while it sums R, so its slices count d^4
+    entries per point (2 points at d = 14, 63 at d = 6).  One read only
     along directions (``directional``: ``connection_along``,
     ``riemann_along``, ``jacobi_operator``) of a field that keeps its
     metric's z-only parts (``field.shares_parts``) forms no rank-4 array:
     its largest is the metric Hessian along its directions, d^3 entries
     each, at most ``DIRECTIONS`` of them, so its slices count
-    ``DIRECTIONS`` d^3 per point (5 points at d = 14, 75 at d = 6); where
+    ``DIRECTIONS`` d^3 per point (7 points at d = 14, 94 at d = 6); where
     every point shares its parts (the nodes of an axial flow panel, read
-    along one direction) they count d^3.  The one dense part, the h of a
+    along one direction) they count d^3 (a 24-node panel in one slice up
+    to d = 14).  The one dense part, the h of a
     ``ProductBase`` (the negative control's, at d = 6), holds (d - 2)^4
     entries per point, within that count.  A field without parts is
     counted at d^4 per point on either route."""
@@ -249,16 +260,19 @@ class PointAnalysis:
         first, gamma, hess = self.connection, self.gamma, self.metric.hessian
         batch, d = hess.shape[:-4], hess.shape[-1]
         # the terms symmetric under (i, k) <-> (j, l), as a (d^2, d^2) matrix:
-        # pairs[i, k, j, l] = (d_i d_k g_jl + d_j d_l g_ik) / 2 + Gamma^b_ik Gamma_{b,jl},
-        # summed in place: one Hessian-sized temporary fewer per build
+        # pairs[i, k, j, l] = Gamma^b_ik Gamma_{b,jl} + (d_i d_k g_jl + d_j d_l g_ik) / 2,
+        # summed into the product; the half-sum's array then takes R, so the
+        # build holds the Hessian and two arrays of its size
         flat = hess.reshape(batch + (d * d, d * d))
-        pairs = flat + mT(flat)
-        pairs *= 0.5
-        pairs += mT(gamma.reshape(batch + (d, d * d))) @ first.reshape(batch + (d, d * d))
+        half = flat + mT(flat)
+        half *= 0.5
+        pairs = mT(gamma.reshape(batch + (d, d * d))) @ first.reshape(batch + (d, d * d))
+        pairs += half
         pairs = pairs.reshape(hess.shape)
         # R_ijkl = pairs[i, k, j, l] - pairs[i, l, j, k], as Gamma^b_il Gamma_{b,jk}
         # = Gamma_{b,il} Gamma^b_jk
-        return _perm(pairs, "ikjl->ijkl") - _perm(pairs, "iljk->ijkl")
+        return np.subtract(_perm(pairs, "ikjl->ijkl"), _perm(pairs, "iljk->ijkl"),
+                           out=half.reshape(hess.shape))
 
     @cached_property
     def ricci(self) -> np.ndarray:

@@ -44,7 +44,7 @@ each analysis of the flows is directional (``batch_analyses(...,
 directional=True)``): where a panel's nodes share one z, as on the axial
 line, the parts are built once for the panel and the analysis holds d^3
 entries per node, so a whole panel of 24 nodes is one analysis while
-24 d^3 fits ``curvature.BATCH_ELEMENTS`` (d <= 12; two of 12 at d = 14),
+24 d^3 fits ``curvature.BATCH_ELEMENTS`` (d <= 14; two of 12 at d = 16),
 and off the axis the panel goes in slices of ``curvature.DIRECTIONS`` d^3
 entries per node.
 

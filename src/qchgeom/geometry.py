@@ -97,6 +97,10 @@ class FubiniStudy:
         half = (eye[:, None, :, None] * eye[None, :, None, :]
                 + j0[:, None, :, None] * j0[None, :, None, :])
         self._d2p = half + np.swapaxes(half, -1, -2)
+        # J's one nonzero entry in each column a, J_ia at i = pair[a]:
+        # (a, pair, J_{pair[a], a}) for every a in order
+        own, pair = np.nonzero(j0.T)
+        self.j_pairs = (own, pair, j0[pair, own])
 
     def _u_jz(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """u = 1/(1 + |z|^2) at the values x, and Jz."""
@@ -267,24 +271,42 @@ class FubiniStudyJet(_FactoredJet):
     def hessian_along(self, w: np.ndarray) -> np.ndarray:
         """The closed form contracted on b with each direction w:
         A_ij w_a + (C_ij z.w + 4 u^3 dP_ij.w) z_a + 4 u^3 (z.w) dP_ija
-        - u^2 (E_ija + E_jia), E_ija = delta_ia w_j + J_ia (J w)_j."""
+        - u^2 (E_ija + E_jia), E_ija = delta_ia w_j + J_ia (J w)_j, summed in
+        that order into the chart slots of one zero array through one
+        scratch array.  E_ija + E_jia is nonzero on the planes i = a,
+        i = J(a), j = a and j = J(a) alone (``FubiniStudy.j_pairs``), and
+        its entries are sums of two entries of w and J w, so written
+        plane by plane it takes the values of the dense sum."""
         z, u, a, c, dp = self.factors
         base = self.base
-        eye, j0, k = np.eye(base.dim), base.j0, 4.0 / base.c0
+        own, pair, sign = base.j_pairs
         ws = w[..., self.slots]                            # B + (k, n), z's slots
         wt = mT(ws)                                        # [b, u]
+        jwt = base.j0 @ wt
         zw = matvec(ws, z)                                 # [u] = z . w_u
         u2, u3 = u * u, u * u * u
         # [i, j, u] = C_ij z.w_u + 4 u^3 dP_ij.w_u
         q = (c[..., None] * zw[..., None, None, :]
              + 4.0 * u3[..., None, None, None] * last_slot(dp, ws))
-        out = q[..., :, :, None, :] * z[..., None, None, :, None]
-        out += a[..., None, None] * wt[..., None, None, :, :]
-        out += dp[..., None] * (4.0 * u3[..., None] * zw)[..., None, None, None, :]
-        e = (eye[:, None, :, None] * wt[..., None, :, None, :]
-             + j0[:, None, :, None] * (j0 @ wt)[..., None, :, None, :])
-        out -= u2[..., None, None, None, None] * (e + np.swapaxes(e, -3, -4))
-        return self._in_slots(k * out, -2)
+        batch, n, dirs = q.shape[:-3], base.dim, ws.shape[-2]
+        full = np.zeros(batch + (n, n, self.dim, dirs), np.result_type(q, a))
+        out = full[..., self.slots, :]
+        part = np.empty(out.shape, out.dtype)
+        np.multiply(q[..., :, :, None, :], z[..., None, None, :, None], out=out)
+        out += np.multiply(a[..., None, None], wt[..., None, None, :, :], out=part)
+        out += np.multiply(dp[..., None], (4.0 * u3[..., None] * zw)[..., None, None, None, :],
+                           out=part)
+        # E_ija on i = a and i = J(a), then E_jia added on j = a and j = J(a)
+        part.fill(0.0)
+        part[..., own, :, own, :] = wt
+        part[..., pair, :, own, :] = np.multiply.outer(sign, jwt)
+        part[..., :, own, own, :] += wt[..., :, None, :]
+        part[..., :, pair, own, :] += jwt[..., :, None, :] * sign[:, None]
+        # each product with its operands in the order of the sum above: a
+        # complex product need not commute in its last bit
+        out -= np.multiply(u2[..., None, None, None, None], part, out=part)
+        np.multiply(4.0 / base.c0, out, out=out)
+        return full
 
     def hessian_pair(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         """The closed form contracted with x^i y^j: (x A y) delta_ab
@@ -395,9 +417,10 @@ class _SliceMemo:
     dtype kind and for whether it is one point, compared by dtype, shape and
     bytes; a complex batch with zero imaginary part (a complex step along t
     leaves z real) shares the real entry.  The suite runs every check at one
-    sample slice before it moves on, and at a slice reads its own points,
-    then their complex step along t; so the metric, J, the frame, the fields
-    and the checks at a slice build each part once.  The base moves of every
+    sample slice before it moves on, and at a slice reads the complex step
+    along t of its points first, then the points themselves; so the
+    complex step, the metric, J, the frame, the fields and the checks at a
+    slice build each part once.  The base moves of every
     slice come after the last slice, in directional batches of their own,
     and then the complex points of the second Bianchi check.  A flow reads
     its start point between two walks over the same node batches, which a
@@ -574,9 +597,13 @@ class BundleJet:
         def scaled(scale: tuple | None) -> np.ndarray:
             return vz if scale is None else np.asarray(scale[0])[..., None, None] * vz
 
+        # Theta's read, which holds two arrays of its size, before the result
+        # is allocated, and then dropped before h's read
+        theta = th.hessian_along(scaled(self.fiber))
         out = np.zeros(v.shape[:-2] + (self.dim,) * 3 + v.shape[-2:-1],
                        np.result_type(self.dtype, v))
-        out[..., block, block, z, :] = th.hessian_along(scaled(self.fiber))
+        out[..., block, block, z, :] = theta
+        del theta
         out[..., z, z, z, :] += h.hessian_along(scaled(self.base))
         if self.along_t:
             cross, tt = self._t_blocks

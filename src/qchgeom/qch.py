@@ -188,7 +188,12 @@ def ricci_split(analysis: PointAnalysis, coeffs: QCHCoefficients, n: int) -> Ric
 
 def coefficient_t_derivatives(analysis: PointAnalysis, model) -> tuple:
     """(da/dt, db/dt, dkappa/dt) at the analysed point(s), from the fit and
-    kappa of one analysis at the complex points x + i h e_t."""
+    kappa of one analysis at the complex points x + i h e_t: the fit and
+    kappa there carry them in their imaginary parts, exact to rounding,
+    with no step to tune.  Only ``analysis.x`` is read, so the suite takes
+    them first at each sample slice, before the slice's real R and dense
+    Hessian exist: the complex analysis, with its complex R, is dropped on
+    return and never coexists with them."""
     x = analysis.x
     stepped = PointAnalysis(model, complex_step(x, np.eye(x.shape[-1])[0]))
     fit = fit_qch_coefficients(stepped)
@@ -197,16 +202,15 @@ def coefficient_t_derivatives(analysis: PointAnalysis, model) -> tuple:
 
 
 def structure_identity_residuals(analysis: PointAnalysis, model, *,
-                                 fit: QCHCoefficients, divergences: tuple) -> dict[str, float]:
+                                 fit: QCHCoefficients, divergences: tuple,
+                                 t_derivatives: tuple) -> dict[str, float]:
     """Residuals of the pointwise structure identities (warped mode) by check.
 
-    The t-derivatives of the fitted coefficients and of kappa, which the
-    gradient laws compare with their closed forms, come from one analysis
-    at the complex points x + i h e_t (``coefficient_t_derivatives``): the
-    fit and kappa there carry them in their imaginary parts, exact to
-    rounding, with no step to tune.  t-only dependence of the coefficients
-    is asserted separately.  ``fit`` is the fit at the point(s) and
-    ``divergences`` their ``section_divergences``.
+    ``fit`` is the fit at the point(s), ``divergences`` their
+    ``section_divergences`` and ``t_derivatives`` the (da/dt, db/dt,
+    dkappa/dt) of ``coefficient_t_derivatives`` there, which the gradient
+    laws compare with their closed forms.  t-only dependence of the
+    coefficients is asserted separately.
     """
     n = model.n
     frame = analysis.frame
@@ -243,7 +247,7 @@ def structure_identity_residuals(analysis: PointAnalysis, model, *,
     # kappa closed form, and d ln kappa = -(kappa/(n-1) + p*) theta along H
     kap = kappa(divergences)
     out["kappa_closed_form"] = np.abs(kap - kappa_closed_form(n, r, rp))
-    da, db, dkap = coefficient_t_derivatives(analysis, model)
+    da, db, dkap = t_derivatives
     out["identity_log_kappa_gradient"] = np.abs(dkap / kap + kap / (n - 1) + p_star)
 
     # nabla theta = kappa/(2(n-1)) m - p* (J theta) x (J theta), theta = H-flat

@@ -15,16 +15,20 @@ random number of the run.  It walks the points once, in memory-bounded
 slices (``curvature.batch_analyses``): at each slice it takes one
 ``PointAnalysis`` and runs every check family of its mode on it, each adding
 its residuals under each check's name (one per point, or one per random
-probe of the QCH fit), and drops the analysis before the next slice.  Every
-mode but the circle bundle fits (a, b, c) once per slice and scores the fit
-along its probes; the negative control's median reads those same scores.  The
-checks of the whole run (the profile, the base independence at every
-point's base moves, the second Bianchi spot check, the decay flow) run once,
-after the slices, and add one residual per sample they take; the moves and
-the Bianchi points are read along directions alone, in batched directional
-analyses.  One place, ``_Residuals``, then reduces every check's residuals
-with ``np.max``, so a NaN residual at any sample fails its check, and counts
-them: no check's ``samples`` is declared.
+probe of the QCH fit), and drops the analysis before the next slice.  A
+warped slice first takes the t-derivatives of its coefficients from one
+analysis at the complex points x + i h e_t (``coefficient_t_derivatives``),
+dropped before the slice's own analysis builds R, so a slice never holds a
+complex and a real R at once.  Every mode but the circle bundle fits
+(a, b, c) once per slice and scores the fit along its probes; the negative
+control's median reads those same scores.  The checks of the whole run
+(the profile, the base independence at every point's base moves, the second
+Bianchi spot check, the decay flow) run once, after the slices, and add one
+residual per sample they take; the moves and the Bianchi points are read
+along directions alone, in batched directional analyses.  One place,
+``_Residuals``, then reduces every check's residuals with ``np.max``, so a
+NaN residual at any sample fails its check, and counts them: no check's
+``samples`` is declared.
 """
 
 from __future__ import annotations
@@ -59,6 +63,7 @@ from .qch import (
     circle_bundle_residuals,
     coefficient_a,
     coefficient_base_independence,
+    coefficient_t_derivatives,
     fit_qch_coefficients,
     qch_residual_samples,
     ricci_split,
@@ -315,22 +320,28 @@ def _metric_invariant_checks(res: _Residuals, model, an: PointAnalysis) -> None:
 
 
 def _curvature_invariant_checks(res: _Residuals, an: PointAnalysis) -> None:
+    """The symmetries of R, each residual summed and reduced in one scratch
+    array of R's size, and of Ricci."""
     R = an.riemann
-    scale = np.maximum(max_abs(R, 4), 1e-30)
+    buf = np.empty_like(R)
+    scale = np.maximum(max_abs(R, 4, buf), 1e-30)
 
     def relative(x):
-        return max_abs(x, 4) / scale
+        return max_abs(x, 4, buf) / scale
 
     rho = an.ricci
-    res.add(curvature_antisymmetry=np.maximum(relative(R + np.swapaxes(R, -4, -3)),
-                                              relative(R + np.swapaxes(R, -2, -1))),
-            curvature_pair_symmetry=relative(R - np.moveaxis(R, (-2, -1), (-4, -3))),
-            bianchi_first=relative(R + np.moveaxis(R, -2, -4) + np.moveaxis(R, -4, -2)),
+    res.add(curvature_antisymmetry=np.maximum(
+                relative(np.add(R, np.swapaxes(R, -4, -3), out=buf)),
+                relative(np.add(R, np.swapaxes(R, -2, -1), out=buf))),
+            curvature_pair_symmetry=relative(
+                np.subtract(R, np.moveaxis(R, (-2, -1), (-4, -3)), out=buf)),
+            bianchi_first=relative(np.add(np.add(R, np.moveaxis(R, -2, -4), out=buf),
+                                          np.moveaxis(R, -4, -2), out=buf)),
             ricci_symmetry=max_abs(rho - mT(rho), 2))
     if an.complex_structure is not None:
         J = an.complex_structure[0]
         rj = np.moveaxis(contract_slots(R, mT(J), mT(J), rank=4), (-2, -1), (-4, -3))
-        res.add(curvature_kahler_type=relative(rj - R),
+        res.add(curvature_kahler_type=relative(np.subtract(rj, R, out=buf)),
                 ricci_j_invariance=max_abs(mT(J) @ rho @ J - rho, 2))
 
 
@@ -346,12 +357,11 @@ def _profile_checks(res: _Residuals, profile, poly) -> None:
 
 
 def _warped_structure_checks(res: _Residuals, model, an: PointAnalysis, fit, rs,
-                             divergences, phis) -> None:
+                             divergences, t_derivatives, phis) -> None:
     """The QCH structure at a slice, from the slice's ``fit``, Ricci split
-    ``rs`` and section ``divergences``, with the section rotated by the
-    angles ``phis``.  The slice's own points come first, then the complex
-    step along t of the gradient laws, the order in which the model's memos
-    hold one batch each."""
+    ``rs``, section ``divergences`` and ``t_derivatives``
+    (``coefficient_t_derivatives``), with the section rotated by the angles
+    ``phis``."""
     r, rp, _, _ = model.profile_at(an.x[..., 0])
     c0 = model.base.c0
     d1, d2 = divergences
@@ -361,7 +371,8 @@ def _warped_structure_checks(res: _Residuals, model, an: PointAnalysis, fit, rs,
             principal_section=np.abs(d2),  # div_E(JH) = 0 makes H the principal section
             kappa_section_independence=np.abs(np.hypot(d1r, d2r) - np.hypot(d1, d2)),
             **warped_submersion_residuals(an, model))
-    res.add(**structure_identity_residuals(an, model, fit=fit, divergences=divergences))
+    res.add(**structure_identity_residuals(an, model, fit=fit, divergences=divergences,
+                                           t_derivatives=t_derivatives))
 
 
 def _nabla_j_check(res: _Residuals, an: PointAnalysis) -> None:
@@ -402,7 +413,9 @@ def _circle_bundle_checks(res: _Residuals, model, an: PointAnalysis) -> None:
 def _sample_checks(res: _Residuals, model, mode: str, points: np.ndarray, draws) -> None:
     """Every family of the mode at the sample points, one slice at a time:
     one analysis per slice, dropped before the next, and each family reads
-    the slice's rows of the ``draws``.  Every QCH mode fits (a, b, c) once
+    the slice's rows of the ``draws``.  A warped slice takes its
+    t-derivatives (``coefficient_t_derivatives``) before any family reads
+    its analysis.  Every QCH mode fits (a, b, c) once
     per slice and scores it along the slice's probes; the negative control
     keeps each point's median deviation, whose median over the run must
     exceed ``NEGATIVE_CONTROL_FLOOR``.  The warped mode keeps each point's
@@ -412,6 +425,9 @@ def _sample_checks(res: _Residuals, model, mode: str, points: np.ndarray, draws)
     the decay flow, which analyses its own points, runs without one."""
     medians, own_a = [], []
     for sl, an in batch_analyses(model, points):
+        # the complex step along t first, so that its complex R never
+        # coexists with the slice's real R and dense Hessian
+        t_derivatives = coefficient_t_derivatives(an, model) if mode == "warped" else None
         _metric_invariant_checks(res, model, an)
         _curvature_invariant_checks(res, an)
         if mode == "circle-bundle":
@@ -433,7 +449,8 @@ def _sample_checks(res: _Residuals, model, mode: str, points: np.ndarray, draws)
         if mode == "product":
             res.add(kappa_vanishes=np.hypot(*divergences))
         else:
-            _warped_structure_checks(res, model, an, fit, rs, divergences, draws[1][sl])
+            _warped_structure_checks(res, model, an, fit, rs, divergences, t_derivatives,
+                                     draws[1][sl])
             own_a.append(coefficient_a(an))
     if medians:
         res.controls["qch_fit_residual"] = {

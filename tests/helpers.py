@@ -16,7 +16,8 @@ from qchgeom.curvature import contract_slots
 from qchgeom.flows import _NODES, _WEIGHTS
 from qchgeom.jets import Jet2
 from qchgeom.profile import ProfileSolution
-from qchgeom.qch import fit_qch_coefficients, section_divergences, structure_identity_residuals
+from qchgeom.qch import (coefficient_t_derivatives, fit_qch_coefficients, section_divergences,
+                         structure_identity_residuals)
 
 UNARY = ("sqrt1p", "log1p", "expb", "recip1p", "neg", "square")
 BINARY = ("add", "sub", "mul", "divs")
@@ -294,10 +295,11 @@ class PerturbedProfile(ProfileSolution):
 
 
 def structure_identities(analysis, model):
-    """``structure_identity_residuals`` with the fit and the section
-    divergences it reads, taken at the same analysis."""
+    """``structure_identity_residuals`` with the fit, the section divergences
+    and the t-derivatives it reads, taken at the same analysis."""
     return structure_identity_residuals(analysis, model, fit=fit_qch_coefficients(analysis),
-                                        divergences=section_divergences(analysis, model))
+                                        divergences=section_divergences(analysis, model),
+                                        t_derivatives=coefficient_t_derivatives(analysis, model))
 
 
 def model_tensors(g, J, h, X, Y, Z, U):

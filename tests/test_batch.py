@@ -128,8 +128,11 @@ def test_slices_split_the_batch(monkeypatch):
 def test_slices_are_balanced():
     """At the fewest slices that keep every slice within BATCH_ELEMENTS,
     consecutive slices cover the points once and their sizes differ by at
-    most one: a 24-node flow panel at d = 14, one node over budget, goes
-    in 12 + 12 (was 23 + 1), and the 6 complex Bianchi points at d = 14 in
+    most one: a 24-node flow panel at d = 14 goes in one slice, the 6
+    complex Bianchi points at d = 14 in one, the 20 base moves in
+    7 + 7 + 6 and 10 sample points that read R whole at d = 14 in slices of
+    2.  At a budget of 2^16 the panel, one node over it, went in 12 + 12
+    (23 + 1 before the slices were balanced) and the Bianchi points in
     3 + 3."""
     for count in range(0, 40):
         for per_point in (1, 6 ** 4, 14 ** 3, 4 * 14 ** 3, 10 ** 4, 14 ** 4, 20 ** 4):
@@ -140,8 +143,10 @@ def test_slices_are_balanced():
             assert sum(sizes) == count and len(slices) == -(-count // cap)
             assert all(0 < size <= cap for size in sizes)
             assert max(sizes, default=0) - min(sizes, default=0) <= 1
-    assert batch_slices(24, 14 ** 3) == [slice(0, 12), slice(12, 24)]
-    assert batch_slices(6, 4 * 14 ** 3) == [slice(0, 3), slice(3, 6)]
+    assert batch_slices(24, 14 ** 3) == [slice(0, 24)]
+    assert batch_slices(6, 4 * 14 ** 3) == [slice(0, 6)]
+    assert batch_slices(20, 4 * 14 ** 3) == [slice(0, 7), slice(7, 14), slice(14, 20)]
+    assert batch_slices(10, 14 ** 4) == [slice(i, i + 2) for i in range(0, 10, 2)]
 
 
 def _family_cases(n, name, count=5):

@@ -1,11 +1,14 @@
 import functools
+import weakref
 
 import numpy as np
 import pytest
 
 from qchgeom import FubiniStudy, suite
+from qchgeom.batch import mT
 from qchgeom.cli import RunConfig
 from qchgeom.curvature import (
+    _perm,
     PointAnalysis,
     batch_slices,
     complex_step,
@@ -309,6 +312,37 @@ def test_riemann_along_matches_the_contracted_tensor(mode, n):
         assert got.dtype == reference.dtype
 
 
+def _riemann_by_pairs(an: PointAnalysis) -> np.ndarray:
+    """R as built before its one-buffer form: the half-sum of the Hessian
+    first, the Gamma product added into it, then the permuted difference as
+    a new array."""
+    first, gamma, hess = an.connection, an.gamma, an.metric.hessian
+    batch, d = hess.shape[:-4], hess.shape[-1]
+    flat = hess.reshape(batch + (d * d, d * d))
+    pairs = flat + mT(flat)
+    pairs *= 0.5
+    pairs += mT(gamma.reshape(batch + (d, d * d))) @ first.reshape(batch + (d, d * d))
+    pairs = pairs.reshape(hess.shape)
+    return _perm(pairs, "ikjl->ijkl") - _perm(pairs, "iljk->ijkl")
+
+
+@pytest.mark.parametrize("mode,n", [("warped", 3), ("warped", 7), ("circle-bundle", 5),
+                                    ("negative-control", 3)])
+def test_riemann_in_one_buffer_equals_the_pairs_formula(mode, n):
+    """``PointAnalysis.riemann`` sums the Gamma product and the Hessian's
+    half-sum in the other order and writes R into the half-sum's array; the
+    sum commutes, so R is the former formula's bit for bit, at real points
+    and at complex-step points."""
+    model = suite.build_model(RunConfig(mode=mode, n=n, k=1, rng_seed=0))
+    rng = np.random.default_rng(90 + n)
+    points = sample_interior_points(model, rng, 3)
+    for x in (points, complex_step(points, rng.standard_normal(points.shape))):
+        an = PointAnalysis(model, x)
+        got, reference = an.riemann, _riemann_by_pairs(an)
+        assert got.dtype == reference.dtype and got.shape == reference.shape
+        assert got.tobytes() == reference.tobytes()
+
+
 def test_holomorphic_curvature_along_refuses_a_null_vector(warped_point_analysis):
     """The probe of ``coefficient_base_independence`` keeps the fit's guard:
     a vector of zero length raises rather than dividing by |X|^4 = 0."""
@@ -325,7 +359,8 @@ def test_a_warped_run_builds_the_riemann_tensor_only_where_it_is_read_whole(monk
     """A count, not a timing: a warped run builds R once per sample slice and
     once per slice's complex step along t, and never inside the base
     independence or the second Bianchi check, which read it along pairs of
-    directions (``riemann_along``)."""
+    directions (``riemann_along``).  The 30 points at d = 10 go in 4 slices
+    of 8, 8, 7 and 7 (5 of 6 at a budget of 2^16 entries)."""
     builds, inside = [], []
     compute = PointAnalysis.riemann.func
 
@@ -355,7 +390,39 @@ def test_a_warped_run_builds_the_riemann_tensor_only_where_it_is_read_whole(monk
     slices = [points[sl] for sl in batch_slices(30, 10 ** 4)]
     real = [x for x, _ in builds if not np.iscomplexobj(x)]
     stepped = [x for x, _ in builds if np.iscomplexobj(x)]
-    assert len(real) == len(stepped) == len(slices) == 5
+    assert len(real) == len(stepped) == len(slices) == 4
     for x, t_step, sample in zip(real, stepped, slices):
         assert np.array_equal(x, sample) and np.array_equal(t_step.real, sample)
         assert np.any(t_step.imag[:, 0]) and not np.any(t_step.imag[:, 1:])
+
+
+def test_a_slice_takes_its_complex_step_before_its_real_curvature(monkeypatch):
+    """Each sample slice of a warped run takes its complex step along t
+    first: when the stepped analysis builds its complex R, the slice's real
+    analysis exists but holds neither R nor an assembled metric Hessian
+    (``BundleJet.hessian``), and no other real analysis is alive."""
+    live, real_alive = weakref.WeakSet(), []
+    init, compute = PointAnalysis.__init__, PointAnalysis.riemann.func
+
+    def tracked(self, field, x):
+        init(self, field, x)
+        live.add(self)
+
+    def spied(self):
+        if np.iscomplexobj(self.x):
+            real = [an for an in live if not np.iscomplexobj(an.x)]
+            real_alive.append(len(real))
+            for an in real:
+                assert np.array_equal(an.x, self.x.real)
+                assert "riemann" not in vars(an)
+                assert "metric" not in vars(an) or "hessian" not in vars(an.metric)
+        return compute(self)
+
+    riemann = functools.cached_property(spied)
+    riemann.__set_name__(PointAnalysis, "riemann")
+    monkeypatch.setattr(PointAnalysis, "__init__", tracked)
+    monkeypatch.setattr(PointAnalysis, "riemann", riemann)
+    suite.run_suite(RunConfig(mode="warped", n=7, k=1, rng_seed=3, sample_count=10,
+                              perturb_f=1.05))
+    # 10 points at d = 14, two to a slice
+    assert real_alive == [1] * 5

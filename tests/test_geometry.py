@@ -256,8 +256,10 @@ def test_profile_evaluated_once_per_t_batch(monkeypatch):
     """A 10-point n = 7 ``perturb_f`` 1.05 run evaluates the warp profile once
     per distinct t batch (real or complex), up to a slack of 3: the metric,
     J, the frame, the fields and the checks at a batch share the model's
-    memo.  Evaluated afresh for each of them, the run made 259 evaluations
-    of 29 batches."""
+    memo.  The run reads 17 batches: 5 sample slices of 2 points, their 5
+    complex steps, the base moves in 3 slices, the Bianchi points in 1 and
+    3 single points (29 when a sample slice held 1 point).  Evaluated afresh
+    for each of them, the run made 259 evaluations of 29 batches."""
     calls, batches = [], set()
     evaluate = ProfileSolution.evaluate
 
@@ -270,7 +272,7 @@ def test_profile_evaluated_once_per_t_batch(monkeypatch):
     monkeypatch.setattr(ProfileSolution, "evaluate", counted)
     run_suite(RunConfig.from_dict({"mode": "warped", "n": 7, "k": 1, "perturb_f": 1.05,
                                    "sample_count": 10, "rng_seed": 42}))
-    assert len(batches) >= 20
+    assert len(batches) >= 17
     assert len(calls) <= len(batches) + 3
 
 
@@ -293,33 +295,34 @@ def test_base_built_once_per_z_batch(monkeypatch):
     """The same run builds the z-only parts of the warped metric once per
     distinct z batch: the suite finishes each sample slice before the next,
     so the base memo, which holds the last real and the last complex batch,
-    never sees a batch again once it has moved on.  At d = 14 that is 16
-    batches: 10 sample slices of one point (their complex step along t
-    shares the real entry), the 20 base moves in 4 directional slices of 5
-    and the 6 complex Bianchi points in 2 of 3.  With each family walking
-    every slice in turn and a memo of 16 points, the run made 43 builds of
-    36 batches; with the moves and the Bianchi points one per analysis, 36
-    of 36."""
+    never sees a batch again once it has moved on.  At d = 14 that is 9
+    batches: 5 sample slices of two points (their complex step along t
+    shares the real entry), the 20 base moves in 3 directional slices of
+    7, 7 and 6 and the 6 complex Bianchi points in 1 (16 batches when a
+    sample slice held one point and a Bianchi slice 3).  With each family
+    walking every slice in turn and a memo of 16 points, the run made 43
+    builds of 36 batches; with the moves and the Bianchi points one per
+    analysis, 36 of 36."""
     builds, batches = _base_builds(monkeypatch, {"mode": "warped", "n": 7, "k": 1,
                                                  "perturb_f": 1.05, "sample_count": 10,
                                                  "rng_seed": 42})
-    assert batches == 16
+    assert batches == 9
     assert builds == batches
 
 
 def test_decay_flow_builds_each_z_batch_once(monkeypatch):
     """The warped n = 5 run at 10 points, decay flow included, builds the
     z-only parts once per distinct z batch: 2 sample slices, the 20 base
-    moves in 2 directional slices, the Bianchi points in 1, and the flow's
-    3 batches at z = 0 (its 24-node panels, its start point and the 7
-    points of its geodesic residual).
+    moves in 1 directional slice (2 when a slice held 16), the Bianchi
+    points in 1, and the flow's 3 batches at z = 0 (its 24-node panels,
+    its start point and the 7 points of its geodesic residual).
     The flow reads its start point between the geodesic's node batches and
     the Jacobi coefficients' batches of the same z; when a single point
     evicted the batch, the run made 11 builds of 10 batches (the moves then
     took 4 slices)."""
     builds, batches = _base_builds(monkeypatch, {"mode": "warped", "n": 5, "k": 1,
                                                  "sample_count": 10, "rng_seed": 42})
-    assert batches == 8
+    assert batches == 7
     assert builds == batches
 
 

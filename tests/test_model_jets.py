@@ -35,7 +35,7 @@ from qchgeom.curvature import COMPLEX_STEP, PointAnalysis, second_bianchi_residu
 from qchgeom.geometry import BaseChartMetric
 from qchgeom.qch import coefficient_a, coefficient_base_independence
 from qchgeom.suite import build_model, run_suite, sample_interior_points
-from qchgeom.jets import Jet2, reciprocal, seed_chart, zeros
+from qchgeom.jets import Jet2, last_slot, reciprocal, seed_chart, zeros
 
 
 GRAD_STEP = 1e-5
@@ -279,6 +279,51 @@ def test_fubini_study_reads_land_in_the_seeded_slots(m, batch):
                 assert not h.hessian_along(V)[..., :2, :].any()
 
 
+def _fubini_study_along_dense(h, w):
+    """``FubiniStudyJet.hessian_along`` as the dense broadcast sum it was
+    before its in-place form: every term a new array, E_ija + E_jia from the
+    dense E, and the result copied into the chart slots."""
+    z, u, a, c, dp = h.factors
+    base = h.base
+    eye, j0, k = np.eye(base.dim), base.j0, 4.0 / base.c0
+    ws = w[..., h.slots]
+    wt = np.swapaxes(ws, -1, -2)
+    zw = (ws @ z[..., None])[..., 0]
+    u2, u3 = u * u, u * u * u
+    q = (c[..., None] * zw[..., None, None, :]
+         + 4.0 * u3[..., None, None, None] * last_slot(dp, ws))
+    out = q[..., :, :, None, :] * z[..., None, None, :, None]
+    out += a[..., None, None] * wt[..., None, None, :, :]
+    out += dp[..., None] * (4.0 * u3[..., None] * zw)[..., None, None, None, :]
+    e = (eye[:, None, :, None] * wt[..., None, :, None, :]
+         + j0[:, None, :, None] * (j0 @ wt)[..., None, :, None, :])
+    out -= u2[..., None, None, None, None] * (e + np.swapaxes(e, -3, -4))
+    return h._in_slots(k * out, -2)
+
+
+@pytest.mark.parametrize("batch", [(), (4,)])
+@pytest.mark.parametrize("m", [1, 3, 6])
+def test_fubini_study_read_along_equals_the_dense_sum(m, batch):
+    """The closed form's read along directions, summed in place with E on
+    its planes, equals the dense broadcast sum bit for bit: in z's own
+    chart and in the last slots of a larger one, at real points, at complex
+    steps and at complex points and directions of order-one imaginary part
+    (where a complex product taken in the other operand order may differ
+    in its last bit)."""
+    rng = np.random.default_rng(60 + m)
+    base = FubiniStudy(m, 2.5)
+    total = rng.uniform(-0.6, 0.6, batch + (2 + 2 * m,))
+    tilt = rng.standard_normal(total.shape)
+    V = rng.standard_normal(batch + (4, total.shape[-1]))
+    for x, W in ((total, V), (total + 1j * COMPLEX_STEP * tilt, V),
+                 (total + 0.3j * tilt, V + 0.7j * rng.standard_normal(V.shape))):
+        for chart, w in ((seed_chart(x[..., 2:]), W[..., 2:]), (seed_chart(x), W)):
+            h = base.metric_jets(chart[..., -2 * m:])
+            got, want = h.hessian_along(w), _fubini_study_along_dense(h, w)
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+
+
 # -- closed-form Fubini-Study jets against generic jet products -----------------
 
 
@@ -474,9 +519,10 @@ def test_directional_steps_assemble_no_dense_hessian(monkeypatch):
     and the base-independence moves read the metric along directions
     alone: no z-only part assembles its dense Hessian and no
     ``BundleJet.hessian`` is formed.  So they run in directional slices of
-    BATCH_ELEMENTS // (4 d^3) points: the 6 complex Bianchi points in 2
-    analyses of 3 (1 of 6 at d = 13), the 20 moves of 10 points in 4 of 5.
-    A sample analysis, which reads R whole, assembles all three."""
+    BATCH_ELEMENTS // (4 d^3) points: the 6 complex Bianchi points in 1
+    analysis (2 of 3 at d = 14 at a budget of 2^16 entries), the 20 moves
+    of 10 points in 3 of 7, 7 and 6 (4 of 5 at 2^16).  A sample analysis,
+    which reads R whole, assembles all three."""
     assembled, analyses = [], []
 
     def spy(name, build):
@@ -497,7 +543,7 @@ def test_directional_steps_assemble_no_dense_hessian(monkeypatch):
         init(self, field, x)
 
     rng = np.random.default_rng(7)
-    for mode, bianchi in (("warped", [3, 3]), ("product", [3, 3]), ("circle-bundle", [6])):
+    for mode, bianchi in (("warped", [6]), ("product", [6]), ("circle-bundle", [6])):
         model = build_model(RunConfig(mode=mode, n=7, k=1, rng_seed=7, sample_count=10))
         points = sample_interior_points(model, rng, 10)
         dirs = rng.standard_normal((2, 3, model.dim))
@@ -510,7 +556,7 @@ def test_directional_steps_assemble_no_dense_hessian(monkeypatch):
             analyses.clear()
             coefficient_base_independence(model, points, a,
                                           draws=rng.standard_normal((10, 2, model.base.dim)))
-            assert analyses == [5, 5, 5, 5] and not assembled
+            assert analyses == [7, 7, 6] and not assembled
         monkeypatch.setattr(PointAnalysis, "__init__", init)
         analyses.clear()
     PointAnalysis(model, points[:1]).riemann
